@@ -71,5 +71,4 @@ from .words import (
     period_exponent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

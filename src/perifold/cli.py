@@ -48,7 +48,6 @@ from .weights import (
     Weighting,
     cell_weight,
     edge_perimeters,
-    unit_weighting,
     weighting_from_rows,
 )
 from .words import (

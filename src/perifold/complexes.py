@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .words import Presentation, Word
+from .words import Presentation
 
 INF = float("inf")
 
@@ -105,7 +105,6 @@ def cell_period(x: Complex2, c: int) -> tuple[int, int]:
 class LinkGraph:
     nodes: list[int]  # directed edge refs with head at the vertex
     corners: list[tuple[int, int, int, int]]  # (node_a, node_b, cell, position)
-    girth: float
     essential_girth: float  # shortest non-backtracking closed walk of length >= 3
 
 
@@ -126,34 +125,7 @@ def link_graph(x: Complex2, v: int) -> LinkGraph:
             d_out = bdry[(i + 1) % n]
             if x.head(d_in) == v:
                 corners.append((d_in, -d_out, c, i))
-    return LinkGraph(nodes, corners, _multigraph_girth(nodes, corners),
-                     _essential_girth(nodes, corners))
-
-
-def _multigraph_girth(nodes, corners) -> float:
-    # Shortest cycle in an undirected multigraph: remove each edge in turn and
-    # BFS between its endpoints.  Parallel edges give girth 2, loops girth 1.
-    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in nodes}
-    for k, (a, b, _c, _i) in enumerate(corners):
-        if a == b:
-            return 1
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    best = INF
-    for k, (a, b, _c, _i) in enumerate(corners):
-        dist = {a: 0}
-        frontier = [a]
-        while frontier and b not in dist:
-            nxt = []
-            for u in frontier:
-                for w, ek in adj[u]:
-                    if ek != k and w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if b in dist:
-            best = min(best, dist[b] + 1)
-    return best
+    return LinkGraph(nodes, corners, _essential_girth(nodes, corners))
 
 
 def _essential_girth(nodes, corners) -> float:
@@ -357,8 +329,3 @@ def largest_metric_denominator(x: Complex2, table: PieceTable | None = None) -> 
             n_max = (m + longest - 1) // longest - 1
             best = min(best, n_max)
     return best
-
-
-def boundary_word(x: Complex2, c: int) -> Word:
-    """Boundary of a standard-complex cell as a word (edge refs are letters)."""
-    return Word(x.cells[c])

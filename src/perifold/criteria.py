@@ -22,7 +22,7 @@ from .complexes import (
     min_piece_cover,
     standard_complex,
 )
-from .weights import Weighting, cell_weight, edge_perimeters, unit_weighting
+from .weights import Weighting, cell_weight, edge_perimeters, subpath_perimeter
 from .words import (
     Presentation,
     Word,
@@ -30,7 +30,6 @@ from .words import (
     generator_occurrences,
     is_cyclically_reduced,
     period_exponent,
-    render_word,
 )
 
 
@@ -71,15 +70,11 @@ def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
     p, n = cell_period(x, 0)
     if n <= 1:
         return _inapplicable(crit, "relator is not a proper power (exponent 1)")
-    per = edge_perimeters(w)
-    bdry = x.cells[0]
-    m = len(bdry)
     bound = n * cell_weight(w, 0)
     worst = (-1, None)
-    for start in range(m):
-        total = 0
+    for start in range(x.boundary_length(0)):
         for length in range(1, p):
-            total += per[abs(bdry[(start + length - 1) % m]) - 1]
+            total = subpath_perimeter(w, 0, start, length)
             if total > worst[0]:
                 worst = (total, (start, length))
     holds = worst[0] <= bound
@@ -159,18 +154,16 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
         return Verdict(crit, False, "none", applicable=False,
                        witnesses=list(sc.witnesses),
                        notes=[f"complex is not C({p_cond})-T({q_cond}) (T via link girth)"])
-    per = edge_perimeters(w)
     worst = None  # (excess, cell, start, length, p_s, bound)
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
         _p, n = cell_period(x, c)
         bound = n * cell_weight(w, c)
         for start in range(m):
-            total = 0
             for length in range(1, m + 1):
-                total += per[abs(bdry[(start + length - 1) % m]) - 1]
                 if min_piece_cover(x, c, start, length, table) > shell:
                     continue
+                total = subpath_perimeter(w, c, start, length)
                 excess = total - bound
                 key = (-excess, c, start, length)
                 if worst is None or key < worst[0]:
@@ -298,18 +291,17 @@ def find_certificate(x: Complex2, w: Weighting, grade: str = "strict") -> Verdic
     """
     if grade not in ("strict", "weak"):
         raise CriterionError("grade must be 'strict' or 'weak'")
-    table = compute_pieces(x)
-    verdicts: list[Verdict] = []
-    if grade == "weak":
-        verdicts.append(check_one_relator_torsion(x, w))
     strict = grade == "strict"
-    for variant in ("C4T4", "C6T3"):
-        verdicts.append(check_sc_weight(x, w, variant, strict=strict, table=table))
-    if grade == "strict" and x.num_vertices == 1 and _is_unit(w):
-        gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
-        pres = Presentation(gens, tuple(Word(b) for b in x.cells))
-        verdicts.append(check_few_occurrences(pres, table))
-    for v in verdicts:
-        if v.holds:
-            return v
-    return None
+
+    def verdicts():
+        if not strict:
+            yield check_one_relator_torsion(x, w)
+        table = compute_pieces(x)
+        for variant in ("C4T4", "C6T3"):
+            yield check_sc_weight(x, w, variant, strict=strict, table=table)
+        if strict and x.num_vertices == 1 and _is_unit(w):
+            gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
+            pres = Presentation(gens, tuple(Word(b) for b in x.cells))
+            yield check_few_occurrences(pres, table)
+
+    return next((v for v in verdicts() if v.holds), None)

@@ -19,10 +19,12 @@ from .maps import (
     PathInY,
     apply_fold,
     find_fold,
+    packet_mates,
+    present_cycles,
     remove_redundant,
     repair_packing,
 )
-from .weights import Weighting, cell_weight, edge_perimeters, map_perimeter
+from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, subpath_perimeter
 from .words import Presentation, Word, cyclic_reduce, free_reduce
 
 
@@ -49,19 +51,14 @@ def enumerate_candidates(x: Complex2, w: Weighting, mode: str = "strict") -> lis
     up to its rotational symmetry."""
     if mode not in ("strict", "weak"):
         raise EngineError("mode must be 'strict' or 'weak'")
-    per = edge_perimeters(w)
     out: list[CandidateQ] = []
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
         p, n = cell_period(x, c)
         nwt = n * cell_weight(w, c)
-        pos_per = [per[abs(d) - 1] for d in bdry]
-        prefix = [0]
-        for t in range(2 * m):
-            prefix.append(prefix[-1] + pos_per[t % m])
         for start in range(p):
             for length in range(1, m + 1):
-                p_s = prefix[start + m] - prefix[start + length]
+                p_s = subpath_perimeter(w, c, start + length, m - length)
                 strict = p_s < nwt
                 if strict or (mode == "weak" and p_s == nwt):
                     out.append(CandidateQ(c, start, length, strict))
@@ -104,13 +101,6 @@ class ReductionTrace:
             f"step={k} kind={s.kind} P={s.perimeter} edges={s.edges}"
             for k, s in enumerate(self.steps, start=1)
         ]
-
-
-def _present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
-    table: dict[int, set[tuple[int, ...]]] = {}
-    for c in range(m.domain.num_cells()):
-        table.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
-    return table
 
 
 def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
@@ -157,8 +147,7 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict",
     else:
         ordered = sorted(candidates, key=lambda c: (c.length, c.cell, c.start))
     outs = m.out_edges()
-    per_cell_periods = {c: cell_period(x, c) for c in range(x.num_cells())}
-    cycles = _present_cycles(m)
+    cycles = present_cycles(m)
     for cand in ordered:
         bdry = x.cells[cand.cell]
         mlen = len(bdry)
@@ -186,15 +175,11 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict",
                 # complete: blocked only when the circle closes and the whole
                 # packet already lies over it
                 if verts[0] == verts[-1]:
-                    p, n = per_cell_periods[cand.cell]
                     cyc = [0] * mlen
                     for k, d in enumerate(edges):
                         cyc[(start + k) % mlen] = d
                     have = cycles.get(cand.cell, set())
-                    if all(
-                        tuple(cyc[(q + k * p) % mlen] for q in range(mlen)) in have
-                        for k in range(n)
-                    ):
+                    if all(mate in have for mate in packet_mates(x, cand.cell, cyc)):
                         continue
                 complete = True
             else:
@@ -211,10 +196,8 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict",
 
 
 def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int) -> CandidateQ:
-    per = edge_perimeters(w)
-    bdry = x.cells[cell]
-    mlen = len(bdry)
-    p_s = sum(per[abs(bdry[(start + length + t) % mlen]) - 1] for t in range(mlen - length))
+    mlen = x.boundary_length(cell)
+    p_s = subpath_perimeter(w, cell, start + length, mlen - length)
     _p, n = cell_period(x, cell)
     return CandidateQ(cell, start % mlen, length, p_s < n * cell_weight(w, cell))
 
@@ -241,7 +224,6 @@ def attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResul
     cell = site.candidate.cell
     bdry = x.cells[cell]
     mlen = len(bdry)
-    p, n = cell_period(x, cell)
     start, length = site.candidate.start, site.candidate.length
     dom = m.domain
     verts = list(site.path.vertices)
@@ -293,13 +275,11 @@ def attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResul
         m2 = CombMap(dom, x, new_vertex_image, new_edge_image,
                      list(m.cell_image), m.basepoint)
 
-    have = {m2.rewritten_cycle(c) for c in range(m2.domain.num_cells())
-            if m2.cell_image[c][0] == cell}
+    have = present_cycles(m2).get(cell, set())
     added = 0
     new_cells = list(m2.domain.cells)
     new_cell_image = list(m2.cell_image)
-    for k in range(n):
-        mate = tuple(cyc[(q + k * p) % mlen] for q in range(mlen))
+    for mate in packet_mates(x, cell, cyc):
         if mate in have:
             continue
         have.add(mate)
@@ -400,13 +380,9 @@ def _site_perimeters(w: Weighting, site: AttachmentSite) -> tuple[int, int]:
     """(P(packet), P(Q)) of a site, from codomain data alone."""
     x = w.complex
     cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
-    per = edge_perimeters(w)
-    bdry = x.cells[cell]
-    mlen = len(bdry)
     _p, n = cell_period(x, cell)
-    p_full = sum(per[abs(d) - 1] for d in bdry)
-    p_packet = p_full - n * cell_weight(w, cell)
-    p_q = sum(per[abs(bdry[(start + t) % mlen]) - 1] for t in range(length))
+    p_packet = subpath_perimeter(w, cell, 0, x.boundary_length(cell)) - n * cell_weight(w, cell)
+    p_q = subpath_perimeter(w, cell, start, length)
     return p_packet, p_q
 
 
@@ -457,8 +433,7 @@ def relator_bound(x: Complex2, w: Weighting, words: list[Word]) -> int:
     """Sum of the word perimeters; bounds the relator count of the subgroup
     they generate when every 2-cell is attached along a simple cycle
     (reported, not enforced)."""
-    per = edge_perimeters(w)
-    return sum(per[abs(ell) - 1] for word in words for ell in word.letters)
+    return sum(path_perimeter(w, word) for word in words)
 
 
 def euler_perimeter(m: CombMap, w: Weighting) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from .complexes import Complex2, standard_complex
 from .maps import CombMap
 from .weights import Weighting, weighting_from_rows
-from .words import Presentation, Word, parse_presentation
+from .words import Presentation, parse_presentation
 
 
 def free_presentation(rank: int = 2) -> Presentation:

@@ -15,9 +15,9 @@ packedness and side presence straightforward to state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .complexes import Complex2, ComplexError, cell_period
+from .complexes import Complex2, cell_period
 from .words import Word
 
 
@@ -296,13 +296,11 @@ class FoldToImmersionResult:
     folds: list[tuple[int, int]]
     removed_cells: int
     vertex_map: list[int]
-    per_fold_maps: list[CombMap] = field(default_factory=list)
 
 
-def fold_to_immersion(m: CombMap, keep_intermediate: bool = False) -> FoldToImmersionResult:
+def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
     vmap = list(range(m.domain.num_vertices))
     folds: list[tuple[int, int]] = []
-    stages: list[CombMap] = []
     while True:
         fold = find_fold(m)
         if fold is None:
@@ -311,10 +309,8 @@ def fold_to_immersion(m: CombMap, keep_intermediate: bool = False) -> FoldToImme
         folds.append(res.edge_pair)
         vmap = [res.vertex_map[v] for v in vmap]
         m = res.map
-        if keep_intermediate:
-            stages.append(m)
     m, removed = remove_redundant(m)
-    return FoldToImmersionResult(m, folds, removed, vmap, stages)
+    return FoldToImmersionResult(m, folds, removed, vmap)
 
 
 # --- packets ----------------------------------------------------------------
@@ -343,24 +339,30 @@ def build_packet(x: Complex2, c: int) -> Packet:
     return Packet(circle, proj, tuple(k * p for k in range(n)))
 
 
-def _rotated(cycle: tuple[int, ...], s: int) -> tuple[int, ...]:
-    m = len(cycle)
-    s %= m
-    return tuple(cycle[(q + s) % m] for q in range(m))
+def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
+    """Per codomain cell: the rewritten cycles of the domain cells over it."""
+    present: dict[int, set[tuple[int, ...]]] = {}
+    for c in range(m.domain.num_cells()):
+        present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
+    return present
+
+
+def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
+    """Rewritten cycles of the packet of cell r through a cycle over r: its
+    rotations by the multiples of the period, the cycle itself first."""
+    p, n = cell_period(x, r)
+    cycle = tuple(cycle)
+    return [cycle[k * p:] + cycle[:k * p] for k in range(n)]
 
 
 def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
     """Packed iff every lift of a 2-cell extends to a lift of its packet,
     i.e. all period rotations of its rewritten cycle are present as cells."""
-    present: dict[int, set[tuple[int, ...]]] = {}
-    for c in range(m.domain.num_cells()):
-        present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
+    present = present_cycles(m)
     for c in range(m.domain.num_cells()):
         r = m.cell_image[c][0]
-        p, n = cell_period(m.codomain, r)
-        cyc = m.rewritten_cycle(c)
-        for k in range(1, n):
-            if _rotated(cyc, k * p) not in present[r]:
+        for k, mate in enumerate(packet_mates(m.codomain, r, m.rewritten_cycle(c))):
+            if mate not in present[r]:
                 return False, (c, k)
     return True, None
 
@@ -370,18 +372,11 @@ def repair_packing(m: CombMap) -> tuple[CombMap, int]:
 
     Adds 2-cells only (no new 1-cells), so the perimeter cannot increase.
     """
-    present: dict[int, set[tuple[int, ...]]] = {}
-    for c in range(m.domain.num_cells()):
-        present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
     new_cells: list[tuple[int, ...]] = []
     new_images: list[tuple[int, int, bool]] = []
-    for r, cycles in present.items():
-        p, n = cell_period(m.codomain, r)
-        if n == 1:
-            continue
+    for r, cycles in present_cycles(m).items():
         for cyc in list(cycles):
-            for k in range(1, n):
-                mate = _rotated(cyc, k * p)
+            for mate in packet_mates(m.codomain, r, cyc):
                 if mate not in cycles:
                     cycles.add(mate)
                     new_cells.append(mate)

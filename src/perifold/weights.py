@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex2, ComplexError, cell_period, sides_at
+from .complexes import Complex2, ComplexError, cell_period
 from .maps import CombMap, Packet, PathInY, build_packet
 
 
@@ -25,6 +25,14 @@ class NotNearImmersion(ValueError):
 
 @dataclass(frozen=True)
 class Weighting:
+    """Nonnegative integer weights on the sides of a 2-complex.
+
+    The sides at each edge, the edge perimeters and, per cell, the prefix
+    sums of edge perimeters around the boundary read twice are derived when
+    the weighting is built and never recomputed: the complex must not be
+    mutated afterwards.
+    """
+
     complex: Complex2
     side_weights: tuple[tuple[int, ...], ...]  # per cell, per boundary position
 
@@ -32,6 +40,8 @@ class Weighting:
         x = self.complex
         if len(self.side_weights) != x.num_cells():
             raise WeightError("one weight row per 2-cell required")
+        sides: list[list[tuple[int, int]]] = [[] for _ in range(x.num_edges())]
+        per = [0] * x.num_edges()
         for c, row in enumerate(self.side_weights):
             if len(row) != x.boundary_length(c):
                 raise WeightError(f"cell {c} needs one weight per boundary position")
@@ -39,6 +49,18 @@ class Weighting:
                 raise WeightError("weights must be nonnegative integers")
             if sum(row) <= 0:
                 raise WeightError(f"cell {c} has weight 0")
+            for i, (d, wt) in enumerate(zip(x.cells[c], row)):
+                sides[abs(d) - 1].append((c, i))
+                per[abs(d) - 1] += wt
+        prefix = []
+        for bdry in x.cells:
+            sums = [0]
+            for d in bdry + bdry:
+                sums.append(sums[-1] + per[abs(d) - 1])
+            prefix.append(sums)
+        object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_per", per)
+        object.__setattr__(self, "_prefix", prefix)
 
     def weight(self, cell: int, pos: int) -> int:
         return self.side_weights[cell][pos]
@@ -52,22 +74,23 @@ def weighting_from_rows(x: Complex2, rows) -> Weighting:
     return Weighting(x, tuple(tuple(row) for row in rows))
 
 
-def weighting_by_generator(x: Complex2, edge_weight) -> Weighting:
-    """Weight each side by a function of the edge it lies over."""
-    rows = [tuple(edge_weight(abs(d) - 1) for d in bdry) for bdry in x.cells]
-    return Weighting(x, tuple(rows))
-
-
 def edge_perimeter(w: Weighting, e: int) -> int:
-    return sum(w.weight(c, i) for c, i in sides_at(w.complex, e))
+    if not (0 <= e < w.complex.num_edges()):
+        raise ComplexError("unknown edge")
+    return w._per[e]
 
 
 def edge_perimeters(w: Weighting) -> list[int]:
-    per = [0] * w.complex.num_edges()
-    for c, bdry in enumerate(w.complex.cells):
-        for i, d in enumerate(bdry):
-            per[abs(d) - 1] += w.weight(c, i)
-    return per
+    return list(w._per)
+
+
+def subpath_perimeter(w: Weighting, c: int, start: int, length: int) -> int:
+    """Sum of edge perimeters along the boundary subpath of cell c that
+    starts at position start (taken cyclically) and has 0 <= length <= |R|
+    edges."""
+    s = start % w.complex.boundary_length(c)
+    prefix = w._prefix[c]
+    return prefix[s + length] - prefix[s]
 
 
 def cell_weight(w: Weighting, c: int) -> int:
@@ -80,14 +103,13 @@ def path_perimeter(w: Weighting, path) -> int:
     Accepts a PathInY in the weighted complex, a Word over a one-vertex
     complex, or a plain iterable of directed edge refs.
     """
-    per = edge_perimeters(w)
     if isinstance(path, PathInY):
         refs = path.edges
     elif hasattr(path, "letters"):
         refs = path.letters
     else:
         refs = tuple(path)
-    return sum(per[abs(d) - 1] for d in refs)
+    return sum(w._per[abs(d) - 1] for d in refs)
 
 
 # --- map perimeter ----------------------------------------------------------
@@ -110,8 +132,7 @@ def map_perimeter(w: Weighting, m: CombMap) -> int:
     present = present_sides(m)
     total = 0
     for e in range(m.domain.num_edges()):
-        x_edge = abs(m.edge_image[e]) - 1
-        for side in sides_at(w.complex, x_edge):
+        for side in w._sides[abs(m.edge_image[e]) - 1]:
             if side not in present[e]:
                 total += w.weight(*side)
     return total
@@ -134,8 +155,7 @@ def map_perimeter_fast(w: Weighting, m: CombMap) -> int:
         raise WeightError("weighting belongs to a different complex")
     if not is_near_immersion(m):
         raise NotNearImmersion("map is not a near-immersion; use map_perimeter")
-    per = edge_perimeters(w)
-    total = sum(per[abs(m.edge_image[e]) - 1] for e in range(m.domain.num_edges()))
+    total = sum(w._per[abs(m.edge_image[e]) - 1] for e in range(m.domain.num_edges()))
     total -= sum(cell_weight(w, m.cell_image[c][0]) for c in range(m.domain.num_cells()))
     return total
 
@@ -156,10 +176,8 @@ def sform_check(w: Weighting, c: int, start: int, length: int) -> tuple[int, int
     m = x.boundary_length(c)
     if not (0 <= start < m) or not (0 <= length <= m):
         raise ComplexError("invalid subpath")
-    per = edge_perimeters(w)
-    bdry = x.cells[c]
-    p_q = sum(per[abs(bdry[(start + t) % m]) - 1] for t in range(length))
-    p_s = sum(per[abs(bdry[(start + length + t) % m]) - 1] for t in range(m - length))
+    p_q = subpath_perimeter(w, c, start, length)
+    p_s = subpath_perimeter(w, c, start + length, m - length)
     _p, n = cell_period(x, c)
     nwt = n * cell_weight(w, c)
     p_packet = packet_perimeter(w, c)

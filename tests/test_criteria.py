@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from perifold import fixtures
+from perifold import criteria, fixtures
 from perifold.complexes import compute_pieces, standard_complex
 from perifold.criteria import (
     CriterionError,
@@ -206,3 +206,20 @@ def test_find_certificate_grades():
     aabb2 = standard_complex(parse_presentation("gens a b / rel ( a a b b )^2"))
     weak = find_certificate(aabb2, unit_weighting(aabb2), "weak")
     assert weak is not None and weak.criterion == "one-relator-torsion"
+
+
+def test_find_certificate_stops_at_first_holding_verdict(monkeypatch):
+    calls = []
+    original = criteria.check_sc_weight
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "check_sc_weight", counted)
+    aab3 = standard_complex(fixtures.aab_power_presentation(3))
+    weak = find_certificate(aab3, unit_weighting(aab3), "weak")
+    assert weak.criterion == "one-relator-torsion" and calls == []
+    torus = standard_complex(fixtures.torus_presentation())
+    weak = find_certificate(torus, unit_weighting(torus), "weak")
+    assert weak.criterion == "sc-c4t4" and len(calls) == 1

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from perifold import fixtures
-from perifold.complexes import standard_complex
+from perifold.complexes import ComplexError, standard_complex
 from perifold.maps import (
     apply_fold,
     bouquet_map,
@@ -21,6 +22,7 @@ from perifold.weights import (
     packet_perimeter,
     path_perimeter,
     sform_check,
+    subpath_perimeter,
     unit_weighting,
     weighting_from_rows,
 )
@@ -131,6 +133,43 @@ def test_sform_identity(aab3):
                 for length in range(m + 1):
                     p_packet, p_q, p_s, nwt = sform_check(ws, c, start, length)
                     assert p_packet == p_q + p_s - nwt
+
+
+_SUBPATH_COMPLEXES = [
+    standard_complex(pres)
+    for pres in (
+        fixtures.aab_power_presentation(3),
+        fixtures.zzz_presentation(),
+        fixtures.modify_presentation(),
+        fixtures.two_relator_block_presentation(),
+    )
+]
+
+
+@given(st.data())
+def test_subpath_perimeter_matches_modular_sum(data):
+    x = data.draw(st.sampled_from(_SUBPATH_COMPLEXES))
+    rows = [
+        data.draw(st.lists(st.integers(0, 5), min_size=len(b), max_size=len(b)).filter(any))
+        for b in x.cells
+    ]
+    w = weighting_from_rows(x, rows)
+    per = [
+        sum(rows[c][i] for c, bdry in enumerate(x.cells)
+            for i, d in enumerate(bdry) if abs(d) - 1 == e)
+        for e in range(x.num_edges())
+    ]
+    assert [edge_perimeter(w, e) for e in range(x.num_edges())] == per
+    c = data.draw(st.integers(0, x.num_cells() - 1))
+    bdry = x.cells[c]
+    m = len(bdry)
+    start = data.draw(st.integers(0, 2 * m - 1))
+    length = data.draw(st.integers(0, m))
+    assert subpath_perimeter(w, c, start, length) == \
+        sum(per[abs(bdry[(start + t) % m]) - 1] for t in range(length))
+    for e in (-1, x.num_edges()):
+        with pytest.raises(ComplexError):
+            edge_perimeter(w, e)
 
 
 def test_fast_equals_slow_on_near_immersions(rng):
