@@ -9,7 +9,7 @@ Input files are line-oriented UTF-8 with ``#`` comments:
     words H: a^2, a b   # optional named word lists
 
 Exit codes: 0 success/holds/true, 1 fails/false, 2 error, 3 inapplicable or
-missing certificate.
+missing certificate, 4 step limit reached before the reduction finished.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ def _presentation_payload(pres: Presentation) -> dict:
 def cmd_subgroup(f: InputFile, args) -> int:
     gens = _resolve_words(args.gens, f)
     try:
-        result = subgroup_presentation(f.complex, f.weighting, gens, force=args.force)
+        result = subgroup_presentation(f.complex, f.weighting, gens, force=args.force,
+                                       step_limit=args.step_limit)
     except MissingCertificateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
@@ -348,12 +349,13 @@ def cmd_subgroup(f: InputFile, args) -> int:
     data = _presentation_payload(result.presentation)
     data.update({
         "certificate": result.certificate.to_json_dict() if result.certificate else None,
+        "exhausted": result.exhausted,
         "heuristic": result.heuristic,
         "steps": len(result.trace.steps),
         "trace_path": trace_path,
     })
     _emit(data, args.json)
-    return 0
+    return 4 if result.exhausted else 0
 
 
 def cmd_member(f: InputFile, args) -> int:

@@ -17,14 +17,21 @@ from .complexes import Complex2, cell_period
 from .maps import (
     CombMap,
     PathInY,
-    apply_fold,
     find_fold,
+    fold_to_immersion,
     packet_mates,
     present_cycles,
-    remove_redundant,
     repair_packing,
 )
-from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, subpath_perimeter
+from .weights import (
+    Weighting,
+    cell_weight,
+    edge_perimeter,
+    map_perimeter,
+    path_perimeter,
+    present_sides,
+    subpath_perimeter,
+)
 from .words import Presentation, Word, cyclic_reduce, free_reduce
 
 
@@ -126,8 +133,23 @@ def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
     return start
 
 
-def find_attachment(m: CombMap, w: Weighting, mode: str = "strict",
-                    candidates: list[CandidateQ] | None = None) -> AttachmentSite | None:
+def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
+    """The candidates `find_attachment` tries, in its scan order: the strict
+    ones longest first in strict mode, all shortest first in weak mode.
+    Built once per (weighting, mode) and kept on the weighting."""
+    order = w._scan_order.get(mode)
+    if order is None:
+        candidates = enumerate_candidates(w.complex, w, mode)
+        if mode == "strict":
+            order = sorted((c for c in candidates if c.strict),
+                           key=lambda c: (-c.length, c.cell, c.start))
+        else:
+            order = sorted(candidates, key=lambda c: (c.length, c.cell, c.start))
+        order = w._scan_order[mode] = tuple(order)
+    return order
+
+
+def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan for an attachment site.
 
     Strict mode scans longest candidates first and grows every lift to a
@@ -137,16 +159,11 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict",
     weak engine reproduces the nonterminating square-ladder behaviour.
     """
     x = m.codomain
-    if find_fold(m) is not None:
-        raise EngineError("find_attachment requires a 1-immersion")
-    if candidates is None:
-        candidates = enumerate_candidates(x, w, mode)
-    if mode == "strict":
-        candidates = [c for c in candidates if c.strict]
-        ordered = sorted(candidates, key=lambda c: (-c.length, c.cell, c.start))
-    else:
-        ordered = sorted(candidates, key=lambda c: (c.length, c.cell, c.start))
     outs = m.out_edges()
+    if sum(map(len, outs)) < 2 * m.domain.num_edges():
+        # two ends at some vertex share an image
+        raise EngineError("find_attachment requires a 1-immersion")
+    ordered = scan_order(w, mode)
     cycles = present_cycles(m)
     for cand in ordered:
         bdry = x.cells[cand.cell]
@@ -305,6 +322,11 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
     """Fold/repair/attach until no fold and no qualifying site exists.
 
+    Each fold phase is one `fold_to_immersion` pass; the perimeter follows
+    each fold by its local change, so the double sum is taken only at the
+    start, after repairs and after complete attachments (and, with
+    `verify`, after every phase as a check).
+
     Weak mode requires a step limit (weak attachments need not terminate);
     hitting the limit sets `exhausted` instead of raising so the partial
     trace stays observable.
@@ -313,10 +335,10 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    candidates = enumerate_candidates(m.codomain, w, mode)
     tracking = list(range(m.domain.num_vertices))
     perimeter = map_perimeter(w, m)
     trace = ReductionTrace(perimeter, m.domain.num_edges())
+    pending = False  # the last fold phase was cut short with a fold left
 
     def out_of_steps() -> bool:
         return step_limit is not None and len(trace.steps) >= step_limit
@@ -327,19 +349,39 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                                      detail or {}))
 
     def fold_and_pack() -> None:
-        nonlocal m, perimeter, tracking
-        while not out_of_steps():
-            fold = find_fold(m)
-            if fold is None:
-                break
-            res = apply_fold(m, fold)
-            m = res.map
+        nonlocal m, perimeter, tracking, pending
+        dom = m.domain
+        edges, vertices = dom.num_edges(), dom.num_vertices
+        present: list[set[tuple[int, int]]] = []  # sides at each edge of dom
+
+        def on_fold(d1: int, d2: int, merged: bool) -> None:
+            # only the sides at the two identified edges change: the kept
+            # edge carries both sets, so a side present at both stops being
+            # counted twice
+            nonlocal perimeter, edges, vertices
+            keep, drop = abs(d1) - 1, abs(d2) - 1
+            if not present:
+                present.extend(present_sides(m))
+            shared = sum(w.weight(*s) for s in present[keep] & present[drop])
+            present[keep] |= present[drop]
+            perimeter -= edge_perimeter(w, abs(m.edge_image[keep]) - 1) - shared
+            edges -= 1
+            vertices -= merged
+            trace.steps.append(TraceStep("fold", perimeter, edges, vertices,
+                                         dom.num_cells(), {}))
+
+        limit = None if step_limit is None else max(0, step_limit - len(trace.steps))
+        res = fold_to_immersion(m, limit, on_fold)
+        if res.folds:
             tracking = [res.vertex_map[v] for v in tracking]
-            perimeter = map_perimeter(w, m)
-            log("fold", perimeter)
-        m, removed = remove_redundant(m)
-        if removed:
-            log("remove-redundant", perimeter, {"removed": removed})
+        m, pending = res.map, res.pending
+        if verify:
+            if perimeter != map_perimeter(w, m):
+                raise EngineError("fold bookkeeping mismatch")
+            if not pending and find_fold(m) is not None:
+                raise EngineError("fold phase did not end in a 1-immersion")
+        if res.removed_cells:
+            log("remove-redundant", perimeter, {"removed": res.removed_cells})
         m, added = repair_packing(m)
         if added:
             perimeter = map_perimeter(w, m)
@@ -347,7 +389,7 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
 
     fold_and_pack()
     while not out_of_steps():
-        site = find_attachment(m, w, mode, candidates)
+        site = find_attachment(m, w, mode)
         if site is None:
             break
         p_packet, p_q = _site_perimeters(w, site)
@@ -370,9 +412,7 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
             log("attach-incomplete", perimeter,
                 {"cell": site.candidate.cell, "delta": p_packet - p_q})
         fold_and_pack()
-    exhausted = out_of_steps() and (
-        find_fold(m) is not None or find_attachment(m, w, mode, candidates) is not None
-    )
+    exhausted = out_of_steps() and (pending or find_attachment(m, w, mode) is not None)
     return ReduceResult(m, trace, tracking, exhausted)
 
 

@@ -15,6 +15,8 @@ packedness and side presence straightforward to state.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, replace
 
 from .complexes import Complex2, cell_period
@@ -77,8 +79,8 @@ class CombMap:
     def out_edges(self) -> list[dict[int, int]]:
         """Per vertex: image directed edge -> domain directed edge.
 
-        Only well defined (single-valued) for 1-immersions; the folding loop
-        uses `directed_stars` instead while duplicates may exist.
+        Only well defined (single-valued) for 1-immersions; `find_fold` uses
+        `directed_stars` instead while duplicates may exist.
         """
         outs: list[dict[int, int]] = [dict() for _ in range(self.domain.num_vertices)]
         for e in range(self.domain.num_edges()):
@@ -293,24 +295,137 @@ def remove_redundant(m: CombMap) -> tuple[CombMap, int]:
 @dataclass
 class FoldToImmersionResult:
     map: CombMap
-    folds: list[tuple[int, int]]
+    folds: list[tuple[int, int]]  # identified directed edges, as refs of the input map
     removed_cells: int
     vertex_map: list[int]
+    pending: bool = False  # the fold limit stopped the run with a fold left
 
 
-def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
-    vmap = list(range(m.domain.num_vertices))
+def fold_to_immersion(m: CombMap, limit: int | None = None,
+                      on_fold=None) -> FoldToImmersionResult:
+    """Stallings folding in one pass, then `remove_redundant`.
+
+    Folds in exactly the order of repeated `find_fold` / `apply_fold`: the
+    first current vertex with a repeated image, its smallest such image and
+    the two smallest directed edges over it.  Current numberings are monotone
+    in the input's, so vertex classes are kept in a union-find whose root is
+    the smallest input vertex, and each root's star maps an image to the
+    sorted input refs of the edge ends over it.  A dropped edge points at
+    the edge it was identified with, and the map is built once at the end;
+    with no fold the input map itself is kept.
+
+    At most `limit` folds are made.  `on_fold(d1, d2, merged)` is called
+    after each fold with the identified input refs (d2's edge is dropped
+    into d1's) and whether their heads were distinct vertices.
+    """
+    dom = m.domain
+    nv = dom.num_vertices
+    parent = list(range(nv))
+    stars: list[dict[int, list[int]] | None] = [{} for _ in range(nv)]
+    degree = [0] * nv
+    for e, (src, tgt) in enumerate(dom.edges):
+        img = m.edge_image[e]
+        stars[src].setdefault(img, []).append(e + 1)
+        stars[tgt].setdefault(-img, []).append(-(e + 1))
+        degree[src] += 1
+        degree[tgt] += 1
+    for star in stars:
+        for ends in star.values():
+            ends.sort()
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def repeated(v: int) -> int | None:
+        return min((img for img, ends in stars[v].items() if len(ends) > 1), default=None)
+
+    heap = [v for v in range(nv) if repeated(v) is not None]
+    link: dict[int, tuple[int, int]] = {}  # dropped edge -> (edge it joined, sign)
     folds: list[tuple[int, int]] = []
-    while True:
-        fold = find_fold(m)
-        if fold is None:
+    pending = False
+    while heap:
+        v = heap[0]
+        img = repeated(v) if parent[v] == v else None
+        if img is None:
+            heapq.heappop(heap)
+            continue
+        if limit is not None and len(folds) >= limit:
+            pending = True
             break
-        res = apply_fold(m, fold)
-        folds.append(res.edge_pair)
-        vmap = [res.vertex_map[v] for v in vmap]
-        m = res.map
+        ends = stars[v][img]
+        d1, d2 = ends[0], ends.pop(1)
+        h1, h2 = find(dom.head(d1)), find(dom.head(d2))
+        back = stars[h2][-img]
+        del back[bisect.bisect_left(back, -d2)]
+        if not back:
+            del stars[h2][-img]
+        degree[v] -= 1
+        degree[h2] -= 1
+        link[abs(d2) - 1] = (abs(d1) - 1, 1 if (d1 > 0) == (d2 > 0) else -1)
+        folds.append((d1, d2))
+        if h1 != h2:
+            lo, hi = min(h1, h2), max(h1, h2)
+            big, small = stars[lo], stars[hi]
+            if degree[lo] < degree[hi]:
+                big, small = small, big
+            for im, moved in small.items():
+                into = big.get(im)
+                if into is None:
+                    big[im] = moved
+                else:
+                    for d in moved:
+                        bisect.insort(into, d)
+            parent[hi] = lo
+            stars[lo], stars[hi] = big, None
+            degree[lo] += degree[hi]
+            heapq.heappush(heap, lo)
+        if on_fold is not None:
+            on_fold(d1, d2, h1 != h2)
+    if folds:
+        m, vmap = _quotient(m, find, link)
+    else:
+        vmap = list(range(nv))
     m, removed = remove_redundant(m)
-    return FoldToImmersionResult(m, folds, removed, vmap)
+    return FoldToImmersionResult(m, folds, removed, vmap, pending)
+
+
+def _quotient(m: CombMap, find, link: dict[int, tuple[int, int]]) -> tuple[CombMap, list[int]]:
+    """The folded map: vertex classes numbered by their smallest input
+    vertex, surviving edges in input order, cell boundaries rewritten onto
+    the surviving edges; also the input -> output vertex map."""
+    dom = m.domain
+    roots = [v for v in range(dom.num_vertices) if find(v) == v]
+    index = {r: i for i, r in enumerate(roots)}
+    vmap = [index[find(v)] for v in range(dom.num_vertices)]
+    ref = [0] * dom.num_edges()  # surviving edge -> output ref
+    new_edges = []
+    new_edge_image = []
+    for e, (src, tgt) in enumerate(dom.edges):
+        if e not in link:
+            new_edges.append((vmap[src], vmap[tgt]))
+            new_edge_image.append(m.edge_image[e])
+            ref[e] = len(new_edges)
+
+    def resolve(d: int) -> int:
+        e = abs(d) - 1
+        chain = []
+        while e in link:
+            chain.append(e)
+            e = link[e][0]
+        sign = 1
+        for c in reversed(chain):  # compress the chain onto the survivor e
+            sign *= link[c][1]
+            link[c] = (e, sign)
+        return ref[e] * sign if d > 0 else -ref[e] * sign
+
+    new_cells = [tuple(resolve(d) for d in bdry) for bdry in dom.cells]
+    new_vertex_image = [m.vertex_image[r] for r in roots]
+    new_dom = Complex2(len(roots), new_edges, new_cells)
+    return (CombMap(new_dom, m.codomain, new_vertex_image, new_edge_image,
+                    list(m.cell_image), vmap[m.basepoint]), vmap)
 
 
 # --- packets ----------------------------------------------------------------

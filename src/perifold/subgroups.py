@@ -30,6 +30,7 @@ class SubgroupResult:
     certificate: Verdict | None
     heuristic: bool
     final_map: CombMap
+    exhausted: bool = False  # the step limit cut the reduction short
 
 
 def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
@@ -53,13 +54,17 @@ def _clean_words(words) -> list[Word]:
 
 
 def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
-                          force: bool = False) -> SubgroupResult:
-    """Reduce the bouquet of the generators and contract a spanning tree."""
+                          force: bool = False,
+                          step_limit: int | None = None) -> SubgroupResult:
+    """Reduce the bouquet of the generators and contract a spanning tree.
+
+    With a step limit that cuts the reduction short, `exhausted` is set and
+    the presentation is read off the partially reduced complex."""
     cert, heuristic = _certified(x, w, "strict", force, "subgroup_presentation")
     m = bouquet_map(x, _clean_words(gens))
-    res = reduce_map(m, w, "strict")
+    res = reduce_map(m, w, "strict", step_limit)
     return SubgroupResult(extract_presentation(res.map), res.trace, cert,
-                          heuristic, res.map)
+                          heuristic, res.map, res.exhausted)
 
 
 def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,

@@ -29,8 +29,9 @@ class Weighting:
 
     The sides at each edge, the edge perimeters and, per cell, the prefix
     sums of edge perimeters around the boundary read twice are derived when
-    the weighting is built and never recomputed: the complex must not be
-    mutated afterwards.
+    the weighting is built, and the attachment candidates per engine mode
+    (`engine.scan_order`) when first asked for; none is recomputed, so the
+    complex must not be mutated afterwards.
     """
 
     complex: Complex2
@@ -61,6 +62,7 @@ class Weighting:
         object.__setattr__(self, "_sides", sides)
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_scan_order", {})
 
     def weight(self, cell: int, pos: int) -> int:
         return self.side_weights[cell][pos]

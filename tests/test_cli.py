@@ -133,6 +133,23 @@ def test_cmd_subgroup_with_trace(tmp_path, capsys):
     assert all(line.startswith("step=") for line in lines)
 
 
+def test_cmd_subgroup_step_limit(tmp_path, capsys):
+    path = write(tmp_path, "aab3.pf", "gens a b\nrel ( a a b )^3\n")
+    gens = "a a b a a b a, a b a"
+    trace = tmp_path / "trace.log"
+    assert main(["subgroup", path, "--gens", gens, "--json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["exhausted"] is False and full["steps"] == 9
+    assert main(["subgroup", path, "--gens", gens, "--json", "--step-limit", "1",
+                 "--trace", str(trace)]) == 4
+    cut = json.loads(capsys.readouterr().out)
+    assert cut["exhausted"] is True and cut["steps"] == 1
+    assert trace.read_text().splitlines() == ["step=1 kind=fold P=45 edges=9"]
+    # a limit the run does not reach changes nothing
+    assert main(["subgroup", path, "--gens", gens, "--json", "--step-limit", "9"]) == 0
+    assert json.loads(capsys.readouterr().out) == full
+
+
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
     path = write(tmp_path, "fgip.pf",
                  "gens a b t\nrel a t a^-1 t^-1\nrel b t b^-1 t^-1\n")

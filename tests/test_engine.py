@@ -1,11 +1,14 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perifold import fixtures
+from perifold import engine, fixtures
 from perifold.complexes import Complex2, cell_period, standard_complex
 from perifold.engine import (
     EngineError,
+    TraceStep,
     attach_packet,
     enumerate_candidates,
     euler_perimeter,
@@ -14,7 +17,18 @@ from perifold.engine import (
     reduce_map,
     relator_bound,
 )
-from perifold.maps import CombMap, bouquet_map, build_packet, fold_to_immersion
+from perifold.experiments import random_generator_set
+from perifold.maps import (
+    CombMap,
+    apply_fold,
+    bouquet_map,
+    build_packet,
+    find_fold,
+    fold_to_immersion,
+    remove_redundant,
+    repair_packing,
+)
+from perifold.subgroups import _augment_with_cells
 from perifold.weights import (
     cell_weight,
     edge_perimeters,
@@ -256,3 +270,147 @@ def test_relator_bound_and_euler():
     wf = unit_weighting(free)
     point = bouquet_map(free, [])
     assert euler_perimeter(point, wf) == 1
+
+
+# --- the fold phase against one find_fold / apply_fold per fold --------------
+
+
+def reference_reduce(m, w, step_limit=None):
+    """reduce_map in strict mode with the fold phase done one fold at a time:
+    find_fold, apply_fold, then the double-sum perimeter.  Returns (map,
+    steps, vertex tracking, exhausted)."""
+    tracking = list(range(m.domain.num_vertices))
+    perimeter = map_perimeter(w, m)
+    steps = []
+
+    def out_of_steps():
+        return step_limit is not None and len(steps) >= step_limit
+
+    def log(kind, p, detail=None):
+        steps.append(TraceStep(kind, p, m.domain.num_edges(), m.domain.num_vertices,
+                               m.domain.num_cells(), detail or {}))
+
+    def fold_and_pack():
+        nonlocal m, perimeter, tracking
+        while not out_of_steps():
+            fold = find_fold(m)
+            if fold is None:
+                break
+            res = apply_fold(m, fold)
+            m = res.map
+            tracking = [res.vertex_map[v] for v in tracking]
+            perimeter = map_perimeter(w, m)
+            log("fold", perimeter)
+        m, removed = remove_redundant(m)
+        if removed:
+            log("remove-redundant", perimeter, {"removed": removed})
+        m, added = repair_packing(m)
+        if added:
+            perimeter = map_perimeter(w, m)
+            log("repair", perimeter, {"added": added})
+
+    fold_and_pack()
+    while not out_of_steps():
+        site = find_attachment(m, w)
+        if site is None:
+            break
+        res = attach_packet(m, w, site)
+        m = res.map
+        tracking = [res.vertex_map[v] for v in tracking]
+        before, perimeter = perimeter, map_perimeter(w, m)
+        log("attach-complete" if res.complete else "attach-incomplete", perimeter,
+            {"cell": site.candidate.cell, "delta": perimeter - before})
+        fold_and_pack()
+    exhausted = out_of_steps() and (
+        find_fold(m) is not None or find_attachment(m, w) is not None)
+    return m, steps, tracking, exhausted
+
+
+def reference_fold(m, limit=None):
+    """fold_to_immersion as repeated find_fold / apply_fold; folds are
+    reported as refs of the input map."""
+    alive = list(range(1, m.domain.num_edges() + 1))  # current edge -> input ref
+    vmap = list(range(m.domain.num_vertices))
+    folds = []
+    while limit is None or len(folds) < limit:
+        fold = find_fold(m)
+        if fold is None:
+            break
+        _v, d1, d2 = fold
+        folds.append(tuple(alive[abs(d) - 1] * (1 if d > 0 else -1) for d in (d1, d2)))
+        del alive[abs(d2) - 1]
+        res = apply_fold(m, fold)
+        vmap = [res.vertex_map[v] for v in vmap]
+        m = res.map
+    pending = find_fold(m) is not None
+    m, removed = remove_redundant(m)
+    return m, folds, removed, vmap, pending
+
+
+_DIFF_COMPLEXES = [
+    (standard_complex(fixtures.torus_presentation()), unit_weighting),
+    (standard_complex(fixtures.aab_power_presentation(3)), unit_weighting),
+    (standard_complex(fixtures.surface_presentation(2, True)), unit_weighting),
+    (standard_complex(fixtures.zzz_presentation()), fixtures.zzz_weighting),
+]
+
+
+def assert_same_as_reference(m, w):
+    full = reduce_map(m, w)
+    for limit in [None, *range(len(full.trace.steps) + 2)]:
+        got = reduce_map(m, w, step_limit=limit, verify=True)
+        want_map, want_steps, want_tracking, want_exhausted = reference_reduce(m, w, limit)
+        assert got.trace.to_lines() == [
+            f"step={k} kind={s.kind} P={s.perimeter} edges={s.edges}"
+            for k, s in enumerate(want_steps, start=1)]
+        assert got.trace.steps == want_steps  # every TraceStep field
+        assert got.map == want_map  # every CombMap field
+        assert got.vertex_tracking == want_tracking
+        assert got.exhausted == want_exhausted
+    folds = len(fold_to_immersion(m).folds)
+    for limit in [None, *range(folds + 2)]:
+        got = fold_to_immersion(m, limit)
+        assert (got.map, got.folds, got.removed_cells, got.vertex_map, got.pending) \
+            == reference_fold(m, limit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fold_phase_matches_one_fold_at_a_time(data):
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    w = w_of(x)
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+    gens = [g for g in (free_reduce(word(ls)) for ls in data.draw(
+        st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3)))
+        if g.letters]
+    m = bouquet_map(x, gens)
+    if data.draw(st.booleans()):
+        m = _augment_with_cells(m)  # cells glued at every vertex fold together
+    assert_same_as_reference(m, w)
+
+
+def test_fold_phase_with_cells_matches_reference():
+    # reduced maps with a copy of every cell at each vertex: folds identify
+    # edges that both carry a side, and redundant cells appear
+    for x, w_of in _DIFF_COMPLEXES:
+        w = w_of(x)
+        gens = [word([1, 2, -1]), word([2, 2, 1])]
+        m = _augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+        assert_same_as_reference(m, w)
+
+
+def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
+    x = standard_complex(fixtures.aab_power_presentation(9))
+    w = unit_weighting(x)
+    gens = [free_reduce(g) for g in random_generator_set(random.Random(101), 2, 160, 32)]
+    m = bouquet_map(x, [g for g in gens if g.letters])
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return map_perimeter(*args)
+
+    monkeypatch.setattr(engine, "map_perimeter", counted)
+    res = reduce_map(m, w)
+    assert sum(s.kind == "fold" for s in res.trace.steps) > 100
+    assert len(calls) <= 4
