@@ -38,8 +38,8 @@ from .engine import (
 from .maps import (
     CombMap,
     bouquet_map,
+    based_fiber_product,
     build_packet,
-    fiber_product,
     fold_to_immersion,
     is_1_immersion,
     is_packed,

@@ -200,6 +200,17 @@ def whisker_tip(m: CombMap) -> int:
 # --- folding ----------------------------------------------------------------
 
 
+def end_stars(m: CombMap) -> list[dict[int, list[int]]]:
+    """Per vertex: image directed edge -> every domain directed edge over it
+    leaving that vertex, in edge order; unlike `out_edges`, also for maps
+    that are not immersions."""
+    stars: list[dict[int, list[int]]] = [{} for _ in range(m.domain.num_vertices)]
+    for e, (src, tgt) in enumerate(m.domain.edges):
+        stars[src].setdefault(m.edge_image[e], []).append(e + 1)
+        stars[tgt].setdefault(-m.edge_image[e], []).append(-(e + 1))
+    return stars
+
+
 def find_fold(m: CombMap) -> tuple[int, int, int] | None:
     """First (vertex, d1, d2) with two distinct edge-ends sharing an image."""
     stars = m.directed_stars()
@@ -321,14 +332,8 @@ def fold_to_immersion(m: CombMap, limit: int | None = None,
     dom = m.domain
     nv = dom.num_vertices
     parent = list(range(nv))
-    stars: list[dict[int, list[int]] | None] = [{} for _ in range(nv)]
-    degree = [0] * nv
-    for e, (src, tgt) in enumerate(dom.edges):
-        img = m.edge_image[e]
-        stars[src].setdefault(img, []).append(e + 1)
-        stars[tgt].setdefault(-img, []).append(-(e + 1))
-        degree[src] += 1
-        degree[tgt] += 1
+    stars: list[dict[int, list[int]] | None] = end_stars(m)
+    degree = [sum(map(len, star.values())) for star in stars]
     for star in stars:
         for ends in star.values():
             ends.sort()
@@ -535,122 +540,72 @@ def lift_path(m: CombMap, path: PathInY, start: int) -> PathInY | None:
 # --- fiber products ---------------------------------------------------------
 
 
-@dataclass
-class FiberProduct:
-    product: Complex2
-    to_a: CombMap
-    to_b: CombMap
-    to_codomain: CombMap
-    based_vertex: int
+def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
+    """The based component of the fiber product of two maps, as a map to
+    their common codomain.
 
-
-def fiber_product(a: CombMap, b: CombMap) -> FiberProduct:
-    """Pairs of cells with equal image.
-
-    Vertices are image-matching vertex pairs; edges are image-matching edge
-    pairs oriented compatibly; each pair of 2-cells over a common target cell
-    contributes the single product cell whose boundary pairs their rewritten
-    cycles position by position.
+    Vertices are the image-matching vertex pairs reached from the basepoint
+    pair, numbered in sorted order; edges are the image-matching edge pairs
+    between them, oriented over the positive codomain edge and numbered by
+    (a-edge, b-edge); each pair of 2-cells over a common target cell whose
+    rewritten cycles start at a reached pair gives the cell whose boundary
+    pairs those cycles position by position, numbered by (a-cell, b-cell).
+    This is the numbering of the all-pairs product restricted to the
+    component.  Neither map need be an immersion: every pair of ends with
+    equal image is followed.
     """
     if a.codomain != b.codomain:
         raise MapError("fiber product needs a common codomain")
-    x = a.codomain
-    vid: dict[tuple[int, int], int] = {}
-    for u in range(a.domain.num_vertices):
-        for v in range(b.domain.num_vertices):
-            if a.vertex_image[u] == b.vertex_image[v]:
-                vid[(u, v)] = len(vid)
-    edges: list[tuple[int, int]] = []
-    edge_a: list[int] = []
-    edge_b: list[int] = []
-    edge_img: list[int] = []
-    eid: dict[tuple[int, int], int] = {}  # (signed a-edge, signed b-edge) -> ref
-    for ea in range(a.domain.num_edges()):
-        for eb in range(b.domain.num_edges()):
-            da, db = a.edge_image[ea], b.edge_image[eb]
-            if abs(da) != abs(db):
-                continue
-            # orient both over the positive codomain edge
-            da_dir = (ea + 1) if da > 0 else -(ea + 1)
-            db_dir = (eb + 1) if db > 0 else -(eb + 1)
-            src = (a.domain.tail(da_dir), b.domain.tail(db_dir))
-            tgt = (a.domain.head(da_dir), b.domain.head(db_dir))
-            ref = len(edges) + 1
-            edges.append((vid[src], vid[tgt]))
-            edge_a.append(da_dir)
-            edge_b.append(db_dir)
-            edge_img.append(abs(da))
-            eid[(da_dir, db_dir)] = ref
-            eid[(-da_dir, -db_dir)] = -ref
-    cells: list[tuple[int, ...]] = []
-    cell_a: list[tuple[int, int, bool]] = []
-    cell_b: list[tuple[int, int, bool]] = []
-    cell_img: list[tuple[int, int, bool]] = []
-    for ca in range(a.domain.num_cells()):
-        ra = a.cell_image[ca][0]
-        cyc_a = a.rewritten_cycle(ca)
-        for cb in range(b.domain.num_cells()):
-            if b.cell_image[cb][0] != ra:
-                continue
-            cyc_b = b.rewritten_cycle(cb)
-            bdry = tuple(eid[(cyc_a[q], cyc_b[q])] for q in range(len(cyc_a)))
-            cells.append(bdry)
-            cell_a.append((ca, 0, False))
-            cell_b.append((cb, 0, False))
-            cell_img.append((ra, 0, False))
-    prod = Complex2(len(vid), edges, cells)
-    vpairs = sorted(vid, key=vid.get)
-    to_a = CombMap(prod, a.domain, [u for u, _ in vpairs], edge_a, cell_a, 0)
-    to_b = CombMap(prod, b.domain, [v for _, v in vpairs], edge_b, cell_b, 0)
-    to_x = CombMap(prod, x, [a.vertex_image[u] for u, _ in vpairs], edge_img,
-                   cell_img, 0)
-    base = vid.get((a.basepoint, b.basepoint))
-    if base is None:
+    base = (a.basepoint, b.basepoint)
+    if a.vertex_image[base[0]] != b.vertex_image[base[1]]:
         raise MapError("basepoints do not match over the codomain")
-    to_a.basepoint = to_b.basepoint = to_x.basepoint = base
-    return FiberProduct(prod, to_a, to_b, to_x, base)
 
+    star_a, star_b = end_stars(a), end_stars(b)
+    seen = {base}
+    stack = [base]
+    pairs: list[tuple[int, int]] = []  # (a-end, b-end) over positive codomain edges
+    while stack:
+        u, v = stack.pop()
+        for img, ends_a in star_a[u].items():
+            ends_b = star_b[v].get(img, ())
+            for da in ends_a:
+                for db in ends_b:
+                    if img > 0:
+                        pairs.append((da, db))
+                    head = (a.domain.head(da), b.domain.head(db))
+                    if head not in seen:
+                        seen.add(head)
+                        stack.append(head)
+    vertices = sorted(seen)
+    vid = {p: i for i, p in enumerate(vertices)}
+    pairs.sort(key=lambda p: (abs(p[0]), abs(p[1])))
+    eid: dict[tuple[int, int], int] = {}
+    for ref, (da, db) in enumerate(pairs, start=1):
+        eid[(da, db)] = ref
+        eid[(-da, -db)] = -ref
+    edges = [(vid[(a.domain.tail(da), b.domain.tail(db))],
+              vid[(a.domain.head(da), b.domain.head(db))]) for da, db in pairs]
 
-def restrict_to_component(m: CombMap, vertex: int) -> CombMap:
-    """Restriction of the map to the connected component of a vertex."""
-    dom = m.domain
-    seen = {vertex}
-    frontier = [vertex]
-    adj: list[list[int]] = [[] for _ in range(dom.num_vertices)]
-    for e, (src, tgt) in enumerate(dom.edges):
-        adj[src].append(tgt)
-        adj[tgt].append(src)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    vkeep = sorted(seen)
-    vmap = {old: new for new, old in enumerate(vkeep)}
-    ekeep = [e for e, (src, tgt) in enumerate(dom.edges) if src in seen]
-    emap = {old: new for new, old in enumerate(ekeep)}
-
-    def remap(d: int) -> int:
-        e = emap[abs(d) - 1]
-        return (e + 1) if d > 0 else -(e + 1)
-
-    ckeep = [c for c, bdry in enumerate(dom.cells)
-             if dom.tail(bdry[0]) in seen]
-    new_dom = Complex2(
-        len(vkeep),
-        [(vmap[dom.edges[e][0]], vmap[dom.edges[e][1]]) for e in ekeep],
-        [tuple(remap(d) for d in dom.cells[c]) for c in ckeep],
+    partners: dict[int, list[int]] = {}  # a-vertex -> its reached b-vertices
+    for u, v in vertices:
+        partners.setdefault(u, []).append(v)
+    cyc_a = [a.rewritten_cycle(c) for c in range(a.domain.num_cells())]
+    cyc_b = [b.rewritten_cycle(c) for c in range(b.domain.num_cells())]
+    cells_b: dict[tuple[int, int], list[int]] = {}  # (target cell, tail) -> b-cells
+    for cb, cyc in enumerate(cyc_b):
+        cells_b.setdefault((b.cell_image[cb][0], b.domain.tail(cyc[0])), []).append(cb)
+    cell_pairs = sorted(
+        (ca, cb)
+        for ca, cyc in enumerate(cyc_a)
+        for v in partners.get(a.domain.tail(cyc[0]), ())
+        for cb in cells_b.get((a.cell_image[ca][0], v), ())
     )
-    return CombMap(
-        new_dom, m.codomain,
-        [m.vertex_image[v] for v in vkeep],
-        [m.edge_image[e] for e in ekeep],
-        [m.cell_image[c] for c in ckeep],
-        vmap[vertex],
-    )
+    cells = [tuple(eid[p] for p in zip(cyc_a[ca], cyc_b[cb])) for ca, cb in cell_pairs]
+    prod = Complex2(len(vertices), edges, cells)
+    return CombMap(prod, a.codomain, [a.vertex_image[u] for u, _ in vertices],
+                   [a.image_of(da) for da, _ in pairs],
+                   [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
+                   vid[base])
 
 
 # --- canonical forms --------------------------------------------------------

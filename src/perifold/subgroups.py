@@ -1,5 +1,6 @@
 """Decision procedures built on the reduction engine: subgroup presentations,
-membership, and finitely generated intersections via fiber products."""
+membership, and finitely generated intersections via the based components
+of fiber products."""
 
 from __future__ import annotations
 
@@ -8,13 +9,7 @@ from dataclasses import dataclass
 from .complexes import Complex2
 from .criteria import Verdict, check_sc_weight, find_certificate, magnus_weighting
 from .engine import ReductionTrace, extract_presentation, reduce_map
-from .maps import (
-    CombMap,
-    bouquet_map,
-    fiber_product,
-    restrict_to_component,
-    whisker_tip,
-)
+from .maps import CombMap, based_fiber_product, bouquet_map, whisker_tip
 from .weights import Weighting
 from .words import Presentation, Word, free_reduce
 
@@ -126,7 +121,10 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     """Intersection of two finitely generated subgroups.
 
     Reduce both bouquets, attach a copy of every incident 2-cell at each
-    vertex, reduce again, and read the based component of the fiber product.
+    vertex and reduce again; the based component of the fiber product of the
+    two results, found by a search from the basepoint pair
+    (`based_fiber_product`), presents the intersection.  The trace lists
+    the first side's steps, then the second's.
     """
     cert = None
     for variant in ("C4T4", "C6T3"):
@@ -145,10 +143,10 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
         a3 = _augment_with_cells(a2.map)
         a4 = reduce_map(a3, w, "strict")
         sides.append(a4)
-    fp = fiber_product(sides[0].map, sides[1].map)
-    based = restrict_to_component(fp.to_codomain, fp.based_vertex)
-    trace = sides[0].trace
-    trace.steps.extend(sides[1].trace.steps)
+    based = based_fiber_product(sides[0].map, sides[1].map)
+    first = sides[0].trace
+    trace = ReductionTrace(first.initial_perimeter, first.initial_edges,
+                           first.steps + sides[1].trace.steps)
     return SubgroupResult(extract_presentation(based), trace, cert,
                           cert is None, based)
 
@@ -158,8 +156,9 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
     """Intersection with the subgroup of a zero-perimeter subgraph.
 
     The fiber product of the reduced subgroup complex with the subgraph
-    inclusion is the preimage of the subgraph; its based component presents
-    the intersection.
+    inclusion is the preimage of the subgraph; its based component, found by
+    a search from the basepoint pair (`based_fiber_product`), presents the
+    intersection.
     """
     weighting, verdict = magnus_weighting(x, subgraph_edges)
     if weighting is None:
@@ -172,7 +171,6 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
     kept = sorted(subgraph_edges)
     sub = Complex2(1, [(0, 0) for _ in kept], [])
     inclusion = CombMap(sub, x, [0], [e + 1 for e in kept], [], 0)
-    fp = fiber_product(a.map, inclusion)
-    based = restrict_to_component(fp.to_codomain, fp.based_vertex)
+    based = based_fiber_product(a.map, inclusion)
     return SubgroupResult(extract_presentation(based), a.trace, cert,
                           heuristic, based)

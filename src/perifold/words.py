@@ -200,8 +200,20 @@ def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, int]]:
     return toks
 
 
-def _parse_word_tokens(toks, pos, gen_index, line, closing=False):
+MAX_WORD_LETTERS = 1_000_000  # letters in one parsed word, powers expanded
+
+
+def _parse_word_tokens(toks, pos, gen_index, line, closing=False, held=0):
+    """Letters of the tokens up to the matching ')' (with `closing`) or the
+    end.  `held` letters are already held by the enclosing groups; each
+    power is checked against MAX_WORD_LETTERS before it is expanded."""
     letters: list[int] = []
+
+    def extend(unit: tuple[int, ...], exp: int, col: int) -> None:
+        if held + len(letters) + len(unit) * abs(exp) > MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line, col)
+        letters.extend(power(Word(unit), exp).letters)
+
     while pos < len(toks):
         tok, col = toks[pos]
         if tok == ")":
@@ -209,15 +221,17 @@ def _parse_word_tokens(toks, pos, gen_index, line, closing=False):
                 raise ParseError("unbalanced ')'", line, col)
             return letters, pos
         if tok == "(":
-            inner, pos = _parse_word_tokens(toks, pos + 1, gen_index, line, closing=True)
+            inner, pos = _parse_word_tokens(toks, pos + 1, gen_index, line, closing=True,
+                                            held=held + len(letters))
             if pos >= len(toks) or toks[pos][0] != ")":
                 raise ParseError("missing ')'", line, col)
             pos += 1
             exp = 1
             if pos < len(toks) and toks[pos][0].startswith("^"):
-                exp = _parse_exponent(toks[pos][0], line, toks[pos][1])
+                col = toks[pos][1]
+                exp = _parse_exponent(toks[pos][0], line, col)
                 pos += 1
-            letters.extend(power(Word(tuple(inner)), exp).letters)
+            extend(tuple(inner), exp, col)
             continue
         name, caret, exp_s = tok.partition("^")
         if not _NAME_RE.fullmatch(name):
@@ -225,8 +239,7 @@ def _parse_word_tokens(toks, pos, gen_index, line, closing=False):
         if name not in gen_index:
             raise ParseError(f"unknown generator {name!r}", line, col)
         exp = _parse_exponent(caret + exp_s, line, col) if caret else 1
-        base = gen_index[name] + 1
-        letters.extend(power(Word((base,)), exp).letters)
+        extend((gen_index[name] + 1,), exp, col)
         pos += 1
     if closing:
         raise ParseError("missing ')'", line, 0)

@@ -247,3 +247,21 @@ def random_grid_subcomplex(rng: random.Random, max_squares: int = 8) -> CombMap:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def bounded_power(monkeypatch):
+    """Make the parser's `power` fail, before allocating, on an expansion
+    past the word bound; yields the running total of letters expanded."""
+    from perifold import words
+
+    expanded = [0]
+    original = words.power
+
+    def guarded(w, n):
+        assert len(w) * abs(n) <= words.MAX_WORD_LETTERS, "unbounded power expansion"
+        expanded[0] += len(w) * abs(n)
+        return original(w, n)
+
+    monkeypatch.setattr(words, "power", guarded)
+    yield expanded

@@ -84,6 +84,13 @@ def test_cmd_info_parse_error(tmp_path, capsys):
     assert main(["info", path]) == 2
 
 
+def test_cmd_info_power_too_long(tmp_path, capsys, bounded_power):
+    for rel in ("a^1000000000000", "((a)^100000)^100000"):
+        path = write(tmp_path, "huge.pf", f"gens a\nrel {rel}\n")
+        assert main(["info", path]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 def test_cmd_check_exit_codes(tmp_path, capsys):
     surf = write(tmp_path, "s3.pf", "gens a1 a2 a3\nrel a1^2 a2^2 a3^2\n")
     assert main(["check", surf, "--criterion", "sc-c4t4", "--strict", "--json"]) == 0

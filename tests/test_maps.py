@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perifold import fixtures
-from perifold.complexes import standard_complex
+from perifold.complexes import Complex2, standard_complex
+from perifold.engine import reduce_map
 from perifold.maps import (
+    CombMap,
     MapError,
     apply_fold,
+    based_fiber_product,
     bouquet_map,
     build_packet,
     canonical_form,
-    fiber_product,
     find_fold,
     fold_to_immersion,
     identity_map,
@@ -21,13 +24,14 @@ from perifold.maps import (
     path_from_edges,
     remove_redundant,
     repair_packing,
-    restrict_to_component,
     whisker_tip,
 )
+from perifold.subgroups import _augment_with_cells
 from perifold.weights import map_perimeter, unit_weighting
-from perifold.words import parse_presentation, word
+from perifold.words import free_reduce, parse_presentation, word
 
-from conftest import GraphOracle
+from conftest import GraphOracle, random_grid_subcomplex
+from reference import fiber_product, reference_based_product, restrict_to_component
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,7 @@ def test_fiber_product_cyclic_covers(free2):
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert based.domain.num_edges() == 6
     assert based.domain.num_vertices == 6
+    assert based_fiber_product(a2, a3) == based
 
 
 def test_fiber_product_diagonal():
@@ -238,6 +243,7 @@ def test_fiber_product_diagonal():
     assert fp.product.num_cells() == 4  # one cell per compatible pair
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert isomorphic_maps(based, m)
+    assert based_fiber_product(m, m) == based
 
 
 def test_fiber_product_disjoint_images(free2):
@@ -249,8 +255,6 @@ def test_fiber_product_disjoint_images(free2):
 
 
 def test_fiber_product_projections_commute(rng):
-    from conftest import random_grid_subcomplex
-
     for _ in range(10):
         a = random_grid_subcomplex(rng)
         b = random_grid_subcomplex(rng)
@@ -266,6 +270,76 @@ def test_fiber_product_projections_commute(rng):
         for c in range(fp.product.num_cells()):
             assert a.cell_image[fp.to_a.cell_image[c][0]][0] == \
                 fp.to_codomain.cell_image[c][0]
+
+
+_PRODUCT_COMPLEXES = [
+    (standard_complex(fixtures.torus_presentation()), unit_weighting),
+    (standard_complex(fixtures.zzz_presentation()), fixtures.zzz_weighting),
+    (standard_complex(fixtures.surface_presentation(2, True)), unit_weighting),
+    (standard_complex(fixtures.aab_power_presentation(3)), unit_weighting),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_based_fiber_product_matches_all_pairs_reference(data):
+    x, w_of = data.draw(st.sampled_from(_PRODUCT_COMPLEXES))
+    w = w_of(x)
+    grid = _PRODUCT_COMPLEXES[1][0]  # the codomain of `random_grid_subcomplex`
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+
+    def bouquet():
+        gens = [g for g in (free_reduce(word(ls)) for ls in data.draw(
+            st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3)))
+            if g.letters]
+        return bouquet_map(x, gens)
+
+    def side():
+        kinds = ["raw", "reduced", "augmented"] + (["grid"] if x == grid else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "grid":  # many cells over several vertices
+            return random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
+        m = bouquet()
+        if kind != "raw":
+            m = reduce_map(m, w).map
+        if kind == "augmented":
+            m = _augment_with_cells(m)  # cells glued at one vertex: no immersion
+        return m
+
+    other = data.draw(st.sampled_from(["side", "same", "inclusion"]))
+    if other == "side":
+        a, b = side(), side()
+    elif other == "same":  # many cell pairs over each target cell
+        a = b = side()
+    else:  # the magnus_intersect case: a one-vertex subgraph inclusion
+        kept = sorted(data.draw(st.sets(st.sampled_from(range(x.num_edges())))))
+        a = reduce_map(bouquet(), w).map
+        b = CombMap(Complex2(1, [(0, 0)] * len(kept), []), x, [0],
+                    [e + 1 for e in kept], [], 0)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    assert based_fiber_product(a, b) == reference_based_product(a, b)  # every field
+
+
+def test_based_fiber_product_cell_order():
+    # the one cell of a meets b's two cells at two partner vertices, which
+    # list them in the opposite order to their numbering
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    a = reduce_map(bouquet_map(x, [word([1, 2, -1])]), w).map
+    b = reduce_map(bouquet_map(x, [word([1, -2, -1, -2])]), w).map
+    want = reference_based_product(a, b)
+    assert want.domain.num_cells() == 2
+    assert based_fiber_product(a, b) == want
+
+
+def test_based_fiber_product_errors(free2):
+    torus = standard_complex(fixtures.torus_presentation())
+    with pytest.raises(MapError, match="common codomain"):
+        based_fiber_product(bouquet_map(free2, [word([1])]), bouquet_map(torus, [word([1])]))
+    segment = Complex2(2, [(0, 1)], [])
+    with pytest.raises(MapError, match="basepoints do not match"):
+        based_fiber_product(identity_map(segment, 0), identity_map(segment, 1))
 
 
 def test_reflected_cell_roundtrip():

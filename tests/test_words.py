@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perifold.words import (
+    MAX_WORD_LETTERS,
     ParseError,
     Presentation,
     Word,
@@ -57,6 +58,22 @@ def test_parse_errors():
 def test_parse_negative_powers_and_nesting():
     w = parse_word("( a b^-1 )^-2", ("a", "b"))
     assert w.letters == (2, -1, 2, -1)
+
+
+def test_parse_power_bound(bounded_power):
+    with pytest.raises(ParseError, match="longer than") as err:
+        parse_word("a a^1000000000000", ("a",), line=3)
+    assert (err.value.line, err.value.column) == (3, 3)
+    with pytest.raises(ParseError, match="longer than") as err:
+        parse_word("((a)^100000)^100000", ("a",))
+    assert err.value.column == 13  # the outer exponent
+    assert len(parse_word("(a b)^500000", ("a", "b"))) == MAX_WORD_LETTERS
+    with pytest.raises(ParseError, match="longer than"):
+        parse_word("(a b)^500000 a", ("a", "b"))
+    bounded_power[0] = 0
+    with pytest.raises(ParseError, match="longer than"):  # groups see what encloses them
+        parse_word("a^999999 (" * 5 + "a" + ")" * 5, ("a",))
+    assert bounded_power[0] == 999999
 
 
 def test_free_reduce_examples():
