@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Measure how the reduction loop scales with the total generator length.
+"""Measure how the reduction loop scales with the total generator length,
+and the certificate with the relator length.
 
 Reduces random bouquets over <a, b | (aab)^9> at a ladder of total lengths
 and prints step counts and wall-clock times; the step count should stay
 linear in the input length and the wall clock at worst quadratic.  Folding
 is near-linear, so wall/L stays about flat while folds dominate.
+
+Then builds the piece table and the strict certificate of <a, b | (aab)^k>
+for a ladder of exponents k (relator length m = 3k) and prints both times
+and their ratio to m^2; the piece table is quadratic in m, so its ms/m^2
+stays about flat.
 """
 
 import argparse
 
-from perifold.experiments import measure_reduction_scaling
+from perifold.experiments import measure_certificate_scaling, measure_reduction_scaling
 from perifold.fixtures import aab_power_presentation
 
 
@@ -19,6 +25,7 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
     ap.add_argument("--exponent", type=int, default=9)
     ap.add_argument("--best-of", type=int, default=3)
+    ap.add_argument("--certificate-exponents", type=int, nargs="+", default=[9, 18, 36, 72])
     args = ap.parse_args()
     pres = aab_power_presentation(args.exponent)
     print(f"{'L':>6} {'steps':>7} {'steps/L':>8} {'wall (ms)':>10} {'wall/L (us)':>12}"
@@ -31,6 +38,16 @@ def main() -> None:
         print(f"{s.total_length:>6} {s.steps:>7} {s.steps / s.total_length:>8.3f}"
               f" {s.seconds * 1e3:>10.2f} {s.seconds / s.total_length * 1e6:>12.2f}"
               f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    print()
+    print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"
+          f" {'pieces/m^2 (us)':>16} {'certificate/m^2 (us)':>21}")
+    samples = measure_certificate_scaling(
+        [aab_power_presentation(k) for k in args.certificate_exponents], args.best_of)
+    for k, c in zip(args.certificate_exponents, samples):
+        m = c.relator_length
+        print(f"{k:>4} {m:>5} {c.pieces_seconds * 1e3:>12.2f} {c.certificate_seconds * 1e3:>17.2f}"
+              f" {c.pieces_seconds / m ** 2 * 1e6:>16.3f}"
+              f" {c.certificate_seconds / m ** 2 * 1e6:>21.3f}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .complexes import (
     Complex2,
     cell_period,
     check_small_cancellation,
-    compute_pieces,
     cycle_piece_cover,
     standard_complex,
 )
@@ -36,6 +35,7 @@ from .criteria import (
     check_one_relator_torsion,
     check_sc_weight,
     magnus_weighting,
+    piece_table,
     power_theorem,
 )
 from .subgroups import (
@@ -225,7 +225,7 @@ def _print_plain(data, indent: str = "") -> None:
 def cmd_info(f: InputFile, args) -> int:
     x, w, p = f.complex, f.weighting, f.presentation
     per = edge_perimeters(w)
-    table = compute_pieces(x)
+    table = piece_table(w)
     report = check_small_cancellation(
         x, args.p, args.q, Fraction(args.alpha) if args.alpha else None, table
     )
@@ -280,9 +280,10 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
             return check_equalweights(period, n)
         return check_min_generator(period, n)
     if name in _SC_IDS:
-        return check_sc_weight(x, w, _SC_IDS[name], strict=args.strict)
+        return check_sc_weight(x, w, _SC_IDS[name], strict=args.strict,
+                               table=piece_table(w))
     if name == "few-occurrences":
-        return check_few_occurrences(p)
+        return check_few_occurrences(p, piece_table(w))
     if name == "powers":
         words, exps = [], []
         for r in p.relators:

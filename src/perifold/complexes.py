@@ -8,6 +8,7 @@ are required to be immersed (no backtrack at any cyclic position).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,7 +177,6 @@ def _essential_girth(nodes, corners) -> float:
 
 @dataclass
 class PieceTable:
-    pairs: dict[tuple[tuple[int, int, int], tuple[int, int, int]], int]
     max_from: list[list[int]]  # per cell, per start: longest piece read forward
     cell_max: list[int]
 
@@ -184,50 +184,59 @@ class PieceTable:
         return self.cell_max[c]
 
 
-def _occ_letter(bdry: tuple[int, ...], i: int, s: int, k: int) -> int:
-    m = len(bdry)
-    if s > 0:
-        return bdry[(i + k) % m]
-    return -bdry[(i - k) % m]
+def _raise_longest_extensions(u: tuple[int, ...], v: tuple[int, ...],
+                              best: list[int]) -> None:
+    """Raise best[i] to the longest common extension, capped at
+    min(|u|, |v|), of u read cyclically from i and v read cyclically from
+    any j, over the pairs (i, j) that are not excluded.
 
-
-def _excluded(ba: tuple[int, ...], bb: tuple[int, ...], i: int, s: int, j: int, t: int) -> bool:
-    if len(ba) != len(bb):
-        return False
-    m = len(ba)
-    if s == t:
-        r = (j - i) % m
-        return all(bb[(q + r) % m] == ba[q] for q in range(m))
-    c = (i + j) % m
-    return all(bb[(c - q) % m] == -ba[q] for q in range(m))
+    The pairs (i + k, j + k) form gcd(|u|, |v|) cyclic diagonals, one for
+    each offset d = (j - i) mod gcd.  Along a diagonal the extension is 0 at
+    a mismatch and one more than at the next pair otherwise, so a walk back
+    from a mismatch gives every value in O(|u| |v|) for all diagonals.  A
+    diagonal without a mismatch matches the whole words: for |u| = |v| it
+    is a rotation carrying one boundary onto the other, and every pair on it
+    is excluded; otherwise every pair on it reaches the cap.
+    """
+    mu, mv = len(u), len(v)
+    cap = min(mu, mv)
+    g = math.gcd(mu, mv)
+    n = mu * mv // g
+    uu = u * (n // mu)
+    for d in range(g):
+        vv = (v[d:] + v[:d]) * (n // mv)
+        p = next((p for p in range(n) if uu[p] != vv[p]), None)
+        if p is None:
+            if mu != mv:
+                best[:] = [max(b, cap) for b in best]
+            continue
+        run = 0
+        for q in range(p, p - n, -1):
+            run = min(run + 1, cap) if uu[q] == vv[q] else 0
+            if run > best[q % mu]:
+                best[q % mu] = run
 
 
 def compute_pieces(x: Complex2) -> PieceTable:
-    pairs: dict = {}
-    ncells = len(x.cells)
-    max_from = [[0] * len(b) for b in x.cells]
-    for a in range(ncells):
-        ba = x.cells[a]
-        ma = len(ba)
-        for b in range(ncells):
-            bb = x.cells[b]
-            mb = len(bb)
-            cap = min(ma, mb)
-            for s in (1, -1):
-                for t in (1, -1):
-                    for i in range(ma):
-                        for j in range(mb):
-                            if _excluded(ba, bb, i, s, j, t):
-                                continue
-                            L = 0
-                            while L < cap and _occ_letter(ba, i, s, L) == _occ_letter(bb, j, t, L):
-                                L += 1
-                            if L >= 1:
-                                pairs[((a, i, s), (b, j, t))] = L
-                                if s == 1:
-                                    max_from[a][i] = max(max_from[a][i], L)
+    """Longest piece read forward from each boundary position.
+
+    An occurrence read forward on cell a is matched against every occurrence
+    on every cell b read forward or backward.  Reading b backward is reading
+    its inverse word forward, and the reflections carrying b onto a become
+    the rotations carrying that inverse word onto a, so one routine covers
+    both orientations.  Quadratic in the boundary lengths of each pair of
+    cells.
+    """
+    inverses = [tuple(-d for d in reversed(bdry)) for bdry in x.cells]
+    max_from = []
+    for ba in x.cells:
+        best = [0] * len(ba)
+        for bb, bb_inv in zip(x.cells, inverses):
+            _raise_longest_extensions(ba, bb, best)
+            _raise_longest_extensions(ba, bb_inv, best)
+        max_from.append(best)
     cell_max = [max(row) if row else 0 for row in max_from]
-    return PieceTable(pairs, max_from, cell_max)
+    return PieceTable(max_from, cell_max)
 
 
 def min_piece_cover(x: Complex2, c: int, start: int, length: int,

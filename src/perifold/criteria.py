@@ -19,10 +19,15 @@ from .complexes import (
     compute_pieces,
     cell_period,
     largest_metric_denominator,
-    min_piece_cover,
     standard_complex,
 )
-from .weights import Weighting, cell_weight, edge_perimeters, subpath_perimeter
+from .weights import (
+    Weighting,
+    cell_weight,
+    edge_perimeters,
+    shortest_equal_perimeter_subpath,
+    subpath_perimeter,
+)
 from .words import (
     Presentation,
     Word,
@@ -154,20 +159,31 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
         return Verdict(crit, False, "none", applicable=False,
                        witnesses=list(sc.witnesses),
                        notes=[f"complex is not C({p_cond})-T({q_cond}) (T via link girth)"])
-    worst = None  # (excess, cell, start, length, p_s, bound)
+    # Piece covers grow with the length, so at each start the subpaths of at
+    # most `shell` pieces are those up to the greedy reach R; perimeters grow
+    # with the length too, so the worst of them is the shortest with the
+    # perimeter of length R.
+    worst = None  # ((-excess, cell, start, length), p_s, bound)
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
         _p, n = cell_period(x, c)
         bound = n * cell_weight(w, c)
+        max_from = table.max_from[c]
         for start in range(m):
-            for length in range(1, m + 1):
-                if min_piece_cover(x, c, start, length, table) > shell:
-                    continue
-                total = subpath_perimeter(w, c, start, length)
-                excess = total - bound
-                key = (-excess, c, start, length)
-                if worst is None or key < worst[0]:
-                    worst = (key, total, bound)
+            reach = 0
+            for _ in range(shell):
+                step = max_from[(start + reach) % m]
+                if step == 0:
+                    break
+                reach += step
+            reach = min(reach, m)
+            if reach == 0:
+                continue
+            length = shortest_equal_perimeter_subpath(w, c, start, reach)
+            total = subpath_perimeter(w, c, start, length)
+            key = (bound - total, c, start, length)
+            if worst is None or key < worst[0]:
+                worst = (key, total, bound)
     if worst is None:
         return Verdict(crit, True, "both" if strict else "coherent",
                        notes=["no piece-bounded subpaths (no pieces)"])
@@ -283,25 +299,50 @@ def _is_unit(w: Weighting) -> bool:
     return all(all(v == 1 for v in row) for row in w.side_weights)
 
 
+def piece_table(w: Weighting) -> PieceTable:
+    """The piece table of the weighted complex, computed on first use and
+    kept on the weighting."""
+    if w._pieces is None:
+        object.__setattr__(w, "_pieces", compute_pieces(w.complex))
+    return w._pieces
+
+
+def sc_certificate(w: Weighting, strict: bool) -> Verdict | None:
+    """First holding small-cancellation weight verdict (C4T4, then C6T3) of
+    the given grade, computed once per weighting.  The verdict is shared by
+    every caller, who must not mutate it."""
+    key = "sc-strict" if strict else "sc-weak"
+    if key not in w._certificates:  # None is kept too: no second search
+        table = piece_table(w)
+        verdicts = (check_sc_weight(w.complex, w, variant, strict=strict, table=table)
+                    for variant in ("C4T4", "C6T3"))
+        w._certificates[key] = next((v for v in verdicts if v.holds), None)
+    return w._certificates[key]
+
+
 def find_certificate(x: Complex2, w: Weighting, grade: str = "strict") -> Verdict | None:
     """First holding verdict that certifies the engine's answers on (x, w).
 
     grade "strict": quasiconvexity-grade (strict inequalities); grade "weak":
-    coherence-grade, enough for membership answers.
+    coherence-grade, enough for membership answers.  x must be the complex
+    of w.  The verdict is computed once per weighting and grade and shared
+    by every caller, who must not mutate it.
     """
     if grade not in ("strict", "weak"):
         raise CriterionError("grade must be 'strict' or 'weak'")
+    if x != w.complex:
+        raise CriterionError("weighting belongs to a different complex")
     strict = grade == "strict"
 
     def verdicts():
         if not strict:
             yield check_one_relator_torsion(x, w)
-        table = compute_pieces(x)
-        for variant in ("C4T4", "C6T3"):
-            yield check_sc_weight(x, w, variant, strict=strict, table=table)
+        yield sc_certificate(w, strict)
         if strict and x.num_vertices == 1 and _is_unit(w):
             gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
             pres = Presentation(gens, tuple(Word(b) for b in x.cells))
-            yield check_few_occurrences(pres, table)
+            yield check_few_occurrences(pres, piece_table(w))
 
-    return next((v for v in verdicts() if v.holds), None)
+    if grade not in w._certificates:
+        w._certificates[grade] = next((v for v in verdicts() if v and v.holds), None)
+    return w._certificates[grade]

@@ -1,4 +1,5 @@
-"""Measurement helpers for the scaling behaviour of the reduction loop."""
+"""Measurement helpers for the scaling behaviour of the reduction loop and
+of the certificate."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .complexes import standard_complex
+from .complexes import compute_pieces, standard_complex
+from .criteria import find_certificate
 from .engine import reduce_map
 from .maps import bouquet_map
 from .weights import unit_weighting
@@ -60,4 +62,31 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
                 best_time = min(best_time, time.perf_counter() - t0)
             steps_total += len(res.trace.steps)
         out.append(ScalingSample(length, steps_total // max(1, len(seeds)), best_time))
+    return out
+
+
+@dataclass
+class CertificateSample:
+    relator_length: int
+    pieces_seconds: float
+    certificate_seconds: float
+
+
+def measure_certificate_scaling(presentations, best_of: int = 1) -> list[CertificateSample]:
+    """Best wall-clock of `compute_pieces` and of `find_certificate(strict)`
+    per presentation, each certificate on a fresh weighting so that none is
+    read from a previous run's cache."""
+    out = []
+    for pres in presentations:
+        x = standard_complex(pres)
+        pieces = certificate = float("inf")
+        for _ in range(best_of):
+            t0 = time.perf_counter()
+            compute_pieces(x)
+            t1 = time.perf_counter()
+            find_certificate(x, unit_weighting(x), "strict")
+            t2 = time.perf_counter()
+            pieces, certificate = min(pieces, t1 - t0), min(certificate, t2 - t1)
+        out.append(CertificateSample(sum(len(r) for r in pres.relators), pieces,
+                                     certificate))
     return out

@@ -7,7 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex2
-from .criteria import Verdict, check_sc_weight, find_certificate, magnus_weighting
+from .criteria import (
+    Verdict,
+    find_certificate,
+    magnus_weighting,
+    sc_certificate,
+)
 from .engine import ReductionTrace, extract_presentation, reduce_map
 from .maps import CombMap, based_fiber_product, bouquet_map, whisker_tip
 from .weights import Weighting
@@ -126,12 +131,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     (`based_fiber_product`), presents the intersection.  The trace lists
     the first side's steps, then the second's.
     """
-    cert = None
-    for variant in ("C4T4", "C6T3"):
-        v = check_sc_weight(x, w, variant, strict=True)
-        if v.holds:
-            cert = v
-            break
+    cert = sc_certificate(w, strict=True)
     if cert is None and not force:
         raise MissingCertificateError(
             "intersect: needs a strict small-cancellation weight certificate"

@@ -9,6 +9,7 @@ a map is the total weight of the sides missing at its domain edges.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import Complex2, ComplexError, cell_period
@@ -29,9 +30,11 @@ class Weighting:
 
     The sides at each edge, the edge perimeters and, per cell, the prefix
     sums of edge perimeters around the boundary read twice are derived when
-    the weighting is built, and the attachment candidates per engine mode
-    (`engine.scan_order`) when first asked for; none is recomputed, so the
-    complex must not be mutated afterwards.
+    the weighting is built.  The attachment candidates per engine mode
+    (`engine.scan_order`), the piece table (`criteria.piece_table`) and the
+    certificates per grade (`criteria.find_certificate`) are derived when
+    first asked for.  None is recomputed, so the complex must not be
+    mutated afterwards.
     """
 
     complex: Complex2
@@ -63,6 +66,8 @@ class Weighting:
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_prefix", prefix)
         object.__setattr__(self, "_scan_order", {})
+        object.__setattr__(self, "_pieces", None)
+        object.__setattr__(self, "_certificates", {})
 
     def weight(self, cell: int, pos: int) -> int:
         return self.side_weights[cell][pos]
@@ -93,6 +98,15 @@ def subpath_perimeter(w: Weighting, c: int, start: int, length: int) -> int:
     s = start % w.complex.boundary_length(c)
     prefix = w._prefix[c]
     return prefix[s + length] - prefix[s]
+
+
+def shortest_equal_perimeter_subpath(w: Weighting, c: int, start: int, length: int) -> int:
+    """Least l >= 1 whose subpath of cell c from start has the perimeter of
+    the one of the given length >= 1; perimeters never drop as a subpath
+    grows, so a bisection of the prefix sums finds it."""
+    s = start % w.complex.boundary_length(c)
+    prefix = w._prefix[c]
+    return bisect_left(prefix, prefix[s + length], s + 1, s + length) - s
 
 
 def cell_weight(w: Weighting, c: int) -> int:

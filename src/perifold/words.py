@@ -203,47 +203,50 @@ def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, int]]:
 MAX_WORD_LETTERS = 1_000_000  # letters in one parsed word, powers expanded
 
 
-def _parse_word_tokens(toks, pos, gen_index, line, closing=False, held=0):
-    """Letters of the tokens up to the matching ')' (with `closing`) or the
-    end.  `held` letters are already held by the enclosing groups; each
-    power is checked against MAX_WORD_LETTERS before it is expanded."""
+def _parse_word_tokens(toks, gen_index, line) -> list[int]:
+    """Letters of the tokens, groups expanded.
+
+    Each open group keeps its letters on a stack rather than in a recursive
+    call, so nesting depth is bounded by the input alone.  `held` counts the
+    letters the enclosing groups already hold; each power is checked against
+    MAX_WORD_LETTERS, counting them, before it is expanded."""
+    stack: list[tuple[list[int], int]] = []  # (enclosing letters, column of '(')
     letters: list[int] = []
-
-    def extend(unit: tuple[int, ...], exp: int, col: int) -> None:
-        if held + len(letters) + len(unit) * abs(exp) > MAX_WORD_LETTERS:
-            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line, col)
-        letters.extend(power(Word(unit), exp).letters)
-
+    held = 0
+    pos = 0
     while pos < len(toks):
         tok, col = toks[pos]
-        if tok == ")":
-            if not closing:
-                raise ParseError("unbalanced ')'", line, col)
-            return letters, pos
+        pos += 1
         if tok == "(":
-            inner, pos = _parse_word_tokens(toks, pos + 1, gen_index, line, closing=True,
-                                            held=held + len(letters))
-            if pos >= len(toks) or toks[pos][0] != ")":
-                raise ParseError("missing ')'", line, col)
-            pos += 1
+            stack.append((letters, col))
+            held += len(letters)
+            letters = []
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", line, col)
+            unit = tuple(letters)
+            letters, col = stack.pop()
+            held -= len(letters)
             exp = 1
             if pos < len(toks) and toks[pos][0].startswith("^"):
                 col = toks[pos][1]
                 exp = _parse_exponent(toks[pos][0], line, col)
                 pos += 1
-            extend(tuple(inner), exp, col)
-            continue
-        name, caret, exp_s = tok.partition("^")
-        if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"bad token {tok!r}", line, col)
-        if name not in gen_index:
-            raise ParseError(f"unknown generator {name!r}", line, col)
-        exp = _parse_exponent(caret + exp_s, line, col) if caret else 1
-        extend((gen_index[name] + 1,), exp, col)
-        pos += 1
-    if closing:
+        else:
+            name, caret, exp_s = tok.partition("^")
+            if not _NAME_RE.fullmatch(name):
+                raise ParseError(f"bad token {tok!r}", line, col)
+            if name not in gen_index:
+                raise ParseError(f"unknown generator {name!r}", line, col)
+            exp = _parse_exponent(caret + exp_s, line, col) if caret else 1
+            unit = (gen_index[name] + 1,)
+        if held + len(letters) + len(unit) * abs(exp) > MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", line, col)
+        letters.extend(power(Word(unit), exp).letters)
+    if stack:
         raise ParseError("missing ')'", line, 0)
-    return letters, pos
+    return letters
 
 
 def _parse_exponent(s: str, line: int, col: int) -> int:
@@ -257,8 +260,7 @@ def _parse_exponent(s: str, line: int, col: int) -> int:
 
 def parse_word(text: str, generators, line: int = 1) -> Word:
     gen_index = {g: i for i, g in enumerate(generators)}
-    letters, _ = _parse_word_tokens(_tokenize(text, line, 1), 0, gen_index, line)
-    return Word(tuple(letters))
+    return Word(tuple(_parse_word_tokens(_tokenize(text, line, 1), gen_index, line)))
 
 
 def presentation_lines(text: str):

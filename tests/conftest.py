@@ -12,11 +12,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from perifold.complexes import Complex2, standard_complex
 from perifold.fixtures import zzz_presentation
 from perifold.maps import CombMap
-from perifold.words import Word
+from perifold.words import Presentation, Word, cyclic_reduce
 
 
 # --- independent free-group oracle -------------------------------------------
@@ -165,6 +166,36 @@ def oracle_max_piece(cells: list[tuple[int, ...]], cell: int, start: int) -> int
         else:
             break
     return best
+
+
+# --- random presentations ------------------------------------------------------
+
+
+@st.composite
+def relator_complexes(draw, max_letters: int = 40) -> Complex2:
+    """Standard complexes of 1-3 relators of at most `max_letters` letters
+    over 1-3 generators; each relator is a random word, a proper power, or a
+    string of blocks shared by all relators, so pieces of every length and
+    word-matching rotations and reflections both occur."""
+    ngens = draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, ngens + 1) for s in (1, -1)])
+    blocks = draw(st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3))
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "power", "blocks"]))
+        if kind == "random":
+            letters = draw(st.lists(letter, min_size=1, max_size=max_letters))
+        elif kind == "power":
+            letters = draw(st.lists(letter, min_size=1, max_size=8)) * draw(st.integers(2, 6))
+        else:
+            letters = [d for b in draw(st.lists(st.sampled_from(blocks), min_size=1,
+                                                max_size=8)) for d in b]
+        r = cyclic_reduce(Word(tuple(letters[:max_letters])))
+        if r.letters:
+            relators.append(r)
+    assume(relators)
+    gens = tuple(f"g{i + 1}" for i in range(ngens))
+    return standard_complex(Presentation(gens, tuple(relators)))
 
 
 # --- abelianization -----------------------------------------------------------

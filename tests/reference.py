@@ -1,17 +1,28 @@
-"""The all-pairs fiber product and its restriction to a component, kept as
-the reference that `perifold.maps.based_fiber_product` is tested against.
+"""Superseded implementations, kept as the references that the fast paths
+in `perifold` are tested against.
 
 `restrict_to_component(fiber_product(a, b).to_codomain, based_vertex)` is
 the based component computed the long way: every vertex pair and every edge
-pair first, then everything the basepoint pair does not reach thrown away.
+pair first, then everything the basepoint pair does not reach thrown away;
+`perifold.maps.based_fiber_product` must agree with it.
+
+`reference_compute_pieces` is the cubic-time piece table that compares
+every pair of occurrences in both orientations letter by letter and tests
+each pair for exclusion on its own; it also lists every matching pair of
+occurrences (`pairs`).  `reference_check_sc_weight` is the small-cancellation
+weight test that scans every (start, length) subpath of every cell and
+computes its piece cover afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from perifold.complexes import Complex2
+from perifold.complexes import Complex2, cell_period, check_small_cancellation, min_piece_cover
+from perifold.criteria import _VARIANTS, CriterionError, Verdict
 from perifold.maps import CombMap, MapError
+from perifold.weights import Weighting, cell_weight, subpath_perimeter
+from perifold.words import Word
 
 
 @dataclass
@@ -135,3 +146,114 @@ def restrict_to_component(m: CombMap, vertex: int) -> CombMap:
 def reference_based_product(a: CombMap, b: CombMap) -> CombMap:
     fp = fiber_product(a, b)
     return restrict_to_component(fp.to_codomain, fp.based_vertex)
+
+
+@dataclass
+class ReferencePieceTable:
+    pairs: dict[tuple[tuple[int, int, int], tuple[int, int, int]], int]
+    max_from: list[list[int]]  # per cell, per start: longest piece read forward
+    cell_max: list[int]
+
+    def max_piece_length(self, c: int) -> int:
+        return self.cell_max[c]
+
+
+def _occ_letter(bdry: tuple[int, ...], i: int, s: int, k: int) -> int:
+    m = len(bdry)
+    if s > 0:
+        return bdry[(i + k) % m]
+    return -bdry[(i - k) % m]
+
+
+def _excluded(ba: tuple[int, ...], bb: tuple[int, ...], i: int, s: int, j: int, t: int) -> bool:
+    if len(ba) != len(bb):
+        return False
+    m = len(ba)
+    if s == t:
+        r = (j - i) % m
+        return all(bb[(q + r) % m] == ba[q] for q in range(m))
+    c = (i + j) % m
+    return all(bb[(c - q) % m] == -ba[q] for q in range(m))
+
+
+def reference_compute_pieces(x: Complex2) -> ReferencePieceTable:
+    pairs: dict = {}
+    ncells = len(x.cells)
+    max_from = [[0] * len(b) for b in x.cells]
+    for a in range(ncells):
+        ba = x.cells[a]
+        ma = len(ba)
+        for b in range(ncells):
+            bb = x.cells[b]
+            mb = len(bb)
+            cap = min(ma, mb)
+            for s in (1, -1):
+                for t in (1, -1):
+                    for i in range(ma):
+                        for j in range(mb):
+                            if _excluded(ba, bb, i, s, j, t):
+                                continue
+                            L = 0
+                            while L < cap and _occ_letter(ba, i, s, L) == _occ_letter(bb, j, t, L):
+                                L += 1
+                            if L >= 1:
+                                pairs[((a, i, s), (b, j, t))] = L
+                                if s == 1:
+                                    max_from[a][i] = max(max_from[a][i], L)
+    cell_max = [max(row) if row else 0 for row in max_from]
+    return ReferencePieceTable(pairs, max_from, cell_max)
+
+
+def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
+                              strict: bool = False, table=None) -> Verdict:
+    """Small-cancellation weight test: over every subpath S of a cell
+    boundary made of at most 3 (C6T3) or 2 (C4T4) pieces, require
+    P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
+    crit = f"sc-{variant.lower()}" + ("-strict" if strict else "")
+    if variant not in _VARIANTS:
+        raise CriterionError(f"unknown variant {variant!r}")
+    p_cond, q_cond, shell = _VARIANTS[variant]
+    if table is None:
+        table = reference_compute_pieces(x)
+    sc = check_small_cancellation(x, p_cond, q_cond, table=table)
+    if not (sc.c_holds and sc.t_holds):
+        return Verdict(crit, False, "none", applicable=False,
+                       witnesses=list(sc.witnesses),
+                       notes=[f"complex is not C({p_cond})-T({q_cond}) (T via link girth)"])
+    worst = None  # (excess, cell, start, length, p_s, bound)
+    for c, bdry in enumerate(x.cells):
+        m = len(bdry)
+        _p, n = cell_period(x, c)
+        bound = n * cell_weight(w, c)
+        for start in range(m):
+            for length in range(1, m + 1):
+                if min_piece_cover(x, c, start, length, table) > shell:
+                    continue
+                total = subpath_perimeter(w, c, start, length)
+                excess = total - bound
+                key = (-excess, c, start, length)
+                if worst is None or key < worst[0]:
+                    worst = (key, total, bound)
+    if worst is None:
+        return Verdict(crit, True, "both" if strict else "coherent",
+                       notes=["no piece-bounded subpaths (no pieces)"])
+    (neg_excess, c, start, length), p_s, bound = worst
+    excess = -neg_excess
+    holds = (excess < 0) if strict else (excess <= 0)
+    if holds:
+        conclusion = "both" if strict else "coherent"
+    else:
+        conclusion = "none"
+    witnesses = []
+    if not holds:
+        word = Word(tuple(x.cells[c][(start + t) % len(x.cells[c])] for t in range(length)))
+        witnesses.append(
+            f"cell {c} subpath at {start} length {length}"
+            f" ({'/'.join(str(d) for d in word.letters)}) has P = {p_s}"
+            f" vs bound {bound}"
+        )
+    verdict = Verdict(crit, holds, conclusion, witnesses=witnesses,
+                      notes=[f"worst subpath perimeter {p_s} vs n*Wt = {bound}"])
+    verdict.extras["worst"] = {"cell": c, "start": start, "length": length,
+                               "perimeter": p_s, "bound": bound}
+    return verdict

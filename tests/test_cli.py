@@ -91,6 +91,16 @@ def test_cmd_info_power_too_long(tmp_path, capsys, bounded_power):
         assert "line 2" in capsys.readouterr().err
 
 
+def test_cmd_info_deep_nesting(tmp_path, capsys):
+    depth = 3000
+    deep = write(tmp_path, "deep.pf", "gens a b\nrel " + "(" * depth + "a a b" + ")" * depth + "\n")
+    assert main(["info", deep, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"][0]["boundary"] == "a^2 b"
+    open_ = write(tmp_path, "open.pf", "gens a\nrel " + "(" * depth + "a\n")
+    assert main(["info", open_]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_cmd_check_exit_codes(tmp_path, capsys):
     surf = write(tmp_path, "s3.pf", "gens a1 a2 a3\nrel a1^2 a2^2 a3^2\n")
     assert main(["check", surf, "--criterion", "sc-c4t4", "--strict", "--json"]) == 0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perifold import fixtures
 from perifold.complexes import (
@@ -19,7 +20,8 @@ from perifold.complexes import (
 from perifold.maps import build_packet
 from perifold.words import parse_presentation
 
-from conftest import oracle_max_piece
+from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
+from reference import reference_compute_pieces
 
 
 @pytest.fixture(scope="module")
@@ -105,16 +107,20 @@ def test_pieces_period_exclusion():
     # single relator abab: the period shift is excluded and the inverse
     # orientation shares no letters, so there are no pieces at all
     x = standard_complex(parse_presentation("gens a b / rel a b a b"))
-    table = compute_pieces(x)
+    table = reference_compute_pieces(x)
     assert table.cell_max[0] == 0
     assert table.pairs == {}
+    fast = compute_pieces(x)
+    assert (fast.max_from, fast.cell_max) == (table.max_from, table.cell_max)
 
 
 def test_piece_symmetry():
     x = standard_complex(fixtures.modify_presentation())
-    table = compute_pieces(x)
+    table = reference_compute_pieces(x)
     for (occ_a, occ_b), length in table.pairs.items():
         assert table.pairs[(occ_b, occ_a)] == length
+    fast = compute_pieces(x)
+    assert (fast.max_from, fast.cell_max) == (table.max_from, table.cell_max)
 
 
 def test_pieces_against_oracle():
@@ -138,6 +144,43 @@ def test_pieces_against_oracle():
                 assert table.max_from[c][s] == oracle_max_piece(x.cells, c, s), (
                     pres.generators, c, s,
                 )
+
+
+def _fixture_complexes() -> list:
+    presentations = [
+        fixtures.free_presentation(2),
+        fixtures.aab_power_presentation(3),
+        fixtures.aab_power_presentation(9),
+        fixtures.torus_presentation(),
+        fixtures.zzz_presentation(),
+        fixtures.surface_presentation(2, True),
+        fixtures.surface_presentation(3, False),
+        fixtures.modify_presentation(),
+        fixtures.two_relator_block_presentation(),
+        fixtures.magnus_example_presentation(),
+    ]
+    maps = [fixtures.zzz_box_map(), *fixtures.two_squares_maps(),
+            fixtures.double_cover_of_torus(), fixtures.reflected_square_map(),
+            fixtures.ladder_start_map()]
+    return [standard_complex(p) for p in presentations] + [m.domain for m in maps]
+
+
+def _assert_pieces_match_reference(x):
+    fast, ref = compute_pieces(x), reference_compute_pieces(x)
+    assert (fast.max_from, fast.cell_max) == (ref.max_from, ref.cell_max), x.cells
+
+
+def test_compute_pieces_matches_reference_on_fixtures():
+    for x in _fixture_complexes():
+        _assert_pieces_match_reference(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(relator_complexes(),
+                 st.randoms(use_true_random=False).map(
+                     lambda r: random_grid_subcomplex(r).domain)))
+def test_compute_pieces_matches_reference(x):
+    _assert_pieces_match_reference(x)
 
 
 def test_min_piece_cover_examples():

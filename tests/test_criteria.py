@@ -1,6 +1,8 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perifold import criteria, fixtures
 from perifold.complexes import compute_pieces, standard_complex
@@ -15,8 +17,12 @@ from perifold.criteria import (
     magnus_weighting,
     power_theorem,
 )
-from perifold.weights import cell_weight, unit_weighting
+from perifold.subgroups import intersect, member, subgroup_presentation
+from perifold.weights import Weighting, cell_weight, unit_weighting
 from perifold.words import Presentation, Word, is_cyclically_reduced, parse_presentation, word
+
+from conftest import relator_complexes
+from reference import reference_check_sc_weight
 
 
 def test_one_relator_torsion():
@@ -223,3 +229,77 @@ def test_find_certificate_stops_at_first_holding_verdict(monkeypatch):
     torus = standard_complex(fixtures.torus_presentation())
     weak = find_certificate(torus, unit_weighting(torus), "weak")
     assert weak.criterion == "sc-c4t4" and len(calls) == 1
+
+
+def test_find_certificate_needs_the_weightings_complex():
+    aab3 = standard_complex(fixtures.aab_power_presentation(3))
+    torus = standard_complex(fixtures.torus_presentation())
+    with pytest.raises(CriterionError):
+        find_certificate(torus, unit_weighting(aab3))
+
+
+_SC_COMPLEXES = [standard_complex(p) for p in (
+    fixtures.aab_power_presentation(3),
+    fixtures.torus_presentation(),
+    fixtures.zzz_presentation(),
+    fixtures.surface_presentation(2, True),
+    fixtures.surface_presentation(3, False),
+    fixtures.modify_presentation(),
+    fixtures.two_relator_block_presentation(),
+    fixtures.magnus_example_presentation(),
+)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_sc_weight_matches_reference_scan(data):
+    x = data.draw(st.one_of(st.sampled_from(_SC_COMPLEXES), relator_complexes()))
+    kind = data.draw(st.sampled_from(["unit", "magnus", "random"]))
+    if kind == "unit":
+        rows = [[1] * len(b) for b in x.cells]
+    elif kind == "magnus":  # weight 0 on the sides over a set of generators
+        zero = data.draw(st.sets(st.integers(1, x.num_edges())))
+        rows = [[0 if abs(d) in zero else 1 for d in b] for b in x.cells]
+    else:
+        rows = [data.draw(st.lists(st.integers(0, 3), min_size=len(b), max_size=len(b)))
+                for b in x.cells]
+    rows = [row if sum(row) else [1] * len(row) for row in rows]
+    w = Weighting(x, tuple(tuple(row) for row in rows))
+    for variant in ("C4T4", "C6T3"):
+        for strict in (False, True):
+            assert check_sc_weight(x, w, variant, strict) == \
+                reference_check_sc_weight(x, w, variant, strict)
+
+
+# (aab)^9: the strict grade holds by sc-C4T4 and the weak one by one-relator
+# torsion; genus 2: both grades hold by sc-C4T4, one verdict each
+@pytest.mark.parametrize("pres, gens, u, sc_verdicts", [
+    (fixtures.aab_power_presentation(9), [word([1, 1, 2]), word([2, 1, 1, 2])],
+     word([1, 1, 2, 2, 1, 1]), 1),
+    (fixtures.surface_presentation(2, True), [word([1, 2]), word([3, -4, 1])],
+     word([1, 2, 1, 2]), 2),
+])
+def test_certificate_built_once_per_weighting(monkeypatch, pres, gens, u, sc_verdicts):
+    calls = Counter()
+    for name in ("compute_pieces", "check_sc_weight"):
+        def counted(*args, _name=name, _original=getattr(criteria, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, name, counted)
+    x = standard_complex(pres)
+    w = unit_weighting(x)
+    subs = [subgroup_presentation(x, w, gens) for _ in range(20)]
+    members = [member(x, w, gens, u) for _ in range(20)]
+    meets = [intersect(x, w, gens, gens[:1]) for _ in range(20)]
+    assert calls["compute_pieces"] == 1
+    assert calls["check_sc_weight"] == sc_verdicts
+    sub, meet = subgroup_presentation(x, unit_weighting(x), gens), \
+        intersect(x, unit_weighting(x), gens, gens[:1])
+    answer = member(x, unit_weighting(x), gens, u)
+    assert all(s.certificate == sub.certificate and s.presentation == sub.presentation
+               for s in subs)
+    assert all(m.certificate == meet.certificate and m.presentation == meet.presentation
+               for m in meets)
+    assert members == [answer] * 20
+    assert find_certificate(x, w, "weak") == find_certificate(x, unit_weighting(x), "weak")

@@ -76,6 +76,22 @@ def test_parse_power_bound(bounded_power):
     assert bounded_power[0] == 999999
 
 
+def test_parse_deep_nesting(bounded_power):
+    depth = 3000
+    assert parse_word("(" * depth + "a b" + ")" * depth, ("a", "b")).letters == (1, 2)
+    with pytest.raises(ParseError, match="missing"):
+        parse_word("(" * depth + "a", ("a",))
+    with pytest.raises(ParseError, match="unbalanced") as err:
+        parse_word("(" * depth + "a" + ")" * (depth + 1), ("a",))
+    assert err.value.column == 2 * depth + 2
+    # doubling at every level passes the bound at level 20, before expanding
+    bounded_power[0] = 0
+    with pytest.raises(ParseError, match="longer than") as err:
+        parse_word("(" * depth + "a" + ")^2" * depth, ("a",))
+    assert err.value.column == depth + 2 + 3 * 19 + 1
+    assert bounded_power[0] == 2 ** 20 - 1  # 'a', then levels 1 to 19
+
+
 def test_free_reduce_examples():
     assert free_reduce(word([1, -1, 2])).letters == (2,)
     assert free_reduce(word([])).letters == ()
