@@ -7,6 +7,10 @@ and prints step counts and wall-clock times; the step count should stay
 linear in the input length and the wall clock at worst quadratic.  Folding
 is near-linear, so wall/L stays about flat while folds dominate.
 
+Then answers `member` on the genus-2 surface group for products of k
+relator conjugates (word length L); the attachment search takes most of
+their time and is quadratic, so wall/L^2 stays about flat.
+
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times
 and their ratio to m^2; the piece table is quadratic in m, so its ms/m^2
@@ -15,8 +19,12 @@ stays about flat.
 
 import argparse
 
-from perifold.experiments import measure_certificate_scaling, measure_reduction_scaling
-from perifold.fixtures import aab_power_presentation
+from perifold.experiments import (
+    measure_certificate_scaling,
+    measure_member_scaling,
+    measure_reduction_scaling,
+)
+from perifold.fixtures import aab_power_presentation, surface_presentation
 
 
 def main() -> None:
@@ -25,6 +33,7 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
     ap.add_argument("--exponent", type=int, default=9)
     ap.add_argument("--best-of", type=int, default=3)
+    ap.add_argument("--conjugates", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--certificate-exponents", type=int, nargs="+", default=[9, 18, 36, 72])
     args = ap.parse_args()
     pres = aab_power_presentation(args.exponent)
@@ -37,6 +46,13 @@ def main() -> None:
         )[0]
         print(f"{s.total_length:>6} {s.steps:>7} {s.steps / s.total_length:>8.3f}"
               f" {s.seconds * 1e3:>10.2f} {s.seconds / s.total_length * 1e6:>12.2f}"
+              f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    print()
+    print(f"{'k':>4} {'L':>6} {'steps':>7} {'wall (ms)':>10} {'wall/L^2 (us)':>14}")
+    samples = measure_member_scaling(surface_presentation(2, True), args.conjugates,
+                                     args.seeds, args.best_of)
+    for k, s in zip(args.conjugates, samples):
+        print(f"{k:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
               f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
     print()
     print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"

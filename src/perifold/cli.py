@@ -28,6 +28,7 @@ from .complexes import (
     standard_complex,
 )
 from .criteria import (
+    CriterionError,
     Verdict,
     check_equalweights,
     check_few_occurrences,
@@ -41,7 +42,7 @@ from .criteria import (
 from .subgroups import (
     MissingCertificateError,
     intersect,
-    member,
+    member_with_trace,
     subgroup_presentation,
 )
 from .weights import (
@@ -290,7 +291,10 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
             period, n = period_exponent(r)
             words.append(period)
             exps.append(n)
-        _n, verdict = power_theorem(words, exps)
+        try:
+            _n, verdict = power_theorem(words, exps)
+        except CriterionError as exc:
+            return Verdict(name, False, "none", applicable=False, notes=[str(exc)])
         return verdict
     if name == "magnus":
         if not args.magnus:
@@ -363,10 +367,11 @@ def cmd_member(f: InputFile, args) -> int:
     gens = _resolve_words(args.gens, f)
     u = parse_word(args.word, f.presentation.generators) if args.word.strip() else Word(())
     try:
-        answer = member(f.complex, f.weighting, gens, u, force=args.force)
+        answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force)
     except MissingCertificateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    _write_trace(trace, args.trace)
     _emit({"member": answer, "word": render_word(u, f.presentation.generators)},
           args.json)
     return 0 if answer else 1

@@ -41,9 +41,6 @@ class Complex2:
         e = abs(d) - 1
         return self.edges[e][1] if d > 0 else self.edges[e][0]
 
-    def boundary(self, c: int) -> tuple[int, ...]:
-        return self.cells[c]
-
     def boundary_length(self, c: int) -> int:
         return len(self.cells[c])
 
@@ -179,9 +176,6 @@ def _essential_girth(nodes, corners) -> float:
 class PieceTable:
     max_from: list[list[int]]  # per cell, per start: longest piece read forward
     cell_max: list[int]
-
-    def max_piece_length(self, c: int) -> int:
-        return self.cell_max[c]
 
 
 def _raise_longest_extensions(u: tuple[int, ...], v: tuple[int, ...],

@@ -11,7 +11,7 @@ requires a step limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .complexes import Complex2, cell_period
 from .maps import (
@@ -19,9 +19,13 @@ from .maps import (
     PathInY,
     find_fold,
     fold_to_immersion,
+    identify_vertices,
+    missing_mates,
     packet_mates,
     present_cycles,
     repair_packing,
+    with_arc,
+    with_cells,
 )
 from .weights import (
     Weighting,
@@ -97,11 +101,6 @@ class ReductionTrace:
     initial_perimeter: int
     initial_edges: int
     steps: list[TraceStep] = field(default_factory=list)
-
-    def complexities(self) -> list[tuple[int, int]]:
-        return [(self.initial_perimeter, self.initial_edges)] + [
-            (s.perimeter, s.edges) for s in self.steps
-        ]
 
     def to_lines(self) -> list[str]:
         return [
@@ -238,76 +237,23 @@ def attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResul
     if site.path.complex is not m.domain:
         raise StaleSiteError("attachment site refers to an outdated domain")
     x = m.codomain
-    cell = site.candidate.cell
+    cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
     bdry = x.cells[cell]
     mlen = len(bdry)
-    start, length = site.candidate.start, site.candidate.length
-    dom = m.domain
-    verts = list(site.path.vertices)
-    edges = list(site.path.edges)
-    vmap = list(range(dom.num_vertices))
-    identified = False
-
+    tail, head = site.path.vertices[0], site.path.vertices[-1]
+    around = list(site.path.edges)  # the circle's refs from position start on
     if site.complete:
-        if verts[0] != verts[-1]:
-            lo, hi = sorted((verts[0], verts[-1]))
-            vmap = [i - (1 if i > hi else 0) for i in range(dom.num_vertices)]
-            vmap[hi] = vmap[lo]
-            new_edges = [(vmap[s], vmap[t]) for s, t in dom.edges]
-            dom = Complex2(dom.num_vertices - 1, new_edges, list(dom.cells))
-            verts = [vmap[u] for u in verts]
-            identified = True
-        new_vertex_image = [0] * dom.num_vertices
-        for old, new in enumerate(vmap):
-            new_vertex_image[new] = m.vertex_image[old]
-        cyc = [0] * mlen
-        for k, d in enumerate(edges):
-            cyc[(start + k) % mlen] = d
-        m2 = CombMap(dom, x, new_vertex_image, list(m.edge_image),
-                     list(m.cell_image), vmap[m.basepoint])
+        m, vmap = identify_vertices(m, tail, head)
     else:
-        new_edges = list(dom.edges)
-        new_vertex_image = list(m.vertex_image)
-        new_edge_image = list(m.edge_image)
-        num_vertices = dom.num_vertices
-        cyc = [0] * mlen
-        for k, d in enumerate(edges):
-            cyc[(start + k) % mlen] = d
-        cur = verts[-1]
-        for t in range(mlen - length):
-            pos = (start + length + t) % mlen
-            letter = bdry[pos]
-            if t == mlen - length - 1:
-                nxt = verts[0]
-            else:
-                nxt = num_vertices
-                num_vertices += 1
-                new_vertex_image.append(x.tail(bdry[(pos + 1) % mlen]))
-            # orient the fresh edge along the traversal
-            new_edges.append((cur, nxt))
-            new_edge_image.append(letter)
-            cyc[pos] = len(new_edges)
-            cur = nxt
-        dom = Complex2(num_vertices, new_edges, list(dom.cells))
-        m2 = CombMap(dom, x, new_vertex_image, new_edge_image,
-                     list(m.cell_image), m.basepoint)
-
-    have = present_cycles(m2).get(cell, set())
-    added = 0
-    new_cells = list(m2.domain.cells)
-    new_cell_image = list(m2.cell_image)
-    for mate in packet_mates(x, cell, cyc):
-        if mate in have:
-            continue
-        have.add(mate)
-        new_cells.append(mate)
-        new_cell_image.append((cell, 0, False))
-        added += 1
-    if added == 0:
+        vmap = list(range(m.domain.num_vertices))
+        m, arc = with_arc(m, head, tail, [bdry[(start + k) % mlen] for k in range(length, mlen)])
+        around += arc
+    cycle = [around[(q - start) % mlen] for q in range(mlen)]
+    mates = missing_mates(x, cell, cycle, present_cycles(m).get(cell, set()))
+    if not mates:
         raise StaleSiteError("packet already present along the site")
-    m2 = CombMap(replace(m2.domain, cells=new_cells), x, m2.vertex_image,
-                 m2.edge_image, new_cell_image, m2.basepoint)
-    return AttachResult(m2, vmap, added, site.complete, identified)
+    return AttachResult(with_cells(m, [(cell, mate) for mate in mates]), vmap, len(mates),
+                        site.complete, site.complete and tail != head)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Measurement helpers for the scaling behaviour of the reduction loop and
-of the certificate."""
+"""Measurement helpers for the scaling behaviour of the reduction loop, of
+attachment-dominated membership queries and of the certificate."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from .complexes import compute_pieces, standard_complex
 from .criteria import find_certificate
 from .engine import reduce_map
 from .maps import bouquet_map
+from .subgroups import member_with_trace
 from .weights import unit_weighting
-from .words import Word, free_reduce
+from .words import Word, free_reduce, inverse
 
 
 def random_reduced_word(rng: random.Random, ngens: int, length: int) -> Word:
@@ -62,6 +63,47 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
                 best_time = min(best_time, time.perf_counter() - t0)
             steps_total += len(res.trace.steps)
         out.append(ScalingSample(length, steps_total // max(1, len(seeds)), best_time))
+    return out
+
+
+def relator_conjugate_product(rng: random.Random, relator: Word, ngens: int, k: int) -> Word:
+    """Free reduction of a product of k conjugates c r c^-1, each r a random
+    rotation of the relator or of its inverse and each c a random reduced
+    word of 0-3 letters."""
+    letters: tuple[int, ...] = ()
+    for _ in range(k):
+        c = random_reduced_word(rng, ngens, rng.randint(0, 3))
+        r = relator if rng.random() < 0.5 else inverse(relator)
+        j = rng.randrange(len(r))
+        letters += c.letters + r.letters[j:] + r.letters[:j] + inverse(c).letters
+    return free_reduce(Word(letters))
+
+
+def measure_member_scaling(presentation, counts, seeds, best_of: int = 1) -> list[ScalingSample]:
+    """`member` with no generators, so every step attaches or folds, on
+    products of k conjugates of the first relator for each k in counts;
+    per k the mean word length and step count, and the mean over the seeds
+    of the best wall clock."""
+    x = standard_complex(presentation)
+    w = unit_weighting(x)
+    find_certificate(x, w, "weak")  # built once per weighting, before any timing
+    out = []
+    for k in counts:
+        length = steps = 0
+        seconds = 0.0
+        for seed in seeds:
+            u = relator_conjugate_product(random.Random(seed), presentation.relators[0],
+                                          len(presentation.generators), k)
+            best = float("inf")
+            for _ in range(best_of):
+                t0 = time.perf_counter()
+                _answer, trace = member_with_trace(x, w, [], u)
+                best = min(best, time.perf_counter() - t0)
+            length += len(u)
+            steps += len(trace.steps)
+            seconds += best
+        n = max(1, len(seeds))
+        out.append(ScalingSample(length // n, steps // n, seconds / n))
     return out
 
 

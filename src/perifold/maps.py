@@ -79,24 +79,14 @@ class CombMap:
     def out_edges(self) -> list[dict[int, int]]:
         """Per vertex: image directed edge -> domain directed edge.
 
-        Only well defined (single-valued) for 1-immersions; `find_fold` uses
-        `directed_stars` instead while duplicates may exist.
+        Only well defined (single-valued) for 1-immersions; `end_stars` keeps
+        every end while duplicates may exist.
         """
         outs: list[dict[int, int]] = [dict() for _ in range(self.domain.num_vertices)]
         for e in range(self.domain.num_edges()):
             for d in (e + 1, -(e + 1)):
                 outs[self.domain.tail(d)][self.image_of(d)] = d
         return outs
-
-    def directed_stars(self) -> list[list[tuple[int, int]]]:
-        """Per vertex: sorted list of (image directed edge, domain directed edge)."""
-        stars: list[list[tuple[int, int]]] = [[] for _ in range(self.domain.num_vertices)]
-        for e in range(self.domain.num_edges()):
-            for d in (e + 1, -(e + 1)):
-                stars[self.domain.tail(d)].append((self.image_of(d), d))
-        for star in stars:
-            star.sort()
-        return stars
 
     def rewritten_cycle(self, c: int) -> tuple[int, ...]:
         """Domain directed edge over each target boundary position."""
@@ -145,6 +135,62 @@ def path_from_edges(x: Complex2, start: int, edges) -> PathInY:
     return PathInY(x, tuple(vertices), tuple(edges))
 
 
+# --- changing the domain ----------------------------------------------------
+
+
+def append_arc(x: Complex2, edges: list[tuple[int, int]], edge_image: list[int],
+               vertex_image: list[int], u: int, v: int | None, letters) -> list[int]:
+    """Append to a domain's edge and vertex lists an arc over `letters` from
+    vertex u to vertex v, or to a fresh vertex when v is None.  Edges are
+    oriented along the arc and numbered on from the last; each fresh vertex
+    is numbered on from the last and maps to the head of its letter.
+    Returns the arc's edge refs."""
+    refs = []
+    last = len(letters) - 1
+    for k, letter in enumerate(letters):
+        if k == last and v is not None:
+            nxt = v
+        else:
+            nxt = len(vertex_image)
+            vertex_image.append(x.head(letter))
+        edges.append((u, nxt))
+        edge_image.append(letter)
+        refs.append(len(edges))
+        u = nxt
+    return refs
+
+
+def with_arc(m: CombMap, u: int, v: int | None, letters) -> tuple[CombMap, list[int]]:
+    """The map with an arc over `letters` from u to v added (`append_arc`),
+    and the arc's edge refs."""
+    edges, edge_image = list(m.domain.edges), list(m.edge_image)
+    vertex_image = list(m.vertex_image)
+    refs = append_arc(m.codomain, edges, edge_image, vertex_image, u, v, letters)
+    dom = Complex2(len(vertex_image), edges, list(m.domain.cells))
+    return (CombMap(dom, m.codomain, vertex_image, edge_image, list(m.cell_image),
+                    m.basepoint), refs)
+
+
+def identify_vertices(m: CombMap, u: int, v: int) -> tuple[CombMap, list[int]]:
+    """The map with vertices u and v identified, and the input -> output
+    vertex map.  The larger-numbered vertex merges into the smaller and the
+    vertices above it move down by one, the numbering a fold gives; edge
+    refs and cell boundaries stay as they are.  With u == v the map itself
+    is returned."""
+    dom = m.domain
+    if u == v:
+        return m, list(range(dom.num_vertices))
+    if m.vertex_image[u] != m.vertex_image[v]:
+        raise MapError("identified vertices must have the same image")
+    lo, hi = min(u, v), max(u, v)
+    vmap = [i - (i > hi) for i in range(dom.num_vertices)]
+    vmap[hi] = vmap[lo]
+    new_dom = Complex2(dom.num_vertices - 1, [(vmap[s], vmap[t]) for s, t in dom.edges],
+                       list(dom.cells))
+    return (CombMap(new_dom, m.codomain, m.vertex_image[:hi] + m.vertex_image[hi + 1:],
+                    list(m.edge_image), list(m.cell_image), vmap[m.basepoint]), vmap)
+
+
 # --- bouquets ---------------------------------------------------------------
 
 
@@ -162,31 +208,11 @@ def bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> 
     vertex_image = [0]
     edges: list[tuple[int, int]] = []
     edge_image: list[int] = []
-    num_vertices = 1
-
-    def fresh_vertex() -> int:
-        nonlocal num_vertices
-        vertex_image.append(0)
-        num_vertices += 1
-        return num_vertices - 1
-
-    def add_edge(src: int, tgt: int, letter: int) -> None:
-        edges.append((src, tgt))
-        edge_image.append(letter)
-
     for w in words:
-        prev = 0
-        for k, letter in enumerate(w.letters):
-            nxt = 0 if k == len(w.letters) - 1 else fresh_vertex()
-            add_edge(prev, nxt, letter)
-            prev = nxt
+        append_arc(x, edges, edge_image, vertex_image, 0, 0, w.letters)
     if whisker is not None and whisker.letters:
-        prev = 0
-        for letter in whisker.letters:
-            nxt = fresh_vertex()
-            add_edge(prev, nxt, letter)
-            prev = nxt
-    dom = Complex2(num_vertices, edges, [])
+        append_arc(x, edges, edge_image, vertex_image, 0, None, whisker.letters)
+    dom = Complex2(len(vertex_image), edges, [])
     m = CombMap(dom, x, vertex_image, edge_image, [], 0)
     m.validate()
     return m
@@ -212,75 +238,20 @@ def end_stars(m: CombMap) -> list[dict[int, list[int]]]:
 
 
 def find_fold(m: CombMap) -> tuple[int, int, int] | None:
-    """First (vertex, d1, d2) with two distinct edge-ends sharing an image."""
-    stars = m.directed_stars()
-    for v, star in enumerate(stars):
-        for (img1, d1), (img2, d2) in zip(star, star[1:]):
-            if img1 == img2:
-                return v, d1, d2
+    """First (vertex, d1, d2) with two distinct edge-ends sharing an image:
+    at the first vertex with a repeated image, the smallest such image and
+    the two smallest refs over it."""
+    for v, star in enumerate(end_stars(m)):
+        img = min((img for img, ends in star.items() if len(ends) > 1), default=None)
+        if img is not None:
+            d1, d2 = sorted(star[img])[:2]
+            return v, d1, d2
     return None
 
 
 def is_1_immersion(m: CombMap) -> tuple[bool, tuple[int, int, int] | None]:
     w = find_fold(m)
     return (w is None), w
-
-
-@dataclass
-class FoldResult:
-    map: CombMap
-    vertex_map: list[int]
-    edge_pair: tuple[int, int]  # the identified directed edges (pre-fold refs)
-
-
-def apply_fold(m: CombMap, fold: tuple[int, int, int] | None = None) -> FoldResult:
-    """Identify the two edges of one fold pair and rewrite everything through
-    the quotient.  Image words of cells are immersed, so no cell boundary can
-    backtrack after the identification."""
-    if fold is None:
-        fold = find_fold(m)
-    if fold is None:
-        raise MapError("no fold available")
-    _v, d1, d2 = fold
-    dom = m.domain
-    h1, h2 = dom.head(d1), dom.head(d2)
-
-    if h1 != h2:
-        lo, hi = min(h1, h2), max(h1, h2)
-        vmap = [i - (1 if i > hi else 0) for i in range(dom.num_vertices)]
-        vmap[hi] = vmap[lo]
-    else:
-        vmap = list(range(dom.num_vertices))
-
-    e_keep, e_drop = abs(d1) - 1, abs(d2) - 1
-    sign = 1 if (d1 > 0) == (d2 > 0) else -1
-
-    def emap(d: int) -> int:
-        e = abs(d) - 1
-        if e == e_drop:
-            d_over_keep = (e_keep + 1) * sign
-            mapped = d_over_keep if d > 0 else -d_over_keep
-        else:
-            mapped = d
-        e2 = abs(mapped) - 1
-        e2 -= 1 if e2 > e_drop else 0
-        return (e2 + 1) if mapped > 0 else -(e2 + 1)
-
-    new_edges = []
-    new_edge_image = []
-    for e, (src, tgt) in enumerate(dom.edges):
-        if e == e_drop:
-            continue
-        new_edges.append((vmap[src], vmap[tgt]))
-        new_edge_image.append(m.edge_image[e])
-    new_cells = [tuple(emap(d) for d in bdry) for bdry in dom.cells]
-    new_vertex_image = [None] * (dom.num_vertices - (1 if h1 != h2 else 0))
-    for old, new in enumerate(vmap):
-        new_vertex_image[new] = m.vertex_image[old]
-    new_dom = Complex2(len(new_vertex_image), new_edges, new_cells)
-    m2 = CombMap(new_dom, m.codomain, list(new_vertex_image), new_edge_image,
-                 list(m.cell_image), vmap[m.basepoint])
-    return FoldResult(m2, vmap, (d1, d2))
 
 
 def remove_redundant(m: CombMap) -> tuple[CombMap, int]:
@@ -316,14 +287,14 @@ def fold_to_immersion(m: CombMap, limit: int | None = None,
                       on_fold=None) -> FoldToImmersionResult:
     """Stallings folding in one pass, then `remove_redundant`.
 
-    Folds in exactly the order of repeated `find_fold` / `apply_fold`: the
-    first current vertex with a repeated image, its smallest such image and
-    the two smallest directed edges over it.  Current numberings are monotone
-    in the input's, so vertex classes are kept in a union-find whose root is
-    the smallest input vertex, and each root's star maps an image to the
-    sorted input refs of the edge ends over it.  A dropped edge points at
-    the edge it was identified with, and the map is built once at the end;
-    with no fold the input map itself is kept.
+    Folds in exactly the order of repeated `find_fold`, one fold at a time:
+    the first current vertex with a repeated image, its smallest such image
+    and the two smallest directed edges over it.  Current numberings are
+    monotone in the input's, so vertex classes are kept in a union-find
+    whose root is the smallest input vertex, and each root's star maps an
+    image to the sorted input refs of the edge ends over it.  A dropped edge
+    points at the edge it was identified with, and the map is built once at
+    the end; with no fold the input map itself is kept.
 
     At most `limit` folds are made.  `on_fold(d1, d2, merged)` is called
     after each fold with the identified input refs (d2's edge is dropped
@@ -487,26 +458,38 @@ def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
+def missing_mates(x: Complex2, r: int, cycle,
+                  have: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The packet mates of a cycle over cell r that are not in `have`, in
+    `packet_mates` order; each is added to `have`."""
+    missing = []
+    for mate in packet_mates(x, r, cycle):
+        if mate not in have:
+            have.add(mate)
+            missing.append(mate)
+    return missing
+
+
+def with_cells(m: CombMap, cells: list[tuple[int, tuple[int, ...]]]) -> CombMap:
+    """The map with a 2-cell over target cell r glued along each given
+    (r, rewritten cycle), in order; the map itself when there is none."""
+    if not cells:
+        return m
+    dom = replace(m.domain, cells=list(m.domain.cells) + [cyc for _r, cyc in cells])
+    return CombMap(dom, m.codomain, list(m.vertex_image), list(m.edge_image),
+                   list(m.cell_image) + [(r, 0, False) for r, _cyc in cells], m.basepoint)
+
+
 def repair_packing(m: CombMap) -> tuple[CombMap, int]:
     """Attach the missing packet mates along existing boundary circles.
 
     Adds 2-cells only (no new 1-cells), so the perimeter cannot increase.
     """
-    new_cells: list[tuple[int, ...]] = []
-    new_images: list[tuple[int, int, bool]] = []
+    cells = []
     for r, cycles in present_cycles(m).items():
         for cyc in list(cycles):
-            for mate in packet_mates(m.codomain, r, cyc):
-                if mate not in cycles:
-                    cycles.add(mate)
-                    new_cells.append(mate)
-                    new_images.append((r, 0, False))
-    if not new_cells:
-        return m, 0
-    dom = replace(m.domain, cells=list(m.domain.cells) + new_cells)
-    m2 = CombMap(dom, m.codomain, list(m.vertex_image), list(m.edge_image),
-                 list(m.cell_image) + new_images, m.basepoint)
-    return m2, len(new_cells)
+            cells += [(r, mate) for mate in missing_mates(m.codomain, r, cyc, cycles)]
+    return with_cells(m, cells), len(cells)
 
 
 # --- path lifting -----------------------------------------------------------

@@ -14,7 +14,7 @@ from .criteria import (
     sc_certificate,
 )
 from .engine import ReductionTrace, extract_presentation, reduce_map
-from .maps import CombMap, based_fiber_product, bouquet_map, whisker_tip
+from .maps import CombMap, append_arc, based_fiber_product, bouquet_map, whisker_tip
 from .weights import Weighting
 from .words import Presentation, Word, free_reduce
 
@@ -72,14 +72,21 @@ def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     """Generalized word problem: reduce the wedge of the generators with an
     open whisker arc carrying u; u lies in the subgroup iff the whisker's
     endpoints are identified in the final complex."""
-    cert, _ = _certified(x, w, "weak", force, "member")
+    return member_with_trace(x, w, gens, u, force)[0]
+
+
+def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
+                      force: bool = False) -> tuple[bool, ReductionTrace]:
+    """`member`'s answer and the trace of its reduction; a word that is
+    trivial in the free group is answered without one (an empty trace)."""
+    _certified(x, w, "weak", force, "member")
     u = free_reduce(u)
     if not u.letters:
-        return True
+        return True, ReductionTrace(0, 0)
     m = bouquet_map(x, _clean_words(gens), whisker=u)
     tip = whisker_tip(m)
     res = reduce_map(m, w, "strict")
-    return res.vertex_tracking[m.basepoint] == res.vertex_tracking[tip]
+    return res.vertex_tracking[m.basepoint] == res.vertex_tracking[tip], res.trace
 
 
 def _augment_with_cells(m: CombMap) -> CombMap:
@@ -93,7 +100,6 @@ def _augment_with_cells(m: CombMap) -> CombMap:
             starts.setdefault(x.tail(d), j)
         for v_img, j in starts.items():
             corners.setdefault(v_img, []).append((r, j))
-    num_vertices = m.domain.num_vertices
     edges = list(m.domain.edges)
     cells = list(m.domain.cells)
     vertex_image = list(m.vertex_image)
@@ -102,22 +108,10 @@ def _augment_with_cells(m: CombMap) -> CombMap:
     for v in range(m.domain.num_vertices):
         for r, j in corners.get(m.vertex_image[v], []):
             bdry = x.cells[r]
-            mlen = len(bdry)
-            refs = []
-            cur = v
-            for t in range(mlen):
-                pos = (j + t) % mlen
-                nxt = v if t == mlen - 1 else num_vertices
-                if nxt != v:
-                    vertex_image.append(x.tail(bdry[(pos + 1) % mlen]))
-                    num_vertices += 1
-                edges.append((cur, nxt))
-                edge_image.append(bdry[pos])
-                refs.append(len(edges))
-                cur = nxt
-            cells.append(tuple(refs))
+            cells.append(tuple(append_arc(x, edges, edge_image, vertex_image, v, v,
+                                          bdry[j:] + bdry[:j])))
             cell_image.append((r, j, False))
-    dom = Complex2(num_vertices, edges, cells)
+    dom = Complex2(len(vertex_image), edges, cells)
     return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)
 
 

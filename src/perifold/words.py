@@ -45,21 +45,10 @@ def inverse(w: Word) -> Word:
     return Word(tuple(-x for x in reversed(w.letters)))
 
 
-def concat(u: Word, v: Word) -> Word:
-    return Word(u.letters + v.letters)
-
-
 def power(w: Word, n: int) -> Word:
     if n < 0:
         return power(inverse(w), -n)
     return Word(w.letters * n)
-
-
-def rotate(w: Word, k: int) -> Word:
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return Word(w.letters[k:] + w.letters[:k])
 
 
 def free_reduce(w: Word) -> Word:

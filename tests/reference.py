@@ -12,15 +12,23 @@ each pair for exclusion on its own; it also lists every matching pair of
 occurrences (`pairs`).  `reference_check_sc_weight` is the small-cancellation
 weight test that scans every (start, length) subpath of every cell and
 computes its piece cover afresh.
+
+`apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
+must end where repeated `find_fold` / `apply_fold` ends.
+`reference_attach_packet` and `reference_augment_with_cells` build the
+attached and the augmented domain by hand; `perifold.engine.attach_packet`
+and `perifold.subgroups._augment_with_cells`, which change the domain only
+through the operations of `perifold.maps`, must agree with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from perifold.complexes import Complex2, cell_period, check_small_cancellation, min_piece_cover
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
-from perifold.maps import CombMap, MapError
+from perifold.engine import AttachmentSite, AttachResult, StaleSiteError
+from perifold.maps import CombMap, MapError, find_fold, packet_mates, present_cycles
 from perifold.weights import Weighting, cell_weight, subpath_perimeter
 from perifold.words import Word
 
@@ -257,3 +265,181 @@ def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     verdict.extras["worst"] = {"cell": c, "start": start, "length": length,
                                "perimeter": p_s, "bound": bound}
     return verdict
+
+
+@dataclass
+class FoldResult:
+    map: CombMap
+    vertex_map: list[int]
+    edge_pair: tuple[int, int]  # the identified directed edges (pre-fold refs)
+
+
+def apply_fold(m: CombMap, fold: tuple[int, int, int] | None = None) -> FoldResult:
+    """Identify the two edges of one fold pair and rewrite everything through
+    the quotient.  Image words of cells are immersed, so no cell boundary can
+    backtrack after the identification."""
+    if fold is None:
+        fold = find_fold(m)
+    if fold is None:
+        raise MapError("no fold available")
+    _v, d1, d2 = fold
+    dom = m.domain
+    h1, h2 = dom.head(d1), dom.head(d2)
+
+    if h1 != h2:
+        lo, hi = min(h1, h2), max(h1, h2)
+        vmap = [i - (1 if i > hi else 0) for i in range(dom.num_vertices)]
+        vmap[hi] = vmap[lo]
+    else:
+        vmap = list(range(dom.num_vertices))
+
+    e_keep, e_drop = abs(d1) - 1, abs(d2) - 1
+    sign = 1 if (d1 > 0) == (d2 > 0) else -1
+
+    def emap(d: int) -> int:
+        e = abs(d) - 1
+        if e == e_drop:
+            d_over_keep = (e_keep + 1) * sign
+            mapped = d_over_keep if d > 0 else -d_over_keep
+        else:
+            mapped = d
+        e2 = abs(mapped) - 1
+        e2 -= 1 if e2 > e_drop else 0
+        return (e2 + 1) if mapped > 0 else -(e2 + 1)
+
+    new_edges = []
+    new_edge_image = []
+    for e, (src, tgt) in enumerate(dom.edges):
+        if e == e_drop:
+            continue
+        new_edges.append((vmap[src], vmap[tgt]))
+        new_edge_image.append(m.edge_image[e])
+    new_cells = [tuple(emap(d) for d in bdry) for bdry in dom.cells]
+    new_vertex_image = [None] * (dom.num_vertices - (1 if h1 != h2 else 0))
+    for old, new in enumerate(vmap):
+        new_vertex_image[new] = m.vertex_image[old]
+    new_dom = Complex2(len(new_vertex_image), new_edges, new_cells)
+    m2 = CombMap(new_dom, m.codomain, list(new_vertex_image), new_edge_image,
+                 list(m.cell_image), vmap[m.basepoint])
+    return FoldResult(m2, vmap, (d1, d2))
+
+
+def reference_attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResult:
+    """Glue the packet of the site's cell to the domain along the lifted Q.
+
+    Complete sites first identify the endpoints of Q; incomplete sites add
+    the complement as a fresh arc.  All packet cells missing over the
+    resulting circle are attached.
+    """
+    if site.path.complex is not m.domain:
+        raise StaleSiteError("attachment site refers to an outdated domain")
+    x = m.codomain
+    cell = site.candidate.cell
+    bdry = x.cells[cell]
+    mlen = len(bdry)
+    start, length = site.candidate.start, site.candidate.length
+    dom = m.domain
+    verts = list(site.path.vertices)
+    edges = list(site.path.edges)
+    vmap = list(range(dom.num_vertices))
+    identified = False
+
+    if site.complete:
+        if verts[0] != verts[-1]:
+            lo, hi = sorted((verts[0], verts[-1]))
+            vmap = [i - (1 if i > hi else 0) for i in range(dom.num_vertices)]
+            vmap[hi] = vmap[lo]
+            new_edges = [(vmap[s], vmap[t]) for s, t in dom.edges]
+            dom = Complex2(dom.num_vertices - 1, new_edges, list(dom.cells))
+            verts = [vmap[u] for u in verts]
+            identified = True
+        new_vertex_image = [0] * dom.num_vertices
+        for old, new in enumerate(vmap):
+            new_vertex_image[new] = m.vertex_image[old]
+        cyc = [0] * mlen
+        for k, d in enumerate(edges):
+            cyc[(start + k) % mlen] = d
+        m2 = CombMap(dom, x, new_vertex_image, list(m.edge_image),
+                     list(m.cell_image), vmap[m.basepoint])
+    else:
+        new_edges = list(dom.edges)
+        new_vertex_image = list(m.vertex_image)
+        new_edge_image = list(m.edge_image)
+        num_vertices = dom.num_vertices
+        cyc = [0] * mlen
+        for k, d in enumerate(edges):
+            cyc[(start + k) % mlen] = d
+        cur = verts[-1]
+        for t in range(mlen - length):
+            pos = (start + length + t) % mlen
+            letter = bdry[pos]
+            if t == mlen - length - 1:
+                nxt = verts[0]
+            else:
+                nxt = num_vertices
+                num_vertices += 1
+                new_vertex_image.append(x.tail(bdry[(pos + 1) % mlen]))
+            # orient the fresh edge along the traversal
+            new_edges.append((cur, nxt))
+            new_edge_image.append(letter)
+            cyc[pos] = len(new_edges)
+            cur = nxt
+        dom = Complex2(num_vertices, new_edges, list(dom.cells))
+        m2 = CombMap(dom, x, new_vertex_image, new_edge_image,
+                     list(m.cell_image), m.basepoint)
+
+    have = present_cycles(m2).get(cell, set())
+    added = 0
+    new_cells = list(m2.domain.cells)
+    new_cell_image = list(m2.cell_image)
+    for mate in packet_mates(x, cell, cyc):
+        if mate in have:
+            continue
+        have.add(mate)
+        new_cells.append(mate)
+        new_cell_image.append((cell, 0, False))
+        added += 1
+    if added == 0:
+        raise StaleSiteError("packet already present along the site")
+    m2 = CombMap(replace(m2.domain, cells=new_cells), x, m2.vertex_image,
+                 m2.edge_image, new_cell_image, m2.basepoint)
+    return AttachResult(m2, vmap, added, site.complete, identified)
+
+
+def reference_augment_with_cells(m: CombMap) -> CombMap:
+    """Attach to every vertex one copy of each codomain 2-cell whose boundary
+    passes through the vertex's image, glued at that vertex only."""
+    x = m.codomain
+    corners: dict[int, list[tuple[int, int]]] = {}
+    for r, bdry in enumerate(x.cells):
+        starts: dict[int, int] = {}
+        for j, d in enumerate(bdry):
+            starts.setdefault(x.tail(d), j)
+        for v_img, j in starts.items():
+            corners.setdefault(v_img, []).append((r, j))
+    num_vertices = m.domain.num_vertices
+    edges = list(m.domain.edges)
+    cells = list(m.domain.cells)
+    vertex_image = list(m.vertex_image)
+    edge_image = list(m.edge_image)
+    cell_image = list(m.cell_image)
+    for v in range(m.domain.num_vertices):
+        for r, j in corners.get(m.vertex_image[v], []):
+            bdry = x.cells[r]
+            mlen = len(bdry)
+            refs = []
+            cur = v
+            for t in range(mlen):
+                pos = (j + t) % mlen
+                nxt = v if t == mlen - 1 else num_vertices
+                if nxt != v:
+                    vertex_image.append(x.tail(bdry[(pos + 1) % mlen]))
+                    num_vertices += 1
+                edges.append((cur, nxt))
+                edge_image.append(bdry[pos])
+                refs.append(len(edges))
+                cur = nxt
+            cells.append(tuple(refs))
+            cell_image.append((r, j, False))
+    dom = Complex2(num_vertices, edges, cells)
+    return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)

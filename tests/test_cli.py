@@ -3,8 +3,10 @@ import json
 import pytest
 
 from perifold.cli import InputError, main, parse_input_file
+from perifold.engine import reduce_map
+from perifold.maps import bouquet_map
 from perifold.weights import edge_perimeters
-from perifold.words import ParseError
+from perifold.words import ParseError, parse_word
 
 ZZZ = """\
 gens a b c
@@ -138,6 +140,24 @@ def test_cmd_member(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_member_with_trace(tmp_path, capsys):
+    path = write(tmp_path, "free.pf", FREE)
+    trace = tmp_path / "trace.log"
+    assert main(["member", path, "--gens", "@H", "--word", "a b a^-1", "--json",
+                 "--trace", str(trace)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"member": False, "word": "a b a^-1"}
+    f = parse_input_file(FREE)
+    u = parse_word("a b a^-1", f.presentation.generators)
+    res = reduce_map(bouquet_map(f.complex, f.word_lists["H"], whisker=u), f.weighting)
+    assert res.trace.to_lines()  # the whisker folds onto the bouquet
+    assert trace.read_text().splitlines() == res.trace.to_lines()
+    # a word trivial in the free group is answered without a reduction
+    assert main(["member", path, "--gens", "@H", "--word", "a a^-1",
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert trace.read_text().strip() == ""  # written as `subgroup` writes an empty trace
+
+
 def test_cmd_subgroup_with_trace(tmp_path, capsys):
     path = write(tmp_path, "free.pf", FREE)
     trace = str(tmp_path / "trace.log")
@@ -204,6 +224,26 @@ def test_cmd_check_magnus_and_powers(tmp_path, capsys):
     assert main(["check", aab9, "--criterion", "powers", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert not data["holds"]  # exponent 9 is below the threshold 18
+
+
+def test_cmd_check_powers_inapplicable(tmp_path, capsys):
+    # the power theorem needs relators that are neither missing nor
+    # cyclically conjugate; otherwise its verdict is inapplicable, not a crash
+    free = write(tmp_path, "free.pf", FREE)
+    conj = write(tmp_path, "conj.pf", "gens a b\nrel a b\nrel b a\n")
+    for path, why in ((free, "need at least one word"),
+                      (conj, "words are cyclically conjugate (up to inversion)")):
+        assert main(["check", path, "--criterion", "powers", "--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data["criterion"] == "powers" and not data["holds"]
+        assert data["notes"] == [why]
+    # with no relators the small-cancellation verdicts hold
+    assert main(["check", free, "--criterion", "all", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    by_name = {v["criterion"]: v for v in data["verdicts"]}
+    assert by_name["sc-c4t4"]["holds"] and not by_name["powers"]["holds"]
+    assert main(["check", conj, "--criterion", "all"]) == 0
+    capsys.readouterr()
 
 
 def test_json_output_is_stable(tmp_path, capsys):

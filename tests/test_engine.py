@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,9 @@ from perifold.engine import (
     reduce_map,
     relator_bound,
 )
-from perifold.experiments import random_generator_set
+from perifold.experiments import random_generator_set, random_reduced_word
 from perifold.maps import (
     CombMap,
-    apply_fold,
     bouquet_map,
     build_packet,
     find_fold,
@@ -36,6 +36,8 @@ from perifold.weights import (
     unit_weighting,
 )
 from perifold.words import free_reduce, parse_presentation, word
+
+from reference import apply_fold, reference_attach_packet, reference_augment_with_cells
 
 
 def brute_candidates(x, w, mode):
@@ -414,3 +416,67 @@ def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
     res = reduce_map(m, w)
     assert sum(s.kind == "fold" for s in res.trace.steps) > 100
     assert len(calls) <= 4
+
+
+# --- domain changes against the hand-built reference -------------------------
+
+
+def attachments_against_reference(m, w, mode, step_limit):
+    """Reduce m; at every site the engine attaches at, check that
+    `attach_packet` gives the reference's result, field by field, and at
+    the end that `_augment_with_cells` of the reduced map does too.
+    Returns (complete, identified) per attachment."""
+    kinds = []
+
+    def both(m, w, site):
+        got = attach_packet(m, w, site)
+        assert got == reference_attach_packet(m, w, site)
+        kinds.append((got.complete, got.identified_endpoints))
+        return got
+
+    with mock.patch.object(engine, "attach_packet", both):
+        res = reduce_map(m, w, mode, step_limit)
+    assert _augment_with_cells(res.map) == reference_augment_with_cells(res.map)
+    return kinds
+
+
+def draw_word(data, x):
+    """A random word, or a conjugate of a subword of a relator rotation (so
+    that attachment sites are common)."""
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+    if data.draw(st.booleans()):
+        return free_reduce(word(data.draw(st.lists(letter, min_size=1, max_size=10))))
+    bdry = x.cells[data.draw(st.integers(0, x.num_cells() - 1))]
+    k = data.draw(st.integers(0, len(bdry) - 1))
+    rot = list(bdry[k:] + bdry[:k])
+    if data.draw(st.booleans()):
+        rot = [-d for d in reversed(rot)]
+    c = data.draw(st.lists(letter, max_size=2))
+    return free_reduce(word(c + rot[:data.draw(st.integers(1, len(rot)))]
+                            + [-d for d in reversed(c)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_domain_changes_match_reference(data):
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(0, 3))))
+            if g.letters]
+    whisker = draw_word(data, x) if data.draw(st.booleans()) else None
+    mode = data.draw(st.sampled_from(["strict", "weak"]))
+    limit = data.draw(st.integers(1, 12)) if mode == "weak" else None
+    attachments_against_reference(bouquet_map(x, gens, whisker), w_of(x), mode, limit)
+
+
+def test_domain_changes_reach_every_attachment_kind():
+    # complete with and without an identification, and incomplete
+    rng = random.Random(8)
+    kinds = set()
+    for x, w_of in _DIFF_COMPLEXES:
+        ngen = x.num_edges()
+        for _ in range(12):
+            m = bouquet_map(x, [random_reduced_word(rng, ngen, rng.randint(2, 8))],
+                            random_reduced_word(rng, ngen, rng.randint(1, 8)))
+            for mode, limit in (("strict", None), ("weak", 8)):
+                kinds.update(attachments_against_reference(m, w_of(x), mode, limit))
+    assert kinds == {(True, True), (True, False), (False, False)}

@@ -9,11 +9,11 @@ from perifold.engine import reduce_map
 from perifold.maps import (
     CombMap,
     MapError,
-    apply_fold,
     based_fiber_product,
     bouquet_map,
     build_packet,
     canonical_form,
+    end_stars,
     find_fold,
     fold_to_immersion,
     identity_map,
@@ -31,7 +31,7 @@ from perifold.weights import map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, random_grid_subcomplex
-from reference import fiber_product, reference_based_product, restrict_to_component
+from reference import apply_fold, fiber_product, reference_based_product, restrict_to_component
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +114,11 @@ def test_fold_confluence(free2, rng):
         # alternative order: pick a random available fold each time
         cur = m
         while True:
-            stars = cur.directed_stars()
             folds = []
-            for v, star in enumerate(stars):
-                for (img1, d1), (img2, d2) in zip(star, star[1:]):
-                    if img1 == img2:
-                        folds.append((v, d1, d2))
+            for v, star in enumerate(end_stars(cur)):
+                for ends in star.values():
+                    ends = sorted(ends)
+                    folds += [(v, d1, d2) for d1, d2 in zip(ends, ends[1:])]
             if not folds:
                 break
             cur = apply_fold(cur, rng.choice(folds)).map

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from perifold import fixtures
 from perifold.complexes import ComplexError, standard_complex
 from perifold.maps import (
-    apply_fold,
     bouquet_map,
     build_packet,
     find_fold,
@@ -29,6 +28,7 @@ from perifold.weights import (
 from perifold.words import parse_presentation, word
 
 from conftest import random_grid_subcomplex
+from reference import apply_fold
 
 
 @pytest.fixture(scope="module")
