@@ -3,7 +3,7 @@
 coherence/quasiconvexity certificates hold for each."""
 
 from perifold import fixtures
-from perifold.complexes import compute_pieces, standard_complex
+from perifold.complexes import standard_complex
 from perifold.criteria import (
     check_few_occurrences,
     check_one_relator_torsion,
@@ -15,23 +15,22 @@ from perifold.weights import cell_weight, edge_perimeters, unit_weighting
 def survey(name, pres, weighting_of=None):
     x = standard_complex(pres)
     w = weighting_of(x) if weighting_of else unit_weighting(x)
-    table = compute_pieces(x)
     per = edge_perimeters(w)
     print(f"== {name}")
     print(f"   generators={pres.generators}")
     print(f"   edge perimeters={per}")
     print(f"   cell weights={[cell_weight(w, c) for c in range(x.num_cells())]}")
-    print(f"   max piece per cell={table.cell_max}")
+    print(f"   max piece per cell={x.pieces.cell_max}")
     rows = []
     one_rel = check_one_relator_torsion(x, w)
     if one_rel.applicable:
         rows.append(("one-relator torsion", one_rel.holds, one_rel.conclusion))
     for variant in ("C4T4", "C6T3"):
         for strict in (False, True):
-            v = check_sc_weight(x, w, variant, strict=strict, table=table)
+            v = check_sc_weight(x, w, variant, strict=strict)
             if v.applicable:
                 rows.append((v.criterion, v.holds, v.conclusion))
-    few = check_few_occurrences(pres, table)
+    few = check_few_occurrences(pres, x)
     rows.append((few.criterion, few.holds, few.conclusion))
     for crit, holds, conclusion in rows:
         print(f"   {crit:<18} holds={holds!s:<5} -> {conclusion}")

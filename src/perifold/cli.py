@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .complexes import (
     Complex2,
-    cell_period,
     check_small_cancellation,
     cycle_piece_cover,
     standard_complex,
@@ -36,7 +35,6 @@ from .criteria import (
     check_one_relator_torsion,
     check_sc_weight,
     magnus_weighting,
-    piece_table,
     power_theorem,
 )
 from .subgroups import (
@@ -226,9 +224,8 @@ def _print_plain(data, indent: str = "") -> None:
 def cmd_info(f: InputFile, args) -> int:
     x, w, p = f.complex, f.weighting, f.presentation
     per = edge_perimeters(w)
-    table = piece_table(w)
     report = check_small_cancellation(
-        x, args.p, args.q, Fraction(args.alpha) if args.alpha else None, table
+        x, args.p, args.q, Fraction(args.alpha) if args.alpha else None
     )
     data = {
         "edge_perimeters": {g: per[e] for e, g in enumerate(p.generators)},
@@ -237,10 +234,10 @@ def cmd_info(f: InputFile, args) -> int:
                 "index": c,
                 "boundary": render_word(Word(x.cells[c]), p.generators),
                 "weight": cell_weight(w, c),
-                "period_length": cell_period(x, c)[0],
-                "exponent": cell_period(x, c)[1],
-                "max_piece_length": table.cell_max[c],
-                "min_cycle_piece_cover": _num(cycle_piece_cover(x, c, table)),
+                "period_length": x.periods[c][0],
+                "exponent": x.periods[c][1],
+                "max_piece_length": x.pieces.cell_max[c],
+                "min_cycle_piece_cover": _num(cycle_piece_cover(x, c)),
             }
             for c in range(x.num_cells())
         ],
@@ -281,10 +278,9 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
             return check_equalweights(period, n)
         return check_min_generator(period, n)
     if name in _SC_IDS:
-        return check_sc_weight(x, w, _SC_IDS[name], strict=args.strict,
-                               table=piece_table(w))
+        return check_sc_weight(x, w, _SC_IDS[name], strict=args.strict)
     if name == "few-occurrences":
-        return check_few_occurrences(p, piece_table(w))
+        return check_few_occurrences(p, x)
     if name == "powers":
         words, exps = [], []
         for r in p.relators:
@@ -331,7 +327,7 @@ def _write_trace(trace, path) -> str | None:
     if not path:
         return None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace.to_lines()) + "\n")
+        fh.writelines(line + "\n" for line in trace.to_lines())
     return path
 
 

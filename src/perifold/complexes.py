@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .words import Presentation
+from .words import Presentation, period_length_exponent
 
 INF = float("inf")
 
@@ -23,9 +24,44 @@ class ComplexError(ValueError):
 
 @dataclass
 class Complex2:
+    """A 2-complex given by its vertex count, edges and cell boundaries.
+
+    The invariants that the perimeter calculus and the certificates read
+    (`periods`, `sides`, `pieces`, `link_girths`) are derived when first
+    asked for and kept on the complex.  None is recomputed, so a complex
+    must not be mutated once any of them has been read.
+    """
+
     num_vertices: int
     edges: list[tuple[int, int]]  # (src, tgt) for the positive orientation
     cells: list[tuple[int, ...]]  # boundary words of directed edge refs
+
+    @cached_property
+    def periods(self) -> tuple[tuple[int, int], ...]:
+        """Per cell: (period length, exponent) of the boundary as a cyclic
+        edge word."""
+        return tuple(map(period_length_exponent, self.cells))
+
+    @cached_property
+    def sides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per edge: the sides (cell, position) traversing it in either
+        orientation, in cell and position order."""
+        out: list[list[tuple[int, int]]] = [[] for _ in self.edges]
+        for c, bdry in enumerate(self.cells):
+            for i, d in enumerate(bdry):
+                out[abs(d) - 1].append((c, i))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def pieces(self) -> PieceTable:
+        """The piece table (`compute_pieces`)."""
+        return compute_pieces(self)
+
+    @cached_property
+    def link_girths(self) -> tuple[float, ...]:
+        """Per vertex: the essential girth of its link."""
+        return tuple(link_graph(self, v).essential_girth
+                     for v in range(self.num_vertices))
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -78,22 +114,7 @@ def sides_at(x: Complex2, e: int) -> list[tuple[int, int]]:
     """All sides (cell, position) traversing edge e in either orientation."""
     if not (0 <= e < len(x.edges)):
         raise ComplexError("unknown edge")
-    out = []
-    for c, bdry in enumerate(x.cells):
-        for i, d in enumerate(bdry):
-            if abs(d) - 1 == e:
-                out.append((c, i))
-    return out
-
-
-def cell_period(x: Complex2, c: int) -> tuple[int, int]:
-    """(period_length, exponent) of the boundary as a cyclic edge word."""
-    b = x.cells[c]
-    m = len(b)
-    for p in range(1, m + 1):
-        if m % p == 0 and b == b[p:] + b[:p]:
-            return p, m // p
-    raise AssertionError("unreachable")
+    return list(x.sides[e])
 
 
 # --- vertex links -----------------------------------------------------------
@@ -233,8 +254,7 @@ def compute_pieces(x: Complex2) -> PieceTable:
     return PieceTable(max_from, cell_max)
 
 
-def min_piece_cover(x: Complex2, c: int, start: int, length: int,
-                    table: PieceTable | None = None) -> float:
+def min_piece_cover(x: Complex2, c: int, start: int, length: int) -> float:
     """Minimal number of pieces concatenating to the boundary subpath.
 
     Greedy longest-prefix; optimal because piece sets are closed under
@@ -243,11 +263,10 @@ def min_piece_cover(x: Complex2, c: int, start: int, length: int,
     m = len(x.cells[c])
     if not (0 <= start < m) or not (0 <= length <= m):
         raise ComplexError("invalid subpath")
-    if table is None:
-        table = compute_pieces(x)
+    max_from = x.pieces.max_from[c]
     pos, remaining, count = start, length, 0
     while remaining > 0:
-        step = min(table.max_from[c][pos % m], remaining)
+        step = min(max_from[pos % m], remaining)
         if step == 0:
             return INF
         count += 1
@@ -256,12 +275,10 @@ def min_piece_cover(x: Complex2, c: int, start: int, length: int,
     return count
 
 
-def cycle_piece_cover(x: Complex2, c: int, table: PieceTable | None = None) -> float:
+def cycle_piece_cover(x: Complex2, c: int) -> float:
     """Minimal piece cover of the full boundary cycle (over all rotations)."""
-    if table is None:
-        table = compute_pieces(x)
     m = len(x.cells[c])
-    return min(min_piece_cover(x, c, s, m, table) for s in range(m))
+    return min(min_piece_cover(x, c, s, m) for s in range(m))
 
 
 @dataclass
@@ -279,21 +296,18 @@ class SmallCancellationReport:
 
 
 def check_small_cancellation(x: Complex2, p: int, q: int,
-                             alpha: Fraction | None = None,
-                             table: PieceTable | None = None) -> SmallCancellationReport:
+                             alpha: Fraction | None = None) -> SmallCancellationReport:
     """C(p), T(q) (via link girth) and optional C'(alpha) verdicts."""
     if p < 2 or q < 3:
         raise ComplexError("need p >= 2 and q >= 3")
-    if table is None:
-        table = compute_pieces(x)
-    covers = [cycle_piece_cover(x, c, table) for c in range(len(x.cells))]
+    covers = [cycle_piece_cover(x, c) for c in range(len(x.cells))]
     witnesses: list[str] = []
     c_holds = True
     for c, cover in enumerate(covers):
         if cover < p:
             c_holds = False
             witnesses.append(f"C({p}) fails: cell {c} boundary covered by {int(cover)} pieces")
-    girths = [link_graph(x, v).essential_girth for v in range(x.num_vertices)]
+    girths = list(x.link_girths)
     t_holds = True
     for v, g in enumerate(girths):
         if g < q:
@@ -305,7 +319,7 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
     if alpha is not None:
         c_prime = True
         for c in range(len(x.cells)):
-            longest = table.cell_max[c]
+            longest = x.pieces.cell_max[c]
             if longest and not (Fraction(longest) < alpha * len(x.cells[c])):
                 c_prime = False
                 witnesses.append(
@@ -319,13 +333,11 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
     )
 
 
-def largest_metric_denominator(x: Complex2, table: PieceTable | None = None) -> float:
+def largest_metric_denominator(x: Complex2) -> float:
     """Largest n such that C'(1/n) holds; inf when the complex has no pieces."""
-    if table is None:
-        table = compute_pieces(x)
     best = INF
     for c in range(len(x.cells)):
-        longest = table.cell_max[c]
+        longest = x.pieces.cell_max[c]
         if longest:
             # need longest < m/n, i.e. n <= ceil(m/longest) - 1
             m = len(x.cells[c])

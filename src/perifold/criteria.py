@@ -14,10 +14,7 @@ from fractions import Fraction
 from .complexes import (
     INF,
     Complex2,
-    PieceTable,
     check_small_cancellation,
-    compute_pieces,
-    cell_period,
     largest_metric_denominator,
     standard_complex,
 )
@@ -72,7 +69,7 @@ def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
     crit = "one-relator-torsion"
     if x.num_cells() != 1 or x.num_vertices != 1:
         return _inapplicable(crit, "needs a unique 2-cell and a unique 0-cell")
-    p, n = cell_period(x, 0)
+    p, n = x.periods[0]
     if n <= 1:
         return _inapplicable(crit, "relator is not a proper power (exponent 1)")
     bound = n * cell_weight(w, 0)
@@ -143,8 +140,7 @@ _VARIANTS = {"C6T3": (6, 3, 3), "C4T4": (4, 4, 2)}
 
 
 def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
-                    strict: bool = False,
-                    table: PieceTable | None = None) -> Verdict:
+                    strict: bool = False) -> Verdict:
     """Small-cancellation weight test: over every subpath S of a cell
     boundary made of at most 3 (C6T3) or 2 (C4T4) pieces, require
     P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
@@ -152,9 +148,7 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     if variant not in _VARIANTS:
         raise CriterionError(f"unknown variant {variant!r}")
     p_cond, q_cond, shell = _VARIANTS[variant]
-    if table is None:
-        table = compute_pieces(x)
-    sc = check_small_cancellation(x, p_cond, q_cond, table=table)
+    sc = check_small_cancellation(x, p_cond, q_cond)
     if not (sc.c_holds and sc.t_holds):
         return Verdict(crit, False, "none", applicable=False,
                        witnesses=list(sc.witnesses),
@@ -166,9 +160,9 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     worst = None  # ((-excess, cell, start, length), p_s, bound)
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
-        _p, n = cell_period(x, c)
+        _p, n = x.periods[c]
         bound = n * cell_weight(w, c)
-        max_from = table.max_from[c]
+        max_from = x.pieces.max_from[c]
         for start in range(m):
             reach = 0
             for _ in range(shell):
@@ -209,13 +203,15 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     return verdict
 
 
-def check_few_occurrences(p: Presentation,
-                          table: PieceTable | None = None) -> Verdict:
+def check_few_occurrences(p: Presentation, x: Complex2 | None = None) -> Verdict:
     """Metric small-cancellation occurrence test: with C'(1/n) and every
-    generator occurring at most n/3 times, coherent and locally quasiconvex."""
+    generator occurring at most n/3 times, coherent and locally quasiconvex.
+    The pieces are read from x, the standard complex of p, built from p
+    when not given."""
     crit = "few-occurrences"
-    x = standard_complex(p)
-    n_max = largest_metric_denominator(x, table)
+    if x is None:
+        x = standard_complex(p)
+    n_max = largest_metric_denominator(x)
     occ = generator_occurrences(p)
     worst_gen, worst = None, -1
     for g, c in occ.items():
@@ -299,22 +295,13 @@ def _is_unit(w: Weighting) -> bool:
     return all(all(v == 1 for v in row) for row in w.side_weights)
 
 
-def piece_table(w: Weighting) -> PieceTable:
-    """The piece table of the weighted complex, computed on first use and
-    kept on the weighting."""
-    if w._pieces is None:
-        object.__setattr__(w, "_pieces", compute_pieces(w.complex))
-    return w._pieces
-
-
 def sc_certificate(w: Weighting, strict: bool) -> Verdict | None:
     """First holding small-cancellation weight verdict (C4T4, then C6T3) of
     the given grade, computed once per weighting.  The verdict is shared by
     every caller, who must not mutate it."""
     key = "sc-strict" if strict else "sc-weak"
     if key not in w._certificates:  # None is kept too: no second search
-        table = piece_table(w)
-        verdicts = (check_sc_weight(w.complex, w, variant, strict=strict, table=table)
+        verdicts = (check_sc_weight(w.complex, w, variant, strict=strict)
                     for variant in ("C4T4", "C6T3"))
         w._certificates[key] = next((v for v in verdicts if v.holds), None)
     return w._certificates[key]
@@ -341,7 +328,7 @@ def find_certificate(x: Complex2, w: Weighting, grade: str = "strict") -> Verdic
         if strict and x.num_vertices == 1 and _is_unit(w):
             gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
             pres = Presentation(gens, tuple(Word(b) for b in x.cells))
-            yield check_few_occurrences(pres, piece_table(w))
+            yield check_few_occurrences(pres, x)
 
     if grade not in w._certificates:
         w._certificates[grade] = next((v for v in verdicts() if v and v.holds), None)

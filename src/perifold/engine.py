@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Complex2, cell_period
+from .complexes import Complex2
 from .maps import (
     CombMap,
     PathInY,
@@ -65,7 +65,7 @@ def enumerate_candidates(x: Complex2, w: Weighting, mode: str = "strict") -> lis
     out: list[CandidateQ] = []
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
-        p, n = cell_period(x, c)
+        p, n = x.periods[c]
         nwt = n * cell_weight(w, c)
         for start in range(p):
             for length in range(1, m + 1):
@@ -109,18 +109,11 @@ class ReductionTrace:
         ]
 
 
-def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
-                     verts: list[int], edges: list[int]) -> int:
-    """Extend a lifted subpath in both ∂R and Y until no extension exists
-    (forward first); returns the new start position."""
-    bdry = x.cells[cell]
+def _grow_backward(m: CombMap, outs, bdry: tuple[int, ...], start: int,
+                   verts: list[int], edges: list[int]) -> int:
+    """Extend a lifted subpath backward in both ∂R and Y until no extension
+    exists or it covers ∂R; returns the new start position."""
     mlen = len(bdry)
-    while len(edges) < mlen:
-        nxt = outs[verts[-1]].get(bdry[(start + len(edges)) % mlen])
-        if nxt is None:
-            break
-        edges.append(nxt)
-        verts.append(m.domain.head(nxt))
     while len(edges) < mlen:
         letter = bdry[(start - 1) % mlen]
         back = outs[verts[0]].get(-letter)
@@ -172,19 +165,18 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
             d0 = outs[v].get(first)
             if d0 is None:
                 continue
+            # lift forward as far as ∂R goes, then backward
             verts = [v, m.domain.head(d0)]
             edges = [d0]
-            dead = False
-            for k in range(1, cand.length):
+            for k in range(1, mlen):
                 nxt = outs[verts[-1]].get(bdry[(cand.start + k) % mlen])
                 if nxt is None:
-                    dead = True
                     break
                 edges.append(nxt)
                 verts.append(m.domain.head(nxt))
-            if dead:
+            if len(edges) < cand.length:
                 continue
-            start = _grow_to_maximal(m, outs, x, cand.cell, cand.start, verts, edges)
+            start = _grow_backward(m, outs, bdry, cand.start, verts, edges)
             if mode == "weak" and len(edges) != cand.length:
                 continue  # will be scanned at its maximal length
             if len(edges) == mlen:
@@ -214,7 +206,7 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
 def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int) -> CandidateQ:
     mlen = x.boundary_length(cell)
     p_s = subpath_perimeter(w, cell, start + length, mlen - length)
-    _p, n = cell_period(x, cell)
+    _p, n = x.periods[cell]
     return CandidateQ(cell, start % mlen, length, p_s < n * cell_weight(w, cell))
 
 
@@ -366,7 +358,7 @@ def _site_perimeters(w: Weighting, site: AttachmentSite) -> tuple[int, int]:
     """(P(packet), P(Q)) of a site, from codomain data alone."""
     x = w.complex
     cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
-    _p, n = cell_period(x, cell)
+    _p, n = x.periods[cell]
     p_packet = subpath_perimeter(w, cell, 0, x.boundary_length(cell)) - n * cell_weight(w, cell)
     p_q = subpath_perimeter(w, cell, start, length)
     return p_packet, p_q

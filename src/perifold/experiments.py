@@ -116,13 +116,14 @@ class CertificateSample:
 
 def measure_certificate_scaling(presentations, best_of: int = 1) -> list[CertificateSample]:
     """Best wall-clock of `compute_pieces` and of `find_certificate(strict)`
-    per presentation, each certificate on a fresh weighting so that none is
-    read from a previous run's cache."""
+    per presentation, each repetition on a fresh complex and weighting so
+    that the certificate reads no pieces, girths or verdict from a previous
+    run's cache."""
     out = []
     for pres in presentations:
-        x = standard_complex(pres)
         pieces = certificate = float("inf")
         for _ in range(best_of):
+            x = standard_complex(pres)
             t0 = time.perf_counter()
             compute_pieces(x)
             t1 = time.perf_counter()

@@ -19,7 +19,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, replace
 
-from .complexes import Complex2, cell_period
+from .complexes import Complex2
 from .words import Word
 
 
@@ -419,7 +419,7 @@ def build_packet(x: Complex2, c: int) -> Packet:
     attached along the full circle at offsets 0, |W|, ..., (n-1)|W|."""
     bdry = x.cells[c]
     m = len(bdry)
-    p, n = cell_period(x, c)
+    p, n = x.periods[c]
     edges = [(q, (q + 1) % m) for q in range(m)]
     cells = [tuple((k * p + j) % m + 1 for j in range(m)) for k in range(n)]
     circle = Complex2(m, edges, cells)
@@ -441,7 +441,7 @@ def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
 def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
     """Rewritten cycles of the packet of cell r through a cycle over r: its
     rotations by the multiples of the period, the cycle itself first."""
-    p, n = cell_period(x, r)
+    p, n = x.periods[r]
     cycle = tuple(cycle)
     return [cycle[k * p:] + cycle[:k * p] for k in range(n)]
 

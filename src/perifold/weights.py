@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .complexes import Complex2, ComplexError, cell_period
+from .complexes import Complex2, ComplexError
 from .maps import CombMap, Packet, PathInY, build_packet
 
 
@@ -28,13 +28,12 @@ class NotNearImmersion(ValueError):
 class Weighting:
     """Nonnegative integer weights on the sides of a 2-complex.
 
-    The sides at each edge, the edge perimeters and, per cell, the prefix
-    sums of edge perimeters around the boundary read twice are derived when
-    the weighting is built.  The attachment candidates per engine mode
-    (`engine.scan_order`), the piece table (`criteria.piece_table`) and the
+    The edge perimeters and, per cell, the prefix sums of edge perimeters
+    around the boundary read twice are derived when the weighting is built.
+    The attachment candidates per engine mode (`engine.scan_order`) and the
     certificates per grade (`criteria.find_certificate`) are derived when
     first asked for.  None is recomputed, so the complex must not be
-    mutated afterwards.
+    mutated afterwards; it keeps its own invariants (`Complex2`).
     """
 
     complex: Complex2
@@ -44,7 +43,6 @@ class Weighting:
         x = self.complex
         if len(self.side_weights) != x.num_cells():
             raise WeightError("one weight row per 2-cell required")
-        sides: list[list[tuple[int, int]]] = [[] for _ in range(x.num_edges())]
         per = [0] * x.num_edges()
         for c, row in enumerate(self.side_weights):
             if len(row) != x.boundary_length(c):
@@ -53,8 +51,7 @@ class Weighting:
                 raise WeightError("weights must be nonnegative integers")
             if sum(row) <= 0:
                 raise WeightError(f"cell {c} has weight 0")
-            for i, (d, wt) in enumerate(zip(x.cells[c], row)):
-                sides[abs(d) - 1].append((c, i))
+            for d, wt in zip(x.cells[c], row):
                 per[abs(d) - 1] += wt
         prefix = []
         for bdry in x.cells:
@@ -62,11 +59,9 @@ class Weighting:
             for d in bdry + bdry:
                 sums.append(sums[-1] + per[abs(d) - 1])
             prefix.append(sums)
-        object.__setattr__(self, "_sides", sides)
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_prefix", prefix)
         object.__setattr__(self, "_scan_order", {})
-        object.__setattr__(self, "_pieces", None)
         object.__setattr__(self, "_certificates", {})
 
     def weight(self, cell: int, pos: int) -> int:
@@ -146,9 +141,10 @@ def map_perimeter(w: Weighting, m: CombMap) -> int:
     if m.codomain != w.complex:
         raise WeightError("weighting belongs to a different complex")
     present = present_sides(m)
+    sides = w.complex.sides
     total = 0
     for e in range(m.domain.num_edges()):
-        for side in w._sides[abs(m.edge_image[e]) - 1]:
+        for side in sides[abs(m.edge_image[e]) - 1]:
             if side not in present[e]:
                 total += w.weight(*side)
     return total
@@ -194,7 +190,7 @@ def sform_check(w: Weighting, c: int, start: int, length: int) -> tuple[int, int
         raise ComplexError("invalid subpath")
     p_q = subpath_perimeter(w, c, start, length)
     p_s = subpath_perimeter(w, c, start + length, m - length)
-    _p, n = cell_period(x, c)
+    _p, n = x.periods[c]
     nwt = n * cell_weight(w, c)
     p_packet = packet_perimeter(w, c)
     if p_packet != p_q + p_s - nwt:

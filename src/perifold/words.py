@@ -83,6 +83,15 @@ def is_cyclically_reduced(w: Word) -> bool:
     return len(v) < 2 or v[0] != -v[-1]
 
 
+def period_length_exponent(letters: tuple[int, ...]) -> tuple[int, int]:
+    """(p, n) with the nonempty sequence its first p entries repeated n
+    times and n maximal."""
+    m = len(letters)
+    p = next(p for p in range(1, m + 1)
+             if m % p == 0 and letters == letters[:p] * (m // p))
+    return p, m // p
+
+
 def period_exponent(w: Word) -> tuple[Word, int]:
     """Write w as period**exponent with the exponent maximal.
 
@@ -90,11 +99,8 @@ def period_exponent(w: Word) -> tuple[Word, int]:
     """
     if not w.letters:
         raise WordError("empty word has no period")
-    m = len(w.letters)
-    for p in range(1, m + 1):
-        if m % p == 0 and w.letters == w.letters[:p] * (m // p):
-            return Word(w.letters[:p]), m // p
-    raise AssertionError("unreachable")
+    p, n = period_length_exponent(w.letters)
+    return Word(w.letters[:p]), n
 
 
 def cyclically_conjugate(u: Word, v: Word) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -296,3 +297,25 @@ def bounded_power(monkeypatch):
 
     monkeypatch.setattr(words, "power", guarded)
     yield expanded
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count `compute_pieces` calls (key "pieces") and link-girth searches
+    (key ("girth", v) per vertex v) at the sites `Complex2` calls them."""
+    from perifold import complexes
+
+    calls: Counter = Counter()
+    compute_pieces, link_graph = complexes.compute_pieces, complexes.link_graph
+
+    def counted_pieces(x):
+        calls["pieces"] += 1
+        return compute_pieces(x)
+
+    def counted_link(x, v):
+        calls[("girth", v)] += 1
+        return link_graph(x, v)
+
+    monkeypatch.setattr(complexes, "compute_pieces", counted_pieces)
+    monkeypatch.setattr(complexes, "link_graph", counted_link)
+    yield calls

@@ -11,7 +11,9 @@ every pair of occurrences in both orientations letter by letter and tests
 each pair for exclusion on its own; it also lists every matching pair of
 occurrences (`pairs`).  `reference_check_sc_weight` is the small-cancellation
 weight test that scans every (start, length) subpath of every cell and
-computes its piece cover afresh.
+computes its piece cover afresh from that table, by its own copy of the
+greedy cover; it asserts that the complex's cached `pieces` equal the table
+before it reads the C(p)/T(q) report.
 
 `apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
 must end where repeated `find_fold` / `apply_fold` ends.
@@ -19,16 +21,28 @@ must end where repeated `find_fold` / `apply_fold` ends.
 attached and the augmented domain by hand; `perifold.engine.attach_packet`
 and `perifold.subgroups._augment_with_cells`, which change the domain only
 through the operations of `perifold.maps`, must agree with them.
+
+`reference_find_attachment` lifts each candidate forward to its length,
+then grows the lift forward and backward to a maximal site;
+`perifold.engine.find_attachment`, which lifts forward in one walk as far as
+the boundary goes, must return the same site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from perifold.complexes import Complex2, cell_period, check_small_cancellation, min_piece_cover
+from perifold.complexes import INF, Complex2, check_small_cancellation
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
-from perifold.engine import AttachmentSite, AttachResult, StaleSiteError
-from perifold.maps import CombMap, MapError, find_fold, packet_mates, present_cycles
+from perifold.engine import (
+    AttachmentSite,
+    AttachResult,
+    EngineError,
+    StaleSiteError,
+    _candidate_at,
+    scan_order,
+)
+from perifold.maps import CombMap, MapError, PathInY, find_fold, packet_mates, present_cycles
 from perifold.weights import Weighting, cell_weight, subpath_perimeter
 from perifold.words import Word
 
@@ -212,8 +226,23 @@ def reference_compute_pieces(x: Complex2) -> ReferencePieceTable:
     return ReferencePieceTable(pairs, max_from, cell_max)
 
 
+def _min_piece_cover(table: ReferencePieceTable, c: int, start: int, length: int) -> float:
+    """Greedy longest-prefix piece cover of a boundary subpath; inf when
+    some edge of it lies in no piece."""
+    row = table.max_from[c]
+    pos, remaining, count = start, length, 0
+    while remaining > 0:
+        step = min(row[pos % len(row)], remaining)
+        if step == 0:
+            return INF
+        count += 1
+        pos += step
+        remaining -= step
+    return count
+
+
 def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
-                              strict: bool = False, table=None) -> Verdict:
+                              strict: bool = False) -> Verdict:
     """Small-cancellation weight test: over every subpath S of a cell
     boundary made of at most 3 (C6T3) or 2 (C4T4) pieces, require
     P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
@@ -221,9 +250,9 @@ def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     if variant not in _VARIANTS:
         raise CriterionError(f"unknown variant {variant!r}")
     p_cond, q_cond, shell = _VARIANTS[variant]
-    if table is None:
-        table = reference_compute_pieces(x)
-    sc = check_small_cancellation(x, p_cond, q_cond, table=table)
+    table = reference_compute_pieces(x)
+    assert (x.pieces.max_from, x.pieces.cell_max) == (table.max_from, table.cell_max)
+    sc = check_small_cancellation(x, p_cond, q_cond)
     if not (sc.c_holds and sc.t_holds):
         return Verdict(crit, False, "none", applicable=False,
                        witnesses=list(sc.witnesses),
@@ -231,11 +260,11 @@ def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     worst = None  # (excess, cell, start, length, p_s, bound)
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
-        _p, n = cell_period(x, c)
+        n = sum(bdry[k:] + bdry[:k] == bdry for k in range(m))  # the rotations fixing it
         bound = n * cell_weight(w, c)
         for start in range(m):
             for length in range(1, m + 1):
-                if min_piece_cover(x, c, start, length, table) > shell:
+                if _min_piece_cover(table, c, start, length) > shell:
                     continue
                 total = subpath_perimeter(w, c, start, length)
                 excess = total - bound
@@ -443,3 +472,81 @@ def reference_augment_with_cells(m: CombMap) -> CombMap:
             cell_image.append((r, j, False))
     dom = Complex2(num_vertices, edges, cells)
     return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)
+
+
+def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
+                     verts: list[int], edges: list[int]) -> int:
+    """Extend a lifted subpath in both ∂R and Y until no extension exists
+    (forward first); returns the new start position."""
+    bdry = x.cells[cell]
+    mlen = len(bdry)
+    while len(edges) < mlen:
+        nxt = outs[verts[-1]].get(bdry[(start + len(edges)) % mlen])
+        if nxt is None:
+            break
+        edges.append(nxt)
+        verts.append(m.domain.head(nxt))
+    while len(edges) < mlen:
+        letter = bdry[(start - 1) % mlen]
+        back = outs[verts[0]].get(-letter)
+        if back is None:
+            break
+        edges.insert(0, -back)
+        verts.insert(0, m.domain.head(back))
+        start = (start - 1) % mlen
+    return start
+
+
+def reference_find_attachment(m: CombMap, w: Weighting,
+                              mode: str = "strict") -> AttachmentSite | None:
+    """Deterministic scan for an attachment site (see
+    `perifold.engine.find_attachment`)."""
+    x = m.codomain
+    outs = m.out_edges()
+    if sum(map(len, outs)) < 2 * m.domain.num_edges():
+        raise EngineError("find_attachment requires a 1-immersion")
+    ordered = scan_order(w, mode)
+    cycles = present_cycles(m)
+    for cand in ordered:
+        bdry = x.cells[cand.cell]
+        mlen = len(bdry)
+        first = bdry[cand.start % mlen]
+        for v in range(m.domain.num_vertices):
+            d0 = outs[v].get(first)
+            if d0 is None:
+                continue
+            verts = [v, m.domain.head(d0)]
+            edges = [d0]
+            dead = False
+            for k in range(1, cand.length):
+                nxt = outs[verts[-1]].get(bdry[(cand.start + k) % mlen])
+                if nxt is None:
+                    dead = True
+                    break
+                edges.append(nxt)
+                verts.append(m.domain.head(nxt))
+            if dead:
+                continue
+            start = _grow_to_maximal(m, outs, x, cand.cell, cand.start, verts, edges)
+            if mode == "weak" and len(edges) != cand.length:
+                continue  # will be scanned at its maximal length
+            if len(edges) == mlen:
+                if verts[0] == verts[-1]:
+                    cyc = [0] * mlen
+                    for k, d in enumerate(edges):
+                        cyc[(start + k) % mlen] = d
+                    have = cycles.get(cand.cell, set())
+                    if all(mate in have for mate in packet_mates(x, cand.cell, cyc)):
+                        continue
+                complete = True
+            else:
+                complete = False
+            grown = _candidate_at(x, w, cand.cell, start, len(edges))
+            if mode == "strict" and not grown.strict:
+                continue
+            return AttachmentSite(
+                grown,
+                PathInY(m.domain, tuple(verts), tuple(edges)),
+                complete,
+            )
+    return None

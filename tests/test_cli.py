@@ -155,7 +155,18 @@ def test_cmd_member_with_trace(tmp_path, capsys):
     assert main(["member", path, "--gens", "@H", "--word", "a a^-1",
                  "--trace", str(trace)]) == 0
     capsys.readouterr()
-    assert trace.read_text().strip() == ""  # written as `subgroup` writes an empty trace
+    assert trace.read_text() == ""  # an empty trace is an empty file
+    # as is the trace of a subgroup run that takes no step
+    assert main(["subgroup", path, "--gens", "a", "--json", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 0
+    assert trace.read_text() == ""
+
+
+def test_check_all_derives_pieces_and_girths_once(tmp_path, capsys, derivations):
+    path = write(tmp_path, "aab9.pf", AAB9)
+    assert main(["check", path, "--criterion", "all", "--json"]) == 0
+    capsys.readouterr()
+    assert derivations == {"pieces": 1, ("girth", 0): 1}
 
 
 def test_cmd_subgroup_with_trace(tmp_path, capsys):

@@ -9,7 +9,6 @@ from perifold.complexes import (
     INF,
     ComplexError,
     check_small_cancellation,
-    cell_period,
     compute_pieces,
     cycle_piece_cover,
     link_graph,
@@ -18,7 +17,7 @@ from perifold.complexes import (
     standard_complex,
 )
 from perifold.maps import build_packet
-from perifold.words import parse_presentation
+from perifold.words import Word, parse_presentation, period_exponent
 
 from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
 from reference import reference_compute_pieces
@@ -57,11 +56,11 @@ def test_side_count_identity():
 
 
 def test_cell_period(aab3):
-    assert cell_period(aab3, 0) == (3, 3)
+    assert aab3.periods[0] == (3, 3)
     torus = standard_complex(fixtures.torus_presentation())
-    assert cell_period(torus, 0) == (4, 1)
+    assert torus.periods[0] == (4, 1)
     a6 = standard_complex(parse_presentation("gens a / rel a^6"))
-    assert cell_period(a6, 0) == (1, 6)
+    assert a6.periods[0] == (1, 6)
 
 
 def test_build_packet_invariants(aab3):
@@ -183,25 +182,38 @@ def test_compute_pieces_matches_reference(x):
     _assert_pieces_match_reference(x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(_fixture_complexes()), relator_complexes()))
+def test_derived_data_match_plain_routines(x):
+    periods = [period_exponent(Word(bdry)) for bdry in x.cells]
+    assert x.periods == tuple((len(p), n) for p, n in periods)
+    assert x.sides == tuple(
+        tuple((c, i) for c, bdry in enumerate(x.cells) for i, d in enumerate(bdry)
+              if abs(d) - 1 == e)
+        for e in range(x.num_edges()))
+    ref = reference_compute_pieces(x)
+    assert (x.pieces.max_from, x.pieces.cell_max) == (ref.max_from, ref.cell_max)
+    assert x.link_girths == tuple(link_graph(x, v).essential_girth
+                                  for v in range(x.num_vertices))
+    assert x.pieces is x.pieces  # kept, not recomputed
+
+
 def test_min_piece_cover_examples():
     surf = standard_complex(fixtures.surface_presentation(2, True))
-    table = compute_pieces(surf)
-    assert min_piece_cover(surf, 0, 0, 8, table) == 8
-    assert min_piece_cover(surf, 0, 0, 0, table) == 0
+    assert min_piece_cover(surf, 0, 0, 8) == 8
+    assert min_piece_cover(surf, 0, 0, 0) == 0
     aab3 = standard_complex(fixtures.aab_power_presentation(3))
-    t3 = compute_pieces(aab3)
-    assert min_piece_cover(aab3, 0, 0, 2, t3) == 2  # "aa" needs two pieces
+    assert min_piece_cover(aab3, 0, 0, 2) == 2  # "aa" needs two pieces
     with pytest.raises(ComplexError):
-        min_piece_cover(aab3, 0, 0, 10, t3)
+        min_piece_cover(aab3, 0, 0, 10)
 
 
 def test_min_piece_cover_monotone():
     x = standard_complex(fixtures.modify_presentation())
-    table = compute_pieces(x)
     for c in range(x.num_cells()):
         m = x.boundary_length(c)
         for s in range(m):
-            covers = [min_piece_cover(x, c, s, ln, table) for ln in range(m + 1)]
+            covers = [min_piece_cover(x, c, s, ln) for ln in range(m + 1)]
             assert all(a <= b for a, b in zip(covers, covers[1:]))
 
 

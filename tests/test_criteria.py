@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifold import criteria, fixtures
+from perifold import complexes, criteria, fixtures
 from perifold.complexes import compute_pieces, standard_complex
 from perifold.criteria import (
     CriterionError,
@@ -281,12 +281,12 @@ def test_check_sc_weight_matches_reference_scan(data):
 ])
 def test_certificate_built_once_per_weighting(monkeypatch, pres, gens, u, sc_verdicts):
     calls = Counter()
-    for name in ("compute_pieces", "check_sc_weight"):
-        def counted(*args, _name=name, _original=getattr(criteria, name), **kwargs):
+    for module, name in ((complexes, "compute_pieces"), (criteria, "check_sc_weight")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(criteria, name, counted)
+        monkeypatch.setattr(module, name, counted)
     x = standard_complex(pres)
     w = unit_weighting(x)
     subs = [subgroup_presentation(x, w, gens) for _ in range(20)]
@@ -303,3 +303,19 @@ def test_certificate_built_once_per_weighting(monkeypatch, pres, gens, u, sc_ver
                for m in meets)
     assert members == [answer] * 20
     assert find_certificate(x, w, "weak") == find_certificate(x, unit_weighting(x), "weak")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: standard_complex(fixtures.surface_presentation(2, True)),
+    lambda: fixtures.double_cover_of_torus().domain,  # two vertices
+], ids=["genus2", "double-cover"])
+def test_complex_invariants_derived_once(derivations, build):
+    x = build()
+    weighted = Weighting(x, tuple(tuple(1 + i % 3 for i in range(len(b))) for b in x.cells))
+    for w in (unit_weighting(x), weighted):
+        for grade in ("strict", "weak"):
+            find_certificate(x, w, grade)
+        for variant in ("C4T4", "C6T3"):
+            check_sc_weight(x, w, variant)
+    assert derivations == Counter({"pieces": 1,
+                                   **{("girth", v): 1 for v in range(x.num_vertices)}})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perifold import engine, fixtures
-from perifold.complexes import Complex2, cell_period, standard_complex
+from perifold.complexes import Complex2, standard_complex
 from perifold.engine import (
     EngineError,
     TraceStep,
@@ -37,7 +37,12 @@ from perifold.weights import (
 )
 from perifold.words import free_reduce, parse_presentation, word
 
-from reference import apply_fold, reference_attach_packet, reference_augment_with_cells
+from reference import (
+    apply_fold,
+    reference_attach_packet,
+    reference_augment_with_cells,
+    reference_find_attachment,
+)
 
 
 def brute_candidates(x, w, mode):
@@ -45,7 +50,7 @@ def brute_candidates(x, w, mode):
     out = set()
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
-        p, n = cell_period(x, c)
+        p, n = x.periods[c]
         nwt = n * cell_weight(w, c)
         for start in range(p):
             for length in range(1, m + 1):
@@ -480,3 +485,33 @@ def test_domain_changes_reach_every_attachment_kind():
             for mode, limit in (("strict", None), ("weak", 8)):
                 kinds.update(attachments_against_reference(m, w_of(x), mode, limit))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+# --- attachment search against the reference ---------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_DIFF_COMPLEXES[:3]), st.integers(0, 2**32 - 1),
+       st.integers(4, 24), st.integers(1, 3), st.booleans())
+def test_find_attachment_matches_reference(case, seed, length, parts, whiskered):
+    # torus, (aab)^3 and genus 2: every map a strict or weak reduction of a
+    # random bouquet scans gets the reference's site, or None from both
+    x, w_of = case
+    w = w_of(x)
+    rng = random.Random(seed)
+    gens = [free_reduce(g) for g in random_generator_set(rng, x.num_edges(), length, parts)]
+    whisker = random_reduced_word(rng, x.num_edges(), rng.randint(1, 8)) if whiskered else None
+    m = bouquet_map(x, [g for g in gens if g.letters], whisker)
+    original = engine.find_attachment
+    scanned = []
+
+    def both(m, w, mode="strict"):
+        got = original(m, w, mode)
+        assert got == reference_find_attachment(m, w, mode)
+        scanned.append(mode)
+        return got
+
+    with mock.patch.object(engine, "find_attachment", both):
+        reduce_map(m, w, "strict")
+        reduce_map(m, w, "weak", 20)
+    assert {"strict", "weak"} <= set(scanned)
