@@ -11,6 +11,10 @@ Then answers `member` on the genus-2 surface group for products of k
 relator conjugates (word length L); the attachment search takes most of
 their time and is quadratic, so wall/L^2 stays about flat.
 
+Then intersects two subgroups of the genus-2 surface group, each generated
+by two random reduced words of length n (total generator length L = 4n);
+nearly every attachment scan there finds nothing.
+
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times
 and their ratio to m^2; the piece table is quadratic in m, so its ms/m^2
@@ -21,6 +25,7 @@ import argparse
 
 from perifold.experiments import (
     measure_certificate_scaling,
+    measure_intersect_scaling,
     measure_member_scaling,
     measure_reduction_scaling,
 )
@@ -34,6 +39,8 @@ def main() -> None:
     ap.add_argument("--exponent", type=int, default=9)
     ap.add_argument("--best-of", type=int, default=3)
     ap.add_argument("--conjugates", type=int, nargs="+", default=[8, 32, 128])
+    ap.add_argument("--intersect", type=int, nargs="+", default=[8, 16, 32, 64],
+                    help="generator lengths n of the genus-2 intersect series")
     ap.add_argument("--certificate-exponents", type=int, nargs="+", default=[9, 18, 36, 72])
     args = ap.parse_args()
     pres = aab_power_presentation(args.exponent)
@@ -53,6 +60,15 @@ def main() -> None:
                                      args.seeds, args.best_of)
     for k, s in zip(args.conjugates, samples):
         print(f"{k:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
+              f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    print()
+    print(f"{'n':>4} {'L':>6} {'steps':>7} {'wall (ms)':>10} {'wall/L (us)':>12}"
+          f" {'wall/L^2 (us)':>14}")
+    samples = measure_intersect_scaling(surface_presentation(2, True), args.intersect,
+                                        args.seeds, args.best_of)
+    for n, s in zip(args.intersect, samples):
+        print(f"{n:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
+              f" {s.seconds / s.total_length * 1e6:>12.2f}"
               f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
     print()
     print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"

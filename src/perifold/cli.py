@@ -363,21 +363,25 @@ def cmd_member(f: InputFile, args) -> int:
     gens = _resolve_words(args.gens, f)
     u = parse_word(args.word, f.presentation.generators) if args.word.strip() else Word(())
     try:
-        answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force)
+        answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force,
+                                          step_limit=args.step_limit)
     except MissingCertificateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     _write_trace(trace, args.trace)
-    _emit({"member": answer, "word": render_word(u, f.presentation.generators)},
-          args.json)
-    return 0 if answer else 1
+    data = {"member": answer, "word": render_word(u, f.presentation.generators)}
+    if answer is None:  # the step limit cut the run short: undecided
+        data["exhausted"] = True
+    _emit(data, args.json)
+    return 4 if answer is None else 0 if answer else 1
 
 
 def cmd_intersect(f: InputFile, args) -> int:
     gens_h = _resolve_words(args.gens_h, f)
     gens_k = _resolve_words(args.gens_k, f)
     try:
-        result = intersect(f.complex, f.weighting, gens_h, gens_k, force=args.force)
+        result = intersect(f.complex, f.weighting, gens_h, gens_k, force=args.force,
+                           step_limit=args.step_limit)
     except MissingCertificateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
@@ -385,12 +389,13 @@ def cmd_intersect(f: InputFile, args) -> int:
     data = _presentation_payload(result.presentation)
     data.update({
         "certificate": result.certificate.to_json_dict() if result.certificate else None,
+        "exhausted": result.exhausted,
         "heuristic": result.heuristic,
         "steps": len(result.trace.steps),
         "trace_path": trace_path,
     })
     _emit(data, args.json)
-    return 0
+    return 4 if result.exhausted else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
+    sp.add_argument("--step-limit", type=int, default=None)
 
     sp = sub.add_parser("intersect", help="intersection of two subgroups")
     common(sp)
@@ -436,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens-k", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
+    sp.add_argument("--step-limit", type=int, default=None)
     return ap
 
 

@@ -109,20 +109,19 @@ class ReductionTrace:
         ]
 
 
-def _grow_backward(m: CombMap, outs, bdry: tuple[int, ...], start: int,
-                   verts: list[int], edges: list[int]) -> int:
-    """Extend a lifted subpath backward in both ∂R and Y until no extension
-    exists or it covers ∂R; returns the new start position."""
-    mlen = len(bdry)
-    while len(edges) < mlen:
-        letter = bdry[(start - 1) % mlen]
-        back = outs[verts[0]].get(-letter)
+def _grow_backward(ring: tuple[int, ...], outs, verts: list[int], edges: list[int]) -> int:
+    """Extend a lift of `ring` (∂R read from the lift's start) backward in
+    both ∂R and Y until no extension exists or it covers ∂R; returns how
+    many letters it grew."""
+    grown = 0
+    while len(edges) < len(ring):
+        back = outs[verts[0]].get(-ring[-1 - grown])
         if back is None:
             break
-        edges.insert(0, -back)
-        verts.insert(0, m.domain.head(back))
-        start = (start - 1) % mlen
-    return start
+        edges.insert(0, -back[0])
+        verts.insert(0, back[1])
+        grown += 1
+    return grown
 
 
 def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
@@ -149,57 +148,97 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
     shortest first and keeps only lifts that are already maximal at the
     candidate length; longer sites are reached at their own length, so the
     weak engine reproduces the nonterminating square-ladder behaviour.
+
+    A candidate is tried, in vertex order, only at the vertices where its
+    first letter lifts.  The lift from a vertex, its maximal site and
+    whether that site may be attached do not depend on the candidate's
+    length, so each (cell, start, vertex) is walked and settled once per
+    call and reused by every other length.  A blocked circle is settled
+    for every (start, vertex) around it at once: the lift from each of
+    them is the same circle.
     """
     x = m.codomain
-    outs = m.out_edges()
-    if sum(map(len, outs)) < 2 * m.domain.num_edges():
+    dom = m.domain
+    # per vertex: image letter -> (domain end over it, its head)
+    outs: list[dict[int, tuple[int, int]]] = [{} for _ in range(dom.num_vertices)]
+    for e, (src, tgt) in enumerate(dom.edges):
+        img = m.edge_image[e]
+        outs[src][img] = (e + 1, tgt)
+        outs[tgt][-img] = (-(e + 1), src)
+    if sum(map(len, outs)) < 2 * dom.num_edges():
         # two ends at some vertex share an image
         raise EngineError("find_attachment requires a 1-immersion")
-    ordered = scan_order(w, mode)
-    cycles = present_cycles(m)
-    for cand in ordered:
-        bdry = x.cells[cand.cell]
-        mlen = len(bdry)
-        first = bdry[cand.start % mlen]
-        for v in range(m.domain.num_vertices):
-            d0 = outs[v].get(first)
-            if d0 is None:
+    lifts_from: dict[int, list[int]] = {}  # image letter -> vertices it leaves, ascending
+    for v, out in enumerate(outs):
+        for img in out:
+            lifts_from.setdefault(img, []).append(v)
+    cycles = None  # present_cycles(m), built for the first closed complete site
+
+    def settle(cell: int, start: int, ring: tuple[int, ...], verts: list[int],
+               edges: list[int]) -> AttachmentSite | None:
+        # the maximal site through a forward lift, or None when it is blocked
+        # (or, in strict mode, not strict)
+        nonlocal cycles
+        verts, edges = list(verts), list(edges)
+        mlen = len(ring)
+        start = (start - _grow_backward(ring, outs, verts, edges)) % mlen
+        complete = len(edges) == mlen
+        if complete and verts[0] == verts[-1]:
+            # blocked only when the whole packet already lies over the circle
+            if cycles is None:
+                cycles = present_cycles(m)
+            cyc = edges[mlen - start:] + edges[:mlen - start]
+            have = cycles.get(cell, set())
+            if all(mate in have for mate in packet_mates(x, cell, cyc)):
+                # the lift from each (start, vertex) around the circle is the
+                # circle itself, blocked too: record a full-length walk and
+                # no site for each
+                p = x.periods[cell][0]
+                for k in range(mlen):
+                    _ring, walks, sites = lifts_at(cell, (start + k) % p)
+                    walks[verts[k]] = verts, edges
+                    sites[verts[k]] = None
+                return None
+        grown = _candidate_at(x, w, cell, start, len(edges))
+        if mode == "strict" and not grown.strict:
+            return None
+        return AttachmentSite(grown, PathInY(dom, tuple(verts), tuple(edges)), complete)
+
+    # (cell, start) -> (∂R read from start, forward lift per vertex, its site)
+    starts: dict[tuple[int, int], tuple[tuple[int, ...], dict, dict]] = {}
+
+    def lifts_at(cell: int, start: int) -> tuple[tuple[int, ...], dict, dict]:
+        lifts = starts.get((cell, start))
+        if lifts is None:
+            bdry = x.cells[cell]
+            lifts = starts[cell, start] = (bdry[start:] + bdry[:start], {}, {})
+        return lifts
+
+    for cand in scan_order(w, mode):
+        ring, walks, sites = lifts_at(cand.cell, cand.start)
+        for v in lifts_from.get(ring[0], ()):
+            walk = walks.get(v)
+            if walk is None:
+                # lift forward as far as ∂R goes
+                verts, edges = [v], []
+                out = outs[v]
+                for letter in ring:
+                    step = out.get(letter)
+                    if step is None:
+                        break
+                    edges.append(step[0])
+                    verts.append(step[1])
+                    out = outs[step[1]]
+                walk = walks[v] = (verts, edges)
+            if len(walk[1]) < cand.length:
                 continue
-            # lift forward as far as ∂R goes, then backward
-            verts = [v, m.domain.head(d0)]
-            edges = [d0]
-            for k in range(1, mlen):
-                nxt = outs[verts[-1]].get(bdry[(cand.start + k) % mlen])
-                if nxt is None:
-                    break
-                edges.append(nxt)
-                verts.append(m.domain.head(nxt))
-            if len(edges) < cand.length:
-                continue
-            start = _grow_backward(m, outs, bdry, cand.start, verts, edges)
-            if mode == "weak" and len(edges) != cand.length:
-                continue  # will be scanned at its maximal length
-            if len(edges) == mlen:
-                # complete: blocked only when the circle closes and the whole
-                # packet already lies over it
-                if verts[0] == verts[-1]:
-                    cyc = [0] * mlen
-                    for k, d in enumerate(edges):
-                        cyc[(start + k) % mlen] = d
-                    have = cycles.get(cand.cell, set())
-                    if all(mate in have for mate in packet_mates(x, cand.cell, cyc)):
-                        continue
-                complete = True
+            if v in sites:
+                site = sites[v]
             else:
-                complete = False
-            grown = _candidate_at(x, w, cand.cell, start, len(edges))
-            if mode == "strict" and not grown.strict:
-                continue
-            return AttachmentSite(
-                grown,
-                PathInY(m.domain, tuple(verts), tuple(edges)),
-                complete,
-            )
+                site = sites[v] = settle(cand.cell, cand.start, ring, *walk)
+            if site is None or (mode == "weak" and len(site.path.edges) != cand.length):
+                continue  # a weak site is scanned at its maximal length
+            return site
     return None
 
 

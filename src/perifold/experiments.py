@@ -1,5 +1,6 @@
 """Measurement helpers for the scaling behaviour of the reduction loop, of
-attachment-dominated membership queries and of the certificate."""
+attachment-dominated membership queries, of intersections and of the
+certificate."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ import time
 from dataclasses import dataclass
 
 from .complexes import compute_pieces, standard_complex
-from .criteria import find_certificate
+from .criteria import find_certificate, sc_certificate
 from .engine import reduce_map
 from .maps import bouquet_map
-from .subgroups import member_with_trace
+from .subgroups import intersect, member_with_trace
 from .weights import unit_weighting
 from .words import Word, free_reduce, inverse
 
@@ -104,6 +105,36 @@ def measure_member_scaling(presentation, counts, seeds, best_of: int = 1) -> lis
             seconds += best
         n = max(1, len(seeds))
         out.append(ScalingSample(length // n, steps // n, seconds / n))
+    return out
+
+
+def measure_intersect_scaling(presentation, lengths, seeds, best_of: int = 1) -> list[ScalingSample]:
+    """`intersect` of two subgroups, each generated by two random reduced
+    words of the given length, for each length; per length the mean total
+    generator length, the mean step count and the mean over the seeds of
+    the best wall clock.  Nearly every attachment scan of these reductions
+    finds nothing."""
+    x = standard_complex(presentation)
+    w = unit_weighting(x)
+    sc_certificate(w, strict=True)  # built once per weighting, before any timing
+    ngens = len(presentation.generators)
+    out = []
+    for length in lengths:
+        steps = 0
+        seconds = 0.0
+        for seed in seeds:
+            rng = random.Random(seed)
+            h = [random_reduced_word(rng, ngens, length) for _ in range(2)]
+            k = [random_reduced_word(rng, ngens, length) for _ in range(2)]
+            best = float("inf")
+            for _ in range(best_of):
+                t0 = time.perf_counter()
+                res = intersect(x, w, h, k)
+                best = min(best, time.perf_counter() - t0)
+            steps += len(res.trace.steps)
+            seconds += best
+        n = max(1, len(seeds))
+        out.append(ScalingSample(4 * length, steps // n, seconds / n))
     return out
 
 

@@ -76,17 +76,25 @@ def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
 
 
 def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
-                      force: bool = False) -> tuple[bool, ReductionTrace]:
+                      force: bool = False, step_limit: int | None = None
+                      ) -> tuple[bool | None, ReductionTrace]:
     """`member`'s answer and the trace of its reduction; a word that is
-    trivial in the free group is answered without one (an empty trace)."""
+    trivial in the free group is answered without one (an empty trace).
+
+    Every step only folds or attaches packets, so whisker endpoints
+    identified within a step limit answer True however the run ends.  A
+    run the limit cuts short without that identification answers None:
+    undecided."""
     _certified(x, w, "weak", force, "member")
     u = free_reduce(u)
     if not u.letters:
         return True, ReductionTrace(0, 0)
     m = bouquet_map(x, _clean_words(gens), whisker=u)
     tip = whisker_tip(m)
-    res = reduce_map(m, w, "strict")
-    return res.vertex_tracking[m.basepoint] == res.vertex_tracking[tip], res.trace
+    res = reduce_map(m, w, "strict", step_limit)
+    if res.vertex_tracking[m.basepoint] == res.vertex_tracking[tip]:
+        return True, res.trace
+    return (None if res.exhausted else False), res.trace
 
 
 def _augment_with_cells(m: CombMap) -> CombMap:
@@ -116,7 +124,7 @@ def _augment_with_cells(m: CombMap) -> CombMap:
 
 
 def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
-              force: bool = False) -> SubgroupResult:
+              force: bool = False, step_limit: int | None = None) -> SubgroupResult:
     """Intersection of two finitely generated subgroups.
 
     Reduce both bouquets, attach a copy of every incident 2-cell at each
@@ -124,6 +132,10 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     two results, found by a search from the basepoint pair
     (`based_fiber_product`), presents the intersection.  The trace lists
     the first side's steps, then the second's.
+
+    Each of the four reductions runs within `step_limit`; when any of them
+    is cut short, `exhausted` is set and the presentation is read off the
+    partially reduced complexes.
     """
     cert = sc_certificate(w, strict=True)
     if cert is None and not force:
@@ -132,17 +144,19 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
             " (pass force=True for a heuristic run)"
         )
     sides = []
+    exhausted = False
     for gens in (gens_h, gens_k):
-        a2 = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict")
+        a2 = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict", step_limit)
         a3 = _augment_with_cells(a2.map)
-        a4 = reduce_map(a3, w, "strict")
+        a4 = reduce_map(a3, w, "strict", step_limit)
         sides.append(a4)
+        exhausted = exhausted or a2.exhausted or a4.exhausted
     based = based_fiber_product(sides[0].map, sides[1].map)
     first = sides[0].trace
     trace = ReductionTrace(first.initial_perimeter, first.initial_edges,
                            first.steps + sides[1].trace.steps)
     return SubgroupResult(extract_presentation(based), trace, cert,
-                          cert is None, based)
+                          cert is None, based, exhausted)
 
 
 def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],

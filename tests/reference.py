@@ -22,10 +22,11 @@ attached and the augmented domain by hand; `perifold.engine.attach_packet`
 and `perifold.subgroups._augment_with_cells`, which change the domain only
 through the operations of `perifold.maps`, must agree with them.
 
-`reference_find_attachment` lifts each candidate forward to its length,
-then grows the lift forward and backward to a maximal site;
-`perifold.engine.find_attachment`, which lifts forward in one walk as far as
-the boundary goes, must return the same site.
+`reference_find_attachment` lifts each candidate forward to its length
+from every vertex, then grows the lift forward and backward to a maximal
+site; `perifold.engine.find_attachment`, which starts only where the first
+letter lifts and walks and settles each (cell, start, vertex) once per
+call, must return the same site.
 """
 
 from __future__ import annotations

@@ -198,6 +198,49 @@ def test_cmd_subgroup_step_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == full
 
 
+def test_cmd_member_step_limit(tmp_path, capsys):
+    path = write(tmp_path, "aab3.pf", "gens a b\nrel ( a a b )^3\n")
+    gens, u = "a a b a a b a, a b a", "a b a"
+    trace = tmp_path / "trace.log"
+    assert main(["member", path, "--gens", gens, "--word", u, "--json",
+                 "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"member": True, "word": u}
+    full = trace.read_text().splitlines()
+    assert len(full) == 12
+    # the endpoints are identified at step 11: a run cut there is decided
+    assert main(["member", path, "--gens", gens, "--word", u, "--json",
+                 "--step-limit", "11", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"member": True, "word": u}
+    assert trace.read_text().splitlines() == full[:11]
+    # one step earlier they are not, and the run is undecided
+    assert main(["member", path, "--gens", gens, "--word", u, "--json",
+                 "--step-limit", "10", "--trace", str(trace)]) == 4
+    assert json.loads(capsys.readouterr().out) == {"exhausted": True, "member": None,
+                                                   "word": u}
+    assert trace.read_text().splitlines() == full[:10]
+    # a limit the run does not reach changes nothing, a false answer included
+    assert main(["member", path, "--gens", gens, "--word", u, "--step-limit", "12"]) == 0
+    free = write(tmp_path, "free.pf", FREE)
+    assert main(["member", free, "--gens", "@H", "--word", "a b a^-1",
+                 "--step-limit", "50"]) == 1
+    capsys.readouterr()
+
+
+def test_cmd_intersect_step_limit(tmp_path, capsys):
+    path = write(tmp_path, "free.pf", FREE)
+    args = ["intersect", path, "--gens-h", "a b a, a b b, a a", "--gens-k", "a b, b a",
+            "--json"]
+    assert main(args) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["exhausted"] is False
+    assert main(args + ["--step-limit", "1"]) == 4
+    # the bouquet of H is cut after one fold
+    assert json.loads(capsys.readouterr().out)["exhausted"] is True
+    # a limit no reduction reaches changes nothing
+    assert main(args + ["--step-limit", "100"]) == 0
+    assert json.loads(capsys.readouterr().out) == full
+
+
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
     path = write(tmp_path, "fgip.pf",
                  "gens a b t\nrel a t a^-1 t^-1\nrel b t b^-1 t^-1\n")

@@ -3,7 +3,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
@@ -18,13 +18,18 @@ from perifold.engine import (
     reduce_map,
     relator_bound,
 )
-from perifold.experiments import random_generator_set, random_reduced_word
+from perifold.experiments import (
+    random_generator_set,
+    random_reduced_word,
+    relator_conjugate_product,
+)
 from perifold.maps import (
     CombMap,
     bouquet_map,
     build_packet,
     find_fold,
     fold_to_immersion,
+    present_cycles,
     remove_redundant,
     repair_packing,
 )
@@ -490,6 +495,23 @@ def test_domain_changes_reach_every_attachment_kind():
 # --- attachment search against the reference ---------------------------------
 
 
+def scans_against_reference(reduce):
+    """Run `reduce()` with every `find_attachment` call checked against
+    `reference_find_attachment`; returns (mode, hit) per call."""
+    original = engine.find_attachment
+    scans = []
+
+    def both(m, w, mode="strict"):
+        got = original(m, w, mode)
+        assert got == reference_find_attachment(m, w, mode)
+        scans.append((mode, got is not None))
+        return got
+
+    with mock.patch.object(engine, "find_attachment", both):
+        reduce()
+    return scans
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_DIFF_COMPLEXES[:3]), st.integers(0, 2**32 - 1),
        st.integers(4, 24), st.integers(1, 3), st.booleans())
@@ -502,16 +524,66 @@ def test_find_attachment_matches_reference(case, seed, length, parts, whiskered)
     gens = [free_reduce(g) for g in random_generator_set(rng, x.num_edges(), length, parts)]
     whisker = random_reduced_word(rng, x.num_edges(), rng.randint(1, 8)) if whiskered else None
     m = bouquet_map(x, [g for g in gens if g.letters], whisker)
-    original = engine.find_attachment
-    scanned = []
 
-    def both(m, w, mode="strict"):
-        got = original(m, w, mode)
-        assert got == reference_find_attachment(m, w, mode)
-        scanned.append(mode)
-        return got
-
-    with mock.patch.object(engine, "find_attachment", both):
+    def both_modes():
         reduce_map(m, w, "strict")
-        reduce_map(m, w, "weak", 20)
+        # the limit leaves 20 steps after the first fold phase, so weak mode
+        # is scanned whatever the number of folds
+        reduce_map(m, w, "weak", m.domain.num_edges() + 20)
+
+    scanned = [mode for mode, _hit in scans_against_reference(both_modes)]
     assert {"strict", "weak"} <= set(scanned)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_DIFF_COMPLEXES[1:3]), st.integers(0, 2**32 - 1))
+def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
+    # the maps `intersect` reduces on (aab)^3 and genus 2: a reduced bouquet
+    # of two generators with a copy of every cell at each vertex, whose
+    # scans mostly miss
+    x, w_of = case
+    w = w_of(x)
+    rng = random.Random(seed)
+    gens = [random_reduced_word(rng, x.num_edges(), rng.randint(4, 10)) for _ in range(2)]
+    m = _augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+    scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
+    assert scans[-1] == ("strict", False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_find_attachment_matches_reference_on_relator_products(seed, k):
+    # genus-2 whiskers that are products of k relator conjugates, as
+    # `member` reduces them: the scans hit
+    pres = fixtures.surface_presentation(2, True)
+    x, w_of = _DIFF_COMPLEXES[2]
+    w = w_of(x)
+    u = relator_conjugate_product(random.Random(seed), pres.relators[0], 4, k)
+    assume(u.letters)
+    m = bouquet_map(x, [], whisker=u)
+    scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
+    assert ("strict", True) in scans
+
+
+def test_find_attachment_skips_blocked_circle():
+    # torus, generator a b a b A b.  After one incomplete attachment the new
+    # square's boundary is a closed complete lift whose packet is present:
+    # the scan builds the present cycles for it, skips it and returns a
+    # length-3 site.  Before that attachment no lift closes up, and the
+    # present cycles are never built.
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    m0 = bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
+    for limit, built in ((0, 0), (1, 1)):
+        m = reduce_map(m0, w, step_limit=limit).map
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return present_cycles(m)
+
+        with mock.patch.object(engine, "present_cycles", counted):
+            site = find_attachment(m, w)
+        assert len(calls) == built
+        assert site == reference_find_attachment(m, w)
+        assert site is not None and not site.complete and site.candidate.length == 3
