@@ -15,6 +15,11 @@ Then intersects two subgroups of the genus-2 surface group, each generated
 by two random reduced words of length n (total generator length L = 4n);
 nearly every attachment scan there finds nothing.
 
+Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
+torus, which builds a square ladder until its step limit N, and prints the
+wall clock per step; a step of the ladder changes the domain locally, so
+us/step should stay about flat.
+
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times
 and their ratio to m^2; the piece table is quadratic in m, so its ms/m^2
@@ -23,13 +28,19 @@ stays about flat.
 
 import argparse
 
+from perifold.complexes import standard_complex
+from perifold.engine import reduce_map
 from perifold.experiments import (
+    best_time,
     measure_certificate_scaling,
     measure_intersect_scaling,
     measure_member_scaling,
     measure_reduction_scaling,
 )
-from perifold.fixtures import aab_power_presentation, surface_presentation
+from perifold.fixtures import aab_power_presentation, surface_presentation, torus_presentation
+from perifold.maps import bouquet_map
+from perifold.weights import unit_weighting
+from perifold.words import Word
 
 
 def main() -> None:
@@ -41,6 +52,8 @@ def main() -> None:
     ap.add_argument("--conjugates", type=int, nargs="+", default=[8, 32, 128])
     ap.add_argument("--intersect", type=int, nargs="+", default=[8, 16, 32, 64],
                     help="generator lengths n of the genus-2 intersect series")
+    ap.add_argument("--ladder", type=int, nargs="+", default=[50, 100, 200, 400],
+                    help="step limits N of the weak torus ladder series")
     ap.add_argument("--certificate-exponents", type=int, nargs="+", default=[9, 18, 36, 72])
     args = ap.parse_args()
     pres = aab_power_presentation(args.exponent)
@@ -70,6 +83,15 @@ def main() -> None:
         print(f"{n:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
               f" {s.seconds / s.total_length * 1e6:>12.2f}"
               f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    print()
+    print(f"{'N':>5} {'steps':>7} {'wall (ms)':>10} {'wall/step (us)':>15}")
+    torus = standard_complex(torus_presentation())
+    w = unit_weighting(torus)
+    ladder = bouquet_map(torus, [Word((-2, 1, 1))], whisker=Word((2, 2, 2)))  # b^-1 a^2; b^3
+    for n in args.ladder:
+        seconds, res = best_time(lambda: reduce_map(ladder, w, "weak", n), args.best_of)
+        steps = len(res.trace.steps)
+        print(f"{n:>5} {steps:>7} {seconds * 1e3:>10.2f} {seconds / max(1, steps) * 1e6:>15.1f}")
     print()
     print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"
           f" {'pieces/m^2 (us)':>16} {'certificate/m^2 (us)':>21}")

@@ -224,9 +224,7 @@ def _print_plain(data, indent: str = "") -> None:
 def cmd_info(f: InputFile, args) -> int:
     x, w, p = f.complex, f.weighting, f.presentation
     per = edge_perimeters(w)
-    report = check_small_cancellation(
-        x, args.p, args.q, Fraction(args.alpha) if args.alpha else None
-    )
+    report = check_small_cancellation(x, args.p, args.q, args.alpha)
     data = {
         "edge_perimeters": {g: per[e] for e, g in enumerate(p.generators)},
         "cells": [
@@ -398,6 +396,23 @@ def cmd_intersect(f: InputFile, args) -> int:
     return 4 if result.exhausted else 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def _fraction(text: str) -> Fraction:
+    """An argparse type: a fraction such as 1/6."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="perifold",
                                  description="weighted perimeter toolkit for 2-complexes")
@@ -409,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("info", help="perimeters, weights, periods, pieces")
     common(sp)
-    sp.add_argument("--p", type=int, default=6)
-    sp.add_argument("--q", type=int, default=3)
-    sp.add_argument("--alpha", type=str, default="",
+    sp.add_argument("--p", type=_at_least(2), default=6)
+    sp.add_argument("--q", type=_at_least(3), default=3)
+    sp.add_argument("--alpha", type=_fraction, default=None,
                     help="check C'(alpha), e.g. 1/6")
 
     sp = sub.add_parser("check", help="run a coherence/quasiconvexity criterion")
@@ -426,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens", required=True, help="comma-separated words or @list")
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    sp.add_argument("--step-limit", type=_at_least(0), default=None)
 
     sp = sub.add_parser("member", help="generalized word problem")
     common(sp)
@@ -434,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    sp.add_argument("--step-limit", type=_at_least(0), default=None)
 
     sp = sub.add_parser("intersect", help="intersection of two subgroups")
     common(sp)
@@ -442,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens-k", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    sp.add_argument("--step-limit", type=_at_least(0), default=None)
     return ap
 
 

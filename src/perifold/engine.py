@@ -2,8 +2,10 @@
 search, packet attachment with exact bookkeeping, the fold/attach loop, and
 presentation extraction.
 
-The loop alternates folding to a 1-immersion, packing repair, and packet
-attachment along qualifying boundary subpaths.  In strict mode the
+The loop changes one live `maps.Domain` in place, alternating folding to a
+1-immersion, packing repair, and packet attachment along qualifying
+boundary subpaths; the perimeter follows each step by the domain's local
+rule, and the map is built once, at the end.  In strict mode the
 lexicographic pair (perimeter, edge count) drops at every fold and every
 attachment, so the loop terminates; weak mode may run forever and therefore
 requires a step limit.
@@ -14,28 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import Complex2
-from .maps import (
-    CombMap,
-    PathInY,
-    find_fold,
-    fold_to_immersion,
-    identify_vertices,
-    missing_mates,
-    packet_mates,
-    present_cycles,
-    repair_packing,
-    with_arc,
-    with_cells,
-)
-from .weights import (
-    Weighting,
-    cell_weight,
-    edge_perimeter,
-    map_perimeter,
-    path_perimeter,
-    present_sides,
-    subpath_perimeter,
-)
+from .maps import CombMap, Domain, PathInY, find_fold, is_packed, packet_mates
+from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, subpath_perimeter
 from .words import Presentation, Word, cyclic_reduce, free_reduce
 
 
@@ -109,21 +91,6 @@ class ReductionTrace:
         ]
 
 
-def _grow_backward(ring: tuple[int, ...], outs, verts: list[int], edges: list[int]) -> int:
-    """Extend a lift of `ring` (∂R read from the lift's start) backward in
-    both ∂R and Y until no extension exists or it covers ∂R; returns how
-    many letters it grew."""
-    grown = 0
-    while len(edges) < len(ring):
-        back = outs[verts[0]].get(-ring[-1 - grown])
-        if back is None:
-            break
-        edges.insert(0, -back[0])
-        verts.insert(0, back[1])
-        grown += 1
-    return grown
-
-
 def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
     """The candidates `find_attachment` tries, in its scan order: the strict
     ones longest first in strict mode, all shortest first in weak mode.
@@ -141,7 +108,16 @@ def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
 
 
 def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
-    """Deterministic scan for an attachment site.
+    """Deterministic scan for an attachment site (`find_site` on the map's
+    domain); the site's path lies in `m.domain`."""
+    site = find_site(Domain(m), w, mode)
+    if site is not None:
+        site.path = PathInY(m.domain, site.path.vertices, site.path.edges)
+    return site
+
+
+def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
+    """Deterministic scan of a live domain for an attachment site.
 
     Strict mode scans longest candidates first and grows every lift to a
     maximal site, which favours complete attachments.  Weak mode scans
@@ -150,45 +126,38 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
     weak engine reproduces the nonterminating square-ladder behaviour.
 
     A candidate is tried, in vertex order, only at the vertices where its
-    first letter lifts.  The lift from a vertex, its maximal site and
-    whether that site may be attached do not depend on the candidate's
-    length, so each (cell, start, vertex) is walked and settled once per
-    call and reused by every other length.  A blocked circle is settled
-    for every (start, vertex) around it at once: the lift from each of
-    them is the same circle.
+    first letter lifts (`Domain.leaving`).  The lift from a vertex, its
+    maximal site and whether that site may be attached do not depend on
+    the candidate's length, so each (cell, start, vertex) is walked and
+    settled once per call and reused by every other length.  A blocked
+    circle is settled for every (start, vertex) around it at once: the
+    lift from each of them is the same circle.
     """
-    x = m.codomain
-    dom = m.domain
-    # per vertex: image letter -> (domain end over it, its head)
-    outs: list[dict[int, tuple[int, int]]] = [{} for _ in range(dom.num_vertices)]
-    for e, (src, tgt) in enumerate(dom.edges):
-        img = m.edge_image[e]
-        outs[src][img] = (e + 1, tgt)
-        outs[tgt][-img] = (-(e + 1), src)
-    if sum(map(len, outs)) < 2 * dom.num_edges():
-        # two ends at some vertex share an image
+    if dom.next_fold() is not None:
         raise EngineError("find_attachment requires a 1-immersion")
-    lifts_from: dict[int, list[int]] = {}  # image letter -> vertices it leaves, ascending
-    for v, out in enumerate(outs):
-        for img in out:
-            lifts_from.setdefault(img, []).append(v)
-    cycles = None  # present_cycles(m), built for the first closed complete site
+    x = dom.codomain
+    stars, head = dom.stars, dom.head
 
     def settle(cell: int, start: int, ring: tuple[int, ...], verts: list[int],
                edges: list[int]) -> AttachmentSite | None:
         # the maximal site through a forward lift, or None when it is blocked
         # (or, in strict mode, not strict)
-        nonlocal cycles
         verts, edges = list(verts), list(edges)
         mlen = len(ring)
-        start = (start - _grow_backward(ring, outs, verts, edges)) % mlen
+        grown = 0
+        while len(edges) < mlen:  # grow the lift backward in both ∂R and Y
+            back = stars[verts[0]].get(-ring[-1 - grown])
+            if back is None:
+                break
+            edges.insert(0, -back[0])
+            verts.insert(0, head(back[0]))
+            grown += 1
+        start = (start - grown) % mlen
         complete = len(edges) == mlen
         if complete and verts[0] == verts[-1]:
             # blocked only when the whole packet already lies over the circle
-            if cycles is None:
-                cycles = present_cycles(m)
             cyc = edges[mlen - start:] + edges[:mlen - start]
-            have = cycles.get(cell, set())
+            have = dom.present.get(cell, {})
             if all(mate in have for mate in packet_mates(x, cell, cyc)):
                 # the lift from each (start, vertex) around the circle is the
                 # circle itself, blocked too: record a full-length walk and
@@ -216,19 +185,20 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
 
     for cand in scan_order(w, mode):
         ring, walks, sites = lifts_at(cand.cell, cand.start)
-        for v in lifts_from.get(ring[0], ()):
+        for v in dom.leaving.get(ring[0], ()):
             walk = walks.get(v)
             if walk is None:
                 # lift forward as far as ∂R goes
                 verts, edges = [v], []
-                out = outs[v]
+                out = stars[v]
                 for letter in ring:
-                    step = out.get(letter)
-                    if step is None:
+                    ends = out.get(letter)
+                    if ends is None:
                         break
-                    edges.append(step[0])
-                    verts.append(step[1])
-                    out = outs[step[1]]
+                    u = head(ends[0])
+                    edges.append(ends[0])
+                    verts.append(u)
+                    out = stars[u]
                 walk = walks[v] = (verts, edges)
             if len(walk[1]) < cand.length:
                 continue
@@ -259,32 +229,38 @@ class AttachResult:
 
 
 def attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResult:
-    """Glue the packet of the site's cell to the domain along the lifted Q.
+    """Glue the packet of the site's cell to the map's domain along the
+    lifted Q (`attach_site`)."""
+    if site.path.complex is not m.domain:
+        raise StaleSiteError("attachment site refers to an outdated domain")
+    dom = Domain(m)
+    added = attach_site(dom, site)
+    return AttachResult(dom.to_map(), dom.vertex_map(range(m.domain.num_vertices)), added,
+                        site.complete, site.complete and not site.path.is_closed())
+
+
+def attach_site(dom: Domain, site: AttachmentSite) -> int:
+    """Glue the packet of the site's cell to a live domain along the lifted
+    Q; returns how many cells it glued.
 
     Complete sites first identify the endpoints of Q; incomplete sites add
     the complement as a fresh arc.  All packet cells missing over the
     resulting circle are attached.
     """
-    if site.path.complex is not m.domain:
-        raise StaleSiteError("attachment site refers to an outdated domain")
-    x = m.codomain
+    x = dom.codomain
     cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
     bdry = x.cells[cell]
     mlen = len(bdry)
     tail, head = site.path.vertices[0], site.path.vertices[-1]
     around = list(site.path.edges)  # the circle's refs from position start on
     if site.complete:
-        m, vmap = identify_vertices(m, tail, head)
+        dom.identify(tail, head)
     else:
-        vmap = list(range(m.domain.num_vertices))
-        m, arc = with_arc(m, head, tail, [bdry[(start + k) % mlen] for k in range(length, mlen)])
-        around += arc
-    cycle = [around[(q - start) % mlen] for q in range(mlen)]
-    mates = missing_mates(x, cell, cycle, present_cycles(m).get(cell, set()))
-    if not mates:
+        around += dom.add_arc(head, tail, [bdry[(start + k) % mlen] for k in range(length, mlen)])
+    added = dom.add_packet(cell, [around[(q - start) % mlen] for q in range(mlen)])
+    if not added:
         raise StaleSiteError("packet already present along the site")
-    return AttachResult(with_cells(m, [(cell, mate) for mate in mates]), vmap, len(mates),
-                        site.complete, site.complete and tail != head)
+    return added
 
 
 @dataclass
@@ -299,10 +275,11 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
     """Fold/repair/attach until no fold and no qualifying site exists.
 
-    Each fold phase is one `fold_to_immersion` pass; the perimeter follows
-    each fold by its local change, so the double sum is taken only at the
-    start, after repairs and after complete attachments (and, with
-    `verify`, after every phase as a check).
+    Every step changes one live `Domain` of the map in place; the map is
+    built from it once, at the end.  The perimeter is the double sum
+    (`map_perimeter`) at the start and then follows the domain's rule.
+    With `verify`, it is checked against the double sum after every step,
+    and each fold phase is checked to end in a packed 1-immersion.
 
     Weak mode requires a step limit (weak attachments need not terminate);
     hitting the limit sets `exhausted` instead of raising so the partial
@@ -312,95 +289,59 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    tracking = list(range(m.domain.num_vertices))
-    perimeter = map_perimeter(w, m)
-    trace = ReductionTrace(perimeter, m.domain.num_edges())
+    dom = Domain(m, w, map_perimeter(w, m))
+    trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 
     def out_of_steps() -> bool:
         return step_limit is not None and len(trace.steps) >= step_limit
 
-    def log(kind: str, p: int, detail: dict | None = None) -> None:
-        trace.steps.append(TraceStep(kind, p, m.domain.num_edges(),
-                                     m.domain.num_vertices, m.domain.num_cells(),
+    def log(kind: str, detail: dict | None = None, cells: int | None = None) -> None:
+        trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
+                                     dom.num_cells if cells is None else cells,
                                      detail or {}))
+        if verify and dom.perimeter != map_perimeter(w, dom.to_map()):
+            raise EngineError(f"{kind} bookkeeping mismatch")
 
     def fold_and_pack() -> None:
-        nonlocal m, perimeter, tracking, pending
-        dom = m.domain
-        edges, vertices = dom.num_edges(), dom.num_vertices
-        present: list[set[tuple[int, int]]] = []  # sides at each edge of dom
-
-        def on_fold(d1: int, d2: int, merged: bool) -> None:
-            # only the sides at the two identified edges change: the kept
-            # edge carries both sets, so a side present at both stops being
-            # counted twice
-            nonlocal perimeter, edges, vertices
-            keep, drop = abs(d1) - 1, abs(d2) - 1
-            if not present:
-                present.extend(present_sides(m))
-            shared = sum(w.weight(*s) for s in present[keep] & present[drop])
-            present[keep] |= present[drop]
-            perimeter -= edge_perimeter(w, abs(m.edge_image[keep]) - 1) - shared
-            edges -= 1
-            vertices -= merged
-            trace.steps.append(TraceStep("fold", perimeter, edges, vertices,
-                                         dom.num_cells(), {}))
-
-        limit = None if step_limit is None else max(0, step_limit - len(trace.steps))
-        res = fold_to_immersion(m, limit, on_fold)
-        if res.folds:
-            tracking = [res.vertex_map[v] for v in tracking]
-        m, pending = res.map, res.pending
-        if verify:
-            if perimeter != map_perimeter(w, m):
-                raise EngineError("fold bookkeeping mismatch")
-            if not pending and find_fold(m) is not None:
-                raise EngineError("fold phase did not end in a 1-immersion")
-        if res.removed_cells:
-            log("remove-redundant", perimeter, {"removed": res.removed_cells})
-        m, added = repair_packing(m)
+        nonlocal pending
+        cells = dom.num_cells  # redundant cells are counted until the phase ends
+        while (fold := dom.next_fold()) is not None:
+            if out_of_steps():
+                pending = True
+                break
+            dom.fold(*fold)
+            log("fold", cells=cells)
+        removed = dom.remove_redundant()
+        if removed:
+            log("remove-redundant", {"removed": removed})
+        added = dom.repair()
         if added:
-            perimeter = map_perimeter(w, m)
-            log("repair", perimeter, {"added": added})
+            log("repair", {"added": added})
+        if verify:
+            folded = dom.to_map()
+            if not pending and find_fold(folded) is not None:
+                raise EngineError("fold phase did not end in a 1-immersion")
+            if not is_packed(folded)[0]:
+                raise EngineError("fold phase did not end packed")
 
     fold_and_pack()
     while not out_of_steps():
-        site = find_attachment(m, w, mode)
+        site = find_site(dom, w, mode)
         if site is None:
             break
-        p_packet, p_q = _site_perimeters(w, site)
-        res = attach_packet(m, w, site)
-        m = res.map
-        tracking = [res.vertex_map[v] for v in tracking]
-        if res.complete:
-            new_perimeter = map_perimeter(w, m)
-            delta = new_perimeter - perimeter
-            wt = cell_weight(w, site.candidate.cell)
-            if delta > -wt:
-                raise EngineError("complete attachment failed to reduce perimeter by Wt(R)")
-            perimeter = new_perimeter
-            log("attach-complete", perimeter,
-                {"cell": site.candidate.cell, "delta": delta})
-        else:
-            perimeter = perimeter + p_packet - p_q
-            if verify and perimeter != map_perimeter(w, m):
-                raise EngineError("incomplete attachment bookkeeping mismatch")
-            log("attach-incomplete", perimeter,
-                {"cell": site.candidate.cell, "delta": p_packet - p_q})
+        cell = site.candidate.cell
+        before = dom.perimeter
+        attach_site(dom, site)
+        delta = dom.perimeter - before
+        if site.complete and delta > -cell_weight(w, cell):
+            raise EngineError("complete attachment failed to reduce perimeter by Wt(R)")
+        log("attach-complete" if site.complete else "attach-incomplete",
+            {"cell": cell, "delta": delta})
         fold_and_pack()
-    exhausted = out_of_steps() and (pending or find_attachment(m, w, mode) is not None)
-    return ReduceResult(m, trace, tracking, exhausted)
-
-
-def _site_perimeters(w: Weighting, site: AttachmentSite) -> tuple[int, int]:
-    """(P(packet), P(Q)) of a site, from codomain data alone."""
-    x = w.complex
-    cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
-    _p, n = x.periods[cell]
-    p_packet = subpath_perimeter(w, cell, 0, x.boundary_length(cell)) - n * cell_weight(w, cell)
-    p_q = subpath_perimeter(w, cell, start, length)
-    return p_packet, p_q
+    exhausted = out_of_steps() and (pending or find_site(dom, w, mode) is not None)
+    return ReduceResult(dom.to_map() if trace.steps else m, trace,
+                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
 
 
 # --- presentation extraction -------------------------------------------------

@@ -41,6 +41,17 @@ class ScalingSample:
     seconds: float
 
 
+def best_time(run, best_of: int):
+    """The best wall clock of `best_of` calls of `run()` (at least one), and
+    the last call's result."""
+    best = float("inf")
+    for _ in range(max(1, best_of)):
+        t0 = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
 def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
                               best_of: int = 1) -> list[ScalingSample]:
     """Reduce random bouquets of the given total lengths; report step counts
@@ -50,20 +61,17 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
     out = []
     for length in lengths:
         steps_total = 0
-        best_time = float("inf")
+        best = float("inf")
         for seed in seeds:
             rng = random.Random(seed)
             gens = random_generator_set(rng, len(presentation.generators),
                                         length, parts)
             gens = [free_reduce(g) for g in gens]
             m = bouquet_map(x, [g for g in gens if g.letters])
-            res = None
-            for _ in range(best_of):
-                t0 = time.perf_counter()
-                res = reduce_map(m, w, "strict")
-                best_time = min(best_time, time.perf_counter() - t0)
+            seconds, res = best_time(lambda: reduce_map(m, w, "strict"), best_of)
+            best = min(best, seconds)
             steps_total += len(res.trace.steps)
-        out.append(ScalingSample(length, steps_total // max(1, len(seeds)), best_time))
+        out.append(ScalingSample(length, steps_total // max(1, len(seeds)), best))
     return out
 
 
@@ -95,11 +103,7 @@ def measure_member_scaling(presentation, counts, seeds, best_of: int = 1) -> lis
         for seed in seeds:
             u = relator_conjugate_product(random.Random(seed), presentation.relators[0],
                                           len(presentation.generators), k)
-            best = float("inf")
-            for _ in range(best_of):
-                t0 = time.perf_counter()
-                _answer, trace = member_with_trace(x, w, [], u)
-                best = min(best, time.perf_counter() - t0)
+            best, (_answer, trace) = best_time(lambda: member_with_trace(x, w, [], u), best_of)
             length += len(u)
             steps += len(trace.steps)
             seconds += best
@@ -126,11 +130,7 @@ def measure_intersect_scaling(presentation, lengths, seeds, best_of: int = 1) ->
             rng = random.Random(seed)
             h = [random_reduced_word(rng, ngens, length) for _ in range(2)]
             k = [random_reduced_word(rng, ngens, length) for _ in range(2)]
-            best = float("inf")
-            for _ in range(best_of):
-                t0 = time.perf_counter()
-                res = intersect(x, w, h, k)
-                best = min(best, time.perf_counter() - t0)
+            best, res = best_time(lambda: intersect(x, w, h, k), best_of)
             steps += len(res.trace.steps)
             seconds += best
         n = max(1, len(seeds))

@@ -11,13 +11,19 @@ The rewritten cycle of a domain cell lists, for every target boundary
 position q, the domain directed edge lying over it.  Two domain cells are the
 same lift exactly when their rewritten cycles agree, which makes redundancy,
 packedness and side presence straightforward to state.
+
+A `Domain` is a map's domain kept live: folds, vertex identifications,
+fresh arcs and packet cells change it in place, its perimeter changes only
+when an edge is added or dropped or a side becomes present, and the map is
+built from it once (`Domain.to_map`).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .complexes import Complex2
 from .words import Word
@@ -73,20 +79,6 @@ class CombMap:
                     want = target[(offset + j) % m]
                 if self.image_of(d) != want:
                     raise MapError(f"cell {c} boundary incompatible at {j}")
-
-    # -- derived data --------------------------------------------------------
-
-    def out_edges(self) -> list[dict[int, int]]:
-        """Per vertex: image directed edge -> domain directed edge.
-
-        Only well defined (single-valued) for 1-immersions; `end_stars` keeps
-        every end while duplicates may exist.
-        """
-        outs: list[dict[int, int]] = [dict() for _ in range(self.domain.num_vertices)]
-        for e in range(self.domain.num_edges()):
-            for d in (e + 1, -(e + 1)):
-                outs[self.domain.tail(d)][self.image_of(d)] = d
-        return outs
 
     def rewritten_cycle(self, c: int) -> tuple[int, ...]:
         """Domain directed edge over each target boundary position."""
@@ -160,35 +152,269 @@ def append_arc(x: Complex2, edges: list[tuple[int, int]], edge_image: list[int],
     return refs
 
 
-def with_arc(m: CombMap, u: int, v: int | None, letters) -> tuple[CombMap, list[int]]:
-    """The map with an arc over `letters` from u to v added (`append_arc`),
-    and the arc's edge refs."""
-    edges, edge_image = list(m.domain.edges), list(m.edge_image)
-    vertex_image = list(m.vertex_image)
-    refs = append_arc(m.codomain, edges, edge_image, vertex_image, u, v, letters)
-    dom = Complex2(len(vertex_image), edges, list(m.domain.cells))
-    return (CombMap(dom, m.codomain, vertex_image, edge_image, list(m.cell_image),
-                    m.basepoint), refs)
+class Domain:
+    """A map's domain, changed in place by four operations that each touch
+    only what they change: `fold`, `identify`, `add_arc` and `add_packet`
+    (with `remove_redundant` and `repair`).
+
+    Vertex and edge ids are the map's numbers, then fresh ones; none is
+    reused.  Vertex classes live in a union-find whose root is the smallest
+    id, each root's star maps an image letter to the sorted refs over it
+    that leave the class, and each cell keeps its rewritten cycle in live
+    refs.  A fold can make two cells equal: the later is a twin until
+    `remove_redundant`.  `to_map` numbers vertex classes by their smallest
+    id and surviving edges and cells in id order, as a fold of the input.
+
+    Given a weighting and the map's perimeter, `perimeter` follows one
+    rule: it changes only when an edge is added (by its edge perimeter) or
+    dropped (by that less the weights of its present sides), or when a side
+    becomes present at an edge (by its weight).  Without one, weights are 0.
+    """
+
+    def __init__(self, m: CombMap, w=None, perimeter: int = 0):
+        dom, x = m.domain, m.codomain
+        self.codomain, self.basepoint = x, m.basepoint
+        self.per = w._per if w is not None else [0] * x.num_edges()
+        self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
+        self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
+        self.edges, self.edge_image, self.dropped = list(dom.edges), list(m.edge_image), set()
+        self.stars: list[dict[int, list[int]] | None] = end_stars(m)
+        self.leaving: dict[int, list[int]] = {}  # image letter -> the roots it leaves, ascending
+        self.heap: list[int] = []  # roots that may have a repeated image
+        for v, star in enumerate(self.stars):
+            for img, ends in star.items():
+                ends.sort()
+                self.leaving.setdefault(img, []).append(v)
+            if len(star) < sum(map(len, star.values())):
+                self.heap.append(v)
+        self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
+        self.cell_image: list[tuple[int, int, bool]] = []
+        self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
+        self.sides: dict[int, set[tuple[int, int]]] = {}  # edge -> its present sides
+        self.present: dict[int, dict[tuple[int, ...], int]] = {}
+        self.twins: set[int] = set()
+        self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, dom.num_edges(), 0
+        self.perimeter = 0
+        for c in range(dom.num_cells()):
+            self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
+        self.packed = not self.num_cells
+        self.perimeter = perimeter  # the map's, which counts its cells' sides
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def tail(self, d: int) -> int:
+        return self.find(self.edges[abs(d) - 1][0 if d > 0 else 1])
+
+    def head(self, d: int) -> int:
+        return self.find(self.edges[abs(d) - 1][1 if d > 0 else 0])
+
+    def next_fold(self) -> tuple[int, int] | None:
+        """(root, image) of the next fold in `find_fold` order, or None."""
+        heap, parent = self.heap, self.parent
+        while heap:
+            v = heap[0]
+            if parent[v] == v:
+                img = None
+                for i, ends in self.stars[v].items():
+                    if len(ends) > 1 and (img is None or i < img):
+                        img = i
+                if img is not None:
+                    return v, img
+            heapq.heappop(heap)
+        return None
+
+    def vertex_numbers(self) -> dict[int, int]:
+        """The vertices of `to_map`: root -> its number."""
+        roots = [v for v, p in enumerate(self.parent) if p == v]
+        return dict(zip(roots, range(len(roots))))
+
+    def edge_refs(self) -> list[int]:
+        """The edges of `to_map`: per edge id its ref, 0 once dropped."""
+        alive = [int(e not in self.dropped) for e in range(len(self.edges))]
+        return [k * a for k, a in zip(accumulate(alive), alive)]
+
+    def vertex_map(self, vertices) -> list[int]:
+        """The vertex of `to_map` that each given vertex id lies in."""
+        vertex = self.vertex_numbers()
+        return [vertex[self.find(v)] for v in vertices]
+
+    def to_map(self) -> CombMap:
+        vertex, ref = self.vertex_numbers(), self.edge_refs()
+        edges = [(vertex[self.find(s)], vertex[self.find(t)])
+                 for e, (s, t) in enumerate(self.edges) if ref[e]]
+        cells, cell_image = [], []
+        for cycle, (r, offset, reflected) in zip(self.cycles, self.cell_image):
+            if cycle is not None:  # the boundary that `rewritten_cycle` reads as the cycle
+                cycle, m = _renumbered(cycle, ref), len(cycle)
+                cells.append(tuple(-cycle[(offset - j) % m] for j in range(m)) if reflected
+                             else tuple(cycle[(j + offset) % m] for j in range(m)))
+                cell_image.append((r, offset, reflected))
+        return CombMap(Complex2(len(vertex), edges, cells), self.codomain,
+                       [self.vertex_image[v] for v in vertex],
+                       [img for e, img in enumerate(self.edge_image) if ref[e]], cell_image,
+                       vertex[self.find(self.basepoint)])
+
+    def _make_present(self, e: int, side: tuple[int, int]) -> None:
+        sides = self.sides.setdefault(e, set())
+        if side not in sides:
+            sides.add(side)
+            self.perimeter -= self.weights[side[0]][side[1]]
+
+    def _add_end(self, v: int, img: int, d: int) -> None:
+        ends = self.stars[v].setdefault(img, [])
+        if not ends:
+            bisect.insort(self.leaving.setdefault(img, []), v)
+        elif len(ends) == 1:
+            heapq.heappush(self.heap, v)
+        bisect.insort(ends, d)
+
+    def _remove_end(self, v: int, img: int, d: int) -> None:
+        ends = self.stars[v][img]
+        del ends[bisect.bisect_left(ends, d)]
+        if not ends:
+            del self.stars[v][img]
+            del self.leaving[img][bisect.bisect_left(self.leaving[img], v)]
+
+    def _merge(self, u: int, v: int) -> None:
+        """Merge the classes of two roots into the smaller root."""
+        lo, hi = min(u, v), max(u, v)
+        for img, moved in self.stars[hi].items():
+            roots = self.leaving[img]
+            del roots[bisect.bisect_left(roots, hi)]
+            into = self.stars[lo].setdefault(img, [])
+            if not into:
+                bisect.insort(roots, lo)
+            into += moved
+            into.sort()
+        self.parent[hi], self.stars[hi] = lo, None
+        self.num_vertices -= 1
+        heapq.heappush(self.heap, lo)
+
+    def _add_cell(self, image: tuple[int, int, bool], cycle: tuple[int, ...]) -> None:
+        c = len(self.cycles)
+        self.cycles.append(cycle)
+        self.cell_image.append(image)
+        self.num_cells += 1
+        self._index(c)
+        for q, d in enumerate(cycle):
+            self.cells_at.setdefault(abs(d) - 1, set()).add(c)
+            self._make_present(abs(d) - 1, (image[0], q))
+
+    def _index(self, c: int) -> None:
+        """Enter cell c's cycle in `present` (cycle -> first cell)."""
+        index = self.present.setdefault(self.cell_image[c][0], {})
+        first = index.setdefault(self.cycles[c], c)
+        if first != c:
+            index[self.cycles[c]] = min(first, c)
+            self.twins.discard(min(first, c))
+            self.twins.add(max(first, c))
+
+    def fold(self, v: int, img: int) -> tuple[int, int]:
+        """Make the fold that `next_fold` found at root v over image img:
+        drop the edge of the second smallest ref over it into the edge of
+        the smallest, rewriting the cells through it; returns the refs."""
+        d1, d2 = self.stars[v][img][:2]
+        h1, h2 = self.head(d1), self.head(d2)
+        self._remove_end(v, img, d2)
+        self._remove_end(h2, -img, -d2)
+        keep, drop = abs(d1) - 1, abs(d2) - 1
+        self.dropped.add(drop)
+        self.num_edges -= 1
+        sides = self.sides.pop(drop, ())
+        self.perimeter -= (self.per[abs(self.edge_image[drop]) - 1]
+                           - sum(self.weights[r][q] for r, q in sides))
+        for side in sides:
+            self._make_present(keep, side)
+        over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
+        onto = {drop + 1: over, -(drop + 1): -over}
+        for c in self.cells_at.pop(drop, ()):
+            old, index = self.cycles[c], self.present[self.cell_image[c][0]]
+            if index.get(old) == c:
+                del index[old]
+            self.cycles[c] = tuple(onto.get(d, d) for d in old)
+            self._index(c)
+            self.cells_at.setdefault(keep, set()).add(c)
+        if h1 != h2:
+            self._merge(h1, h2)
+        return d1, d2
+
+    def identify(self, u: int, v: int) -> None:
+        """Identify the classes of vertices u and v, which have one image."""
+        u, v = self.find(u), self.find(v)
+        if u != v:
+            self._merge(u, v)
+
+    def add_arc(self, u: int, v: int, letters) -> list[int]:
+        """Add an arc over `letters` from root u to root v (`append_arc`);
+        returns its edge refs."""
+        first = len(self.parent)
+        refs = append_arc(self.codomain, self.edges, self.edge_image, self.vertex_image,
+                          u, v, letters)
+        self.parent += range(first, len(self.vertex_image))
+        self.stars += [{} for _ in range(first, len(self.vertex_image))]
+        self.num_vertices += len(self.vertex_image) - first
+        self.num_edges += len(refs)
+        for d in refs:
+            img = self.edge_image[d - 1]
+            self._add_end(self.edges[d - 1][0], img, d)
+            self._add_end(self.edges[d - 1][1], -img, -d)
+            self.perimeter += self.per[abs(img) - 1]
+        return refs
+
+    def add_packet(self, r: int, cycle) -> int:
+        """Glue a 2-cell over target cell r along each packet mate of a cycle
+        over r (`packet_mates`) that is not present yet; returns how many."""
+        added = 0
+        for mate in packet_mates(self.codomain, r, cycle):
+            if mate not in self.present.get(r, ()):
+                self._add_cell((r, 0, False), mate)
+                added += 1
+        return added
+
+    def remove_redundant(self) -> int:
+        """Delete the twins, keeping the first cell of each cycle; the
+        perimeter is unchanged.  Returns how many."""
+        for c in self.twins:
+            for d in self.cycles[c]:
+                self.cells_at[abs(d) - 1].discard(c)
+            self.cycles[c] = None
+        removed, self.twins = len(self.twins), set()
+        self.num_cells -= removed
+        return removed
+
+    def repair(self) -> int:
+        """Glue the missing packet mates along the present cycles, in
+        `present_cycles` order over the refs of `to_map`; returns how many.
+        Folds rewrite a cycle and its mates alike and `add_packet` glues
+        whole packets, so only the built map can lack a mate."""
+        if self.packed:
+            return 0
+        self.packed = True
+        ref = self.edge_refs()
+        alive = [e + 1 for e, k in enumerate(ref) if k]
+        present: dict[int, set[tuple[int, ...]]] = {}
+        for cycle, (r, _offset, _reflected) in zip(self.cycles, self.cell_image):
+            if cycle is not None:
+                present.setdefault(r, set()).add(_renumbered(cycle, ref))
+        added = 0
+        for r, cycles in present.items():
+            for cycle in list(cycles):
+                for mate in packet_mates(self.codomain, r, cycle):
+                    if mate not in cycles:
+                        cycles.add(mate)
+                        self._add_cell((r, 0, False), _renumbered(mate, alive))
+                        added += 1
+        return added
 
 
-def identify_vertices(m: CombMap, u: int, v: int) -> tuple[CombMap, list[int]]:
-    """The map with vertices u and v identified, and the input -> output
-    vertex map.  The larger-numbered vertex merges into the smaller and the
-    vertices above it move down by one, the numbering a fold gives; edge
-    refs and cell boundaries stay as they are.  With u == v the map itself
-    is returned."""
-    dom = m.domain
-    if u == v:
-        return m, list(range(dom.num_vertices))
-    if m.vertex_image[u] != m.vertex_image[v]:
-        raise MapError("identified vertices must have the same image")
-    lo, hi = min(u, v), max(u, v)
-    vmap = [i - (i > hi) for i in range(dom.num_vertices)]
-    vmap[hi] = vmap[lo]
-    new_dom = Complex2(dom.num_vertices - 1, [(vmap[s], vmap[t]) for s, t in dom.edges],
-                       list(dom.cells))
-    return (CombMap(new_dom, m.codomain, m.vertex_image[:hi] + m.vertex_image[hi + 1:],
-                    list(m.edge_image), list(m.cell_image), vmap[m.basepoint]), vmap)
+def _renumbered(cycle: tuple[int, ...], ref) -> tuple[int, ...]:
+    """The cycle with each ref ±d read as ±ref[d - 1]."""
+    return tuple(ref[d - 1] if d > 0 else -ref[-d - 1] for d in cycle)
 
 
 # --- bouquets ---------------------------------------------------------------
@@ -228,8 +454,7 @@ def whisker_tip(m: CombMap) -> int:
 
 def end_stars(m: CombMap) -> list[dict[int, list[int]]]:
     """Per vertex: image directed edge -> every domain directed edge over it
-    leaving that vertex, in edge order; unlike `out_edges`, also for maps
-    that are not immersions."""
+    leaving that vertex, in edge order."""
     stars: list[dict[int, list[int]]] = [{} for _ in range(m.domain.num_vertices)]
     for e, (src, tgt) in enumerate(m.domain.edges):
         stars[src].setdefault(m.edge_image[e], []).append(e + 1)
@@ -255,23 +480,12 @@ def is_1_immersion(m: CombMap) -> tuple[bool, tuple[int, int, int] | None]:
 
 
 def remove_redundant(m: CombMap) -> tuple[CombMap, int]:
-    """Drop all but one of each family of cells with equal image cell and
-    equal rewritten cycle; the perimeter is unchanged."""
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    keep: list[int] = []
-    for c in range(m.domain.num_cells()):
-        key = (m.cell_image[c][0], m.rewritten_cycle(c))
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(c)
-    removed = m.domain.num_cells() - len(keep)
-    if removed == 0:
-        return m, 0
-    dom = replace(m.domain, cells=[m.domain.cells[c] for c in keep])
-    m2 = CombMap(dom, m.codomain, list(m.vertex_image), list(m.edge_image),
-                 [m.cell_image[c] for c in keep], m.basepoint)
-    return m2, removed
+    """Drop all but the first of each family of cells with equal image cell
+    and equal rewritten cycle (`Domain.remove_redundant`); the perimeter is
+    unchanged.  With none the map itself is returned."""
+    dom = Domain(m)
+    removed = dom.remove_redundant()
+    return (dom.to_map() if removed else m), removed
 
 
 @dataclass
@@ -283,125 +497,19 @@ class FoldToImmersionResult:
     pending: bool = False  # the fold limit stopped the run with a fold left
 
 
-def fold_to_immersion(m: CombMap, limit: int | None = None,
-                      on_fold=None) -> FoldToImmersionResult:
-    """Stallings folding in one pass, then `remove_redundant`.
-
-    Folds in exactly the order of repeated `find_fold`, one fold at a time:
-    the first current vertex with a repeated image, its smallest such image
-    and the two smallest directed edges over it.  Current numberings are
-    monotone in the input's, so vertex classes are kept in a union-find
-    whose root is the smallest input vertex, and each root's star maps an
-    image to the sorted input refs of the edge ends over it.  A dropped edge
-    points at the edge it was identified with, and the map is built once at
-    the end; with no fold the input map itself is kept.
-
-    At most `limit` folds are made.  `on_fold(d1, d2, merged)` is called
-    after each fold with the identified input refs (d2's edge is dropped
-    into d1's) and whether their heads were distinct vertices.
-    """
-    dom = m.domain
-    nv = dom.num_vertices
-    parent = list(range(nv))
-    stars: list[dict[int, list[int]] | None] = end_stars(m)
-    degree = [sum(map(len, star.values())) for star in stars]
-    for star in stars:
-        for ends in star.values():
-            ends.sort()
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def repeated(v: int) -> int | None:
-        return min((img for img, ends in stars[v].items() if len(ends) > 1), default=None)
-
-    heap = [v for v in range(nv) if repeated(v) is not None]
-    link: dict[int, tuple[int, int]] = {}  # dropped edge -> (edge it joined, sign)
-    folds: list[tuple[int, int]] = []
-    pending = False
-    while heap:
-        v = heap[0]
-        img = repeated(v) if parent[v] == v else None
-        if img is None:
-            heapq.heappop(heap)
-            continue
-        if limit is not None and len(folds) >= limit:
-            pending = True
-            break
-        ends = stars[v][img]
-        d1, d2 = ends[0], ends.pop(1)
-        h1, h2 = find(dom.head(d1)), find(dom.head(d2))
-        back = stars[h2][-img]
-        del back[bisect.bisect_left(back, -d2)]
-        if not back:
-            del stars[h2][-img]
-        degree[v] -= 1
-        degree[h2] -= 1
-        link[abs(d2) - 1] = (abs(d1) - 1, 1 if (d1 > 0) == (d2 > 0) else -1)
-        folds.append((d1, d2))
-        if h1 != h2:
-            lo, hi = min(h1, h2), max(h1, h2)
-            big, small = stars[lo], stars[hi]
-            if degree[lo] < degree[hi]:
-                big, small = small, big
-            for im, moved in small.items():
-                into = big.get(im)
-                if into is None:
-                    big[im] = moved
-                else:
-                    for d in moved:
-                        bisect.insort(into, d)
-            parent[hi] = lo
-            stars[lo], stars[hi] = big, None
-            degree[lo] += degree[hi]
-            heapq.heappush(heap, lo)
-        if on_fold is not None:
-            on_fold(d1, d2, h1 != h2)
-    if folds:
-        m, vmap = _quotient(m, find, link)
-    else:
-        vmap = list(range(nv))
-    m, removed = remove_redundant(m)
-    return FoldToImmersionResult(m, folds, removed, vmap, pending)
-
-
-def _quotient(m: CombMap, find, link: dict[int, tuple[int, int]]) -> tuple[CombMap, list[int]]:
-    """The folded map: vertex classes numbered by their smallest input
-    vertex, surviving edges in input order, cell boundaries rewritten onto
-    the surviving edges; also the input -> output vertex map."""
-    dom = m.domain
-    roots = [v for v in range(dom.num_vertices) if find(v) == v]
-    index = {r: i for i, r in enumerate(roots)}
-    vmap = [index[find(v)] for v in range(dom.num_vertices)]
-    ref = [0] * dom.num_edges()  # surviving edge -> output ref
-    new_edges = []
-    new_edge_image = []
-    for e, (src, tgt) in enumerate(dom.edges):
-        if e not in link:
-            new_edges.append((vmap[src], vmap[tgt]))
-            new_edge_image.append(m.edge_image[e])
-            ref[e] = len(new_edges)
-
-    def resolve(d: int) -> int:
-        e = abs(d) - 1
-        chain = []
-        while e in link:
-            chain.append(e)
-            e = link[e][0]
-        sign = 1
-        for c in reversed(chain):  # compress the chain onto the survivor e
-            sign *= link[c][1]
-            link[c] = (e, sign)
-        return ref[e] * sign if d > 0 else -ref[e] * sign
-
-    new_cells = [tuple(resolve(d) for d in bdry) for bdry in dom.cells]
-    new_vertex_image = [m.vertex_image[r] for r in roots]
-    new_dom = Complex2(len(roots), new_edges, new_cells)
-    return (CombMap(new_dom, m.codomain, new_vertex_image, new_edge_image,
-                    list(m.cell_image), vmap[m.basepoint]), vmap)
+def fold_to_immersion(m: CombMap, limit: int | None = None) -> FoldToImmersionResult:
+    """Stallings folding in exactly the order of repeated `find_fold`, one
+    fold at a time (`Domain.fold`), then `remove_redundant`; at most `limit`
+    folds are made.  With no fold and no redundant cell the input map
+    itself is kept."""
+    dom = Domain(m)
+    folds = []
+    while (fold := dom.next_fold()) is not None and (limit is None or len(folds) < limit):
+        folds.append(dom.fold(*fold))
+    pending = fold is not None
+    removed = dom.remove_redundant()
+    return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
+                                 dom.vertex_map(range(m.domain.num_vertices)), pending)
 
 
 # --- packets ----------------------------------------------------------------
@@ -458,38 +566,12 @@ def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def missing_mates(x: Complex2, r: int, cycle,
-                  have: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The packet mates of a cycle over cell r that are not in `have`, in
-    `packet_mates` order; each is added to `have`."""
-    missing = []
-    for mate in packet_mates(x, r, cycle):
-        if mate not in have:
-            have.add(mate)
-            missing.append(mate)
-    return missing
-
-
-def with_cells(m: CombMap, cells: list[tuple[int, tuple[int, ...]]]) -> CombMap:
-    """The map with a 2-cell over target cell r glued along each given
-    (r, rewritten cycle), in order; the map itself when there is none."""
-    if not cells:
-        return m
-    dom = replace(m.domain, cells=list(m.domain.cells) + [cyc for _r, cyc in cells])
-    return CombMap(dom, m.codomain, list(m.vertex_image), list(m.edge_image),
-                   list(m.cell_image) + [(r, 0, False) for r, _cyc in cells], m.basepoint)
-
-
 def repair_packing(m: CombMap) -> tuple[CombMap, int]:
-    """Attach the missing packet mates along existing boundary circles.
-
-    Adds 2-cells only (no new 1-cells), so the perimeter cannot increase.
-    """
-    cells = []
-    for r, cycles in present_cycles(m).items():
-        for cyc in list(cycles):
-            cells += [(r, mate) for mate in missing_mates(m.codomain, r, cyc, cycles)]
-    return with_cells(m, cells), len(cells)
+    """Attach the missing packet mates along existing boundary circles
+    (`Domain.repair`); with none the map itself is returned."""
+    dom = Domain(m)
+    added = dom.repair()
+    return (dom.to_map() if added else m), added
 
 
 # --- path lifting -----------------------------------------------------------
@@ -501,22 +583,18 @@ def lift_path(m: CombMap, path: PathInY, start: int) -> PathInY | None:
     Requires a 1-immersion (lifts are then unique) and that the image of
     start matches the start of the path.
     """
-    ok, _ = is_1_immersion(m)
-    if not ok:
+    dom = Domain(m)
+    if dom.next_fold() is not None:
         raise MapError("lift_path requires a 1-immersion")
     if m.vertex_image[start] != path.vertices[0]:
         raise MapError("start vertex image mismatch")
-    outs = m.out_edges()
-    verts = [start]
-    edges: list[int] = []
-    cur = start
+    verts, edges = [start], []
     for d in path.edges:
-        lifted = outs[cur].get(d)
-        if lifted is None:
+        ends = dom.stars[verts[-1]].get(d)
+        if ends is None:
             return None
-        edges.append(lifted)
-        cur = m.domain.head(lifted)
-        verts.append(cur)
+        edges.append(ends[0])
+        verts.append(dom.head(ends[0]))
     return PathInY(m.domain, tuple(verts), tuple(edges))
 
 
@@ -589,52 +667,3 @@ def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
                    [a.image_of(da) for da, _ in pairs],
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])
-
-
-# --- canonical forms --------------------------------------------------------
-
-
-def canonical_form(m: CombMap):
-    """Canonical description of a connected 1-immersed based map, used to
-    compare fold results for isomorphism regardless of fold order."""
-    ok, _ = is_1_immersion(m)
-    if not ok:
-        raise MapError("canonical_form requires a 1-immersion")
-    outs = m.out_edges()
-    order = {m.basepoint: 0}
-    queue = [m.basepoint]
-    while queue:
-        v = queue.pop(0)
-        for _img, d in sorted(outs[v].items()):
-            w = m.domain.head(d)
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-    if len(order) != m.domain.num_vertices:
-        raise MapError("canonical_form requires a connected domain")
-    edge_entries = []
-    for e in range(m.domain.num_edges()):
-        src, tgt = m.domain.edges[e]
-        fwd = (order[src], order[tgt], m.edge_image[e])
-        bwd = (order[tgt], order[src], -m.edge_image[e])
-        if fwd <= bwd:
-            edge_entries.append((fwd, e, 1))
-        else:
-            edge_entries.append((bwd, e, -1))
-    edge_entries.sort()
-    canon_ref = {}
-    for new_idx, (_entry, e, sign) in enumerate(edge_entries):
-        canon_ref[e + 1] = (new_idx + 1) * sign
-        canon_ref[-(e + 1)] = -(new_idx + 1) * sign
-    cell_entries = sorted(
-        (m.cell_image[c][0], tuple(canon_ref[d] for d in m.rewritten_cycle(c)))
-        for c in range(m.domain.num_cells())
-    )
-    return (
-        tuple(entry for entry, _e, _s in edge_entries),
-        tuple(cell_entries),
-    )
-
-
-def isomorphic_maps(a: CombMap, b: CombMap) -> bool:
-    return a.codomain == b.codomain and canonical_form(a) == canonical_form(b)

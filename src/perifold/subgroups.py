@@ -131,7 +131,8 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     vertex and reduce again; the based component of the fiber product of the
     two results, found by a search from the basepoint pair
     (`based_fiber_product`), presents the intersection.  The trace lists
-    the first side's steps, then the second's.
+    the steps of all four reductions, in this order: H's bouquet, H
+    augmented, K's bouquet, K augmented; it starts at H's bouquet.
 
     Each of the four reductions runs within `step_limit`; when any of them
     is cut short, `exhausted` is set and the presentation is read off the
@@ -143,20 +144,16 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
             "intersect: needs a strict small-cancellation weight certificate"
             " (pass force=True for a heuristic run)"
         )
-    sides = []
-    exhausted = False
+    runs = []
     for gens in (gens_h, gens_k):
-        a2 = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict", step_limit)
-        a3 = _augment_with_cells(a2.map)
-        a4 = reduce_map(a3, w, "strict", step_limit)
-        sides.append(a4)
-        exhausted = exhausted or a2.exhausted or a4.exhausted
-    based = based_fiber_product(sides[0].map, sides[1].map)
-    first = sides[0].trace
+        bouquet = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict", step_limit)
+        runs += [bouquet, reduce_map(_augment_with_cells(bouquet.map), w, "strict", step_limit)]
+    based = based_fiber_product(runs[1].map, runs[3].map)
+    first = runs[0].trace
     trace = ReductionTrace(first.initial_perimeter, first.initial_edges,
-                           first.steps + sides[1].trace.steps)
-    return SubgroupResult(extract_presentation(based), trace, cert,
-                          cert is None, based, exhausted)
+                           [step for run in runs for step in run.trace.steps])
+    return SubgroupResult(extract_presentation(based), trace, cert, cert is None, based,
+                          any(run.exhausted for run in runs))
 
 
 def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],

@@ -241,6 +241,60 @@ def test_cmd_intersect_step_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == full
 
 
+def test_cmd_intersect_traces_all_four_reductions(tmp_path, capsys):
+    # the free group on a, b: H's bouquet folds before any cell is glued, so
+    # its steps are in the trace, and a cut there is explained by one
+    path = write(tmp_path, "free.pf", FREE)
+    trace = tmp_path / "trace.log"
+    args = ["intersect", path, "--gens-h", "a b a, a b b, a a", "--gens-k", "a b, b a",
+            "--json", "--trace", str(trace)]
+    assert main(args) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["steps"] > 0 and full["exhausted"] is False
+    assert len(trace.read_text().splitlines()) == full["steps"]
+    assert main(args + ["--step-limit", "1"]) == 4
+    cut = json.loads(capsys.readouterr().out)
+    assert cut["exhausted"] is True
+    assert len(trace.read_text().splitlines()) >= 1
+
+
+def rejected(capsys, args, flag) -> bool:
+    """Whether the CLI refuses the arguments with exit 2 and an error line
+    that names the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    return exc.value.code == 2 and f"error: argument {flag}:" in capsys.readouterr().err
+
+
+def test_cli_rejects_p_below_2(tmp_path, capsys):
+    path = write(tmp_path, "aab.pf", AAB9)
+    assert rejected(capsys, ["info", path, "--p", "1"], "--p")
+    assert rejected(capsys, ["info", path, "--p", "six"], "--p")
+    assert main(["info", path, "--p", "2", "--json"]) == 0
+
+
+def test_cli_rejects_q_below_3(tmp_path, capsys):
+    path = write(tmp_path, "aab.pf", AAB9)
+    assert rejected(capsys, ["info", path, "--q", "2"], "--q")
+    assert main(["info", path, "--q", "3", "--json"]) == 0
+
+
+def test_cli_rejects_alpha_that_is_no_fraction(tmp_path, capsys):
+    path = write(tmp_path, "aab.pf", AAB9)
+    assert rejected(capsys, ["info", path, "--alpha", "x"], "--alpha")
+    assert rejected(capsys, ["info", path, "--alpha", "1/0"], "--alpha")
+
+
+def test_cli_rejects_negative_step_limit(tmp_path, capsys):
+    path = write(tmp_path, "free.pf", FREE)
+    for args in (["subgroup", path, "--gens", "@H"],
+                 ["member", path, "--gens", "@H", "--word", "a b"],
+                 ["intersect", path, "--gens-h", "a", "--gens-k", "b"]):
+        assert rejected(capsys, args + ["--step-limit", "-1"], "--step-limit")
+        assert main(args + ["--step-limit", "0"]) in (0, 4)
+        capsys.readouterr()
+
+
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
     path = write(tmp_path, "fgip.pf",
                  "gens a b t\nrel a t a^-1 t^-1\nrel b t b^-1 t^-1\n")

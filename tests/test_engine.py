@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.engine import (
+    AttachmentSite,
+    AttachResult,
     EngineError,
     TraceStep,
     attach_packet,
@@ -25,11 +27,13 @@ from perifold.experiments import (
 )
 from perifold.maps import (
     CombMap,
+    Domain,
+    PathInY,
     bouquet_map,
     build_packet,
     find_fold,
     fold_to_immersion,
-    present_cycles,
+    packet_mates,
     remove_redundant,
     repair_packing,
 )
@@ -428,24 +432,62 @@ def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
     assert len(calls) <= 4
 
 
+@pytest.mark.parametrize("change", ["add_arc", "fold", "_make_present"])
+def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
+    # the live perimeter changes when an edge is added (a fresh arc), when
+    # one is dropped (a fold) and when a side becomes present: put one of
+    # them off by one, and `verify` finds the mismatch at that step
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    m = bouquet_map(x, [word([1, 2, 1, 2, -1, 2]), word([1, 1])])
+    kinds = {s.kind for s in reduce_map(m, w, verify=True).trace.steps}
+    assert {"fold", "attach-incomplete"} <= kinds  # every change is made
+    original = getattr(Domain, change)
+
+    def off_by_one(dom, *args):
+        out = original(dom, *args)
+        dom.perimeter += 1
+        return out
+
+    monkeypatch.setattr(Domain, change, off_by_one)
+    with pytest.raises(EngineError, match="bookkeeping mismatch"):
+        reduce_map(m, w, verify=True)
+
+
 # --- domain changes against the hand-built reference -------------------------
 
 
+def on_map(dom, m, site):
+    """A site of a live domain in the numbering of `m = dom.to_map()`."""
+    vertex, ref = dom.vertex_numbers(), dom.edge_refs()
+    path = PathInY(m.domain, tuple(vertex[v] for v in site.path.vertices),
+                   tuple(ref[d - 1] if d > 0 else -ref[-d - 1] for d in site.path.edges))
+    return AttachmentSite(site.candidate, path, site.complete)
+
+
 def attachments_against_reference(m, w, mode, step_limit):
-    """Reduce m; at every site the engine attaches at, check that
-    `attach_packet` gives the reference's result, field by field, and at
-    the end that `_augment_with_cells` of the reduced map does too.
-    Returns (complete, identified) per attachment."""
+    """Reduce m with `verify`; at every site the engine attaches at, check
+    that `attach_site` changes the live domain as `reference_attach_packet`
+    changes the map built from it, field by field, and that `attach_packet`
+    on that map does the same; at the end check that `_augment_with_cells`
+    of the reduced map agrees with the reference too.  Returns (complete,
+    identified) per attachment."""
+    original = engine.attach_site
     kinds = []
 
-    def both(m, w, site):
-        got = attach_packet(m, w, site)
-        assert got == reference_attach_packet(m, w, site)
+    def both(dom, site):
+        before = dom.to_map()
+        roots = list(dom.vertex_numbers())  # the vertices of `before`, in order
+        want = reference_attach_packet(before, w, on_map(dom, before, site))
+        added = original(dom, site)
+        got = AttachResult(dom.to_map(), dom.vertex_map(roots), added, site.complete,
+                           site.complete and not site.path.is_closed())
+        assert got == want
         kinds.append((got.complete, got.identified_endpoints))
-        return got
+        return added
 
-    with mock.patch.object(engine, "attach_packet", both):
-        res = reduce_map(m, w, mode, step_limit)
+    with mock.patch.object(engine, "attach_site", both):
+        res = reduce_map(m, w, mode, step_limit, verify=True)
     assert _augment_with_cells(res.map) == reference_augment_with_cells(res.map)
     return kinds
 
@@ -496,18 +538,21 @@ def test_domain_changes_reach_every_attachment_kind():
 
 
 def scans_against_reference(reduce):
-    """Run `reduce()` with every `find_attachment` call checked against
-    `reference_find_attachment`; returns (mode, hit) per call."""
-    original = engine.find_attachment
+    """Run `reduce()` with every `find_site` call checked against
+    `reference_find_attachment` on the map built from the live domain;
+    returns (mode, hit) per call."""
+    original = engine.find_site
     scans = []
 
-    def both(m, w, mode="strict"):
-        got = original(m, w, mode)
-        assert got == reference_find_attachment(m, w, mode)
+    def both(dom, w, mode="strict"):
+        got = original(dom, w, mode)
+        m = dom.to_map()
+        want = reference_find_attachment(m, w, mode)
+        assert (None if got is None else on_map(dom, m, got)) == want
         scans.append((mode, got is not None))
         return got
 
-    with mock.patch.object(engine, "find_attachment", both):
+    with mock.patch.object(engine, "find_site", both):
         reduce()
     return scans
 
@@ -526,10 +571,10 @@ def test_find_attachment_matches_reference(case, seed, length, parts, whiskered)
     m = bouquet_map(x, [g for g in gens if g.letters], whisker)
 
     def both_modes():
-        reduce_map(m, w, "strict")
+        reduce_map(m, w, "strict", verify=True)
         # the limit leaves 20 steps after the first fold phase, so weak mode
         # is scanned whatever the number of folds
-        reduce_map(m, w, "weak", m.domain.num_edges() + 20)
+        reduce_map(m, w, "weak", m.domain.num_edges() + 20, verify=True)
 
     scanned = [mode for mode, _hit in scans_against_reference(both_modes)]
     assert {"strict", "weak"} <= set(scanned)
@@ -568,22 +613,22 @@ def test_find_attachment_matches_reference_on_relator_products(seed, k):
 def test_find_attachment_skips_blocked_circle():
     # torus, generator a b a b A b.  After one incomplete attachment the new
     # square's boundary is a closed complete lift whose packet is present:
-    # the scan builds the present cycles for it, skips it and returns a
-    # length-3 site.  Before that attachment no lift closes up, and the
-    # present cycles are never built.
+    # the scan checks its packet against the present cycles once, skips it
+    # and returns a length-3 site.  Before that attachment no lift closes
+    # up, and no packet is checked.
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
     m0 = bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
-    for limit, built in ((0, 0), (1, 1)):
+    for limit, checked in ((0, 0), (1, 1)):
         m = reduce_map(m0, w, step_limit=limit).map
         calls = []
 
-        def counted(m):
-            calls.append(m)
-            return present_cycles(m)
+        def counted(x, r, cycle):
+            calls.append(cycle)
+            return packet_mates(x, r, cycle)
 
-        with mock.patch.object(engine, "present_cycles", counted):
+        with mock.patch.object(engine, "packet_mates", counted):
             site = find_attachment(m, w)
-        assert len(calls) == built
+        assert len(calls) == checked
         assert site == reference_find_attachment(m, w)
         assert site is not None and not site.complete and site.candidate.length == 3

@@ -5,7 +5,7 @@ import pytest
 from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.engine import relator_bound
-from perifold.maps import CombMap, isomorphic_maps
+from perifold.maps import CombMap
 from perifold.subgroups import (
     MissingCertificateError,
     intersect,
@@ -17,6 +17,7 @@ from perifold.weights import unit_weighting, weighting_from_rows
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, abelian_invariants
+from reference import isomorphic_maps, out_edges
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ def test_magnus_intersect_pipeline():
     assert not res.presentation.relators
     # the image of the intersection generator reads ab around the base
     final = res.final_map
-    outs = final.out_edges()
+    outs = out_edges(final)
     path = [1, 2]
     cur = final.basepoint
     for letter in path:
