@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .complexes import (
     Complex2,
+    ComplexError,
     check_small_cancellation,
     cycle_piece_cover,
     standard_complex,
@@ -224,7 +225,11 @@ def _print_plain(data, indent: str = "") -> None:
 def cmd_info(f: InputFile, args) -> int:
     x, w, p = f.complex, f.weighting, f.presentation
     per = edge_perimeters(w)
-    report = check_small_cancellation(x, args.p, args.q, args.alpha)
+    try:
+        alpha = Fraction(args.alpha) if args.alpha else None
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--alpha takes a fraction such as 1/6, not {args.alpha!r}") from None
+    report = check_small_cancellation(x, args.p, args.q, alpha)
     data = {
         "edge_perimeters": {g: per[e] for e, g in enumerate(p.generators)},
         "cells": [
@@ -396,23 +401,6 @@ def cmd_intersect(f: InputFile, args) -> int:
     return 4 if result.exhausted else 0
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
-    return integer
-
-
-def _fraction(text: str) -> Fraction:
-    """An argparse type: a fraction such as 1/6."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="perifold",
                                  description="weighted perimeter toolkit for 2-complexes")
@@ -424,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("info", help="perimeters, weights, periods, pieces")
     common(sp)
-    sp.add_argument("--p", type=_at_least(2), default=6)
-    sp.add_argument("--q", type=_at_least(3), default=3)
-    sp.add_argument("--alpha", type=_fraction, default=None,
+    sp.add_argument("--p", type=int, default=6)
+    sp.add_argument("--q", type=int, default=3)
+    sp.add_argument("--alpha", type=str, default="",
                     help="check C'(alpha), e.g. 1/6")
 
     sp = sub.add_parser("check", help="run a coherence/quasiconvexity criterion")
@@ -441,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens", required=True, help="comma-separated words or @list")
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=_at_least(0), default=None)
+    sp.add_argument("--step-limit", type=int, default=None)
 
     sp = sub.add_parser("member", help="generalized word problem")
     common(sp)
@@ -449,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=_at_least(0), default=None)
+    sp.add_argument("--step-limit", type=int, default=None)
 
     sp = sub.add_parser("intersect", help="intersection of two subgroups")
     common(sp)
@@ -457,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens-k", required=True)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=_at_least(0), default=None)
+    sp.add_argument("--step-limit", type=int, default=None)
     return ap
 
 
@@ -471,6 +459,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "step_limit", None) is not None and args.step_limit < 0:
+            raise InputError(f"--step-limit must be at least 0, not {args.step_limit}")
         if args.command == "info":
             return cmd_info(f, args)
         if args.command == "check":
@@ -481,7 +471,7 @@ def main(argv=None) -> int:
             return cmd_member(f, args)
         if args.command == "intersect":
             return cmd_intersect(f, args)
-    except (ParseError, InputError) as exc:
+    except (ParseError, InputError, ComplexError) as exc:  # ComplexError: as for --p 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

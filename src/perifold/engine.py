@@ -13,7 +13,7 @@ requires a step limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed, packet_mates
@@ -111,9 +111,7 @@ def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> Attachmen
     """Deterministic scan for an attachment site (`find_site` on the map's
     domain); the site's path lies in `m.domain`."""
     site = find_site(Domain(m), w, mode)
-    if site is not None:
-        site.path = PathInY(m.domain, site.path.vertices, site.path.edges)
-    return site
+    return site and replace(site, path=PathInY(m.domain, site.path.vertices, site.path.edges))
 
 
 def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
@@ -296,22 +294,21 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
     def out_of_steps() -> bool:
         return step_limit is not None and len(trace.steps) >= step_limit
 
-    def log(kind: str, detail: dict | None = None, cells: int | None = None) -> None:
+    def log(kind: str, detail: dict | None = None) -> None:
+        # redundant cells are counted until the phase ends, as fold steps show
         trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
-                                     dom.num_cells if cells is None else cells,
-                                     detail or {}))
+                                     dom.num_cells, detail or {}))
         if verify and dom.perimeter != map_perimeter(w, dom.to_map()):
             raise EngineError(f"{kind} bookkeeping mismatch")
 
     def fold_and_pack() -> None:
         nonlocal pending
-        cells = dom.num_cells  # redundant cells are counted until the phase ends
         while (fold := dom.next_fold()) is not None:
             if out_of_steps():
                 pending = True
                 break
             dom.fold(*fold)
-            log("fold", cells=cells)
+            log("fold")
         removed = dom.remove_redundant()
         if removed:
             log("remove-redundant", {"removed": removed})

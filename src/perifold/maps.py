@@ -280,8 +280,11 @@ class Domain:
             del self.stars[v][img]
             del self.leaving[img][bisect.bisect_left(self.leaving[img], v)]
 
-    def _merge(self, u: int, v: int) -> None:
-        """Merge the classes of two roots into the smaller root."""
+    def identify(self, u: int, v: int) -> None:
+        """Merge the classes of roots u and v, which have one image, into
+        the smaller root."""
+        if u == v:
+            return
         lo, hi = min(u, v), max(u, v)
         for img, moved in self.stars[hi].items():
             roots = self.leaving[img]
@@ -339,15 +342,8 @@ class Domain:
             self.cycles[c] = tuple(onto.get(d, d) for d in old)
             self._index(c)
             self.cells_at.setdefault(keep, set()).add(c)
-        if h1 != h2:
-            self._merge(h1, h2)
+        self.identify(h1, h2)
         return d1, d2
-
-    def identify(self, u: int, v: int) -> None:
-        """Identify the classes of vertices u and v, which have one image."""
-        u, v = self.find(u), self.find(v)
-        if u != v:
-            self._merge(u, v)
 
     def add_arc(self, u: int, v: int, letters) -> list[int]:
         """Add an arc over `letters` from root u to root v (`append_arc`);
@@ -388,10 +384,12 @@ class Domain:
         return removed
 
     def repair(self) -> int:
-        """Glue the missing packet mates along the present cycles, in
-        `present_cycles` order over the refs of `to_map`; returns how many.
-        Folds rewrite a cycle and its mates alike and `add_packet` glues
-        whole packets, so only the built map can lack a mate."""
+        """Glue the missing packet mates along the present cycles
+        (`add_packet`); returns how many.  Per target cell the cycles come in
+        the iteration order of a set of them in `to_map`'s refs, which fixes
+        the order of the glued cells.  Folds rewrite a cycle and its mates
+        alike and `add_packet` glues whole packets, so only the map the
+        domain was built from can lack a mate."""
         if self.packed:
             return 0
         self.packed = True
@@ -401,15 +399,8 @@ class Domain:
         for cycle, (r, _offset, _reflected) in zip(self.cycles, self.cell_image):
             if cycle is not None:
                 present.setdefault(r, set()).add(_renumbered(cycle, ref))
-        added = 0
-        for r, cycles in present.items():
-            for cycle in list(cycles):
-                for mate in packet_mates(self.codomain, r, cycle):
-                    if mate not in cycles:
-                        cycles.add(mate)
-                        self._add_cell((r, 0, False), _renumbered(mate, alive))
-                        added += 1
-        return added
+        return sum(self.add_packet(r, _renumbered(cycle, alive))
+                   for r, cycles in present.items() for cycle in cycles)
 
 
 def _renumbered(cycle: tuple[int, ...], ref) -> tuple[int, ...]:
@@ -465,13 +456,10 @@ def end_stars(m: CombMap) -> list[dict[int, list[int]]]:
 def find_fold(m: CombMap) -> tuple[int, int, int] | None:
     """First (vertex, d1, d2) with two distinct edge-ends sharing an image:
     at the first vertex with a repeated image, the smallest such image and
-    the two smallest refs over it."""
-    for v, star in enumerate(end_stars(m)):
-        img = min((img for img, ends in star.items() if len(ends) > 1), default=None)
-        if img is not None:
-            d1, d2 = sorted(star[img])[:2]
-            return v, d1, d2
-    return None
+    the two smallest refs over it (`Domain.next_fold`)."""
+    dom = Domain(m)
+    fold = dom.next_fold()
+    return None if fold is None else (fold[0], *dom.stars[fold[0]][fold[1]][:2])
 
 
 def is_1_immersion(m: CombMap) -> tuple[bool, tuple[int, int, int] | None]:
@@ -506,10 +494,9 @@ def fold_to_immersion(m: CombMap, limit: int | None = None) -> FoldToImmersionRe
     folds = []
     while (fold := dom.next_fold()) is not None and (limit is None or len(folds) < limit):
         folds.append(dom.fold(*fold))
-    pending = fold is not None
     removed = dom.remove_redundant()
     return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
-                                 dom.vertex_map(range(m.domain.num_vertices)), pending)
+                                 dom.vertex_map(range(m.domain.num_vertices)), fold is not None)
 
 
 # --- packets ----------------------------------------------------------------
@@ -538,14 +525,6 @@ def build_packet(x: Complex2, c: int) -> Packet:
     return Packet(circle, proj, tuple(k * p for k in range(n)))
 
 
-def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
-    """Per codomain cell: the rewritten cycles of the domain cells over it."""
-    present: dict[int, set[tuple[int, ...]]] = {}
-    for c in range(m.domain.num_cells()):
-        present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
-    return present
-
-
 def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
     """Rewritten cycles of the packet of cell r through a cycle over r: its
     rotations by the multiples of the period, the cycle itself first."""
@@ -557,11 +536,10 @@ def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
 def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
     """Packed iff every lift of a 2-cell extends to a lift of its packet,
     i.e. all period rotations of its rewritten cycle are present as cells."""
-    present = present_cycles(m)
-    for c in range(m.domain.num_cells()):
-        r = m.cell_image[c][0]
-        for k, mate in enumerate(packet_mates(m.codomain, r, m.rewritten_cycle(c))):
-            if mate not in present[r]:
+    dom = Domain(m)
+    for c, (cycle, (r, _offset, _reflected)) in enumerate(zip(dom.cycles, dom.cell_image)):
+        for k, mate in enumerate(packet_mates(m.codomain, r, cycle)):
+            if mate not in dom.present[r]:
                 return False, (c, k)
     return True, None
 
@@ -667,3 +645,51 @@ def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
                    [a.image_of(da) for da, _ in pairs],
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])
+
+
+# --- canonical forms --------------------------------------------------------
+
+
+def canonical_form(m: CombMap):
+    """Canonical description of a connected 1-immersed based map, used to
+    compare fold results for isomorphism regardless of fold order."""
+    dom = Domain(m)
+    if dom.next_fold() is not None:
+        raise MapError("canonical_form requires a 1-immersion")
+    order = {m.basepoint: 0}
+    queue = [m.basepoint]
+    while queue:
+        v = queue.pop(0)
+        for _img, (d,) in sorted(dom.stars[v].items()):
+            w = m.domain.head(d)
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    if len(order) != m.domain.num_vertices:
+        raise MapError("canonical_form requires a connected domain")
+    edge_entries = []
+    for e in range(m.domain.num_edges()):
+        src, tgt = m.domain.edges[e]
+        fwd = (order[src], order[tgt], m.edge_image[e])
+        bwd = (order[tgt], order[src], -m.edge_image[e])
+        if fwd <= bwd:
+            edge_entries.append((fwd, e, 1))
+        else:
+            edge_entries.append((bwd, e, -1))
+    edge_entries.sort()
+    canon_ref = {}
+    for new_idx, (_entry, e, sign) in enumerate(edge_entries):
+        canon_ref[e + 1] = (new_idx + 1) * sign
+        canon_ref[-(e + 1)] = -(new_idx + 1) * sign
+    cell_entries = sorted(
+        (m.cell_image[c][0], tuple(canon_ref[d] for d in m.rewritten_cycle(c)))
+        for c in range(m.domain.num_cells())
+    )
+    return (
+        tuple(entry for entry, _e, _s in edge_entries),
+        tuple(cell_entries),
+    )
+
+
+def isomorphic_maps(a: CombMap, b: CombMap) -> bool:
+    return a.codomain == b.codomain and canonical_form(a) == canonical_form(b)

@@ -22,10 +22,6 @@ attached and the augmented domain by hand; `perifold.engine.attach_packet`
 and `perifold.subgroups._augment_with_cells`, which change the domain only
 through the operations of `perifold.maps`, must agree with them.
 
-`canonical_form` describes a connected 1-immersed based map up to
-isomorphism (`isomorphic_maps`), so that folds made in different orders can
-be compared.
-
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
 site; `perifold.engine.find_attachment`, which starts only where the first
@@ -52,9 +48,7 @@ from perifold.maps import (
     MapError,
     PathInY,
     find_fold,
-    is_1_immersion,
     packet_mates,
-    present_cycles,
 )
 from perifold.weights import Weighting, cell_weight, subpath_perimeter
 from perifold.words import Word
@@ -487,6 +481,14 @@ def reference_augment_with_cells(m: CombMap) -> CombMap:
     return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)
 
 
+def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
+    """Per codomain cell: the rewritten cycles of the domain cells over it."""
+    present: dict[int, set[tuple[int, ...]]] = {}
+    for c in range(m.domain.num_cells()):
+        present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
+    return present
+
+
 def out_edges(m: CombMap) -> list[dict[int, int]]:
     """Per vertex: image directed edge -> domain directed edge; single-valued
     only for 1-immersions."""
@@ -573,49 +575,3 @@ def reference_find_attachment(m: CombMap, w: Weighting,
                 complete,
             )
     return None
-
-
-def canonical_form(m: CombMap):
-    """Canonical description of a connected 1-immersed based map, used to
-    compare fold results for isomorphism regardless of fold order."""
-    ok, _ = is_1_immersion(m)
-    if not ok:
-        raise MapError("canonical_form requires a 1-immersion")
-    outs = out_edges(m)
-    order = {m.basepoint: 0}
-    queue = [m.basepoint]
-    while queue:
-        v = queue.pop(0)
-        for _img, d in sorted(outs[v].items()):
-            w = m.domain.head(d)
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-    if len(order) != m.domain.num_vertices:
-        raise MapError("canonical_form requires a connected domain")
-    edge_entries = []
-    for e in range(m.domain.num_edges()):
-        src, tgt = m.domain.edges[e]
-        fwd = (order[src], order[tgt], m.edge_image[e])
-        bwd = (order[tgt], order[src], -m.edge_image[e])
-        if fwd <= bwd:
-            edge_entries.append((fwd, e, 1))
-        else:
-            edge_entries.append((bwd, e, -1))
-    edge_entries.sort()
-    canon_ref = {}
-    for new_idx, (_entry, e, sign) in enumerate(edge_entries):
-        canon_ref[e + 1] = (new_idx + 1) * sign
-        canon_ref[-(e + 1)] = -(new_idx + 1) * sign
-    cell_entries = sorted(
-        (m.cell_image[c][0], tuple(canon_ref[d] for d in m.rewritten_cycle(c)))
-        for c in range(m.domain.num_cells())
-    )
-    return (
-        tuple(entry for entry, _e, _s in edge_entries),
-        tuple(cell_entries),
-    )
-
-
-def isomorphic_maps(a: CombMap, b: CombMap) -> bool:
-    return a.codomain == b.codomain and canonical_form(a) == canonical_form(b)

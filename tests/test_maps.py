@@ -12,12 +12,14 @@ from perifold.maps import (
     based_fiber_product,
     bouquet_map,
     build_packet,
+    canonical_form,
     end_stars,
     find_fold,
     fold_to_immersion,
     identity_map,
     is_1_immersion,
     is_packed,
+    isomorphic_maps,
     lift_path,
     path_from_edges,
     remove_redundant,
@@ -29,14 +31,7 @@ from perifold.weights import map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, random_grid_subcomplex
-from reference import (
-    apply_fold,
-    canonical_form,
-    fiber_product,
-    isomorphic_maps,
-    reference_based_product,
-    restrict_to_component,
-)
+from reference import apply_fold, fiber_product, reference_based_product, restrict_to_component
 
 
 @pytest.fixture(scope="module")

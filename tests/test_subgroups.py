@@ -5,7 +5,7 @@ import pytest
 from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.engine import relator_bound
-from perifold.maps import CombMap
+from perifold.maps import CombMap, isomorphic_maps
 from perifold.subgroups import (
     MissingCertificateError,
     intersect,
@@ -17,7 +17,7 @@ from perifold.weights import unit_weighting, weighting_from_rows
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, abelian_invariants
-from reference import isomorphic_maps, out_edges
+from reference import out_edges
 
 
 @pytest.fixture(scope="module")
