@@ -295,7 +295,7 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         return step_limit is not None and len(trace.steps) >= step_limit
 
     def log(kind: str, detail: dict | None = None) -> None:
-        # redundant cells are counted until the phase ends, as fold steps show
+        # a twin cell counts in `num_cells` until `remove_redundant`, as in fold steps
         trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
                                      dom.num_cells, detail or {}))
         if verify and dom.perimeter != map_perimeter(w, dom.to_map()):

@@ -18,15 +18,21 @@ before it reads the C(p)/T(q) report.
 `apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
 must end where repeated `find_fold` / `apply_fold` ends.
 `reference_attach_packet` and `reference_augment_with_cells` build the
-attached and the augmented domain by hand; `perifold.engine.attach_packet`
-and `perifold.subgroups._augment_with_cells`, which change the domain only
-through the operations of `perifold.maps`, must agree with them.
+attached and the augmented domain by hand; `perifold.engine.attach_site`,
+which changes the live domain in place, must agree with the first on the
+map built from it, and `perifold.subgroups._augment_with_cells` with the
+second.
+
+`present_cycles` (the rewritten cycles over each target cell) and
+`out_edges` (each vertex's ends by image) index a map afresh; the
+references read them where the program reads its live `Domain`.
 
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
-site; `perifold.engine.find_attachment`, which starts only where the first
-letter lifts and walks and settles each (cell, start, vertex) once per
-call, must return the same site.
+site; `perifold.engine.find_site` on the live domain, which starts only
+where the first letter lifts and walks and settles each (cell, start,
+vertex) once per call, must return the same site on the map built from
+it.
 """
 
 from __future__ import annotations
