@@ -26,6 +26,9 @@ second.
 `present_cycles` (the rewritten cycles over each target cell) and
 `out_edges` (each vertex's ends by image) index a map afresh; the
 references read them where the program reads its live `Domain`.
+`reference_remove_redundant` and `reference_repair_packing` change a map
+by copying it; `perifold.maps.remove_redundant` and `repair_packing`, and
+the fold phases of `perifold.engine.reduce_map`, must agree with them.
 
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
@@ -493,6 +496,43 @@ def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
     for c in range(m.domain.num_cells()):
         present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
     return present
+
+
+def reference_remove_redundant(m: CombMap) -> tuple[CombMap, int]:
+    """Drop all but the first of each family of cells with equal image cell
+    and equal rewritten cycle; the map itself when there is none."""
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    keep = []
+    for c in range(m.domain.num_cells()):
+        key = (m.cell_image[c][0], m.rewritten_cycle(c))
+        if key not in seen:
+            seen.add(key)
+            keep.append(c)
+    removed = m.domain.num_cells() - len(keep)
+    if not removed:
+        return m, 0
+    return CombMap(replace(m.domain, cells=[m.domain.cells[c] for c in keep]), m.codomain,
+                   list(m.vertex_image), list(m.edge_image), [m.cell_image[c] for c in keep],
+                   m.basepoint), removed
+
+
+def reference_repair_packing(m: CombMap) -> tuple[CombMap, int]:
+    """Glue, after the existing cells, the missing packet mates of each
+    cycle of `present_cycles` in its iteration order; the map itself when
+    none is missing."""
+    cells = []
+    for r, cycles in present_cycles(m).items():
+        for cycle in list(cycles):
+            for mate in packet_mates(m.codomain, r, cycle):
+                if mate not in cycles:
+                    cycles.add(mate)
+                    cells.append((r, mate))
+    if not cells:
+        return m, 0
+    return CombMap(replace(m.domain, cells=list(m.domain.cells) + [c for _r, c in cells]),
+                   m.codomain, list(m.vertex_image), list(m.edge_image),
+                   list(m.cell_image) + [(r, 0, False) for r, _c in cells], m.basepoint), \
+        len(cells)
 
 
 def out_edges(m: CombMap) -> list[dict[int, int]]:

@@ -52,6 +52,8 @@ from reference import (
     reference_attach_packet,
     reference_augment_with_cells,
     reference_find_attachment,
+    reference_remove_redundant,
+    reference_repair_packing,
 )
 
 
@@ -294,8 +296,9 @@ def test_relator_bound_and_euler():
 
 def reference_reduce(m, w, step_limit=None):
     """reduce_map in strict mode with the fold phase done one fold at a time:
-    find_fold, apply_fold, then the double-sum perimeter.  Returns (map,
-    steps, vertex tracking, exhausted)."""
+    find_fold, apply_fold, then the double-sum perimeter, and removal and
+    repair by copying the map.  Returns (map, steps, vertex tracking,
+    exhausted)."""
     tracking = list(range(m.domain.num_vertices))
     perimeter = map_perimeter(w, m)
     steps = []
@@ -318,10 +321,10 @@ def reference_reduce(m, w, step_limit=None):
             tracking = [res.vertex_map[v] for v in tracking]
             perimeter = map_perimeter(w, m)
             log("fold", perimeter)
-        m, removed = remove_redundant(m)
+        m, removed = reference_remove_redundant(m)
         if removed:
             log("remove-redundant", perimeter, {"removed": removed})
-        m, added = repair_packing(m)
+        m, added = reference_repair_packing(m)
         if added:
             perimeter = map_perimeter(w, m)
             log("repair", perimeter, {"added": added})
@@ -360,7 +363,7 @@ def reference_fold(m, limit=None):
         vmap = [res.vertex_map[v] for v in vmap]
         m = res.map
     pending = find_fold(m) is not None
-    m, removed = remove_redundant(m)
+    m, removed = reference_remove_redundant(m)
     return m, folds, removed, vmap, pending
 
 
@@ -389,6 +392,9 @@ def assert_same_as_reference(m, w):
         got = fold_to_immersion(m, limit)
         assert (got.map, got.folds, got.removed_cells, got.vertex_map, got.pending) \
             == reference_fold(m, limit)
+    for given in (m, apply_fold(m).map if find_fold(m) else m):
+        assert remove_redundant(given) == reference_remove_redundant(given)
+        assert repair_packing(given) == reference_repair_packing(given)
 
 
 @settings(max_examples=30, deadline=None)
