@@ -191,7 +191,7 @@ class Domain:
         self.cell_image: list[tuple[int, int, bool]] = []
         self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
         self.sides: dict[int, set[tuple[int, int]]] = {}  # edge -> its present sides
-        self.present: dict[int, dict[tuple[int, ...], int]] = {}
+        self.present: dict[int, dict[tuple[int, ...], int]] = {}  # r -> cycle -> first cell
         self.twins: set[int] = set()
         self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, dom.num_edges(), 0
         self.perimeter = 0
