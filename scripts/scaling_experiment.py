@@ -17,8 +17,9 @@ nearly every attachment scan there finds nothing.
 
 Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
 torus, which builds a square ladder until its step limit N, and prints the
-wall clock per step; a step of the ladder changes the domain locally, so
-us/step should stay about flat.
+wall clock per step.  A step of the ladder changes the domain locally, but
+us/step still grows with N (the attachment scan settles every blocked
+circle again on each scan) until a site heap kept across steps lands.
 
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .complexes import (
     Complex2,
-    ComplexError,
     check_small_cancellation,
     cycle_piece_cover,
     standard_complex,
@@ -225,6 +224,8 @@ def _print_plain(data, indent: str = "") -> None:
 def cmd_info(f: InputFile, args) -> int:
     x, w, p = f.complex, f.weighting, f.presentation
     per = edge_perimeters(w)
+    if args.p < 2 or args.q < 3:
+        raise InputError(f"need --p >= 2 and --q >= 3, not --p {args.p} --q {args.q}")
     try:
         alpha = Fraction(args.alpha) if args.alpha else None
     except (ValueError, ZeroDivisionError):
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
             return cmd_member(f, args)
         if args.command == "intersect":
             return cmd_intersect(f, args)
-    except (ParseError, InputError, ComplexError) as exc:  # ComplexError: as for --p 1
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed, packet_mates
-from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, subpath_perimeter
+from .weights import (Weighting, WeightError, cell_weight, map_perimeter, path_perimeter,
+                      subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce, free_reduce
 
 
@@ -175,11 +176,10 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
     starts: dict[tuple[int, int], tuple[tuple[int, ...], dict, dict]] = {}
 
     def lifts_at(cell: int, start: int) -> tuple[tuple[int, ...], dict, dict]:
-        lifts = starts.get((cell, start))
-        if lifts is None:
+        if (cell, start) not in starts:
             bdry = x.cells[cell]
-            lifts = starts[cell, start] = (bdry[start:] + bdry[:start], {}, {})
-        return lifts
+            starts[cell, start] = (bdry[start:] + bdry[:start], {}, {})
+        return starts[cell, start]
 
     for cand in scan_order(w, mode):
         ring, walks, sites = lifts_at(cand.cell, cand.start)
@@ -213,8 +213,7 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
 def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int) -> CandidateQ:
     mlen = x.boundary_length(cell)
     p_s = subpath_perimeter(w, cell, start + length, mlen - length)
-    _p, n = x.periods[cell]
-    return CandidateQ(cell, start % mlen, length, p_s < n * cell_weight(w, cell))
+    return CandidateQ(cell, start % mlen, length, p_s < x.periods[cell][1] * cell_weight(w, cell))
 
 
 @dataclass
@@ -274,8 +273,8 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
     """Fold/repair/attach until no fold and no qualifying site exists.
 
     Every step changes one live `Domain` of the map in place; the map is
-    built from it once, at the end.  The perimeter is the double sum
-    (`map_perimeter`) at the start and then follows the domain's rule.
+    built from it once, at the end.  The perimeter follows the domain's
+    rule from the sum of the edge perimeters on.
     With `verify`, it is checked against the double sum after every step,
     and each fold phase is checked to end in a packed 1-immersion.
 
@@ -287,7 +286,9 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    dom = Domain(m, w, map_perimeter(w, m))
+    if m.codomain != w.complex:
+        raise WeightError("weighting belongs to a different complex")
+    dom = Domain(m, w)
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 

@@ -165,13 +165,15 @@ class Domain:
     `remove_redundant`.  `to_map` numbers vertex classes by their smallest
     id and surviving edges and cells in id order, as a fold of the input.
 
-    Given a weighting and the map's perimeter, `perimeter` follows one
-    rule: it changes only when an edge is added (by its edge perimeter) or
-    dropped (by that less the weights of its present sides), or when a side
-    becomes present at an edge (by its weight).  Without one, weights are 0.
+    Given a weighting, `perimeter` starts as the sum of the edge perimeters
+    and follows one rule: it changes only when an edge is added (by its edge
+    perimeter) or dropped (by that less the weights of its present sides),
+    or when a side becomes present at an edge (by its weight); gluing the
+    map's own cells makes it the map's perimeter.  Without one, weights
+    are 0.
     """
 
-    def __init__(self, m: CombMap, w=None, perimeter: int = 0):
+    def __init__(self, m: CombMap, w=None):
         dom, x = m.domain, m.codomain
         self.codomain, self.basepoint = x, m.basepoint
         self.per = w._per if w is not None else [0] * x.num_edges()
@@ -194,11 +196,10 @@ class Domain:
         self.present: dict[int, dict[tuple[int, ...], int]] = {}  # r -> cycle -> first cell
         self.twins: set[int] = set()
         self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, dom.num_edges(), 0
-        self.perimeter = 0
+        self.perimeter = sum(self.per[abs(img) - 1] for img in self.edge_image)
         for c in range(dom.num_cells()):
             self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
         self.packed = not self.num_cells
-        self.perimeter = perimeter  # the map's, which counts its cells' sides
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -215,14 +216,11 @@ class Domain:
 
     def next_fold(self) -> tuple[int, int] | None:
         """(root, image) of the next fold in `find_fold` order, or None."""
-        heap, parent = self.heap, self.parent
+        heap, parent, stars = self.heap, self.parent, self.stars
         while heap:
             v = heap[0]
             if parent[v] == v:
-                img = None
-                for i, ends in self.stars[v].items():
-                    if len(ends) > 1 and (img is None or i < img):
-                        img = i
+                img = min((i for i, ends in stars[v].items() if len(ends) > 1), default=None)
                 if img is not None:
                     return v, img
             heapq.heappop(heap)
@@ -456,10 +454,13 @@ def end_stars(m: CombMap) -> list[dict[int, list[int]]]:
 def find_fold(m: CombMap) -> tuple[int, int, int] | None:
     """First (vertex, d1, d2) with two distinct edge-ends sharing an image:
     at the first vertex with a repeated image, the smallest such image and
-    the two smallest refs over it (`Domain.next_fold`)."""
-    dom = Domain(m)
-    fold = dom.next_fold()
-    return None if fold is None else (fold[0], *dom.stars[fold[0]][fold[1]][:2])
+    the two smallest refs over it."""
+    for v, star in enumerate(end_stars(m)):
+        img = min((img for img, ends in star.items() if len(ends) > 1), default=None)
+        if img is not None:
+            d1, d2 = sorted(star[img])[:2]
+            return v, d1, d2
+    return None
 
 
 def is_1_immersion(m: CombMap) -> tuple[bool, tuple[int, int, int] | None]:
@@ -536,10 +537,11 @@ def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
 def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
     """Packed iff every lift of a 2-cell extends to a lift of its packet,
     i.e. all period rotations of its rewritten cycle are present as cells."""
-    dom = Domain(m)
-    for c, (cycle, (r, _offset, _reflected)) in enumerate(zip(dom.cycles, dom.cell_image)):
+    cells = [(r, m.rewritten_cycle(c)) for c, (r, _offset, _reflected) in enumerate(m.cell_image)]
+    present = set(cells)
+    for c, (r, cycle) in enumerate(cells):
         for k, mate in enumerate(packet_mates(m.codomain, r, cycle)):
-            if mate not in dom.present[r]:
+            if (r, mate) not in present:
                 return False, (c, k)
     return True, None
 

@@ -461,6 +461,24 @@ def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
         reduce_map(m, w, verify=True)
 
 
+def test_domain_starts_at_the_map_perimeter(rng):
+    # the edge perimeters less the weight of each side that some cell makes
+    # present, counted once: the double sum, with twin cells too
+    for x, w_of in _DIFF_COMPLEXES:
+        w = w_of(x)
+        maps = [build_packet(x, c).projection for c in range(x.num_cells())]
+        for _ in range(6):
+            m = bouquet_map(x, [random_reduced_word(rng, x.num_edges(), rng.randint(2, 10))])
+            maps += [m, reduce_map(m, w).map]
+        assert any(m.domain.num_cells() for m in maps)
+        for m in maps:
+            dom = m.domain
+            twins = CombMap(Complex2(dom.num_vertices, dom.edges, dom.cells * 2), x,
+                            m.vertex_image, m.edge_image, m.cell_image * 2, m.basepoint)
+            for given in (m, twins):
+                assert Domain(given, w).perimeter == map_perimeter(w, given)
+
+
 # --- domain changes against the hand-built reference -------------------------
 
 
