@@ -20,15 +20,11 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import (
-    Complex2,
-    check_small_cancellation,
-    cycle_piece_cover,
-    standard_complex,
-)
+from .complexes import Complex2, check_small_cancellation, standard_complex
 from .criteria import (
     CriterionError,
     Verdict,
+    _inapplicable,
     check_equalweights,
     check_few_occurrences,
     check_min_generator,
@@ -39,6 +35,7 @@ from .criteria import (
 )
 from .subgroups import (
     MissingCertificateError,
+    SubgroupResult,
     intersect,
     member_with_trace,
     subgroup_presentation,
@@ -241,7 +238,7 @@ def cmd_info(f: InputFile, args) -> int:
                 "period_length": x.periods[c][0],
                 "exponent": x.periods[c][1],
                 "max_piece_length": x.pieces.cell_max[c],
-                "min_cycle_piece_cover": _num(cycle_piece_cover(x, c)),
+                "min_cycle_piece_cover": _num(report.cell_covers[c]),
             }
             for c in range(x.num_cells())
         ],
@@ -274,9 +271,7 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
         return check_one_relator_torsion(x, w)
     if name in ("equalweights", "min-generator"):
         if len(p.relators) != 1:
-            v = Verdict(name, False, "none", applicable=False,
-                        notes=["needs a one-relator presentation"])
-            return v
+            return _inapplicable(name, "needs a one-relator presentation")
         period, n = period_exponent(p.relators[0])
         if name == "equalweights":
             return check_equalweights(period, n)
@@ -294,7 +289,7 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
         try:
             _n, verdict = power_theorem(words, exps)
         except CriterionError as exc:
-            return Verdict(name, False, "none", applicable=False, notes=[str(exc)])
+            return _inapplicable(name, str(exc))
         return verdict
     if name == "magnus":
         if not args.magnus:
@@ -317,6 +312,11 @@ def cmd_check(f: InputFile, args) -> int:
             names.append("magnus")
     else:
         names = [args.criterion]
+    # a flag that no criterion of the run reads is refused, not ignored
+    if args.strict and not set(_SC_IDS) & set(names):
+        raise InputError("--strict applies to --criterion sc-c6t3, sc-c4t4 or all only")
+    if args.magnus and "magnus" not in names:
+        raise InputError("--magnus applies to --criterion magnus or all only")
     verdicts = [_run_criterion(f, n, args) for n in names]
     payload = [v.to_json_dict() for v in verdicts]
     _emit(payload[0] if len(payload) == 1 else {"verdicts": payload}, args.json)
@@ -335,43 +335,33 @@ def _write_trace(trace, path) -> str | None:
     return path
 
 
-def _presentation_payload(pres: Presentation) -> dict:
-    return {
+def _report(result: SubgroupResult, args) -> int:
+    # the trace, the presentation payload and the exit code of a subgroup run
+    pres = result.presentation
+    data = {
         "generators": list(pres.generators),
         "relators": [render_word(r, pres.generators) for r in pres.relators],
-    }
-
-
-def cmd_subgroup(f: InputFile, args) -> int:
-    gens = _resolve_words(args.gens, f)
-    try:
-        result = subgroup_presentation(f.complex, f.weighting, gens, force=args.force,
-                                       step_limit=args.step_limit)
-    except MissingCertificateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    trace_path = _write_trace(result.trace, args.trace)
-    data = _presentation_payload(result.presentation)
-    data.update({
         "certificate": result.certificate.to_json_dict() if result.certificate else None,
         "exhausted": result.exhausted,
         "heuristic": result.heuristic,
         "steps": len(result.trace.steps),
-        "trace_path": trace_path,
-    })
+        "trace_path": _write_trace(result.trace, args.trace),
+    }
     _emit(data, args.json)
     return 4 if result.exhausted else 0
+
+
+def cmd_subgroup(f: InputFile, args) -> int:
+    gens = _resolve_words(args.gens, f)
+    return _report(subgroup_presentation(f.complex, f.weighting, gens, force=args.force,
+                                         step_limit=args.step_limit), args)
 
 
 def cmd_member(f: InputFile, args) -> int:
     gens = _resolve_words(args.gens, f)
     u = parse_word(args.word, f.presentation.generators) if args.word.strip() else Word(())
-    try:
-        answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force,
-                                          step_limit=args.step_limit)
-    except MissingCertificateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force,
+                                      step_limit=args.step_limit)
     _write_trace(trace, args.trace)
     data = {"member": answer, "word": render_word(u, f.presentation.generators)}
     if answer is None:  # the step limit cut the run short: undecided
@@ -383,23 +373,12 @@ def cmd_member(f: InputFile, args) -> int:
 def cmd_intersect(f: InputFile, args) -> int:
     gens_h = _resolve_words(args.gens_h, f)
     gens_k = _resolve_words(args.gens_k, f)
-    try:
-        result = intersect(f.complex, f.weighting, gens_h, gens_k, force=args.force,
-                           step_limit=args.step_limit)
-    except MissingCertificateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    trace_path = _write_trace(result.trace, args.trace)
-    data = _presentation_payload(result.presentation)
-    data.update({
-        "certificate": result.certificate.to_json_dict() if result.certificate else None,
-        "exhausted": result.exhausted,
-        "heuristic": result.heuristic,
-        "steps": len(result.trace.steps),
-        "trace_path": trace_path,
-    })
-    _emit(data, args.json)
-    return 4 if result.exhausted else 0
+    return _report(intersect(f.complex, f.weighting, gens_h, gens_k, force=args.force,
+                             step_limit=args.step_limit), args)
+
+
+COMMANDS = {"info": cmd_info, "check": cmd_check, "subgroup": cmd_subgroup,
+            "member": cmd_member, "intersect": cmd_intersect}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("file", help="input file (see module docstring)")
         sp.add_argument("--json", action="store_true")
+
+    def engine_flags(sp):
+        sp.add_argument("--force", action="store_true")
+        sp.add_argument("--trace", default="")
+        sp.add_argument("--step-limit", type=int, default=None)
 
     sp = sub.add_parser("info", help="perimeters, weights, periods, pieces")
     common(sp)
@@ -428,25 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("subgroup", help="finite presentation of a subgroup")
     common(sp)
     sp.add_argument("--gens", required=True, help="comma-separated words or @list")
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    engine_flags(sp)
 
     sp = sub.add_parser("member", help="generalized word problem")
     common(sp)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    engine_flags(sp)
 
     sp = sub.add_parser("intersect", help="intersection of two subgroups")
     common(sp)
     sp.add_argument("--gens-h", required=True)
     sp.add_argument("--gens-k", required=True)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--trace", default="")
-    sp.add_argument("--step-limit", type=int, default=None)
+    engine_flags(sp)
     return ap
 
 
@@ -462,20 +440,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "step_limit", None) is not None and args.step_limit < 0:
             raise InputError(f"--step-limit must be at least 0, not {args.step_limit}")
-        if args.command == "info":
-            return cmd_info(f, args)
-        if args.command == "check":
-            return cmd_check(f, args)
-        if args.command == "subgroup":
-            return cmd_subgroup(f, args)
-        if args.command == "member":
-            return cmd_member(f, args)
-        if args.command == "intersect":
-            return cmd_intersect(f, args)
+        return COMMANDS[args.command](f, args)
+    except MissingCertificateError as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -208,28 +208,28 @@ def _raise_longest_extensions(u: tuple[int, ...], v: tuple[int, ...],
     The pairs (i + k, j + k) form gcd(|u|, |v|) cyclic diagonals, one for
     each offset d = (j - i) mod gcd.  Along a diagonal the extension is 0 at
     a mismatch and one more than at the next pair otherwise, so a walk back
-    from a mismatch gives every value in O(|u| |v|) for all diagonals.  A
-    diagonal without a mismatch matches the whole words: for |u| = |v| it
-    is a rotation carrying one boundary onto the other, and every pair on it
-    is excluded; otherwise every pair on it reaches the cap.
+    from a mismatch gives every value in O(|u| |v|) time for all diagonals.
+    Both words are indexed cyclically, so the memory stays linear in
+    |u| + |v|.  A diagonal without a mismatch matches the whole words: for
+    |u| = |v| it is a rotation carrying one boundary onto the other, and
+    every pair on it is excluded; otherwise every pair on it reaches the cap.
     """
     mu, mv = len(u), len(v)
     cap = min(mu, mv)
     g = math.gcd(mu, mv)
     n = mu * mv // g
-    uu = u * (n // mu)
     for d in range(g):
-        vv = (v[d:] + v[:d]) * (n // mv)
-        p = next((p for p in range(n) if uu[p] != vv[p]), None)
+        p = next((p for p in range(n) if u[p % mu] != v[(p + d) % mv]), None)
         if p is None:
             if mu != mv:
                 best[:] = [max(b, cap) for b in best]
             continue
         run = 0
         for q in range(p, p - n, -1):
-            run = min(run + 1, cap) if uu[q] == vv[q] else 0
-            if run > best[q % mu]:
-                best[q % mu] = run
+            i = q % mu
+            run = min(run + 1, cap) if u[i] == v[(q + d) % mv] else 0
+            if run > best[i]:
+                best[i] = run
 
 
 def compute_pieces(x: Complex2) -> PieceTable:

@@ -20,8 +20,8 @@ from .complexes import (
 )
 from .weights import (
     Weighting,
-    cell_weight,
     edge_perimeters,
+    packet_weight,
     shortest_equal_perimeter_subpath,
     subpath_perimeter,
 )
@@ -72,7 +72,7 @@ def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
     p, n = x.periods[0]
     if n <= 1:
         return _inapplicable(crit, "relator is not a proper power (exponent 1)")
-    bound = n * cell_weight(w, 0)
+    bound = packet_weight(w, 0)
     worst = (-1, None)
     for start in range(x.boundary_length(0)):
         for length in range(1, p):
@@ -160,8 +160,7 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     worst = None  # ((-excess, cell, start, length), p_s, bound)
     for c, bdry in enumerate(x.cells):
         m = len(bdry)
-        _p, n = x.periods[c]
-        bound = n * cell_weight(w, c)
+        bound = packet_weight(w, c)
         max_from = x.pieces.max_from[c]
         for start in range(m):
             reach = 0

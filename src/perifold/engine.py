@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed, packet_mates
-from .weights import (Weighting, WeightError, cell_weight, map_perimeter, path_perimeter,
-                      subpath_perimeter)
+from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
+                      path_perimeter, subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce, free_reduce
 
 
@@ -45,18 +45,10 @@ def enumerate_candidates(x: Complex2, w: Weighting, mode: str = "strict") -> lis
     up to its rotational symmetry."""
     if mode not in ("strict", "weak"):
         raise EngineError("mode must be 'strict' or 'weak'")
-    out: list[CandidateQ] = []
-    for c, bdry in enumerate(x.cells):
-        m = len(bdry)
-        p, n = x.periods[c]
-        nwt = n * cell_weight(w, c)
-        for start in range(p):
-            for length in range(1, m + 1):
-                p_s = subpath_perimeter(w, c, start + length, m - length)
-                strict = p_s < nwt
-                if strict or (mode == "weak" and p_s == nwt):
-                    out.append(CandidateQ(c, start, length, strict))
-    return out
+    return [cand for c, bdry in enumerate(x.cells)
+            for start in range(x.periods[c][0])
+            for length in range(1, len(bdry) + 1)
+            if (cand := _candidate_at(x, w, c, start, length, mode))]
 
 
 @dataclass
@@ -167,8 +159,8 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
                     walks[verts[k]] = verts, edges
                     sites[verts[k]] = None
                 return None
-        grown = _candidate_at(x, w, cell, start, len(edges))
-        if mode == "strict" and not grown.strict:
+        grown = _candidate_at(x, w, cell, start, len(edges), mode)
+        if grown is None:
             return None
         return AttachmentSite(grown, PathInY(dom, tuple(verts), tuple(edges)), complete)
 
@@ -210,10 +202,15 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
     return None
 
 
-def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int) -> CandidateQ:
+def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int,
+                  mode: str) -> CandidateQ | None:
+    # Q = (start, length) on the cell's boundary, or None when its complement
+    # S fails P(S) < n*Wt(R) (strict mode) or P(S) <= n*Wt(R) (weak mode)
     mlen = x.boundary_length(cell)
-    p_s = subpath_perimeter(w, cell, start + length, mlen - length)
-    return CandidateQ(cell, start % mlen, length, p_s < x.periods[cell][1] * cell_weight(w, cell))
+    slack = packet_weight(w, cell) - subpath_perimeter(w, cell, start + length, mlen - length)
+    if slack < 0 or (mode == "strict" and slack == 0):
+        return None
+    return CandidateQ(cell, start % mlen, length, slack > 0)
 
 
 @dataclass

@@ -35,22 +35,24 @@ class SubgroupResult:
 
 def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
                operation: str) -> tuple[Verdict | None, bool]:
-    cert = find_certificate(x, w, grade)
+    """The certificate that gates an operation, and whether the run is
+    heuristic (forced without one).  Grade "strict" or "weak" takes the
+    first certificate of `find_certificate`; grade "sc-strict" only a
+    strict small-cancellation weight certificate (`sc_certificate`)."""
+    if grade == "sc-strict":
+        cert = sc_certificate(w, strict=True)
+        missing = "needs a strict small-cancellation weight certificate"
+    else:
+        cert = find_certificate(x, w, grade)
+        missing = f"no {grade}-grade certificate holds for this weighted complex"
     if cert is None and not force:
         raise MissingCertificateError(
-            f"{operation}: no {grade}-grade certificate holds for this weighted"
-            " complex (pass force=True for a heuristic run)"
-        )
+            f"{operation}: {missing} (pass force=True for a heuristic run)")
     return cert, cert is None
 
 
 def _clean_words(words) -> list[Word]:
-    out = []
-    for u in words:
-        r = free_reduce(u)
-        if r.letters:
-            out.append(r)
-    return out
+    return [r for r in map(free_reduce, words) if r.letters]
 
 
 def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
@@ -138,12 +140,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     is cut short, `exhausted` is set and the presentation is read off the
     partially reduced complexes.
     """
-    cert = sc_certificate(w, strict=True)
-    if cert is None and not force:
-        raise MissingCertificateError(
-            "intersect: needs a strict small-cancellation weight certificate"
-            " (pass force=True for a heuristic run)"
-        )
+    cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
     runs = []
     for gens in (gens_h, gens_k):
         bouquet = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict", step_limit)
@@ -152,7 +149,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     first = runs[0].trace
     trace = ReductionTrace(first.initial_perimeter, first.initial_edges,
                            [step for run in runs for step in run.trace.steps])
-    return SubgroupResult(extract_presentation(based), trace, cert, cert is None, based,
+    return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based,
                           any(run.exhausted for run in runs))
 
 

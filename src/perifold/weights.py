@@ -13,7 +13,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import Complex2, ComplexError
-from .maps import CombMap, Packet, PathInY, build_packet
+from .maps import CombMap, build_packet
+from .words import Word
 
 
 class WeightError(ValueError):
@@ -28,8 +29,9 @@ class NotNearImmersion(ValueError):
 class Weighting:
     """Nonnegative integer weights on the sides of a 2-complex.
 
-    The edge perimeters and, per cell, the prefix sums of edge perimeters
-    around the boundary read twice are derived when the weighting is built.
+    The edge perimeters and, per cell, the weight Wt(R), the packet weight
+    n*Wt(R) and the prefix sums of edge perimeters around the boundary read
+    twice are derived when the weighting is built.
     The attachment candidates per engine mode (`engine.scan_order`) and the
     certificates per grade (`criteria.find_certificate`) are derived when
     first asked for.  None is recomputed, so the complex must not be
@@ -59,7 +61,11 @@ class Weighting:
             for d in bdry + bdry:
                 sums.append(sums[-1] + per[abs(d) - 1])
             prefix.append(sums)
+        cell_weights = tuple(map(sum, self.side_weights))
         object.__setattr__(self, "_per", per)
+        object.__setattr__(self, "_cell_weights", cell_weights)
+        object.__setattr__(self, "_packet_weights",
+                           tuple(n * wt for (_p, n), wt in zip(x.periods, cell_weights)))
         object.__setattr__(self, "_prefix", prefix)
         object.__setattr__(self, "_scan_order", {})
         object.__setattr__(self, "_certificates", {})
@@ -105,22 +111,20 @@ def shortest_equal_perimeter_subpath(w: Weighting, c: int, start: int, length: i
 
 
 def cell_weight(w: Weighting, c: int) -> int:
-    return sum(w.side_weights[c])
+    """Wt(R): the total weight of the sides of cell c."""
+    return w._cell_weights[c]
 
 
-def path_perimeter(w: Weighting, path) -> int:
-    """Sum of edge perimeters along a path (edges counted with multiplicity).
+def packet_weight(w: Weighting, c: int) -> int:
+    """n*Wt(R) for cell c with boundary exponent n: the weight of the sides
+    of its packet, the bound of every subpath test."""
+    return w._packet_weights[c]
 
-    Accepts a PathInY in the weighted complex, a Word over a one-vertex
-    complex, or a plain iterable of directed edge refs.
-    """
-    if isinstance(path, PathInY):
-        refs = path.edges
-    elif hasattr(path, "letters"):
-        refs = path.letters
-    else:
-        refs = tuple(path)
-    return sum(w._per[abs(d) - 1] for d in refs)
+
+def path_perimeter(w: Weighting, word: Word) -> int:
+    """Sum of edge perimeters along a word over a one-vertex complex (edges
+    counted with multiplicity)."""
+    return sum(w._per[abs(d) - 1] for d in word.letters)
 
 
 # --- map perimeter ----------------------------------------------------------
@@ -172,11 +176,9 @@ def map_perimeter_fast(w: Weighting, m: CombMap) -> int:
     return total
 
 
-def packet_perimeter(w: Weighting, c: int, packet: Packet | None = None) -> int:
+def packet_perimeter(w: Weighting, c: int) -> int:
     """Perimeter of the packet projection; equals P(boundary) - n * Wt(R)."""
-    if packet is None:
-        packet = build_packet(w.complex, c)
-    return map_perimeter_fast(w, packet.projection)
+    return map_perimeter_fast(w, build_packet(w.complex, c).projection)
 
 
 def sform_check(w: Weighting, c: int, start: int, length: int) -> tuple[int, int, int, int]:
@@ -190,8 +192,7 @@ def sform_check(w: Weighting, c: int, start: int, length: int) -> tuple[int, int
         raise ComplexError("invalid subpath")
     p_q = subpath_perimeter(w, c, start, length)
     p_s = subpath_perimeter(w, c, start + length, m - length)
-    _p, n = x.periods[c]
-    nwt = n * cell_weight(w, c)
+    nwt = packet_weight(w, c)
     p_packet = packet_perimeter(w, c)
     if p_packet != p_q + p_s - nwt:
         raise AssertionError("packet perimeter identity violated")

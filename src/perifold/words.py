@@ -126,9 +126,8 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    # the user's original spellings and any normalization notes are kept for
-    # echo only and do not participate in equality
-    relator_sources: tuple[str, ...] = field(default=(), compare=False)
+    # normalization notes are kept for echo only and do not participate in
+    # equality
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -281,7 +280,6 @@ def parse_presentation(text: str) -> Presentation:
     """
     generators: tuple[str, ...] | None = None
     relators: list[Word] = []
-    sources: list[str] = []
     warnings: list[str] = []
     for lineno, head, rest in presentation_lines(text):
         if head == "gens":
@@ -309,11 +307,10 @@ def parse_presentation(text: str) -> Presentation:
                     f" {render_word(reduced, generators)!r}"
                 )
             relators.append(reduced)
-            sources.append(rest)
         elif head in ("weights", "words"):
             continue
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, 1)
     if generators is None:
         raise ParseError("missing gens line", 1, 1)
-    return Presentation(generators, tuple(relators), tuple(sources), tuple(warnings))
+    return Presentation(generators, tuple(relators), warnings=tuple(warnings))

@@ -612,8 +612,8 @@ def reference_find_attachment(m: CombMap, w: Weighting,
                 complete = True
             else:
                 complete = False
-            grown = _candidate_at(x, w, cand.cell, start, len(edges))
-            if mode == "strict" and not grown.strict:
+            grown = _candidate_at(x, w, cand.cell, start, len(edges), mode)
+            if grown is None:
                 continue
             return AttachmentSite(
                 grown,

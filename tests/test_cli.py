@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +295,42 @@ def test_cli_rejects_negative_step_limit(tmp_path, capsys):
         assert main(args + ["--step-limit", "0"]) in (0, 4)
         capsys.readouterr()
 
+
+def test_check_rejects_strict_that_no_criterion_reads(tmp_path, capsys):
+    path = write(tmp_path, "aab9.pf", AAB9)
+    for criterion in ("one-relator-torsion", "equalweights", "powers", "bogus"):
+        assert rejected(capsys, ["check", path, "--criterion", criterion, "--strict"],
+                        "--strict")
+    for criterion in ("sc-c6t3", "sc-c4t4", "all"):
+        assert main(["check", path, "--criterion", criterion, "--strict"]) in (0, 1)
+        capsys.readouterr()
+
+
+def test_check_rejects_magnus_that_no_criterion_reads(tmp_path, capsys):
+    path = write(tmp_path, "magnus.pf", "gens a b c d\nrel a b c d d a c b b a d c\n")
+    for criterion in ("sc-c4t4", "few-occurrences", "powers"):
+        assert rejected(capsys, ["check", path, "--criterion", criterion, "--magnus", "a"],
+                        "--magnus")
+    for criterion in ("magnus", "all"):
+        assert main(["check", path, "--criterion", criterion, "--magnus", "a,b"]) == 0
+        capsys.readouterr()
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # every `perifold ...` line of the README's CLI section, on the README's
+    # example input file, ends with a documented exit code other than 2
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("## CLI", 1)[1].split("```")
+    example, commands = blocks[1], blocks[3]
+    assert commands.startswith("sh\n")
+    (tmp_path / "input.pf").write_text(example, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True) for line in commands.splitlines()[1:]]
+    lines = [argv for argv in lines if argv]
+    assert lines and all(argv[0] == "perifold" for argv in lines)
+    for argv in lines:
+        assert main(argv[1:]) in (0, 1, 3, 4), argv
+        capsys.readouterr()
 
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
     path = write(tmp_path, "fgip.pf",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from perifold.complexes import (
     sides_at,
     standard_complex,
 )
+from perifold.experiments import random_reduced_word
 from perifold.maps import build_packet
-from perifold.words import Word, parse_presentation, period_exponent
+from perifold.words import Presentation, Word, parse_presentation, period_exponent
 
 from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
 from reference import reference_compute_pieces
@@ -167,6 +169,26 @@ def _fixture_complexes() -> list:
 def _assert_pieces_match_reference(x):
     fast, ref = compute_pieces(x), reference_compute_pieces(x)
     assert (fast.max_from, fast.cell_max) == (ref.max_from, ref.cell_max), x.cells
+
+
+def test_compute_pieces_memory_is_linear():
+    # relators of coprime lengths have one cyclic diagonal of length
+    # 300 * 301; building it as a word would take megabytes
+    rng = random.Random(7)
+    relators = []
+    for length in (300, 301):
+        u = random_reduced_word(rng, 2, length)
+        while u.letters[0] == -u.letters[-1]:
+            u = random_reduced_word(rng, 2, length)
+        relators.append(u)
+    x = standard_complex(Presentation(("a", "b"), tuple(relators)))
+    tracemalloc.start()
+    try:
+        compute_pieces(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_compute_pieces_matches_reference_on_fixtures():
