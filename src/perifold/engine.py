@@ -90,13 +90,10 @@ def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
     Built once per (weighting, mode) and kept on the weighting."""
     order = w._scan_order.get(mode)
     if order is None:
-        candidates = enumerate_candidates(w.complex, w, mode)
-        if mode == "strict":
-            order = sorted((c for c in candidates if c.strict),
-                           key=lambda c: (-c.length, c.cell, c.start))
-        else:
-            order = sorted(candidates, key=lambda c: (c.length, c.cell, c.start))
-        order = w._scan_order[mode] = tuple(order)
+        sign = -1 if mode == "strict" else 1
+        order = w._scan_order[mode] = tuple(sorted(
+            enumerate_candidates(w.complex, w, mode),
+            key=lambda c: (sign * c.length, c.cell, c.start)))
     return order
 
 
@@ -120,19 +117,25 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
     first letter lifts (`Domain.leaving`).  The lift from a vertex, its
     maximal site and whether that site may be attached do not depend on
     the candidate's length, so each (cell, start, vertex) is walked and
-    settled once per call and reused by every other length.  A blocked
-    circle is settled for every (start, vertex) around it at once: the
-    lift from each of them is the same circle.
+    settled once per call and reused by every other length.  A lift that
+    closes up into a circle whose whole packet is present is blocked; in a
+    1-immersion that circle is a present cycle, so the blocked (cell, start,
+    vertex) triples are read from `Domain.present` and skipped unwalked.
     """
     if dom.next_fold() is not None:
         raise EngineError("find_attachment requires a 1-immersion")
     x = dom.codomain
     stars, head = dom.stars, dom.head
+    blocked: set[tuple[int, int, int]] = set()
+    for r, cycles in dom.present.items():
+        p = x.periods[r][0]
+        for cycle in cycles:
+            if all(mate in cycles for mate in packet_mates(x, r, cycle)):
+                blocked.update((r, q % p, dom.tail(d)) for q, d in enumerate(cycle))
 
     def settle(cell: int, start: int, ring: tuple[int, ...], verts: list[int],
                edges: list[int]) -> AttachmentSite | None:
-        # the maximal site through a forward lift, or None when it is blocked
-        # (or, in strict mode, not strict)
+        # the maximal site through a forward lift, or None when it is no candidate
         verts, edges = list(verts), list(edges)
         mlen = len(ring)
         grown = 0
@@ -143,39 +146,21 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
             edges.insert(0, -back[0])
             verts.insert(0, head(back[0]))
             grown += 1
-        start = (start - grown) % mlen
-        complete = len(edges) == mlen
-        if complete and verts[0] == verts[-1]:
-            # blocked only when the whole packet already lies over the circle
-            cyc = edges[mlen - start:] + edges[:mlen - start]
-            have = dom.present.get(cell, {})
-            if all(mate in have for mate in packet_mates(x, cell, cyc)):
-                # the lift from each (start, vertex) around the circle is the
-                # circle itself, blocked too: record a full-length walk and
-                # no site for each
-                p = x.periods[cell][0]
-                for k in range(mlen):
-                    _ring, walks, sites = lifts_at(cell, (start + k) % p)
-                    walks[verts[k]] = verts, edges
-                    sites[verts[k]] = None
-                return None
-        grown = _candidate_at(x, w, cell, start, len(edges), mode)
-        if grown is None:
+        cand = _candidate_at(x, w, cell, start - grown, len(edges), mode)
+        if cand is None:
             return None
-        return AttachmentSite(grown, PathInY(dom, tuple(verts), tuple(edges)), complete)
+        return AttachmentSite(cand, PathInY(dom, tuple(verts), tuple(edges)), len(edges) == mlen)
 
     # (cell, start) -> (∂R read from start, forward lift per vertex, its site)
     starts: dict[tuple[int, int], tuple[tuple[int, ...], dict, dict]] = {}
-
-    def lifts_at(cell: int, start: int) -> tuple[tuple[int, ...], dict, dict]:
-        if (cell, start) not in starts:
-            bdry = x.cells[cell]
-            starts[cell, start] = (bdry[start:] + bdry[:start], {}, {})
-        return starts[cell, start]
-
     for cand in scan_order(w, mode):
-        ring, walks, sites = lifts_at(cand.cell, cand.start)
+        if (cand.cell, cand.start) not in starts:
+            bdry = x.cells[cand.cell]
+            starts[cand.cell, cand.start] = (bdry[cand.start:] + bdry[:cand.start], {}, {})
+        ring, walks, sites = starts[cand.cell, cand.start]
         for v in dom.leaving.get(ring[0], ()):
+            if (cand.cell, cand.start, v) in blocked:
+                continue
             walk = walks.get(v)
             if walk is None:
                 # lift forward as far as ∂R goes
@@ -273,7 +258,9 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
     built from it once, at the end.  The perimeter follows the domain's
     rule from the sum of the edge perimeters on.
     With `verify`, it is checked against the double sum after every step,
-    and each fold phase is checked to end in a packed 1-immersion.
+    each fold phase is checked to end in a packed 1-immersion, and in
+    strict mode every fold and attachment is checked to lower the pair
+    (perimeter, edge count) below the previous step's.
 
     Weak mode requires a step limit (weak attachments need not terminate);
     hitting the limit sets `exhausted` instead of raising so the partial
@@ -293,11 +280,16 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         return step_limit is not None and len(trace.steps) >= step_limit
 
     def log(kind: str, detail: dict | None = None) -> None:
+        before = ((trace.steps[-1].perimeter, trace.steps[-1].edges) if trace.steps
+                  else (trace.initial_perimeter, trace.initial_edges))
         # a twin cell counts in `num_cells` until `remove_redundant`, as in fold steps
         trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
                                      dom.num_cells, detail or {}))
         if verify and dom.perimeter != map_perimeter(w, dom.to_map()):
             raise EngineError(f"{kind} bookkeeping mismatch")
+        if (verify and mode == "strict" and kind not in ("repair", "remove-redundant")
+                and (dom.perimeter, dom.num_edges) >= before):
+            raise EngineError(f"{kind} did not lower (P, #edges)")
 
     def fold_and_pack() -> None:
         nonlocal pending

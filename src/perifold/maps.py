@@ -563,18 +563,18 @@ def lift_path(m: CombMap, path: PathInY, start: int) -> PathInY | None:
     Requires a 1-immersion (lifts are then unique) and that the image of
     start matches the start of the path.
     """
-    dom = Domain(m)
-    if dom.next_fold() is not None:
+    if find_fold(m) is not None:
         raise MapError("lift_path requires a 1-immersion")
     if m.vertex_image[start] != path.vertices[0]:
         raise MapError("start vertex image mismatch")
+    stars = end_stars(m)
     verts, edges = [start], []
     for d in path.edges:
-        ends = dom.stars[verts[-1]].get(d)
+        ends = stars[verts[-1]].get(d)
         if ends is None:
             return None
         edges.append(ends[0])
-        verts.append(dom.head(ends[0]))
+        verts.append(m.domain.head(ends[0]))
     return PathInY(m.domain, tuple(verts), tuple(edges))
 
 
@@ -655,14 +655,14 @@ def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
 def canonical_form(m: CombMap):
     """Canonical description of a connected 1-immersed based map, used to
     compare fold results for isomorphism regardless of fold order."""
-    dom = Domain(m)
-    if dom.next_fold() is not None:
+    if find_fold(m) is not None:
         raise MapError("canonical_form requires a 1-immersion")
+    stars = end_stars(m)
     order = {m.basepoint: 0}
     queue = [m.basepoint]
     while queue:
         v = queue.pop(0)
-        for _img, (d,) in sorted(dom.stars[v].items()):
+        for _img, (d,) in sorted(stars[v].items()):
             w = m.domain.head(d)
             if w not in order:
                 order[w] = len(order)

@@ -461,6 +461,27 @@ def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
         reduce_map(m, w, verify=True)
 
 
+def test_verify_catches_a_step_that_does_not_lower_the_pair(monkeypatch):
+    # let strict mode accept candidates of slack 0: on the torus the circle
+    # a b then takes an incomplete attachment along two letters, which adds
+    # two edges and leaves P as it was.  The double sum agrees with the
+    # live perimeter, and only the strict drop of (P, #edges) fails
+    x = standard_complex(fixtures.torus_presentation())
+    m = bouquet_map(x, [word([1, 2])])
+    original = engine._candidate_at
+    monkeypatch.setattr(engine, "_candidate_at",
+                        lambda x, w, cell, start, length, mode:
+                        original(x, w, cell, start, length, "weak"))
+    w = unit_weighting(x)  # fresh: the scan order is kept on the weighting
+    res = reduce_map(m, w, step_limit=1)
+    step = res.trace.steps[0]
+    assert (res.trace.initial_perimeter, res.trace.initial_edges) == (4, 2)
+    assert (step.kind, step.perimeter, step.edges) == ("attach-incomplete", 4, 4)
+    assert map_perimeter(w, res.map) == 4
+    with pytest.raises(EngineError, match=r"attach-incomplete did not lower \(P, #edges\)"):
+        reduce_map(m, w, verify=True)
+
+
 def test_domain_starts_at_the_map_perimeter(rng):
     # the edge perimeters less the weight of each side that some cell makes
     # present, counted once: the double sum, with twin cells too
@@ -634,6 +655,18 @@ def test_find_attachment_matches_reference_on_relator_products(seed, k):
     m = bouquet_map(x, [], whisker=u)
     scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
     assert ("strict", True) in scans
+
+
+def test_find_attachment_matches_reference_on_the_weak_ladder():
+    # H = <b^-1 a^2> with the whisker b^3 on the torus: the weak engine
+    # builds a square ladder, so later scans pass dozens of blocked squares
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    m = bouquet_map(x, [word([-2, 1, 1])], whisker=word([2, 2, 2]))
+    res = []
+    scans = scans_against_reference(lambda: res.append(reduce_map(m, w, "weak", 60)))
+    assert res[0].exhausted and res[0].map.domain.num_cells() == 60
+    assert len(scans) == 61 and all(hit for _mode, hit in scans)
 
 
 def test_find_attachment_skips_blocked_circle():

@@ -354,3 +354,16 @@ def test_canonical_form_requires_immersion(free2):
     m = bouquet_map(free2, [word([1]), word([1])])
     with pytest.raises(MapError):
         canonical_form(m)
+
+
+def test_oracles_do_not_build_a_domain(free2, monkeypatch):
+    # `isomorphic_maps` (the fold-order oracle) and `lift_path` read the
+    # map's end stars, not the live `Domain` whose folds they check
+    m = fold_to_immersion(bouquet_map(free2, [word([1, 1]), word([1, 2])])).map
+
+    def refuse(*args):
+        raise AssertionError("an oracle built a Domain")
+
+    monkeypatch.setattr("perifold.maps.Domain", refuse)
+    assert isomorphic_maps(m, m)
+    assert lift_path(m, path_from_edges(free2, 0, [1, 2]), m.basepoint).is_closed()
