@@ -2,13 +2,13 @@
 search, packet attachment with exact bookkeeping, the fold/attach loop, and
 presentation extraction.
 
-The loop changes one live `maps.Domain` in place, alternating folding to a
-1-immersion, packing repair, and packet attachment along qualifying
-boundary subpaths; the perimeter follows each step by the domain's local
-rule, and the map is built once, at the end.  In strict mode the
-lexicographic pair (perimeter, edge count) drops at every fold and every
-attachment, so the loop terminates; weak mode may run forever and therefore
-requires a step limit.
+The loop (`reduce_domain`) changes one live `maps.Domain` in place,
+alternating folding to a 1-immersion, packing repair, and packet attachment
+along qualifying boundary subpaths; the perimeter follows each step by the
+domain's local rule.  `reduce_map` runs it on a map's domain and builds the
+map once, at the end.  In strict mode the lexicographic pair (perimeter,
+edge count) drops at every fold and every attachment, so the loop
+terminates; weak mode may run forever and therefore requires a step limit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .complexes import Complex2
-from .maps import CombMap, Domain, PathInY, find_fold, is_packed, packet_mates
+from .maps import CombMap, Domain, PathInY, find_fold, is_packed
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
                       path_perimeter, subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce, free_reduce
@@ -99,13 +99,15 @@ def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
 
 def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan for an attachment site (`find_site` on the map's
-    domain); the site's path lies in `m.domain`."""
+    domain) in a packed 1-immersion; the site's path lies in `m.domain`."""
+    if not is_packed(m)[0]:
+        raise EngineError("find_attachment requires a packed map")
     site = find_site(Domain(m), w, mode)
     return site and replace(site, path=PathInY(m.domain, site.path.vertices, site.path.edges))
 
 
 def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
-    """Deterministic scan of a live domain for an attachment site.
+    """Deterministic scan of a live packed domain for an attachment site.
 
     Strict mode scans longest candidates first and grows every lift to a
     maximal site, which favours complete attachments.  Weak mode scans
@@ -118,20 +120,17 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
     maximal site and whether that site may be attached do not depend on
     the candidate's length, so each (cell, start, vertex) is walked and
     settled once per call and reused by every other length.  A lift that
-    closes up into a circle whose whole packet is present is blocked; in a
-    1-immersion that circle is a present cycle, so the blocked (cell, start,
-    vertex) triples are read from `Domain.present` and skipped unwalked.
+    closes up into a circle whose packet is present is blocked; in a packed
+    1-immersion these circles are the present cycles, so the (cell, start,
+    vertex) triples at their corners (`Domain.present`) are skipped unwalked.
     """
     if dom.next_fold() is not None:
         raise EngineError("find_attachment requires a 1-immersion")
     x = dom.codomain
     stars, head = dom.stars, dom.head
-    blocked: set[tuple[int, int, int]] = set()
-    for r, cycles in dom.present.items():
-        p = x.periods[r][0]
-        for cycle in cycles:
-            if all(mate in cycles for mate in packet_mates(x, r, cycle)):
-                blocked.update((r, q % p, dom.tail(d)) for q, d in enumerate(cycle))
+    blocked = {(r, q % x.periods[r][0], dom.tail(d))
+               for r, cycles in dom.present.items() for cycle in cycles
+               for q, d in enumerate(cycle)}
 
     def settle(cell: int, start: int, ring: tuple[int, ...], verts: list[int],
                edges: list[int]) -> AttachmentSite | None:
@@ -252,27 +251,38 @@ class ReduceResult:
 
 def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
-    """Fold/repair/attach until no fold and no qualifying site exists.
+    """`reduce_domain` on the map's domain; the map is built once, at the end."""
+    _check_run(m.codomain, w, mode, step_limit)  # before the domain reads w
+    dom = Domain(m, w)
+    trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
+    return ReduceResult(dom.to_map() if trace.steps else m, trace,
+                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
 
-    Every step changes one live `Domain` of the map in place; the map is
-    built from it once, at the end.  The perimeter follows the domain's
-    rule from the sum of the edge perimeters on.
-    With `verify`, it is checked against the double sum after every step,
-    each fold phase is checked to end in a packed 1-immersion, and in
-    strict mode every fold and attachment is checked to lower the pair
-    (perimeter, edge count) below the previous step's.
 
-    Weak mode requires a step limit (weak attachments need not terminate);
-    hitting the limit sets `exhausted` instead of raising so the partial
-    trace stays observable.
-    """
+def _check_run(x: Complex2, w: Weighting | None, mode: str, step_limit: int | None) -> None:
     if mode not in ("strict", "weak"):
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    if m.codomain != w.complex:
+    if w is None or x != w.complex:
         raise WeightError("weighting belongs to a different complex")
-    dom = Domain(m, w)
+
+
+def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
+                  verify: bool = False) -> tuple[ReductionTrace, bool]:
+    """Fold/repair/attach a live domain in place, under the weighting it was
+    built with, until no fold and no qualifying site exists.  Returns the
+    trace and whether the step limit cut the run short (`exhausted`, set
+    instead of raising so the partial trace stays observable); weak mode
+    requires a limit, as weak attachments need not terminate.
+
+    With `verify`, the perimeter is checked against the double sum after
+    every step, each fold phase to end in a packed 1-immersion, and in
+    strict mode every fold and attachment to lower the pair (perimeter,
+    edge count) below the previous step's.
+    """
+    w = dom.weighting
+    _check_run(dom.codomain, w, mode, step_limit)
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 
@@ -326,9 +336,7 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
         log("attach-complete" if site.complete else "attach-incomplete",
             {"cell": cell, "delta": delta})
         fold_and_pack()
-    exhausted = out_of_steps() and (pending or find_site(dom, w, mode) is not None)
-    return ReduceResult(dom.to_map() if trace.steps else m, trace,
-                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
+    return trace, out_of_steps() and (pending or find_site(dom, w, mode) is not None)
 
 
 # --- presentation extraction -------------------------------------------------

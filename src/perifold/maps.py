@@ -155,7 +155,7 @@ def append_arc(x: Complex2, edges: list[tuple[int, int]], edge_image: list[int],
 class Domain:
     """A map's domain, changed in place by four operations that each touch
     only what they change: `fold`, `identify`, `add_arc` and `add_packet`
-    (with `remove_redundant` and `repair`).
+    (with `remove_redundant`, `repair` and `augment`).
 
     Vertex and edge ids are the map's numbers, then fresh ones; none is
     reused.  Vertex classes live in a union-find whose root is the smallest
@@ -165,17 +165,17 @@ class Domain:
     `remove_redundant`.  `to_map` numbers vertex classes by their smallest
     id and surviving edges and cells in id order, as a fold of the input.
 
-    Given a weighting, `perimeter` starts as the sum of the edge perimeters
-    and follows one rule: it changes only when an edge is added (by its edge
-    perimeter) or dropped (by that less the weights of its present sides),
-    or when a side becomes present at an edge (by its weight); gluing the
-    map's own cells makes it the map's perimeter.  Without one, weights
-    are 0.
+    Given a weighting (kept as `weighting`), `perimeter` starts as the sum
+    of the edge perimeters and follows one rule: it changes only when an
+    edge is added (by its edge perimeter) or dropped (by that less the
+    weights of its present sides), or when a side becomes present at an
+    edge (by its weight); gluing the map's own cells makes it the map's
+    perimeter.  Without one, weights are 0.
     """
 
     def __init__(self, m: CombMap, w=None):
         dom, x = m.domain, m.codomain
-        self.codomain, self.basepoint = x, m.basepoint
+        self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
         self.per = w._per if w is not None else [0] * x.num_edges()
         self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
         self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
@@ -199,7 +199,7 @@ class Domain:
         self.perimeter = sum(self.per[abs(img) - 1] for img in self.edge_image)
         for c in range(dom.num_cells()):
             self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
-        self.packed = not self.num_cells
+        self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -370,6 +370,20 @@ class Domain:
                 added += 1
         return added
 
+    def augment(self) -> None:
+        """Glue at each root, in ascending order, one copy of each codomain
+        cell through the root's image: a fresh arc (`add_arc`) read from the
+        first position j of its boundary at that image, over image (r, j)."""
+        x = self.codomain
+        for v in self.vertex_numbers():  # the roots before any copy is glued
+            for r, bdry in enumerate(x.cells):
+                j = next((j for j, d in enumerate(bdry) if x.tail(d) == self.vertex_image[v]), None)
+                if j is not None:
+                    refs = self.add_arc(v, v, bdry[j:] + bdry[:j])
+                    # the rewritten cycle has refs[(q - j) % len(refs)] at position q
+                    self._add_cell((r, j, False), tuple(refs[-j:] + refs[:-j]))
+                    self.packed = self.packed and x.periods[r][1] == 1
+
     def remove_redundant(self) -> int:
         """Delete the twins, keeping the first cell of each cycle; the
         perimeter is unchanged.  Returns how many."""
@@ -386,8 +400,9 @@ class Domain:
         (`add_packet`); returns how many.  Per target cell the cycles come in
         the iteration order of a set of them in `to_map`'s refs, which fixes
         the order of the glued cells.  Folds rewrite a cycle and its mates
-        alike and `add_packet` glues whole packets, so only the map the
-        domain was built from can lack a mate."""
+        alike and `add_packet` glues whole packets, so only the map's own
+        cells and those of `augment` can lack a mate, and only over a cell
+        of exponent above 1; `packed` is set while none can."""
         if self.packed:
             return 0
         self.packed = True

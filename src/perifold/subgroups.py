@@ -1,6 +1,7 @@
 """Decision procedures built on the reduction engine: subgroup presentations,
 membership, and finitely generated intersections via the based components
-of fiber products."""
+of fiber products.  Each subgroup lives on one `maps.Domain`, changed in
+place from its bouquet on; a map is built from it only to be read."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from .criteria import (
     magnus_weighting,
     sc_certificate,
 )
-from .engine import ReductionTrace, extract_presentation, reduce_map
-from .maps import CombMap, append_arc, based_fiber_product, bouquet_map, whisker_tip
+from .engine import ReductionTrace, extract_presentation, reduce_domain, reduce_map
+from .maps import CombMap, Domain, based_fiber_product, bouquet_map, whisker_tip
 from .weights import Weighting
 from .words import Presentation, Word, free_reduce
 
@@ -73,7 +74,7 @@ def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
            force: bool = False) -> bool:
     """Generalized word problem: reduce the wedge of the generators with an
     open whisker arc carrying u; u lies in the subgroup iff the whisker's
-    endpoints are identified in the final complex."""
+    endpoints are identified in the reduced domain."""
     return member_with_trace(x, w, gens, u, force)[0]
 
 
@@ -92,46 +93,21 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     if not u.letters:
         return True, ReductionTrace(0, 0)
     m = bouquet_map(x, _clean_words(gens), whisker=u)
-    tip = whisker_tip(m)
-    res = reduce_map(m, w, "strict", step_limit)
-    if res.vertex_tracking[m.basepoint] == res.vertex_tracking[tip]:
-        return True, res.trace
-    return (None if res.exhausted else False), res.trace
-
-
-def _augment_with_cells(m: CombMap) -> CombMap:
-    """Attach to every vertex one copy of each codomain 2-cell whose boundary
-    passes through the vertex's image, glued at that vertex only."""
-    x = m.codomain
-    corners: dict[int, list[tuple[int, int]]] = {}
-    for r, bdry in enumerate(x.cells):
-        starts: dict[int, int] = {}
-        for j, d in enumerate(bdry):
-            starts.setdefault(x.tail(d), j)
-        for v_img, j in starts.items():
-            corners.setdefault(v_img, []).append((r, j))
-    edges = list(m.domain.edges)
-    cells = list(m.domain.cells)
-    vertex_image = list(m.vertex_image)
-    edge_image = list(m.edge_image)
-    cell_image = list(m.cell_image)
-    for v in range(m.domain.num_vertices):
-        for r, j in corners.get(m.vertex_image[v], []):
-            bdry = x.cells[r]
-            cells.append(tuple(append_arc(x, edges, edge_image, vertex_image, v, v,
-                                          bdry[j:] + bdry[:j])))
-            cell_image.append((r, j, False))
-    dom = Complex2(len(vertex_image), edges, cells)
-    return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)
+    dom = Domain(m, w)
+    trace, exhausted = reduce_domain(dom, "strict", step_limit)
+    if dom.find(m.basepoint) == dom.find(whisker_tip(m)):
+        return True, trace
+    return (None if exhausted else False), trace
 
 
 def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
               force: bool = False, step_limit: int | None = None) -> SubgroupResult:
     """Intersection of two finitely generated subgroups.
 
-    Reduce both bouquets, attach a copy of every incident 2-cell at each
-    vertex and reduce again; the based component of the fiber product of the
-    two results, found by a search from the basepoint pair
+    Reduce each bouquet on its live domain, attach a copy of every incident
+    2-cell at each vertex (`Domain.augment`) and reduce the same domain
+    again; the based component of the fiber product of the two maps built
+    from them, found by a search from the basepoint pair
     (`based_fiber_product`), presents the intersection.  The trace lists
     the steps of all four reductions, in this order: H's bouquet, H
     augmented, K's bouquet, K augmented; it starts at H's bouquet.
@@ -141,16 +117,18 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     partially reduced complexes.
     """
     cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
-    runs = []
+    runs, reduced = [], []
     for gens in (gens_h, gens_k):
-        bouquet = reduce_map(bouquet_map(x, _clean_words(gens)), w, "strict", step_limit)
-        runs += [bouquet, reduce_map(_augment_with_cells(bouquet.map), w, "strict", step_limit)]
-    based = based_fiber_product(runs[1].map, runs[3].map)
-    first = runs[0].trace
-    trace = ReductionTrace(first.initial_perimeter, first.initial_edges,
-                           [step for run in runs for step in run.trace.steps])
+        dom = Domain(bouquet_map(x, _clean_words(gens)), w)
+        runs.append(reduce_domain(dom, "strict", step_limit))
+        dom.augment()
+        runs.append(reduce_domain(dom, "strict", step_limit))
+        reduced.append(dom.to_map())
+    based = based_fiber_product(*reduced)
+    trace = ReductionTrace(runs[0][0].initial_perimeter, runs[0][0].initial_edges,
+                           [step for run, _exhausted in runs for step in run.steps])
     return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based,
-                          any(run.exhausted for run in runs))
+                          any(exhausted for _run, exhausted in runs))
 
 
 def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],

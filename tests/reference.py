@@ -18,10 +18,13 @@ before it reads the C(p)/T(q) report.
 `apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
 must end where repeated `find_fold` / `apply_fold` ends.
 `reference_attach_packet` and `reference_augment_with_cells` build the
-attached and the augmented domain by hand; `perifold.engine.attach_site`,
-which changes the live domain in place, must agree with the first on the
-map built from it, and `perifold.subgroups._augment_with_cells` with the
-second.
+attached and the augmented domain by hand; `perifold.engine.attach_site`
+and `perifold.maps.Domain.augment`, which change the live domain in place,
+must agree with them on the map built from it.  `perifold.subgroups`
+keeps one live domain per subgroup; `intersect` must agree with the
+composition that builds a map after every reduction and augments it with
+`reference_augment_with_cells`, and `member_with_trace` with the answer
+read off `reduce_map`'s `vertex_tracking`.
 
 `present_cycles` (the rewritten cycles over each target cell) and
 `out_edges` (each vertex's ends by image) index a map afresh; the

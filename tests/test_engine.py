@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,12 +13,14 @@ from perifold.engine import (
     AttachmentSite,
     AttachResult,
     EngineError,
+    ReductionTrace,
     TraceStep,
     attach_packet,
     enumerate_candidates,
     euler_perimeter,
     extract_presentation,
     find_attachment,
+    reduce_domain,
     reduce_map,
     relator_bound,
 )
@@ -30,15 +33,16 @@ from perifold.maps import (
     CombMap,
     Domain,
     PathInY,
+    based_fiber_product,
     bouquet_map,
     build_packet,
     find_fold,
     fold_to_immersion,
-    packet_mates,
     remove_redundant,
     repair_packing,
+    whisker_tip,
 )
-from perifold.subgroups import _augment_with_cells
+from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     cell_weight,
     edge_perimeters,
@@ -267,6 +271,18 @@ def test_find_attachment_requires_immersion(rng):
         find_attachment(m, w)
 
 
+def test_find_attachment_requires_packed_map():
+    # one cell of the (aab)^3 packet without its two mates: a 1-immersion
+    # that is not packed
+    x = standard_complex(fixtures.aab_power_presentation(3))
+    m = build_packet(x, 0).projection
+    lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
+                   cell_image=m.cell_image[:1])
+    assert find_fold(lone) is None
+    with pytest.raises(EngineError, match="packed"):
+        find_attachment(lone, unit_weighting(x))
+
+
 def test_extract_presentation_shapes():
     x = standard_complex(fixtures.free_presentation(2))
     circle = fold_to_immersion(bouquet_map(x, [word([1, 2, 1])])).map
@@ -408,7 +424,7 @@ def test_fold_phase_matches_one_fold_at_a_time(data):
         if g.letters]
     m = bouquet_map(x, gens)
     if data.draw(st.booleans()):
-        m = _augment_with_cells(m)  # cells glued at every vertex fold together
+        m = reference_augment_with_cells(m)  # cells glued at every vertex fold together
     assert_same_as_reference(m, w)
 
 
@@ -418,7 +434,7 @@ def test_fold_phase_with_cells_matches_reference():
     for x, w_of in _DIFF_COMPLEXES:
         w = w_of(x)
         gens = [word([1, 2, -1]), word([2, 2, 1])]
-        m = _augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+        m = reference_augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
         assert_same_as_reference(m, w)
 
 
@@ -515,8 +531,9 @@ def attachments_against_reference(m, w, mode, step_limit):
     """Reduce m with `verify`; at every site the engine attaches at, check
     that `attach_site` changes the live domain as `reference_attach_packet`
     changes the map built from it, field by field.  Check that m is not
-    changed, and that `_augment_with_cells` of the reduced map agrees with
-    the reference too.  Returns (complete, identified) per attachment."""
+    changed, and that `Domain.augment` of the live reduced domain builds
+    the map that the reference builds from the reduced map.  Returns
+    (complete, identified) per attachment."""
     original = engine.attach_site
     kinds = []
 
@@ -535,7 +552,10 @@ def attachments_against_reference(m, w, mode, step_limit):
     with mock.patch.object(engine, "attach_site", both):
         res = reduce_map(m, w, mode, step_limit, verify=True)
     assert m == given
-    assert _augment_with_cells(res.map) == reference_augment_with_cells(res.map)
+    dom = Domain(m, w)
+    reduce_domain(dom, mode, step_limit)
+    dom.augment()
+    assert dom.to_map() == reference_augment_with_cells(res.map)
     return kinds
 
 
@@ -637,7 +657,7 @@ def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
     w = w_of(x)
     rng = random.Random(seed)
     gens = [random_reduced_word(rng, x.num_edges(), rng.randint(4, 10)) for _ in range(2)]
-    m = _augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+    m = reference_augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
     scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
     assert scans[-1] == ("strict", False)
 
@@ -672,22 +692,79 @@ def test_find_attachment_matches_reference_on_the_weak_ladder():
 def test_find_attachment_skips_blocked_circle():
     # torus, generator a b a b A b.  After one incomplete attachment the new
     # square's boundary is a closed complete lift whose packet is present:
-    # the scan checks its packet against the present cycles once, skips it
-    # and returns a length-3 site.  Before that attachment no lift closes
-    # up, and no packet is checked.
+    # the scan skips it and returns a length-3 site.  Before that attachment
+    # no lift closes up.
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
     m0 = bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
-    for limit, checked in ((0, 0), (1, 1)):
+    for limit in (0, 1):
         m = reduce_map(m0, w, step_limit=limit).map
-        calls = []
-
-        def counted(x, r, cycle):
-            calls.append(cycle)
-            return packet_mates(x, r, cycle)
-
-        with mock.patch.object(engine, "packet_mates", counted):
-            site = find_attachment(m, w)
-        assert len(calls) == checked
+        site = find_attachment(m, w)
         assert site == reference_find_attachment(m, w)
         assert site is not None and not site.complete and site.candidate.length == 3
+
+
+# --- decision procedures against the copying composition ---------------------
+
+
+def copying_intersect(x, w, gens_h, gens_k, step_limit):
+    """`intersect` composed of copies: every reduction builds its map, and
+    the reference augments the reduced map.  Returns (presentation, trace,
+    final map, exhausted)."""
+    runs = []
+    for gens in (gens_h, gens_k):
+        bouquet = reduce_map(bouquet_map(x, [g for g in gens if g.letters]), w, "strict",
+                             step_limit)
+        runs += [bouquet, reduce_map(reference_augment_with_cells(bouquet.map), w, "strict",
+                                     step_limit)]
+    based = based_fiber_product(runs[1].map, runs[3].map)
+    trace = ReductionTrace(runs[0].trace.initial_perimeter, runs[0].trace.initial_edges,
+                           [step for run in runs for step in run.trace.steps])
+    return extract_presentation(based), trace, based, any(run.exhausted for run in runs)
+
+
+def copying_member(x, w, gens, u, step_limit):
+    """`member_with_trace` read off the built map's `vertex_tracking`."""
+    if not u.letters:
+        return True, ReductionTrace(0, 0)
+    m = bouquet_map(x, [g for g in gens if g.letters], whisker=u)
+    res = reduce_map(m, w, "strict", step_limit)
+    if res.vertex_tracking[m.basepoint] == res.vertex_tracking[whisker_tip(m)]:
+        return True, res.trace
+    return (None if res.exhausted else False), res.trace
+
+
+def assert_decisions_match_copying(x, w, gens_h, gens_k, u, step_limit):
+    got = intersect(x, w, gens_h, gens_k, force=True, step_limit=step_limit)
+    presentation, trace, based, exhausted = copying_intersect(x, w, gens_h, gens_k, step_limit)
+    assert got.presentation == presentation
+    assert got.trace.to_lines() == trace.to_lines()
+    assert got.trace == trace  # every TraceStep field
+    assert got.final_map == based  # every CombMap field
+    assert got.exhausted == exhausted
+    assert member_with_trace(x, w, gens_h, u, force=True, step_limit=step_limit) \
+        == copying_member(x, w, gens_h, u, step_limit)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decision_procedures_match_copying_composition(data):
+    # one live domain per subgroup gives what building a map after every
+    # reduction gives, with and without step limits
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    gens_h = [draw_word(data, x) for _ in range(data.draw(st.integers(1, 2)))]
+    gens_k = [draw_word(data, x) for _ in range(data.draw(st.integers(1, 2)))]
+    limit = data.draw(st.sampled_from([None, 0, 1, 2, 3, 5, 8, 13]))
+    assert_decisions_match_copying(x, w_of(x), gens_h, gens_k, draw_word(data, x), limit)
+
+
+def test_intersect_repairs_after_augment():
+    # the copies `augment` glues over (aab)^3 lack their two mates, so the
+    # augmented reductions repair; over the other complexes they need none
+    for x, w_of in _DIFF_COMPLEXES:
+        gens = [word([1, 2])]
+        for limit in (None, 0, 2):
+            got = assert_decisions_match_copying(x, w_of(x), gens, gens, word([1, 2]), limit)
+            repaired = any(step.kind == "repair" for step in got.trace.steps)
+            assert repaired == (x == _DIFF_COMPLEXES[1][0])

@@ -26,12 +26,17 @@ from perifold.maps import (
     repair_packing,
     whisker_tip,
 )
-from perifold.subgroups import _augment_with_cells
 from perifold.weights import map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, random_grid_subcomplex
-from reference import apply_fold, fiber_product, reference_based_product, restrict_to_component
+from reference import (
+    apply_fold,
+    fiber_product,
+    reference_augment_with_cells,
+    reference_based_product,
+    restrict_to_component,
+)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +307,7 @@ def test_based_fiber_product_matches_all_pairs_reference(data):
         if kind != "raw":
             m = reduce_map(m, w).map
         if kind == "augmented":
-            m = _augment_with_cells(m)  # cells glued at one vertex: no immersion
+            m = reference_augment_with_cells(m)  # cells glued at one vertex: no immersion
         return m
 
     other = data.draw(st.sampled_from(["side", "same", "inclusion"]))
