@@ -27,11 +27,8 @@ from .criteria import (
     power_theorem,
 )
 from .engine import (
-    attach_packet,
     enumerate_candidates,
-    euler_perimeter,
     extract_presentation,
-    find_attachment,
     reduce_map,
     relator_bound,
 )
@@ -41,11 +38,8 @@ from .maps import (
     based_fiber_product,
     build_packet,
     fold_to_immersion,
-    is_1_immersion,
     is_packed,
     lift_path,
-    remove_redundant,
-    repair_packing,
 )
 from .subgroups import intersect, magnus_intersect, member, subgroup_presentation
 from .weights import (

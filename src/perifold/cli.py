@@ -330,8 +330,11 @@ def cmd_check(f: InputFile, args) -> int:
 def _write_trace(trace, path) -> str | None:
     if not path:
         return None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in trace.to_lines())
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in trace.to_lines())
+    except OSError as exc:
+        raise InputError(f"cannot write --trace {path}: {exc.strerror}") from None
     return path
 
 

@@ -13,7 +13,7 @@ terminates; weak mode may run forever and therefore requires a step limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
@@ -85,7 +85,7 @@ class ReductionTrace:
 
 
 def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
-    """The candidates `find_attachment` tries, in its scan order: the strict
+    """The candidates `find_site` tries, in its scan order: the strict
     ones longest first in strict mode, all shortest first in weak mode.
     Built once per (weighting, mode) and kept on the weighting."""
     order = w._scan_order.get(mode)
@@ -97,17 +97,9 @@ def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
     return order
 
 
-def find_attachment(m: CombMap, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
-    """Deterministic scan for an attachment site (`find_site` on the map's
-    domain) in a packed 1-immersion; the site's path lies in `m.domain`."""
-    if not is_packed(m)[0]:
-        raise EngineError("find_attachment requires a packed map")
-    site = find_site(Domain(m), w, mode)
-    return site and replace(site, path=PathInY(m.domain, site.path.vertices, site.path.edges))
-
-
-def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite | None:
-    """Deterministic scan of a live packed domain for an attachment site.
+def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
+    """Deterministic scan of a live packed 1-immersion for an attachment
+    site, under the weighting the domain was built with.
 
     Strict mode scans longest candidates first and grows every lift to a
     maximal site, which favours complete attachments.  Weak mode scans
@@ -125,8 +117,12 @@ def find_site(dom: Domain, w: Weighting, mode: str = "strict") -> AttachmentSite
     vertex) triples at their corners (`Domain.present`) are skipped unwalked.
     """
     if dom.next_fold() is not None:
-        raise EngineError("find_attachment requires a 1-immersion")
-    x = dom.codomain
+        raise EngineError("find_site requires a 1-immersion")
+    if not dom.packed:
+        raise EngineError("find_site requires a packed domain")
+    x, w = dom.codomain, dom.weighting
+    if w is None:
+        raise WeightError("find_site requires a domain built with a weighting")
     stars, head = dom.stars, dom.head
     blocked = {(r, q % x.periods[r][0], dom.tail(d))
                for r, cycles in dom.present.items() for cycle in cycles
@@ -197,34 +193,17 @@ def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int,
     return CandidateQ(cell, start % mlen, length, slack > 0)
 
 
-@dataclass
-class AttachResult:
-    map: CombMap
-    vertex_map: list[int]
-    cells_added: int
-    complete: bool
-    identified_endpoints: bool
-
-
-def attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResult:
-    """Glue the packet of the site's cell to the map's domain along the
-    lifted Q (`attach_site`)."""
-    if site.path.complex is not m.domain:
-        raise StaleSiteError("attachment site refers to an outdated domain")
-    dom = Domain(m)
-    added = attach_site(dom, site)
-    return AttachResult(dom.to_map(), dom.vertex_map(range(m.domain.num_vertices)), added,
-                        site.complete, site.complete and not site.path.is_closed())
-
-
 def attach_site(dom: Domain, site: AttachmentSite) -> int:
     """Glue the packet of the site's cell to a live domain along the lifted
     Q; returns how many cells it glued.
 
     Complete sites first identify the endpoints of Q; incomplete sites add
     the complement as a fresh arc.  All packet cells missing over the
-    resulting circle are attached.
+    resulting circle are attached.  A site found on another domain is
+    refused.
     """
+    if site.path.complex is not dom:
+        raise StaleSiteError("attachment site refers to another domain")
     x = dom.codomain
     cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
     bdry = x.cells[cell]
@@ -324,7 +303,7 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
 
     fold_and_pack()
     while not out_of_steps():
-        site = find_site(dom, w, mode)
+        site = find_site(dom, mode)
         if site is None:
             break
         cell = site.candidate.cell
@@ -336,7 +315,7 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
         log("attach-complete" if site.complete else "attach-incomplete",
             {"cell": cell, "delta": delta})
         fold_and_pack()
-    return trace, out_of_steps() and (pending or find_site(dom, w, mode) is not None)
+    return trace, out_of_steps() and (pending or find_site(dom, mode) is not None)
 
 
 # --- presentation extraction -------------------------------------------------
@@ -387,7 +366,3 @@ def relator_bound(x: Complex2, w: Weighting, words: list[Word]) -> int:
     they generate when every 2-cell is attached along a simple cycle
     (reported, not enforced)."""
     return sum(path_perimeter(w, word) for word in words)
-
-
-def euler_perimeter(m: CombMap, w: Weighting) -> int:
-    return m.domain.euler_characteristic() + map_perimeter(w, m)

@@ -478,20 +478,6 @@ def find_fold(m: CombMap) -> tuple[int, int, int] | None:
     return None
 
 
-def is_1_immersion(m: CombMap) -> tuple[bool, tuple[int, int, int] | None]:
-    w = find_fold(m)
-    return (w is None), w
-
-
-def remove_redundant(m: CombMap) -> tuple[CombMap, int]:
-    """Drop all but the first of each family of cells with equal image cell
-    and equal rewritten cycle (`Domain.remove_redundant`); the perimeter is
-    unchanged.  With none the map itself is returned."""
-    dom = Domain(m)
-    removed = dom.remove_redundant()
-    return (dom.to_map() if removed else m), removed
-
-
 @dataclass
 class FoldToImmersionResult:
     map: CombMap
@@ -559,14 +545,6 @@ def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
             if (r, mate) not in present:
                 return False, (c, k)
     return True, None
-
-
-def repair_packing(m: CombMap) -> tuple[CombMap, int]:
-    """Attach the missing packet mates along existing boundary circles
-    (`Domain.repair`); with none the map itself is returned."""
-    dom = Domain(m)
-    added = dom.repair()
-    return (dom.to_map() if added else m), added
 
 
 # --- path lifting -----------------------------------------------------------

@@ -20,9 +20,10 @@ must end where repeated `find_fold` / `apply_fold` ends.
 `reference_attach_packet` and `reference_augment_with_cells` build the
 attached and the augmented domain by hand; `perifold.engine.attach_site`
 and `perifold.maps.Domain.augment`, which change the live domain in place,
-must agree with them on the map built from it.  `perifold.subgroups`
-keeps one live domain per subgroup; `intersect` must agree with the
-composition that builds a map after every reduction and augments it with
+must agree with them on the map built from it (`AttachResult` is what
+`reference_attach_packet` returns).  `perifold.subgroups` keeps one live
+domain per subgroup; `intersect` must agree with the composition that
+builds a map after every reduction and augments it with
 `reference_augment_with_cells`, and `member_with_trace` with the answer
 read off `reduce_map`'s `vertex_tracking`.
 
@@ -30,15 +31,17 @@ read off `reduce_map`'s `vertex_tracking`.
 `out_edges` (each vertex's ends by image) index a map afresh; the
 references read them where the program reads its live `Domain`.
 `reference_remove_redundant` and `reference_repair_packing` change a map
-by copying it; `perifold.maps.remove_redundant` and `repair_packing`, and
-the fold phases of `perifold.engine.reduce_map`, must agree with them.
+by copying it; `Domain.remove_redundant` and `Domain.repair`, and the fold
+phases of `perifold.engine.reduce_map`, must agree with them on the map
+built from the domain.
 
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
 site; `perifold.engine.find_site` on the live domain, which starts only
 where the first letter lifts and walks and settles each (cell, start,
 vertex) once per call, must return the same site on the map built from
-it.
+it.  None of these references reads a `Domain`, so a reduction loop built
+of them and `apply_fold` checks the program's whole loop.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from perifold.complexes import INF, Complex2, check_small_cancellation
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
 from perifold.engine import (
     AttachmentSite,
-    AttachResult,
     EngineError,
     StaleSiteError,
     _candidate_at,
@@ -372,6 +374,15 @@ def apply_fold(m: CombMap, fold: tuple[int, int, int] | None = None) -> FoldResu
     return FoldResult(m2, vmap, (d1, d2))
 
 
+@dataclass
+class AttachResult:
+    map: CombMap
+    vertex_map: list[int]
+    cells_added: int
+    complete: bool
+    identified_endpoints: bool
+
+
 def reference_attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResult:
     """Glue the packet of the site's cell to the domain along the lifted Q.
 
@@ -573,12 +584,13 @@ def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
 
 def reference_find_attachment(m: CombMap, w: Weighting,
                               mode: str = "strict") -> AttachmentSite | None:
-    """Deterministic scan for an attachment site (see
-    `perifold.engine.find_attachment`)."""
+    """Deterministic scan of a 1-immersion for an attachment site, in the
+    order of `perifold.engine.find_site`; the site's path lies in
+    `m.domain`."""
     x = m.codomain
     outs = out_edges(m)
     if sum(map(len, outs)) < 2 * m.domain.num_edges():
-        raise EngineError("find_attachment requires a 1-immersion")
+        raise EngineError("reference_find_attachment requires a 1-immersion")
     ordered = scan_order(w, mode)
     cycles = present_cycles(m)
     for cand in ordered:

@@ -296,6 +296,18 @@ def test_cli_rejects_negative_step_limit(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_rejects_a_trace_path_it_cannot_write(tmp_path, capsys):
+    # exit 2 and no payload: for `member` an exit 1 would read as "not a member"
+    path = write(tmp_path, "free.pf", FREE)
+    for args, code in ((["subgroup", path, "--gens", "@H"], 0),
+                       (["member", path, "--gens", "@H", "--word", "b"], 1),
+                       (["intersect", path, "--gens-h", "a", "--gens-k", "b"], 0)):
+        for trace in (str(tmp_path / "missing" / "trace.log"), str(tmp_path)):
+            assert rejected(capsys, args + ["--trace", trace], trace)
+        assert main(args) == code
+        capsys.readouterr()
+
+
 def test_check_rejects_strict_that_no_criterion_reads(tmp_path, capsys):
     path = write(tmp_path, "aab9.pf", AAB9)
     for criterion in ("one-relator-torsion", "equalweights", "powers", "bogus"):

@@ -11,15 +11,14 @@ from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.engine import (
     AttachmentSite,
-    AttachResult,
     EngineError,
     ReductionTrace,
+    StaleSiteError,
     TraceStep,
-    attach_packet,
+    attach_site,
     enumerate_candidates,
-    euler_perimeter,
     extract_presentation,
-    find_attachment,
+    find_site,
     reduce_domain,
     reduce_map,
     relator_bound,
@@ -38,12 +37,12 @@ from perifold.maps import (
     build_packet,
     find_fold,
     fold_to_immersion,
-    remove_redundant,
-    repair_packing,
+    is_packed,
     whisker_tip,
 )
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
+    WeightError,
     cell_weight,
     edge_perimeters,
     map_perimeter,
@@ -52,6 +51,7 @@ from perifold.weights import (
 from perifold.words import free_reduce, parse_presentation, word
 
 from reference import (
+    AttachResult,
     apply_fold,
     reference_attach_packet,
     reference_augment_with_cells,
@@ -108,7 +108,7 @@ def test_find_attachment_on_bare_circle():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
     m = fold_to_immersion(bouquet_map(x, [word([1, 1, 2] * 3)])).map
-    site = find_attachment(m, w, "strict")
+    site = find_site(Domain(m, w), "strict")
     assert site is not None and site.complete
     assert site.candidate.length == 9
 
@@ -116,9 +116,10 @@ def test_find_attachment_on_bare_circle():
 def test_find_attachment_none_when_packet_present():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
-    pk = build_packet(x, 0)
-    assert find_attachment(pk.projection, w, "strict") is None
-    assert find_attachment(pk.projection, w, "weak") is None
+    dom = Domain(build_packet(x, 0).projection, w)
+    assert dom.repair() == 0  # the packet is whole: nothing to glue
+    assert find_site(dom, "strict") is None
+    assert find_site(dom, "weak") is None
 
 
 def test_attach_complete_square():
@@ -126,10 +127,11 @@ def test_attach_complete_square():
     w = unit_weighting(x)
     m = fold_to_immersion(bouquet_map(x, [word([1, 2, -1, -2])])).map
     before = map_perimeter(w, m)
-    site = find_attachment(m, w, "strict")
+    dom = Domain(m, w)
+    site = find_site(dom, "strict")
     assert site is not None and site.complete
-    res = attach_packet(m, w, site)
-    after = map_perimeter(w, res.map)
+    attach_site(dom, site)
+    after = map_perimeter(w, dom.to_map())
     assert before == 8 and after == 4
     assert after <= before - cell_weight(w, 0)
 
@@ -138,11 +140,12 @@ def test_attach_incomplete_equality_case():
     # weak flap on the cover-image ladder: P(packet) == P(Q), perimeter fixed
     m = fixtures.ladder_start_map()
     w = unit_weighting(m.codomain)
-    site = find_attachment(m, w, "weak")
+    dom = Domain(m, w)
+    site = find_site(dom, "weak")
     assert site is not None and not site.complete
     assert site.candidate.length == 2
-    res = attach_packet(m, w, site)
-    assert map_perimeter(w, res.map) == map_perimeter(w, m) == 8
+    attach_site(dom, site)
+    assert map_perimeter(w, dom.to_map()) == map_perimeter(w, m) == 8
 
 
 def test_reduce_free_group():
@@ -236,8 +239,6 @@ def test_trace_export_format():
 
 def test_reduce_output_is_structurally_sound(rng):
     # final maps validate, are packed 1-immersions, and admit no strict site
-    from perifold.maps import is_1_immersion, is_packed
-
     presentations = [
         fixtures.torus_presentation(),
         fixtures.aab_power_presentation(3),
@@ -256,9 +257,11 @@ def test_reduce_output_is_structurally_sound(rng):
                 continue
             res = reduce_map(bouquet_map(x, [g]), w, verify=True)
             res.map.validate()
-            assert is_1_immersion(res.map)[0]
+            assert find_fold(res.map) is None
             assert is_packed(res.map)[0]
-            assert find_attachment(res.map, w, "strict") is None
+            dom = Domain(res.map, w)
+            assert dom.repair() == 0
+            assert find_site(dom, "strict") is None
             assert res.trace.steps == [] or \
                 res.trace.steps[-1].perimeter == map_perimeter(w, res.map)
 
@@ -267,8 +270,10 @@ def test_find_attachment_requires_immersion(rng):
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
     m = bouquet_map(x, [word([1]), word([1, 2])])
-    with pytest.raises(EngineError):
-        find_attachment(m, w)
+    with pytest.raises(EngineError, match="1-immersion"):
+        find_site(Domain(m, w))
+    with pytest.raises(WeightError, match="weighting"):
+        find_site(Domain(fold_to_immersion(m).map))
 
 
 def test_find_attachment_requires_packed_map():
@@ -279,8 +284,23 @@ def test_find_attachment_requires_packed_map():
     lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
                    cell_image=m.cell_image[:1])
     assert find_fold(lone) is None
+    dom = Domain(lone, unit_weighting(x))
+    assert not dom.packed
     with pytest.raises(EngineError, match="packed"):
-        find_attachment(lone, unit_weighting(x))
+        find_site(dom)
+
+
+def test_attach_site_refuses_a_site_of_another_domain():
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    m = fold_to_immersion(bouquet_map(x, [word([1, 2, -1, -2])])).map
+    found, other = Domain(m, w), Domain(m, w)
+    site = find_site(found)
+    assert site is not None
+    with pytest.raises(StaleSiteError, match="another domain"):
+        attach_site(other, site)
+    assert other.to_map() == m  # nothing was glued
+    assert attach_site(found, site) == 1
 
 
 def test_extract_presentation_shapes():
@@ -304,17 +324,18 @@ def test_relator_bound_and_euler():
     free = standard_complex(fixtures.free_presentation(2))
     wf = unit_weighting(free)
     point = bouquet_map(free, [])
-    assert euler_perimeter(point, wf) == 1
+    assert point.domain.euler_characteristic() + map_perimeter(wf, point) == 1
 
 
-# --- the fold phase against one find_fold / apply_fold per fold --------------
+# --- the reduction loop against the map-level references -------------------
 
 
 def reference_reduce(m, w, step_limit=None):
-    """reduce_map in strict mode with the fold phase done one fold at a time:
-    find_fold, apply_fold, then the double-sum perimeter, and removal and
-    repair by copying the map.  Returns (map, steps, vertex tracking,
-    exhausted)."""
+    """reduce_map in strict mode built of map-level references that read no
+    `Domain`: folds one at a time by find_fold and apply_fold, removal,
+    repair and attachment by copying the map, the scan by
+    reference_find_attachment, and the double-sum perimeter.  Returns (map,
+    steps, vertex tracking, exhausted)."""
     tracking = list(range(m.domain.num_vertices))
     perimeter = map_perimeter(w, m)
     steps = []
@@ -347,10 +368,10 @@ def reference_reduce(m, w, step_limit=None):
 
     fold_and_pack()
     while not out_of_steps():
-        site = find_attachment(m, w)
+        site = reference_find_attachment(m, w)
         if site is None:
             break
-        res = attach_packet(m, w, site)
+        res = reference_attach_packet(m, w, site)
         m = res.map
         tracking = [res.vertex_map[v] for v in tracking]
         before, perimeter = perimeter, map_perimeter(w, m)
@@ -358,7 +379,7 @@ def reference_reduce(m, w, step_limit=None):
             {"cell": site.candidate.cell, "delta": perimeter - before})
         fold_and_pack()
     exhausted = out_of_steps() and (
-        find_fold(m) is not None or find_attachment(m, w) is not None)
+        find_fold(m) is not None or reference_find_attachment(m, w) is not None)
     return m, steps, tracking, exhausted
 
 
@@ -409,8 +430,12 @@ def assert_same_as_reference(m, w):
         assert (got.map, got.folds, got.removed_cells, got.vertex_map, got.pending) \
             == reference_fold(m, limit)
     for given in (m, apply_fold(m).map if find_fold(m) else m):
-        assert remove_redundant(given) == reference_remove_redundant(given)
-        assert repair_packing(given) == reference_repair_packing(given)
+        dom = Domain(given)
+        removed = dom.remove_redundant()
+        assert (dom.to_map(), removed) == reference_remove_redundant(given)
+        dom = Domain(given)
+        added = dom.repair()
+        assert (dom.to_map(), added) == reference_repair_packing(given)
 
 
 @settings(max_examples=30, deadline=None)
@@ -436,6 +461,19 @@ def test_fold_phase_with_cells_matches_reference():
         gens = [word([1, 2, -1]), word([2, 2, 1])]
         m = reference_augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
         assert_same_as_reference(m, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduction_loop_with_attachments_matches_reference(data):
+    # words along the relators, so that the loop attaches packets, complete
+    # and incomplete, between its fold phases: every step, map and tracking
+    # against `reference_reduce`, which reads no `Domain`
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(1, 3))))
+            if g.letters]
+    whisker = draw_word(data, x) if data.draw(st.booleans()) else None
+    assert_same_as_reference(bouquet_map(x, gens, whisker), w_of(x))
 
 
 def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
@@ -611,10 +649,10 @@ def scans_against_reference(reduce):
     original = engine.find_site
     scans = []
 
-    def both(dom, w, mode="strict"):
-        got = original(dom, w, mode)
+    def both(dom, mode="strict"):
+        got = original(dom, mode)
         m = dom.to_map()
-        want = reference_find_attachment(m, w, mode)
+        want = reference_find_attachment(m, dom.weighting, mode)
         assert (None if got is None else on_map(dom, m, got)) == want
         scans.append((mode, got is not None))
         return got
@@ -699,9 +737,10 @@ def test_find_attachment_skips_blocked_circle():
     m0 = bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
     for limit in (0, 1):
         m = reduce_map(m0, w, step_limit=limit).map
-        site = find_attachment(m, w)
-        assert site == reference_find_attachment(m, w)
+        dom = Domain(m, w)
+        site = find_site(dom)
         assert site is not None and not site.complete and site.candidate.length == 3
+        assert on_map(dom, m, site) == reference_find_attachment(m, w)
 
 
 # --- decision procedures against the copying composition ---------------------

@@ -8,6 +8,7 @@ from perifold.complexes import Complex2, standard_complex
 from perifold.engine import reduce_map
 from perifold.maps import (
     CombMap,
+    Domain,
     MapError,
     based_fiber_product,
     bouquet_map,
@@ -17,13 +18,10 @@ from perifold.maps import (
     find_fold,
     fold_to_immersion,
     identity_map,
-    is_1_immersion,
     is_packed,
     isomorphic_maps,
     lift_path,
     path_from_edges,
-    remove_redundant,
-    repair_packing,
     whisker_tip,
 )
 from perifold.weights import map_perimeter, unit_weighting
@@ -59,10 +57,9 @@ def test_bouquet_shapes(free2):
 
 
 def test_is_1_immersion(free2):
-    ok, witness = is_1_immersion(bouquet_map(free2, [word([1]), word([1])]))
-    assert not ok and witness is not None
-    assert is_1_immersion(bouquet_map(free2, [word([1, 2])]))[0]
-    assert is_1_immersion(identity_map(free2))[0]
+    assert find_fold(bouquet_map(free2, [word([1]), word([1])])) is not None
+    assert find_fold(bouquet_map(free2, [word([1, 2])])) is None
+    assert find_fold(identity_map(free2)) is None
 
 
 def test_single_fold(free2):
@@ -70,7 +67,7 @@ def test_single_fold(free2):
     res = apply_fold(m)
     assert res.map.domain.num_vertices == 1
     assert res.map.domain.num_edges() == 2
-    assert is_1_immersion(res.map)[0]
+    assert find_fold(res.map) is None
     with pytest.raises(MapError):
         apply_fold(res.map)
 
@@ -127,8 +124,9 @@ def test_fold_confluence(free2, rng):
             if not folds:
                 break
             cur = apply_fold(cur, rng.choice(folds)).map
-        cur, _ = remove_redundant(cur)
-        assert isomorphic_maps(first, cur)
+        dom = Domain(cur)
+        dom.remove_redundant()
+        assert isomorphic_maps(first, dom.to_map())
 
 
 def test_remove_redundant():
@@ -150,11 +148,12 @@ def test_remove_redundant():
     )
     w = unit_weighting(x)
     before = map_perimeter(w, dup)
-    cleaned, removed = remove_redundant(dup)
-    assert removed == 1
+    dom = Domain(dup)
+    assert dom.remove_redundant() == 1
+    cleaned = dom.to_map()
     assert map_perimeter(w, cleaned) == before
-    again, removed2 = remove_redundant(cleaned)
-    assert removed2 == 0 and again is cleaned
+    again = Domain(cleaned)
+    assert again.remove_redundant() == 0 and again.to_map() == cleaned
 
 
 def test_sphere_cells_not_redundant():
@@ -162,9 +161,9 @@ def test_sphere_cells_not_redundant():
     x = standard_complex(fixtures.aab_power_presentation(3))
     pk = build_packet(x, 0)
     m = pk.projection
-    cleaned, removed = remove_redundant(m)
-    assert removed == 0
-    assert cleaned.domain.num_cells() == 3
+    dom = Domain(m)
+    assert dom.remove_redundant() == 0
+    assert dom.to_map().domain.num_cells() == 3
 
 
 def test_packedness_and_repair():
@@ -181,13 +180,14 @@ def test_packedness_and_repair():
     )
     ok, witness = is_packed(lone)
     assert not ok and witness is not None
-    repaired, added = repair_packing(lone)
-    assert added == 2
+    dom = Domain(lone)
+    assert dom.repair() == 2
+    repaired = dom.to_map()
     assert is_packed(repaired)[0]
     w = unit_weighting(x)
     assert map_perimeter(w, repaired) <= map_perimeter(w, lone)
-    full, added2 = repair_packing(pk.projection)
-    assert added2 == 0 and is_packed(full)[0]
+    dom = Domain(pk.projection)
+    assert dom.repair() == 0 and is_packed(dom.to_map())[0]
 
 
 def test_lift_path(free2):
