@@ -15,7 +15,8 @@ packedness and side presence straightforward to state.
 A `Domain` is a map's domain kept live: folds, vertex identifications,
 fresh arcs and packet cells change it in place, its perimeter changes only
 when an edge is added or dropped or a side becomes present, and the map is
-built from it once (`Domain.to_map`).
+built from it once (`Domain.to_map`); the based fiber product of two
+domains is read off them (`based_fiber_product`).
 """
 
 from __future__ import annotations
@@ -574,39 +575,41 @@ def lift_path(m: CombMap, path: PathInY, start: int) -> PathInY | None:
 # --- fiber products ---------------------------------------------------------
 
 
-def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
-    """The based component of the fiber product of two maps, as a map to
-    their common codomain.
+def based_fiber_product(a: Domain, b: Domain) -> CombMap:
+    """The based component of the fiber product of the maps of two live
+    domains, as a map to their common codomain, read off the domains
+    without changing them.
 
-    Vertices are the image-matching vertex pairs reached from the basepoint
-    pair, numbered in sorted order; edges are the image-matching edge pairs
-    between them, oriented over the positive codomain edge and numbered by
-    (a-edge, b-edge); each pair of 2-cells over a common target cell whose
-    rewritten cycles start at a reached pair gives the cell whose boundary
-    pairs those cycles position by position, numbered by (a-cell, b-cell).
-    This is the numbering of the all-pairs product restricted to the
-    component.  Neither map need be an immersion: every pair of ends with
-    equal image is followed.
+    Vertices are the image-matching root pairs reached from the basepoint
+    pair, numbered in sorted order; edges are the image-matching pairs of
+    live edge ends between them, oriented over the positive codomain edge
+    and numbered by (a-edge, b-edge); each pair of live cells over a common
+    target cell whose rewritten cycles start at a reached pair gives the
+    cell whose boundary pairs those cycles position by position, numbered
+    by (a-cell, b-cell).  `to_map` numbers roots, live edges and live cells
+    in ascending id order, so these orders are those of the two built maps
+    and the product is the based component of theirs, numbered as in the
+    all-pairs product.  Neither domain need be an immersion: every pair of
+    ends with equal image is followed.
     """
     if a.codomain != b.codomain:
         raise MapError("fiber product needs a common codomain")
-    base = (a.basepoint, b.basepoint)
+    base = (a.find(a.basepoint), b.find(b.basepoint))
     if a.vertex_image[base[0]] != b.vertex_image[base[1]]:
         raise MapError("basepoints do not match over the codomain")
 
-    star_a, star_b = end_stars(a), end_stars(b)
     seen = {base}
     stack = [base]
     pairs: list[tuple[int, int]] = []  # (a-end, b-end) over positive codomain edges
     while stack:
         u, v = stack.pop()
-        for img, ends_a in star_a[u].items():
-            ends_b = star_b[v].get(img, ())
+        for img, ends_a in a.stars[u].items():
+            ends_b = b.stars[v].get(img, ())
             for da in ends_a:
                 for db in ends_b:
                     if img > 0:
                         pairs.append((da, db))
-                    head = (a.domain.head(da), b.domain.head(db))
+                    head = (a.head(da), b.head(db))
                     if head not in seen:
                         seen.add(head)
                         stack.append(head)
@@ -617,27 +620,26 @@ def based_fiber_product(a: CombMap, b: CombMap) -> CombMap:
     for ref, (da, db) in enumerate(pairs, start=1):
         eid[(da, db)] = ref
         eid[(-da, -db)] = -ref
-    edges = [(vid[(a.domain.tail(da), b.domain.tail(db))],
-              vid[(a.domain.head(da), b.domain.head(db))]) for da, db in pairs]
+    edges = [(vid[(a.tail(da), b.tail(db))], vid[(a.head(da), b.head(db))])
+             for da, db in pairs]
 
-    partners: dict[int, list[int]] = {}  # a-vertex -> its reached b-vertices
+    partners: dict[int, list[int]] = {}  # a-root -> its reached b-roots
     for u, v in vertices:
         partners.setdefault(u, []).append(v)
-    cyc_a = [a.rewritten_cycle(c) for c in range(a.domain.num_cells())]
-    cyc_b = [b.rewritten_cycle(c) for c in range(b.domain.num_cells())]
     cells_b: dict[tuple[int, int], list[int]] = {}  # (target cell, tail) -> b-cells
-    for cb, cyc in enumerate(cyc_b):
-        cells_b.setdefault((b.cell_image[cb][0], b.domain.tail(cyc[0])), []).append(cb)
+    for cb, cyc in enumerate(b.cycles):
+        if cyc is not None:
+            cells_b.setdefault((b.cell_image[cb][0], b.tail(cyc[0])), []).append(cb)
     cell_pairs = sorted(
         (ca, cb)
-        for ca, cyc in enumerate(cyc_a)
-        for v in partners.get(a.domain.tail(cyc[0]), ())
+        for ca, cyc in enumerate(a.cycles) if cyc is not None
+        for v in partners.get(a.tail(cyc[0]), ())
         for cb in cells_b.get((a.cell_image[ca][0], v), ())
     )
-    cells = [tuple(eid[p] for p in zip(cyc_a[ca], cyc_b[cb])) for ca, cb in cell_pairs]
+    cells = [tuple(eid[p] for p in zip(a.cycles[ca], b.cycles[cb])) for ca, cb in cell_pairs]
     prod = Complex2(len(vertices), edges, cells)
     return CombMap(prod, a.codomain, [a.vertex_image[u] for u, _ in vertices],
-                   [a.image_of(da) for da, _ in pairs],
+                   [abs(a.edge_image[abs(da) - 1]) for da, _ in pairs],
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])
 

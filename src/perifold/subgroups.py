@@ -1,7 +1,8 @@
 """Decision procedures built on the reduction engine: subgroup presentations,
 membership, and finitely generated intersections via the based components
 of fiber products.  Each subgroup lives on one `maps.Domain`, changed in
-place from its bouquet on; a map is built from it only to be read."""
+place from its bouquet on; a map is built from it only to be read, and the
+fiber product is read off the domains themselves."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex2
 from .criteria import (
+    CriterionError,
     Verdict,
     find_certificate,
     magnus_weighting,
@@ -39,7 +41,10 @@ def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
     """The certificate that gates an operation, and whether the run is
     heuristic (forced without one).  Grade "strict" or "weak" takes the
     first certificate of `find_certificate`; grade "sc-strict" only a
-    strict small-cancellation weight certificate (`sc_certificate`)."""
+    strict small-cancellation weight certificate (`sc_certificate`).  The
+    weighting must be one of x, whatever the grade, forced or not."""
+    if x != w.complex:
+        raise CriterionError("weighting belongs to a different complex")
     if grade == "sc-strict":
         cert = sc_certificate(w, strict=True)
         missing = "needs a strict small-cancellation weight certificate"
@@ -106,8 +111,8 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
 
     Reduce each bouquet on its live domain, attach a copy of every incident
     2-cell at each vertex (`Domain.augment`) and reduce the same domain
-    again; the based component of the fiber product of the two maps built
-    from them, found by a search from the basepoint pair
+    again; the based component of the fiber product of the two domains,
+    read off them by a search from the basepoint pair
     (`based_fiber_product`), presents the intersection.  The trace lists
     the steps of all four reductions, in this order: H's bouquet, H
     augmented, K's bouquet, K augmented; it starts at H's bouquet.
@@ -117,14 +122,14 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     partially reduced complexes.
     """
     cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
-    runs, reduced = [], []
+    runs, domains = [], []
     for gens in (gens_h, gens_k):
         dom = Domain(bouquet_map(x, _clean_words(gens)), w)
         runs.append(reduce_domain(dom, "strict", step_limit))
         dom.augment()
         runs.append(reduce_domain(dom, "strict", step_limit))
-        reduced.append(dom.to_map())
-    based = based_fiber_product(*reduced)
+        domains.append(dom)
+    based = based_fiber_product(*domains)
     trace = ReductionTrace(runs[0][0].initial_perimeter, runs[0][0].initial_edges,
                            [step for run, _exhausted in runs for step in run.steps])
     return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based,
@@ -136,9 +141,9 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
     """Intersection with the subgroup of a zero-perimeter subgraph.
 
     The fiber product of the reduced subgroup complex with the subgraph
-    inclusion is the preimage of the subgraph; its based component, found by
-    a search from the basepoint pair (`based_fiber_product`), presents the
-    intersection.
+    inclusion is the preimage of the subgraph; its based component, read off
+    the reduced live domain and the inclusion's domain by a search from the
+    basepoint pair (`based_fiber_product`), presents the intersection.
     """
     weighting, verdict = magnus_weighting(x, subgraph_edges)
     if weighting is None:
@@ -147,10 +152,10 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
             + "; ".join(verdict.witnesses or verdict.notes)
         )
     cert, heuristic = _certified(x, weighting, "weak", force, "magnus_intersect")
-    a = reduce_map(bouquet_map(x, _clean_words(gens_h)), weighting, "strict")
+    dom = Domain(bouquet_map(x, _clean_words(gens_h)), weighting)
+    trace, _exhausted = reduce_domain(dom, "strict")
     kept = sorted(subgraph_edges)
     sub = Complex2(1, [(0, 0) for _ in kept], [])
-    inclusion = CombMap(sub, x, [0], [e + 1 for e in kept], [], 0)
-    based = based_fiber_product(a.map, inclusion)
-    return SubgroupResult(extract_presentation(based), a.trace, cert,
-                          heuristic, based)
+    inclusion = Domain(CombMap(sub, x, [0], [e + 1 for e in kept], [], 0))
+    based = based_fiber_product(dom, inclusion)
+    return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based)

@@ -4,7 +4,8 @@ in `perifold` are tested against.
 `restrict_to_component(fiber_product(a, b).to_codomain, based_vertex)` is
 the based component computed the long way: every vertex pair and every edge
 pair first, then everything the basepoint pair does not reach thrown away;
-`perifold.maps.based_fiber_product` must agree with it.
+`perifold.maps.based_fiber_product`, read off two live domains, must agree
+with it on the maps that those domains build (`Domain.to_map`).
 
 `reference_compute_pieces` is the cubic-time piece table that compares
 every pair of occurrences in both orientations letter by letter and tests

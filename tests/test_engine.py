@@ -32,7 +32,6 @@ from perifold.maps import (
     CombMap,
     Domain,
     PathInY,
-    based_fiber_product,
     bouquet_map,
     build_packet,
     find_fold,
@@ -55,6 +54,7 @@ from reference import (
     apply_fold,
     reference_attach_packet,
     reference_augment_with_cells,
+    reference_based_product,
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
@@ -747,16 +747,17 @@ def test_find_attachment_skips_blocked_circle():
 
 
 def copying_intersect(x, w, gens_h, gens_k, step_limit):
-    """`intersect` composed of copies: every reduction builds its map, and
-    the reference augments the reduced map.  Returns (presentation, trace,
-    final map, exhausted)."""
+    """`intersect` composed of copies: every reduction builds its map, the
+    reference augments the reduced map, and the all-pairs reference product
+    of the two maps gives the based component.  Returns (presentation,
+    trace, final map, exhausted)."""
     runs = []
     for gens in (gens_h, gens_k):
         bouquet = reduce_map(bouquet_map(x, [g for g in gens if g.letters]), w, "strict",
                              step_limit)
         runs += [bouquet, reduce_map(reference_augment_with_cells(bouquet.map), w, "strict",
                                      step_limit)]
-    based = based_fiber_product(runs[1].map, runs[3].map)
+    based = reference_based_product(runs[1].map, runs[3].map)
     trace = ReductionTrace(runs[0].trace.initial_perimeter, runs[0].trace.initial_edges,
                            [step for run in runs for step in run.trace.steps])
     return extract_presentation(based), trace, based, any(run.exhausted for run in runs)

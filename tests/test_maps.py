@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
-from perifold.engine import reduce_map
+from perifold.engine import reduce_domain, reduce_map
 from perifold.maps import (
     CombMap,
     Domain,
@@ -236,7 +236,7 @@ def test_fiber_product_cyclic_covers(free2):
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert based.domain.num_edges() == 6
     assert based.domain.num_vertices == 6
-    assert based_fiber_product(a2, a3) == based
+    assert based_fiber_product(Domain(a2), Domain(a3)) == based
 
 
 def test_fiber_product_diagonal():
@@ -247,7 +247,8 @@ def test_fiber_product_diagonal():
     assert fp.product.num_cells() == 4  # one cell per compatible pair
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert isomorphic_maps(based, m)
-    assert based_fiber_product(m, m) == based
+    dom = Domain(m)
+    assert based_fiber_product(dom, dom) == based
 
 
 def test_fiber_product_disjoint_images(free2):
@@ -299,30 +300,41 @@ def test_based_fiber_product_matches_all_pairs_reference(data):
         return bouquet_map(x, gens)
 
     def side():
-        kinds = ["raw", "reduced", "augmented"] + (["grid"] if x == grid else [])
+        """A domain and the map the reference reads for it."""
+        kinds = ["raw", "reduced", "augmented", "live"] + (["grid"] if x == grid else [])
         kind = data.draw(st.sampled_from(kinds))
         if kind == "grid":  # many cells over several vertices
-            return random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
+            m = random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
+            return Domain(m), m
         m = bouquet()
+        if kind == "live":  # as in `intersect`: dropped edges, merged roots, deleted cells
+            dom = Domain(m, w)
+            reduce_domain(dom)
+            dom.augment()
+            reduce_domain(dom)
+            return dom, dom.to_map()  # its ids are not the refs of this map
         if kind != "raw":
             m = reduce_map(m, w).map
         if kind == "augmented":
             m = reference_augment_with_cells(m)  # cells glued at one vertex: no immersion
-        return m
+        return Domain(m), m
 
     other = data.draw(st.sampled_from(["side", "same", "inclusion"]))
     if other == "side":
-        a, b = side(), side()
+        (a, ma), (b, mb) = side(), side()
     elif other == "same":  # many cell pairs over each target cell
-        a = b = side()
+        (a, ma) = (b, mb) = side()
     else:  # the magnus_intersect case: a one-vertex subgraph inclusion
         kept = sorted(data.draw(st.sets(st.sampled_from(range(x.num_edges())))))
-        a = reduce_map(bouquet(), w).map
-        b = CombMap(Complex2(1, [(0, 0)] * len(kept), []), x, [0],
-                    [e + 1 for e in kept], [], 0)
+        ma = reduce_map(bouquet(), w).map
+        mb = CombMap(Complex2(1, [(0, 0)] * len(kept), []), x, [0],
+                     [e + 1 for e in kept], [], 0)
+        a, b = Domain(ma), Domain(mb)
     if data.draw(st.booleans()):
-        a, b = b, a
-    assert based_fiber_product(a, b) == reference_based_product(a, b)  # every field
+        (a, ma), (b, mb) = (b, mb), (a, ma)
+    before = a.to_map(), b.to_map()
+    assert based_fiber_product(a, b) == reference_based_product(ma, mb)  # every field
+    assert (a.to_map(), b.to_map()) == before
 
 
 def test_based_fiber_product_cell_order():
@@ -334,16 +346,17 @@ def test_based_fiber_product_cell_order():
     b = reduce_map(bouquet_map(x, [word([1, -2, -1, -2])]), w).map
     want = reference_based_product(a, b)
     assert want.domain.num_cells() == 2
-    assert based_fiber_product(a, b) == want
+    assert based_fiber_product(Domain(a), Domain(b)) == want
 
 
 def test_based_fiber_product_errors(free2):
     torus = standard_complex(fixtures.torus_presentation())
     with pytest.raises(MapError, match="common codomain"):
-        based_fiber_product(bouquet_map(free2, [word([1])]), bouquet_map(torus, [word([1])]))
+        based_fiber_product(Domain(bouquet_map(free2, [word([1])])),
+                            Domain(bouquet_map(torus, [word([1])])))
     segment = Complex2(2, [(0, 1)], [])
     with pytest.raises(MapError, match="basepoints do not match"):
-        based_fiber_product(identity_map(segment, 0), identity_map(segment, 1))
+        based_fiber_product(Domain(identity_map(segment, 0)), Domain(identity_map(segment, 1)))
 
 
 def test_reflected_cell_roundtrip():

@@ -4,6 +4,7 @@ import pytest
 
 from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
+from perifold.criteria import CriterionError
 from perifold.engine import relator_bound
 from perifold.maps import CombMap, isomorphic_maps
 from perifold.subgroups import (
@@ -11,6 +12,7 @@ from perifold.subgroups import (
     intersect,
     magnus_intersect,
     member,
+    member_with_trace,
     subgroup_presentation,
 )
 from perifold.weights import unit_weighting, weighting_from_rows
@@ -142,6 +144,22 @@ def test_certificate_gate_and_force():
     with pytest.raises(MissingCertificateError):
         member(x, w, [word([1])], word([2]))
     assert member(x, w, [word([1])], word([1]), force=True)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("decide", [
+    lambda x, w, force: subgroup_presentation(x, w, [word([1, 2])], force=force),
+    lambda x, w, force: member(x, w, [word([1, 2])], word([3]), force=force),
+    lambda x, w, force: member_with_trace(x, w, [word([1, 2])], word([3]), force=force),
+    lambda x, w, force: intersect(x, w, [word([3])], [word([4])], force=force),
+], ids=["subgroup_presentation", "member", "member_with_trace", "intersect"])
+def test_weighting_of_another_complex_is_refused(decide, force):
+    # every decision procedure that takes a weighting refuses one of
+    # another complex before any certificate is looked for, forced or not
+    genus2 = standard_complex(fixtures.surface_presentation(2, True))
+    w = unit_weighting(standard_complex(fixtures.torus_presentation()))
+    with pytest.raises(CriterionError, match="weighting belongs to a different complex"):
+        decide(genus2, w, force)
 
 
 def test_magnus_intersect_pipeline():
