@@ -18,9 +18,9 @@ nearly every attachment scan there finds nothing.
 Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
 torus, which builds a square ladder until its step limit N, and prints the
 wall clock per step.  A step of the ladder changes the domain locally and
-the attachment scan reads the blocked squares from the present cycles, but
-us/step still grows with N (each scan starts over from every present cycle
-and vertex) until a site heap kept across steps lands.
+the attachment scan reads the blocked squares from the present cycles; one
+scan counts the lift of each (cell, start, root) once, but us/step still
+grows with N, as each scan starts over from every present cycle and root.
 
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times

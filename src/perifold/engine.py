@@ -86,15 +86,28 @@ class ReductionTrace:
 
 def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
     """The candidates `find_site` tries, in its scan order: the strict
-    ones longest first in strict mode, all shortest first in weak mode.
-    Built once per (weighting, mode) and kept on the weighting."""
-    order = w._scan_order.get(mode)
-    if order is None:
-        sign = -1 if mode == "strict" else 1
-        order = w._scan_order[mode] = tuple(sorted(
-            enumerate_candidates(w.complex, w, mode),
-            key=lambda c: (sign * c.length, c.cell, c.start)))
-    return order
+    ones longest first in strict mode, all shortest first in weak mode."""
+    return tuple(cand for cand, _ring, _shortest in _scan_plan(w, mode))
+
+
+def _scan_plan(w: Weighting,
+               mode: str) -> tuple[tuple[CandidateQ, tuple[int, ...], int | None], ...]:
+    # per candidate in scan order: the candidate, ∂R read from its start,
+    # and at the first candidate of its (cell, start) the shortest candidate
+    # length of that (cell, start), None at the others.  Built once per
+    # (weighting, mode) and kept on the weighting.
+    plan = w._scans.get(mode)
+    if plan is None:
+        x, sign = w.complex, -1 if mode == "strict" else 1
+        order = sorted(enumerate_candidates(x, w, mode),
+                       key=lambda c: (sign * c.length, c.cell, c.start))
+        shortest: dict[tuple[int, int], int] = {}
+        for c in order:
+            shortest[c.cell, c.start] = min(shortest.get((c.cell, c.start), c.length), c.length)
+        rings = {(r, s): x.cells[r][s:] + x.cells[r][:s] for r, s in shortest}
+        plan = w._scans[mode] = tuple(
+            (c, rings[c.cell, c.start], shortest.pop((c.cell, c.start), None)) for c in order)
+    return plan
 
 
 def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
@@ -107,14 +120,34 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     candidate length; longer sites are reached at their own length, so the
     weak engine reproduces the nonterminating square-ladder behaviour.
 
-    A candidate is tried, in vertex order, only at the vertices where its
-    first letter lifts (`Domain.leaving`).  The lift from a vertex, its
-    maximal site and whether that site may be attached do not depend on
-    the candidate's length, so each (cell, start, vertex) is walked and
-    settled once per call and reused by every other length.  A lift that
-    closes up into a circle whose packet is present is blocked; in a packed
-    1-immersion these circles are the present cycles, so the (cell, start,
-    vertex) triples at their corners (`Domain.present`) are skipped unwalked.
+    One call walks each (cell, start, root) at most once and tries it at
+    one candidate length only, its own.  At the first candidate of a
+    (cell, start) in `scan_order` the lift of ∂R read from that start is
+    counted, letter by letter, from every root its first letter leaves
+    (`Domain.leaving`).  A lift of W letters is tried at once when W is
+    that candidate's length; when W is at least the shortest candidate
+    length of the (cell, start), it waits, in root order, for the candidate
+    of length W, which reads only the lifts waiting for it; a shorter lift
+    is never tried.  Vertex and edge lists are built only for a lift that
+    is tried.  This returns the site that trying every lift at every
+    candidate length returns:
+
+    - The candidate lengths of one (cell, start) form an interval
+      [L_min, |R|]: shrinking Q only grows its complement S, and edge
+      perimeters are nonnegative, so P(S) only rises.
+    - Strict mode scans longest first, and a lift of W letters lifts every
+      candidate up to length W, so the scan reaches it first at W.  Its
+      maximal site does not depend on the candidate length, and is a
+      candidate too, as growing Q only shrinks S.
+    - Weak mode takes a site only at its own length, and a site is never
+      shorter than its lift, so a lift can only be taken at W.
+
+    A lift that closes up into a circle whose packet is present is
+    blocked; in a packed 1-immersion these circles are the present cycles
+    (`Domain.present`).  Each corner of one is keyed by the end that leaves
+    it, (cell, position mod period, ref), and a lift whose first end is
+    such a key is skipped uncounted: in a 1-immersion that end is the only
+    one leaving the root over the first letter.
     """
     if dom.next_fold() is not None:
         raise EngineError("find_site requires a 1-immersion")
@@ -124,14 +157,18 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     if w is None:
         raise WeightError("find_site requires a domain built with a weighting")
     stars, head = dom.stars, dom.head
-    blocked = {(r, q % x.periods[r][0], dom.tail(d))
+    blocked = {(r, q % x.periods[r][0], d)
                for r, cycles in dom.present.items() for cycle in cycles
                for q, d in enumerate(cycle)}
 
-    def settle(cell: int, start: int, ring: tuple[int, ...], verts: list[int],
-               edges: list[int]) -> AttachmentSite | None:
-        # the maximal site through a forward lift, or None when it is no candidate
-        verts, edges = list(verts), list(edges)
+    def site_at(cand: CandidateQ, ring: tuple[int, ...], v: int) -> AttachmentSite | None:
+        # the maximal site through the lift of Q from v, or None in weak
+        # mode when it is longer than Q
+        verts, edges = [v], []
+        for letter in ring[:cand.length]:
+            d = stars[verts[-1]][letter][0]
+            edges.append(d)
+            verts.append(head(d))
         mlen = len(ring)
         grown = 0
         while len(edges) < mlen:  # grow the lift backward in both ∂R and Y
@@ -141,44 +178,37 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
             edges.insert(0, -back[0])
             verts.insert(0, head(back[0]))
             grown += 1
-        cand = _candidate_at(x, w, cell, start - grown, len(edges), mode)
-        if cand is None:
-            return None
+        if grown:
+            if mode == "weak":
+                return None  # a weak site is scanned at its maximal length
+            cand = _candidate_at(x, w, cand.cell, cand.start - grown, len(edges), mode)
         return AttachmentSite(cand, PathInY(dom, tuple(verts), tuple(edges)), len(edges) == mlen)
 
-    # (cell, start) -> (∂R read from start, forward lift per vertex, its site)
-    starts: dict[tuple[int, int], tuple[tuple[int, ...], dict, dict]] = {}
-    for cand in scan_order(w, mode):
-        if (cand.cell, cand.start) not in starts:
-            bdry = x.cells[cand.cell]
-            starts[cand.cell, cand.start] = (bdry[cand.start:] + bdry[:cand.start], {}, {})
-        ring, walks, sites = starts[cand.cell, cand.start]
+    waiting: dict[tuple[int, int, int], list[int]] = {}  # (cell, start, W) -> roots, ascending
+    for cand, ring, shortest in _scan_plan(w, mode):
+        cell, start, length = cand.cell, cand.start, cand.length
+        if shortest is None:
+            for v in waiting.pop((cell, start, length), ()):
+                site = site_at(cand, ring, v)
+                if site is not None:
+                    return site
+            continue
         for v in dom.leaving.get(ring[0], ()):
-            if (cand.cell, cand.start, v) in blocked:
+            if (cell, start, stars[v][ring[0]][0]) in blocked:
                 continue
-            walk = walks.get(v)
-            if walk is None:
-                # lift forward as far as ∂R goes
-                verts, edges = [v], []
-                out = stars[v]
-                for letter in ring:
-                    ends = out.get(letter)
-                    if ends is None:
-                        break
-                    u = head(ends[0])
-                    edges.append(ends[0])
-                    verts.append(u)
-                    out = stars[u]
-                walk = walks[v] = (verts, edges)
-            if len(walk[1]) < cand.length:
-                continue
-            if v in sites:
-                site = sites[v]
-            else:
-                site = sites[v] = settle(cand.cell, cand.start, ring, *walk)
-            if site is None or (mode == "weak" and len(site.path.edges) != cand.length):
-                continue  # a weak site is scanned at its maximal length
-            return site
+            walked, u = 0, v
+            for letter in ring:  # count the letters of the lift of ∂R from v
+                ends = stars[u].get(letter)
+                if ends is None:
+                    break
+                walked += 1
+                u = head(ends[0])
+            if walked == length:
+                site = site_at(cand, ring, v)
+                if site is not None:
+                    return site
+            elif walked >= shortest:
+                waiting.setdefault((cell, start, walked), []).append(v)
     return None
 
 
@@ -231,20 +261,20 @@ class ReduceResult:
 def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
     """`reduce_domain` on the map's domain; the map is built once, at the end."""
-    _check_run(m.codomain, w, mode, step_limit)  # before the domain reads w
-    dom = Domain(m, w)
+    _check_run(w, mode, step_limit)
+    dom = Domain(m, w)  # refuses a weighting of another complex
     trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
     return ReduceResult(dom.to_map() if trace.steps else m, trace,
                         dom.vertex_map(range(m.domain.num_vertices)), exhausted)
 
 
-def _check_run(x: Complex2, w: Weighting | None, mode: str, step_limit: int | None) -> None:
+def _check_run(w: Weighting | None, mode: str, step_limit: int | None) -> None:
     if mode not in ("strict", "weak"):
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    if w is None or x != w.complex:
-        raise WeightError("weighting belongs to a different complex")
+    if w is None:
+        raise WeightError("a reduction requires a weighting")
 
 
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
@@ -261,7 +291,7 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     edge count) below the previous step's.
     """
     w = dom.weighting
-    _check_run(dom.codomain, w, mode, step_limit)
+    _check_run(w, mode, step_limit)
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 

@@ -171,11 +171,15 @@ class Domain:
     edge is added (by its edge perimeter) or dropped (by that less the
     weights of its present sides), or when a side becomes present at an
     edge (by its weight); gluing the map's own cells makes it the map's
-    perimeter.  Without one, weights are 0.
+    perimeter.  Without one, weights are 0; a weighting of another complex
+    than the codomain is refused.
     """
 
     def __init__(self, m: CombMap, w=None):
         dom, x = m.domain, m.codomain
+        if w is not None and w.complex != x:
+            from .weights import WeightError  # weights imports this module
+            raise WeightError("weighting belongs to a different complex")
         self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
         self.per = w._per if w is not None else [0] * x.num_edges()
         self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
@@ -436,6 +440,8 @@ def bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> 
             raise MapError("bouquet words must be nonempty")
         if any(abs(ell) > ngen for ell in w.letters):
             raise MapError("word uses unknown generator")
+    if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
+        raise MapError("word uses unknown generator")
     vertex_image = [0]
     edges: list[tuple[int, int]] = []
     edge_image: list[int] = []

@@ -32,10 +32,12 @@ class Weighting:
     The edge perimeters and, per cell, the weight Wt(R), the packet weight
     n*Wt(R) and the prefix sums of edge perimeters around the boundary read
     twice are derived when the weighting is built.
-    The attachment candidates per engine mode (`engine.scan_order`) and the
-    certificates per grade (`criteria.find_certificate`) are derived when
-    first asked for.  None is recomputed, so the complex must not be
-    mutated afterwards; it keeps its own invariants (`Complex2`).
+    The scan plan of `engine.find_site` per engine mode (the candidates
+    in `engine.scan_order`, ∂R read from each start and the shortest
+    candidate length of each (cell, start)) and the certificates per grade
+    (`criteria.find_certificate`) are derived when first asked for.  None
+    is recomputed, so the complex must not be mutated afterwards; it keeps
+    its own invariants (`Complex2`).
     """
 
     complex: Complex2
@@ -67,7 +69,7 @@ class Weighting:
         object.__setattr__(self, "_packet_weights",
                            tuple(n * wt for (_p, n), wt in zip(x.periods, cell_weights)))
         object.__setattr__(self, "_prefix", prefix)
-        object.__setattr__(self, "_scan_order", {})
+        object.__setattr__(self, "_scans", {})
         object.__setattr__(self, "_certificates", {})
 
     def weight(self, cell: int, pos: int) -> int:

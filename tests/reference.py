@@ -39,10 +39,11 @@ built from the domain.
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
 site; `perifold.engine.find_site` on the live domain, which starts only
-where the first letter lifts and walks and settles each (cell, start,
-vertex) once per call, must return the same site on the map built from
-it.  None of these references reads a `Domain`, so a reduction loop built
-of them and `apply_fold` checks the program's whole loop.
+where the first letter lifts and tries each (cell, start, root) once per
+call, at the candidate of its own length, must return the same site on
+the map built from it.  None of these references reads a `Domain`, so a
+reduction loop built of them and `apply_fold` checks the program's whole
+loop.
 """
 
 from __future__ import annotations

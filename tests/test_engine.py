@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
+from perifold.criteria import magnus_weighting
 from perifold.engine import (
     AttachmentSite,
     EngineError,
@@ -22,6 +23,7 @@ from perifold.engine import (
     reduce_domain,
     reduce_map,
     relator_bound,
+    scan_order,
 )
 from perifold.experiments import (
     random_generator_set,
@@ -662,12 +664,22 @@ def scans_against_reference(reduce):
     return scans
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_DIFF_COMPLEXES[:3]), st.integers(0, 2**32 - 1),
+# the reduction complexes and the weighted <a..f | abcdef^-1, fafbfcfdfe>,
+# whose cells of length 6 and 10 make scan_order reach their (cell, start)
+# pairs at different lengths, with zero-perimeter edges over f
+_SCAN_COMPLEXES = [
+    *_DIFF_COMPLEXES,
+    (standard_complex(fixtures.modify_presentation()), fixtures.modify_weighting),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SCAN_COMPLEXES), st.integers(0, 2**32 - 1),
        st.integers(4, 24), st.integers(1, 3), st.booleans())
 def test_find_attachment_matches_reference(case, seed, length, parts, whiskered):
-    # torus, (aab)^3 and genus 2: every map a strict or weak reduction of a
-    # random bouquet scans gets the reference's site, or None from both
+    # torus, (aab)^3, genus 2, weighted zzz and weighted modify: every map a
+    # strict or weak reduction of a random bouquet scans gets the
+    # reference's site, or None from both
     x, w_of = case
     w = w_of(x)
     rng = random.Random(seed)
@@ -725,6 +737,48 @@ def test_find_attachment_matches_reference_on_the_weak_ladder():
     scans = scans_against_reference(lambda: res.append(reduce_map(m, w, "weak", 60)))
     assert res[0].exhausted and res[0].map.domain.num_cells() == 60
     assert len(scans) == 61 and all(hit for _mode, hit in scans)
+
+
+def _weighted_fixture_complexes():
+    presentations = [
+        fixtures.aab_power_presentation(3),
+        fixtures.torus_presentation(),
+        fixtures.zzz_presentation(),
+        fixtures.surface_presentation(2, True),
+        fixtures.surface_presentation(3, False),
+        fixtures.modify_presentation(),
+        fixtures.two_relator_block_presentation(),
+        fixtures.magnus_example_presentation(),
+    ]
+    for pres in presentations:
+        x = standard_complex(pres)
+        yield x, unit_weighting(x)
+    for pres, w_of in [
+        (fixtures.zzz_presentation(), fixtures.zzz_weighting),
+        (fixtures.modify_presentation(), fixtures.modify_weighting),
+        (fixtures.two_relator_block_presentation(), fixtures.two_relator_block_weighting),
+        # a and b of perimeter 0
+        (fixtures.magnus_example_presentation(), lambda x: magnus_weighting(x, {0, 1})[0]),
+    ]:
+        x = standard_complex(pres)
+        yield x, w_of(x)
+
+
+def test_candidate_lengths_form_an_interval_ending_at_the_boundary():
+    # find_site tries each lift at its own length only; that returns the
+    # site of trying it at every length because the candidate lengths of
+    # each (cell, start) are an interval [L_min, |R|]
+    cases = list(_weighted_fixture_complexes())
+    assert edge_perimeters(cases[-1][1])[:2] == [0, 0]
+    for x, w in cases:
+        for mode in ("strict", "weak"):
+            lengths = {}
+            for cand in scan_order(w, mode):
+                lengths.setdefault((cand.cell, cand.start), []).append(cand.length)
+            assert set(lengths) == {(c, s) for c in range(x.num_cells())
+                                    for s in range(x.periods[c][0])}
+            for (c, _start), found in lengths.items():
+                assert sorted(found) == list(range(min(found), x.boundary_length(c) + 1))
 
 
 def test_find_attachment_skips_blocked_circle():

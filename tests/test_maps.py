@@ -24,7 +24,7 @@ from perifold.maps import (
     path_from_edges,
     whisker_tip,
 )
-from perifold.weights import map_perimeter, unit_weighting
+from perifold.weights import WeightError, map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation, word
 
 from conftest import GraphOracle, random_grid_subcomplex
@@ -54,6 +54,20 @@ def test_bouquet_shapes(free2):
         bouquet_map(free2, [word([3])])
     with pytest.raises(MapError):
         bouquet_map(free2, [word([])])
+    for whisker in (word([3]), word([1, -3])):
+        with pytest.raises(MapError, match="word uses unknown generator"):
+            bouquet_map(free2, [word([1])], whisker=whisker)
+
+
+def test_domain_refuses_a_weighting_of_another_complex():
+    torus = standard_complex(fixtures.torus_presentation())
+    genus2 = standard_complex(fixtures.surface_presentation(2, True))
+    for x, other in ((genus2, torus), (torus, genus2)):
+        m = bouquet_map(x, [word([1, 2])])
+        with pytest.raises(WeightError, match="weighting belongs to a different complex"):
+            Domain(m, unit_weighting(other))
+        with pytest.raises(WeightError, match="weighting belongs to a different complex"):
+            reduce_map(m, unit_weighting(other))
 
 
 def test_is_1_immersion(free2):

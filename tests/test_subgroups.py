@@ -6,7 +6,7 @@ from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.criteria import CriterionError
 from perifold.engine import relator_bound
-from perifold.maps import CombMap, isomorphic_maps
+from perifold.maps import CombMap, MapError, isomorphic_maps
 from perifold.subgroups import (
     MissingCertificateError,
     intersect,
@@ -144,6 +144,13 @@ def test_certificate_gate_and_force():
     with pytest.raises(MissingCertificateError):
         member(x, w, [word([1])], word([2]))
     assert member(x, w, [word([1])], word([1]), force=True)
+
+
+def test_member_refuses_a_word_over_an_unknown_generator():
+    genus2 = standard_complex(fixtures.surface_presentation(2, True))
+    w = unit_weighting(genus2)
+    with pytest.raises(MapError, match="word uses unknown generator"):
+        member(genus2, w, [], word([9]))
 
 
 @pytest.mark.parametrize("force", [False, True])
