@@ -37,7 +37,7 @@ def layers(pf) -> dict[str, tuple[object, str]]:
         "engine.find_site": (pf.engine, "find_site"),
         "engine.attach_site": (pf.engine, "attach_site"),
         "engine.extract_presentation": (pf.engine, "extract_presentation"),
-        "maps.bouquet_map": (pf.maps, "bouquet_map"),
+        "maps.Domain.bouquet": (pf.maps.Domain, "bouquet"),
         "maps.based_fiber_product": (pf.maps, "based_fiber_product"),
     }
     named.update({f"maps.Domain.{step}": (pf.maps.Domain, step) for step in DOMAIN_STEPS})
@@ -96,7 +96,7 @@ def timed(ops, named, modules) -> dict[str, tuple[int, float]]:
         holders = [owner] if isinstance(owner, type) else [
             m for m in modules if getattr(m, attr, None) is fn]
         for holder in holders:
-            undo.append((holder, attr, fn))
+            undo.append((holder, attr, vars(holder)[attr]))  # a classmethod as stored, unbound
             setattr(holder, attr, wrapped)
     try:
         total = play(ops)

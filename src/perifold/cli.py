@@ -123,6 +123,8 @@ def parse_input_file(text: str) -> InputFile:
                     raise ParseError("weights gen <name> <int>", lineno, 1)
                 if parts[1] not in pres.generators:
                     raise ParseError(f"unknown generator {parts[1]!r}", lineno, 1)
+                if parts[1] in gen_weight:
+                    raise ParseError(f"duplicate weights for generator {parts[1]!r}", lineno, 1)
                 gen_weight[parts[1]] = _int(parts[2], lineno)
             elif kind == "rel":
                 body = rest[len("rel"):].strip()
@@ -148,6 +150,8 @@ def parse_input_file(text: str) -> InputFile:
             name = name.strip()
             if not colon or not name:
                 raise ParseError("words <name>: <word>, <word>...", lineno, 1)
+            if name in word_lists:
+                raise ParseError(f"duplicate word list {name!r}", lineno, 1)
             ws = []
             for chunk in body.split(","):
                 chunk = chunk.strip()

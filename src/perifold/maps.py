@@ -12,7 +12,8 @@ position q, the domain directed edge lying over it.  Two domain cells are the
 same lift exactly when their rewritten cycles agree, which makes redundancy,
 packedness and side presence straightforward to state.
 
-A `Domain` is a map's domain kept live: folds, vertex identifications,
+A `Domain` is a map's domain kept live, or a subgroup's, built from its
+words as a wedge of arcs (`Domain.bouquet`): folds, vertex identifications,
 fresh arcs and packet cells change it in place, its perimeter changes only
 when an edge is added or dropped or a side becomes present, and the map is
 built from it once (`Domain.to_map`); the based fiber product of two
@@ -131,32 +132,12 @@ def path_from_edges(x: Complex2, start: int, edges) -> PathInY:
 # --- changing the domain ----------------------------------------------------
 
 
-def append_arc(x: Complex2, edges: list[tuple[int, int]], edge_image: list[int],
-               vertex_image: list[int], u: int, v: int | None, letters) -> list[int]:
-    """Append to a domain's edge and vertex lists an arc over `letters` from
-    vertex u to vertex v, or to a fresh vertex when v is None.  Edges are
-    oriented along the arc and numbered on from the last; each fresh vertex
-    is numbered on from the last and maps to the head of its letter.
-    Returns the arc's edge refs."""
-    refs = []
-    last = len(letters) - 1
-    for k, letter in enumerate(letters):
-        if k == last and v is not None:
-            nxt = v
-        else:
-            nxt = len(vertex_image)
-            vertex_image.append(x.head(letter))
-        edges.append((u, nxt))
-        edge_image.append(letter)
-        refs.append(len(edges))
-        u = nxt
-    return refs
-
-
 class Domain:
     """A map's domain, changed in place by four operations that each touch
     only what they change: `fold`, `identify`, `add_arc` and `add_packet`
-    (with `remove_redundant`, `repair` and `augment`).
+    (with `remove_redundant`, `repair` and `augment`).  A subgroup's domain
+    starts as the wedge of its words (`bouquet`); any other map is wrapped
+    as `Domain(m, w)`.
 
     Vertex and edge ids are the map's numbers, then fresh ones; none is
     reused.  Vertex classes live in a union-find whose root is the smallest
@@ -205,6 +186,30 @@ class Domain:
         for c in range(dom.num_cells()):
             self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
         self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
+
+    @classmethod
+    def bouquet(cls, x: Complex2, words: list[Word], w=None,
+                whisker: Word | None = None) -> Domain:
+        """The wedge of subdivided circles (one per word, in order) at the
+        basepoint 0, with an optional open whisker arc that ends at the last
+        vertex, mapped along the given words: arcs (`add_arc`) glued to the
+        one-vertex domain over the vertex of x."""
+        if x.num_vertices != 1:
+            raise MapError("bouquet_map expects a one-vertex codomain")
+        ngen = x.num_edges()
+        for word in words:
+            if not word.letters:
+                raise MapError("bouquet words must be nonempty")
+            if any(abs(ell) > ngen for ell in word.letters):
+                raise MapError("word uses unknown generator")
+        if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
+            raise MapError("word uses unknown generator")
+        dom = cls(CombMap(Complex2(1, [], []), x, [0], [], [], 0), w)
+        for word in words:
+            dom.add_arc(0, 0, word.letters)
+        if whisker is not None and whisker.letters:
+            dom.add_arc(0, None, whisker.letters)
+        return dom
 
     def find(self, v: int) -> int:
         parent = self.parent
@@ -348,21 +353,30 @@ class Domain:
         self.identify(h1, h2)
         return d1, d2
 
-    def add_arc(self, u: int, v: int, letters) -> list[int]:
-        """Add an arc over `letters` from root u to root v (`append_arc`);
-        returns its edge refs."""
-        first = len(self.parent)
-        refs = append_arc(self.codomain, self.edges, self.edge_image, self.vertex_image,
-                          u, v, letters)
-        self.parent += range(first, len(self.vertex_image))
-        self.stars += [{} for _ in range(first, len(self.vertex_image))]
-        self.num_vertices += len(self.vertex_image) - first
+    def add_arc(self, u: int, v: int | None, letters) -> list[int]:
+        """Add an arc over `letters` from root u to root v, or to a fresh
+        vertex when v is None; returns its edge refs.  Edges are oriented
+        along the arc and numbered on from the last; each fresh vertex is
+        numbered on from the last and maps to the head of its letter."""
+        x, refs, last = self.codomain, [], len(letters) - 1
+        for k, letter in enumerate(letters):
+            if k == last and v is not None:
+                nxt = v
+            else:
+                nxt = len(self.parent)
+                self.parent.append(nxt)
+                self.stars.append({})
+                self.vertex_image.append(x.head(letter))
+                self.num_vertices += 1
+            self.edges.append((u, nxt))
+            self.edge_image.append(letter)
+            d = len(self.edges)
+            refs.append(d)
+            self._add_end(u, letter, d)
+            self._add_end(nxt, -letter, -d)
+            self.perimeter += self.per[abs(letter) - 1]
+            u = nxt
         self.num_edges += len(refs)
-        for d in refs:
-            img = self.edge_image[d - 1]
-            self._add_end(self.edges[d - 1][0], img, d)
-            self._add_end(self.edges[d - 1][1], -img, -d)
-            self.perimeter += self.per[abs(img) - 1]
         return refs
 
     def add_packet(self, r: int, cycle) -> int:
@@ -431,33 +445,9 @@ def _renumbered(cycle: tuple[int, ...], ref) -> tuple[int, ...]:
 
 def bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> CombMap:
     """Wedge of subdivided circles (one per word) at a basepoint, with an
-    optional open whisker arc, mapped along the given words."""
-    if x.num_vertices != 1:
-        raise MapError("bouquet_map expects a one-vertex codomain")
-    ngen = x.num_edges()
-    for w in words:
-        if not w.letters:
-            raise MapError("bouquet words must be nonempty")
-        if any(abs(ell) > ngen for ell in w.letters):
-            raise MapError("word uses unknown generator")
-    if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
-        raise MapError("word uses unknown generator")
-    vertex_image = [0]
-    edges: list[tuple[int, int]] = []
-    edge_image: list[int] = []
-    for w in words:
-        append_arc(x, edges, edge_image, vertex_image, 0, 0, w.letters)
-    if whisker is not None and whisker.letters:
-        append_arc(x, edges, edge_image, vertex_image, 0, None, whisker.letters)
-    dom = Complex2(len(vertex_image), edges, [])
-    m = CombMap(dom, x, vertex_image, edge_image, [], 0)
-    m.validate()
-    return m
-
-
-def whisker_tip(m: CombMap) -> int:
-    """Endpoint of the open arc of a bouquet-with-whisker (the last vertex)."""
-    return m.domain.num_vertices - 1
+    optional open whisker arc, mapped along the given words
+    (`Domain.bouquet`)."""
+    return Domain.bouquet(x, words, whisker=whisker).to_map()
 
 
 # --- folding ----------------------------------------------------------------

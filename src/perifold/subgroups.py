@@ -1,8 +1,9 @@
 """Decision procedures built on the reduction engine: subgroup presentations,
 membership, and finitely generated intersections via the based components
-of fiber products.  Each subgroup lives on one `maps.Domain`, changed in
-place from its bouquet on; a map is built from it only to be read, and the
-fiber product is read off the domains themselves."""
+of fiber products.  Each subgroup lives on one `maps.Domain`, built from
+its words (`Domain.bouquet`) and changed in place from then on; a map is
+built from it only to be read, and the fiber product is read off the
+domains themselves."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from .criteria import (
     magnus_weighting,
     sc_certificate,
 )
-from .engine import ReductionTrace, extract_presentation, reduce_domain, reduce_map
-from .maps import CombMap, Domain, based_fiber_product, bouquet_map, whisker_tip
+from .engine import ReductionTrace, extract_presentation, reduce_domain
+from .maps import CombMap, Domain, based_fiber_product
 from .weights import Weighting
 from .words import Presentation, Word, free_reduce
 
@@ -69,10 +70,10 @@ def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
     With a step limit that cuts the reduction short, `exhausted` is set and
     the presentation is read off the partially reduced complex."""
     cert, heuristic = _certified(x, w, "strict", force, "subgroup_presentation")
-    m = bouquet_map(x, _clean_words(gens))
-    res = reduce_map(m, w, "strict", step_limit)
-    return SubgroupResult(extract_presentation(res.map), res.trace, cert,
-                          heuristic, res.map, res.exhausted)
+    dom = Domain.bouquet(x, _clean_words(gens), w)
+    trace, exhausted = reduce_domain(dom, "strict", step_limit)
+    m = dom.to_map()
+    return SubgroupResult(extract_presentation(m), trace, cert, heuristic, m, exhausted)
 
 
 def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
@@ -97,10 +98,10 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     u = free_reduce(u)
     if not u.letters:
         return True, ReductionTrace(0, 0)
-    m = bouquet_map(x, _clean_words(gens), whisker=u)
-    dom = Domain(m, w)
+    dom = Domain.bouquet(x, _clean_words(gens), w, whisker=u)
+    tip = len(dom.parent) - 1  # the whisker's end, the last vertex
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
-    if dom.find(m.basepoint) == dom.find(whisker_tip(m)):
+    if dom.find(dom.basepoint) == dom.find(tip):
         return True, trace
     return (None if exhausted else False), trace
 
@@ -124,7 +125,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
     runs, domains = [], []
     for gens in (gens_h, gens_k):
-        dom = Domain(bouquet_map(x, _clean_words(gens)), w)
+        dom = Domain.bouquet(x, _clean_words(gens), w)
         runs.append(reduce_domain(dom, "strict", step_limit))
         dom.augment()
         runs.append(reduce_domain(dom, "strict", step_limit))
@@ -152,10 +153,8 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
             + "; ".join(verdict.witnesses or verdict.notes)
         )
     cert, heuristic = _certified(x, weighting, "weak", force, "magnus_intersect")
-    dom = Domain(bouquet_map(x, _clean_words(gens_h)), weighting)
+    dom = Domain.bouquet(x, _clean_words(gens_h), weighting)
     trace, _exhausted = reduce_domain(dom, "strict")
-    kept = sorted(subgraph_edges)
-    sub = Complex2(1, [(0, 0) for _ in kept], [])
-    inclusion = Domain(CombMap(sub, x, [0], [e + 1 for e in kept], [], 0))
+    inclusion = Domain.bouquet(x, [Word((e + 1,)) for e in sorted(subgraph_edges)])
     based = based_fiber_product(dom, inclusion)
     return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based)

@@ -16,6 +16,11 @@ computes its piece cover afresh from that table, by its own copy of the
 greedy cover; it asserts that the complex's cached `pieces` equal the table
 before it reads the C(p)/T(q) report.
 
+`reference_bouquet_map` builds a bouquet as a map, arc by arc into the
+edge and vertex lists, and validates it; `perifold.maps.Domain.bouquet`,
+which glues the arcs onto a live one-vertex domain, must build the same
+map and the same live state as a `Domain` of this map.
+
 `apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
 must end where repeated `find_fold` / `apply_fold` ends.
 `reference_attach_packet` and `reference_augment_with_cells` build the
@@ -317,6 +322,43 @@ def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     verdict.extras["worst"] = {"cell": c, "start": start, "length": length,
                                "perimeter": p_s, "bound": bound}
     return verdict
+
+
+def reference_bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> CombMap:
+    """Wedge of subdivided circles (one per word) at the basepoint 0, with
+    an optional open whisker arc ending at the last vertex, mapped along
+    the given words; each arc's edges and fresh vertices are numbered on
+    from the last, and the map is validated."""
+    if x.num_vertices != 1:
+        raise MapError("bouquet_map expects a one-vertex codomain")
+    ngen = x.num_edges()
+    for w in words:
+        if not w.letters:
+            raise MapError("bouquet words must be nonempty")
+        if any(abs(ell) > ngen for ell in w.letters):
+            raise MapError("word uses unknown generator")
+    if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
+        raise MapError("word uses unknown generator")
+    vertex_image = [0]
+    edges: list[tuple[int, int]] = []
+    edge_image: list[int] = []
+    arcs = [(w.letters, 0) for w in words]
+    if whisker is not None and whisker.letters:
+        arcs.append((whisker.letters, None))
+    for letters, v in arcs:
+        u = 0
+        for k, letter in enumerate(letters):
+            if k == len(letters) - 1 and v is not None:
+                nxt = v
+            else:
+                nxt = len(vertex_image)
+                vertex_image.append(x.head(letter))
+            edges.append((u, nxt))
+            edge_image.append(letter)
+            u = nxt
+    m = CombMap(Complex2(len(vertex_image), edges, []), x, vertex_image, edge_image, [], 0)
+    m.validate()
+    return m
 
 
 @dataclass

@@ -66,6 +66,31 @@ def test_weight_directive_validation():
     assert edge_perimeters(f.weighting) == [4, 2]
 
 
+def test_repeated_directives_are_refused():
+    # the second line would otherwise replace the first without a word
+    for text, line, why in (
+            ("gens a b\nwords H: a\nwords H: b", 3, "duplicate word list 'H'"),
+            ("gens a\nrel a^3\nweights gen a 2\nweights gen a 3", 4,
+             "duplicate weights for generator 'a'"),
+            ("gens a\nrel a^3\nweights gen a 2\nweights gen a 2", 4,
+             "duplicate weights for generator 'a'")):
+        with pytest.raises(ParseError, match=why) as caught:
+            parse_input_file(text)
+        assert caught.value.line == line
+    f = parse_input_file("gens a b\nwords H: a\nwords K: a\nweights gen a 2\nweights gen b 3")
+    assert sorted(f.word_lists) == ["H", "K"]
+
+
+def test_cli_refuses_repeated_directives(tmp_path, capsys):
+    # `member` read `words H: b` alone and answered True for b
+    path = write(tmp_path, "twice.pf", "gens a b\nwords H: a\nwords H: b\n")
+    assert rejected(capsys, ["member", path, "--gens", "@H", "--word", "b"],
+                    "line 3, column 1: duplicate word list 'H'")
+    path = write(tmp_path, "weights.pf", "gens a b\nrel a b a^-1 b^-1\n"
+                                         "weights gen a 2\nweights gen a 3\n")
+    assert rejected(capsys, ["info", path], "line 4, column 1: duplicate weights")
+
+
 def test_cmd_info_weighted_values(tmp_path, capsys):
     path = write(tmp_path, "zzz.pf", ZZZ)
     assert main(["info", path, "--json"]) == 0

@@ -39,7 +39,6 @@ from perifold.maps import (
     find_fold,
     fold_to_immersion,
     is_packed,
-    whisker_tip,
 )
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
@@ -57,6 +56,7 @@ from reference import (
     reference_attach_packet,
     reference_augment_with_cells,
     reference_based_product,
+    reference_bouquet_map,
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
@@ -415,9 +415,11 @@ _DIFF_COMPLEXES = [
 
 
 def assert_same_as_reference(m, w):
-    full = reduce_map(m, w)
+    # `verify` checks every step's P against the double sum; the runs cut
+    # short repeat the full run's steps, so they are compared unverified
+    full = reduce_map(m, w, verify=True)
     for limit in [None, *range(len(full.trace.steps) + 2)]:
-        got = reduce_map(m, w, step_limit=limit, verify=True)
+        got = full if limit is None else reduce_map(m, w, step_limit=limit)
         want_map, want_steps, want_tracking, want_exhausted = reference_reduce(m, w, limit)
         assert got.trace.to_lines() == [
             f"step={k} kind={s.kind} P={s.perimeter} edges={s.edges}"
@@ -557,6 +559,29 @@ def test_domain_starts_at_the_map_perimeter(rng):
 
 
 # --- domain changes against the hand-built reference -------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bouquet_domain_matches_reference_map(data):
+    # the arcs glued one by one onto the wedge point give the map built by
+    # hand, and the live state of a `Domain` of that map
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    w = data.draw(st.sampled_from([None, w_of(x)]))
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(0, 3))))
+            if g.letters]
+    whisker = data.draw(st.sampled_from([None, word([]), "nonempty"]))
+    if whisker == "nonempty":  # as drawn, not reduced
+        whisker = word(data.draw(st.lists(letter, min_size=1, max_size=8)))
+    want = reference_bouquet_map(x, gens, whisker)  # validated
+    dom = Domain.bouquet(x, gens, w, whisker)
+    assert dom.to_map() == want
+    assert bouquet_map(x, gens, whisker) == want
+    ref = Domain(want, w)
+    for field in ("perimeter", "stars", "leaving", "num_vertices", "num_edges", "num_cells"):
+        assert getattr(dom, field) == getattr(ref, field), field
+    assert dom.next_fold() == ref.next_fold()
 
 
 def on_map(dom, m, site):
@@ -807,8 +832,8 @@ def copying_intersect(x, w, gens_h, gens_k, step_limit):
     trace, final map, exhausted)."""
     runs = []
     for gens in (gens_h, gens_k):
-        bouquet = reduce_map(bouquet_map(x, [g for g in gens if g.letters]), w, "strict",
-                             step_limit)
+        bouquet = reduce_map(reference_bouquet_map(x, [g for g in gens if g.letters]), w,
+                             "strict", step_limit)
         runs += [bouquet, reduce_map(reference_augment_with_cells(bouquet.map), w, "strict",
                                      step_limit)]
     based = reference_based_product(runs[1].map, runs[3].map)
@@ -821,9 +846,9 @@ def copying_member(x, w, gens, u, step_limit):
     """`member_with_trace` read off the built map's `vertex_tracking`."""
     if not u.letters:
         return True, ReductionTrace(0, 0)
-    m = bouquet_map(x, [g for g in gens if g.letters], whisker=u)
+    m = reference_bouquet_map(x, [g for g in gens if g.letters], whisker=u)
     res = reduce_map(m, w, "strict", step_limit)
-    if res.vertex_tracking[m.basepoint] == res.vertex_tracking[whisker_tip(m)]:
+    if res.vertex_tracking[m.basepoint] == res.vertex_tracking[m.domain.num_vertices - 1]:
         return True, res.trace
     return (None if res.exhausted else False), res.trace
 

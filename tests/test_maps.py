@@ -22,7 +22,6 @@ from perifold.maps import (
     isomorphic_maps,
     lift_path,
     path_from_edges,
-    whisker_tip,
 )
 from perifold.weights import WeightError, map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation, word
@@ -47,12 +46,14 @@ def test_bouquet_shapes(free2):
     assert (m.domain.num_vertices, m.domain.num_edges()) == (2, 2)
     m2 = bouquet_map(free2, [], whisker=word([1]))
     assert (m2.domain.num_vertices, m2.domain.num_edges()) == (2, 1)
-    assert whisker_tip(m2) == 1
+    assert m2.domain.edges[-1] == (0, m2.domain.num_vertices - 1)  # the whisker's tip
     m3 = bouquet_map(free2, [word([1]), word([2])], whisker=word([1, 2]))
     assert m3.domain.num_edges() == 4
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match="bouquet_map expects a one-vertex codomain"):
+        Domain.bouquet(Complex2(2, [(0, 1)], []), [word([1])])
+    with pytest.raises(MapError, match="word uses unknown generator"):
         bouquet_map(free2, [word([3])])
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match="bouquet words must be nonempty"):
         bouquet_map(free2, [word([])])
     for whisker in (word([3]), word([1, -3])):
         with pytest.raises(MapError, match="word uses unknown generator"):

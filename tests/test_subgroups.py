@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from perifold import fixtures
+from perifold import fixtures, maps
 from perifold.complexes import Complex2, standard_complex
 from perifold.criteria import CriterionError
 from perifold.engine import relator_bound
@@ -26,6 +26,36 @@ from reference import out_edges
 def free2():
     x = standard_complex(fixtures.free_presentation(2))
     return x, unit_weighting(x)
+
+
+def test_decision_procedures_build_each_domain_from_its_words(monkeypatch):
+    # no bouquet map is built, validated or copied into a domain: the only
+    # map a `Domain` is made of on the way is the edgeless wedge point
+    wrapped = []
+
+    def no_bouquet_map(*args, **kwargs):
+        raise AssertionError("bouquet_map called")
+
+    def no_validate(self):
+        raise AssertionError("CombMap.validate called")
+
+    def end_stars(m):
+        wrapped.append(m.domain.num_edges())
+        return original(m)
+
+    original = maps.end_stars
+    monkeypatch.setattr(maps, "bouquet_map", no_bouquet_map)
+    monkeypatch.setattr(CombMap, "validate", no_validate)
+    monkeypatch.setattr(maps, "end_stars", end_stars)
+    x = standard_complex(fixtures.surface_presentation(2, True))
+    w = unit_weighting(x)
+    gens = [word([1, 2, -1, -2]), word([1, 1])]
+    subgroup_presentation(x, w, gens)
+    assert member(x, w, gens, word([1, 1, 1, 1]))
+    intersect(x, w, gens, [word([1])])
+    mx = standard_complex(fixtures.magnus_example_presentation())
+    magnus_intersect(mx, {0, 1}, [word([1, 2])])
+    assert len(wrapped) == 6 and set(wrapped) == {0}
 
 
 def test_subgroup_presentation_free(free2):
