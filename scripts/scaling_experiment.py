@@ -2,10 +2,12 @@
 """Measure how the reduction loop scales with the total generator length,
 and the certificate with the relator length.
 
-Reduces random bouquets over <a, b | (aab)^9> at a ladder of total lengths
-and prints step counts and wall-clock times; the step count should stay
-linear in the input length and the wall clock at worst quadratic.  Folding
-is near-linear, so wall/L stays about flat while folds dominate.
+Reduces random bouquets over <a, b | (aab)^9> at a ladder of total lengths,
+as `subgroup_presentation` does (a fresh bouquet domain per timed call,
+reduced in place and built into a map once), and prints step counts and
+wall-clock times; the step count should stay linear in the input length
+and the wall clock at worst quadratic.  Folding is near-linear, so wall/L
+stays about flat while folds dominate.
 
 Then answers `member` on the genus-2 surface group for products of k
 relator conjugates (word length L); the attachment search takes most of
@@ -16,11 +18,12 @@ by two random reduced words of length n (total generator length L = 4n);
 nearly every attachment scan there finds nothing.
 
 Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
-torus, which builds a square ladder until its step limit N, and prints the
-wall clock per step.  A step of the ladder changes the domain locally and
-the attachment scan reads the blocked squares from the present cycles; one
-scan counts the lift of each (cell, start, root) once, but us/step still
-grows with N, as each scan starts over from every present cycle and root.
+torus, timed the same way, which builds a square ladder until its step
+limit N, and prints the wall clock per step.  A step of the ladder changes
+the domain locally and the attachment scan reads the blocked squares from
+the present cycles; one scan counts the lift of each (cell, start, root)
+once, but us/step still grows with N, as each scan starts over from every
+present cycle and root.
 
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times
@@ -31,16 +34,15 @@ stays about flat.
 import argparse
 
 from perifold.complexes import standard_complex
-from perifold.engine import reduce_map
 from perifold.experiments import (
     best_time,
     measure_certificate_scaling,
     measure_intersect_scaling,
     measure_member_scaling,
     measure_reduction_scaling,
+    reduce_bouquet,
 )
 from perifold.fixtures import aab_power_presentation, surface_presentation, torus_presentation
-from perifold.maps import bouquet_map
 from perifold.weights import unit_weighting
 from perifold.words import Word
 
@@ -89,10 +91,11 @@ def main() -> None:
     print(f"{'N':>5} {'steps':>7} {'wall (ms)':>10} {'wall/step (us)':>15}")
     torus = standard_complex(torus_presentation())
     w = unit_weighting(torus)
-    ladder = bouquet_map(torus, [Word((-2, 1, 1))], whisker=Word((2, 2, 2)))  # b^-1 a^2; b^3
+    h, u = [Word((-2, 1, 1))], Word((2, 2, 2))  # b^-1 a^2; b^3
     for n in args.ladder:
-        seconds, res = best_time(lambda: reduce_map(ladder, w, "weak", n), args.best_of)
-        steps = len(res.trace.steps)
+        seconds, (trace, _m) = best_time(lambda: reduce_bouquet(torus, w, h, u, "weak", n),
+                                         args.best_of)
+        steps = len(trace.steps)
         print(f"{n:>5} {steps:>7} {seconds * 1e3:>10.2f} {seconds / max(1, steps) * 1e6:>15.1f}")
     print()
     print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"

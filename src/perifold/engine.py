@@ -19,7 +19,7 @@ from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
                       path_perimeter, subpath_perimeter)
-from .words import Presentation, Word, cyclic_reduce, free_reduce
+from .words import Presentation, Word, cyclic_reduce
 
 
 class EngineError(ValueError):
@@ -114,33 +114,38 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan of a live packed 1-immersion for an attachment
     site, under the weighting the domain was built with.
 
-    Strict mode scans longest candidates first and grows every lift to a
-    maximal site, which favours complete attachments.  Weak mode scans
-    shortest first and keeps only lifts that are already maximal at the
-    candidate length; longer sites are reached at their own length, so the
-    weak engine reproduces the nonterminating square-ladder behaviour.
+    Strict mode scans longest candidates first, which favours complete
+    attachments; weak mode scans shortest first, so the weak engine
+    reproduces the nonterminating square-ladder behaviour.  The two modes
+    differ only in their `scan_order`.
 
     One call walks each (cell, start, root) at most once and tries it at
     one candidate length only, its own.  At the first candidate of a
     (cell, start) in `scan_order` the lift of ∂R read from that start is
     counted, letter by letter, from every root its first letter leaves
-    (`Domain.leaving`).  A lift of W letters is tried at once when W is
-    that candidate's length; when W is at least the shortest candidate
-    length of the (cell, start), it waits, in root order, for the candidate
-    of length W, which reads only the lifts waiting for it; a shorter lift
-    is never tried.  Vertex and edge lists are built only for a lift that
-    is tried.  This returns the site that trying every lift at every
-    candidate length returns:
+    (`Domain.leaving`).  A lift of W letters shorter than the shortest
+    candidate of its (cell, start) is never tried, nor is one that extends
+    backward (W < |∂R| and the root leaves over the inverse of ∂R's last
+    letter).  Any other lift is tried at once when W is that candidate's
+    length, and otherwise waits for the candidate of length W, which takes
+    the least root waiting for it.  Vertex and edge lists are built only
+    for a lift that is tried.  This returns the site of the plain scan,
+    which tries every lift at every candidate length, grows it forward and
+    backward to a maximal lift, and in weak mode drops it if it grew:
 
     - The candidate lengths of one (cell, start) form an interval
       [L_min, |R|]: shrinking Q only grows its complement S, and edge
-      perimeters are nonnegative, so P(S) only rises.
-    - Strict mode scans longest first, and a lift of W letters lifts every
-      candidate up to length W, so the scan reaches it first at W.  Its
-      maximal site does not depend on the candidate length, and is a
-      candidate too, as growing Q only shrinks S.
-    - Weak mode takes a site only at its own length, and a site is never
-      shorter than its lift, so a lift can only be taken at W.
+      perimeters are nonnegative, so P(S) only rises.  A lift of W letters
+      tried at a shorter candidate grows forward to W letters; strict mode
+      tries the candidate of length W first, and weak mode drops the grown
+      lift, so a lift is only taken at W.
+    - The skip is exact.  Extend a skipped lift X backward by g letters to
+      the maximal lift X* at (R, start - g), read modulo the period.  X*
+      has W + g letters, its Q contains X's, so its P(S) is no larger and
+      W + g is a candidate length there.  X* is not blocked, or X's first
+      corner, g steps on along the same present cycle, would be.  Strict
+      mode scans longest first, so it returns at X*'s candidate at the
+      latest, before it reaches X's; weak mode drops X, which grows.
 
     A lift that closes up into a circle whose packet is present is
     blocked; in a packed 1-immersion these circles are the present cycles
@@ -161,37 +166,21 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                for r, cycles in dom.present.items() for cycle in cycles
                for q, d in enumerate(cycle)}
 
-    def site_at(cand: CandidateQ, ring: tuple[int, ...], v: int) -> AttachmentSite | None:
-        # the maximal site through the lift of Q from v, or None in weak
-        # mode when it is longer than Q
+    def site_at(cand: CandidateQ, ring: tuple[int, ...], v: int) -> AttachmentSite:
         verts, edges = [v], []
         for letter in ring[:cand.length]:
             d = stars[verts[-1]][letter][0]
             edges.append(d)
             verts.append(head(d))
-        mlen = len(ring)
-        grown = 0
-        while len(edges) < mlen:  # grow the lift backward in both ∂R and Y
-            back = stars[verts[0]].get(-ring[-1 - grown])
-            if back is None:
-                break
-            edges.insert(0, -back[0])
-            verts.insert(0, head(back[0]))
-            grown += 1
-        if grown:
-            if mode == "weak":
-                return None  # a weak site is scanned at its maximal length
-            cand = _candidate_at(x, w, cand.cell, cand.start - grown, len(edges), mode)
-        return AttachmentSite(cand, PathInY(dom, tuple(verts), tuple(edges)), len(edges) == mlen)
+        return AttachmentSite(cand, PathInY(dom, tuple(verts), tuple(edges)),
+                              cand.length == len(ring))
 
-    waiting: dict[tuple[int, int, int], list[int]] = {}  # (cell, start, W) -> roots, ascending
+    waiting: dict[tuple[int, int, int], int] = {}  # (cell, start, W) -> least root
     for cand, ring, shortest in _scan_plan(w, mode):
         cell, start, length = cand.cell, cand.start, cand.length
         if shortest is None:
-            for v in waiting.pop((cell, start, length), ()):
-                site = site_at(cand, ring, v)
-                if site is not None:
-                    return site
+            if (v := waiting.pop((cell, start, length), None)) is not None:
+                return site_at(cand, ring, v)
             continue
         for v in dom.leaving.get(ring[0], ()):
             if (cell, start, stars[v][ring[0]][0]) in blocked:
@@ -203,12 +192,11 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                     break
                 walked += 1
                 u = head(ends[0])
+            if walked < shortest or (walked < len(ring) and -ring[-1] in stars[v]):
+                continue
             if walked == length:
-                site = site_at(cand, ring, v)
-                if site is not None:
-                    return site
-            elif walked >= shortest:
-                waiting.setdefault((cell, start, walked), []).append(v)
+                return site_at(cand, ring, v)
+            waiting.setdefault((cell, start, walked), v)
     return None
 
 
@@ -283,7 +271,9 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     built with, until no fold and no qualifying site exists.  Returns the
     trace and whether the step limit cut the run short (`exhausted`, set
     instead of raising so the partial trace stays observable); weak mode
-    requires a limit, as weak attachments need not terminate.
+    requires a limit, as weak attachments need not terminate.  A fold phase
+    that the limit cuts short still logs its `remove-redundant` and
+    `repair` steps, so a trace may hold more steps than the limit.
 
     With `verify`, the perimeter is checked against the double sum after
     every step, each fold phase to end in a packed 1-immersion, and in
@@ -385,7 +375,7 @@ def extract_presentation(m: CombMap) -> Presentation:
             if e in tree_edges:
                 continue
             letters.append(gen_of[e] if d > 0 else -gen_of[e])
-        word = cyclic_reduce(free_reduce(Word(tuple(letters))))
+        word = cyclic_reduce(Word(tuple(letters)))
         if word.letters:
             relators.append(word)
     return Presentation(names, tuple(relators))

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .complexes import compute_pieces, standard_complex
 from .criteria import find_certificate, sc_certificate
-from .engine import reduce_map
-from .maps import bouquet_map
+from .engine import reduce_domain
+from .maps import Domain
 from .subgroups import intersect, member_with_trace
 from .weights import unit_weighting
 from .words import Word, free_reduce, inverse
@@ -52,10 +52,19 @@ def best_time(run, best_of: int):
     return best, result
 
 
+def reduce_bouquet(x, w, words, whisker=None, mode="strict", step_limit=None):
+    """The reduction that `subgroup_presentation` runs: the bouquet's live
+    domain, built afresh, reduced in place and built into a map once;
+    returns the trace and the map."""
+    dom = Domain.bouquet(x, words, w, whisker)
+    trace, _exhausted = reduce_domain(dom, mode, step_limit)
+    return trace, dom.to_map()
+
+
 def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
                               best_of: int = 1) -> list[ScalingSample]:
-    """Reduce random bouquets of the given total lengths; report step counts
-    and best wall-clock per length."""
+    """Reduce random bouquets of the given total lengths (`reduce_bouquet`);
+    report step counts and best wall-clock per length."""
     x = standard_complex(presentation)
     w = unit_weighting(x)
     out = []
@@ -66,11 +75,10 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
             rng = random.Random(seed)
             gens = random_generator_set(rng, len(presentation.generators),
                                         length, parts)
-            gens = [free_reduce(g) for g in gens]
-            m = bouquet_map(x, [g for g in gens if g.letters])
-            seconds, res = best_time(lambda: reduce_map(m, w, "strict"), best_of)
+            gens = [g for g in map(free_reduce, gens) if g.letters]
+            seconds, (trace, _m) = best_time(lambda: reduce_bouquet(x, w, gens), best_of)
             best = min(best, seconds)
-            steps_total += len(res.trace.steps)
+            steps_total += len(trace.steps)
         out.append(ScalingSample(length, steps_total // max(1, len(seeds)), best))
     return out
 

@@ -268,6 +268,20 @@ def test_cmd_intersect_step_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == full
 
 
+def test_cmd_intersect_step_limit_keeps_cleanup_steps(tmp_path, capsys):
+    # a fold phase cut short still logs its remove-redundant and repair
+    # steps: with limit 0, H and K with the cells glued at every vertex each
+    # glue the missing packet mates of (aab)^3, one repair step apiece
+    path = write(tmp_path, "aab3.pf", "gens a b\nrel ( a a b )^3\n")
+    trace = tmp_path / "trace.log"
+    assert main(["intersect", path, "--gens-h", "a b", "--gens-k", "b a^2", "--json",
+                 "--step-limit", "0", "--trace", str(trace)]) == 4
+    cut = json.loads(capsys.readouterr().out)
+    assert cut["exhausted"] is True and cut["steps"] == 2
+    assert trace.read_text().splitlines() == ["step=1 kind=repair P=45 edges=20",
+                                              "step=2 kind=repair P=69 edges=30"]
+
+
 def test_cmd_intersect_traces_all_four_reductions(tmp_path, capsys):
     # the free group on a, b: H's bouquet folds before any cell is glued, so
     # its steps are in the trace, and a cut there is explained by one

@@ -741,15 +741,21 @@ def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_find_attachment_matches_reference_on_relator_products(seed, k):
     # genus-2 whiskers that are products of k relator conjugates, as
-    # `member` reduces them: the scans hit
+    # `member` reduces them: the scans hit.  In weak mode the scan decides
+    # between lifts of one length that do and do not extend backward
     pres = fixtures.surface_presentation(2, True)
     x, w_of = _DIFF_COMPLEXES[2]
     w = w_of(x)
     u = relator_conjugate_product(random.Random(seed), pres.relators[0], 4, k)
     assume(u.letters)
     m = bouquet_map(x, [], whisker=u)
-    scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
-    assert ("strict", True) in scans
+
+    def both_modes():
+        reduce_map(m, w, "strict")
+        reduce_map(m, w, "weak", m.domain.num_edges() + 20)
+
+    scans = scans_against_reference(both_modes)
+    assert ("strict", True) in scans and ("weak", True) in scans
 
 
 def test_find_attachment_matches_reference_on_the_weak_ladder():
