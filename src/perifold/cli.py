@@ -69,39 +69,6 @@ class InputFile:
     weighting: Weighting
     word_lists: dict[str, list[Word]] = field(default_factory=dict)
 
-    def canonical_text(self) -> str:
-        p = self.presentation
-        lines = ["gens " + " ".join(p.generators)]
-        for r in p.relators:
-            lines.append("rel " + render_word(r, p.generators))
-        lines.extend(_weight_lines(self))
-        for name in sorted(self.word_lists):
-            ws = ", ".join(render_word(w, p.generators) for w in self.word_lists[name])
-            lines.append(f"words {name}: {ws}")
-        return "\n".join(lines) + "\n"
-
-
-def _weight_lines(f: InputFile) -> list[str]:
-    rows = f.weighting.side_weights
-    if all(all(v == 1 for v in row) for row in rows):
-        return ["weights unit"]
-    per_gen: dict[int, set[int]] = {}
-    for c, bdry in enumerate(f.complex.cells):
-        for i, d in enumerate(bdry):
-            per_gen.setdefault(abs(d) - 1, set()).add(rows[c][i])
-    if all(len(v) == 1 for v in per_gen.values()):
-        out = []
-        for e in sorted(per_gen):
-            (val,) = per_gen[e]
-            if val != 1:
-                out.append(f"weights gen {f.presentation.generators[e]} {val}")
-        if out:
-            return out
-    return [
-        f"weights rel {k + 1}: " + " ".join(str(v) for v in row)
-        for k, row in enumerate(rows)
-    ]
-
 
 def parse_input_file(text: str) -> InputFile:
     pres = parse_presentation(text)
@@ -152,12 +119,7 @@ def parse_input_file(text: str) -> InputFile:
                 raise ParseError("words <name>: <word>, <word>...", lineno, 1)
             if name in word_lists:
                 raise ParseError(f"duplicate word list {name!r}", lineno, 1)
-            ws = []
-            for chunk in body.split(","):
-                chunk = chunk.strip()
-                if chunk:
-                    ws.append(parse_word(chunk, pres.generators, line=lineno))
-            word_lists[name] = ws
+            word_lists[name] = _word_list(body, pres.generators, lineno)
     if rel_rows and (gen_weight or saw_unit):
         raise InputError("per-relator weights cannot be mixed with unit/gen directives")
     if rel_rows:
@@ -178,6 +140,12 @@ def _int(s: str, lineno: int) -> int:
         raise ParseError(f"expected integer, got {s!r}", lineno, 1) from None
 
 
+def _word_list(text: str, generators, lineno: int = 1) -> list[Word]:
+    # comma-separated words; empty chunks are skipped
+    return [parse_word(chunk, generators, line=lineno)
+            for chunk in map(str.strip, text.split(",")) if chunk]
+
+
 def _resolve_words(spec: str, f: InputFile) -> list[Word]:
     spec = spec.strip()
     if spec.startswith("@"):
@@ -185,12 +153,7 @@ def _resolve_words(spec: str, f: InputFile) -> list[Word]:
         if name not in f.word_lists:
             raise InputError(f"no word list named {name!r} in the input file")
         return list(f.word_lists[name])
-    out = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(parse_word(chunk, f.presentation.generators))
-    return out
+    return _word_list(spec, f.presentation.generators)
 
 
 def _emit(data, as_json: bool) -> None:
@@ -200,7 +163,7 @@ def _emit(data, as_json: bool) -> None:
         _print_plain(data)
 
 
-def _print_plain(data, indent: str = "") -> None:
+def _print_plain(data: dict | list, indent: str = "") -> None:
     if isinstance(data, dict):
         for k in sorted(data):
             v = data[k]
@@ -209,14 +172,12 @@ def _print_plain(data, indent: str = "") -> None:
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{k}: {v}")
-    elif isinstance(data, list):
+    else:
         for v in data:
             if isinstance(v, (dict, list)):
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{v}")
-    else:
-        print(f"{indent}{data}")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -231,6 +192,8 @@ def cmd_info(f: InputFile, args) -> int:
         alpha = Fraction(args.alpha) if args.alpha else None
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--alpha takes a fraction such as 1/6, not {args.alpha!r}") from None
+    if alpha is not None and alpha <= 0:
+        raise InputError(f"--alpha must be above 0, not {args.alpha}")
     report = check_small_cancellation(x, args.p, args.q, alpha)
     data = {
         "edge_perimeters": {g: per[e] for e, g in enumerate(p.generators)},
@@ -285,13 +248,9 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
     if name == "few-occurrences":
         return check_few_occurrences(p, x)
     if name == "powers":
-        words, exps = [], []
-        for r in p.relators:
-            period, n = period_exponent(r)
-            words.append(period)
-            exps.append(n)
+        periods = [period_exponent(r) for r in p.relators]
         try:
-            _n, verdict = power_theorem(words, exps)
+            _n, verdict = power_theorem([u for u, _n in periods], [n for _u, n in periods])
         except CriterionError as exc:
             return _inapplicable(name, str(exc))
         return verdict
@@ -311,7 +270,7 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
 
 def cmd_check(f: InputFile, args) -> int:
     if args.criterion == "all":
-        names = [*CRITERIA[:-2], "powers"]
+        names = list(CRITERIA[:-1])
         if args.magnus:
             names.append("magnus")
     else:

@@ -300,6 +300,8 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
     """C(p), T(q) (via link girth) and optional C'(alpha) verdicts."""
     if p < 2 or q < 3:
         raise ComplexError("need p >= 2 and q >= 3")
+    if alpha is not None and alpha <= 0:
+        raise ComplexError(f"need alpha > 0, not {alpha}")
     covers = [cycle_piece_cover(x, c) for c in range(len(x.cells))]
     witnesses: list[str] = []
     c_holds = True

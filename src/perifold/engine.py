@@ -249,20 +249,10 @@ class ReduceResult:
 def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
     """`reduce_domain` on the map's domain; the map is built once, at the end."""
-    _check_run(w, mode, step_limit)
     dom = Domain(m, w)  # refuses a weighting of another complex
     trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
     return ReduceResult(dom.to_map() if trace.steps else m, trace,
                         dom.vertex_map(range(m.domain.num_vertices)), exhausted)
-
-
-def _check_run(w: Weighting | None, mode: str, step_limit: int | None) -> None:
-    if mode not in ("strict", "weak"):
-        raise EngineError("mode must be 'strict' or 'weak'")
-    if mode == "weak" and step_limit is None:
-        raise EngineError("weak mode requires a step_limit")
-    if w is None:
-        raise WeightError("a reduction requires a weighting")
 
 
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
@@ -281,7 +271,12 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     edge count) below the previous step's.
     """
     w = dom.weighting
-    _check_run(w, mode, step_limit)
+    if mode not in ("strict", "weak"):
+        raise EngineError("mode must be 'strict' or 'weak'")
+    if mode == "weak" and step_limit is None:
+        raise EngineError("weak mode requires a step_limit")
+    if w is None:
+        raise WeightError("a reduction requires a weighting")
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 

@@ -481,21 +481,19 @@ class FoldToImmersionResult:
     folds: list[tuple[int, int]]  # identified directed edges, as refs of the input map
     removed_cells: int
     vertex_map: list[int]
-    pending: bool = False  # the fold limit stopped the run with a fold left
 
 
-def fold_to_immersion(m: CombMap, limit: int | None = None) -> FoldToImmersionResult:
+def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
     """Stallings folding in exactly the order of repeated `find_fold`, one
-    fold at a time (`Domain.fold`), then `remove_redundant`; at most `limit`
-    folds are made.  With no fold and no redundant cell the input map
-    itself is kept."""
+    fold at a time (`Domain.fold`), then `remove_redundant`.  With no fold
+    and no redundant cell the input map itself is kept."""
     dom = Domain(m)
     folds = []
-    while (fold := dom.next_fold()) is not None and (limit is None or len(folds) < limit):
+    while (fold := dom.next_fold()) is not None:
         folds.append(dom.fold(*fold))
     removed = dom.remove_redundant()
     return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
-                                 dom.vertex_map(range(m.domain.num_vertices)), fold is not None)
+                                 dom.vertex_map(range(m.domain.num_vertices)))
 
 
 # --- packets ----------------------------------------------------------------

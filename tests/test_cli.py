@@ -1,10 +1,12 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from perifold.cli import InputError, main, parse_input_file
+from perifold.complexes import ComplexError, check_small_cancellation
 from perifold.engine import reduce_map
 from perifold.maps import bouquet_map
 from perifold.weights import edge_perimeters
@@ -43,16 +45,6 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-def test_round_trip_identity():
-    for text in (ZZZ, FREE, AAB9, MODIFY):
-        f = parse_input_file(text)
-        again = parse_input_file(f.canonical_text())
-        assert again.presentation == f.presentation
-        assert again.weighting.side_weights == f.weighting.side_weights
-        assert again.word_lists == f.word_lists
-        assert again.canonical_text() == f.canonical_text()
 
 
 def test_weight_directive_validation():
@@ -325,6 +317,17 @@ def test_cli_rejects_alpha_that_is_no_fraction(tmp_path, capsys):
     assert rejected(capsys, ["info", path, "--alpha", "1/0"], "--alpha")
 
 
+def test_cli_rejects_alpha_not_above_0(tmp_path, capsys):
+    # C'(alpha) bounds piece lengths by alpha times the boundary length
+    path = write(tmp_path, "aab.pf", AAB9)
+    for alpha in ("--alpha=0", "--alpha=-1/6"):
+        assert rejected(capsys, ["info", path, alpha], "--alpha must be above 0")
+    x = parse_input_file(AAB9).complex
+    for alpha in (Fraction(0), Fraction(-1, 6)):
+        with pytest.raises(ComplexError, match="alpha > 0"):
+            check_small_cancellation(x, 6, 3, alpha)
+
+
 def test_cli_rejects_negative_step_limit(tmp_path, capsys):
     path = write(tmp_path, "free.pf", FREE)
     for args in (["subgroup", path, "--gens", "@H"],
@@ -365,6 +368,66 @@ def test_check_rejects_magnus_that_no_criterion_reads(tmp_path, capsys):
     for criterion in ("magnus", "all"):
         assert main(["check", path, "--criterion", criterion, "--magnus", "a,b"]) == 0
         capsys.readouterr()
+
+
+TORUS = "gens a b\nrel a b a^-1 b^-1\n"
+
+
+HOSTILE = {  # name -> (input file, subcommand and options, error line)
+    "weights-no-kind": (TORUS + "weights\n", ["info"],
+                        "line 3, column 1: empty weights directive"),
+    "weights-gen-no-value": (TORUS + "weights gen a\n", ["info"],
+                             "line 3, column 1: weights gen <name> <int>"),
+    "weights-gen-unknown": (TORUS + "weights gen z 2\n", ["info"],
+                            "line 3, column 1: unknown generator 'z'"),
+    "weights-gen-not-int": (TORUS + "weights gen a two\n", ["info"],
+                            "line 3, column 1: expected integer, got 'two'"),
+    "weights-rel-no-colon": (TORUS + "weights rel 1 1 1 1 1\n", ["info"],
+                             "line 3, column 1: weights rel <k>: <int>..."),
+    "weights-rel-out-of-range": (TORUS + "weights rel 2: 1 1 1 1\n", ["info"],
+                                 "line 3, column 1: relator index 2 out of range"),
+    "weights-rel-duplicate": (TORUS + "weights rel 1: 1 1 1 1\nweights rel 1: 2 2 2 2\n",
+                              ["info"], "line 4, column 1: duplicate weights for relator 1"),
+    "weights-heavy": (TORUS + "weights heavy\n", ["info"],
+                      "line 3, column 1: unknown weights kind 'heavy'"),
+    "words-no-name": (TORUS + "words : a\n", ["info"],
+                      "line 3, column 1: words <name>: <word>, <word>..."),
+    "words-column": (TORUS + "words H: a,  a c\n", ["info"],
+                     "line 3, column 3: unknown generator 'c'"),
+    "gens-option-column": (TORUS, ["subgroup", "--gens", "a,   a c"],
+                           "line 1, column 3: unknown generator 'c'"),
+    "gens-option-no-list": (TORUS, ["subgroup", "--gens", "@H"],
+                            "no word list named 'H' in the input file"),
+    "criterion-unknown": (TORUS, ["check", "--criterion", "nope"],
+                          "unknown criterion 'nope'"),
+    "magnus-missing": (TORUS, ["check", "--criterion", "magnus"],
+                       "--magnus <name,name,...> required for this criterion"),
+    "magnus-unknown": (TORUS, ["check", "--criterion", "magnus", "--magnus", "z"],
+                       "unknown generator 'z'"),
+    "gens-empty": ("gens\nrel a\n", ["info"],
+                   "line 1, column 1: gens line needs at least one name"),
+    "gens-repeated": ("gens a a\n", ["info"], "line 1, column 1: duplicate generator name"),
+    "gens-bad-name": ("gens a-b\n", ["info"], "line 1, column 1: invalid generator name 'a-b'"),
+    "unknown-directive": ("gens a b\nrelator a b\n", ["info"],
+                          "line 2, column 1: unknown directive 'relator'"),
+    "rel-before-gens": ("rel a b\ngens a b\n", ["info"], "line 1, column 1: rel before gens"),
+    "no-gens": ("# nothing\n", ["info"], "line 1, column 1: missing gens line"),
+    "token-plus": ("gens a b\nrel a+ b\n", ["info"], "line 2, column 1: bad token 'a+'"),
+    "token-bad-exponent": ("gens a b\nrel a b^x\n", ["info"],
+                           "line 2, column 3: bad exponent 'x'"),
+    "rel-unknown-generator": ("gens a b\nrel a c\n", ["info"],
+                              "line 2, column 3: unknown generator 'c'"),
+}
+
+
+@pytest.mark.parametrize("text, args, error", HOSTILE.values(), ids=list(HOSTILE))
+def test_cli_rejects_hostile_input(tmp_path, capsys, text, args, error):
+    # one error line that names the fault, where the file has one its line
+    # and column (the columns of a word list count from its stripped word),
+    # and nothing on standard output
+    path = write(tmp_path, "hostile.pf", text)
+    assert main([args[0], path, *args[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
