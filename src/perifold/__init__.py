@@ -13,7 +13,6 @@ from .complexes import (
     compute_pieces,
     link_graph,
     min_piece_cover,
-    sides_at,
     standard_complex,
 )
 from .criteria import (
@@ -26,33 +25,10 @@ from .criteria import (
     magnus_weighting,
     power_theorem,
 )
-from .engine import (
-    enumerate_candidates,
-    extract_presentation,
-    reduce_map,
-    relator_bound,
-)
-from .maps import (
-    CombMap,
-    bouquet_map,
-    based_fiber_product,
-    build_packet,
-    fold_to_immersion,
-    is_packed,
-    lift_path,
-)
+from .engine import enumerate_candidates, extract_presentation
+from .maps import CombMap, based_fiber_product, is_packed
 from .subgroups import intersect, magnus_intersect, member, subgroup_presentation
-from .weights import (
-    Weighting,
-    cell_weight,
-    edge_perimeter,
-    map_perimeter,
-    map_perimeter_fast,
-    packet_perimeter,
-    path_perimeter,
-    sform_check,
-    unit_weighting,
-)
+from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, unit_weighting
 from .words import (
     Presentation,
     Word,

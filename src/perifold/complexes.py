@@ -110,13 +110,6 @@ def standard_complex(p: Presentation) -> Complex2:
     return x
 
 
-def sides_at(x: Complex2, e: int) -> list[tuple[int, int]]:
-    """All sides (cell, position) traversing edge e in either orientation."""
-    if not (0 <= e < len(x.edges)):
-        raise ComplexError("unknown edge")
-    return list(x.sides[e])
-
-
 # --- vertex links -----------------------------------------------------------
 
 

@@ -5,10 +5,12 @@ presentation extraction.
 The loop (`reduce_domain`) changes one live `maps.Domain` in place,
 alternating folding to a 1-immersion, packing repair, and packet attachment
 along qualifying boundary subpaths; the perimeter follows each step by the
-domain's local rule.  `reduce_map` runs it on a map's domain and builds the
-map once, at the end.  In strict mode the lexicographic pair (perimeter,
-edge count) drops at every fold and every attachment, so the loop
-terminates; weak mode may run forever and therefore requires a step limit.
+domain's local rule.  A subgroup's domain is built from its words
+(`maps.Domain.bouquet`), any other map is wrapped as `maps.Domain(m, w)`,
+and a map is built from the domain only where one is read.  In strict mode
+the lexicographic pair (perimeter, edge count) drops at every fold and
+every attachment, so the loop terminates; weak mode may run forever and
+therefore requires a step limit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
-                      path_perimeter, subpath_perimeter)
+                      subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce
 
 
@@ -238,23 +240,6 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
     return added
 
 
-@dataclass
-class ReduceResult:
-    map: CombMap
-    trace: ReductionTrace
-    vertex_tracking: list[int]  # original domain vertex -> final vertex
-    exhausted: bool = False
-
-
-def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
-               step_limit: int | None = None, verify: bool = False) -> ReduceResult:
-    """`reduce_domain` on the map's domain; the map is built once, at the end."""
-    dom = Domain(m, w)  # refuses a weighting of another complex
-    trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
-    return ReduceResult(dom.to_map() if trace.steps else m, trace,
-                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
-
-
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
                   verify: bool = False) -> tuple[ReductionTrace, bool]:
     """Fold/repair/attach a live domain in place, under the weighting it was
@@ -375,9 +360,3 @@ def extract_presentation(m: CombMap) -> Presentation:
             relators.append(word)
     return Presentation(names, tuple(relators))
 
-
-def relator_bound(x: Complex2, w: Weighting, words: list[Word]) -> int:
-    """Sum of the word perimeters; bounds the relator count of the subgroup
-    they generate when every 2-cell is attached along a simple cycle
-    (reported, not enforced)."""
-    return sum(path_perimeter(w, word) for word in words)

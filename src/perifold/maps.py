@@ -92,16 +92,6 @@ class CombMap:
         return tuple(bdry[(q - offset) % m] for q in range(m))
 
 
-def identity_map(x: Complex2, basepoint: int = 0) -> CombMap:
-    return CombMap(
-        x, x,
-        list(range(x.num_vertices)),
-        [e + 1 for e in range(x.num_edges())],
-        [(c, 0, False) for c in range(x.num_cells())],
-        basepoint,
-    )
-
-
 @dataclass
 class PathInY:
     complex: Complex2
@@ -114,19 +104,6 @@ class PathInY:
         for v, d, w in zip(self.vertices, self.edges, self.vertices[1:]):
             if self.complex.tail(d) != v or self.complex.head(d) != w:
                 raise MapError("path does not chain")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def is_closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-
-def path_from_edges(x: Complex2, start: int, edges) -> PathInY:
-    vertices = [start]
-    for d in edges:
-        vertices.append(x.head(d))
-    return PathInY(x, tuple(vertices), tuple(edges))
 
 
 # --- changing the domain ----------------------------------------------------
@@ -195,7 +172,7 @@ class Domain:
         vertex, mapped along the given words: arcs (`add_arc`) glued to the
         one-vertex domain over the vertex of x."""
         if x.num_vertices != 1:
-            raise MapError("bouquet_map expects a one-vertex codomain")
+            raise MapError("Domain.bouquet expects a one-vertex codomain")
         ngen = x.num_edges()
         for word in words:
             if not word.letters:
@@ -440,16 +417,6 @@ def _renumbered(cycle: tuple[int, ...], ref) -> tuple[int, ...]:
     return tuple(ref[d - 1] if d > 0 else -ref[-d - 1] for d in cycle)
 
 
-# --- bouquets ---------------------------------------------------------------
-
-
-def bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> CombMap:
-    """Wedge of subdivided circles (one per word) at a basepoint, with an
-    optional open whisker arc, mapped along the given words
-    (`Domain.bouquet`)."""
-    return Domain.bouquet(x, words, whisker=whisker).to_map()
-
-
 # --- folding ----------------------------------------------------------------
 
 
@@ -475,51 +442,7 @@ def find_fold(m: CombMap) -> tuple[int, int, int] | None:
     return None
 
 
-@dataclass
-class FoldToImmersionResult:
-    map: CombMap
-    folds: list[tuple[int, int]]  # identified directed edges, as refs of the input map
-    removed_cells: int
-    vertex_map: list[int]
-
-
-def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
-    """Stallings folding in exactly the order of repeated `find_fold`, one
-    fold at a time (`Domain.fold`), then `remove_redundant`.  With no fold
-    and no redundant cell the input map itself is kept."""
-    dom = Domain(m)
-    folds = []
-    while (fold := dom.next_fold()) is not None:
-        folds.append(dom.fold(*fold))
-    removed = dom.remove_redundant()
-    return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
-                                 dom.vertex_map(range(m.domain.num_vertices)))
-
-
 # --- packets ----------------------------------------------------------------
-
-
-@dataclass
-class Packet:
-    complex: Complex2
-    projection: CombMap
-    cell_offsets: tuple[int, ...]
-
-
-def build_packet(x: Complex2, c: int) -> Packet:
-    """Circle of n*|W| edges carrying the boundary word of c, with n cells
-    attached along the full circle at offsets 0, |W|, ..., (n-1)|W|."""
-    bdry = x.cells[c]
-    m = len(bdry)
-    p, n = x.periods[c]
-    edges = [(q, (q + 1) % m) for q in range(m)]
-    cells = [tuple((k * p + j) % m + 1 for j in range(m)) for k in range(n)]
-    circle = Complex2(m, edges, cells)
-    vertex_image = [x.tail(bdry[q]) for q in range(m)]
-    proj = CombMap(circle, x, vertex_image, list(bdry),
-                   [(c, 0, False) for _ in range(n)], 0)
-    proj.validate()
-    return Packet(circle, proj, tuple(k * p for k in range(n)))
 
 
 def packet_mates(x: Complex2, r: int, cycle) -> list[tuple[int, ...]]:
@@ -540,30 +463,6 @@ def is_packed(m: CombMap) -> tuple[bool, tuple[int, int] | None]:
             if (r, mate) not in present:
                 return False, (c, k)
     return True, None
-
-
-# --- path lifting -----------------------------------------------------------
-
-
-def lift_path(m: CombMap, path: PathInY, start: int) -> PathInY | None:
-    """Unique lift of a codomain path from a domain vertex; None if it dies.
-
-    Requires a 1-immersion (lifts are then unique) and that the image of
-    start matches the start of the path.
-    """
-    if find_fold(m) is not None:
-        raise MapError("lift_path requires a 1-immersion")
-    if m.vertex_image[start] != path.vertices[0]:
-        raise MapError("start vertex image mismatch")
-    stars = end_stars(m)
-    verts, edges = [start], []
-    for d in path.edges:
-        ends = stars[verts[-1]].get(d)
-        if ends is None:
-            return None
-        edges.append(ends[0])
-        verts.append(m.domain.head(ends[0]))
-    return PathInY(m.domain, tuple(verts), tuple(edges))
 
 
 # --- fiber products ---------------------------------------------------------
@@ -637,50 +536,3 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])
 
-
-# --- canonical forms --------------------------------------------------------
-
-
-def canonical_form(m: CombMap):
-    """Canonical description of a connected 1-immersed based map, used to
-    compare fold results for isomorphism regardless of fold order."""
-    if find_fold(m) is not None:
-        raise MapError("canonical_form requires a 1-immersion")
-    stars = end_stars(m)
-    order = {m.basepoint: 0}
-    queue = [m.basepoint]
-    while queue:
-        v = queue.pop(0)
-        for _img, (d,) in sorted(stars[v].items()):
-            w = m.domain.head(d)
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-    if len(order) != m.domain.num_vertices:
-        raise MapError("canonical_form requires a connected domain")
-    edge_entries = []
-    for e in range(m.domain.num_edges()):
-        src, tgt = m.domain.edges[e]
-        fwd = (order[src], order[tgt], m.edge_image[e])
-        bwd = (order[tgt], order[src], -m.edge_image[e])
-        if fwd <= bwd:
-            edge_entries.append((fwd, e, 1))
-        else:
-            edge_entries.append((bwd, e, -1))
-    edge_entries.sort()
-    canon_ref = {}
-    for new_idx, (_entry, e, sign) in enumerate(edge_entries):
-        canon_ref[e + 1] = (new_idx + 1) * sign
-        canon_ref[-(e + 1)] = -(new_idx + 1) * sign
-    cell_entries = sorted(
-        (m.cell_image[c][0], tuple(canon_ref[d] for d in m.rewritten_cycle(c)))
-        for c in range(m.domain.num_cells())
-    )
-    return (
-        tuple(entry for entry, _e, _s in edge_entries),
-        tuple(cell_entries),
-    )
-
-
-def isomorphic_maps(a: CombMap, b: CombMap) -> bool:
-    return a.codomain == b.codomain and canonical_form(a) == canonical_form(b)

@@ -12,16 +12,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .complexes import Complex2, ComplexError
-from .maps import CombMap, build_packet
+from .complexes import Complex2
+from .maps import CombMap
 from .words import Word
 
 
 class WeightError(ValueError):
-    pass
-
-
-class NotNearImmersion(ValueError):
     pass
 
 
@@ -82,12 +78,6 @@ def unit_weighting(x: Complex2) -> Weighting:
 
 def weighting_from_rows(x: Complex2, rows) -> Weighting:
     return Weighting(x, tuple(tuple(row) for row in rows))
-
-
-def edge_perimeter(w: Weighting, e: int) -> int:
-    if not (0 <= e < w.complex.num_edges()):
-        raise ComplexError("unknown edge")
-    return w._per[e]
 
 
 def edge_perimeters(w: Weighting) -> list[int]:
@@ -155,47 +145,3 @@ def map_perimeter(w: Weighting, m: CombMap) -> int:
                 total += w.weight(*side)
     return total
 
-
-def is_near_immersion(m: CombMap) -> bool:
-    """True iff distinct local sides at each domain edge have distinct images,
-    i.e. each present side has a unique witness."""
-    count = [0] * m.domain.num_edges()
-    for c in range(m.domain.num_cells()):
-        for d in m.rewritten_cycle(c):
-            count[abs(d) - 1] += 1
-    present = present_sides(m)
-    return all(count[e] == len(present[e]) for e in range(m.domain.num_edges()))
-
-
-def map_perimeter_fast(w: Weighting, m: CombMap) -> int:
-    """Perimeter via edge perimeters minus cell weights; near-immersions only."""
-    if m.codomain != w.complex:
-        raise WeightError("weighting belongs to a different complex")
-    if not is_near_immersion(m):
-        raise NotNearImmersion("map is not a near-immersion; use map_perimeter")
-    total = sum(w._per[abs(m.edge_image[e]) - 1] for e in range(m.domain.num_edges()))
-    total -= sum(cell_weight(w, m.cell_image[c][0]) for c in range(m.domain.num_cells()))
-    return total
-
-
-def packet_perimeter(w: Weighting, c: int) -> int:
-    """Perimeter of the packet projection; equals P(boundary) - n * Wt(R)."""
-    return map_perimeter_fast(w, build_packet(w.complex, c).projection)
-
-
-def sform_check(w: Weighting, c: int, start: int, length: int) -> tuple[int, int, int, int]:
-    """(P(packet), P(Q), P(S), n*Wt(R)) for the boundary subpath Q = (start, length).
-
-    Asserts the identity P(packet) = P(Q) + P(S) - n * Wt(R).
-    """
-    x = w.complex
-    m = x.boundary_length(c)
-    if not (0 <= start < m) or not (0 <= length <= m):
-        raise ComplexError("invalid subpath")
-    p_q = subpath_perimeter(w, c, start, length)
-    p_s = subpath_perimeter(w, c, start + length, m - length)
-    nwt = packet_weight(w, c)
-    p_packet = packet_perimeter(w, c)
-    if p_packet != p_q + p_s - nwt:
-        raise AssertionError("packet perimeter identity violated")
-    return p_packet, p_q, p_s, nwt

@@ -1,5 +1,6 @@
 """Superseded implementations, kept as the references that the fast paths
-in `perifold` are tested against.
+in `perifold` are tested against, and the map-level entries and fixture
+maps that only the tests use.
 
 `restrict_to_component(fiber_product(a, b).to_codomain, based_vertex)` is
 the based component computed the long way: every vertex pair and every edge
@@ -16,13 +17,22 @@ computes its piece cover afresh from that table, by its own copy of the
 greedy cover; it asserts that the complex's cached `pieces` equal the table
 before it reads the C(p)/T(q) report.
 
+`reduce_map` and `fold_to_immersion` are the map-level entries to the
+program's live domain, and the only code here that reads a `Domain`: each
+wraps a map as `Domain(m, w)`, runs `reduce_domain` or the folds and
+`remove_redundant` on it, and builds the map once, at the end.  They are
+the program's side of the comparisons below.  `canonical_form` describes a
+connected 1-immersed based map up to isomorphism (`isomorphic_maps`), so
+fold results compare whatever the fold order.  `build_packet` is the
+projection of a cell's packet, and `identity_map` the identity of a complex.
+
 `reference_bouquet_map` builds a bouquet as a map, arc by arc into the
 edge and vertex lists, and validates it; `perifold.maps.Domain.bouquet`,
 which glues the arcs onto a live one-vertex domain, must build the same
 map and the same live state as a `Domain` of this map.
 
-`apply_fold` makes one fold at a time: `perifold.maps.fold_to_immersion`
-must end where repeated `find_fold` / `apply_fold` ends.
+`apply_fold` makes one fold at a time: `fold_to_immersion` must end where
+repeated `find_fold` / `apply_fold` ends.
 `reference_attach_packet` and `reference_augment_with_cells` build the
 attached and the augmented domain by hand; `perifold.engine.attach_site`
 and `perifold.maps.Domain.augment`, which change the live domain in place,
@@ -38,8 +48,8 @@ read off `reduce_map`'s `vertex_tracking`.
 references read them where the program reads its live `Domain`.
 `reference_remove_redundant` and `reference_repair_packing` change a map
 by copying it; `Domain.remove_redundant` and `Domain.repair`, and the fold
-phases of `perifold.engine.reduce_map`, must agree with them on the map
-built from the domain.
+phases of `reduce_map`, must agree with them on the map built from the
+domain.
 
 `reference_find_attachment` lifts each candidate forward to its length
 from every vertex, then grows the lift forward and backward to a maximal
@@ -60,14 +70,18 @@ from perifold.criteria import _VARIANTS, CriterionError, Verdict
 from perifold.engine import (
     AttachmentSite,
     EngineError,
+    ReductionTrace,
     StaleSiteError,
     _candidate_at,
+    reduce_domain,
     scan_order,
 )
 from perifold.maps import (
     CombMap,
+    Domain,
     MapError,
     PathInY,
+    end_stars,
     find_fold,
     packet_mates,
 )
@@ -330,7 +344,7 @@ def reference_bouquet_map(x: Complex2, words: list[Word], whisker: Word | None =
     the given words; each arc's edges and fresh vertices are numbered on
     from the last, and the map is validated."""
     if x.num_vertices != 1:
-        raise MapError("bouquet_map expects a one-vertex codomain")
+        raise MapError("Domain.bouquet expects a one-vertex codomain")
     ngen = x.num_edges()
     for w in words:
         if not w.letters:
@@ -680,3 +694,108 @@ def reference_find_attachment(m: CombMap, w: Weighting,
                 complete,
             )
     return None
+
+
+# --- map-level entries and fixture maps --------------------------------------
+
+
+@dataclass
+class ReduceResult:
+    map: CombMap
+    trace: ReductionTrace
+    vertex_tracking: list[int]  # original domain vertex -> final vertex
+    exhausted: bool
+
+
+def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
+               step_limit: int | None = None, verify: bool = False) -> ReduceResult:
+    """`reduce_domain` on the map's domain; the map is built once, at the end."""
+    dom = Domain(m, w)  # refuses a weighting of another complex
+    trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
+    return ReduceResult(dom.to_map() if trace.steps else m, trace,
+                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
+
+
+@dataclass
+class FoldToImmersionResult:
+    map: CombMap
+    folds: list[tuple[int, int]]  # identified directed edges, as refs of the input map
+    removed_cells: int
+    vertex_map: list[int]
+
+
+def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
+    """Stallings folding in exactly the order of repeated `find_fold`, one
+    fold at a time (`Domain.fold`), then `remove_redundant`.  With no fold
+    and no redundant cell the input map itself is kept."""
+    dom = Domain(m)
+    folds = []
+    while (fold := dom.next_fold()) is not None:
+        folds.append(dom.fold(*fold))
+    removed = dom.remove_redundant()
+    return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
+                                 dom.vertex_map(range(m.domain.num_vertices)))
+
+
+def canonical_form(m: CombMap):
+    """Canonical description of a connected 1-immersed based map, used to
+    compare fold results for isomorphism regardless of fold order."""
+    if find_fold(m) is not None:
+        raise MapError("canonical_form requires a 1-immersion")
+    stars = end_stars(m)
+    order = {m.basepoint: 0}
+    queue = [m.basepoint]
+    while queue:
+        v = queue.pop(0)
+        for _img, (d,) in sorted(stars[v].items()):
+            w = m.domain.head(d)
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    if len(order) != m.domain.num_vertices:
+        raise MapError("canonical_form requires a connected domain")
+    edge_entries = []
+    for e in range(m.domain.num_edges()):
+        src, tgt = m.domain.edges[e]
+        fwd = (order[src], order[tgt], m.edge_image[e])
+        bwd = (order[tgt], order[src], -m.edge_image[e])
+        if fwd <= bwd:
+            edge_entries.append((fwd, e, 1))
+        else:
+            edge_entries.append((bwd, e, -1))
+    edge_entries.sort()
+    canon_ref = {}
+    for new_idx, (_entry, e, sign) in enumerate(edge_entries):
+        canon_ref[e + 1] = (new_idx + 1) * sign
+        canon_ref[-(e + 1)] = -(new_idx + 1) * sign
+    cell_entries = sorted(
+        (m.cell_image[c][0], tuple(canon_ref[d] for d in m.rewritten_cycle(c)))
+        for c in range(m.domain.num_cells())
+    )
+    return (
+        tuple(entry for entry, _e, _s in edge_entries),
+        tuple(cell_entries),
+    )
+
+
+def isomorphic_maps(a: CombMap, b: CombMap) -> bool:
+    return a.codomain == b.codomain and canonical_form(a) == canonical_form(b)
+
+
+def build_packet(x: Complex2, c: int) -> CombMap:
+    """The projection of the packet of cell c: a circle of n*|W| edges
+    carrying the boundary word of c, with n cells attached along the full
+    circle at offsets 0, |W|, ..., (n-1)|W|."""
+    bdry = x.cells[c]
+    m = len(bdry)
+    p, n = x.periods[c]
+    circle = Complex2(m, [(q, (q + 1) % m) for q in range(m)],
+                      [tuple((k * p + j) % m + 1 for j in range(m)) for k in range(n)])
+    proj = CombMap(circle, x, [x.tail(d) for d in bdry], list(bdry), [(c, 0, False)] * n, 0)
+    proj.validate()
+    return proj
+
+
+def identity_map(x: Complex2, basepoint: int = 0) -> CombMap:
+    return CombMap(x, x, list(range(x.num_vertices)), [e + 1 for e in range(x.num_edges())],
+                   [(c, 0, False) for c in range(x.num_cells())], basepoint)

@@ -7,8 +7,8 @@ import pytest
 
 from perifold.cli import InputError, main, parse_input_file
 from perifold.complexes import ComplexError, check_small_cancellation
-from perifold.engine import reduce_map
-from perifold.maps import bouquet_map
+from perifold.engine import reduce_domain
+from perifold.maps import Domain
 from perifold.weights import edge_perimeters
 from perifold.words import ParseError, parse_word
 
@@ -167,9 +167,9 @@ def test_cmd_member_with_trace(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"member": False, "word": "a b a^-1"}
     f = parse_input_file(FREE)
     u = parse_word("a b a^-1", f.presentation.generators)
-    res = reduce_map(bouquet_map(f.complex, f.word_lists["H"], whisker=u), f.weighting)
-    assert res.trace.to_lines()  # the whisker folds onto the bouquet
-    assert trace.read_text().splitlines() == res.trace.to_lines()
+    want, _exhausted = reduce_domain(Domain.bouquet(f.complex, f.word_lists["H"], f.weighting, u))
+    assert want.to_lines()  # the whisker folds onto the bouquet
+    assert trace.read_text().splitlines() == want.to_lines()
     # a word trivial in the free group is answered without a reduction
     assert main(["member", path, "--gens", "@H", "--word", "a a^-1",
                  "--trace", str(trace)]) == 0
@@ -326,6 +326,10 @@ def test_cli_rejects_alpha_not_above_0(tmp_path, capsys):
     for alpha in (Fraction(0), Fraction(-1, 6)):
         with pytest.raises(ComplexError, match="alpha > 0"):
             check_small_cancellation(x, 6, 3, alpha)
+    # the library refuses p and q as the CLI does, without naming the flags
+    for p, q in ((1, 3), (6, 2)):
+        with pytest.raises(ComplexError, match=r"need p >= 2 and q >= 3"):
+            check_small_cancellation(x, p, q)
 
 
 def test_cli_rejects_negative_step_limit(tmp_path, capsys):

