@@ -283,9 +283,7 @@ class SmallCancellationReport:
     t_holds: bool
     c_prime_holds: bool | None
     cell_covers: list[float]
-    girths: list[float]
     witnesses: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 def check_small_cancellation(x: Complex2, p: int, q: int,
@@ -302,9 +300,8 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
         if cover < p:
             c_holds = False
             witnesses.append(f"C({p}) fails: cell {c} boundary covered by {int(cover)} pieces")
-    girths = list(x.link_girths)
     t_holds = True
-    for v, g in enumerate(girths):
+    for v, g in enumerate(x.link_girths):
         if g < q:
             t_holds = False
             witnesses.append(
@@ -321,11 +318,7 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
                     f"C'({alpha}) fails: cell {c} has a piece of length {longest}"
                     f" with boundary length {len(x.cells[c])}"
                 )
-    return SmallCancellationReport(
-        p, q, alpha, c_holds, t_holds, c_prime,
-        covers, girths, witnesses,
-        notes=[f"T({q}) via link girth"],
-    )
+    return SmallCancellationReport(p, q, alpha, c_holds, t_holds, c_prime, covers, witnesses)
 
 
 def largest_metric_denominator(x: Complex2) -> float:

@@ -22,7 +22,7 @@ from .weights import (
     Weighting,
     edge_perimeters,
     packet_weight,
-    shortest_equal_perimeter_subpath,
+    shortest_subpath_reaching,
     subpath_perimeter,
 )
 from .words import (
@@ -63,9 +63,26 @@ def _inapplicable(criterion: str, why: str) -> Verdict:
     return Verdict(criterion, False, "none", applicable=False, notes=[why])
 
 
+def _worst_subpath(w: Weighting, c: int, reaches) -> tuple[int, int, int] | None:
+    """(P(S), start, length) of the boundary subpath S of cell c of most
+    perimeter among those of 1 <= length <= reaches[start] edges, with the
+    least start and then the least length among equals; None when every
+    reach is 0.  Perimeters never drop as a subpath grows, so at each start
+    the worst is the shortest subpath with the perimeter of the longest
+    (`shortest_subpath_reaching`)."""
+    worst = None
+    for start, reach in enumerate(reaches):
+        if reach:
+            total = subpath_perimeter(w, c, start, reach)
+            if worst is None or total > worst[0]:
+                worst = (total, start, max(1, shortest_subpath_reaching(w, c, start, total)))
+    return worst
+
+
 def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
     """One-relator torsion test: P(S) <= n*Wt(R) for every boundary subpath
-    shorter than the period."""
+    shorter than the period.  The boundary is W^n, so the subpaths from
+    start + |W| are those from start: the starts of one period suffice."""
     crit = "one-relator-torsion"
     if x.num_cells() != 1 or x.num_vertices != 1:
         return _inapplicable(crit, "needs a unique 2-cell and a unique 0-cell")
@@ -73,23 +90,21 @@ def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
     if n <= 1:
         return _inapplicable(crit, "relator is not a proper power (exponent 1)")
     bound = packet_weight(w, 0)
-    worst = (-1, None)
-    for start in range(x.boundary_length(0)):
-        for length in range(1, p):
-            total = subpath_perimeter(w, 0, start, length)
-            if total > worst[0]:
-                worst = (total, (start, length))
-    holds = worst[0] <= bound
+    worst = _worst_subpath(w, 0, [p - 1] * p)
+    if worst is None:
+        return Verdict(crit, True, "coherent",
+                       notes=["period length 1: no subpath is shorter than the period"])
+    total, start, length = worst
+    holds = total <= bound
     witnesses = []
     if not holds:
-        start, length = worst[1]
         witnesses.append(
             f"subpath at position {start} of length {length} has perimeter"
-            f" {worst[0]} > {bound}"
+            f" {total} > {bound}"
         )
     return Verdict(crit, holds, "coherent" if holds else "none",
                    witnesses=witnesses,
-                   notes=[f"max P(S) = {worst[0]} vs n*Wt(R) = {bound}"])
+                   notes=[f"max P(S) = {total} vs n*Wt(R) = {bound}"])
 
 
 def check_equalweights(W: Word, n: int) -> Verdict:
@@ -154,14 +169,11 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
                        witnesses=list(sc.witnesses),
                        notes=[f"complex is not C({p_cond})-T({q_cond}) (T via link girth)"])
     # Piece covers grow with the length, so at each start the subpaths of at
-    # most `shell` pieces are those up to the greedy reach R; perimeters grow
-    # with the length too, so the worst of them is the shortest with the
-    # perimeter of length R.
-    worst = None  # ((-excess, cell, start, length), p_s, bound)
+    # most `shell` pieces are those up to the greedy reach.
+    found = []  # per cell: (slack, cell, start, length, P(S)) of its worst subpath
     for c, bdry in enumerate(x.cells):
-        m = len(bdry)
-        bound = packet_weight(w, c)
-        max_from = x.pieces.max_from[c]
+        m, max_from = len(bdry), x.pieces.max_from[c]
+        reaches = []
         for start in range(m):
             reach = 0
             for _ in range(shell):
@@ -169,24 +181,17 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
                 if step == 0:
                     break
                 reach += step
-            reach = min(reach, m)
-            if reach == 0:
-                continue
-            length = shortest_equal_perimeter_subpath(w, c, start, reach)
-            total = subpath_perimeter(w, c, start, length)
-            key = (bound - total, c, start, length)
-            if worst is None or key < worst[0]:
-                worst = (key, total, bound)
-    if worst is None:
+            reaches.append(min(reach, m))
+        if (cell_worst := _worst_subpath(w, c, reaches)) is not None:
+            p_s, start, length = cell_worst
+            found.append((packet_weight(w, c) - p_s, c, start, length, p_s))
+    if not found:
         return Verdict(crit, True, "both" if strict else "coherent",
                        notes=["no piece-bounded subpaths (no pieces)"])
-    (neg_excess, c, start, length), p_s, bound = worst
-    excess = -neg_excess
-    holds = (excess < 0) if strict else (excess <= 0)
-    if holds:
-        conclusion = "both" if strict else "coherent"
-    else:
-        conclusion = "none"
+    slack, c, start, length, p_s = min(found)
+    bound = p_s + slack
+    holds = slack > 0 if strict else slack >= 0
+    conclusion = ("both" if strict else "coherent") if holds else "none"
     witnesses = []
     if not holds:
         word = Word(tuple(x.cells[c][(start + t) % len(x.cells[c])] for t in range(length)))
@@ -230,7 +235,6 @@ def check_few_occurrences(p: Presentation, x: Complex2 | None = None) -> Verdict
     verdict = Verdict(crit, holds, "both" if holds else "none",
                       witnesses=witnesses, notes=notes)
     verdict.extras["n_max"] = n_max
-    verdict.extras["max_occurrences"] = worst
     return verdict
 
 

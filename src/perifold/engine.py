@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
-                      subpath_perimeter)
+                      shortest_subpath_reaching, subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce
 
 
@@ -42,15 +42,26 @@ class CandidateQ:
 
 def enumerate_candidates(x: Complex2, w: Weighting, mode: str = "strict") -> list[CandidateQ]:
     """All boundary subpaths Q whose complement S satisfies P(S) < n*Wt(R)
-    (strict) or <= (weak).  Starts are reduced modulo the period length:
-    shifting a candidate by a period gives the same subpath of the boundary
-    up to its rotational symmetry."""
+    (strict) or <= (weak).  As P(S) = P(∂R) - P(Q), Q qualifies when P(Q)
+    exceeds P(∂R) - n*Wt(R) (or reaches it, in weak mode), so the lengths
+    of one (cell, start) form an interval [L_min, |R|]: one bisection
+    (`weights.shortest_subpath_reaching`) gives L_min, and another the
+    length from which the candidates are strict.  Starts are reduced modulo the period length: shifting a candidate by a
+    period gives the same subpath of the boundary up to its rotational
+    symmetry."""
     if mode not in ("strict", "weak"):
         raise EngineError("mode must be 'strict' or 'weak'")
-    return [cand for c, bdry in enumerate(x.cells)
-            for start in range(x.periods[c][0])
-            for length in range(1, len(bdry) + 1)
-            if (cand := _candidate_at(x, w, c, start, length, mode))]
+    out = []
+    for c, bdry in enumerate(x.cells):
+        mlen = len(bdry)
+        excess = subpath_perimeter(w, c, 0, mlen) - packet_weight(w, c)
+        for start in range(x.periods[c][0]):
+            weak_from = max(1, shortest_subpath_reaching(w, c, start, excess))
+            strict_from = max(1, shortest_subpath_reaching(w, c, start, excess, strict=True))
+            first = strict_from if mode == "strict" else weak_from
+            out += [CandidateQ(c, start, length, length >= strict_from)
+                    for length in range(first, mlen + 1)]
+    return out
 
 
 @dataclass
@@ -136,8 +147,7 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     backward to a maximal lift, and in weak mode drops it if it grew:
 
     - The candidate lengths of one (cell, start) form an interval
-      [L_min, |R|]: shrinking Q only grows its complement S, and edge
-      perimeters are nonnegative, so P(S) only rises.  A lift of W letters
+      [L_min, |R|] (`enumerate_candidates`).  A lift of W letters
       tried at a shorter candidate grows forward to W letters; strict mode
       tries the candidate of length W first, and weak mode drops the grown
       lift, so a lift is only taken at W.
@@ -200,17 +210,6 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                 return site_at(cand, ring, v)
             waiting.setdefault((cell, start, walked), v)
     return None
-
-
-def _candidate_at(x: Complex2, w: Weighting, cell: int, start: int, length: int,
-                  mode: str) -> CandidateQ | None:
-    # Q = (start, length) on the cell's boundary, or None when its complement
-    # S fails P(S) < n*Wt(R) (strict mode) or P(S) <= n*Wt(R) (weak mode)
-    mlen = x.boundary_length(cell)
-    slack = packet_weight(w, cell) - subpath_perimeter(w, cell, start + length, mlen - length)
-    if slack < 0 or (mode == "strict" and slack == 0):
-        return None
-    return CandidateQ(cell, start % mlen, length, slack > 0)
 
 
 def attach_site(dom: Domain, site: AttachmentSite) -> int:

@@ -124,13 +124,14 @@ class Domain:
     `remove_redundant`.  `to_map` numbers vertex classes by their smallest
     id and surviving edges and cells in id order, as a fold of the input.
 
-    Given a weighting (kept as `weighting`), `perimeter` starts as the sum
-    of the edge perimeters and follows one rule: it changes only when an
-    edge is added (by its edge perimeter) or dropped (by that less the
-    weights of its present sides), or when a side becomes present at an
-    edge (by its weight); gluing the map's own cells makes it the map's
-    perimeter.  Without one, weights are 0; a weighting of another complex
-    than the codomain is refused.
+    Given a weighting (kept as `weighting`), `perimeter` follows one rule:
+    it changes only when an edge is added (by its edge perimeter) or
+    dropped (by that less the weights of its present sides), or when a
+    side becomes present at an edge (by its weight).  A map's domain is
+    built by the same operations, one single-letter `add_arc` per edge and
+    one cell per cell, so it starts at the map's perimeter.  Without a
+    weighting, weights are 0; one of another complex than the codomain is
+    refused.
     """
 
     def __init__(self, m: CombMap, w=None):
@@ -142,24 +143,20 @@ class Domain:
         self.per = w._per if w is not None else [0] * x.num_edges()
         self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
         self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
-        self.edges, self.edge_image, self.dropped = list(dom.edges), list(m.edge_image), set()
-        self.stars: list[dict[int, list[int]] | None] = end_stars(m)
+        self.edges, self.edge_image, self.dropped = [], [], set()
+        self.stars: list[dict[int, list[int]] | None] = [{} for _ in self.parent]
         self.leaving: dict[int, list[int]] = {}  # image letter -> the roots it leaves, ascending
         self.heap: list[int] = []  # roots that may have a repeated image
-        for v, star in enumerate(self.stars):
-            for img, ends in star.items():
-                ends.sort()
-                self.leaving.setdefault(img, []).append(v)
-            if len(star) < sum(map(len, star.values())):
-                self.heap.append(v)
         self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
         self.cell_image: list[tuple[int, int, bool]] = []
         self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
         self.sides: dict[int, set[tuple[int, int]]] = {}  # edge -> its present sides
         self.present: dict[int, dict[tuple[int, ...], int]] = {}  # r -> cycle -> first cell
         self.twins: set[int] = set()
-        self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, dom.num_edges(), 0
-        self.perimeter = sum(self.per[abs(img) - 1] for img in self.edge_image)
+        self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, 0, 0
+        self.perimeter = 0
+        for (src, tgt), img in zip(dom.edges, m.edge_image):
+            self.add_arc(src, tgt, [img])
         for c in range(dom.num_cells()):
             self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
         self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)

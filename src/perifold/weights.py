@@ -9,7 +9,7 @@ a map is the total weight of the sides missing at its domain edges.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .complexes import Complex2
@@ -27,7 +27,10 @@ class Weighting:
 
     The edge perimeters and, per cell, the weight Wt(R), the packet weight
     n*Wt(R) and the prefix sums of edge perimeters around the boundary read
-    twice are derived when the weighting is built.
+    twice are derived when the weighting is built.  The subpath bound
+    P(S) <= n*Wt(R) is evaluated by one bisection of those sums,
+    `shortest_subpath_reaching`, for the engine's candidates and for the
+    certificates' worst subpaths alike.
     The scan plan of `engine.find_site` per engine mode (the candidates
     in `engine.scan_order`, ∂R read from each start and the shortest
     candidate length of each (cell, start)) and the certificates per grade
@@ -93,13 +96,18 @@ def subpath_perimeter(w: Weighting, c: int, start: int, length: int) -> int:
     return prefix[s + length] - prefix[s]
 
 
-def shortest_equal_perimeter_subpath(w: Weighting, c: int, start: int, length: int) -> int:
-    """Least l >= 1 whose subpath of cell c from start has the perimeter of
-    the one of the given length >= 1; perimeters never drop as a subpath
-    grows, so a bisection of the prefix sums finds it."""
-    s = start % w.complex.boundary_length(c)
-    prefix = w._prefix[c]
-    return bisect_left(prefix, prefix[s + length], s + 1, s + length) - s
+def shortest_subpath_reaching(w: Weighting, c: int, start: int, total: int,
+                              strict: bool = False) -> int:
+    """Least length 0 <= l <= |R| whose boundary subpath of cell c from
+    start (taken cyclically) has perimeter at least total, or above it when
+    strict; |R| + 1 when none has.  Edge perimeters are nonnegative, so a
+    subpath's perimeter never drops as it grows: the lengths that reach the
+    total form the interval [l, |R|], and a bisection of the prefix sums
+    finds l."""
+    m = w.complex.boundary_length(c)
+    s, prefix = start % m, w._prefix[c]
+    reach = bisect_right if strict else bisect_left
+    return reach(prefix, prefix[s] + total, s, s + m + 1) - s
 
 
 def cell_weight(w: Weighting, c: int) -> int:

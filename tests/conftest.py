@@ -18,6 +18,7 @@ from hypothesis import assume, strategies as st
 from perifold.complexes import Complex2, standard_complex
 from perifold.fixtures import zzz_presentation
 from perifold.maps import CombMap
+from perifold.weights import Weighting
 from perifold.words import Presentation, Word, cyclic_reduce
 
 
@@ -197,6 +198,25 @@ def relator_complexes(draw, max_letters: int = 40) -> Complex2:
     assume(relators)
     gens = tuple(f"g{i + 1}" for i in range(ngens))
     return standard_complex(Presentation(gens, tuple(relators)))
+
+
+@st.composite
+def side_weightings(draw, x: Complex2) -> Weighting:
+    """Weightings of x: unit weights, weight 0 on the sides over a set of
+    generators, or random weights in 0..3, so sides of weight 0 and
+    subpaths of equal perimeter both occur; a cell whose sides all drew 0
+    gets unit weights."""
+    kind = draw(st.sampled_from(["unit", "magnus", "random"]))
+    if kind == "unit":
+        rows = [[1] * len(b) for b in x.cells]
+    elif kind == "magnus":  # weight 0 on the sides over a set of generators
+        zero = draw(st.sets(st.integers(1, x.num_edges())))
+        rows = [[0 if abs(d) in zero else 1 for d in b] for b in x.cells]
+    else:
+        rows = [draw(st.lists(st.integers(0, 3), min_size=len(b), max_size=len(b)))
+                for b in x.cells]
+    rows = [row if sum(row) else [1] * len(row) for row in rows]
+    return Weighting(x, tuple(tuple(row) for row in rows))
 
 
 # --- abelianization -----------------------------------------------------------

@@ -15,7 +15,13 @@ occurrences (`pairs`).  `reference_check_sc_weight` is the small-cancellation
 weight test that scans every (start, length) subpath of every cell and
 computes its piece cover afresh from that table, by its own copy of the
 greedy cover; it asserts that the complex's cached `pieces` equal the table
-before it reads the C(p)/T(q) report.
+before it reads the C(p)/T(q) report.  `reference_check_one_relator_torsion`
+tests every (start, length) subpath shorter than the period in turn.
+`reference_candidate` tests one (cell, start, length) for the engine,
+summing the complement's edge perimeters one by one, and
+`reference_candidates` lists every candidate so.  The program evaluates
+all of these bounds by one bisection of the prefix sums
+(`perifold.weights.shortest_subpath_reaching`).
 
 `reduce_map` and `fold_to_immersion` are the map-level entries to the
 program's live domain, and the only code here that reads a `Domain`: each
@@ -69,10 +75,10 @@ from perifold.complexes import INF, Complex2, check_small_cancellation
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
 from perifold.engine import (
     AttachmentSite,
+    CandidateQ,
     EngineError,
     ReductionTrace,
     StaleSiteError,
-    _candidate_at,
     reduce_domain,
     scan_order,
 )
@@ -85,7 +91,8 @@ from perifold.maps import (
     find_fold,
     packet_mates,
 )
-from perifold.weights import Weighting, cell_weight, subpath_perimeter
+from perifold.weights import (Weighting, cell_weight, edge_perimeters, packet_weight,
+                              subpath_perimeter)
 from perifold.words import Word
 
 
@@ -336,6 +343,63 @@ def reference_check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     verdict.extras["worst"] = {"cell": c, "start": start, "length": length,
                                "perimeter": p_s, "bound": bound}
     return verdict
+
+
+def reference_check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
+    """One-relator torsion test: P(S) <= n*Wt(R) for every boundary subpath
+    shorter than the period, over every (start, length) in turn, for a
+    period of at least 2 letters."""
+    crit = "one-relator-torsion"
+    if x.num_cells() != 1 or x.num_vertices != 1:
+        return Verdict(crit, False, "none", applicable=False,
+                       notes=["needs a unique 2-cell and a unique 0-cell"])
+    p, n = x.periods[0]
+    if n <= 1:
+        return Verdict(crit, False, "none", applicable=False,
+                       notes=["relator is not a proper power (exponent 1)"])
+    assert p >= 2, "with a period of 1 letter no subpath is shorter than the period"
+    bound = packet_weight(w, 0)
+    worst = (-1, None)
+    for start in range(x.boundary_length(0)):
+        for length in range(1, p):
+            total = subpath_perimeter(w, 0, start, length)
+            if total > worst[0]:
+                worst = (total, (start, length))
+    holds = worst[0] <= bound
+    witnesses = []
+    if not holds:
+        start, length = worst[1]
+        witnesses.append(
+            f"subpath at position {start} of length {length} has perimeter"
+            f" {worst[0]} > {bound}"
+        )
+    return Verdict(crit, holds, "coherent" if holds else "none",
+                   witnesses=witnesses,
+                   notes=[f"max P(S) = {worst[0]} vs n*Wt(R) = {bound}"])
+
+
+def reference_candidate(x: Complex2, w: Weighting, cell: int, start: int, length: int,
+                        mode: str) -> CandidateQ | None:
+    """Q = (start, length) on the cell's boundary, or None when its
+    complement S fails P(S) < n*Wt(R) (strict mode) or P(S) <= n*Wt(R) (weak
+    mode); P(S) is summed edge by edge."""
+    bdry = x.cells[cell]
+    mlen = len(bdry)
+    per = edge_perimeters(w)
+    p_s = sum(per[abs(bdry[(start + length + t) % mlen]) - 1] for t in range(mlen - length))
+    slack = x.periods[cell][1] * cell_weight(w, cell) - p_s
+    if slack < 0 or (mode == "strict" and slack == 0):
+        return None
+    return CandidateQ(cell, start % mlen, length, slack > 0)
+
+
+def reference_candidates(x: Complex2, w: Weighting, mode: str) -> list[CandidateQ]:
+    """Every candidate in the order of `perifold.engine.enumerate_candidates`,
+    each (cell, start < period, length) tested on its own."""
+    return [cand for c, bdry in enumerate(x.cells)
+            for start in range(x.periods[c][0])
+            for length in range(1, len(bdry) + 1)
+            if (cand := reference_candidate(x, w, c, start, length, mode))]
 
 
 def reference_bouquet_map(x: Complex2, words: list[Word], whisker: Word | None = None) -> CombMap:
@@ -685,7 +749,7 @@ def reference_find_attachment(m: CombMap, w: Weighting,
                 complete = True
             else:
                 complete = False
-            grown = _candidate_at(x, w, cand.cell, start, len(edges), mode)
+            grown = reference_candidate(x, w, cand.cell, start, len(edges), mode)
             if grown is None:
                 continue
             return AttachmentSite(

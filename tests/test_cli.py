@@ -141,6 +141,15 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_check_torsion_with_a_period_of_one_letter(tmp_path, capsys):
+    # no subpath is shorter than the period a, so the bound holds vacuously
+    path = write(tmp_path, "a5.pf", "gens a b\nrel a^5\n")
+    assert main(["check", path, "--criterion", "one-relator-torsion", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "conclusion": "coherent", "criterion": "one-relator-torsion", "holds": True,
+        "notes": ["period length 1: no subpath is shorter than the period"], "witnesses": []}
+
+
 def test_cmd_check_all(tmp_path, capsys):
     path = write(tmp_path, "aab9.pf", AAB9)
     assert main(["check", path, "--criterion", "all", "--json"]) == 0

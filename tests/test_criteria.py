@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from perifold import complexes, criteria, fixtures
 from perifold.complexes import compute_pieces, standard_complex
@@ -19,10 +19,11 @@ from perifold.criteria import (
 )
 from perifold.subgroups import intersect, member, subgroup_presentation
 from perifold.weights import Weighting, cell_weight, unit_weighting
-from perifold.words import Presentation, Word, is_cyclically_reduced, parse_presentation, word
+from perifold.words import (Presentation, Word, cyclic_reduce, is_cyclically_reduced,
+                            parse_presentation, word)
 
-from conftest import relator_complexes
-from reference import reference_check_sc_weight
+from conftest import relator_complexes, side_weightings
+from reference import reference_check_one_relator_torsion, reference_check_sc_weight
 
 
 def test_one_relator_torsion():
@@ -254,21 +255,27 @@ _SC_COMPLEXES = [standard_complex(p) for p in (
 @given(st.data())
 def test_check_sc_weight_matches_reference_scan(data):
     x = data.draw(st.one_of(st.sampled_from(_SC_COMPLEXES), relator_complexes()))
-    kind = data.draw(st.sampled_from(["unit", "magnus", "random"]))
-    if kind == "unit":
-        rows = [[1] * len(b) for b in x.cells]
-    elif kind == "magnus":  # weight 0 on the sides over a set of generators
-        zero = data.draw(st.sets(st.integers(1, x.num_edges())))
-        rows = [[0 if abs(d) in zero else 1 for d in b] for b in x.cells]
-    else:
-        rows = [data.draw(st.lists(st.integers(0, 3), min_size=len(b), max_size=len(b)))
-                for b in x.cells]
-    rows = [row if sum(row) else [1] * len(row) for row in rows]
-    w = Weighting(x, tuple(tuple(row) for row in rows))
+    w = data.draw(side_weightings(x))
     for variant in ("C4T4", "C6T3"):
         for strict in (False, True):
             assert check_sc_weight(x, w, variant, strict) == \
                 reference_check_sc_weight(x, w, variant, strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_one_relator_torsion_matches_reference(data):
+    # proper powers W^n with a period of at least 2 letters
+    ngens = data.draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, ngens + 1) for s in (1, -1)])
+    period = cyclic_reduce(Word(tuple(data.draw(st.lists(letter, min_size=2, max_size=10)))))
+    assume(len(period) >= 2)
+    exponent = data.draw(st.integers(2, 8))
+    gens = tuple(f"g{i + 1}" for i in range(ngens))
+    x = standard_complex(Presentation(gens, (Word(period.letters * exponent),)))
+    assume(x.periods[0][0] >= 2)
+    w = data.draw(side_weightings(x))
+    assert check_one_relator_torsion(x, w) == reference_check_one_relator_torsion(x, w)
 
 
 # (aab)^9: the strict grade holds by sc-C4T4 and the weak one by one-relator

@@ -28,7 +28,7 @@ from perifold.experiments import (
     random_reduced_word,
     relator_conjugate_product,
 )
-from perifold.maps import CombMap, Domain, PathInY, find_fold, is_packed
+from perifold.maps import CombMap, Domain, PathInY, end_stars, find_fold, is_packed
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
@@ -40,6 +40,7 @@ from perifold.weights import (
 )
 from perifold.words import free_reduce, parse_presentation, word
 
+from conftest import relator_complexes, side_weightings
 from reference import (
     AttachResult,
     apply_fold,
@@ -50,26 +51,11 @@ from reference import (
     reference_augment_with_cells,
     reference_based_product,
     reference_bouquet_map,
+    reference_candidates,
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
 )
-
-
-def brute_candidates(x, w, mode):
-    per = edge_perimeters(w)
-    out = set()
-    for c, bdry in enumerate(x.cells):
-        m = len(bdry)
-        p, n = x.periods[c]
-        nwt = n * cell_weight(w, c)
-        for start in range(p):
-            for length in range(1, m + 1):
-                p_s = sum(per[abs(bdry[(start + length + t) % m]) - 1]
-                          for t in range(m - length))
-                if p_s < nwt or (mode == "weak" and p_s == nwt):
-                    out.add((c, start, length))
-    return out
 
 
 def test_enumerate_candidates_against_brute():
@@ -81,9 +67,16 @@ def test_enumerate_candidates_against_brute():
         x = standard_complex(pres)
         w = w_of(x)
         for mode in ("strict", "weak"):
-            got = {(c.cell, c.start, c.length)
-                   for c in enumerate_candidates(x, w, mode)}
-            assert got == brute_candidates(x, w, mode)
+            assert enumerate_candidates(x, w, mode) == reference_candidates(x, w, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_candidates_matches_reference(data):
+    x = data.draw(relator_complexes())
+    w = data.draw(side_weightings(x))
+    for mode in ("strict", "weak"):
+        assert enumerate_candidates(x, w, mode) == reference_candidates(x, w, mode)
 
 
 def test_candidate_strictness_flags():
@@ -547,10 +540,9 @@ def test_verify_catches_a_step_that_does_not_lower_the_pair(monkeypatch):
     # live perimeter, and only the strict drop of (P, #edges) fails
     x = standard_complex(fixtures.torus_presentation())
     m = reference_bouquet_map(x, [word([1, 2])])
-    original = engine._candidate_at
-    monkeypatch.setattr(engine, "_candidate_at",
-                        lambda x, w, cell, start, length, mode:
-                        original(x, w, cell, start, length, "weak"))
+    original = engine.enumerate_candidates
+    monkeypatch.setattr(engine, "enumerate_candidates",
+                        lambda x, w, mode: original(x, w, "weak"))
     w = unit_weighting(x)  # fresh: the scan order is kept on the weighting
     res = reduce_map(m, w, step_limit=1)
     step = res.trace.steps[0]
@@ -587,7 +579,8 @@ def test_domain_starts_at_the_map_perimeter(rng):
 @given(st.data())
 def test_bouquet_domain_matches_reference_map(data):
     # the arcs glued one by one onto the wedge point give the map built by
-    # hand, and the live state of a `Domain` of that map
+    # hand, its sorted end stars, and the live state of a `Domain` of that
+    # map (which is glued edge by edge with the same `add_arc`)
     x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
     w = data.draw(st.sampled_from([None, w_of(x)]))
     letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
@@ -599,6 +592,8 @@ def test_bouquet_domain_matches_reference_map(data):
     want = reference_bouquet_map(x, gens, whisker)  # validated
     dom = Domain.bouquet(x, gens, w, whisker)
     assert dom.to_map() == want
+    assert dom.stars == [{img: sorted(ends) for img, ends in star.items()}
+                         for star in end_stars(want)]
     ref = Domain(want, w)
     for field in ("perimeter", "stars", "leaving", "num_vertices", "num_edges", "num_cells"):
         assert getattr(dom, field) == getattr(ref, field), field

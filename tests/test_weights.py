@@ -11,6 +11,7 @@ from perifold.weights import (
     map_perimeter,
     packet_weight,
     path_perimeter,
+    shortest_subpath_reaching,
     subpath_perimeter,
     unit_weighting,
     weighting_from_rows,
@@ -135,6 +136,13 @@ def test_subpath_perimeter_matches_modular_sum(data):
     length = data.draw(st.integers(0, m))
     assert subpath_perimeter(w, c, start, length) == \
         sum(per[abs(bdry[(start + t) % m]) - 1] for t in range(length))
+    # the least length whose sum reaches a total, |R| + 1 when none does
+    sums = [sum(per[abs(bdry[(start + t) % m]) - 1] for t in range(k)) for k in range(m + 1)]
+    total = data.draw(st.integers(-1, sums[-1] + 1))
+    strict = data.draw(st.booleans())
+    assert shortest_subpath_reaching(w, c, start, total, strict) == \
+        next((k for k, p in enumerate(sums) if p > total or (p == total and not strict)), m + 1)
+    assert shortest_subpath_reaching(w, c, start, sums[-1], strict=True) == m + 1
 
 
 def test_perimeter_monotone_under_folds(rng):
