@@ -25,7 +25,7 @@ from .criteria import (
     magnus_weighting,
     power_theorem,
 )
-from .engine import enumerate_candidates, extract_presentation
+from .engine import extract_presentation
 from .maps import CombMap, based_fiber_product, is_packed
 from .subgroups import intersect, magnus_intersect, member, subgroup_presentation
 from .weights import Weighting, cell_weight, map_perimeter, path_perimeter, unit_weighting

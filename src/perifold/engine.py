@@ -1,6 +1,6 @@
-"""The perimeter-reduction engine: candidate enumeration, attachment-site
-search, packet attachment with exact bookkeeping, the fold/attach loop, and
-presentation extraction.
+"""The perimeter-reduction engine: attachment-site search over the
+candidate subpaths, packet attachment with exact bookkeeping, the
+fold/attach loop, and presentation extraction.
 
 The loop (`reduce_domain`) changes one live `maps.Domain` in place,
 alternating folding to a 1-immersion, packing repair, and packet attachment
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Complex2
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
                       shortest_subpath_reaching, subpath_perimeter)
@@ -32,41 +31,11 @@ class StaleSiteError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class CandidateQ:
-    cell: int
-    start: int
-    length: int
-    strict: bool  # P(S) < n*Wt(R); weak candidates satisfy <= only
-
-
-def enumerate_candidates(x: Complex2, w: Weighting, mode: str = "strict") -> list[CandidateQ]:
-    """All boundary subpaths Q whose complement S satisfies P(S) < n*Wt(R)
-    (strict) or <= (weak).  As P(S) = P(∂R) - P(Q), Q qualifies when P(Q)
-    exceeds P(∂R) - n*Wt(R) (or reaches it, in weak mode), so the lengths
-    of one (cell, start) form an interval [L_min, |R|]: one bisection
-    (`weights.shortest_subpath_reaching`) gives L_min, and another the
-    length from which the candidates are strict.  Starts are reduced modulo the period length: shifting a candidate by a
-    period gives the same subpath of the boundary up to its rotational
-    symmetry."""
-    if mode not in ("strict", "weak"):
-        raise EngineError("mode must be 'strict' or 'weak'")
-    out = []
-    for c, bdry in enumerate(x.cells):
-        mlen = len(bdry)
-        excess = subpath_perimeter(w, c, 0, mlen) - packet_weight(w, c)
-        for start in range(x.periods[c][0]):
-            weak_from = max(1, shortest_subpath_reaching(w, c, start, excess))
-            strict_from = max(1, shortest_subpath_reaching(w, c, start, excess, strict=True))
-            first = strict_from if mode == "strict" else weak_from
-            out += [CandidateQ(c, start, length, length >= strict_from)
-                    for length in range(first, mlen + 1)]
-    return out
-
-
 @dataclass
 class AttachmentSite:
-    candidate: CandidateQ
+    cell: int
+    start: int  # Q is the subpath of ∂R of `length` letters from this position
+    length: int
     path: PathInY  # the lift of Q into the domain
     complete: bool
 
@@ -97,29 +66,33 @@ class ReductionTrace:
         ]
 
 
-def scan_order(w: Weighting, mode: str = "strict") -> tuple[CandidateQ, ...]:
-    """The candidates `find_site` tries, in its scan order: the strict
-    ones longest first in strict mode, all shortest first in weak mode."""
-    return tuple(cand for cand, _ring, _shortest in _scan_plan(w, mode))
-
-
 def _scan_plan(w: Weighting,
-               mode: str) -> tuple[tuple[CandidateQ, tuple[int, ...], int | None], ...]:
-    # per candidate in scan order: the candidate, ∂R read from its start,
-    # and at the first candidate of its (cell, start) the shortest candidate
-    # length of that (cell, start), None at the others.  Built once per
-    # (weighting, mode) and kept on the weighting.
+               mode: str) -> tuple[tuple[tuple[int, int, int], tuple[int, ...], int], ...]:
+    # per (cell, start) with a candidate, in walk order: its walk key
+    # (sign * bound, cell, start), ∂R read from start, and the shortest
+    # candidate length lo.  As P(S) = P(∂R) - P(Q), Q qualifies when P(Q)
+    # exceeds P(∂R) - n*Wt(R) (strict) or reaches it (weak), so the
+    # candidate lengths of one (cell, start) are the interval [lo, |R|],
+    # and one bisection (`weights.shortest_subpath_reaching`) gives lo.  The
+    # bound is |R| in strict mode and lo in weak mode.  Starts are reduced
+    # modulo the period length: shifting Q by a period gives the same
+    # subpath of the boundary up to its rotational symmetry.  Built once
+    # per (weighting, mode) and kept on the weighting.
     plan = w._scans.get(mode)
     if plan is None:
-        x, sign = w.complex, -1 if mode == "strict" else 1
-        order = sorted(enumerate_candidates(x, w, mode),
-                       key=lambda c: (sign * c.length, c.cell, c.start))
-        shortest: dict[tuple[int, int], int] = {}
-        for c in order:
-            shortest[c.cell, c.start] = min(shortest.get((c.cell, c.start), c.length), c.length)
-        rings = {(r, s): x.cells[r][s:] + x.cells[r][:s] for r, s in shortest}
-        plan = w._scans[mode] = tuple(
-            (c, rings[c.cell, c.start], shortest.pop((c.cell, c.start), None)) for c in order)
+        if mode not in ("strict", "weak"):
+            raise EngineError("mode must be 'strict' or 'weak'")
+        x, groups = w.complex, []
+        for c, bdry in enumerate(x.cells):
+            mlen = len(bdry)
+            excess = subpath_perimeter(w, c, 0, mlen) - packet_weight(w, c)
+            for start in range(x.periods[c][0]):
+                lo = max(1, shortest_subpath_reaching(w, c, start, excess,
+                                                      strict=mode == "strict"))
+                if lo <= mlen:
+                    groups.append(((-mlen if mode == "strict" else lo, c, start),
+                                   bdry[start:] + bdry[:start], lo))
+        plan = w._scans[mode] = tuple(sorted(groups))
     return plan
 
 
@@ -127,30 +100,30 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan of a live packed 1-immersion for an attachment
     site, under the weighting the domain was built with.
 
-    Strict mode scans longest candidates first, which favours complete
-    attachments; weak mode scans shortest first, so the weak engine
-    reproduces the nonterminating square-ladder behaviour.  The two modes
-    differ only in their `scan_order`.
+    The site is the qualifying lift of least key (sign * W, cell, start,
+    root), where W is its number of letters.  The sign is -1 in strict
+    mode, which favours complete attachments, and +1 in weak mode, so the
+    weak engine reproduces the nonterminating square-ladder behaviour.  A
+    lift of ∂R read from a start qualifies when it is maximal and not
+    blocked, and W lies in the candidate lengths [lo, |R|] of its
+    (cell, start) (`_scan_plan`).
 
-    One call walks each (cell, start, root) at most once and tries it at
-    one candidate length only, its own.  At the first candidate of a
-    (cell, start) in `scan_order` the lift of ∂R read from that start is
-    counted, letter by letter, from every root its first letter leaves
-    (`Domain.leaving`).  A lift of W letters shorter than the shortest
-    candidate of its (cell, start) is never tried, nor is one that extends
-    backward (W < |∂R| and the root leaves over the inverse of ∂R's last
-    letter).  Any other lift is tried at once when W is that candidate's
-    length, and otherwise waits for the candidate of length W, which takes
-    the least root waiting for it.  Vertex and edge lists are built only
-    for a lift that is tried.  This returns the site of the plain scan,
-    which tries every lift at every candidate length, grows it forward and
+    The lifts of one (cell, start) are counted letter by letter from every
+    root its first letter leaves (`Domain.leaving`, ascending), so each is
+    maximal forward; one that extends backward (W < |∂R| and the root
+    leaves over the inverse of ∂R's last letter) is skipped.  The groups
+    are walked by key (sign * bound, cell, start), the bound being |R| in
+    strict mode and lo in weak mode.  Every lift's key is at least its
+    group's, so the scan stops before a group whose key is above the
+    least lift key found, and at a lift of W equal to its group's bound.
+    Vertex and edge lists are built for the site only.  This returns the
+    site of the plain scan, which tries every lift at every candidate
+    length in the order (sign * length, cell, start), grows it forward and
     backward to a maximal lift, and in weak mode drops it if it grew:
 
-    - The candidate lengths of one (cell, start) form an interval
-      [L_min, |R|] (`enumerate_candidates`).  A lift of W letters
-      tried at a shorter candidate grows forward to W letters; strict mode
-      tries the candidate of length W first, and weak mode drops the grown
-      lift, so a lift is only taken at W.
+    - A lift of W letters tried at a shorter candidate grows forward to W
+      letters; strict mode tries the candidate of length W first, and weak
+      mode drops the grown lift, so a lift is only taken at W.
     - The skip is exact.  Extend a skipped lift X backward by g letters to
       the maximal lift X* at (R, start - g), read modulo the period.  X*
       has W + g letters, its Q contains X's, so its P(S) is no larger and
@@ -177,23 +150,23 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     blocked = {(r, q % x.periods[r][0], d)
                for r, cycles in dom.present.items() for cycle in cycles
                for q, d in enumerate(cycle)}
+    sign = -1 if mode == "strict" else 1
 
-    def site_at(cand: CandidateQ, ring: tuple[int, ...], v: int) -> AttachmentSite:
+    def site_at(lift: tuple[int, int, int, int], ring: tuple[int, ...]) -> AttachmentSite:
+        signed, cell, start, v = lift
         verts, edges = [v], []
-        for letter in ring[:cand.length]:
+        for letter in ring[:abs(signed)]:
             d = stars[verts[-1]][letter][0]
             edges.append(d)
             verts.append(head(d))
-        return AttachmentSite(cand, PathInY(dom, tuple(verts), tuple(edges)),
-                              cand.length == len(ring))
+        return AttachmentSite(cell, start, len(edges), PathInY(dom, tuple(verts), tuple(edges)),
+                              len(edges) == len(ring))
 
-    waiting: dict[tuple[int, int, int], int] = {}  # (cell, start, W) -> least root
-    for cand, ring, shortest in _scan_plan(w, mode):
-        cell, start, length = cand.cell, cand.start, cand.length
-        if shortest is None:
-            if (v := waiting.pop((cell, start, length), None)) is not None:
-                return site_at(cand, ring, v)
-            continue
+    best = None  # the least lift key found, and ∂R read from its start
+    for key, ring, lo in _scan_plan(w, mode):
+        if best is not None and key > best[0]:
+            break
+        cell, start = key[1], key[2]
         for v in dom.leaving.get(ring[0], ()):
             if (cell, start, stars[v][ring[0]][0]) in blocked:
                 continue
@@ -204,12 +177,14 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                     break
                 walked += 1
                 u = head(ends[0])
-            if walked < shortest or (walked < len(ring) and -ring[-1] in stars[v]):
+            if walked < lo or (walked < len(ring) and -ring[-1] in stars[v]):
                 continue
-            if walked == length:
-                return site_at(cand, ring, v)
-            waiting.setdefault((cell, start, walked), v)
-    return None
+            lift = (sign * walked, cell, start, v)
+            if lift[0] == key[0]:
+                return site_at(lift, ring)
+            if best is None or lift < best[0]:
+                best = lift, ring
+    return None if best is None else site_at(*best)
 
 
 def attach_site(dom: Domain, site: AttachmentSite) -> int:
@@ -224,7 +199,7 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
     if site.path.complex is not dom:
         raise StaleSiteError("attachment site refers to another domain")
     x = dom.codomain
-    cell, start, length = site.candidate.cell, site.candidate.start, site.candidate.length
+    cell, start, length = site.cell, site.start, site.length
     bdry = x.cells[cell]
     mlen = len(bdry)
     tail, head = site.path.vertices[0], site.path.vertices[-1]
@@ -305,7 +280,7 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
         site = find_site(dom, mode)
         if site is None:
             break
-        cell = site.candidate.cell
+        cell = site.cell
         before = dom.perimeter
         attach_site(dom, site)
         delta = dom.perimeter - before

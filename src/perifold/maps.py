@@ -220,11 +220,6 @@ class Domain:
         alive = [int(e not in self.dropped) for e in range(len(self.edges))]
         return [k * a for k, a in zip(accumulate(alive), alive)]
 
-    def vertex_map(self, vertices) -> list[int]:
-        """The vertex of `to_map` that each given vertex id lies in."""
-        vertex = self.vertex_numbers()
-        return [vertex[self.find(v)] for v in vertices]
-
     def to_map(self) -> CombMap:
         vertex, ref = self.vertex_numbers(), self.edge_refs()
         edges = [(vertex[self.find(s)], vertex[self.find(t)])

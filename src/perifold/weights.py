@@ -31,9 +31,9 @@ class Weighting:
     P(S) <= n*Wt(R) is evaluated by one bisection of those sums,
     `shortest_subpath_reaching`, for the engine's candidates and for the
     certificates' worst subpaths alike.
-    The scan plan of `engine.find_site` per engine mode (the candidates
-    in `engine.scan_order`, ∂R read from each start and the shortest
-    candidate length of each (cell, start)) and the certificates per grade
+    The scan plan of `engine.find_site` per engine mode (per (cell, start)
+    with a candidate: its walk key, ∂R read from start and the shortest
+    candidate length) and the certificates per grade
     (`criteria.find_certificate`) are derived when first asked for.  None
     is recomputed, so the complex must not be mutated afterwards; it keeps
     its own invariants (`Complex2`).

@@ -37,10 +37,6 @@ class Word:
         return iter(self.letters)
 
 
-def word(letters) -> Word:
-    return Word(tuple(letters))
-
-
 def inverse(w: Word) -> Word:
     return Word(tuple(-x for x in reversed(w.letters)))
 

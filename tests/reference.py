@@ -1,6 +1,7 @@
 """Superseded implementations, kept as the references that the fast paths
 in `perifold` are tested against, and the map-level entries and fixture
-maps that only the tests use.
+maps that only the tests use, with `word`, which builds a `Word` from a
+list of letters.
 
 `restrict_to_component(fiber_product(a, b).to_codomain, based_vertex)` is
 the based component computed the long way: every vertex pair and every edge
@@ -19,18 +20,20 @@ before it reads the C(p)/T(q) report.  `reference_check_one_relator_torsion`
 tests every (start, length) subpath shorter than the period in turn.
 `reference_candidate` tests one (cell, start, length) for the engine,
 summing the complement's edge perimeters one by one, and
-`reference_candidates` lists every candidate so.  The program evaluates
-all of these bounds by one bisection of the prefix sums
+`reference_candidates` lists every candidate so, as a `CandidateQ`.  The
+program evaluates all of these bounds by one bisection of the prefix sums
 (`perifold.weights.shortest_subpath_reaching`).
 
 `reduce_map` and `fold_to_immersion` are the map-level entries to the
-program's live domain, and the only code here that reads a `Domain`: each
-wraps a map as `Domain(m, w)`, runs `reduce_domain` or the folds and
-`remove_redundant` on it, and builds the map once, at the end.  They are
-the program's side of the comparisons below.  `canonical_form` describes a
-connected 1-immersed based map up to isomorphism (`isomorphic_maps`), so
-fold results compare whatever the fold order.  `build_packet` is the
-projection of a cell's packet, and `identity_map` the identity of a complex.
+program's live domain, and with `vertex_map` the only code here that reads
+a `Domain`: each wraps a map as `Domain(m, w)`, runs `reduce_domain` or
+the folds and `remove_redundant` on it, and builds the map once, at the
+end; `vertex_map` tells where the domain's vertex ids lie in that map.
+They are the program's side of the comparisons below.  `canonical_form`
+describes a connected 1-immersed based map up to isomorphism
+(`isomorphic_maps`), so fold results compare whatever the fold order.
+`build_packet` is the projection of a cell's packet, and `identity_map`
+the identity of a complex.
 
 `reference_bouquet_map` builds a bouquet as a map, arc by arc into the
 edge and vertex lists, and validates it; `perifold.maps.Domain.bouquet`,
@@ -57,12 +60,13 @@ by copying it; `Domain.remove_redundant` and `Domain.repair`, and the fold
 phases of `reduce_map`, must agree with them on the map built from the
 domain.
 
-`reference_find_attachment` lifts each candidate forward to its length
-from every vertex, then grows the lift forward and backward to a maximal
-site; `perifold.engine.find_site` on the live domain, which starts only
-where the first letter lifts and tries each (cell, start, root) once per
-call, at the candidate of its own length, must return the same site on
-the map built from it.  None of these references reads a `Domain`, so a
+`reference_find_attachment` takes the candidates in the order (sign *
+length, cell, start), sign -1 in strict mode and +1 in weak mode, lifts
+each forward to its length from every vertex, then grows the lift forward
+and backward to a maximal site; `perifold.engine.find_site` on the live
+domain, which counts each (cell, start, root) once per call and takes the
+least key over the lifts that qualify, must return the same site on the
+map built from it.  None of these references reads a `Domain`, so a
 reduction loop built of them and `apply_fold` checks the program's whole
 loop.
 """
@@ -75,12 +79,10 @@ from perifold.complexes import INF, Complex2, check_small_cancellation
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
 from perifold.engine import (
     AttachmentSite,
-    CandidateQ,
     EngineError,
     ReductionTrace,
     StaleSiteError,
     reduce_domain,
-    scan_order,
 )
 from perifold.maps import (
     CombMap,
@@ -378,6 +380,18 @@ def reference_check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
                    notes=[f"max P(S) = {worst[0]} vs n*Wt(R) = {bound}"])
 
 
+def word(letters) -> Word:
+    return Word(tuple(letters))
+
+
+@dataclass(frozen=True)
+class CandidateQ:
+    cell: int
+    start: int
+    length: int
+    strict: bool  # P(S) < n*Wt(R); weak candidates satisfy <= only
+
+
 def reference_candidate(x: Complex2, w: Weighting, cell: int, start: int, length: int,
                         mode: str) -> CandidateQ | None:
     """Q = (start, length) on the cell's boundary, or None when its
@@ -394,8 +408,8 @@ def reference_candidate(x: Complex2, w: Weighting, cell: int, start: int, length
 
 
 def reference_candidates(x: Complex2, w: Weighting, mode: str) -> list[CandidateQ]:
-    """Every candidate in the order of `perifold.engine.enumerate_candidates`,
-    each (cell, start < period, length) tested on its own."""
+    """Every candidate by cell, start < period and length, each tested on
+    its own."""
     return [cand for c, bdry in enumerate(x.cells)
             for start in range(x.periods[c][0])
             for length in range(1, len(bdry) + 1)
@@ -515,10 +529,9 @@ def reference_attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> A
     if site.path.complex is not m.domain:
         raise StaleSiteError("attachment site refers to an outdated domain")
     x = m.codomain
-    cell = site.candidate.cell
+    cell, start, length = site.cell, site.start, site.length
     bdry = x.cells[cell]
     mlen = len(bdry)
-    start, length = site.candidate.start, site.candidate.length
     dom = m.domain
     verts = list(site.path.vertices)
     edges = list(site.path.edges)
@@ -713,7 +726,9 @@ def reference_find_attachment(m: CombMap, w: Weighting,
     outs = out_edges(m)
     if sum(map(len, outs)) < 2 * m.domain.num_edges():
         raise EngineError("reference_find_attachment requires a 1-immersion")
-    ordered = scan_order(w, mode)
+    sign = -1 if mode == "strict" else 1
+    ordered = sorted(reference_candidates(x, w, mode),
+                     key=lambda c: (sign * c.length, c.cell, c.start))
     cycles = present_cycles(m)
     for cand in ordered:
         bdry = x.cells[cand.cell]
@@ -752,15 +767,18 @@ def reference_find_attachment(m: CombMap, w: Weighting,
             grown = reference_candidate(x, w, cand.cell, start, len(edges), mode)
             if grown is None:
                 continue
-            return AttachmentSite(
-                grown,
-                PathInY(m.domain, tuple(verts), tuple(edges)),
-                complete,
-            )
+            return AttachmentSite(grown.cell, grown.start, grown.length,
+                                  PathInY(m.domain, tuple(verts), tuple(edges)), complete)
     return None
 
 
 # --- map-level entries and fixture maps --------------------------------------
+
+
+def vertex_map(dom: Domain, vertices) -> list[int]:
+    """The vertex of `dom.to_map()` that each given vertex id lies in."""
+    vertex = dom.vertex_numbers()
+    return [vertex[dom.find(v)] for v in vertices]
 
 
 @dataclass
@@ -777,7 +795,7 @@ def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
     dom = Domain(m, w)  # refuses a weighting of another complex
     trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
     return ReduceResult(dom.to_map() if trace.steps else m, trace,
-                        dom.vertex_map(range(m.domain.num_vertices)), exhausted)
+                        vertex_map(dom, range(m.domain.num_vertices)), exhausted)
 
 
 @dataclass
@@ -798,7 +816,7 @@ def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
         folds.append(dom.fold(*fold))
     removed = dom.remove_redundant()
     return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
-                                 dom.vertex_map(range(m.domain.num_vertices)))
+                                 vertex_map(dom, range(m.domain.num_vertices)))
 
 
 def canonical_form(m: CombMap):

@@ -18,10 +18,10 @@ from perifold.weights import (
     subpath_perimeter,
     unit_weighting,
 )
-from perifold.words import Word, free_reduce, word
+from perifold.words import Word, free_reduce
 
 from conftest import GraphOracle, random_grid_subcomplex
-from reference import build_packet, reduce_map, reference_bouquet_map
+from reference import build_packet, reduce_map, reference_bouquet_map, word
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

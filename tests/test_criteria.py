@@ -20,10 +20,10 @@ from perifold.criteria import (
 from perifold.subgroups import intersect, member, subgroup_presentation
 from perifold.weights import Weighting, cell_weight, unit_weighting
 from perifold.words import (Presentation, Word, cyclic_reduce, is_cyclically_reduced,
-                            parse_presentation, word)
+                            parse_presentation)
 
 from conftest import relator_complexes, side_weightings
-from reference import reference_check_one_relator_torsion, reference_check_sc_weight
+from reference import reference_check_one_relator_torsion, reference_check_sc_weight, word
 
 
 def test_one_relator_torsion():

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
-from perifold.criteria import magnus_weighting
 from perifold.engine import (
     AttachmentSite,
     EngineError,
@@ -17,11 +16,9 @@ from perifold.engine import (
     StaleSiteError,
     TraceStep,
     attach_site,
-    enumerate_candidates,
     extract_presentation,
     find_site,
     reduce_domain,
-    scan_order,
 )
 from perifold.experiments import (
     random_generator_set,
@@ -33,12 +30,11 @@ from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
     cell_weight,
-    edge_perimeters,
     map_perimeter,
     path_perimeter,
     unit_weighting,
 )
-from perifold.words import free_reduce, parse_presentation, word
+from perifold.words import free_reduce, parse_presentation
 
 from conftest import relator_complexes, side_weightings
 from reference import (
@@ -55,41 +51,19 @@ from reference import (
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
+    vertex_map,
+    word,
 )
 
 
-def test_enumerate_candidates_against_brute():
-    for pres, w_of in [
-        (fixtures.aab_power_presentation(3), unit_weighting),
-        (fixtures.torus_presentation(), unit_weighting),
-        (fixtures.zzz_presentation(), fixtures.zzz_weighting),
-    ]:
-        x = standard_complex(pres)
-        w = w_of(x)
-        for mode in ("strict", "weak"):
-            assert enumerate_candidates(x, w, mode) == reference_candidates(x, w, mode)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_enumerate_candidates_matches_reference(data):
-    x = data.draw(relator_complexes())
-    w = data.draw(side_weightings(x))
-    for mode in ("strict", "weak"):
-        assert enumerate_candidates(x, w, mode) == reference_candidates(x, w, mode)
-
-
 def test_candidate_strictness_flags():
+    # on the torus the complement of a length-2 subpath has perimeter 4 =
+    # Wt(R), which only the weak bound admits: at every start the candidates
+    # begin at length 2 in weak mode and at length 3 in strict mode
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
-    by_len = {}
-    for c in enumerate_candidates(x, w, "weak"):
-        by_len.setdefault(c.length, set()).add(c.strict)
-    # complement of a length-2 subpath has perimeter 4 = Wt: weak only
-    assert by_len[2] == {False}
-    assert by_len[3] == {True}
-    assert by_len[4] == {True}
-    assert 1 not in by_len
+    for mode, lo in (("weak", 2), ("strict", 3)):
+        assert [group_lo for _key, _ring, group_lo in engine._scan_plan(w, mode)] == [lo] * 4
 
 
 def test_find_attachment_on_bare_circle():
@@ -98,7 +72,7 @@ def test_find_attachment_on_bare_circle():
     m = fold_to_immersion(reference_bouquet_map(x, [word([1, 1, 2] * 3)])).map
     site = find_site(Domain(m, w), "strict")
     assert site is not None and site.complete
-    assert site.candidate.length == 9
+    assert site.length == 9
 
 
 def test_find_attachment_none_when_packet_present():
@@ -131,7 +105,7 @@ def test_attach_incomplete_equality_case():
     dom = Domain(m, w)
     site = find_site(dom, "weak")
     assert site is not None and not site.complete
-    assert site.candidate.length == 2
+    assert site.length == 2
     attach_site(dom, site)
     assert map_perimeter(w, dom.to_map()) == map_perimeter(w, m) == 8
 
@@ -184,7 +158,7 @@ def test_reduction_refuses_an_unknown_mode_and_a_missing_weighting():
     with pytest.raises(EngineError, match="mode must be"):
         reduce_map(m, w, "lax")
     with pytest.raises(EngineError, match="mode must be"):
-        enumerate_candidates(m.codomain, w, "lax")
+        find_site(Domain(m, w), "lax")
     with pytest.raises(WeightError, match="requires a weighting"):
         reduce_map(m, None)
     dom = Domain(m)
@@ -378,7 +352,7 @@ def reference_reduce(m, w, step_limit=None):
         tracking = [res.vertex_map[v] for v in tracking]
         before, perimeter = perimeter, map_perimeter(w, m)
         log("attach-complete" if res.complete else "attach-incomplete", perimeter,
-            {"cell": site.candidate.cell, "delta": perimeter - before})
+            {"cell": site.cell, "delta": perimeter - before})
         fold_and_pack()
     exhausted = out_of_steps() and (
         find_fold(m) is not None or reference_find_attachment(m, w) is not None)
@@ -534,16 +508,17 @@ def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
 
 
 def test_verify_catches_a_step_that_does_not_lower_the_pair(monkeypatch):
-    # let strict mode accept candidates of slack 0: on the torus the circle
-    # a b then takes an incomplete attachment along two letters, which adds
-    # two edges and leaves P as it was.  The double sum agrees with the
-    # live perimeter, and only the strict drop of (P, #edges) fails
+    # let strict mode accept candidates of slack 0, by reading its bound
+    # as the weak one: on the torus the circle a b then takes an
+    # incomplete attachment along two letters, which adds two edges and
+    # leaves P as it was.  The double sum agrees with the live perimeter,
+    # and only the strict drop of (P, #edges) fails
     x = standard_complex(fixtures.torus_presentation())
     m = reference_bouquet_map(x, [word([1, 2])])
-    original = engine.enumerate_candidates
-    monkeypatch.setattr(engine, "enumerate_candidates",
-                        lambda x, w, mode: original(x, w, "weak"))
-    w = unit_weighting(x)  # fresh: the scan order is kept on the weighting
+    original = engine.shortest_subpath_reaching
+    monkeypatch.setattr(engine, "shortest_subpath_reaching",
+                        lambda w, c, start, total, strict=False: original(w, c, start, total))
+    w = unit_weighting(x)  # fresh: the scan plan is kept on the weighting
     res = reduce_map(m, w, step_limit=1)
     step = res.trace.steps[0]
     assert (res.trace.initial_perimeter, res.trace.initial_edges) == (4, 2)
@@ -605,7 +580,7 @@ def on_map(dom, m, site):
     vertex, ref = dom.vertex_numbers(), dom.edge_refs()
     path = PathInY(m.domain, tuple(vertex[v] for v in site.path.vertices),
                    tuple(ref[d - 1] if d > 0 else -ref[-d - 1] for d in site.path.edges))
-    return AttachmentSite(site.candidate, path, site.complete)
+    return replace(site, path=path)
 
 
 def attachments_against_reference(m, w, mode, step_limit):
@@ -623,7 +598,7 @@ def attachments_against_reference(m, w, mode, step_limit):
         roots = list(dom.vertex_numbers())  # the vertices of `before`, in order
         want = reference_attach_packet(before, w, on_map(dom, before, site))
         added = original(dom, site)
-        got = AttachResult(dom.to_map(), dom.vertex_map(roots), added, site.complete,
+        got = AttachResult(dom.to_map(), vertex_map(dom, roots), added, site.complete,
                            site.complete and site.path.vertices[0] != site.path.vertices[-1])
         assert got == want
         kinds.append((got.complete, got.identified_endpoints))
@@ -706,8 +681,8 @@ def scans_against_reference(reduce):
 
 
 # the reduction complexes and the weighted <a..f | abcdef^-1, fafbfcfdfe>,
-# whose cells of length 6 and 10 make scan_order reach their (cell, start)
-# pairs at different lengths, with zero-perimeter edges over f
+# whose cells of length 6 and 10 give their (cell, start) groups different
+# walk keys, with zero-perimeter edges over f
 _SCAN_COMPLEXES = [
     *_DIFF_COMPLEXES,
     (standard_complex(fixtures.modify_presentation()), fixtures.modify_weighting),
@@ -786,46 +761,28 @@ def test_find_attachment_matches_reference_on_the_weak_ladder():
     assert len(scans) == 61 and all(hit for _mode, hit in scans)
 
 
-def _weighted_fixture_complexes():
-    presentations = [
-        fixtures.aab_power_presentation(3),
-        fixtures.torus_presentation(),
-        fixtures.zzz_presentation(),
-        fixtures.surface_presentation(2, True),
-        fixtures.surface_presentation(3, False),
-        fixtures.modify_presentation(),
-        fixtures.two_relator_block_presentation(),
-        fixtures.magnus_example_presentation(),
-    ]
-    for pres in presentations:
-        x = standard_complex(pres)
-        yield x, unit_weighting(x)
-    for pres, w_of in [
-        (fixtures.zzz_presentation(), fixtures.zzz_weighting),
-        (fixtures.modify_presentation(), fixtures.modify_weighting),
-        (fixtures.two_relator_block_presentation(), fixtures.two_relator_block_weighting),
-        # a and b of perimeter 0
-        (fixtures.magnus_example_presentation(), lambda x: magnus_weighting(x, {0, 1})[0]),
-    ]:
-        x = standard_complex(pres)
-        yield x, w_of(x)
-
-
-def test_candidate_lengths_form_an_interval_ending_at_the_boundary():
-    # find_site tries each lift at its own length only; that returns the
-    # site of trying it at every length because the candidate lengths of
-    # each (cell, start) are an interval [L_min, |R|]
-    cases = list(_weighted_fixture_complexes())
-    assert edge_perimeters(cases[-1][1])[:2] == [0, 0]
-    for x, w in cases:
-        for mode in ("strict", "weak"):
-            lengths = {}
-            for cand in scan_order(w, mode):
-                lengths.setdefault((cand.cell, cand.start), []).append(cand.length)
-            assert set(lengths) == {(c, s) for c in range(x.num_cells())
-                                    for s in range(x.periods[c][0])}
-            for (c, _start), found in lengths.items():
-                assert sorted(found) == list(range(min(found), x.boundary_length(c) + 1))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sampled_from(_SCAN_COMPLEXES).map(lambda case: (case[0], case[1](case[0]))),
+    relator_complexes().flatmap(lambda x: side_weightings(x).map(lambda w: (x, w)))))
+def test_scan_plan_matches_reference_candidates(case):
+    # in both modes the plan holds one group per (cell, start) that has a
+    # reference candidate, with lo its shortest candidate length, in the
+    # walk order of the keys (-|R| strict, lo weak, cell, start); the
+    # candidate lengths of each group are exactly [lo, |R|], as `find_site`
+    # reads them
+    x, w = case
+    for mode in ("strict", "weak"):
+        lengths = {}
+        for cand in reference_candidates(x, w, mode):
+            lengths.setdefault((cand.cell, cand.start), []).append(cand.length)
+        plan = engine._scan_plan(w, mode)
+        want = sorted(((-x.boundary_length(c) if mode == "strict" else found[0], c, s), found[0])
+                      for (c, s), found in lengths.items())
+        assert [(key, lo) for key, _ring, lo in plan] == want
+        for (_bound, c, s), ring, lo in plan:
+            assert lengths[c, s] == list(range(lo, x.boundary_length(c) + 1))
+            assert ring == x.cells[c][s:] + x.cells[c][:s]
 
 
 def test_find_attachment_skips_blocked_circle():
@@ -840,7 +797,7 @@ def test_find_attachment_skips_blocked_circle():
         m = reduce_map(m0, w, step_limit=limit).map
         dom = Domain(m, w)
         site = find_site(dom)
-        assert site is not None and not site.complete and site.candidate.length == 3
+        assert site is not None and not site.complete and site.length == 3
         assert on_map(dom, m, site) == reference_find_attachment(m, w)
 
 

@@ -9,7 +9,7 @@ from perifold.engine import reduce_domain
 from perifold.maps import (CombMap, Domain, MapError, based_fiber_product, end_stars, find_fold,
                            is_packed)
 from perifold.weights import WeightError, map_perimeter, unit_weighting
-from perifold.words import free_reduce, parse_presentation, word
+from perifold.words import free_reduce, parse_presentation
 
 from conftest import GraphOracle, random_grid_subcomplex
 import reference
@@ -26,6 +26,7 @@ from reference import (
     reference_based_product,
     reference_bouquet_map,
     restrict_to_component,
+    word,
 )
 
 

@@ -15,10 +15,10 @@ from perifold.subgroups import (
     subgroup_presentation,
 )
 from perifold.weights import path_perimeter, unit_weighting, weighting_from_rows
-from perifold.words import free_reduce, parse_presentation, word
+from perifold.words import free_reduce, parse_presentation
 
 from conftest import GraphOracle, abelian_invariants
-from reference import out_edges, reduce_map
+from reference import out_edges, reduce_map, word
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,9 @@ from perifold.weights import (
     unit_weighting,
     weighting_from_rows,
 )
-from perifold.words import parse_presentation, word
+from perifold.words import parse_presentation
 
-from reference import apply_fold, build_packet, identity_map, reference_bouquet_map
+from reference import apply_fold, build_packet, identity_map, reference_bouquet_map, word
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,9 @@ from perifold import fixtures
 from perifold.complexes import standard_complex
 from perifold.subgroups import member
 from perifold.weights import unit_weighting
-from perifold.words import Word, free_reduce, word
+from perifold.words import Word, free_reduce
+
+from reference import word
 
 
 def reduced_words(max_len, exact=None):

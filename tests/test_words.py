@@ -17,8 +17,9 @@ from perifold.words import (
     period_exponent,
     power,
     render_word,
-    word,
 )
+
+from reference import word
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=12).map(lambda ls: Word(tuple(ls)))
