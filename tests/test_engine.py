@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from perifold import engine, fixtures
 from perifold.complexes import Complex2, standard_complex
+from perifold.criteria import magnus_weighting
 from perifold.engine import (
     AttachmentSite,
     EngineError,
@@ -30,6 +31,7 @@ from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
     cell_weight,
+    edge_perimeters,
     map_perimeter,
     path_perimeter,
     unit_weighting,
@@ -761,17 +763,13 @@ def test_find_attachment_matches_reference_on_the_weak_ladder():
     assert len(scans) == 61 and all(hit for _mode, hit in scans)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    st.sampled_from(_SCAN_COMPLEXES).map(lambda case: (case[0], case[1](case[0]))),
-    relator_complexes().flatmap(lambda x: side_weightings(x).map(lambda w: (x, w)))))
-def test_scan_plan_matches_reference_candidates(case):
+def assert_plan_matches_reference(x, w):
     # in both modes the plan holds one group per (cell, start) that has a
     # reference candidate, with lo its shortest candidate length, in the
     # walk order of the keys (-|R| strict, lo weak, cell, start); the
     # candidate lengths of each group are exactly [lo, |R|], as `find_site`
-    # reads them
-    x, w = case
+    # reads them.  Returns the groups' (cell, start) per mode.
+    groups = {}
     for mode in ("strict", "weak"):
         lengths = {}
         for cand in reference_candidates(x, w, mode):
@@ -783,6 +781,61 @@ def test_scan_plan_matches_reference_candidates(case):
         for (_bound, c, s), ring, lo in plan:
             assert lengths[c, s] == list(range(lo, x.boundary_length(c) + 1))
             assert ring == x.cells[c][s:] + x.cells[c][:s]
+        groups[mode] = set(lengths)
+    return groups
+
+
+def test_enumerate_candidates_against_brute():
+    # torus, (aab)^3, genus 2, weighted zzz and weighted modify
+    for x, w_of in _SCAN_COMPLEXES:
+        assert_plan_matches_reference(x, w_of(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_candidates_matches_reference(data):
+    x = data.draw(relator_complexes())
+    w = data.draw(side_weightings(x))
+    assert_plan_matches_reference(x, w)
+
+
+def _weighted_fixture_complexes():
+    presentations = [
+        fixtures.aab_power_presentation(3),
+        fixtures.torus_presentation(),
+        fixtures.zzz_presentation(),
+        fixtures.surface_presentation(2, True),
+        fixtures.surface_presentation(3, False),
+        fixtures.modify_presentation(),
+        fixtures.two_relator_block_presentation(),
+        fixtures.magnus_example_presentation(),
+    ]
+    for pres in presentations:
+        x = standard_complex(pres)
+        yield x, unit_weighting(x)
+    for pres, w_of in [
+        (fixtures.zzz_presentation(), fixtures.zzz_weighting),
+        (fixtures.modify_presentation(), fixtures.modify_weighting),
+        (fixtures.two_relator_block_presentation(), fixtures.two_relator_block_weighting),
+        # a and b of perimeter 0
+        (fixtures.magnus_example_presentation(), lambda x: magnus_weighting(x, {0, 1})[0]),
+    ]:
+        x = standard_complex(pres)
+        yield x, w_of(x)
+
+
+def test_candidate_lengths_form_an_interval_ending_at_the_boundary():
+    # find_site tries each lift at the lengths [lo, |R|] of its group; that
+    # is the site of trying it at every candidate length because the
+    # candidate lengths of each (cell, start) are that interval, and on
+    # these fixtures every (cell, start) has a group in both modes
+    cases = list(_weighted_fixture_complexes())
+    assert edge_perimeters(cases[-1][1])[:2] == [0, 0]
+    for x, w in cases:
+        groups = assert_plan_matches_reference(x, w)
+        for mode in ("strict", "weak"):
+            assert groups[mode] == {(c, s) for c in range(x.num_cells())
+                                    for s in range(x.periods[c][0])}
 
 
 def test_find_attachment_skips_blocked_circle():
