@@ -146,7 +146,7 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     x, w = dom.codomain, dom.weighting
     if w is None:
         raise WeightError("find_site requires a domain built with a weighting")
-    stars, head = dom.stars, dom.head
+    stars, edges, parent = dom.stars, dom.edges, dom.parent
     blocked = {(r, q % x.periods[r][0], d)
                for r, cycles in dom.present.items() for cycle in cycles
                for q, d in enumerate(cycle)}
@@ -154,13 +154,13 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
 
     def site_at(lift: tuple[int, int, int, int], ring: tuple[int, ...]) -> AttachmentSite:
         signed, cell, start, v = lift
-        verts, edges = [v], []
+        verts, refs = [v], []
         for letter in ring[:abs(signed)]:
             d = stars[verts[-1]][letter][0]
-            edges.append(d)
-            verts.append(head(d))
-        return AttachmentSite(cell, start, len(edges), PathInY(dom, tuple(verts), tuple(edges)),
-                              len(edges) == len(ring))
+            refs.append(d)
+            verts.append(dom.head(d))
+        return AttachmentSite(cell, start, len(refs), PathInY(dom, tuple(verts), tuple(refs)),
+                              len(refs) == len(ring))
 
     best = None  # the least lift key found, and ∂R read from its start
     for key, ring, lo in _scan_plan(w, mode):
@@ -176,7 +176,11 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                 if ends is None:
                     break
                 walked += 1
-                u = head(ends[0])
+                d = ends[0]  # u moves to the root at its head, as `Domain.head` finds it
+                u = edges[d - 1][1] if d > 0 else edges[-d - 1][0]
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
             if walked < lo or (walked < len(ring) and -ring[-1] in stars[v]):
                 continue
             lift = (sign * walked, cell, start, v)

@@ -120,9 +120,14 @@ class Domain:
     reused.  Vertex classes live in a union-find whose root is the smallest
     id, each root's star maps an image letter to the sorted refs over it
     that leave the class, and each cell keeps its rewritten cycle in live
-    refs.  A fold can make two cells equal: the later is a twin until
-    `remove_redundant`.  `to_map` numbers vertex classes by their smallest
-    id and surviving edges and cells in id order, as a fold of the input.
+    refs.  `leaving` lists per image letter the roots it leaves, ascending,
+    and the fold heap holds every root that may have a repeated image.  A
+    fresh vertex of an arc has the largest id yet, so `add_arc` appends it
+    to `leaving`, which stays ascending, and pushes it on the heap only
+    where the arc backtracks.  A fold can make two cells equal: the later
+    is a twin until `remove_redundant`.  `to_map` numbers vertex classes by
+    their smallest id and surviving edges and cells in id order, as a fold
+    of the input.
 
     Given a weighting (kept as `weighting`), `perimeter` follows one rule:
     it changes only when an edge is added (by its edge perimeter) or
@@ -142,6 +147,8 @@ class Domain:
         self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
         self.per = w._per if w is not None else [0] * x.num_edges()
         self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
+        # signed letter -> the codomain vertex at its head, read by `add_arc`
+        self.heads = {d: x.head(d) for e in range(x.num_edges()) for d in (e + 1, -(e + 1))}
         self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
         self.edges, self.edge_image, self.dropped = [], [], set()
         self.stars: list[dict[int, list[int]] | None] = [{} for _ in self.parent]
@@ -237,7 +244,9 @@ class Domain:
                        vertex[self.find(self.basepoint)])
 
     def _make_present(self, e: int, side: tuple[int, int]) -> None:
-        sides = self.sides.setdefault(e, set())
+        sides = self.sides.get(e)
+        if sides is None:
+            self.sides[e] = sides = set()
         if side not in sides:
             sides.add(side)
             self.perimeter -= self.weights[side[0]][side[1]]
@@ -281,9 +290,14 @@ class Domain:
         self.cell_image.append(image)
         self.num_cells += 1
         self._index(c)
+        cells_at, r = self.cells_at, image[0]
         for q, d in enumerate(cycle):
-            self.cells_at.setdefault(abs(d) - 1, set()).add(c)
-            self._make_present(abs(d) - 1, (image[0], q))
+            e = abs(d) - 1
+            through = cells_at.get(e)
+            if through is None:
+                cells_at[e] = through = set()
+            through.add(c)
+            self._make_present(e, (r, q))
 
     def _index(self, c: int) -> None:
         """Enter cell c's cycle in `present` (cycle -> first cell)."""
@@ -323,30 +337,55 @@ class Domain:
         return d1, d2
 
     def add_arc(self, u: int, v: int | None, letters) -> list[int]:
-        """Add an arc over `letters` from root u to root v, or to a fresh
-        vertex when v is None; returns its edge refs.  Edges are oriented
-        along the arc and numbered on from the last; each fresh vertex is
-        numbered on from the last and maps to the head of its letter."""
-        x, refs, last = self.codomain, [], len(letters) - 1
-        for k, letter in enumerate(letters):
-            if k == last and v is not None:
-                nxt = v
+        """Add an arc over nonempty `letters` from root u to root v, or to
+        a fresh vertex when v is None; returns its edge refs.  Edges are
+        oriented along the arc and numbered on from the last; each fresh
+        vertex is numbered on from the last and maps to the head of its
+        letter.
+
+        A fresh vertex's star is built whole, its two ends at once.  Its id
+        is the largest yet, so it is appended to `leaving`, which stays
+        ascending, and it has a repeated image only where the arc
+        backtracks (a letter followed by its inverse), so only there is it
+        pushed on the fold heap.  Only the ends at u and v, existing roots,
+        go through `_add_end`."""
+        stars, leaving, parent, edges = self.stars, self.leaving, self.parent, self.edges
+        heads, vertex_image = self.heads, self.vertex_image
+        d, n = len(edges), len(letters)  # the arc's refs are d + 1 .. d + n
+        letter = letters[0]
+        self._add_end(u, letter, d + 1)
+        for out in letters[1:]:  # a fresh vertex between letter and out
+            d += 1
+            nxt = len(parent)
+            parent.append(nxt)
+            vertex_image.append(heads[letter])
+            edges.append((u, nxt))
+            if out == -letter:
+                stars.append({out: [-d, d + 1]})
+                leaving.setdefault(out, []).append(nxt)
+                heapq.heappush(self.heap, nxt)
             else:
-                nxt = len(self.parent)
-                self.parent.append(nxt)
-                self.stars.append({})
-                self.vertex_image.append(x.head(letter))
-                self.num_vertices += 1
-            self.edges.append((u, nxt))
-            self.edge_image.append(letter)
-            d = len(self.edges)
-            refs.append(d)
-            self._add_end(u, letter, d)
-            self._add_end(nxt, -letter, -d)
-            self.perimeter += self.per[abs(letter) - 1]
-            u = nxt
-        self.num_edges += len(refs)
-        return refs
+                stars.append({-letter: [-d], out: [d + 1]})
+                leaving.setdefault(-letter, []).append(nxt)
+                leaving.setdefault(out, []).append(nxt)
+            u, letter = nxt, out
+        d += 1
+        if v is None:
+            v = len(parent)
+            parent.append(v)
+            vertex_image.append(heads[letter])
+            stars.append({-letter: [-d]})
+            leaving.setdefault(-letter, []).append(v)
+            self.num_vertices += 1
+        else:
+            self._add_end(v, -letter, -d)
+        edges.append((u, v))
+        self.edge_image.extend(letters)
+        per = self.per
+        self.perimeter += sum([per[abs(ell) - 1] for ell in letters])
+        self.num_vertices += n - 1
+        self.num_edges += n
+        return list(range(d - n + 1, d + 1))
 
     def add_packet(self, r: int, cycle) -> int:
         """Glue a 2-cell over target cell r along each packet mate of a cycle

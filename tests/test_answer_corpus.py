@@ -1,0 +1,19 @@
+import json
+
+import corpus
+
+
+def test_answers_match_the_corpus():
+    # every answer, trace and final map of the corpus cases is what the
+    # committed file pins; `python scripts/answer_corpus.py` regenerates it
+    # and prints the cases that moved
+    stored = json.loads(corpus.PATH.read_text())
+    got = corpus.build()
+    moved = sorted(case for case in stored["cases"].keys() | got["cases"].keys()
+                   if stored["cases"].get(case) != got["cases"].get(case))
+    assert not moved, f"{len(moved)} cases moved, the first: {moved[:5]}"
+    assert got["known_wrong"] == stored["known_wrong"]
+    # three operations at four step limits over four complexes, and the
+    # four torus fault words of `member` at every limit, tagged
+    assert len(got["cases"]) == 3 * 4 * 4 * corpus.INPUTS + 4 * 4
+    assert sum(case.startswith("member_with_trace/torus/") for case in got["known_wrong"]) >= 16

@@ -577,6 +577,65 @@ def test_bouquet_domain_matches_reference_map(data):
     assert dom.next_fold() == ref.next_fold()
 
 
+def assert_leaving_lists_the_roots_over_each_image(dom):
+    over: dict[int, list[int]] = {}
+    for v, p in enumerate(dom.parent):
+        if p == v:
+            for img in dom.stars[v]:
+                over.setdefault(img, []).append(v)
+    for roots in dom.leaving.values():
+        assert all(a < b for a, b in zip(roots, roots[1:])), roots
+    assert {img: roots for img, roots in dom.leaving.items() if roots} == over
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arc_gluing_matches_letter_by_letter(data):
+    # an arc glued whole (each fresh star built at once and appended to
+    # `leaving`, a heap push only where the arc backtracks) leaves the
+    # domain that one single-letter `add_arc` per letter leaves, whose
+    # fresh vertices take their second end through `_add_end`; the arcs
+    # start at a root of a partly folded bouquet, so ids are not all roots
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    w = data.draw(st.sampled_from([None, w_of(x)]))
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(1, 3))))
+            if g.letters]
+    folds = data.draw(st.integers(0, 6))
+
+    def start():
+        dom = Domain.bouquet(x, gens, w)
+        for _ in range(folds):
+            if (fold := dom.next_fold()) is None:
+                break
+            dom.fold(*fold)
+        return dom
+
+    whole, by_letter = start(), start()
+    for _ in range(data.draw(st.integers(1, 3))):
+        roots = list(whole.vertex_numbers())
+        u, other = data.draw(st.sampled_from(roots)), data.draw(st.sampled_from(roots))
+        v = data.draw(st.sampled_from([None, u, other]))
+        letters = data.draw(st.lists(letter, min_size=1, max_size=8))
+        refs, tail = [], u
+        for k, ell in enumerate(letters):
+            refs += by_letter.add_arc(tail, v if k == len(letters) - 1 else None, [ell])
+            tail = len(by_letter.parent) - 1  # the fresh vertex, if one was made
+        assert whole.add_arc(u, v, letters) == refs
+        for field in ("stars", "leaving", "edges", "edge_image", "vertex_image", "parent",
+                      "perimeter", "num_vertices", "num_edges", "num_cells"):
+            assert getattr(whole, field) == getattr(by_letter, field), field
+        assert whole.next_fold() == by_letter.next_fold()
+        assert_leaving_lists_the_roots_over_each_image(whole)
+    while (fold := whole.next_fold()) is not None:  # every repeat was pushed
+        assert fold == by_letter.next_fold()
+        whole.fold(*fold)
+        by_letter.fold(*fold)
+        assert_leaving_lists_the_roots_over_each_image(whole)
+    assert by_letter.next_fold() is None
+    assert whole.to_map() == by_letter.to_map()
+
+
 def on_map(dom, m, site):
     """A site of a live domain in the numbering of `m = dom.to_map()`."""
     vertex, ref = dom.vertex_numbers(), dom.edge_refs()
