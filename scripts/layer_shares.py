@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: imports perifold from this checkout)
 import workloads  # noqa: E402
 
-DOMAIN_STEPS = ("__init__", "fold", "identify", "add_arc", "add_packet", "remove_redundant",
+DOMAIN_STEPS = ("__init__", "fold_all", "identify", "add_arc", "add_packet", "remove_redundant",
                 "repair", "augment", "to_map")
 
 

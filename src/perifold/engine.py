@@ -228,10 +228,13 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     that the limit cuts short still logs its `remove-redundant` and
     `repair` steps, so a trace may hold more steps than the limit.
 
-    With `verify`, the perimeter is checked against the double sum after
-    every step, each fold phase to end in a packed 1-immersion, and in
-    strict mode every fold and attachment to lower the pair (perimeter,
-    edge count) below the previous step's.
+    The folds of a fold phase are made by one `Domain.fold_all` within the
+    steps left, and each fold step is read off what it returns.  With
+    `verify`, `fold_all` makes one fold per call, and after every step the
+    perimeter is checked against the double sum and the step's counts
+    against the domain; each fold phase is checked to end in a packed
+    1-immersion, and in strict mode every fold and attachment to lower the
+    pair (perimeter, edge count) below the previous step's.
     """
     w = dom.weighting
     if mode not in ("strict", "weak"):
@@ -247,25 +250,36 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
         return step_limit is not None and len(trace.steps) >= step_limit
 
     def log(kind: str, detail: dict | None = None) -> None:
-        before = ((trace.steps[-1].perimeter, trace.steps[-1].edges) if trace.steps
-                  else (trace.initial_perimeter, trace.initial_edges))
         # a twin cell counts in `num_cells` until `remove_redundant`, as in fold steps
         trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
                                      dom.num_cells, detail or {}))
-        if verify and dom.perimeter != map_perimeter(w, dom.to_map()):
-            raise EngineError(f"{kind} bookkeeping mismatch")
-        if (verify and mode == "strict" and kind not in ("repair", "remove-redundant")
-                and (dom.perimeter, dom.num_edges) >= before):
-            raise EngineError(f"{kind} did not lower (P, #edges)")
+        if verify:
+            check()
+
+    def check() -> None:
+        step = trace.steps[-1]
+        before = ((trace.steps[-2].perimeter, trace.steps[-2].edges) if len(trace.steps) > 1
+                  else (trace.initial_perimeter, trace.initial_edges))
+        if dom.perimeter != map_perimeter(w, dom.to_map()):
+            raise EngineError(f"{step.kind} bookkeeping mismatch")
+        if (step.perimeter, step.edges, step.vertices, step.cells) != (
+                dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
+            raise EngineError(f"{step.kind} step misstates the domain")
+        if (mode == "strict" and step.kind not in ("repair", "remove-redundant")
+                and (step.perimeter, step.edges) >= before):
+            raise EngineError(f"{step.kind} did not lower (P, #edges)")
 
     def fold_and_pack() -> None:
         nonlocal pending
-        while (fold := dom.next_fold()) is not None:
-            if out_of_steps():
-                pending = True
+        while True:
+            room = None if step_limit is None else step_limit - len(trace.steps)
+            folds, pending = dom.fold_all(1 if verify and room != 0 else room)
+            for _d1, _d2, perimeter, edges, vertices, cells in folds:
+                trace.steps.append(TraceStep("fold", perimeter, edges, vertices, cells))
+                if verify:
+                    check()
+            if not (verify and folds and pending):
                 break
-            dom.fold(*fold)
-            log("fold")
         removed = dom.remove_redundant()
         if removed:
             log("remove-redundant", {"removed": removed})

@@ -111,23 +111,25 @@ class PathInY:
 
 class Domain:
     """A map's domain, changed in place by four operations that each touch
-    only what they change: `fold`, `identify`, `add_arc` and `add_packet`
-    (with `remove_redundant`, `repair` and `augment`).  A subgroup's domain
-    starts as the wedge of its words (`bouquet`); any other map is wrapped
-    as `Domain(m, w)`.
+    only what they change: `fold_all`, `identify`, `add_arc` and
+    `add_packet` (with `remove_redundant`, `repair` and `augment`).  A
+    subgroup's domain starts as the wedge of its words (`bouquet`); any
+    other map is wrapped as `Domain(m, w)`.
 
     Vertex and edge ids are the map's numbers, then fresh ones; none is
     reused.  Vertex classes live in a union-find whose root is the smallest
     id, each root's star maps an image letter to the sorted refs over it
     that leave the class, and each cell keeps its rewritten cycle in live
-    refs.  `leaving` lists per image letter the roots it leaves, ascending,
-    and the fold heap holds every root that may have a repeated image.  A
-    fresh vertex of an arc has the largest id yet, so `add_arc` appends it
-    to `leaving`, which stays ascending, and pushes it on the heap only
-    where the arc backtracks.  A fold can make two cells equal: the later
-    is a twin until `remove_redundant`.  `to_map` numbers vertex classes by
-    their smallest id and surviving edges and cells in id order, as a fold
-    of the input.
+    refs.  `leaving` lists per image letter the roots it leaves, ascending.
+    The fold heap holds a (root, image) pair wherever an image at a root
+    gets its second end, so every (root, image) with two or more ends has
+    an entry; an entry whose root was merged away or whose image has fewer
+    than two ends left is stale, and is dropped when it reaches the top.
+    A fresh vertex of an arc has the largest id yet, so `add_arc` appends
+    it to `leaving`, which stays ascending.  A fold can make two cells
+    equal: the later is a twin until `remove_redundant`.  `to_map` numbers
+    vertex classes by their smallest id and surviving edges and cells in id
+    order, as a fold of the input.
 
     Given a weighting (kept as `weighting`), `perimeter` follows one rule:
     it changes only when an edge is added (by its edge perimeter) or
@@ -153,7 +155,7 @@ class Domain:
         self.edges, self.edge_image, self.dropped = [], [], set()
         self.stars: list[dict[int, list[int]] | None] = [{} for _ in self.parent]
         self.leaving: dict[int, list[int]] = {}  # image letter -> the roots it leaves, ascending
-        self.heap: list[int] = []  # roots that may have a repeated image
+        self.heap: list[tuple[int, int]] = []  # (root, image) pairs that may have two ends
         self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
         self.cell_image: list[tuple[int, int, bool]] = []
         self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
@@ -209,11 +211,9 @@ class Domain:
         """(root, image) of the next fold in `find_fold` order, or None."""
         heap, parent, stars = self.heap, self.parent, self.stars
         while heap:
-            v = heap[0]
-            if parent[v] == v:
-                img = min((i for i, ends in stars[v].items() if len(ends) > 1), default=None)
-                if img is not None:
-                    return v, img
+            v, img = heap[0]
+            if parent[v] == v and len(stars[v].get(img, ())) > 1:
+                return v, img
             heapq.heappop(heap)
         return None
 
@@ -256,33 +256,31 @@ class Domain:
         if not ends:
             bisect.insort(self.leaving.setdefault(img, []), v)
         elif len(ends) == 1:
-            heapq.heappush(self.heap, v)
+            heapq.heappush(self.heap, (v, img))
         bisect.insort(ends, d)
-
-    def _remove_end(self, v: int, img: int, d: int) -> None:
-        ends = self.stars[v][img]
-        del ends[bisect.bisect_left(ends, d)]
-        if not ends:
-            del self.stars[v][img]
-            del self.leaving[img][bisect.bisect_left(self.leaving[img], v)]
 
     def identify(self, u: int, v: int) -> None:
         """Merge the classes of roots u and v, which have one image, into
-        the smaller root."""
+        the smaller root; each image that has two ends or more there after
+        the merge is pushed on the fold heap."""
         if u == v:
             return
         lo, hi = min(u, v), max(u, v)
+        star, heap = self.stars[lo], self.heap
         for img, moved in self.stars[hi].items():
             roots = self.leaving[img]
             del roots[bisect.bisect_left(roots, hi)]
-            into = self.stars[lo].setdefault(img, [])
-            if not into:
+            into = star.get(img)
+            if into is None:
                 bisect.insort(roots, lo)
-            into += moved
-            into.sort()
+                star[img] = into = moved
+            else:
+                into += moved
+                into.sort()
+            if len(into) > 1:
+                heapq.heappush(heap, (lo, img))
         self.parent[hi], self.stars[hi] = lo, None
         self.num_vertices -= 1
-        heapq.heappush(self.heap, lo)
 
     def _add_cell(self, image: tuple[int, int, bool], cycle: tuple[int, ...]) -> None:
         c = len(self.cycles)
@@ -308,33 +306,72 @@ class Domain:
             self.twins.discard(min(first, c))
             self.twins.add(max(first, c))
 
-    def fold(self, v: int, img: int) -> tuple[int, int]:
-        """Make the fold that `next_fold` found at root v over image img:
-        drop the edge of the second smallest ref over it into the edge of
-        the smallest, rewriting the cells through it; returns the refs."""
-        d1, d2 = self.stars[v][img][:2]
-        h1, h2 = self.head(d1), self.head(d2)
-        self._remove_end(v, img, d2)
-        self._remove_end(h2, -img, -d2)
-        keep, drop = abs(d1) - 1, abs(d2) - 1
-        self.dropped.add(drop)
-        self.num_edges -= 1
-        sides = self.sides.pop(drop, ())
-        self.perimeter -= (self.per[abs(self.edge_image[drop]) - 1]
-                           - sum(self.weights[r][q] for r, q in sides))
-        for side in sides:
-            self._make_present(keep, side)
-        over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
-        onto = {drop + 1: over, -(drop + 1): -over}
-        for c in self.cells_at.pop(drop, ()):
-            old, index = self.cycles[c], self.present[self.cell_image[c][0]]
-            if index.get(old) == c:
-                del index[old]
-            self.cycles[c] = tuple(onto.get(d, d) for d in old)
-            self._index(c)
-            self.cells_at.setdefault(keep, set()).add(c)
-        self.identify(h1, h2)
-        return d1, d2
+    def fold_all(self, limit: int | None = None
+                 ) -> tuple[list[tuple[int, int, int, int, int, int]], bool]:
+        """Fold until no fold is left or `limit` folds are made.  Returns,
+        per fold, its refs d1 and d2 and (perimeter, #edges, #vertices,
+        #cells) after it, and whether a fold is still left.
+
+        Each fold is at the least (root, image) with two ends or more, as
+        `next_fold` and `find_fold` take it: the edge of the second
+        smallest ref over it is dropped into the edge of the smallest, the
+        cells through it are rewritten, and their heads are merged
+        (`identify`).  The heap holds every such pair, so its least live
+        entry is that fold.  A stale entry is safe to drop: a root merged
+        away never becomes a root again, and an image that falls below two
+        ends at a root is pushed again when it gets its second end back
+        (`_add_end`, `add_arc`, `identify`), so dropping an entry never
+        loses a fold, and pushing one twice only adds an entry that is read
+        or dropped in turn."""
+        heap, parent, stars, edges = self.heap, self.parent, self.stars, self.edges
+        cells_at, cycles = self.cells_at, self.cycles
+        folds = []
+        while heap:
+            v, img = heap[0]
+            ends = stars[v].get(img) if parent[v] == v else None
+            if ends is None or len(ends) < 2:
+                heapq.heappop(heap)
+                continue
+            if limit is not None and len(folds) >= limit:
+                return folds, True
+            d1, d2 = ends[0], ends[1]
+            del ends[1]
+            h1 = edges[d1 - 1][1] if d1 > 0 else edges[-d1 - 1][0]
+            h2 = edges[d2 - 1][1] if d2 > 0 else edges[-d2 - 1][0]
+            while parent[h1] != h1:  # the roots at their heads, as `find` climbs to them
+                parent[h1] = parent[parent[h1]]
+                h1 = parent[h1]
+            while parent[h2] != h2:
+                parent[h2] = parent[parent[h2]]
+                h2 = parent[h2]
+            back = stars[h2][-img]
+            del back[bisect.bisect_left(back, -d2)]
+            if not back:
+                del stars[h2][-img]
+                roots = self.leaving[-img]
+                del roots[bisect.bisect_left(roots, h2)]
+            keep, drop = abs(d1) - 1, abs(d2) - 1
+            self.dropped.add(drop)
+            self.num_edges -= 1
+            self.perimeter -= self.per[abs(self.edge_image[drop]) - 1]
+            for r, q in self.sides.pop(drop, ()):  # a side of the dropped edge moves to keep
+                self.perimeter += self.weights[r][q]
+                self._make_present(keep, (r, q))
+            through = cells_at.pop(drop, None)
+            if through:
+                over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
+                onto = {drop + 1: over, -(drop + 1): -over}
+                for c in through:
+                    old, index = cycles[c], self.present[self.cell_image[c][0]]
+                    if index.get(old) == c:
+                        del index[old]
+                    cycles[c] = tuple(onto.get(d, d) for d in old)
+                    self._index(c)
+                    cells_at.setdefault(keep, set()).add(c)
+            self.identify(h1, h2)
+            folds.append((d1, d2, self.perimeter, self.num_edges, self.num_vertices,
+                          self.num_cells))
+        return folds, False
 
     def add_arc(self, u: int, v: int | None, letters) -> list[int]:
         """Add an arc over nonempty `letters` from root u to root v, or to
@@ -345,10 +382,11 @@ class Domain:
 
         A fresh vertex's star is built whole, its two ends at once.  Its id
         is the largest yet, so it is appended to `leaving`, which stays
-        ascending, and it has a repeated image only where the arc
-        backtracks (a letter followed by its inverse), so only there is it
-        pushed on the fold heap.  Only the ends at u and v, existing roots,
-        go through `_add_end`."""
+        ascending, and it has an image with two ends only where the arc
+        backtracks (a letter followed by its inverse), so only there is
+        (vertex, that image) pushed on the fold heap.  Only the ends at u
+        and v, existing roots, go through `_add_end`, which pushes (root,
+        image) where the image gets its second end."""
         stars, leaving, parent, edges = self.stars, self.leaving, self.parent, self.edges
         heads, vertex_image = self.heads, self.vertex_image
         d, n = len(edges), len(letters)  # the arc's refs are d + 1 .. d + n
@@ -363,7 +401,7 @@ class Domain:
             if out == -letter:
                 stars.append({out: [-d, d + 1]})
                 leaving.setdefault(out, []).append(nxt)
-                heapq.heappush(self.heap, nxt)
+                heapq.heappush(self.heap, (nxt, out))
             else:
                 stars.append({-letter: [-d], out: [d + 1]})
                 leaving.setdefault(-letter, []).append(nxt)

@@ -7,6 +7,11 @@ step limits None, 0, 3 and 10, over the torus, `(aab)^3`, the genus-2
 surface and `Z^3` (with `fixtures.zzz_weighting`), on inputs drawn from the
 seeds below.  Every call passes `force=True`, so a complex without the
 operation's certificate is reduced too, and the rendering says `heuristic`.
+Over the same complexes, from seeds of their own: `fold_to_immersion` of
+bouquets of words as drawn, unreduced, and of each such bouquet with a copy
+of every cell glued at each vertex (`reference_augment_with_cells`), so
+that folds merge cells; and weak `reduce_map` of bouquets with a whisker at
+the step limits 0, 3 and 10.
 
 The corpus pins behaviour, not correctness: a torus `member` answer that
 the exponent-sum lattice of Z^2 contradicts is tagged known-wrong (a
@@ -30,10 +35,13 @@ from perifold.experiments import random_reduced_word
 from perifold.subgroups import intersect, member_with_trace, subgroup_presentation
 from perifold.weights import unit_weighting
 from perifold.words import Word, free_reduce
+from reference import fold_to_immersion, reduce_map, reference_augment_with_cells, \
+    reference_bouquet_map
 
 PATH = Path(__file__).resolve().parent / "data" / "answer_corpus.json"
 STEP_LIMITS = (None, 0, 3, 10)
 INPUTS = 20  # per operation and complex
+WEAK_STEP_LIMITS = (0, 3, 10)
 COMPLEXES = {
     "torus": (fixtures.torus_presentation, unit_weighting),
     "aab3": (lambda: fixtures.aab_power_presentation(3), unit_weighting),
@@ -64,6 +72,12 @@ def _word(rng: random.Random, x) -> Word:
 
 def _gens(rng: random.Random, x, least: int) -> list[Word]:
     return [_word(rng, x) for _ in range(rng.randint(least, 2))]
+
+
+def _drawn(rng: random.Random, x) -> Word:
+    """A random word as drawn, not reduced, so that its arc may backtrack."""
+    return Word(tuple(rng.choice((1, -1)) * rng.randint(1, x.num_edges())
+                      for _ in range(rng.randint(1, 8))))
 
 
 def _in_z2_lattice(t, vectors) -> bool:
@@ -110,6 +124,11 @@ def _rendered_result(res) -> dict:
             "heuristic": res.heuristic, "final_map": _rendered_map(res.final_map)}
 
 
+def _rendered_folds(res) -> dict:
+    return {"folds": res.folds, "removed_cells": res.removed_cells,
+            "vertex_map": res.vertex_map, "map": _rendered_map(res.map)}
+
+
 def _digest(rendered) -> str:
     return hashlib.sha256(json.dumps(rendered, sort_keys=True).encode()).hexdigest()
 
@@ -141,6 +160,21 @@ def cases():
             for k, (gens_h, gens_k) in enumerate(pairs):
                 res = intersect(x, w, gens_h, gens_k, force=True, step_limit=limit)
                 yield f"intersect/{name}/{k}/limit={limit}", _rendered_result(res), None
+        rng = random.Random(f"answer-corpus:{name}:fold")
+        for k in range(INPUTS):
+            bouquet = reference_bouquet_map(x, [_drawn(rng, x) for _ in range(rng.randint(1, 3))])
+            for kind, m in (("bouquet", bouquet), ("cells", reference_augment_with_cells(bouquet))):
+                yield (f"fold_to_immersion/{name}/{k}/{kind}",
+                       _rendered_folds(fold_to_immersion(m)), None)
+        rng = random.Random(f"answer-corpus:{name}:weak")
+        for k in range(INPUTS):
+            m = reference_bouquet_map(x, _gens(rng, x, 0), whisker=_word(rng, x))
+            for limit in WEAK_STEP_LIMITS:
+                res = reduce_map(m, w, "weak", limit)
+                yield (f"reduce_map/weak/{name}/{k}/limit={limit}",
+                       {"map": _rendered_map(res.map), "trace": _rendered_trace(res.trace),
+                        "vertex_tracking": res.vertex_tracking, "exhausted": res.exhausted},
+                       None)
 
 
 def build() -> dict:

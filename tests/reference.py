@@ -808,12 +808,12 @@ class FoldToImmersionResult:
 
 def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
     """Stallings folding in exactly the order of repeated `find_fold`, one
-    fold at a time (`Domain.fold`), then `remove_redundant`.  With no fold
-    and no redundant cell the input map itself is kept."""
+    fold at a time (`Domain.fold_all(1)`), then `remove_redundant`.  With no
+    fold and no redundant cell the input map itself is kept."""
     dom = Domain(m)
     folds = []
-    while (fold := dom.next_fold()) is not None:
-        folds.append(dom.fold(*fold))
+    while made := dom.fold_all(1)[0]:
+        folds.append(made[0][:2])
     removed = dom.remove_redundant()
     return FoldToImmersionResult(dom.to_map() if folds or removed else m, folds, removed,
                                  vertex_map(dom, range(m.domain.num_vertices)))

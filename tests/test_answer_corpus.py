@@ -14,6 +14,7 @@ def test_answers_match_the_corpus():
     assert not moved, f"{len(moved)} cases moved, the first: {moved[:5]}"
     assert got["known_wrong"] == stored["known_wrong"]
     # three operations at four step limits over four complexes, and the
-    # four torus fault words of `member` at every limit, tagged
-    assert len(got["cases"]) == 3 * 4 * 4 * corpus.INPUTS + 4 * 4
+    # four torus fault words of `member` at every limit, tagged; per
+    # complex, two fold cases and three weak reductions per input
+    assert len(got["cases"]) == 3 * 4 * 4 * corpus.INPUTS + 4 * 4 + 4 * 5 * corpus.INPUTS
     assert sum(case.startswith("member_with_trace/torus/") for case in got["known_wrong"]) >= 16

@@ -487,7 +487,7 @@ def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
     assert len(calls) <= 4
 
 
-@pytest.mark.parametrize("change", ["add_arc", "fold", "_make_present"])
+@pytest.mark.parametrize("change", ["add_arc", "fold_all", "_make_present"])
 def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
     # the live perimeter changes when an edge is added (a fresh arc), when
     # one is dropped (a fold) and when a side becomes present: put one of
@@ -506,6 +506,24 @@ def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
 
     monkeypatch.setattr(Domain, change, off_by_one)
     with pytest.raises(EngineError, match="bookkeeping mismatch"):
+        reduce_map(m, w, verify=True)
+
+
+def test_verify_catches_a_fold_step_that_misstates_the_domain(monkeypatch):
+    # the fold steps are read off what `fold_all` returns: let it report
+    # each perimeter off by one, and `verify` finds it at the first fold
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+    m = reference_bouquet_map(x, [word([1, 2, 1, 2, -1, 2]), word([1, 1])])
+    original = Domain.fold_all
+
+    def misstated(dom, limit=None):
+        folds, left = original(dom, limit)
+        return [(d1, d2, p + 1, *counts) for d1, d2, p, *counts in folds], left
+
+    monkeypatch.setattr(Domain, "fold_all", misstated)
+    assert reduce_map(m, w).trace.steps[0].kind == "fold"
+    with pytest.raises(EngineError, match="fold step misstates the domain"):
         reduce_map(m, w, verify=True)
 
 
@@ -588,6 +606,14 @@ def assert_leaving_lists_the_roots_over_each_image(dom):
     assert {img: roots for img, roots in dom.leaving.items() if roots} == over
 
 
+def assert_heap_holds_each_repeated_image(dom):
+    # every (root, image) with two ends or more has an entry on the fold
+    # heap; the other entries are stale, and `next_fold` drops them
+    repeated = {(v, img) for v, p in enumerate(dom.parent) if p == v
+                for img, ends in dom.stars[v].items() if len(ends) > 1}
+    assert repeated <= set(dom.heap), repeated - set(dom.heap)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_arc_gluing_matches_letter_by_letter(data):
@@ -605,10 +631,7 @@ def test_arc_gluing_matches_letter_by_letter(data):
 
     def start():
         dom = Domain.bouquet(x, gens, w)
-        for _ in range(folds):
-            if (fold := dom.next_fold()) is None:
-                break
-            dom.fold(*fold)
+        dom.fold_all(folds)
         return dom
 
     whole, by_letter = start(), start()
@@ -627,13 +650,49 @@ def test_arc_gluing_matches_letter_by_letter(data):
             assert getattr(whole, field) == getattr(by_letter, field), field
         assert whole.next_fold() == by_letter.next_fold()
         assert_leaving_lists_the_roots_over_each_image(whole)
+        assert_heap_holds_each_repeated_image(whole)
     while (fold := whole.next_fold()) is not None:  # every repeat was pushed
         assert fold == by_letter.next_fold()
-        whole.fold(*fold)
-        by_letter.fold(*fold)
+        assert whole.fold_all(1) == by_letter.fold_all(1)
         assert_leaving_lists_the_roots_over_each_image(whole)
+        assert_heap_holds_each_repeated_image(whole)
     assert by_letter.next_fold() is None
     assert whole.to_map() == by_letter.to_map()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fold_heap_holds_each_repeated_image(data):
+    # a bouquet of words as drawn with a copy of every cell glued at each
+    # vertex, so that folds merge cells, folded one fold at a time: after
+    # each fold every repeated image at a root has a heap entry.  Folding k
+    # and then the rest makes the same folds, and leaves the same domain,
+    # as folding all at once
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    w = w_of(x)
+    letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+    gens = [word(ls) for ls in data.draw(
+        st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3))]
+    m = reference_augment_with_cells(reference_bouquet_map(x, gens))
+    stepped, folds = Domain(m, w), []
+    assert_heap_holds_each_repeated_image(stepped)
+    while made := stepped.fold_all(1)[0]:
+        folds += made
+        assert_leaving_lists_the_roots_over_each_image(stepped)
+        assert_heap_holds_each_repeated_image(stepped)
+    assert stepped.next_fold() is None and stepped.fold_all() == ([], False)
+    whole, split = Domain(m, w), Domain(m, w)
+    assert whole.fold_all() == (folds, False)
+    k = data.draw(st.integers(0, len(folds)))
+    first, left = split.fold_all(k)
+    assert (first, left) == (folds[:k], k < len(folds))
+    assert split.fold_all() == (folds[k:], False)
+    for dom in (whole, split):
+        for field in ("stars", "leaving", "dropped", "cycles", "present", "twins",
+                      "cells_at", "sides", "perimeter", "num_vertices", "num_edges",
+                      "num_cells"):
+            assert getattr(dom, field) == getattr(stepped, field), field
+        assert dom.to_map() == stepped.to_map()
 
 
 def on_map(dom, m, site):
