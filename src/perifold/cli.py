@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .complexes import Complex2, check_small_cancellation, standard_complex
 from .criteria import (
@@ -40,6 +38,7 @@ from .subgroups import (
     member_with_trace,
     subgroup_presentation,
 )
+from .records import Record
 from .weights import (
     Weighting,
     cell_weight,
@@ -62,12 +61,15 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
-class InputFile:
-    presentation: Presentation
-    complex: Complex2
-    weighting: Weighting
-    word_lists: dict[str, list[Word]] = field(default_factory=dict)
+class InputFile(Record):
+    _fields = ("presentation", "complex", "weighting", "word_lists")
+
+    def __init__(self, presentation: Presentation, complex: Complex2, weighting: Weighting,
+                 word_lists: dict[str, list[Word]] | None = None):
+        self.presentation = presentation
+        self.complex = complex
+        self.weighting = weighting
+        self.word_lists = {} if word_lists is None else word_lists
 
 
 def parse_input_file(text: str) -> InputFile:
@@ -188,6 +190,8 @@ def cmd_info(f: InputFile, args) -> int:
     per = edge_perimeters(w)
     if args.p < 2 or args.q < 3:
         raise InputError(f"need --p >= 2 and --q >= 3, not --p {args.p} --q {args.q}")
+    from fractions import Fraction  # only here, so the other commands do not import it
+
     try:
         alpha = Fraction(args.alpha) if args.alpha else None
     except (ValueError, ZeroDivisionError):

@@ -9,11 +9,13 @@ are required to be immersed (no backtrack at any cyclic position).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
+from .records import Record
 from .words import Presentation, period_length_exponent
+
+# `Fraction` in annotations is fractions.Fraction, as callers pass it for
+# alpha; it is not imported, which keeps `fractions` out of start-up.
 
 INF = float("inf")
 
@@ -22,8 +24,7 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass
-class Complex2:
+class Complex2(Record):
     """A 2-complex given by its vertex count, edges and cell boundaries.
 
     The invariants that the perimeter calculus and the certificates read
@@ -32,9 +33,13 @@ class Complex2:
     must not be mutated once any of them has been read.
     """
 
-    num_vertices: int
-    edges: list[tuple[int, int]]  # (src, tgt) for the positive orientation
-    cells: list[tuple[int, ...]]  # boundary words of directed edge refs
+    _fields = ("num_vertices", "edges", "cells")
+
+    def __init__(self, num_vertices: int, edges: list[tuple[int, int]],
+                 cells: list[tuple[int, ...]]):
+        self.num_vertices = num_vertices
+        self.edges = edges  # (src, tgt) for the positive orientation
+        self.cells = cells  # boundary words of directed edge refs
 
     @cached_property
     def periods(self) -> tuple[tuple[int, int], ...]:
@@ -113,11 +118,15 @@ def standard_complex(p: Presentation) -> Complex2:
 # --- vertex links -----------------------------------------------------------
 
 
-@dataclass
-class LinkGraph:
-    nodes: list[int]  # directed edge refs with head at the vertex
-    corners: list[tuple[int, int, int, int]]  # (node_a, node_b, cell, position)
-    essential_girth: float  # shortest non-backtracking closed walk of length >= 3
+class LinkGraph(Record):
+    _fields = ("nodes", "corners", "essential_girth")
+
+    def __init__(self, nodes: list[int], corners: list[tuple[int, int, int, int]],
+                 essential_girth: float):
+        self.nodes = nodes  # directed edge refs with head at the vertex
+        self.corners = corners  # (node_a, node_b, cell, position)
+        # shortest non-backtracking closed walk of length >= 3
+        self.essential_girth = essential_girth
 
 
 def link_graph(x: Complex2, v: int) -> LinkGraph:
@@ -186,10 +195,12 @@ def _essential_girth(nodes, corners) -> float:
 # word-matching rotations/reflections between distinct cells.
 
 
-@dataclass
-class PieceTable:
-    max_from: list[list[int]]  # per cell, per start: longest piece read forward
-    cell_max: list[int]
+class PieceTable(Record):
+    _fields = ("max_from", "cell_max")
+
+    def __init__(self, max_from: list[list[int]], cell_max: list[int]):
+        self.max_from = max_from  # per cell, per start: longest piece read forward
+        self.cell_max = cell_max
 
 
 def _raise_longest_extensions(u: tuple[int, ...], v: tuple[int, ...],
@@ -274,16 +285,21 @@ def cycle_piece_cover(x: Complex2, c: int) -> float:
     return min(min_piece_cover(x, c, s, m) for s in range(m))
 
 
-@dataclass
-class SmallCancellationReport:
-    p: int
-    q: int
-    alpha: Fraction | None
-    c_holds: bool
-    t_holds: bool
-    c_prime_holds: bool | None
-    cell_covers: list[float]
-    witnesses: list[str] = field(default_factory=list)
+class SmallCancellationReport(Record):
+    _fields = ("p", "q", "alpha", "c_holds", "t_holds", "c_prime_holds", "cell_covers",
+               "witnesses")
+
+    def __init__(self, p: int, q: int, alpha: Fraction | None, c_holds: bool, t_holds: bool,
+                 c_prime_holds: bool | None, cell_covers: list[float],
+                 witnesses: list[str] | None = None):
+        self.p = p
+        self.q = q
+        self.alpha = alpha
+        self.c_holds = c_holds
+        self.t_holds = t_holds
+        self.c_prime_holds = c_prime_holds
+        self.cell_covers = cell_covers
+        self.witnesses = [] if witnesses is None else witnesses
 
 
 def check_small_cancellation(x: Complex2, p: int, q: int,
@@ -312,7 +328,7 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
         c_prime = True
         for c in range(len(x.cells)):
             longest = x.pieces.cell_max[c]
-            if longest and not (Fraction(longest) < alpha * len(x.cells[c])):
+            if longest and not (longest < alpha * len(x.cells[c])):
                 c_prime = False
                 witnesses.append(
                     f"C'({alpha}) fails: cell {c} has a piece of length {longest}"

@@ -7,10 +7,6 @@ one-sided tests and a False verdict never means "incoherent".
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .complexes import (
     INF,
     Complex2,
@@ -18,6 +14,7 @@ from .complexes import (
     largest_metric_denominator,
     standard_complex,
 )
+from .records import Record
 from .weights import (
     Weighting,
     edge_perimeters,
@@ -39,15 +36,19 @@ class CriterionError(ValueError):
     pass
 
 
-@dataclass
-class Verdict:
-    criterion: str
-    holds: bool
-    conclusion: str  # coherent | locally-quasiconvex | both | none
-    applicable: bool = True
-    witnesses: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+class Verdict(Record):
+    _fields = ("criterion", "holds", "conclusion", "applicable", "witnesses", "notes", "extras")
+
+    def __init__(self, criterion: str, holds: bool, conclusion: str, applicable: bool = True,
+                 witnesses: list[str] | None = None, notes: list[str] | None = None,
+                 extras: dict | None = None):
+        self.criterion = criterion
+        self.holds = holds
+        self.conclusion = conclusion  # coherent | locally-quasiconvex | both | none
+        self.applicable = applicable
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
+        self.extras = {} if extras is None else extras
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,8 +255,7 @@ def power_theorem(words: list[Word], exponents: list[int] | None = None) -> tupl
             if cyclically_conjugate(u, v):
                 raise CriterionError("words are cyclically conjugate (up to inversion)")
     lengths = [len(u) for u in words]
-    n_frac = Fraction(6 * max(lengths) * sum(lengths), min(lengths))
-    n_bound = math.ceil(n_frac)
+    n_bound = -(-6 * max(lengths) * sum(lengths) // min(lengths))
     notes = [f"threshold N = {n_bound}"]
     if exponents is None:
         return n_bound, Verdict(crit, False, "none", notes=notes + ["no exponents supplied"])

@@ -15,9 +15,8 @@ therefore requires a step limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .maps import CombMap, Domain, PathInY, find_fold, is_packed
+from .records import Record
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
                       shortest_subpath_reaching, subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce
@@ -31,33 +30,42 @@ class StaleSiteError(EngineError):
     pass
 
 
-@dataclass
-class AttachmentSite:
-    cell: int
-    start: int  # Q is the subpath of ∂R of `length` letters from this position
-    length: int
-    path: PathInY  # the lift of Q into the domain
-    complete: bool
+class AttachmentSite(Record):
+    _fields = ("cell", "start", "length", "path", "complete")
+
+    def __init__(self, cell: int, start: int, length: int, path: PathInY, complete: bool):
+        self.cell = cell
+        self.start = start  # Q is the subpath of ∂R of `length` letters from this position
+        self.length = length
+        self.path = path  # the lift of Q into the domain
+        self.complete = complete
 
 
-@dataclass
-class TraceStep:
-    kind: str  # fold | attach-complete | attach-incomplete | repair | remove-redundant
-    perimeter: int
-    edges: int
-    vertices: int = 0
-    cells: int = 0
-    detail: dict = field(default_factory=dict)
+class TraceStep(Record):
+    _fields = ("kind", "perimeter", "edges", "vertices", "cells", "detail")
+
+    def __init__(self, kind: str, perimeter: int, edges: int, vertices: int = 0,
+                 cells: int = 0, detail: dict | None = None):
+        # fold | attach-complete | attach-incomplete | repair | remove-redundant
+        self.kind = kind
+        self.perimeter = perimeter
+        self.edges = edges
+        self.vertices = vertices
+        self.cells = cells
+        self.detail = {} if detail is None else detail
 
     def euler_characteristic(self) -> int:
         return self.vertices - self.edges + self.cells
 
 
-@dataclass
-class ReductionTrace:
-    initial_perimeter: int
-    initial_edges: int
-    steps: list[TraceStep] = field(default_factory=list)
+class ReductionTrace(Record):
+    _fields = ("initial_perimeter", "initial_edges", "steps")
+
+    def __init__(self, initial_perimeter: int, initial_edges: int,
+                 steps: list[TraceStep] | None = None):
+        self.initial_perimeter = initial_perimeter
+        self.initial_edges = initial_edges
+        self.steps = [] if steps is None else steps
 
     def to_lines(self) -> list[str]:
         return [

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .complexes import Complex2
+from .records import Record
 from .words import Word
 
 
@@ -35,14 +35,18 @@ class MapError(ValueError):
     pass
 
 
-@dataclass
-class CombMap:
-    domain: Complex2
-    codomain: Complex2
-    vertex_image: list[int]
-    edge_image: list[int]  # signed codomain edge ref per positive domain edge
-    cell_image: list[tuple[int, int, bool]]  # (cell, offset, reflected)
-    basepoint: int = 0
+class CombMap(Record):
+    _fields = ("domain", "codomain", "vertex_image", "edge_image", "cell_image", "basepoint")
+
+    def __init__(self, domain: Complex2, codomain: Complex2, vertex_image: list[int],
+                 edge_image: list[int], cell_image: list[tuple[int, int, bool]],
+                 basepoint: int = 0):
+        self.domain = domain
+        self.codomain = codomain
+        self.vertex_image = vertex_image
+        self.edge_image = edge_image  # signed codomain edge ref per positive domain edge
+        self.cell_image = cell_image  # (cell, offset, reflected)
+        self.basepoint = basepoint
 
     def image_of(self, d: int) -> int:
         img = self.edge_image[abs(d) - 1]
@@ -92,17 +96,17 @@ class CombMap:
         return tuple(bdry[(q - offset) % m] for q in range(m))
 
 
-@dataclass
-class PathInY:
-    complex: Complex2
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]  # signed refs; len(vertices) == len(edges) + 1
+class PathInY(Record):
+    _fields = ("complex", "vertices", "edges")
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges) + 1:
+    def __init__(self, complex: Complex2, vertices: tuple[int, ...], edges: tuple[int, ...]):
+        self.complex = complex
+        self.vertices = vertices
+        self.edges = edges  # signed refs; len(vertices) == len(edges) + 1
+        if len(vertices) != len(edges) + 1:
             raise MapError("path vertex/edge count mismatch")
-        for v, d, w in zip(self.vertices, self.edges, self.vertices[1:]):
-            if self.complex.tail(d) != v or self.complex.head(d) != w:
+        for v, d, w in zip(vertices, edges, vertices[1:]):
+            if complex.tail(d) != v or complex.head(d) != w:
                 raise MapError("path does not chain")
 
 

@@ -7,8 +7,6 @@ domains themselves."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import Complex2
 from .criteria import (
     CriterionError,
@@ -19,6 +17,7 @@ from .criteria import (
 )
 from .engine import ReductionTrace, extract_presentation, reduce_domain
 from .maps import CombMap, Domain, based_fiber_product
+from .records import Record
 from .weights import Weighting
 from .words import Presentation, Word, free_reduce
 
@@ -27,14 +26,18 @@ class MissingCertificateError(ValueError):
     pass
 
 
-@dataclass
-class SubgroupResult:
-    presentation: Presentation
-    trace: ReductionTrace
-    certificate: Verdict | None
-    heuristic: bool
-    final_map: CombMap
-    exhausted: bool = False  # the step limit cut the reduction short
+class SubgroupResult(Record):
+    _fields = ("presentation", "trace", "certificate", "heuristic", "final_map", "exhausted")
+
+    def __init__(self, presentation: Presentation, trace: ReductionTrace,
+                 certificate: Verdict | None, heuristic: bool, final_map: CombMap,
+                 exhausted: bool = False):
+        self.presentation = presentation
+        self.trace = trace
+        self.certificate = certificate
+        self.heuristic = heuristic
+        self.final_map = final_map
+        self.exhausted = exhausted  # the step limit cut the reduction short
 
 
 def _certified(x: Complex2, w: Weighting, grade: str, force: bool,

@@ -10,10 +10,10 @@ a map is the total weight of the sides missing at its domain edges.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .complexes import Complex2
 from .maps import CombMap
+from .records import Record
 from .words import Word
 
 
@@ -21,8 +21,7 @@ class WeightError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Weighting:
+class Weighting(Record, frozen=True):
     """Nonnegative integer weights on the sides of a 2-complex.
 
     The edge perimeters and, per cell, the weight Wt(R), the packet weight
@@ -39,15 +38,17 @@ class Weighting:
     its own invariants (`Complex2`).
     """
 
-    complex: Complex2
-    side_weights: tuple[tuple[int, ...], ...]  # per cell, per boundary position
+    _fields = ("complex", "side_weights")
 
-    def __post_init__(self):
-        x = self.complex
-        if len(self.side_weights) != x.num_cells():
+    def __init__(self, complex: Complex2, side_weights: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "complex", complex)
+        # per cell, per boundary position
+        object.__setattr__(self, "side_weights", side_weights)
+        x = complex
+        if len(side_weights) != x.num_cells():
             raise WeightError("one weight row per 2-cell required")
         per = [0] * x.num_edges()
-        for c, row in enumerate(self.side_weights):
+        for c, row in enumerate(side_weights):
             if len(row) != x.boundary_length(c):
                 raise WeightError(f"cell {c} needs one weight per boundary position")
             if any((not isinstance(wt, int)) or wt < 0 for wt in row):
@@ -62,7 +63,7 @@ class Weighting:
             for d in bdry + bdry:
                 sums.append(sums[-1] + per[abs(d) - 1])
             prefix.append(sums)
-        cell_weights = tuple(map(sum, self.side_weights))
+        cell_weights = tuple(map(sum, side_weights))
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_cell_weights", cell_weights)
         object.__setattr__(self, "_packet_weights",

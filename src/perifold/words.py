@@ -8,7 +8,8 @@ fully expanded (powers flattened) and cyclically reduced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from .records import Record
 
 
 class WordError(ValueError):
@@ -22,12 +23,12 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[int, ...]
+class Word(Record, frozen=True):
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        if any(x == 0 for x in self.letters):
+    def __init__(self, letters: tuple[int, ...]):
+        object.__setattr__(self, "letters", letters)
+        if 0 in letters:
             raise WordError("letters must be nonzero")
 
     def __len__(self) -> int:
@@ -118,22 +119,24 @@ def cyclically_conjugate(u: Word, v: Word) -> bool:
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+class Presentation(Record, frozen=True):
+    _fields = ("generators", "relators")
     # normalization notes are kept for echo only and do not participate in
     # equality
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    _uncompared = ("warnings",)
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...],
+                 warnings: tuple[str, ...] = ()):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "warnings", warnings)
+        if len(set(generators)) != len(generators):
             raise WordError("generator names must be distinct")
-        for name in self.generators:
+        for name in generators:
             if not _NAME_RE.fullmatch(name):
                 raise WordError(f"invalid generator name {name!r}")
-        ngen = len(self.generators)
-        for r in self.relators:
+        ngen = len(generators)
+        for r in relators:
             if not r.letters:
                 raise WordError("empty relator")
             if not is_cyclically_reduced(r):

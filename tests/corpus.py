@@ -22,7 +22,6 @@ and prints the cases that changed.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -114,7 +113,7 @@ def _rendered_map(m) -> dict:
 
 def _rendered_trace(t) -> dict:
     return {"initial_perimeter": t.initial_perimeter, "initial_edges": t.initial_edges,
-            "steps": [dataclasses.asdict(s) for s in t.steps]}
+            "steps": [{name: getattr(s, name) for name in s._fields} for s in t.steps]}
 
 
 def _rendered_result(res) -> dict:

@@ -1,7 +1,8 @@
 """Superseded implementations, kept as the references that the fast paths
 in `perifold` are tested against, and the map-level entries and fixture
 maps that only the tests use, with `word`, which builds a `Word` from a
-list of letters.
+list of letters, and `replace`, which copies a record with some fields
+changed.
 
 `restrict_to_component(fiber_product(a, b).to_codomain, based_vertex)` is
 the based component computed the long way: every vertex pair and every edge
@@ -73,7 +74,8 @@ loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import inspect
+from dataclasses import dataclass
 
 from perifold.complexes import INF, Complex2, check_small_cancellation
 from perifold.criteria import _VARIANTS, CriterionError, Verdict
@@ -382,6 +384,13 @@ def reference_check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
 
 def word(letters) -> Word:
     return Word(tuple(letters))
+
+
+def replace(obj, **changes):
+    """A new record of obj's class, built by its constructor from obj's
+    values of the constructor's parameters with `changes` applied."""
+    params = inspect.signature(type(obj)).parameters
+    return type(obj)(**({name: getattr(obj, name) for name in params} | changes))
 
 
 @dataclass(frozen=True)

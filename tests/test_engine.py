@@ -1,7 +1,6 @@
 import copy
 import random
 import re
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -53,6 +52,7 @@ from reference import (
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
+    replace,
     vertex_map,
     word,
 )

@@ -1,0 +1,109 @@
+"""The package's records keep the value semantics of the dataclasses they
+replaced, and importing the package leaves the modules that start-up
+would pay for, and no query needs, out of the interpreter."""
+
+import copy
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perifold
+from perifold.cli import InputFile
+from perifold.complexes import Complex2, LinkGraph, PieceTable, SmallCancellationReport
+from perifold.criteria import Verdict
+from perifold.engine import AttachmentSite, ReductionTrace, TraceStep
+from perifold.maps import CombMap, PathInY
+from perifold.subgroups import SubgroupResult
+from perifold.weights import Weighting
+from perifold.words import Presentation, Word
+
+TORUS = Complex2(1, [(0, 0), (0, 0)], [(1, 2, -1, -2)])
+WORD = Word((1, -2))
+PRESENTATION = Presentation(("a", "b"), (Word((1, 2, -1, -2)),), ("a note",))
+WEIGHTING = Weighting(TORUS, ((1, 1, 1, 1),))
+COMB_MAP = CombMap(TORUS, TORUS, [0], [1, 2], [(0, 0, False)])
+PATH = PathInY(TORUS, (0, 0), (1,))
+STEP = TraceStep("fold", 3, 2, 1, 0, {"refs": (1, 2)})
+TRACE = ReductionTrace(4, 2, [STEP])
+VERDICT = Verdict("powers", True, "both", True, ["a witness"], ["a note"], {"n": 1})
+
+# every record class of the package, with constructor arguments, and
+# whether it is frozen
+RECORDS = [
+    (Word, ((1, -2),), True),
+    (Presentation, (("a", "b"), (Word((1, 2, -1, -2)),), ("a note",)), True),
+    (Weighting, (TORUS, ((1, 1, 1, 1),)), True),
+    (Complex2, (1, [(0, 0), (0, 0)], [(1, 2, -1, -2)]), False),
+    (LinkGraph, ([1, -1], [(1, -1, 0, 0)], 4), False),
+    (PieceTable, ([[1, 1, 1, 1]], [1]), False),
+    (SmallCancellationReport, (6, 3, None, False, True, None, [2.0], ["a witness"]), False),
+    (CombMap, (TORUS, TORUS, [0], [1, 2], [(0, 0, False)], 0), False),
+    (PathInY, (TORUS, (0, 0), (1,)), False),
+    (AttachmentSite, (0, 1, 1, PATH, False), False),
+    (TraceStep, ("fold", 3, 2, 1, 0, {"refs": (1, 2)}), False),
+    (ReductionTrace, (4, 2, [STEP]), False),
+    (Verdict, ("powers", True, "both", True, ["a witness"], ["a note"], {"n": 1}), False),
+    (SubgroupResult, (PRESENTATION, TRACE, VERDICT, False, COMB_MAP, True), False),
+    (InputFile, (PRESENTATION, TORUS, WEIGHTING, {"H": [WORD]}), False),
+]
+UNCOMPARED = {(Presentation, "warnings")}
+
+
+def _outcome(f):
+    """f()'s value, or the class of the exception it raised."""
+    try:
+        return f()
+    except Exception as e:  # noqa: BLE001 - the class is the outcome
+        return type(e)
+
+
+@pytest.mark.parametrize("cls, args, frozen", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_keep_value_semantics(cls, args, frozen):
+    params = list(inspect.signature(cls).parameters.values())
+    names = [p.name for p in params]
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    for other in (object(), STEP if cls is not TraceStep else WORD):
+        assert a.__eq__(other) is NotImplemented
+    compared = tuple(getattr(a, n) for n in names if (cls, n) not in UNCOMPARED)
+    for name in names:
+        changed = copy.copy(a)
+        vars(changed)[name] = object()
+        assert (changed == a) is ((cls, name) in UNCOMPARED), name
+    # the repr names every constructor parameter, in order: Word(letters=(1, -2))
+    shown = ", ".join(f"{n}={getattr(a, n)!r}" for n in names)
+    assert repr(a) == f"{cls.__name__}({shown})"
+    if frozen:
+        assert _outcome(lambda: hash(a)) == _outcome(lambda: hash(compared))
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    # a defaulted container is fresh in each record
+    required = args[:sum(p.default is inspect.Parameter.empty for p in params)]
+    for name in names[len(required):]:
+        one, two = getattr(cls(*required), name), getattr(cls(*required), name)
+        if isinstance(one, (list, dict)):
+            assert one == type(one)() and one is not two, name
+
+
+@pytest.mark.parametrize("module", ["perifold", "perifold.cli"])
+def test_import_leaves_heavy_modules_out(module):
+    # every CLI run pays for what the package imports; these modules cost
+    # about half of that and no query needs them (`fractions` is imported
+    # where --alpha is parsed)
+    heavy = ["dataclasses", "inspect", "ast", "fractions", "decimal"]
+    src = str(Path(perifold.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
