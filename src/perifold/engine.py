@@ -323,40 +323,36 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
 
 def extract_presentation(m: CombMap) -> Presentation:
     """Contract a breadth-first spanning tree; non-tree edges generate and the
-    2-cell boundaries, rewritten over them, relate."""
+    2-cell boundaries, rewritten over them, relate.
+
+    Each vertex lists its ends as (edge, the vertex at the other end),
+    appended in edge order with +e before -e: the order (|d|, -d) in which
+    the search takes them."""
     dom = m.domain
-    incident: list[list[int]] = [[] for _ in range(dom.num_vertices)]
-    for e in range(dom.num_edges()):
-        incident[dom.tail(e + 1)].append(e + 1)
-        incident[dom.head(e + 1)].append(-(e + 1))
-    for lst in incident:
-        lst.sort(key=lambda d: (abs(d), -d))
-    tree_edges: set[int] = set()
-    seen = {m.basepoint}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(dom.num_vertices)]
+    for e, (src, tgt) in enumerate(dom.edges):
+        incident[src].append((e, tgt))
+        incident[tgt].append((e, src))
+    tree = [False] * len(dom.edges)
+    seen = [False] * dom.num_vertices
+    seen[m.basepoint] = True
     queue = [m.basepoint]
-    while queue:
-        v = queue.pop(0)
-        for d in incident[v]:
-            u = dom.head(d)
-            if u not in seen:
-                seen.add(u)
-                tree_edges.add(abs(d) - 1)
+    for v in queue:  # the queue grows as it is walked, breadth first
+        for e, u in incident[v]:
+            if not seen[u]:
+                seen[u] = tree[e] = True
                 queue.append(u)
-    if len(seen) != dom.num_vertices:
+    if len(queue) != dom.num_vertices:
         raise EngineError("extract_presentation requires a connected domain")
-    gens = [e for e in range(dom.num_edges()) if e not in tree_edges]
-    gen_of = {e: i + 1 for i, e in enumerate(gens)}
+    gen_of = [0] * len(dom.edges)  # per edge its generator, 0 on the tree
+    gens = [e for e in range(len(dom.edges)) if not tree[e]]
+    for i, e in enumerate(gens, start=1):
+        gen_of[e] = i
     names = tuple(f"x{i + 1}" for i in range(len(gens)))
     relators = []
     for bdry in dom.cells:
-        letters = []
-        for d in bdry:
-            e = abs(d) - 1
-            if e in tree_edges:
-                continue
-            letters.append(gen_of[e] if d > 0 else -gen_of[e])
-        word = cyclic_reduce(Word(tuple(letters)))
+        word = cyclic_reduce(Word(tuple(gen_of[d - 1] if d > 0 else -gen_of[-d - 1]
+                                        for d in bdry if gen_of[abs(d) - 1])))
         if word.letters:
             relators.append(word)
     return Presentation(names, tuple(relators))
-

@@ -129,11 +129,11 @@ class Domain:
     gets its second end, so every (root, image) with two or more ends has
     an entry; an entry whose root was merged away or whose image has fewer
     than two ends left is stale, and is dropped when it reaches the top.
-    A fresh vertex of an arc has the largest id yet, so `add_arc` appends
-    it to `leaving`, which stays ascending.  A fold can make two cells
-    equal: the later is a twin until `remove_redundant`.  `to_map` numbers
-    vertex classes by their smallest id and surviving edges and cells in id
-    order, as a fold of the input.
+    A fresh vertex of an arc, or of a cell copy of `augment`, has the
+    largest id yet, so it is appended to `leaving`, which stays ascending.
+    A fold can make two cells equal: the later is a twin until
+    `remove_redundant`.  `to_map` numbers vertex classes by their smallest
+    id and surviving edges and cells in id order, as a fold of the input.
 
     Given a weighting (kept as `weighting`), `perimeter` follows one rule:
     it changes only when an edge is added (by its edge perimeter) or
@@ -204,6 +204,14 @@ class Domain:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
+
+    def roots(self) -> list[int]:
+        """Per vertex id, its root; `parent` is left as it is.  No parent
+        is larger than its child, so one ascending pass resolves them."""
+        root = self.parent[:]
+        for v, p in enumerate(root):
+            root[v] = root[p]
+        return root
 
     def tail(self, d: int) -> int:
         return self.find(self.edges[abs(d) - 1][0 if d > 0 else 1])
@@ -384,18 +392,44 @@ class Domain:
         vertex is numbered on from the last and maps to the head of its
         letter.
 
+        The fresh vertices between the letters come from `_fresh_vertices`.
+        Only the ends at u and v, existing roots, go through `_add_end`,
+        which pushes (root, image) where the image gets its second end."""
+        parent, edges = self.parent, self.edges
+        d, n = len(edges), len(letters)  # the arc's refs are d + 1 .. d + n
+        self._add_end(u, letters[0], d + 1)
+        u = self._fresh_vertices(u, letters)
+        letter, d = letters[-1], d + n
+        if v is None:
+            v = len(parent)
+            parent.append(v)
+            self.vertex_image.append(self.heads[letter])
+            self.stars.append({-letter: [-d]})
+            self.leaving.setdefault(-letter, []).append(v)
+            self.num_vertices += 1
+        else:
+            self._add_end(v, -letter, -d)
+        edges.append((u, v))
+        self.edge_image.extend(letters)
+        per = self.per
+        self.perimeter += sum([per[abs(ell) - 1] for ell in letters])
+        self.num_vertices += n - 1
+        self.num_edges += n
+        return list(range(d - n + 1, d + 1))
+
+    def _fresh_vertices(self, u: int, letters) -> int:
+        """Append the edges of an arc over `letters` but its last, from root
+        u to a fresh vertex after each letter; returns the last fresh vertex
+        (u itself for one letter), the tail of the arc's last edge.
+
         A fresh vertex's star is built whole, its two ends at once.  Its id
         is the largest yet, so it is appended to `leaving`, which stays
         ascending, and it has an image with two ends only where the arc
         backtracks (a letter followed by its inverse), so only there is
-        (vertex, that image) pushed on the fold heap.  Only the ends at u
-        and v, existing roots, go through `_add_end`, which pushes (root,
-        image) where the image gets its second end."""
+        (vertex, that image) pushed on the fold heap."""
         stars, leaving, parent, edges = self.stars, self.leaving, self.parent, self.edges
         heads, vertex_image = self.heads, self.vertex_image
-        d, n = len(edges), len(letters)  # the arc's refs are d + 1 .. d + n
-        letter = letters[0]
-        self._add_end(u, letter, d + 1)
+        d, letter = len(edges), letters[0]
         for out in letters[1:]:  # a fresh vertex between letter and out
             d += 1
             nxt = len(parent)
@@ -411,23 +445,7 @@ class Domain:
                 leaving.setdefault(-letter, []).append(nxt)
                 leaving.setdefault(out, []).append(nxt)
             u, letter = nxt, out
-        d += 1
-        if v is None:
-            v = len(parent)
-            parent.append(v)
-            vertex_image.append(heads[letter])
-            stars.append({-letter: [-d]})
-            leaving.setdefault(-letter, []).append(v)
-            self.num_vertices += 1
-        else:
-            self._add_end(v, -letter, -d)
-        edges.append((u, v))
-        self.edge_image.extend(letters)
-        per = self.per
-        self.perimeter += sum([per[abs(ell) - 1] for ell in letters])
-        self.num_vertices += n - 1
-        self.num_edges += n
-        return list(range(d - n + 1, d + 1))
+        return u
 
     def add_packet(self, r: int, cycle) -> int:
         """Glue a 2-cell over target cell r along each packet mate of a cycle
@@ -441,17 +459,59 @@ class Domain:
 
     def augment(self) -> None:
         """Glue at each root, in ascending order, one copy of each codomain
-        cell through the root's image: a fresh arc (`add_arc`) read from the
-        first position j of its boundary at that image, over image (r, j)."""
-        x = self.codomain
-        for v in self.vertex_numbers():  # the roots before any copy is glued
-            for r, bdry in enumerate(x.cells):
-                j = next((j for j, d in enumerate(bdry) if x.tail(d) == self.vertex_image[v]), None)
-                if j is not None:
-                    refs = self.add_arc(v, v, bdry[j:] + bdry[:j])
-                    # the rewritten cycle has refs[(q - j) % len(refs)] at position q
-                    self._add_cell((r, j, False), tuple(refs[-j:] + refs[:-j]))
-                    self.packed = self.packed and x.periods[r][1] == 1
+        cell through the root's image: a fresh arc read from the first
+        position j of its boundary at that image, over image (r, j).
+
+        The copies are listed once per codomain vertex (`_cell_copies`) and
+        each is written whole: its arc as `add_arc` glues it from the root
+        to itself, then its cell as `_add_cell` would enter it.  Every edge
+        of a copy is fresh, so each lies on that cell alone and has one
+        present side, and the copy changes the perimeter by P(∂R) - Wt(R)
+        at once; a fresh cycle is never a twin."""
+        parent, edges, cycles, cells_at, sides = (self.parent, self.edges, self.cycles,
+                                                  self.cells_at, self.sides)
+        sizes = len(parent), len(edges), len(cycles)
+        copies = self._cell_copies()
+        for v in [v for v, p in enumerate(parent) if p == v]:  # the roots before any copy
+            for r, j, letters, copy_sides, change, exponent in copies.get(self.vertex_image[v], ()):
+                d, n, c = len(edges), len(letters), len(cycles)  # refs d + 1 .. d + n, cell c
+                self._add_end(v, letters[0], d + 1)
+                u = self._fresh_vertices(v, letters)
+                self._add_end(v, -letters[-1], -(d + n))
+                edges.append((u, v))
+                self.edge_image.extend(letters)
+                refs = tuple(range(d + 1, d + n + 1))
+                cycle = refs[-j:] + refs[:-j]  # refs[(q - j) % n] at position q
+                cycles.append(cycle)
+                self.cell_image.append((r, j, False))
+                self.present.setdefault(r, {})[cycle] = c
+                for e, side in zip(range(d, d + n), copy_sides):
+                    cells_at[e] = {c}
+                    sides[e] = {side}
+                self.perimeter += change
+                if exponent != 1:
+                    self.packed = False
+        self.num_vertices += len(parent) - sizes[0]
+        self.num_edges += len(edges) - sizes[1]
+        self.num_cells += len(cycles) - sizes[2]
+
+    def _cell_copies(self) -> dict[int, list[tuple]]:
+        """Per codomain vertex, the copies that `augment` glues at a root
+        over it, by ascending cell r: (r, j, ∂R read from j, the side
+        (r, (j + k) mod |R|) of the copy's k-th edge, P(∂R) - Wt(R), the
+        exponent of R), j the first position of ∂R leaving the vertex."""
+        x, per, weights = self.codomain, self.per, self.weights
+        copies: dict[int, list[tuple]] = {}
+        for r, bdry in enumerate(x.cells):
+            firsts: dict[int, int] = {}
+            for j, d in enumerate(bdry):
+                firsts.setdefault(x.tail(d), j)
+            m, change = len(bdry), sum(per[abs(d) - 1] for d in bdry) - sum(weights[r])
+            for vertex, j in firsts.items():
+                copies.setdefault(vertex, []).append(
+                    (r, j, bdry[j:] + bdry[:j], [(r, (j + k) % m) for k in range(m)], change,
+                     x.periods[r][1]))
+        return copies
 
     def remove_redundant(self) -> int:
         """Delete the twins, keeping the first cell of each cycle; the
@@ -560,52 +620,54 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     """
     if a.codomain != b.codomain:
         raise MapError("fiber product needs a common codomain")
-    base = (a.find(a.basepoint), b.find(b.basepoint))
+    root_a, root_b, edges_a, edges_b = a.roots(), b.roots(), a.edges, b.edges
+    base = (root_a[a.basepoint], root_b[b.basepoint])
     if a.vertex_image[base[0]] != b.vertex_image[base[1]]:
         raise MapError("basepoints do not match over the codomain")
 
     seen = {base}
     stack = [base]
-    pairs: list[tuple[int, int]] = []  # (a-end, b-end) over positive codomain edges
+    found = []  # per (a-end, b-end) over a positive codomain edge: its refs, tail and head pairs
     while stack:
-        u, v = stack.pop()
+        tail = u, v = stack.pop()
         for img, ends_a in a.stars[u].items():
             ends_b = b.stars[v].get(img, ())
             for da in ends_a:
+                ha = root_a[edges_a[da - 1][1] if da > 0 else edges_a[-da - 1][0]]
                 for db in ends_b:
+                    head = ha, root_b[edges_b[db - 1][1] if db > 0 else edges_b[-db - 1][0]]
                     if img > 0:
-                        pairs.append((da, db))
-                    head = (a.head(da), b.head(db))
+                        found.append((abs(da), abs(db), da, db, img, tail, head))
                     if head not in seen:
                         seen.add(head)
                         stack.append(head)
     vertices = sorted(seen)
     vid = {p: i for i, p in enumerate(vertices)}
-    pairs.sort(key=lambda p: (abs(p[0]), abs(p[1])))
+    found.sort()  # by (a-edge, b-edge), which no two pairs share
     eid: dict[tuple[int, int], int] = {}
-    for ref, (da, db) in enumerate(pairs, start=1):
+    for ref, (_ea, _eb, da, db, _img, _tail, _head) in enumerate(found, start=1):
         eid[(da, db)] = ref
         eid[(-da, -db)] = -ref
-    edges = [(vid[(a.tail(da), b.tail(db))], vid[(a.head(da), b.head(db))])
-             for da, db in pairs]
+    edges = [(vid[tail], vid[head]) for *_refs, tail, head in found]
 
     partners: dict[int, list[int]] = {}  # a-root -> its reached b-roots
     for u, v in vertices:
         partners.setdefault(u, []).append(v)
     cells_b: dict[tuple[int, int], list[int]] = {}  # (target cell, tail) -> b-cells
-    for cb, cyc in enumerate(b.cycles):
+    for cb, cyc in enumerate(b.cycles):  # the tail of ±e is the end [0] or [1] of edge e
         if cyc is not None:
-            cells_b.setdefault((b.cell_image[cb][0], b.tail(cyc[0])), []).append(cb)
+            tail = root_b[edges_b[abs(cyc[0]) - 1][cyc[0] < 0]]
+            cells_b.setdefault((b.cell_image[cb][0], tail), []).append(cb)
     cell_pairs = sorted(
         (ca, cb)
         for ca, cyc in enumerate(a.cycles) if cyc is not None
-        for v in partners.get(a.tail(cyc[0]), ())
+        for v in partners.get(root_a[edges_a[abs(cyc[0]) - 1][cyc[0] < 0]], ())
         for cb in cells_b.get((a.cell_image[ca][0], v), ())
     )
     cells = [tuple(eid[p] for p in zip(a.cycles[ca], b.cycles[cb])) for ca, cb in cell_pairs]
     prod = Complex2(len(vertices), edges, cells)
     return CombMap(prod, a.codomain, [a.vertex_image[u] for u, _ in vertices],
-                   [abs(a.edge_image[abs(da) - 1]) for da, _ in pairs],
+                   [img for *_ends, img, _tail, _head in found],
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])
 

@@ -26,10 +26,11 @@ program evaluates all of these bounds by one bisection of the prefix sums
 (`perifold.weights.shortest_subpath_reaching`).
 
 `reduce_map` and `fold_to_immersion` are the map-level entries to the
-program's live domain, and with `vertex_map` the only code here that reads
-a `Domain`: each wraps a map as `Domain(m, w)`, runs `reduce_domain` or
-the folds and `remove_redundant` on it, and builds the map once, at the
-end; `vertex_map` tells where the domain's vertex ids lie in that map.
+program's live domain, and with `vertex_map` and `reference_augment_domain`
+(below) the only code here that reads a `Domain`: each entry wraps a map
+as `Domain(m, w)`, runs `reduce_domain` or the folds and
+`remove_redundant` on it, and builds the map once, at the end;
+`vertex_map` tells where the domain's vertex ids lie in that map.
 They are the program's side of the comparisons below.  `canonical_form`
 describes a connected 1-immersed based map up to isomorphism
 (`isomorphic_maps`), so fold results compare whatever the fold order.
@@ -47,11 +48,19 @@ repeated `find_fold` / `apply_fold` ends.
 attached and the augmented domain by hand; `perifold.engine.attach_site`
 and `perifold.maps.Domain.augment`, which change the live domain in place,
 must agree with them on the map built from it (`AttachResult` is what
-`reference_attach_packet` returns).  `perifold.subgroups` keeps one live
-domain per subgroup; `intersect` must agree with the composition that
-builds a map after every reduction and augments it with
+`reference_attach_packet` returns).  `reference_augment_domain` is the
+gluing that `Domain.augment` replaced, one `add_arc` and one `_add_cell`
+per copy on a live domain; `augment`, which writes each copy whole, must
+leave every field of the domain as it does.  `perifold.subgroups` keeps
+one live domain per subgroup; `intersect` must agree with the composition
+that builds a map after every reduction and augments it with
 `reference_augment_with_cells`, and `member_with_trace` with the answer
 read off `reduce_map`'s `vertex_tracking`.
+
+`reference_extract_presentation` sorts each vertex's ends by (|d|, -d)
+and reads each head by `Complex2.head`; the program's
+`extract_presentation`, which lists the ends in that order as it builds
+them, must give the same presentation.
 
 `present_cycles` (the rewritten cycles over each target cell) and
 `out_edges` (each vertex's ends by image) index a map afresh; the
@@ -97,7 +106,7 @@ from perifold.maps import (
 )
 from perifold.weights import (Weighting, cell_weight, edge_perimeters, packet_weight,
                               subpath_perimeter)
-from perifold.words import Word
+from perifold.words import Presentation, Word, cyclic_reduce
 
 
 @dataclass
@@ -646,6 +655,64 @@ def reference_augment_with_cells(m: CombMap) -> CombMap:
             cell_image.append((r, j, False))
     dom = Complex2(num_vertices, edges, cells)
     return CombMap(dom, x, vertex_image, edge_image, cell_image, m.basepoint)
+
+
+def reference_augment_domain(dom: Domain) -> None:
+    """`Domain.augment` glued a copy at a time by the general operations:
+    per root, ascending, and per codomain cell through its image, a fresh
+    arc from the root to itself by `add_arc`, read from the first position
+    j of the boundary at that image, then its cell by `_add_cell`, one side
+    made present per edge."""
+    x = dom.codomain
+    for v in dom.vertex_numbers():
+        for r, bdry in enumerate(x.cells):
+            j = next((j for j, d in enumerate(bdry) if x.tail(d) == dom.vertex_image[v]), None)
+            if j is not None:
+                refs = dom.add_arc(v, v, bdry[j:] + bdry[:j])
+                # the rewritten cycle has refs[(q - j) % len(refs)] at position q
+                dom._add_cell((r, j, False), tuple(refs[-j:] + refs[:-j]))
+                dom.packed = dom.packed and x.periods[r][1] == 1
+
+
+def reference_extract_presentation(m: CombMap) -> Presentation:
+    """Contract a breadth-first spanning tree; non-tree edges generate and the
+    2-cell boundaries, rewritten over them, relate.  Each vertex's ends are
+    sorted by (|d|, -d), and every head is read by `Complex2.head`."""
+    dom = m.domain
+    incident: list[list[int]] = [[] for _ in range(dom.num_vertices)]
+    for e in range(dom.num_edges()):
+        incident[dom.tail(e + 1)].append(e + 1)
+        incident[dom.head(e + 1)].append(-(e + 1))
+    for lst in incident:
+        lst.sort(key=lambda d: (abs(d), -d))
+    tree_edges: set[int] = set()
+    seen = {m.basepoint}
+    queue = [m.basepoint]
+    while queue:
+        v = queue.pop(0)
+        for d in incident[v]:
+            u = dom.head(d)
+            if u not in seen:
+                seen.add(u)
+                tree_edges.add(abs(d) - 1)
+                queue.append(u)
+    if len(seen) != dom.num_vertices:
+        raise EngineError("extract_presentation requires a connected domain")
+    gens = [e for e in range(dom.num_edges()) if e not in tree_edges]
+    gen_of = {e: i + 1 for i, e in enumerate(gens)}
+    names = tuple(f"x{i + 1}" for i in range(len(gens)))
+    relators = []
+    for bdry in dom.cells:
+        letters = []
+        for d in bdry:
+            e = abs(d) - 1
+            if e in tree_edges:
+                continue
+            letters.append(gen_of[e] if d > 0 else -gen_of[e])
+        word = cyclic_reduce(Word(tuple(letters)))
+        if word.letters:
+            relators.append(word)
+    return Presentation(names, tuple(relators))
 
 
 def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:

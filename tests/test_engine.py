@@ -25,7 +25,8 @@ from perifold.experiments import (
     random_reduced_word,
     relator_conjugate_product,
 )
-from perifold.maps import CombMap, Domain, PathInY, end_stars, find_fold, is_packed
+from perifold.maps import (CombMap, Domain, PathInY, based_fiber_product, end_stars, find_fold,
+                           is_packed)
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
@@ -35,9 +36,9 @@ from perifold.weights import (
     path_perimeter,
     unit_weighting,
 )
-from perifold.words import free_reduce, parse_presentation
+from perifold.words import cyclic_reduce, free_reduce, parse_presentation
 
-from conftest import relator_complexes, side_weightings
+from conftest import random_grid_subcomplex, relator_complexes, side_weightings
 from reference import (
     AttachResult,
     apply_fold,
@@ -45,10 +46,12 @@ from reference import (
     fold_to_immersion,
     reduce_map,
     reference_attach_packet,
+    reference_augment_domain,
     reference_augment_with_cells,
     reference_based_product,
     reference_bouquet_map,
     reference_candidates,
+    reference_extract_presentation,
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
@@ -693,6 +696,151 @@ def test_fold_heap_holds_each_repeated_image(data):
                       "num_cells"):
             assert getattr(dom, field) == getattr(stepped, field), field
         assert dom.to_map() == stepped.to_map()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_augment_matches_gluing_copy_by_copy(data):
+    # each copy written whole (its arc, its cell, one side per edge and
+    # P(∂R) - Wt(R) at once) leaves the domain that one `add_arc` and one
+    # `_add_cell` per copy leave, on bouquets with folds still pending,
+    # reduced ones, and grid maps with many vertices; the (aab)^3 copies
+    # are unpacked, so `repair` runs on them
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    kind = data.draw(st.sampled_from(["raw", "reduced", "grid"]))
+    w = w_of(x) if kind == "reduced" else data.draw(st.sampled_from([None, w_of(x)]))
+    if kind == "grid":
+        m = random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
+        x, w = m.codomain, w and fixtures.zzz_weighting(m.codomain)
+    else:
+        letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
+        gens = [word(ls) for ls in data.draw(
+            st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3))]
+
+    def start():
+        if kind == "grid":
+            return Domain(m, w)
+        dom = Domain.bouquet(x, gens, w)
+        if kind == "reduced":
+            reduce_domain(dom)
+        return dom
+
+    whole, by_copy = start(), start()
+    whole.augment()
+    reference_augment_domain(by_copy)
+    for field in ("stars", "leaving", "heap", "edges", "edge_image", "vertex_image", "parent",
+                  "dropped", "cycles", "cell_image", "cells_at", "sides", "present", "twins",
+                  "perimeter", "num_vertices", "num_edges", "num_cells", "packed"):
+        assert getattr(whole, field) == getattr(by_copy, field), field
+    assert_leaving_lists_the_roots_over_each_image(whole)
+    assert_heap_holds_each_repeated_image(whole)
+    assert whole.fold_all() == by_copy.fold_all()
+    assert whole.remove_redundant() == by_copy.remove_redundant()
+    assert whole.repair() == by_copy.repair()
+    assert whole.to_map() == by_copy.to_map()
+
+
+def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
+    # the square of [a, b] on the torus with a copy of the cell glued at
+    # each corner: the first copy folds onto the square, so each edge of it
+    # drops a side that the square's edge already has.  Leave that side
+    # out of `sides`, and `verify` finds the perimeter off at its fold
+    x = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(x)
+
+    def reduced():
+        dom = Domain.bouquet(x, [word([1, 2, -1, -2])], w)
+        reduce_domain(dom)
+        return dom
+
+    first = len(reduced().edges)  # the first copy's edges come next
+    original = Domain.augment
+    for e in range(first, first + 4):
+        def without_a_side(dom, e=e):
+            original(dom)
+            del dom.sides[e]
+
+        dom = reduced()
+        dom.augment()
+        reduce_domain(dom, verify=True)  # the copy as written passes
+        monkeypatch.setattr(Domain, "augment", without_a_side)
+        dom = reduced()
+        dom.augment()
+        with pytest.raises(EngineError, match="bookkeeping mismatch"):
+            reduce_domain(dom, verify=True)
+        monkeypatch.setattr(Domain, "augment", original)
+
+
+def hand_built_map(data) -> CombMap:
+    """A connected graph on up to five vertices with loop and parallel
+    edges in a drawn order, cells along closed walks, and a drawn
+    basepoint, mapped onto the one-vertex complex with an edge per edge
+    and the same cells."""
+    n = data.draw(st.integers(1, 5))
+    tree = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    tree = [(t, s) if data.draw(st.booleans()) else (s, t) for s, t in tree]
+    vertex = st.integers(0, n - 1)
+    extra = data.draw(st.lists(st.tuples(vertex, vertex), max_size=6))  # loops and parallels
+    edges = data.draw(st.permutations(tree + extra))
+    ends = [[] for _ in range(n)]  # per vertex: (ref, the vertex at its head)
+    for e, (src, tgt) in enumerate(edges):
+        ends[src].append((e + 1, tgt))
+        ends[tgt].append((-(e + 1), src))
+
+    def walk_home(start):
+        """A walk from `start` of drawn steps, closed along the way back
+        to `start` that a search from it finds."""
+        back = {start: None}  # vertex -> the ref that reached it
+        queue = [start]
+        for v in queue:
+            for d, u in ends[v]:
+                if u not in back:
+                    back[u] = d
+                    queue.append(u)
+        refs, v = [], start
+        for _ in range(data.draw(st.integers(0, 5)) if ends[start] else 0):
+            d, v = data.draw(st.sampled_from(ends[v]))
+            refs.append(d)
+        while back[v] is not None:
+            d = back[v]
+            refs.append(-d)
+            v = edges[abs(d) - 1][0] if d > 0 else edges[abs(d) - 1][1]
+        return cyclic_reduce(word(refs)).letters  # still closed, and without backtracks
+
+    cells = [c for c in (walk_home(data.draw(vertex))
+                         for _ in range(data.draw(st.integers(0, 3)))) if c]
+    x = Complex2(1, [(0, 0)] * len(edges), cells)
+    m = CombMap(Complex2(n, edges, cells), x, [0] * n, [e + 1 for e in range(len(edges))],
+                [(c, 0, False) for c in range(len(cells))], data.draw(vertex))
+    m.validate()
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_extract_presentation_matches_reference(data):
+    # ends listed in edge order, +e before -e, and heads read off the edge
+    # list give the presentation of the sorted ends and `Complex2.head`,
+    # on built maps, based fiber products and hand-built maps
+    kind = data.draw(st.sampled_from(["to_map", "product", "hand"]))
+    if kind == "hand":
+        m = hand_built_map(data)
+    else:
+        x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+        w = w_of(x)
+        domains = []
+        for _ in range(2):
+            dom = Domain.bouquet(x, [g for g in (draw_word(data, x) for _ in range(
+                data.draw(st.integers(0, 3)))) if g.letters], w)
+            if data.draw(st.booleans()):
+                reduce_domain(dom)
+                if kind == "product":
+                    dom.augment()
+                    reduce_domain(dom)
+            domains.append(dom)
+        m = domains[0].to_map() if kind == "to_map" else based_fiber_product(*domains)
+    got, want = extract_presentation(m), reference_extract_presentation(m)
+    assert (got, got.warnings) == (want, want.warnings)
 
 
 def on_map(dom, m, site):
