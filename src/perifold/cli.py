@@ -14,8 +14,6 @@ missing certificate, 4 step limit reached before the reduction finished.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from .complexes import Complex2, check_small_cancellation, standard_complex
@@ -160,6 +158,8 @@ def _resolve_words(spec: str, f: InputFile) -> list[Word]:
 
 def _emit(data, as_json: bool) -> None:
     if as_json:
+        import json  # only here, so plain output does not import it
+
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         _print_plain(data)
@@ -352,6 +352,8 @@ COMMANDS = {"info": cmd_info, "check": cmd_check, "subgroup": cmd_subgroup,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only here, so `import perifold.cli` does not import it
+
     ap = argparse.ArgumentParser(prog="perifold",
                                  description="weighted perimeter toolkit for 2-complexes")
     sub = ap.add_subparsers(dest="command", required=True)

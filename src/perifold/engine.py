@@ -226,6 +226,21 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
     return added
 
 
+def _incidence(dom: Domain) -> tuple[dict[int, set[int]], dict[int, set[tuple[int, int]]]]:
+    """`Domain.cells_at` and `Domain.sides` recomputed from the live
+    cells' cycles: per edge, the cells through it and the sides (r, q) at
+    it, each cell over r having its q-th ref on the edge."""
+    cells_at: dict[int, set[int]] = {}
+    sides: dict[int, set[tuple[int, int]]] = {}
+    for c, cycle in enumerate(dom.cycles):
+        if cycle is not None:
+            r = dom.cell_image[c][0]
+            for q, d in enumerate(cycle):
+                cells_at.setdefault(abs(d) - 1, set()).add(c)
+                sides.setdefault(abs(d) - 1, set()).add((r, q))
+    return cells_at, sides
+
+
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
                   verify: bool = False) -> tuple[ReductionTrace, bool]:
     """Fold/repair/attach a live domain in place, under the weighting it was
@@ -239,7 +254,8 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     The folds of a fold phase are made by one `Domain.fold_all` within the
     steps left, and each fold step is read off what it returns.  With
     `verify`, `fold_all` makes one fold per call, and after every step the
-    perimeter is checked against the double sum and the step's counts
+    perimeter is checked against the double sum, `cells_at` and `sides`
+    against the live cells' cycles (`_incidence`) and the step's counts
     against the domain; each fold phase is checked to end in a packed
     1-immersion, and in strict mode every fold and attachment to lower the
     pair (perimeter, edge count) below the previous step's.
@@ -270,6 +286,11 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
                   else (trace.initial_perimeter, trace.initial_edges))
         if dom.perimeter != map_perimeter(w, dom.to_map()):
             raise EngineError(f"{step.kind} bookkeeping mismatch")
+        cells_at, sides = _incidence(dom)
+        for name, kept, recomputed in (("cells_at", dom.cells_at, cells_at),
+                                       ("sides", dom.sides, sides)):
+            if {e: s for e, s in kept.items() if s} != recomputed:
+                raise EngineError(f"{step.kind} bookkeeping mismatch in {name}")
         if (step.perimeter, step.edges, step.vertices, step.cells) != (
                 dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
             raise EngineError(f"{step.kind} step misstates the domain")

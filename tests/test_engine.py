@@ -744,7 +744,8 @@ def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
     # the square of [a, b] on the torus with a copy of the cell glued at
     # each corner: the first copy folds onto the square, so each edge of it
     # drops a side that the square's edge already has.  Leave that side
-    # out of `sides`, and `verify` finds the perimeter off at its fold
+    # out of `sides`, and `verify` finds a mismatch at the first fold: in
+    # the perimeter if that fold drops the edge, else in `sides`
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
 
@@ -769,6 +770,36 @@ def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
         with pytest.raises(EngineError, match="bookkeeping mismatch"):
             reduce_domain(dom, verify=True)
         monkeypatch.setattr(Domain, "augment", original)
+
+
+def test_verify_checks_sides_and_cells_at_against_the_cycles():
+    # genus 2 with H = <a1 b1 a1^-1>: the reduced bouquet has two roots and
+    # a copy of the one cell is glued at each, 16 copy edges of one side
+    # each.  With that side dropped from `sides` the perimeter still adds
+    # up at every step, so the double sum misses it; the comparison with
+    # the cycles finds it at the first fold, for every copy edge
+    x = standard_complex(fixtures.surface_presentation(2, True))
+    w = unit_weighting(x)
+
+    def augmented():
+        dom = Domain.bouquet(x, [word([1, 2, -1])], w)
+        reduce_domain(dom)
+        first = len(dom.edges)
+        dom.augment()
+        return dom, range(first, len(dom.edges))
+
+    dom, copy_edges = augmented()
+    assert len(copy_edges) == 16
+    reduce_domain(dom, verify=True)  # the domain as glued passes
+    for e in copy_edges:
+        dom, _ = augmented()
+        dom.sides[e].clear()
+        with pytest.raises(EngineError, match="fold bookkeeping mismatch in sides"):
+            reduce_domain(dom, verify=True)
+    dom, _ = augmented()
+    del dom.cells_at[copy_edges[-1]]
+    with pytest.raises(EngineError, match="fold bookkeeping mismatch in cells_at"):
+        reduce_domain(dom, verify=True)
 
 
 def hand_built_map(data) -> CombMap:

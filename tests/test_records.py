@@ -1,6 +1,6 @@
 """The package's records keep the value semantics of the dataclasses they
-replaced, and importing the package leaves the modules that start-up
-would pay for, and no query needs, out of the interpreter."""
+replaced, and importing the package loads no standard module beyond a
+short allowlist and what those modules import."""
 
 import copy
 import inspect
@@ -95,15 +95,29 @@ def test_records_keep_value_semantics(cls, args, frozen):
             assert one == type(one)() and one is not two, name
 
 
-@pytest.mark.parametrize("module", ["perifold", "perifold.cli"])
-def test_import_leaves_heavy_modules_out(module):
-    # every CLI run pays for what the package imports; these modules cost
-    # about half of that and no query needs them (`fractions` is imported
-    # where --alpha is parsed)
-    heavy = ["dataclasses", "inspect", "ast", "fractions", "decimal"]
+# the standard modules that importing the package may load: every CLI run
+# and every library user pays for each module that start-up loads, so
+# nothing else is allowed in, apart from what these import on the running
+# Python (`argparse` is imported where the CLI parses its arguments, `json`
+# where it prints --json, and `fractions` where it parses --alpha)
+ALLOWED_AT_IMPORT = ["__future__", "bisect", "functools", "heapq", "itertools", "math",
+                     "operator", "re"]
+
+
+def _loaded_by(imports: str) -> set[str]:
+    """The modules an `-I -S` interpreter holds after running `imports`,
+    less those it held at its start."""
     src = str(Path(perifold.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    code = (f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
+            f"{imports}; print(*sorted(set(sys.modules) - before))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == []
+    return set(out.split())
+
+
+@pytest.mark.parametrize("module", ["perifold", "perifold.cli"])
+def test_import_leaves_heavy_modules_out(module):
+    loaded = _loaded_by(f"import {module}")
+    assert {"perifold", module} <= loaded
+    allowed = _loaded_by("import " + ", ".join(ALLOWED_AT_IMPORT))
+    assert {m for m in loaded if m.split(".")[0] != "perifold"} - allowed == set()
