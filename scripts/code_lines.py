@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Count the code lines of `src/perifold`, per module and in total.
+"""Count the code lines of `src/perifold`, per module and in total, then
+the total of each of `tests/` and `scripts/`, so that code moved out of the
+package shows where it went.
 
 A code line holds at least one token that is neither a comment nor a
 docstring (the first statement of a module, class or function body when it
@@ -14,7 +16,8 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perifold"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "perifold"
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -46,6 +49,9 @@ def main() -> None:
         total += count
         print(f"{path.name:<16} {count:>5}")
     print(f"{'total':<16} {total:>5}")
+    for part in ("tests", "scripts"):
+        count = sum(code_lines(path.read_text()) for path in (ROOT / part).glob("*.py"))
+        print(f"{part + '/':<16} {count:>5}")
 
 
 if __name__ == "__main__":

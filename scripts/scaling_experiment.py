@@ -32,19 +32,29 @@ stays about flat.
 """
 
 import argparse
+import random
+import sys
+import time
+from pathlib import Path
 
-from perifold.complexes import standard_complex
-from perifold.experiments import (
-    best_time,
-    measure_certificate_scaling,
-    measure_intersect_scaling,
-    measure_member_scaling,
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from fixtures import (  # noqa: E402  (tests/fixtures.py)
+    aab_power_presentation,
     measure_reduction_scaling,
-    reduce_bouquet,
+    random_reduced_word,
+    relator_conjugate_product,
+    surface_presentation,
+    torus_presentation,
 )
-from perifold.fixtures import aab_power_presentation, surface_presentation, torus_presentation
-from perifold.weights import unit_weighting
-from perifold.words import Word
+from perifold.complexes import compute_pieces, standard_complex  # noqa: E402
+from perifold.criteria import find_certificate, sc_certificate  # noqa: E402
+from perifold.engine import reduce_domain  # noqa: E402
+from perifold.maps import Domain  # noqa: E402
+from perifold.subgroups import intersect, member_with_trace  # noqa: E402
+from perifold.weights import unit_weighting  # noqa: E402
+from perifold.words import Word  # noqa: E402
 
 
 def main() -> None:
@@ -61,52 +71,106 @@ def main() -> None:
     ap.add_argument("--certificate-exponents", type=int, nargs="+", default=[9, 18, 36, 72])
     args = ap.parse_args()
     pres = aab_power_presentation(args.exponent)
+    best_of = max(1, args.best_of)
+    seeds = max(1, len(args.seeds))
     print(f"{'L':>6} {'steps':>7} {'steps/L':>8} {'wall (ms)':>10} {'wall/L (us)':>12}"
           f" {'wall/L^2 (us)':>14}")
     for length in args.lengths:
-        s = measure_reduction_scaling(
+        [(_, steps, seconds)] = measure_reduction_scaling(
             pres, [length], args.seeds,
-            parts=max(2, length // 5), best_of=args.best_of,
-        )[0]
-        print(f"{s.total_length:>6} {s.steps:>7} {s.steps / s.total_length:>8.3f}"
-              f" {s.seconds * 1e3:>10.2f} {s.seconds / s.total_length * 1e6:>12.2f}"
-              f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+            parts=max(2, length // 5), best_of=best_of,
+        )
+        print(f"{length:>6} {steps:>7} {steps / length:>8.3f}"
+              f" {seconds * 1e3:>10.2f} {seconds / length * 1e6:>12.2f}"
+              f" {seconds / length ** 2 * 1e6:>14.3f}")
     print()
+    # member with no generators, so every step attaches or folds; per k the
+    # mean word length and step count, and the mean over the seeds of the
+    # best wall clock
     print(f"{'k':>4} {'L':>6} {'steps':>7} {'wall (ms)':>10} {'wall/L^2 (us)':>14}")
-    samples = measure_member_scaling(surface_presentation(2, True), args.conjugates,
-                                     args.seeds, args.best_of)
-    for k, s in zip(args.conjugates, samples):
-        print(f"{k:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
-              f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    genus2 = surface_presentation(2, True)
+    x = standard_complex(genus2)
+    w = unit_weighting(x)
+    find_certificate(x, w, "weak")  # built once per weighting, before any timing
+    for k in args.conjugates:
+        length = steps = 0
+        seconds = 0.0
+        for seed in args.seeds:
+            u = relator_conjugate_product(random.Random(seed), genus2.relators[0],
+                                          len(genus2.generators), k)
+            best = float("inf")
+            for _ in range(best_of):
+                t0 = time.perf_counter()
+                _answer, trace = member_with_trace(x, w, [], u)
+                best = min(best, time.perf_counter() - t0)
+            length += len(u)
+            steps += len(trace.steps)
+            seconds += best
+        length, steps, seconds = length // seeds, steps // seeds, seconds / seeds
+        print(f"{k:>4} {length:>6} {steps:>7} {seconds * 1e3:>10.2f}"
+              f" {seconds / length ** 2 * 1e6:>14.3f}")
     print()
+    # per n the mean step count and the mean over the seeds of the best wall
+    # clock
     print(f"{'n':>4} {'L':>6} {'steps':>7} {'wall (ms)':>10} {'wall/L (us)':>12}"
           f" {'wall/L^2 (us)':>14}")
-    samples = measure_intersect_scaling(surface_presentation(2, True), args.intersect,
-                                        args.seeds, args.best_of)
-    for n, s in zip(args.intersect, samples):
-        print(f"{n:>4} {s.total_length:>6} {s.steps:>7} {s.seconds * 1e3:>10.2f}"
-              f" {s.seconds / s.total_length * 1e6:>12.2f}"
-              f" {s.seconds / s.total_length ** 2 * 1e6:>14.3f}")
+    x = standard_complex(genus2)
+    w = unit_weighting(x)
+    sc_certificate(w, strict=True)  # built once per weighting, before any timing
+    for n in args.intersect:
+        steps = 0
+        seconds = 0.0
+        for seed in args.seeds:
+            rng = random.Random(seed)
+            h = [random_reduced_word(rng, len(genus2.generators), n) for _ in range(2)]
+            k = [random_reduced_word(rng, len(genus2.generators), n) for _ in range(2)]
+            best = float("inf")
+            for _ in range(best_of):
+                t0 = time.perf_counter()
+                res = intersect(x, w, h, k)
+                best = min(best, time.perf_counter() - t0)
+            steps += len(res.trace.steps)
+            seconds += best
+        length, steps, seconds = 4 * n, steps // seeds, seconds / seeds
+        print(f"{n:>4} {length:>6} {steps:>7} {seconds * 1e3:>10.2f}"
+              f" {seconds / length * 1e6:>12.2f}"
+              f" {seconds / length ** 2 * 1e6:>14.3f}")
     print()
     print(f"{'N':>5} {'steps':>7} {'wall (ms)':>10} {'wall/step (us)':>15}")
     torus = standard_complex(torus_presentation())
     w = unit_weighting(torus)
     h, u = [Word((-2, 1, 1))], Word((2, 2, 2))  # b^-1 a^2; b^3
     for n in args.ladder:
-        seconds, (trace, _m) = best_time(lambda: reduce_bouquet(torus, w, h, u, "weak", n),
-                                         args.best_of)
+        seconds = float("inf")
+        for _ in range(best_of):
+            t0 = time.perf_counter()
+            dom = Domain.bouquet(torus, h, w, u)
+            trace, _exhausted = reduce_domain(dom, "weak", n)
+            dom.to_map()
+            seconds = min(seconds, time.perf_counter() - t0)
         steps = len(trace.steps)
         print(f"{n:>5} {steps:>7} {seconds * 1e3:>10.2f} {seconds / max(1, steps) * 1e6:>15.1f}")
     print()
+    # each repetition on a fresh complex and weighting, so that the
+    # certificate reads no pieces, girths or verdict from a previous run's
+    # cache
     print(f"{'k':>4} {'m':>5} {'pieces (ms)':>12} {'certificate (ms)':>17}"
           f" {'pieces/m^2 (us)':>16} {'certificate/m^2 (us)':>21}")
-    samples = measure_certificate_scaling(
-        [aab_power_presentation(k) for k in args.certificate_exponents], args.best_of)
-    for k, c in zip(args.certificate_exponents, samples):
-        m = c.relator_length
-        print(f"{k:>4} {m:>5} {c.pieces_seconds * 1e3:>12.2f} {c.certificate_seconds * 1e3:>17.2f}"
-              f" {c.pieces_seconds / m ** 2 * 1e6:>16.3f}"
-              f" {c.certificate_seconds / m ** 2 * 1e6:>21.3f}")
+    for k in args.certificate_exponents:
+        pres = aab_power_presentation(k)
+        pieces = certificate = float("inf")
+        for _ in range(best_of):
+            x = standard_complex(pres)
+            t0 = time.perf_counter()
+            compute_pieces(x)
+            t1 = time.perf_counter()
+            find_certificate(x, unit_weighting(x), "strict")
+            t2 = time.perf_counter()
+            pieces, certificate = min(pieces, t1 - t0), min(certificate, t2 - t1)
+        m = sum(len(r) for r in pres.relators)
+        print(f"{k:>4} {m:>5} {pieces * 1e3:>12.2f} {certificate * 1e3:>17.2f}"
+              f" {pieces / m ** 2 * 1e6:>16.3f}"
+              f" {certificate / m ** 2 * 1e6:>21.3f}")
 
 
 if __name__ == "__main__":

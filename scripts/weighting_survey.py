@@ -2,14 +2,20 @@
 """Survey the stock examples: perimeters, piece structure, and which
 coherence/quasiconvexity certificates hold for each."""
 
-from perifold import fixtures
-from perifold.complexes import standard_complex
-from perifold.criteria import (
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import fixtures  # noqa: E402  (tests/fixtures.py)
+from perifold.complexes import standard_complex  # noqa: E402
+from perifold.criteria import (  # noqa: E402
     check_few_occurrences,
     check_one_relator_torsion,
     check_sc_weight,
 )
-from perifold.weights import cell_weight, edge_perimeters, unit_weighting
+from perifold.weights import cell_weight, edge_perimeters, unit_weighting  # noqa: E402
 
 
 def survey(name, pres, weighting_of=None):

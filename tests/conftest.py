@@ -16,10 +16,11 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from perifold.complexes import Complex2, standard_complex
-from perifold.fixtures import zzz_presentation
 from perifold.maps import CombMap
 from perifold.weights import Weighting
 from perifold.words import Presentation, Word, cyclic_reduce
+
+from fixtures import zzz_presentation
 
 
 # --- independent free-group oracle -------------------------------------------

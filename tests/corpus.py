@@ -4,9 +4,10 @@ so that a change to any answer, trace or final map shows as a changed case.
 
 Cases: `subgroup_presentation`, `member_with_trace` and `intersect` at the
 step limits None, 0, 3 and 10, over the torus, `(aab)^3`, the genus-2
-surface and `Z^3` (with `fixtures.zzz_weighting`), on inputs drawn from the
-seeds below.  Every call passes `force=True`, so a complex without the
-operation's certificate is reduced too, and the rendering says `heuristic`.
+surface and `Z^3` (with `zzz_weighting` of `tests/fixtures.py`), on
+inputs drawn from the seeds below.  Every call passes `force=True`, so a
+complex without the operation's certificate is reduced too, and the
+rendering says `heuristic`.
 Over the same complexes, from seeds of their own: `fold_to_immersion` of
 bouquets of words as drawn, unreduced, and of each such bouquet with a copy
 of every cell glued at each vertex (`reference_augment_with_cells`), so
@@ -28,12 +29,12 @@ import random
 from math import gcd
 from pathlib import Path
 
-from perifold import fixtures
 from perifold.complexes import standard_complex
-from perifold.experiments import random_reduced_word
 from perifold.subgroups import intersect, member_with_trace, subgroup_presentation
 from perifold.weights import unit_weighting
 from perifold.words import Word, free_reduce
+import fixtures
+from fixtures import random_reduced_word
 from reference import fold_to_immersion, reduce_map, reference_augment_with_cells, \
     reference_bouquet_map
 

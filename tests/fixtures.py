@@ -1,12 +1,18 @@
 """Worked examples: standard presentations, cover subcomplexes, and the maps
-used by the regression suite and the experiment scripts."""
+used by the regression suite and the experiment scripts; the seeded word
+draws that the tests, the answer corpus and the scaling script take their
+inputs from; and the reduction-scaling measurement of acceptance test 10."""
 
 from __future__ import annotations
 
-from .complexes import Complex2, standard_complex
-from .maps import CombMap
-from .weights import Weighting, weighting_from_rows
-from .words import Presentation, parse_presentation
+import random
+import time
+
+from perifold.complexes import Complex2, standard_complex
+from perifold.engine import reduce_domain
+from perifold.maps import CombMap, Domain
+from perifold.weights import Weighting, unit_weighting, weighting_from_rows
+from perifold.words import Presentation, Word, free_reduce, inverse, parse_presentation
 
 
 def free_presentation(rank: int = 2) -> Presentation:
@@ -200,3 +206,67 @@ def two_relator_block_weighting(x: Complex2, u_weight: int = 1, v_weight: int = 
 def magnus_example_presentation() -> Presentation:
     """<a,b,c,d | abcd dacb badc>."""
     return parse_presentation("gens a b c d / rel a b c d d a c b b a d c")
+
+
+# --- seeded word draws --------------------------------------------------------
+# The answer corpus's inputs are drawn through these, so each rng call and
+# its order is part of the corpus.
+
+
+def random_reduced_word(rng: random.Random, ngens: int, length: int) -> Word:
+    letters: list[int] = []
+    while len(letters) < length:
+        choices = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
+        if letters:
+            choices = [c for c in choices if c != -letters[-1]]
+        letters.append(rng.choice(choices))
+    return Word(tuple(letters))
+
+
+def random_generator_set(rng: random.Random, ngens: int, total_length: int,
+                         parts: int) -> list[Word]:
+    cuts = sorted(rng.sample(range(1, total_length), parts - 1)) if parts > 1 else []
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [total_length])]
+    return [random_reduced_word(rng, ngens, max(1, s)) for s in sizes]
+
+
+def relator_conjugate_product(rng: random.Random, relator: Word, ngens: int, k: int) -> Word:
+    """Free reduction of a product of k conjugates c r c^-1, each r a random
+    rotation of the relator or of its inverse and each c a random reduced
+    word of 0-3 letters."""
+    letters: tuple[int, ...] = ()
+    for _ in range(k):
+        c = random_reduced_word(rng, ngens, rng.randint(0, 3))
+        r = relator if rng.random() < 0.5 else inverse(relator)
+        j = rng.randrange(len(r))
+        letters += c.letters + r.letters[j:] + r.letters[:j] + inverse(c).letters
+    return free_reduce(Word(letters))
+
+
+def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
+                              best_of: int = 1) -> list[tuple[int, int, float]]:
+    """Reduce random bouquets of each total length L as
+    `subgroup_presentation` does (a fresh bouquet domain per timed call,
+    reduced in place and built into a map once); one (L, steps, seconds)
+    per length: the mean step count over the seeds and the best wall clock
+    over the seeds and `best_of` repetitions."""
+    x = standard_complex(presentation)
+    w = unit_weighting(x)
+    out = []
+    for length in lengths:
+        steps_total = 0
+        best = float("inf")
+        for seed in seeds:
+            rng = random.Random(seed)
+            gens = random_generator_set(rng, len(presentation.generators),
+                                        length, parts)
+            gens = [g for g in map(free_reduce, gens) if g.letters]
+            for _ in range(max(1, best_of)):
+                t0 = time.perf_counter()
+                dom = Domain.bouquet(x, gens, w)
+                trace, _exhausted = reduce_domain(dom, "strict")
+                dom.to_map()
+                best = min(best, time.perf_counter() - t0)
+            steps_total += len(trace.steps)
+        out.append((length, steps_total // max(1, len(seeds)), best))
+    return out

@@ -5,10 +5,8 @@ per-criterion report."""
 import random
 import time
 
-from perifold import fixtures
 from perifold.complexes import standard_complex
 from perifold.criteria import check_sc_weight, power_theorem
-from perifold.experiments import measure_reduction_scaling
 from perifold.subgroups import intersect, member, subgroup_presentation
 from perifold.weights import (
     cell_weight,
@@ -21,6 +19,8 @@ from perifold.weights import (
 from perifold.words import Word, free_reduce
 
 from conftest import GraphOracle, random_grid_subcomplex
+import fixtures
+from fixtures import measure_reduction_scaling
 from reference import build_packet, reduce_map, reference_bouquet_map, word
 
 
@@ -323,16 +323,16 @@ def test_10_quadratic_time_bound():
             fixtures.aab_power_presentation(9), [length],
             seeds=[101, 102, 103], parts=max(2, length // 5), best_of=3,
         )[0])
-    ratios = [s.steps / s.total_length for s in samples]
+    ratios = [steps / length for length, steps, _seconds in samples]
     c1 = max(ratios)
     steps_linear = c1 <= 1.1
-    walls = [s.seconds for s in samples]
+    walls = [seconds for _length, _steps, seconds in samples]
     quadratic_ok = all(
         nxt <= 8.0 * prev + 0.05 for prev, nxt in zip(walls, walls[1:])
     )
     detail = " ".join(
-        f"L={s.total_length}:steps={s.steps},wall={s.seconds * 1000:.1f}ms"
-        for s in samples
+        f"L={length}:steps={steps},wall={seconds * 1000:.1f}ms"
+        for length, steps, seconds in samples
     )
     report("10 quadratic bound", steps_linear and quadratic_ok,
            f"C1={c1:.3f} {detail}")

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifold import fixtures
 from perifold.complexes import (
     INF,
     ComplexError,
@@ -16,10 +15,11 @@ from perifold.complexes import (
     min_piece_cover,
     standard_complex,
 )
-from perifold.experiments import random_reduced_word
 from perifold.words import Presentation, Word, parse_presentation, period_exponent
 
 from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
+import fixtures
+from fixtures import random_reduced_word
 from reference import build_packet, reference_compute_pieces
 
 

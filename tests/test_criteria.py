@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from perifold import complexes, criteria, fixtures
+from perifold import complexes, criteria
 from perifold.complexes import compute_pieces, standard_complex
 from perifold.criteria import (
     CriterionError,
@@ -23,6 +23,7 @@ from perifold.words import (Presentation, Word, cyclic_reduce, is_cyclically_red
                             parse_presentation)
 
 from conftest import relator_complexes, side_weightings
+import fixtures
 from reference import reference_check_one_relator_torsion, reference_check_sc_weight, word
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from perifold import engine, fixtures
+from perifold import engine
 from perifold.complexes import Complex2, standard_complex
 from perifold.criteria import magnus_weighting
 from perifold.engine import (
@@ -19,11 +19,6 @@ from perifold.engine import (
     extract_presentation,
     find_site,
     reduce_domain,
-)
-from perifold.experiments import (
-    random_generator_set,
-    random_reduced_word,
-    relator_conjugate_product,
 )
 from perifold.maps import (CombMap, Domain, PathInY, based_fiber_product, end_stars, find_fold,
                            is_packed)
@@ -39,6 +34,8 @@ from perifold.weights import (
 from perifold.words import cyclic_reduce, free_reduce, parse_presentation
 
 from conftest import random_grid_subcomplex, relator_complexes, side_weightings
+import fixtures
+from fixtures import random_generator_set, random_reduced_word, relator_conjugate_product
 from reference import (
     AttachResult,
     apply_fold,

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifold import fixtures
 from perifold.complexes import Complex2, standard_complex
 from perifold.engine import reduce_domain
 from perifold.maps import (CombMap, Domain, MapError, based_fiber_product, end_stars, find_fold,
@@ -12,6 +11,7 @@ from perifold.weights import WeightError, map_perimeter, unit_weighting
 from perifold.words import free_reduce, parse_presentation
 
 from conftest import GraphOracle, random_grid_subcomplex
+import fixtures
 import reference
 from reference import (
     apply_fold,

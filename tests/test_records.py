@@ -1,6 +1,7 @@
 """The package's records keep the value semantics of the dataclasses they
-replaced, and importing the package loads no standard module beyond a
-short allowlist and what those modules import."""
+replaced; importing the package loads no standard module beyond a short
+allowlist and what those modules import, and importing it with its CLI
+loads every module of the package."""
 
 import copy
 import inspect
@@ -121,3 +122,13 @@ def test_import_leaves_heavy_modules_out(module):
     assert {"perifold", module} <= loaded
     allowed = _loaded_by("import " + ", ".join(ALLOWED_AT_IMPORT))
     assert {m for m in loaded if m.split(".")[0] != "perifold"} - allowed == set()
+
+
+def test_import_loads_every_package_module():
+    # a module that neither the package nor its CLI imports is no part of
+    # the product: test and measurement aids live under tests/ and scripts/
+    loaded = _loaded_by("import perifold, perifold.cli")
+    package = Path(perifold.__file__).resolve().parent
+    modules = {"perifold" if p.stem == "__init__" else f"perifold.{p.stem}"
+               for p in package.glob("*.py")}
+    assert modules - loaded == set()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from perifold import fixtures, maps
+from perifold import maps
 from perifold.complexes import Complex2, standard_complex
 from perifold.criteria import CriterionError
 from perifold.maps import CombMap, MapError
@@ -18,6 +18,7 @@ from perifold.weights import path_perimeter, unit_weighting, weighting_from_rows
 from perifold.words import free_reduce, parse_presentation
 
 from conftest import GraphOracle, abelian_invariants
+import fixtures
 from reference import out_edges, reduce_map, word
 
 

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from perifold import fixtures
 from perifold.complexes import standard_complex
 from perifold.maps import find_fold
 from perifold.weights import (
@@ -18,6 +17,7 @@ from perifold.weights import (
 )
 from perifold.words import parse_presentation
 
+import fixtures
 from reference import apply_fold, build_packet, identity_map, reference_bouquet_map, word
 
 

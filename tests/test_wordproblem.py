@@ -5,12 +5,12 @@ one-relator power."""
 import itertools
 import random
 
-from perifold import fixtures
 from perifold.complexes import standard_complex
 from perifold.subgroups import member
 from perifold.weights import unit_weighting
 from perifold.words import Word, free_reduce
 
+import fixtures
 from reference import word
 
 
