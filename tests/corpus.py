@@ -13,10 +13,18 @@ bouquets of words as drawn, unreduced, and of each such bouquet with a copy
 of every cell glued at each vertex (`reference_augment_with_cells`), so
 that folds merge cells; and weak `reduce_map` of bouquets with a whisker at
 the step limits 0, 3 and 10.
+And `magnus_intersect` of generator sets drawn from a seed of their own,
+over the torus with the subgraphs {a} and {b} and over `Z^3` with {a}, {b}
+and {c}, each with `force=True`, and of <b a^-2 b^-1 a^-2> with {a} on the
+torus.
 
 The corpus pins behaviour, not correctness: a torus `member` answer that
 the exponent-sum lattice of Z^2 contradicts is tagged known-wrong (a
-weak certificate gates the strict engine).  `tests/data/answer_corpus.json`
+weak certificate gates the strict engine), and so is a `magnus_intersect`
+presentation whose abelianization is not Z^r: in a free abelian group the
+intersection of the subgroup L with the subgroup of the subgraph is the
+kernel of the projection π that drops the subgraph's coordinates, free of
+rank r = rank L - rank π(L).  `tests/data/answer_corpus.json`
 holds the digests and the tags; `scripts/answer_corpus.py` regenerates it
 and prints the cases that changed.
 """
@@ -26,17 +34,22 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from math import gcd
 from pathlib import Path
 
 from perifold.complexes import standard_complex
-from perifold.subgroups import intersect, member_with_trace, subgroup_presentation
+from perifold.subgroups import intersect, magnus_intersect, member_with_trace, \
+    subgroup_presentation
 from perifold.weights import unit_weighting
 from perifold.words import Word, free_reduce
 import fixtures
 from fixtures import random_reduced_word
 from reference import fold_to_immersion, reduce_map, reference_augment_with_cells, \
     reference_bouquet_map
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from oracles import abelian_invariants  # noqa: E402  (stdlib only; imports no perifold)
 
 PATH = Path(__file__).resolve().parent / "data" / "answer_corpus.json"
 STEP_LIMITS = (None, 0, 3, 10)
@@ -55,6 +68,11 @@ TORUS_FAULT_WORDS = (
     (1, 2, 2, -1, -1, -2, -2, 1),
     (1, -2, -2, -1, -1, 2, 2, 1),
 )
+# the one-edge subgraphs of `magnus_intersect`: no single generator spans
+# a free factor of Z^2 or Z^3
+MAGNUS_EDGES = {"torus": (0, 1), "zzz": (0, 1, 2)}
+# <b a^-2 b^-1 a^-2> ∩ <a> on the torus: <a^4>, which is Z
+MAGNUS_FAULT = Word((2, -1, -1, -2, -1, -1))
 
 
 def _word(rng: random.Random, x) -> Word:
@@ -104,6 +122,24 @@ def _in_z2_lattice(t, vectors) -> bool:
 def _exponents(letters) -> tuple[int, int]:
     return (sum((d > 0) - (d < 0) for d in letters if abs(d) == 1),
             sum((d > 0) - (d < 0) for d in letters if abs(d) == 2))
+
+
+def _magnus_wrong(x, gens, edge, presentation) -> str | None:
+    """Why a `magnus_intersect` presentation over Z^n with the subgraph
+    {edge} is wrong, or None: its abelianization must be Z^r,
+    r = rank L - rank π(L)."""
+    n = x.num_edges()
+
+    def rank(words) -> int:
+        return n - abelian_invariants(n, words)[0]
+
+    r = (rank([g.letters for g in gens])
+         - rank([tuple(d for d in g.letters if abs(d) - 1 != edge) for g in gens]))
+    got = abelian_invariants(len(presentation.generators),
+                             [rel.letters for rel in presentation.relators])
+    if got != (r, ()):
+        return f"abelianization {got}, not Z^{r}, for a subgroup of a free abelian group"
+    return None
 
 
 def _rendered_map(m) -> dict:
@@ -160,6 +196,16 @@ def cases():
             for k, (gens_h, gens_k) in enumerate(pairs):
                 res = intersect(x, w, gens_h, gens_k, force=True, step_limit=limit)
                 yield f"intersect/{name}/{k}/limit={limit}", _rendered_result(res), None
+        if name in MAGNUS_EDGES:
+            rng = random.Random(f"answer-corpus:{name}:magnus")
+            drawn = [_gens(rng, x, 1) for _ in range(INPUTS)]
+            runs = [(k, gens, e) for k, gens in enumerate(drawn) for e in MAGNUS_EDGES[name]]
+            if name == "torus":
+                runs.append(("fault", [MAGNUS_FAULT], 0))
+            for k, gens, e in runs:
+                res = magnus_intersect(x, {e}, gens, force=True)
+                yield (f"magnus_intersect/{name}/{k}/subgraph={e}", _rendered_result(res),
+                       _magnus_wrong(x, gens, e, res.presentation))
         rng = random.Random(f"answer-corpus:{name}:fold")
         for k in range(INPUTS):
             bouquet = reference_bouquet_map(x, [_drawn(rng, x) for _ in range(rng.randint(1, 3))])
