@@ -15,7 +15,7 @@ therefore requires a step limit.
 
 from __future__ import annotations
 
-from .maps import CombMap, Domain, PathInY, find_fold, is_packed
+from .maps import CombMap, Domain, find_fold, is_packed
 from .records import Record
 from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
                       shortest_subpath_reaching, subpath_perimeter)
@@ -31,14 +31,17 @@ class StaleSiteError(EngineError):
 
 
 class AttachmentSite(Record):
-    _fields = ("cell", "start", "length", "path", "complete")
+    _fields = ("cell", "start", "length", "root", "complete")
+    _uncompared = ("domain",)  # the domain the site was found on
 
-    def __init__(self, cell: int, start: int, length: int, path: PathInY, complete: bool):
+    def __init__(self, cell: int, start: int, length: int, root: int, complete: bool,
+                 domain: Domain):
         self.cell = cell
         self.start = start  # Q is the subpath of ∂R of `length` letters from this position
         self.length = length
-        self.path = path  # the lift of Q into the domain
+        self.root = root  # the lift of Q begins at this vertex; in a 1-immersion it is unique
         self.complete = complete
+        self.domain = domain
 
 
 class TraceStep(Record):
@@ -124,10 +127,11 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     strict mode and lo in weak mode.  Every lift's key is at least its
     group's, so the scan stops before a group whose key is above the
     least lift key found, and at a lift of W equal to its group's bound.
-    Vertex and edge lists are built for the site only.  This returns the
-    site of the plain scan, which tries every lift at every candidate
-    length in the order (sign * length, cell, start), grows it forward and
-    backward to a maximal lift, and in weak mode drops it if it grew:
+    The site is that key, (cell, start, W, root); `attach_site` walks the
+    lift it names.  This returns the site of the plain scan, which tries
+    every lift at every candidate length in the order (sign * length,
+    cell, start), grows it forward and backward to a maximal lift, and in
+    weak mode drops it if it grew:
 
     - A lift of W letters tried at a shorter candidate grows forward to W
       letters; strict mode tries the candidate of length W first, and weak
@@ -159,20 +163,9 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                for r, cycles in dom.present.items() for cycle in cycles
                for q, d in enumerate(cycle)}
     sign = -1 if mode == "strict" else 1
-
-    def site_at(lift: tuple[int, int, int, int], ring: tuple[int, ...]) -> AttachmentSite:
-        signed, cell, start, v = lift
-        verts, refs = [v], []
-        for letter in ring[:abs(signed)]:
-            d = stars[verts[-1]][letter][0]
-            refs.append(d)
-            verts.append(dom.head(d))
-        return AttachmentSite(cell, start, len(refs), PathInY(dom, tuple(verts), tuple(refs)),
-                              len(refs) == len(ring))
-
-    best = None  # the least lift key found, and ∂R read from its start
+    best = None  # the least lift key found
     for key, ring, lo in _scan_plan(w, mode):
-        if best is not None and key > best[0]:
+        if best is not None and key > best:
             break
         cell, start = key[1], key[2]
         for v in dom.leaving.get(ring[0], ()):
@@ -192,35 +185,48 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
             if walked < lo or (walked < len(ring) and -ring[-1] in stars[v]):
                 continue
             lift = (sign * walked, cell, start, v)
-            if lift[0] == key[0]:
-                return site_at(lift, ring)
-            if best is None or lift < best[0]:
-                best = lift, ring
-    return None if best is None else site_at(*best)
+            if best is None or lift < best:
+                best = lift
+                if lift[0] == key[0]:
+                    break  # the least lift of its group, below every later group's key
+    if best is None:
+        return None
+    signed, cell, start, v = best
+    return AttachmentSite(cell, start, abs(signed), v, abs(signed) == len(x.cells[cell]), dom)
 
 
 def attach_site(dom: Domain, site: AttachmentSite) -> int:
     """Glue the packet of the site's cell to a live domain along the lifted
     Q; returns how many cells it glued.
 
-    Complete sites first identify the endpoints of Q; incomplete sites add
-    the complement as a fresh arc.  All packet cells missing over the
-    resulting circle are attached.  A site found on another domain is
-    refused.
+    Q's lift is walked once, from the site's root over ∂R read from the
+    site's start.  Complete sites then identify the endpoints of Q;
+    incomplete sites add the complement as a fresh arc.  All packet cells
+    missing over the resulting circle are attached.
+
+    A stale site is refused (`StaleSiteError`): one found on another
+    domain, one whose root has since been merged into another class, and
+    one whose packet is already present along it.  A root that is still a
+    root keeps every lift it had, as folds and `identify` only merge stars
+    and the other operations only add, so the walk needs no other check.
     """
-    if site.path.complex is not dom:
+    if site.domain is not dom:
         raise StaleSiteError("attachment site refers to another domain")
-    x = dom.codomain
-    cell, start, length = site.cell, site.start, site.length
-    bdry = x.cells[cell]
-    mlen = len(bdry)
-    tail, head = site.path.vertices[0], site.path.vertices[-1]
-    around = list(site.path.edges)  # the circle's refs from position start on
+    root, cell, start, length = site.root, site.cell, site.start, site.length
+    if dom.parent[root] != root:
+        raise StaleSiteError("attachment site's root was merged away")
+    bdry = dom.codomain.cells[cell]
+    ring = bdry[start:] + bdry[:start]
+    head, around = root, []  # around: the circle's refs from position start on
+    for letter in ring[:length]:
+        d = dom.stars[head][letter][0]
+        around.append(d)
+        head = dom.head(d)
     if site.complete:
-        dom.identify(tail, head)
+        dom.identify(root, head)
     else:
-        around += dom.add_arc(head, tail, [bdry[(start + k) % mlen] for k in range(length, mlen)])
-    added = dom.add_packet(cell, [around[(q - start) % mlen] for q in range(mlen)])
+        around += dom.add_arc(head, root, ring[length:])
+    added = dom.add_packet(cell, around[-start:] + around[:-start])
     if not added:
         raise StaleSiteError("packet already present along the site")
     return added

@@ -96,20 +96,6 @@ class CombMap(Record):
         return tuple(bdry[(q - offset) % m] for q in range(m))
 
 
-class PathInY(Record):
-    _fields = ("complex", "vertices", "edges")
-
-    def __init__(self, complex: Complex2, vertices: tuple[int, ...], edges: tuple[int, ...]):
-        self.complex = complex
-        self.vertices = vertices
-        self.edges = edges  # signed refs; len(vertices) == len(edges) + 1
-        if len(vertices) != len(edges) + 1:
-            raise MapError("path vertex/edge count mismatch")
-        for v, d, w in zip(vertices, edges, vertices[1:]):
-            if complex.tail(d) != v or complex.head(d) != w:
-                raise MapError("path does not chain")
-
-
 # --- changing the domain ----------------------------------------------------
 
 
@@ -212,9 +198,6 @@ class Domain:
         for v, p in enumerate(root):
             root[v] = root[p]
         return root
-
-    def tail(self, d: int) -> int:
-        return self.find(self.edges[abs(d) - 1][0 if d > 0 else 1])
 
     def head(self, d: int) -> int:
         return self.find(self.edges[abs(d) - 1][1 if d > 0 else 0])

@@ -99,7 +99,6 @@ from perifold.maps import (
     CombMap,
     Domain,
     MapError,
-    PathInY,
     end_stars,
     find_fold,
     packet_mates,
@@ -540,19 +539,23 @@ class AttachResult:
 def reference_attach_packet(m: CombMap, w: Weighting, site: AttachmentSite) -> AttachResult:
     """Glue the packet of the site's cell to the domain along the lifted Q.
 
-    Complete sites first identify the endpoints of Q; incomplete sites add
-    the complement as a fresh arc.  All packet cells missing over the
-    resulting circle are attached.
+    Q's lift is walked from the site's root with `out_edges`.  Complete
+    sites first identify the endpoints of Q; incomplete sites add the
+    complement as a fresh arc.  All packet cells missing over the resulting
+    circle are attached.
     """
-    if site.path.complex is not m.domain:
+    if site.domain is not m.domain:
         raise StaleSiteError("attachment site refers to an outdated domain")
     x = m.codomain
     cell, start, length = site.cell, site.start, site.length
     bdry = x.cells[cell]
     mlen = len(bdry)
     dom = m.domain
-    verts = list(site.path.vertices)
-    edges = list(site.path.edges)
+    outs = out_edges(m)
+    verts, edges = [site.root], []
+    for k in range(length):
+        edges.append(outs[verts[-1]][bdry[(start + k) % mlen]])
+        verts.append(dom.head(edges[-1]))
     vmap = list(range(dom.num_vertices))
     identified = False
 
@@ -796,8 +799,8 @@ def _grow_to_maximal(m: CombMap, outs, x: Complex2, cell: int, start: int,
 def reference_find_attachment(m: CombMap, w: Weighting,
                               mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan of a 1-immersion for an attachment site, in the
-    order of `perifold.engine.find_site`; the site's path lies in
-    `m.domain`."""
+    order of `perifold.engine.find_site`; the site's root, the first vertex
+    of the grown lift, is a vertex of `m.domain`."""
     x = m.codomain
     outs = out_edges(m)
     if sum(map(len, outs)) < 2 * m.domain.num_edges():
@@ -843,8 +846,8 @@ def reference_find_attachment(m: CombMap, w: Weighting,
             grown = reference_candidate(x, w, cand.cell, start, len(edges), mode)
             if grown is None:
                 continue
-            return AttachmentSite(grown.cell, grown.start, grown.length,
-                                  PathInY(m.domain, tuple(verts), tuple(edges)), complete)
+            return AttachmentSite(grown.cell, grown.start, grown.length, verts[0], complete,
+                                  m.domain)
     return None
 
 

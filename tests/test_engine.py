@@ -20,8 +20,7 @@ from perifold.engine import (
     find_site,
     reduce_domain,
 )
-from perifold.maps import (CombMap, Domain, PathInY, based_fiber_product, end_stars, find_fold,
-                           is_packed)
+from perifold.maps import CombMap, Domain, based_fiber_product, end_stars, find_fold, is_packed
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
     WeightError,
@@ -68,7 +67,7 @@ def test_candidate_strictness_flags():
         assert [group_lo for _key, _ring, group_lo in engine._scan_plan(w, mode)] == [lo] * 4
 
 
-def test_find_attachment_on_bare_circle():
+def test_find_site_on_bare_circle():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
     m = fold_to_immersion(reference_bouquet_map(x, [word([1, 1, 2] * 3)])).map
@@ -77,7 +76,7 @@ def test_find_attachment_on_bare_circle():
     assert site.length == 9
 
 
-def test_find_attachment_none_when_packet_present():
+def test_find_site_none_when_packet_present():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
     dom = Domain(build_packet(x, 0), w)
@@ -245,7 +244,7 @@ def test_reduce_output_is_structurally_sound(rng):
                 res.trace.steps[-1].perimeter == map_perimeter(w, res.map)
 
 
-def test_find_attachment_requires_immersion(rng):
+def test_find_site_requires_immersion(rng):
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
     m = reference_bouquet_map(x, [word([1]), word([1, 2])])
@@ -255,7 +254,7 @@ def test_find_attachment_requires_immersion(rng):
         find_site(Domain(fold_to_immersion(m).map))
 
 
-def test_find_attachment_requires_packed_map():
+def test_find_site_requires_packed_map():
     # one cell of the (aab)^3 packet without its two mates: a 1-immersion
     # that is not packed
     x = standard_complex(fixtures.aab_power_presentation(3))
@@ -280,6 +279,24 @@ def test_attach_site_refuses_a_site_of_another_domain():
         attach_site(other, site)
     assert other.to_map() == m  # nothing was glued
     assert attach_site(found, site) == 1
+
+
+def test_attach_site_refuses_a_site_whose_root_was_merged_away():
+    # torus, generator b a^-1 b^-1 a a b: the strict site is the whole
+    # square from position 1, whose attachment merges vertex 4 into 0; the
+    # weak site, found before it, starts at vertex 4
+    x = standard_complex(fixtures.torus_presentation())
+    dom = Domain.bouquet(x, [word([2, -1, -2, 1, 1, 2])], unit_weighting(x))
+    dom.fold_all()
+    dom.remove_redundant()
+    dom.repair()
+    strict, weak = find_site(dom, "strict"), find_site(dom, "weak")
+    attach_site(dom, strict)
+    with pytest.raises(StaleSiteError, match="merged away"):
+        attach_site(dom, weak)
+    assert strict == AttachmentSite(0, 1, 4, 0, True, dom)
+    assert weak == AttachmentSite(0, 0, 2, 4, False, dom)
+    assert dom.find(4) == 0
 
 
 def test_extract_presentation_shapes():
@@ -872,11 +889,10 @@ def test_extract_presentation_matches_reference(data):
 
 
 def on_map(dom, m, site):
-    """A site of a live domain in the numbering of `m = dom.to_map()`."""
-    vertex, ref = dom.vertex_numbers(), dom.edge_refs()
-    path = PathInY(m.domain, tuple(vertex[v] for v in site.path.vertices),
-                   tuple(ref[d - 1] if d > 0 else -ref[-d - 1] for d in site.path.edges))
-    return replace(site, path=path)
+    """A site of a live domain in the numbering of `m = dom.to_map()`: in a
+    1-immersion the root and the letters fix the lift, so only the root is
+    renumbered."""
+    return replace(site, root=dom.vertex_numbers()[site.root], domain=m.domain)
 
 
 def attachments_against_reference(m, w, mode, step_limit):
@@ -894,8 +910,9 @@ def attachments_against_reference(m, w, mode, step_limit):
         roots = list(dom.vertex_numbers())  # the vertices of `before`, in order
         want = reference_attach_packet(before, w, on_map(dom, before, site))
         added = original(dom, site)
+        # a complete site identified its endpoints when a vertex class went
         got = AttachResult(dom.to_map(), vertex_map(dom, roots), added, site.complete,
-                           site.complete and site.path.vertices[0] != site.path.vertices[-1])
+                           site.complete and dom.num_vertices < len(roots))
         assert got == want
         kinds.append((got.complete, got.identified_endpoints))
         return added
@@ -988,7 +1005,7 @@ _SCAN_COMPLEXES = [
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_SCAN_COMPLEXES), st.integers(0, 2**32 - 1),
        st.integers(4, 24), st.integers(1, 3), st.booleans())
-def test_find_attachment_matches_reference(case, seed, length, parts, whiskered):
+def test_find_site_matches_reference(case, seed, length, parts, whiskered):
     # torus, (aab)^3, genus 2, weighted zzz and weighted modify: every map a
     # strict or weak reduction of a random bouquet scans gets the
     # reference's site, or None from both
@@ -1011,7 +1028,7 @@ def test_find_attachment_matches_reference(case, seed, length, parts, whiskered)
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_DIFF_COMPLEXES[1:3]), st.integers(0, 2**32 - 1))
-def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
+def test_find_site_matches_reference_on_intersect_maps(case, seed):
     # the maps `intersect` reduces on (aab)^3 and genus 2: a reduced bouquet
     # of two generators with a copy of every cell at each vertex, whose
     # scans mostly miss
@@ -1026,7 +1043,7 @@ def test_find_attachment_matches_reference_on_intersect_maps(case, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-def test_find_attachment_matches_reference_on_relator_products(seed, k):
+def test_find_site_matches_reference_on_relator_products(seed, k):
     # genus-2 whiskers that are products of k relator conjugates, as
     # `member` reduces them: the scans hit.  In weak mode the scan decides
     # between lifts of one length that do and do not extend backward
@@ -1045,7 +1062,7 @@ def test_find_attachment_matches_reference_on_relator_products(seed, k):
     assert ("strict", True) in scans and ("weak", True) in scans
 
 
-def test_find_attachment_matches_reference_on_the_weak_ladder():
+def test_find_site_matches_reference_on_the_weak_ladder():
     # H = <b^-1 a^2> with the whisker b^3 on the torus: the weak engine
     # builds a square ladder, so later scans pass dozens of blocked squares
     x = standard_complex(fixtures.torus_presentation())
@@ -1079,7 +1096,7 @@ def assert_plan_matches_reference(x, w):
     return groups
 
 
-def test_enumerate_candidates_against_brute():
+def test_scan_plan_against_brute():
     # torus, (aab)^3, genus 2, weighted zzz and weighted modify
     for x, w_of in _SCAN_COMPLEXES:
         assert_plan_matches_reference(x, w_of(x))
@@ -1087,7 +1104,7 @@ def test_enumerate_candidates_against_brute():
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_enumerate_candidates_matches_reference(data):
+def test_scan_plan_matches_reference(data):
     x = data.draw(relator_complexes())
     w = data.draw(side_weightings(x))
     assert_plan_matches_reference(x, w)
@@ -1132,7 +1149,7 @@ def test_candidate_lengths_form_an_interval_ending_at_the_boundary():
                                     for s in range(x.periods[c][0])}
 
 
-def test_find_attachment_skips_blocked_circle():
+def test_find_site_skips_blocked_circle():
     # torus, generator a b a b A b.  After one incomplete attachment the new
     # square's boundary is a closed complete lift whose packet is present:
     # the scan skips it and returns a length-3 site.  Before that attachment

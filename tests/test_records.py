@@ -16,7 +16,7 @@ from perifold.cli import InputFile
 from perifold.complexes import Complex2, LinkGraph, PieceTable, SmallCancellationReport
 from perifold.criteria import Verdict
 from perifold.engine import AttachmentSite, ReductionTrace, TraceStep
-from perifold.maps import CombMap, PathInY
+from perifold.maps import CombMap
 from perifold.subgroups import SubgroupResult
 from perifold.weights import Weighting
 from perifold.words import Presentation, Word
@@ -26,7 +26,6 @@ WORD = Word((1, -2))
 PRESENTATION = Presentation(("a", "b"), (Word((1, 2, -1, -2)),), ("a note",))
 WEIGHTING = Weighting(TORUS, ((1, 1, 1, 1),))
 COMB_MAP = CombMap(TORUS, TORUS, [0], [1, 2], [(0, 0, False)])
-PATH = PathInY(TORUS, (0, 0), (1,))
 STEP = TraceStep("fold", 3, 2, 1, 0, {"refs": (1, 2)})
 TRACE = ReductionTrace(4, 2, [STEP])
 VERDICT = Verdict("powers", True, "both", True, ["a witness"], ["a note"], {"n": 1})
@@ -42,15 +41,14 @@ RECORDS = [
     (PieceTable, ([[1, 1, 1, 1]], [1]), False),
     (SmallCancellationReport, (6, 3, None, False, True, None, [2.0], ["a witness"]), False),
     (CombMap, (TORUS, TORUS, [0], [1, 2], [(0, 0, False)], 0), False),
-    (PathInY, (TORUS, (0, 0), (1,)), False),
-    (AttachmentSite, (0, 1, 1, PATH, False), False),
+    (AttachmentSite, (0, 1, 1, 0, False, TORUS), False),
     (TraceStep, ("fold", 3, 2, 1, 0, {"refs": (1, 2)}), False),
     (ReductionTrace, (4, 2, [STEP]), False),
     (Verdict, ("powers", True, "both", True, ["a witness"], ["a note"], {"n": 1}), False),
     (SubgroupResult, (PRESENTATION, TRACE, VERDICT, False, COMB_MAP, True), False),
     (InputFile, (PRESENTATION, TORUS, WEIGHTING, {"H": [WORD]}), False),
 ]
-UNCOMPARED = {(Presentation, "warnings")}
+UNCOMPARED = {(Presentation, "warnings"), (AttachmentSite, "domain")}
 
 
 def _outcome(f):
