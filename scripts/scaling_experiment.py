@@ -6,8 +6,10 @@ Reduces random bouquets over <a, b | (aab)^9> at a ladder of total lengths,
 as `subgroup_presentation` does (a fresh bouquet domain per timed call,
 reduced in place and built into a map once), and prints step counts and
 wall-clock times; the step count should stay linear in the input length
-and the wall clock at worst quadratic.  Folding is near-linear, so wall/L
-stays about flat while folds dominate.
+and the wall clock at worst quadratic.  While folds dominate, wall/L stays
+about flat up to a few thousand letters only: each fold costs more as the
+sorted end and root lists grow, and --lengths 2000 8000 32000 128000 gave,
+on a shared 2-core machine, wall/L of 12.9, 16.6, 29.3 and 103.0 us.
 
 Then answers `member` on the genus-2 surface group for products of k
 relator conjugates (word length L); the attachment search takes most of
@@ -20,10 +22,10 @@ nearly every attachment scan there finds nothing.
 Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
 torus, timed the same way, which builds a square ladder until its step
 limit N, and prints the wall clock per step.  A step of the ladder changes
-the domain locally and the attachment scan reads the blocked squares from
-the present cycles; one scan counts the lift of each (cell, start, root)
-once, but us/step still grows with N, as each scan starts over from every
-present cycle and root.
+the domain locally, and the attachment scan skips a lift uncounted when
+the side it would start is present at the edge of its first letter; one
+scan counts the lift of each (cell, start, root) once, but us/step still
+grows with N, as each scan walks the lifts at every root again.
 
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times

@@ -107,6 +107,13 @@ def _scan_plan(w: Weighting,
     return plan
 
 
+def _blocked(dom: Domain, cell: int, start: int, d: int) -> bool:
+    """Whether the lift of ∂R read from `start` whose first ref is d
+    closes up into a present cycle: side (cell, start) is present at the
+    edge of d (see `find_site`)."""
+    return (cell, start) in dom.sides.get(abs(d) - 1, ())
+
+
 def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     """Deterministic scan of a live packed 1-immersion for an attachment
     site, under the weighting the domain was built with.
@@ -139,17 +146,22 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     - The skip is exact.  Extend a skipped lift X backward by g letters to
       the maximal lift X* at (R, start - g), read modulo the period.  X*
       has W + g letters, its Q contains X's, so its P(S) is no larger and
-      W + g is a candidate length there.  X* is not blocked, or X's first
-      corner, g steps on along the same present cycle, would be.  Strict
-      mode scans longest first, so it returns at X*'s candidate at the
-      latest, before it reaches X's; weak mode drops X, which grows.
+      W + g is a candidate length there.  X* is not blocked, or X would
+      be: the present cycle through X*'s first ref at (R, start - g) runs
+      along X*, so g positions on it has X's first ref at (R, start).
+      Strict mode scans longest first, so it returns at X*'s candidate at
+      the latest, before it reaches X's; weak mode drops X, which grows.
 
-    A lift that closes up into a circle whose packet is present is
-    blocked; in a packed 1-immersion these circles are the present cycles
-    (`Domain.present`).  Each corner of one is keyed by the end that leaves
-    it, (cell, position mod period, ref), and a lift whose first end is
-    such a key is skipped uncounted: in a 1-immersion that end is the only
-    one leaving the root over the first letter.
+    A lift that closes up into a present cycle, a circle whose packet is
+    present, is blocked and skipped uncounted.  In a 1-immersion its first
+    ref d is the only end leaving the root over the first letter, and the
+    lift is blocked exactly when side (cell, start) is present at edge
+    |d| - 1 (`Domain.sides`).  The domain is packed, so if a present cycle
+    C over the cell has C[q] = d with q = start modulo the period, its
+    packet mate rotated by q - start has d at position start, which puts
+    side (cell, start) at that edge.  Conversely, that side comes from a
+    live cell whose start-th ref lies over ∂R[start], the image of d; that
+    ref is d itself, as an edge and its reverse have different images.
     """
     if dom.next_fold() is not None:
         raise EngineError("find_site requires a 1-immersion")
@@ -159,9 +171,6 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     if w is None:
         raise WeightError("find_site requires a domain built with a weighting")
     stars, edges, parent = dom.stars, dom.edges, dom.parent
-    blocked = {(r, q % x.periods[r][0], d)
-               for r, cycles in dom.present.items() for cycle in cycles
-               for q, d in enumerate(cycle)}
     sign = -1 if mode == "strict" else 1
     best = None  # the least lift key found
     for key, ring, lo in _scan_plan(w, mode):
@@ -169,7 +178,7 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
             break
         cell, start = key[1], key[2]
         for v in dom.leaving.get(ring[0], ()):
-            if (cell, start, stars[v][ring[0]][0]) in blocked:
+            if _blocked(dom, cell, start, stars[v][ring[0]][0]):
                 continue
             walked, u = 0, v
             for letter in ring:  # count the letters of the lift of ∂R from v

@@ -150,7 +150,6 @@ class Domain:
         self.cell_image: list[tuple[int, int, bool]] = []
         self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
         self.sides: dict[int, set[tuple[int, int]]] = {}  # edge -> its present sides
-        self.present: dict[int, dict[tuple[int, ...], int]] = {}  # r -> cycle -> first cell
         self.twins: set[int] = set()
         self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, 0, 0
         self.perimeter = 0
@@ -282,7 +281,6 @@ class Domain:
         self.cycles.append(cycle)
         self.cell_image.append(image)
         self.num_cells += 1
-        self._index(c)
         cells_at, r = self.cells_at, image[0]
         for q, d in enumerate(cycle):
             e = abs(d) - 1
@@ -291,15 +289,22 @@ class Domain:
                 cells_at[e] = through = set()
             through.add(c)
             self._make_present(e, (r, q))
+        self._mark_twins(c)
 
-    def _index(self, c: int) -> None:
-        """Enter cell c's cycle in `present` (cycle -> first cell)."""
-        index = self.present.setdefault(self.cell_image[c][0], {})
-        first = index.setdefault(self.cycles[c], c)
-        if first != c:
-            index[self.cycles[c]] = min(first, c)
-            self.twins.discard(min(first, c))
-            self.twins.add(max(first, c))
+    def _cells_with(self, r: int, cycle: tuple[int, ...]) -> list[int]:
+        """The live cells over r whose cycle is `cycle`, read off
+        `cells_at` at its first edge, which every such cell passes."""
+        cycles, cell_image = self.cycles, self.cell_image
+        return [c for c in self.cells_at.get(abs(cycle[0]) - 1, ())
+                if cycles[c] == cycle and cell_image[c][0] == r]
+
+    def _mark_twins(self, c: int) -> None:
+        """Mark as twins the cells equal to cell c, all but the smallest
+        id; c must be entered in `cells_at`."""
+        equal = self._cells_with(self.cell_image[c][0], self.cycles[c])
+        if len(equal) > 1:
+            self.twins.update(equal)
+            self.twins.discard(min(equal))
 
     def fold_all(self, limit: int | None = None
                  ) -> tuple[list[tuple[int, int, int, int, int, int]], bool]:
@@ -357,12 +362,9 @@ class Domain:
                 over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
                 onto = {drop + 1: over, -(drop + 1): -over}
                 for c in through:
-                    old, index = cycles[c], self.present[self.cell_image[c][0]]
-                    if index.get(old) == c:
-                        del index[old]
-                    cycles[c] = tuple(onto.get(d, d) for d in old)
-                    self._index(c)
+                    cycles[c] = tuple(onto.get(d, d) for d in cycles[c])
                     cells_at.setdefault(keep, set()).add(c)
+                    self._mark_twins(c)
             self.identify(h1, h2)
             folds.append((d1, d2, self.perimeter, self.num_edges, self.num_vertices,
                           self.num_cells))
@@ -435,7 +437,7 @@ class Domain:
         over r (`packet_mates`) that is not present yet; returns how many."""
         added = 0
         for mate in packet_mates(self.codomain, r, cycle):
-            if mate not in self.present.get(r, ()):
+            if not self._cells_with(r, mate):
                 self._add_cell((r, 0, False), mate)
                 added += 1
         return added
@@ -467,7 +469,6 @@ class Domain:
                 cycle = refs[-j:] + refs[:-j]  # refs[(q - j) % n] at position q
                 cycles.append(cycle)
                 self.cell_image.append((r, j, False))
-                self.present.setdefault(r, {})[cycle] = c
                 for e, side in zip(range(d, d + n), copy_sides):
                     cells_at[e] = {c}
                     sides[e] = {side}

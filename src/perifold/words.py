@@ -243,8 +243,7 @@ def _parse_word_tokens(toks, gen_index, line) -> list[int]:
 
 
 def _parse_exponent(s: str, line: int, col: int) -> int:
-    if not s.startswith("^"):
-        raise ParseError("expected '^'", line, col)
+    """The exponent of `s`, a token that starts with '^'."""
     try:
         return int(s[1:])
     except ValueError:

@@ -26,10 +26,11 @@ program evaluates all of these bounds by one bisection of the prefix sums
 (`perifold.weights.shortest_subpath_reaching`).
 
 `reduce_map` and `fold_to_immersion` are the map-level entries to the
-program's live domain, and with `vertex_map` and `reference_augment_domain`
-(below) the only code here that reads a `Domain`: each entry wraps a map
-as `Domain(m, w)`, runs `reduce_domain` or the folds and
-`remove_redundant` on it, and builds the map once, at the end;
+program's live domain, and with `vertex_map`, `reference_augment_domain`,
+`present_corners` and `repeated_cells` (below) the only code here that
+reads a `Domain`: each entry wraps a map as `Domain(m, w)`, runs
+`reduce_domain` or the folds and `remove_redundant` on it, and builds the
+map once, at the end;
 `vertex_map` tells where the domain's vertex ids lie in that map.
 They are the program's side of the comparisons below.  `canonical_form`
 describes a connected 1-immersed based map up to isomorphism
@@ -65,6 +66,11 @@ them, must give the same presentation.
 `present_cycles` (the rewritten cycles over each target cell) and
 `out_edges` (each vertex's ends by image) index a map afresh; the
 references read them where the program reads its live `Domain`.
+`present_corners` and `repeated_cells` read the live cells' cycles of a
+`Domain` afresh: the corners of its present cycles, which `find_site`'s
+blocked test (`perifold.engine._blocked`) must match at every root of
+every scan group, and the cells that repeat a smaller one, which must be
+the domain's `twins`.
 `reference_remove_redundant` and `reference_repair_packing` change a map
 by copying it; `Domain.remove_redundant` and `Domain.repair`, and the fold
 phases of `reduce_map`, must agree with them on the map built from the
@@ -724,6 +730,28 @@ def present_cycles(m: CombMap) -> dict[int, set[tuple[int, ...]]]:
     for c in range(m.domain.num_cells()):
         present.setdefault(m.cell_image[c][0], set()).add(m.rewritten_cycle(c))
     return present
+
+
+def present_corners(dom: Domain) -> set[tuple[int, int, int]]:
+    """(r, q mod period, d) for each ref d at position q of the cycle of
+    a live cell over r: each corner of a present cycle, keyed by the end
+    that leaves it."""
+    periods = dom.codomain.periods
+    return {(r, q % periods[r][0], d)
+            for cycle, (r, _offset, _reflected) in zip(dom.cycles, dom.cell_image)
+            if cycle is not None for q, d in enumerate(cycle)}
+
+
+def repeated_cells(dom: Domain) -> set[int]:
+    """The live cells whose (target cell, cycle) is that of a smaller live
+    cell."""
+    seen, repeated = set(), set()
+    for c, (cycle, image) in enumerate(zip(dom.cycles, dom.cell_image)):
+        if cycle is not None:
+            if (image[0], cycle) in seen:
+                repeated.add(c)
+            seen.add((image[0], cycle))
+    return repeated
 
 
 def reference_remove_redundant(m: CombMap) -> tuple[CombMap, int]:

@@ -483,6 +483,21 @@ def test_cmd_info_with_alpha(tmp_path, capsys):
     assert data["small_cancellation"]["C_prime"] == {"alpha": "1/6", "holds": True}
 
 
+def test_cmd_info_with_alpha_failing(tmp_path, capsys):
+    # the genus-2 relator has pieces of one letter in 8: C'(1/8) fails at
+    # the bound, with a witness, and still exits 0; C'(1/7) holds
+    path = write(tmp_path, "g2.pf", "gens a1 b1 a2 b2\nrel a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n")
+    assert main(["info", path, "--alpha", "1/8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["small_cancellation"]
+    assert report["C_prime"] == {"alpha": "1/8", "holds": False}
+    assert report["witnesses"] == [
+        "C'(1/8) fails: cell 0 has a piece of length 1 with boundary length 8"]
+    assert main(["info", path, "--alpha", "1/7", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["small_cancellation"]
+    assert report["C_prime"] == {"alpha": "1/7", "holds": True}
+    assert report["witnesses"] == []
+
+
 def test_cmd_check_magnus_and_powers(tmp_path, capsys):
     path = write(tmp_path, "magnus.pf",
                  "gens a b c d\nrel a b c d d a c b b a d c\n")

@@ -40,6 +40,7 @@ from reference import (
     apply_fold,
     build_packet,
     fold_to_immersion,
+    present_corners,
     reduce_map,
     reference_attach_packet,
     reference_augment_domain,
@@ -51,6 +52,7 @@ from reference import (
     reference_find_attachment,
     reference_remove_redundant,
     reference_repair_packing,
+    repeated_cells,
     replace,
     vertex_map,
     word,
@@ -705,9 +707,8 @@ def test_fold_heap_holds_each_repeated_image(data):
     assert (first, left) == (folds[:k], k < len(folds))
     assert split.fold_all() == (folds[k:], False)
     for dom in (whole, split):
-        for field in ("stars", "leaving", "dropped", "cycles", "present", "twins",
-                      "cells_at", "sides", "perimeter", "num_vertices", "num_edges",
-                      "num_cells"):
+        for field in ("stars", "leaving", "dropped", "cycles", "twins", "cells_at", "sides",
+                      "perimeter", "num_vertices", "num_edges", "num_cells"):
             assert getattr(dom, field) == getattr(stepped, field), field
         assert dom.to_map() == stepped.to_map()
 
@@ -743,7 +744,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
     whole.augment()
     reference_augment_domain(by_copy)
     for field in ("stars", "leaving", "heap", "edges", "edge_image", "vertex_image", "parent",
-                  "dropped", "cycles", "cell_image", "cells_at", "sides", "present", "twins",
+                  "dropped", "cycles", "cell_image", "cells_at", "sides", "twins",
                   "perimeter", "num_vertices", "num_edges", "num_cells", "packed"):
         assert getattr(whole, field) == getattr(by_copy, field), field
     assert_leaving_lists_the_roots_over_each_image(whole)
@@ -1163,6 +1164,72 @@ def test_find_site_skips_blocked_circle():
         site = find_site(dom)
         assert site is not None and not site.complete and site.length == 3
         assert on_map(dom, m, site) == reference_find_attachment(m, w)
+
+
+def draw_bouquet_words(data, x):
+    """One to three words as `draw_word` draws them, empty ones dropped,
+    and a whisker or None."""
+    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(1, 3))))
+            if g.letters]
+    whisker = draw_word(data, x) if data.draw(st.booleans()) else None
+    return gens, whisker
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_DIFF_COMPLEXES[:3]), st.data())
+def test_blocked_sides_match_present_corners(case, data):
+    # torus, (aab)^3 and genus 2, at every scan of a strict reduction of a
+    # bouquet, of that domain augmented, and of a weak run with a step
+    # limit: for every scan group and every root its first letter leaves,
+    # `_blocked`, read off `Domain.sides`, holds exactly when the lift's
+    # first ref is a corner of a present cycle at its start modulo the
+    # period; the exponent 3 of (aab)^3 puts corners past the period
+    x, w_of = case
+    w = w_of(x)
+    gens, whisker = draw_bouquet_words(data, x)
+    original, scanned = engine.find_site, []
+
+    def checked(dom, mode="strict"):
+        corners = present_corners(dom)
+        for (_bound, cell, start), ring, _lo in engine._scan_plan(w, mode):
+            for v in dom.leaving.get(ring[0], ()):
+                d = dom.stars[v][ring[0]][0]
+                assert engine._blocked(dom, cell, start, d) == ((cell, start, d) in corners)
+        scanned.append(mode)
+        return original(dom, mode)
+
+    with mock.patch.object(engine, "find_site", checked):
+        dom = Domain.bouquet(x, gens, w, whisker)
+        reduce_domain(dom)
+        dom.augment()
+        reduce_domain(dom)
+        reduce_domain(Domain.bouquet(x, gens, w, whisker), "weak", 40)
+    assert {"strict", "weak"} <= set(scanned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_DIFF_COMPLEXES[:3]), st.data())
+def test_twins_match_repeated_cells_after_every_fold(case, data):
+    # torus, (aab)^3 and genus 2: a bouquet with a copy of every cell at
+    # each vertex, or a reduced bouquet augmented, folded one fold at a
+    # time.  After every fold the twins are the live cells whose (target
+    # cell, cycle) repeats that of a smaller live cell, and
+    # `remove_redundant` deletes exactly those
+    x, w_of = case
+    w = w_of(x)
+    gens, whisker = draw_bouquet_words(data, x)
+    if data.draw(st.booleans()):
+        dom = Domain(reference_augment_with_cells(reference_bouquet_map(x, gens, whisker)), w)
+    else:
+        dom = Domain.bouquet(x, gens, w, whisker)
+        reduce_domain(dom)
+        dom.augment()
+    assert dom.twins == repeated_cells(dom)
+    while dom.fold_all(1)[0]:
+        assert dom.twins == repeated_cells(dom)
+    repeated = repeated_cells(dom)
+    assert dom.remove_redundant() == len(repeated)
+    assert repeated_cells(dom) == set() and all(dom.cycles[c] is None for c in repeated)
 
 
 # --- decision procedures against the copying composition ---------------------

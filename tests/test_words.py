@@ -56,6 +56,14 @@ def test_parse_errors():
     assert err.value.line == 2
 
 
+def test_parse_empty_exponent():
+    # a caret with no exponent after a generator or a group
+    for text, column in (("a^", 1), ("( a )^", 6), ("b (a)^", 6)):
+        with pytest.raises(ParseError, match="bad exponent ''") as err:
+            parse_word(text, ("a", "b"), line=3)
+        assert (err.value.line, err.value.column) == (3, column)
+
+
 def test_parse_negative_powers_and_nesting():
     w = parse_word("( a b^-1 )^-2", ("a", "b"))
     assert w.letters == (2, -1, 2, -1)
