@@ -213,11 +213,13 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
     incomplete sites add the complement as a fresh arc.  All packet cells
     missing over the resulting circle are attached.
 
-    A stale site is refused (`StaleSiteError`): one found on another
-    domain, one whose root has since been merged into another class, and
-    one whose packet is already present along it.  A root that is still a
-    root keeps every lift it had, as folds and `identify` only merge stars
-    and the other operations only add, so the walk needs no other check.
+    A stale site is refused (`StaleSiteError`) before anything changes:
+    one found on another domain, one whose root has since been merged into
+    another class, and one whose packet is already present along it, which
+    is the blocked test of `find_site` on the walked lift (`_blocked`).  A
+    root that is still a root keeps every lift it had, as folds and
+    `identify` only merge stars and the other operations only add, so the
+    walk needs no other check.
     """
     if site.domain is not dom:
         raise StaleSiteError("attachment site refers to another domain")
@@ -231,29 +233,26 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
         d = dom.stars[head][letter][0]
         around.append(d)
         head = dom.head(d)
+    if _blocked(dom, cell, start, around[0]):
+        raise StaleSiteError("packet already present along the site")
     if site.complete:
         dom.identify(root, head)
     else:
         around += dom.add_arc(head, root, ring[length:])
-    added = dom.add_packet(cell, around[-start:] + around[:-start])
-    if not added:
-        raise StaleSiteError("packet already present along the site")
-    return added
+    return dom.add_packet(cell, around[-start:] + around[:-start])
 
 
-def _incidence(dom: Domain) -> tuple[dict[int, set[int]], dict[int, set[tuple[int, int]]]]:
-    """`Domain.cells_at` and `Domain.sides` recomputed from the live
-    cells' cycles: per edge, the cells through it and the sides (r, q) at
-    it, each cell over r having its q-th ref on the edge."""
-    cells_at: dict[int, set[int]] = {}
-    sides: dict[int, set[tuple[int, int]]] = {}
+def _incidence(dom: Domain) -> dict[int, dict[tuple[int, int], set[int]]]:
+    """`Domain.sides` recomputed from the live cells' cycles: per edge,
+    each side (r, q) at it and the cells over r with their q-th ref on the
+    edge."""
+    sides: dict[int, dict[tuple[int, int], set[int]]] = {}
     for c, cycle in enumerate(dom.cycles):
         if cycle is not None:
             r = dom.cell_image[c][0]
             for q, d in enumerate(cycle):
-                cells_at.setdefault(abs(d) - 1, set()).add(c)
-                sides.setdefault(abs(d) - 1, set()).add((r, q))
-    return cells_at, sides
+                sides.setdefault(abs(d) - 1, {}).setdefault((r, q), set()).add(c)
+    return sides
 
 
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
@@ -269,11 +268,11 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     The folds of a fold phase are made by one `Domain.fold_all` within the
     steps left, and each fold step is read off what it returns.  With
     `verify`, `fold_all` makes one fold per call, and after every step the
-    perimeter is checked against the double sum, `cells_at` and `sides`
-    against the live cells' cycles (`_incidence`) and the step's counts
-    against the domain; each fold phase is checked to end in a packed
-    1-immersion, and in strict mode every fold and attachment to lower the
-    pair (perimeter, edge count) below the previous step's.
+    perimeter is checked against the double sum, `sides` against the live
+    cells' cycles (`_incidence`) and the step's counts against the domain;
+    each fold phase is checked to end in a packed 1-immersion, and in
+    strict mode every fold and attachment to lower the pair (perimeter,
+    edge count) below the previous step's.
     """
     w = dom.weighting
     if mode not in ("strict", "weak"):
@@ -301,11 +300,8 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
                   else (trace.initial_perimeter, trace.initial_edges))
         if dom.perimeter != map_perimeter(w, dom.to_map()):
             raise EngineError(f"{step.kind} bookkeeping mismatch")
-        cells_at, sides = _incidence(dom)
-        for name, kept, recomputed in (("cells_at", dom.cells_at, cells_at),
-                                       ("sides", dom.sides, sides)):
-            if {e: s for e, s in kept.items() if s} != recomputed:
-                raise EngineError(f"{step.kind} bookkeeping mismatch in {name}")
+        if dom.sides != _incidence(dom):
+            raise EngineError(f"{step.kind} bookkeeping mismatch in sides")
         if (step.perimeter, step.edges, step.vertices, step.cells) != (
                 dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
             raise EngineError(f"{step.kind} step misstates the domain")

@@ -110,7 +110,10 @@ class Domain:
     reused.  Vertex classes live in a union-find whose root is the smallest
     id, each root's star maps an image letter to the sorted refs over it
     that leave the class, and each cell keeps its rewritten cycle in live
-    refs.  `leaving` lists per image letter the roots it leaves, ascending.
+    refs.  `sides` is the one incidence index: per edge, each side (r, q)
+    present there and the live cells over r whose q-th ref lies on the
+    edge, never an empty set.  `leaving` lists per image letter the roots
+    it leaves, ascending.
     The fold heap holds a (root, image) pair wherever an image at a root
     gets its second end, so every (root, image) with two or more ends has
     an entry; an entry whose root was merged away or whose image has fewer
@@ -148,8 +151,8 @@ class Domain:
         self.heap: list[tuple[int, int]] = []  # (root, image) pairs that may have two ends
         self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
         self.cell_image: list[tuple[int, int, bool]] = []
-        self.cells_at: dict[int, set[int]] = {}  # edge -> the cells through it
-        self.sides: dict[int, set[tuple[int, int]]] = {}  # edge -> its present sides
+        # edge -> each side (r, q) present at it -> the live cells over r with their q-th ref on it
+        self.sides: dict[int, dict[tuple[int, int], set[int]]] = {}
         self.twins: set[int] = set()
         self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, 0, 0
         self.perimeter = 0
@@ -237,13 +240,18 @@ class Domain:
                        [img for e, img in enumerate(self.edge_image) if ref[e]], cell_image,
                        vertex[self.find(self.basepoint)])
 
-    def _make_present(self, e: int, side: tuple[int, int]) -> None:
+    def _make_present(self, e: int, side: tuple[int, int], cells: set[int]) -> None:
+        """Enter `cells` as putting `side` at edge e; the perimeter drops by
+        the side's weight when the side gets its first cells."""
         sides = self.sides.get(e)
         if sides is None:
-            self.sides[e] = sides = set()
-        if side not in sides:
-            sides.add(side)
+            self.sides[e] = sides = {}
+        have = sides.get(side)
+        if have is None:
+            sides[side] = cells
             self.perimeter -= self.weights[side[0]][side[1]]
+        else:
+            have |= cells
 
     def _add_end(self, v: int, img: int, d: int) -> None:
         ends = self.stars[v].setdefault(img, [])
@@ -281,26 +289,21 @@ class Domain:
         self.cycles.append(cycle)
         self.cell_image.append(image)
         self.num_cells += 1
-        cells_at, r = self.cells_at, image[0]
+        r = image[0]
         for q, d in enumerate(cycle):
-            e = abs(d) - 1
-            through = cells_at.get(e)
-            if through is None:
-                cells_at[e] = through = set()
-            through.add(c)
-            self._make_present(e, (r, q))
+            self._make_present(abs(d) - 1, (r, q), {c})
         self._mark_twins(c)
 
     def _cells_with(self, r: int, cycle: tuple[int, ...]) -> list[int]:
-        """The live cells over r whose cycle is `cycle`, read off
-        `cells_at` at its first edge, which every such cell passes."""
-        cycles, cell_image = self.cycles, self.cell_image
-        return [c for c in self.cells_at.get(abs(cycle[0]) - 1, ())
-                if cycles[c] == cycle and cell_image[c][0] == r]
+        """The live cells over r whose cycle is `cycle`, read off the cells
+        of side (r, 0) at its first edge, which every such cell puts there."""
+        cycles = self.cycles
+        return [c for c in self.sides.get(abs(cycle[0]) - 1, {}).get((r, 0), ())
+                if cycles[c] == cycle]
 
     def _mark_twins(self, c: int) -> None:
         """Mark as twins the cells equal to cell c, all but the smallest
-        id; c must be entered in `cells_at`."""
+        id; c must be entered in `sides`."""
         equal = self._cells_with(self.cell_image[c][0], self.cycles[c])
         if len(equal) > 1:
             self.twins.update(equal)
@@ -323,8 +326,8 @@ class Domain:
         (`_add_end`, `add_arc`, `identify`), so dropping an entry never
         loses a fold, and pushing one twice only adds an entry that is read
         or dropped in turn."""
-        heap, parent, stars, edges = self.heap, self.parent, self.stars, self.edges
-        cells_at, cycles = self.cells_at, self.cycles
+        heap, parent, stars, edges, cycles = (self.heap, self.parent, self.stars, self.edges,
+                                              self.cycles)
         folds = []
         while heap:
             v, img = heap[0]
@@ -354,16 +357,17 @@ class Domain:
             self.dropped.add(drop)
             self.num_edges -= 1
             self.perimeter -= self.per[abs(self.edge_image[drop]) - 1]
-            for r, q in self.sides.pop(drop, ()):  # a side of the dropped edge moves to keep
-                self.perimeter += self.weights[r][q]
-                self._make_present(keep, (r, q))
-            through = cells_at.pop(drop, None)
-            if through:
+            moved = self.sides.pop(drop, None)
+            if moved:  # each side of the dropped edge moves to keep, with its cells
+                through = set()
+                for (r, q), cells in moved.items():
+                    self.perimeter += self.weights[r][q]
+                    self._make_present(keep, (r, q), cells)
+                    through |= cells
                 over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
                 onto = {drop + 1: over, -(drop + 1): -over}
                 for c in through:
                     cycles[c] = tuple(onto.get(d, d) for d in cycles[c])
-                    cells_at.setdefault(keep, set()).add(c)
                     self._mark_twins(c)
             self.identify(h1, h2)
             folds.append((d1, d2, self.perimeter, self.num_edges, self.num_vertices,
@@ -453,8 +457,7 @@ class Domain:
         of a copy is fresh, so each lies on that cell alone and has one
         present side, and the copy changes the perimeter by P(∂R) - Wt(R)
         at once; a fresh cycle is never a twin."""
-        parent, edges, cycles, cells_at, sides = (self.parent, self.edges, self.cycles,
-                                                  self.cells_at, self.sides)
+        parent, edges, cycles, sides = self.parent, self.edges, self.cycles, self.sides
         sizes = len(parent), len(edges), len(cycles)
         copies = self._cell_copies()
         for v in [v for v, p in enumerate(parent) if p == v]:  # the roots before any copy
@@ -470,8 +473,7 @@ class Domain:
                 cycles.append(cycle)
                 self.cell_image.append((r, j, False))
                 for e, side in zip(range(d, d + n), copy_sides):
-                    cells_at[e] = {c}
-                    sides[e] = {side}
+                    sides[e] = {side: {c}}
                 self.perimeter += change
                 if exponent != 1:
                     self.packed = False
@@ -500,9 +502,10 @@ class Domain:
     def remove_redundant(self) -> int:
         """Delete the twins, keeping the first cell of each cycle; the
         perimeter is unchanged.  Returns how many."""
-        for c in self.twins:
-            for d in self.cycles[c]:
-                self.cells_at[abs(d) - 1].discard(c)
+        for c in self.twins:  # the kept cell has the same cycle, so no side loses its last cell
+            r = self.cell_image[c][0]
+            for q, d in enumerate(self.cycles[c]):
+                self.sides[abs(d) - 1][(r, q)].discard(c)
             self.cycles[c] = None
         removed, self.twins = len(self.twins), set()
         self.num_cells -= removed
@@ -601,6 +604,11 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     and the product is the based component of theirs, numbered as in the
     all-pairs product.  Neither domain need be an immersion: every pair of
     ends with equal image is followed.
+
+    The b-cells paired with an a-cell over r are read off `b.sides`: at
+    each reached partner, each b-end over ∂R[0] and the cells of side
+    (r, 0) at its edge.  Such a cell's first ref is that end itself, as an
+    edge and its reverse have different images.
     """
     if a.codomain != b.codomain:
         raise MapError("fiber product needs a common codomain")
@@ -637,16 +645,14 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     partners: dict[int, list[int]] = {}  # a-root -> its reached b-roots
     for u, v in vertices:
         partners.setdefault(u, []).append(v)
-    cells_b: dict[tuple[int, int], list[int]] = {}  # (target cell, tail) -> b-cells
-    for cb, cyc in enumerate(b.cycles):  # the tail of ±e is the end [0] or [1] of edge e
-        if cyc is not None:
-            tail = root_b[edges_b[abs(cyc[0]) - 1][cyc[0] < 0]]
-            cells_b.setdefault((b.cell_image[cb][0], tail), []).append(cb)
-    cell_pairs = sorted(
+    bdry = a.codomain.cells
+    cell_pairs = sorted(  # the tail of ±e is the end [0] or [1] of edge e
         (ca, cb)
         for ca, cyc in enumerate(a.cycles) if cyc is not None
+        for r in (a.cell_image[ca][0],)
         for v in partners.get(root_a[edges_a[abs(cyc[0]) - 1][cyc[0] < 0]], ())
-        for cb in cells_b.get((a.cell_image[ca][0], v), ())
+        for db in b.stars[v].get(bdry[r][0], ())
+        for cb in b.sides.get(abs(db) - 1, {}).get((r, 0), ())
     )
     cells = [tuple(eid[p] for p in zip(a.cycles[ca], b.cycles[cb])) for ca, cb in cell_pairs]
     prod = Complex2(len(vertices), edges, cells)

@@ -1,5 +1,8 @@
 import json
+import runpy
 import shlex
+import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,3 +543,15 @@ def test_json_output_is_stable(tmp_path, capsys):
     main(["info", path, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # `python -m perifold.cli --help` reaches `main` through the
+    # `__main__` guard, prints the usage and exits 0
+    monkeypatch.setattr(sys, "argv", ["perifold", "--help"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the module is already imported
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("perifold.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: perifold")

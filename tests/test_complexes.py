@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from perifold.complexes import (
     INF,
+    Complex2,
     ComplexError,
     check_small_cancellation,
     compute_pieces,
@@ -86,6 +87,8 @@ def test_link_girth():
     abab = standard_complex(parse_presentation("gens a b / rel a b a b"))
     lk = link_graph(abab, 0)
     assert lk.essential_girth == INF
+    # a cell that backtracks puts a corner from a node to itself: girth 1
+    assert link_graph(Complex2(1, [(0, 0)], [(1, -1)]), 0).essential_girth == 1
 
 
 def test_pieces_aab3(aab3):
@@ -246,3 +249,30 @@ def test_small_cancellation_reports():
     assert not rep3.c_holds  # the square is only C(4)
     assert cycle_piece_cover(torus, 0) == 4
     assert rep3.witnesses
+
+
+_TORUS = standard_complex(fixtures.torus_presentation())
+
+REFUSED = {
+    "endpoint": (lambda: Complex2(1, [(0, 1)], []).validate(), "edge endpoint out of range"),
+    "empty-boundary": (lambda: Complex2(1, [(0, 0)], [()]).validate(),
+                       "cell 0 has empty boundary"),
+    "bad-ref": (lambda: Complex2(1, [(0, 0)], [(2,)]).validate(), "cell 0 has bad edge ref"),
+    "zero-ref": (lambda: Complex2(1, [(0, 0)], [(1, 0)]).validate(), "cell 0 has bad edge ref"),
+    "no-chain": (lambda: Complex2(2, [(0, 1)], [(1, 1)]).validate(),
+                 "cell 0 boundary does not chain at 0"),
+    "backtrack": (lambda: Complex2(1, [(0, 0), (0, 0)], [(2, 1, -1)]).validate(),
+                  "cell 0 attaching map backtracks at 1"),
+    "unknown-vertex": (lambda: link_graph(_TORUS, 1), "unknown vertex"),
+    "subpath": (lambda: min_piece_cover(_TORUS, 0, 4, 1), "invalid subpath"),
+    "p-below-2": (lambda: check_small_cancellation(_TORUS, 1, 3), "need p >= 2 and q >= 3"),
+    "alpha-0": (lambda: check_small_cancellation(_TORUS, 6, 3, Fraction(0)),
+                "need alpha > 0, not 0"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSED.values(), ids=list(REFUSED))
+def test_hostile_complexes_are_refused(build, message):
+    with pytest.raises(ComplexError) as refused:
+        build()
+    assert refused.type is ComplexError and str(refused.value) == message

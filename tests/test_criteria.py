@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from perifold import complexes, criteria
-from perifold.complexes import compute_pieces, standard_complex
+from perifold.complexes import Complex2, compute_pieces, standard_complex
 from perifold.criteria import (
     CriterionError,
     check_equalweights,
@@ -199,6 +199,10 @@ def test_magnus_weighting():
     xp = standard_complex(parse_presentation("gens a b / rel ( a b b )^3"))
     wp, vp = magnus_weighting(xp, {1})
     assert vp.holds and cell_weight(wp, 0) == 3  # n*k with n=3, k=1
+    # a complex of two vertices is no one-relator complex: not applicable
+    wt, vt = magnus_weighting(Complex2(2, [(0, 1)], []), {0})
+    assert wt is None and not vt.holds and not vt.applicable
+    assert vt.notes == ["needs a one-vertex complex"]
 
 
 def test_find_certificate_grades():
@@ -327,3 +331,38 @@ def test_complex_invariants_derived_once(derivations, build):
             check_sc_weight(x, w, variant)
     assert derivations == Counter({"pieces": 1,
                                    **{("girth", v): 1 for v in range(x.num_vertices)}})
+
+
+_TORUS = standard_complex(fixtures.torus_presentation())
+_AAB3 = standard_complex(fixtures.aab_power_presentation(3))
+
+REFUSED = {
+    "equalweights-unreduced": (lambda: check_equalweights(word([1, 2, -1]), 3),
+                               "W must be nonempty and cyclically reduced"),
+    "equalweights-empty": (lambda: check_equalweights(word([]), 3),
+                           "W must be nonempty and cyclically reduced"),
+    "min-generator-unreduced": (lambda: check_min_generator(word([1, 2, -1]), 3),
+                                "W must be nonempty and cyclically reduced"),
+    "sc-variant": (lambda: check_sc_weight(_TORUS, unit_weighting(_TORUS), "C7T3"),
+                   "unknown variant 'C7T3'"),
+    "powers-none": (lambda: power_theorem([]), "need at least one word"),
+    "powers-unreduced": (lambda: power_theorem([word([1, -1, 2])]),
+                         "words must be nonempty and cyclically reduced"),
+    "powers-proper-power": (lambda: power_theorem([word([1, 2, 1, 2])]),
+                            "word (1, 2, 1, 2) is a proper power"),
+    "powers-conjugate": (lambda: power_theorem([word([1, 2]), word([-1, -2])]),
+                         "words are cyclically conjugate (up to inversion)"),
+    "powers-exponents": (lambda: power_theorem([word([1, 2])], [3, 4]),
+                         "one exponent per word required"),
+    "certificate-grade": (lambda: find_certificate(_TORUS, unit_weighting(_TORUS), "medium"),
+                          "grade must be 'strict' or 'weak'"),
+    "certificate-complex": (lambda: find_certificate(_TORUS, unit_weighting(_AAB3)),
+                            "weighting belongs to a different complex"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSED.values(), ids=list(REFUSED))
+def test_hostile_criterion_input_is_refused(build, message):
+    with pytest.raises(CriterionError) as refused:
+        build()
+    assert refused.type is CriterionError and str(refused.value) == message

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import random
 import re
 from unittest import mock
@@ -301,6 +302,27 @@ def test_attach_site_refuses_a_site_whose_root_was_merged_away():
     assert dom.find(4) == 0
 
 
+@pytest.mark.parametrize("words, site", [
+    ([[1, 2, 1, 2, -1, 2], [1, 1]], (0, 0, 3, 2, False)),
+    ([[1, 2, -1, -2]], (0, 0, 4, 0, True)),
+])
+def test_attach_site_refuses_a_site_it_has_glued(words, site):
+    # on the torus, a site reused after its attachment has its packet
+    # present along it: the second call is refused before it changes the
+    # domain, for an incomplete site (whose arc would be glued again) as
+    # for a complete one
+    x = standard_complex(fixtures.torus_presentation())
+    dom = Domain.bouquet(x, [word(ls) for ls in words], unit_weighting(x))
+    dom.fold_all()
+    found = find_site(dom)
+    assert found == AttachmentSite(*site, dom)
+    assert attach_site(dom, found) == 1
+    glued = (dom.num_vertices, dom.num_edges, dom.num_cells, dom.perimeter)
+    with pytest.raises(StaleSiteError, match="packet already present"):
+        attach_site(dom, found)
+    assert (dom.num_vertices, dom.num_edges, dom.num_cells, dom.perimeter) == glued
+
+
 def test_extract_presentation_shapes():
     x = standard_complex(fixtures.free_presentation(2))
     circle = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, 1])])).map
@@ -312,6 +334,9 @@ def test_extract_presentation_shapes():
     )
     pres2 = extract_presentation(theta)
     assert len(pres2.generators) == 2 and not pres2.relators
+    two_points = CombMap(Complex2(2, [], []), x, [0, 0], [], [], 0)
+    with pytest.raises(EngineError, match="extract_presentation requires a connected domain"):
+        extract_presentation(two_points)
 
 
 def test_relator_bound_and_euler():
@@ -567,6 +592,52 @@ def test_verify_catches_a_step_that_does_not_lower_the_pair(monkeypatch):
         reduce_map(m, w, verify=True)
 
 
+def test_verify_catches_a_fold_phase_that_leaves_a_fold_or_a_lone_cell(monkeypatch):
+    # a fold phase must end in a packed 1-immersion: let `fold_all` make no
+    # fold, and the torus bouquet a b, a b^-1 keeps two ends over a at its
+    # basepoint; let `repair` glue nothing, and one cell of the (aab)^3
+    # packet stays without its two mates
+    x = standard_complex(fixtures.torus_presentation())
+    monkeypatch.setattr(Domain, "fold_all", lambda dom, limit=None: ([], False))
+    dom = Domain.bouquet(x, [word([1, 2]), word([1, -2])], unit_weighting(x))
+    with pytest.raises(EngineError, match="fold phase did not end in a 1-immersion"):
+        reduce_domain(dom, verify=True)
+    monkeypatch.undo()
+    x = standard_complex(fixtures.aab_power_presentation(3))
+    m = build_packet(x, 0)
+    lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
+                   cell_image=m.cell_image[:1])
+    reduce_domain(Domain(lone, unit_weighting(x)), verify=True)  # `repair` glues the mates
+    monkeypatch.setattr(Domain, "repair", lambda dom: 0)
+    with pytest.raises(EngineError, match="fold phase did not end packed"):
+        reduce_domain(Domain(lone, unit_weighting(x)), verify=True)
+
+
+def test_a_complete_attachment_must_lower_the_perimeter_by_its_cell_weight(monkeypatch):
+    # the torus square a b a^-1 b^-1 closes up along the whole cell, which
+    # lowers P by Wt(R) = 4; the reduction raises when a complete
+    # attachment lowers it by less, with or without `verify`
+    x = standard_complex(fixtures.torus_presentation())
+
+    def square():
+        return Domain.bouquet(x, [word([1, 2, -1, -2])], unit_weighting(x))
+
+    trace, _ = reduce_domain(square())
+    assert [(s.kind, s.detail) for s in trace.steps] == [
+        ("attach-complete", {"cell": 0, "delta": -4})]
+    original = engine.attach_site
+
+    def short_by_one(dom, site):
+        added = original(dom, site)
+        dom.perimeter += 1
+        return added
+
+    monkeypatch.setattr(engine, "attach_site", short_by_one)
+    with pytest.raises(EngineError,
+                       match=r"complete attachment failed to reduce perimeter by Wt\(R\)"):
+        reduce_domain(square())
+
+
 def test_domain_starts_at_the_map_perimeter(rng):
     # the edge perimeters less the weight of each side that some cell makes
     # present, counted once: the double sum, with twin cells too
@@ -679,6 +750,18 @@ def test_arc_gluing_matches_letter_by_letter(data):
     assert whole.to_map() == by_letter.to_map()
 
 
+def test_next_fold_drops_a_stale_heap_entry():
+    # on the torus bouquet a b, a b^-1 the basepoint has two ends over a and
+    # one over b^-1: an entry for b^-1 there is stale, so `next_fold` drops
+    # it from the top of the heap and reads on to the fold over a
+    x = standard_complex(fixtures.torus_presentation())
+    dom = Domain.bouquet(x, [word([1, 2]), word([1, -2])])
+    assert dom.heap == [(0, 1)]
+    heapq.heappush(dom.heap, (0, -2))
+    assert dom.next_fold() == (0, 1)
+    assert dom.heap == [(0, 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fold_heap_holds_each_repeated_image(data):
@@ -707,7 +790,7 @@ def test_fold_heap_holds_each_repeated_image(data):
     assert (first, left) == (folds[:k], k < len(folds))
     assert split.fold_all() == (folds[k:], False)
     for dom in (whole, split):
-        for field in ("stars", "leaving", "dropped", "cycles", "twins", "cells_at", "sides",
+        for field in ("stars", "leaving", "dropped", "cycles", "twins", "sides",
                       "perimeter", "num_vertices", "num_edges", "num_cells"):
             assert getattr(dom, field) == getattr(stepped, field), field
         assert dom.to_map() == stepped.to_map()
@@ -744,7 +827,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
     whole.augment()
     reference_augment_domain(by_copy)
     for field in ("stars", "leaving", "heap", "edges", "edge_image", "vertex_image", "parent",
-                  "dropped", "cycles", "cell_image", "cells_at", "sides", "twins",
+                  "dropped", "cycles", "cell_image", "sides", "twins",
                   "perimeter", "num_vertices", "num_edges", "num_cells", "packed"):
         assert getattr(whole, field) == getattr(by_copy, field), field
     assert_leaving_lists_the_roots_over_each_image(whole)
@@ -787,12 +870,11 @@ def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
         monkeypatch.setattr(Domain, "augment", original)
 
 
-def test_verify_checks_sides_and_cells_at_against_the_cycles():
+def test_verify_checks_sides_against_the_cycles():
     # genus 2 with H = <a1 b1 a1^-1>: the reduced bouquet has two roots and
     # a copy of the one cell is glued at each, 16 copy edges of one side
-    # each.  With that side dropped from `sides` the perimeter still adds
-    # up at every step, so the double sum misses it; the comparison with
-    # the cycles finds it at the first fold, for every copy edge
+    # each.  Clearing `sides` at a copy edge loses the side and its cell,
+    # and `verify` finds it at the first fold, for every copy edge
     x = standard_complex(fixtures.surface_presentation(2, True))
     w = unit_weighting(x)
 
@@ -809,11 +891,28 @@ def test_verify_checks_sides_and_cells_at_against_the_cycles():
     for e in copy_edges:
         dom, _ = augmented()
         dom.sides[e].clear()
-        with pytest.raises(EngineError, match="fold bookkeeping mismatch in sides"):
+        with pytest.raises(EngineError, match="fold bookkeeping mismatch"):
             reduce_domain(dom, verify=True)
-    dom, _ = augmented()
-    del dom.cells_at[copy_edges[-1]]
-    with pytest.raises(EngineError, match="fold bookkeeping mismatch in cells_at"):
+
+    # the square of [a, b] on the torus with a copy of the cell glued at
+    # its corner: the first fold moves the copy's first edge onto the
+    # square's, so side (0, 0) there has both cells.  Drop the copy from
+    # it: the side stays present and the perimeter still adds up, so only
+    # the comparison with the cycles finds it, at the next fold
+    x = standard_complex(fixtures.torus_presentation())
+
+    def folded_once():
+        dom = Domain.bouquet(x, [word([1, 2, -1, -2])], unit_weighting(x))
+        reduce_domain(dom)
+        dom.augment()
+        dom.fold_all(1)
+        return dom
+
+    reduce_domain(folded_once(), verify=True)  # the domain as folded passes
+    dom = folded_once()
+    assert dom.sides[0] == {(0, 0): {0, 1}}
+    dom.sides[0][(0, 0)].discard(1)
+    with pytest.raises(EngineError, match="fold bookkeeping mismatch in sides"):
         reduce_domain(dom, verify=True)
 
 

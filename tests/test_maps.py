@@ -354,3 +354,38 @@ def test_oracles_do_not_build_a_domain(free2, monkeypatch):
     torus = standard_complex(fixtures.torus_presentation())
     assert isomorphic_maps(build_packet(torus, 0), build_packet(torus, 0))
     assert isomorphic_maps(identity_map(free2), identity_map(free2))
+
+
+_TORUS = standard_complex(fixtures.torus_presentation())
+_SEGMENT = Complex2(2, [(0, 1)], [])
+_EIGHT = Complex2(1, [(0, 0), (0, 0)], [(1, 2, -1, -2, 1, 2, -1, -2)])  # the square twice
+
+
+def _onto_torus(domain=_TORUS, vertex_image=(0,), edge_image=(1, 2),
+                cell_image=((0, 0, False),), basepoint=0) -> CombMap:
+    return CombMap(domain, _TORUS, list(vertex_image), list(edge_image), list(cell_image),
+                   basepoint)
+
+
+REFUSED = {
+    "vertex-images": (_onto_torus(vertex_image=(0, 0)), "vertex image size mismatch"),
+    "edge-images": (_onto_torus(edge_image=(1,)), "edge image size mismatch"),
+    "cell-images": (_onto_torus(cell_image=()), "cell image size mismatch"),
+    "basepoint": (_onto_torus(basepoint=1), "basepoint out of range"),
+    "edge-image-range": (_onto_torus(edge_image=(3, 2)), "edge 0 image out of range"),
+    "edge-endpoints": (CombMap(_SEGMENT, _SEGMENT, [1, 0], [1], [], 0),
+                       "edge 0 image endpoint mismatch"),
+    "cell-image-range": (_onto_torus(cell_image=((1, 0, False),)), "cell 0 image out of range"),
+    "cell-length": (_onto_torus(domain=_EIGHT), "cell 0 boundary length mismatch"),
+    "cell-offset": (_onto_torus(cell_image=((0, 1, False),)),
+                    "cell 0 boundary incompatible at 0"),
+}
+
+
+@pytest.mark.parametrize("m, message", REFUSED.values(), ids=list(REFUSED))
+def test_validate_refuses_a_map_that_does_not_map(m, message):
+    # `validate` checks a hand-built map before it is wrapped as `Domain(m)`
+    _onto_torus().validate()
+    with pytest.raises(MapError) as refused:
+        m.validate()
+    assert refused.type is MapError and str(refused.value) == message

@@ -5,6 +5,7 @@ from perifold.complexes import standard_complex
 from perifold.maps import find_fold
 from perifold.weights import (
     WeightError,
+    Weighting,
     cell_weight,
     edge_perimeters,
     map_perimeter,
@@ -166,3 +167,25 @@ def test_perimeter_monotone_under_folds(rng):
             p2 = map_perimeter(w, m)
             assert p2 <= p
             p = p2
+
+
+_TORUS = standard_complex(fixtures.torus_presentation())
+_AAB3 = standard_complex(fixtures.aab_power_presentation(3))
+
+REFUSED = {
+    "row-count": (lambda: Weighting(_TORUS, ()), "one weight row per 2-cell required"),
+    "row-length": (lambda: Weighting(_TORUS, ((1, 1, 1),)),
+                   "cell 0 needs one weight per boundary position"),
+    "negative": (lambda: Weighting(_TORUS, ((1, -1, 1, 1),)),
+                 "weights must be nonnegative integers"),
+    "zero-cell": (lambda: Weighting(_TORUS, ((0, 0, 0, 0),)), "cell 0 has weight 0"),
+    "other-complex": (lambda: map_perimeter(unit_weighting(_AAB3), identity_map(_TORUS)),
+                      "weighting belongs to a different complex"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSED.values(), ids=list(REFUSED))
+def test_hostile_weightings_are_refused(build, message):
+    with pytest.raises(WeightError) as refused:
+        build()
+    assert refused.type is WeightError and str(refused.value) == message

@@ -6,6 +6,7 @@ from perifold.words import (
     ParseError,
     Presentation,
     Word,
+    WordError,
     cyclic_reduce,
     cyclically_conjugate,
     free_reduce,
@@ -180,3 +181,28 @@ def test_render_round_trip():
     text = render_word(p.relators[0], p.generators)
     assert parse_word(text, p.generators) == p.relators[0]
     assert render_word(word([1, 1, -2, -2, 1]), ("a", "b")) == "a^2 b^-2 a"
+
+
+REFUSED = {
+    "zero-letter": (lambda: Word((0,)), "letters must be nonzero"),
+    "repeated-name": (lambda: Presentation(("a", "a"), ()), "generator names must be distinct"),
+    "bad-name": (lambda: Presentation(("a b",), ()), "invalid generator name 'a b'"),
+    "empty-relator": (lambda: Presentation(("a",), (Word(()),)), "empty relator"),
+    "unreduced-relator": (lambda: Presentation(("a", "b"), (Word((1, 2, -1)),)),
+                          "relators must be cyclically reduced"),
+    "unknown-generator": (lambda: Presentation(("a",), (Word((2,)),)),
+                          "relator uses unknown generator"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSED.values(), ids=list(REFUSED))
+def test_hostile_words_are_refused(build, message):
+    with pytest.raises(WordError) as refused:
+        build()
+    assert refused.type is WordError and str(refused.value) == message
+
+
+def test_words_iterate_and_empty_words_are_conjugate():
+    assert list(Word((1, -2, 2))) == [1, -2, 2]
+    assert cyclically_conjugate(Word(()), Word(()))
+    assert not cyclically_conjugate(Word(()), Word((1,)))
