@@ -51,7 +51,7 @@ from fixtures import (  # noqa: E402  (tests/fixtures.py)
     torus_presentation,
 )
 from perifold.complexes import compute_pieces, standard_complex  # noqa: E402
-from perifold.criteria import find_certificate, sc_certificate  # noqa: E402
+from perifold.criteria import find_certificate  # noqa: E402
 from perifold.engine import reduce_domain  # noqa: E402
 from perifold.maps import Domain  # noqa: E402
 from perifold.subgroups import intersect, member_with_trace  # noqa: E402
@@ -93,7 +93,7 @@ def main() -> None:
     genus2 = surface_presentation(2, True)
     x = standard_complex(genus2)
     w = unit_weighting(x)
-    find_certificate(x, w, "weak")  # built once per weighting, before any timing
+    find_certificate(w, "weak")  # built once per weighting, before any timing
     for k in args.conjugates:
         length = steps = 0
         seconds = 0.0
@@ -118,7 +118,7 @@ def main() -> None:
           f" {'wall/L^2 (us)':>14}")
     x = standard_complex(genus2)
     w = unit_weighting(x)
-    sc_certificate(w, strict=True)  # built once per weighting, before any timing
+    find_certificate(w, "sc-strict")  # built once per weighting, before any timing
     for n in args.intersect:
         steps = 0
         seconds = 0.0
@@ -166,7 +166,7 @@ def main() -> None:
             t0 = time.perf_counter()
             compute_pieces(x)
             t1 = time.perf_counter()
-            find_certificate(x, unit_weighting(x), "strict")
+            find_certificate(unit_weighting(x), "strict")
             t2 = time.perf_counter()
             pieces, certificate = min(pieces, t1 - t0), min(certificate, t2 - t1)
         m = sum(len(r) for r in pres.relators)

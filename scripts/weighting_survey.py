@@ -28,12 +28,12 @@ def survey(name, pres, weighting_of=None):
     print(f"   cell weights={[cell_weight(w, c) for c in range(x.num_cells())]}")
     print(f"   max piece per cell={x.pieces.cell_max}")
     rows = []
-    one_rel = check_one_relator_torsion(x, w)
+    one_rel = check_one_relator_torsion(w)
     if one_rel.applicable:
         rows.append(("one-relator torsion", one_rel.holds, one_rel.conclusion))
     for variant in ("C4T4", "C6T3"):
         for strict in (False, True):
-            v = check_sc_weight(x, w, variant, strict=strict)
+            v = check_sc_weight(w, variant, strict=strict)
             if v.applicable:
                 rows.append((v.criterion, v.holds, v.conclusion))
     few = check_few_occurrences(pres, x)

@@ -239,7 +239,7 @@ CRITERIA = ("one-relator-torsion", "equalweights", "min-generator",
 def _run_criterion(f: InputFile, name: str, args) -> Verdict:
     x, w, p = f.complex, f.weighting, f.presentation
     if name == "one-relator-torsion":
-        return check_one_relator_torsion(x, w)
+        return check_one_relator_torsion(w)
     if name in ("equalweights", "min-generator"):
         if len(p.relators) != 1:
             return _inapplicable(name, "needs a one-relator presentation")
@@ -248,7 +248,7 @@ def _run_criterion(f: InputFile, name: str, args) -> Verdict:
             return check_equalweights(period, n)
         return check_min_generator(period, n)
     if name in _SC_IDS:
-        return check_sc_weight(x, w, _SC_IDS[name], strict=args.strict)
+        return check_sc_weight(w, _SC_IDS[name], strict=args.strict)
     if name == "few-occurrences":
         return check_few_occurrences(p, x)
     if name == "powers":

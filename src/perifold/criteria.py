@@ -80,11 +80,13 @@ def _worst_subpath(w: Weighting, c: int, reaches) -> tuple[int, int, int] | None
     return worst
 
 
-def check_one_relator_torsion(x: Complex2, w: Weighting) -> Verdict:
-    """One-relator torsion test: P(S) <= n*Wt(R) for every boundary subpath
-    shorter than the period.  The boundary is W^n, so the subpaths from
-    start + |W| are those from start: the starts of one period suffice."""
+def check_one_relator_torsion(w: Weighting) -> Verdict:
+    """One-relator torsion test on the weighted complex of w: P(S) <= n*Wt(R)
+    for every boundary subpath shorter than the period.  The boundary is
+    W^n, so the subpaths from start + |W| are those from start: the starts
+    of one period suffice."""
     crit = "one-relator-torsion"
+    x = w.complex
     if x.num_cells() != 1 or x.num_vertices != 1:
         return _inapplicable(crit, "needs a unique 2-cell and a unique 0-cell")
     p, n = x.periods[0]
@@ -155,15 +157,15 @@ def check_min_generator(W: Word, n: int) -> Verdict:
 _VARIANTS = {"C6T3": (6, 3, 3), "C4T4": (4, 4, 2)}
 
 
-def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
-                    strict: bool = False) -> Verdict:
-    """Small-cancellation weight test: over every subpath S of a cell
-    boundary made of at most 3 (C6T3) or 2 (C4T4) pieces, require
-    P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
+def check_sc_weight(w: Weighting, variant: str = "C4T4", strict: bool = False) -> Verdict:
+    """Small-cancellation weight test on the weighted complex of w: over
+    every subpath S of a cell boundary made of at most 3 (C6T3) or 2 (C4T4)
+    pieces, require P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
     crit = f"sc-{variant.lower()}" + ("-strict" if strict else "")
     if variant not in _VARIANTS:
         raise CriterionError(f"unknown variant {variant!r}")
     p_cond, q_cond, shell = _VARIANTS[variant]
+    x = w.complex
     sc = check_small_cancellation(x, p_cond, q_cond)
     if not (sc.c_holds and sc.t_holds):
         return Verdict(crit, False, "none", applicable=False,
@@ -208,14 +210,11 @@ def check_sc_weight(x: Complex2, w: Weighting, variant: str = "C4T4",
     return verdict
 
 
-def check_few_occurrences(p: Presentation, x: Complex2 | None = None) -> Verdict:
+def check_few_occurrences(p: Presentation, x: Complex2) -> Verdict:
     """Metric small-cancellation occurrence test: with C'(1/n) and every
     generator occurring at most n/3 times, coherent and locally quasiconvex.
-    The pieces are read from x, the standard complex of p, built from p
-    when not given."""
+    The pieces are read from x, the standard complex of p."""
     crit = "few-occurrences"
-    if x is None:
-        x = standard_complex(p)
     n_max = largest_metric_denominator(x)
     occ = generator_occurrences(p)
     worst_gen, worst = None, -1
@@ -294,45 +293,36 @@ def magnus_weighting(x: Complex2, subgraph_edges: set[int]) -> tuple[Weighting |
                       notes=["subgraph has perimeter 0; every cell weight positive"])
 
 
-def _is_unit(w: Weighting) -> bool:
-    return all(all(v == 1 for v in row) for row in w.side_weights)
+def _verdicts(w: Weighting, grade: str):
+    """The verdicts that may certify a grade on w, in the order tried."""
+    if grade == "weak":
+        yield check_one_relator_torsion(w)
+    if grade != "strict":
+        for variant in ("C4T4", "C6T3"):
+            yield check_sc_weight(w, variant, strict=grade == "sc-strict")
+        return
+    yield find_certificate(w, "sc-strict")
+    x = w.complex
+    if x.num_vertices == 1 and all(v == 1 for row in w.side_weights for v in row):
+        gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
+        pres = Presentation(gens, tuple(Word(b) for b in x.cells))
+        yield check_few_occurrences(pres, x)
 
 
-def sc_certificate(w: Weighting, strict: bool) -> Verdict | None:
-    """First holding small-cancellation weight verdict (C4T4, then C6T3) of
-    the given grade, computed once per weighting.  The verdict is shared by
-    every caller, who must not mutate it."""
-    key = "sc-strict" if strict else "sc-weak"
-    if key not in w._certificates:  # None is kept too: no second search
-        verdicts = (check_sc_weight(w.complex, w, variant, strict=strict)
-                    for variant in ("C4T4", "C6T3"))
-        w._certificates[key] = next((v for v in verdicts if v.holds), None)
-    return w._certificates[key]
+def find_certificate(w: Weighting, grade: str = "strict") -> Verdict | None:
+    """First holding verdict that certifies the engine's answers on the
+    weighted complex of w, or None.
 
-
-def find_certificate(x: Complex2, w: Weighting, grade: str = "strict") -> Verdict | None:
-    """First holding verdict that certifies the engine's answers on (x, w).
-
-    grade "strict": quasiconvexity-grade (strict inequalities); grade "weak":
-    coherence-grade, enough for membership answers.  x must be the complex
-    of w.  The verdict is computed once per weighting and grade and shared
-    by every caller, who must not mutate it.
+    grade "sc-strict": a strict small-cancellation weight verdict, C4T4 then
+    C6T3; grade "strict": quasiconvexity-grade, the "sc-strict" verdict or
+    else, on a one-vertex unit weighting, few-occurrences; grade "weak":
+    coherence-grade, enough for membership answers, one-relator torsion and
+    then the weak small-cancellation weight verdicts.  The verdict is
+    computed once per weighting and grade and shared by every caller, who
+    must not mutate it.
     """
-    if grade not in ("strict", "weak"):
-        raise CriterionError("grade must be 'strict' or 'weak'")
-    if x != w.complex:
-        raise CriterionError("weighting belongs to a different complex")
-    strict = grade == "strict"
-
-    def verdicts():
-        if not strict:
-            yield check_one_relator_torsion(x, w)
-        yield sc_certificate(w, strict)
-        if strict and x.num_vertices == 1 and _is_unit(w):
-            gens = tuple(f"g{i + 1}" for i in range(x.num_edges()))
-            pres = Presentation(gens, tuple(Word(b) for b in x.cells))
-            yield check_few_occurrences(pres, x)
-
-    if grade not in w._certificates:
-        w._certificates[grade] = next((v for v in verdicts() if v and v.holds), None)
+    if grade not in ("strict", "weak", "sc-strict"):
+        raise CriterionError("grade must be 'strict', 'weak' or 'sc-strict'")
+    if grade not in w._certificates:  # None is kept too: no second search
+        w._certificates[grade] = next((v for v in _verdicts(w, grade) if v and v.holds), None)
     return w._certificates[grade]

@@ -118,6 +118,9 @@ class Domain:
     gets its second end, so every (root, image) with two or more ends has
     an entry; an entry whose root was merged away or whose image has fewer
     than two ends left is stale, and is dropped when it reaches the top.
+    Between operations the heap is empty or its top is live: `fold_all`
+    drops stale tops before it returns, `identify` pushes (lo, image) below
+    every (hi, image) it makes stale, and every other push is live.
     A fresh vertex of an arc, or of a cell copy of `augment`, has the
     largest id yet, so it is appended to `leaving`, which stays ascending.
     A fold can make two cells equal: the later is a twin until
@@ -205,14 +208,9 @@ class Domain:
         return self.find(self.edges[abs(d) - 1][1 if d > 0 else 0])
 
     def next_fold(self) -> tuple[int, int] | None:
-        """(root, image) of the next fold in `find_fold` order, or None."""
-        heap, parent, stars = self.heap, self.parent, self.stars
-        while heap:
-            v, img = heap[0]
-            if parent[v] == v and len(stars[v].get(img, ())) > 1:
-                return v, img
-            heapq.heappop(heap)
-        return None
+        """(root, image) of the next fold in `find_fold` order, or None: the
+        top of the fold heap, which is live between operations."""
+        return self.heap[0] if self.heap else None
 
     def vertex_numbers(self) -> dict[int, int]:
         """The vertices of `to_map`: root -> its number."""

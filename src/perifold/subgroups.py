@@ -8,13 +8,7 @@ domains themselves."""
 from __future__ import annotations
 
 from .complexes import Complex2
-from .criteria import (
-    CriterionError,
-    Verdict,
-    find_certificate,
-    magnus_weighting,
-    sc_certificate,
-)
+from .criteria import CriterionError, Verdict, find_certificate, magnus_weighting
 from .engine import ReductionTrace, extract_presentation, reduce_domain
 from .maps import CombMap, Domain, based_fiber_product
 from .records import Record
@@ -42,20 +36,16 @@ class SubgroupResult(Record):
 
 def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
                operation: str) -> tuple[Verdict | None, bool]:
-    """The certificate that gates an operation, and whether the run is
-    heuristic (forced without one).  Grade "strict" or "weak" takes the
-    first certificate of `find_certificate`; grade "sc-strict" only a
-    strict small-cancellation weight certificate (`sc_certificate`).  The
+    """The certificate of `find_certificate` of the grade that gates an
+    operation, and whether the run is heuristic (forced without one).  The
     weighting must be one of x, whatever the grade, forced or not."""
     if x != w.complex:
         raise CriterionError("weighting belongs to a different complex")
-    if grade == "sc-strict":
-        cert = sc_certificate(w, strict=True)
-        missing = "needs a strict small-cancellation weight certificate"
-    else:
-        cert = find_certificate(x, w, grade)
-        missing = f"no {grade}-grade certificate holds for this weighted complex"
+    cert = find_certificate(w, grade)
     if cert is None and not force:
+        missing = ("needs a strict small-cancellation weight certificate"
+                   if grade == "sc-strict"
+                   else f"no {grade}-grade certificate holds for this weighted complex")
         raise MissingCertificateError(
             f"{operation}: {missing} (pass force=True for a heuristic run)")
     return cert, cert is None

@@ -22,7 +22,9 @@ class WeightError(ValueError):
 
 
 class Weighting(Record, frozen=True):
-    """Nonnegative integer weights on the sides of a 2-complex.
+    """Nonnegative integer weights on the sides of a 2-complex, which the
+    weighting names (`complex`): a weighted complex (X, w) is handed around
+    as w alone, and the criteria read X off it.
 
     The edge perimeters and, per cell, the weight Wt(R), the packet weight
     n*Wt(R) and the prefix sums of edge perimeters around the boundary read
@@ -32,10 +34,10 @@ class Weighting(Record, frozen=True):
     certificates' worst subpaths alike.
     The scan plan of `engine.find_site` per engine mode (per (cell, start)
     with a candidate: its walk key, ∂R read from start and the shortest
-    candidate length) and the certificates per grade
-    (`criteria.find_certificate`) are derived when first asked for.  None
-    is recomputed, so the complex must not be mutated afterwards; it keeps
-    its own invariants (`Complex2`).
+    candidate length) and the certificate of each grade, one entry per
+    grade (`criteria.find_certificate`), are derived when first asked
+    for.  None is recomputed, so the complex must not be mutated
+    afterwards; it keeps its own invariants (`Complex2`).
     """
 
     _fields = ("complex", "side_weights")

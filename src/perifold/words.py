@@ -185,7 +185,7 @@ def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, int]]:
     toks = []
     col = col0
     for piece in re.split(r"(\s+|\(|\))", text):
-        if piece is None or piece == "":
+        if piece == "":
             continue
         if not piece.isspace():
             toks.append((piece, col))

@@ -196,8 +196,8 @@ def test_07a_surface_verdicts():
         t0 = time.perf_counter()
         x = standard_complex(fixtures.surface_presentation(genus, orientable))
         w = unit_weighting(x)
-        weak = check_sc_weight(x, w, "C4T4", strict=False).holds
-        strict = check_sc_weight(x, w, "C4T4", strict=True).holds
+        weak = check_sc_weight(w, "C4T4", strict=False).holds
+        strict = check_sc_weight(w, "C4T4", strict=True).holds
         ok &= (weak, strict) == (want_weak, want_strict)
         ok &= time.perf_counter() - t0 < 5.0
     report("07a surface verdicts", ok)
@@ -206,7 +206,7 @@ def test_07a_surface_verdicts():
 def test_07b_modify_weight_check():
     t0 = time.perf_counter()
     x = standard_complex(fixtures.modify_presentation())
-    v = check_sc_weight(x, fixtures.modify_weighting(x), "C4T4")
+    v = check_sc_weight(fixtures.modify_weighting(x), "C4T4")
     elapsed = time.perf_counter() - t0
     report("07b retooled one-relator", v.holds and elapsed < 5.0,
            f"holds={v.holds} time={elapsed:.2f}s")
@@ -215,7 +215,7 @@ def test_07b_modify_weight_check():
 def test_07c_two_relator_unit_fails():
     t0 = time.perf_counter()
     x = standard_complex(fixtures.two_relator_block_presentation())
-    v = check_sc_weight(x, unit_weighting(x), "C4T4")
+    v = check_sc_weight(unit_weighting(x), "C4T4")
     worst = v.extras.get("worst", {})
     letters = tuple(
         x.cells[worst["cell"]][(worst["start"] + t) % 32]
@@ -236,7 +236,7 @@ def test_07c_two_relator_weighted_passes():
     # so a two-piece subpath has P = 2*16 = 32 = Wt(U); V's are iii|jjj with
     # P = 6*16 = 96 = Wt(V).  The weak inequality holds with equality.
     x = standard_complex(fixtures.two_relator_block_presentation())
-    v = check_sc_weight(x, fixtures.two_relator_block_weighting(x, 1, 3), "C4T4")
+    v = check_sc_weight(fixtures.two_relator_block_weighting(x, 1, 3), "C4T4")
     report("07c weighted passes", v.holds,
            f"holds={v.holds} witnesses={v.witnesses}")
 

@@ -43,6 +43,13 @@ rel f a f b f c f d f e
 weights gen f 0
 """
 
+# <a, b, t | [a, t], [b, t]>: no certificate of any grade holds
+FGIP = """\
+gens a b t
+rel a t a^-1 t^-1
+rel b t b^-1 t^-1
+"""
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -463,12 +470,26 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
-    path = write(tmp_path, "fgip.pf",
-                 "gens a b t\nrel a t a^-1 t^-1\nrel b t b^-1 t^-1\n")
+    path = write(tmp_path, "fgip.pf", FGIP)
     assert main(["subgroup", path, "--gens", "a"]) == 3
     assert main(["subgroup", path, "--gens", "a", "--force", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["heuristic"] is True
+
+
+@pytest.mark.parametrize("args, error", [
+    (["subgroup", "--gens", "a"],
+     "subgroup_presentation: no strict-grade certificate holds for this weighted complex"),
+    (["member", "--gens", "a", "--word", "b"],
+     "member: no weak-grade certificate holds for this weighted complex"),
+    (["intersect", "--gens-h", "a", "--gens-k", "b"],
+     "intersect: needs a strict small-cancellation weight certificate"),
+], ids=["subgroup", "member", "intersect"])
+def test_cli_refuses_a_run_without_its_certificate(tmp_path, capsys, args, error):
+    # exit 3, the refusal on standard error and nothing on standard output
+    path = write(tmp_path, "fgip.pf", FGIP)
+    assert main([args[0], path, *args[1:]]) == 3
+    assert capsys.readouterr() == ("", f"{error} (pass force=True for a heuristic run)\n")
 
 
 def test_cmd_intersect(tmp_path, capsys):

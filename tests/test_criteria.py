@@ -29,16 +29,16 @@ from reference import reference_check_one_relator_torsion, reference_check_sc_we
 
 def test_one_relator_torsion():
     x = standard_complex(fixtures.aab_power_presentation(3))
-    v = check_one_relator_torsion(x, unit_weighting(x))
+    v = check_one_relator_torsion(unit_weighting(x))
     assert v.holds and v.conclusion == "coherent"
     x2 = standard_complex(parse_presentation("gens a b / rel ( a a b b )^2"))
-    v2 = check_one_relator_torsion(x2, unit_weighting(x2))
+    v2 = check_one_relator_torsion(unit_weighting(x2))
     assert v2.holds  # max P(S) = 12 <= 16
     x3 = standard_complex(parse_presentation("gens a b / rel a b"))
-    v3 = check_one_relator_torsion(x3, unit_weighting(x3))
+    v3 = check_one_relator_torsion(unit_weighting(x3))
     assert not v3.applicable and not v3.holds
     x4 = standard_complex(fixtures.zzz_presentation())
-    assert not check_one_relator_torsion(x4, unit_weighting(x4)).applicable
+    assert not check_one_relator_torsion(unit_weighting(x4)).applicable
 
 
 def test_equalweights():
@@ -69,7 +69,7 @@ def test_equalweights_cross_validation():
                 continue  # keep W itself the period
             pres = Presentation(("a", "b"), (Word(letters * n),))
             x = standard_complex(pres)
-            v = check_one_relator_torsion(x, unit_weighting(x))
+            v = check_one_relator_torsion(unit_weighting(x))
             assert v.holds, (letters, n)
             count += 1
     assert count > 200
@@ -93,17 +93,17 @@ def test_min_generator():
 def test_sc_weight_modify():
     x = standard_complex(fixtures.modify_presentation())
     w = fixtures.modify_weighting(x)
-    v = check_sc_weight(x, w, "C4T4")
+    v = check_sc_weight(w, "C4T4")
     assert v.holds and v.conclusion == "coherent"
     # the C6T3 route needs three pieces and fails on this weighting
-    v2 = check_sc_weight(x, w, "C6T3")
+    v2 = check_sc_weight(w, "C6T3")
     assert v2.applicable and not v2.holds
 
 
 def test_sc_weight_two_relator_blocks():
     x = standard_complex(fixtures.two_relator_block_presentation())
     unit = unit_weighting(x)
-    v = check_sc_weight(x, unit, "C4T4")
+    v = check_sc_weight(unit, "C4T4")
     assert v.applicable and not v.holds
     worst = v.extras["worst"]
     assert worst["perimeter"] == 48 and worst["bound"] == 32
@@ -114,10 +114,10 @@ def test_sc_weight_two_relator_blocks():
     # the two-piece inequality with equality, so only the weak form holds
     assert compute_pieces(x).cell_max == [1, 3]
     w = fixtures.two_relator_block_weighting(x, 1, 3)
-    weak = check_sc_weight(x, w, "C4T4")
+    weak = check_sc_weight(w, "C4T4")
     assert weak.holds and weak.conclusion == "coherent"
     assert weak.extras["worst"]["perimeter"] == weak.extras["worst"]["bound"]
-    strict = check_sc_weight(x, w, "C4T4", strict=True)
+    strict = check_sc_weight(w, "C4T4", strict=True)
     assert strict.applicable and not strict.holds
 
 
@@ -132,8 +132,8 @@ def test_sc_weight_surfaces():
     for genus, orientable, weak_ok, strict_ok in expectations:
         x = standard_complex(fixtures.surface_presentation(genus, orientable))
         w = unit_weighting(x)
-        weak = check_sc_weight(x, w, "C4T4", strict=False)
-        strict = check_sc_weight(x, w, "C4T4", strict=True)
+        weak = check_sc_weight(w, "C4T4", strict=False)
+        strict = check_sc_weight(w, "C4T4", strict=True)
         assert weak.holds == weak_ok, (genus, orientable)
         assert strict.holds == strict_ok, (genus, orientable)
         if strict.holds:
@@ -142,23 +142,23 @@ def test_sc_weight_surfaces():
 
 def test_sc_weight_inapplicable_carries_witness():
     x = standard_complex(fixtures.torus_presentation())
-    v = check_sc_weight(x, unit_weighting(x), "C6T3")
+    v = check_sc_weight(unit_weighting(x), "C6T3")
     assert not v.applicable and v.witnesses  # the square is not C(6)
 
 
 def test_few_occurrences():
     surf = fixtures.surface_presentation(2, True)
-    v = check_few_occurrences(surf)
+    v = check_few_occurrences(surf, standard_complex(surf))
     assert v.holds and v.extras["n_max"] == 7
     free_like = parse_presentation("gens a b c / rel a b c")
-    assert check_few_occurrences(free_like).holds
+    assert check_few_occurrences(free_like, standard_complex(free_like)).holds
     # single relator abab: the period shift is excluded, so there are no
     # pieces and the metric condition holds for every n (virtually free)
     abab = parse_presentation("gens a b / rel a b a b")
-    v2 = check_few_occurrences(abab)
+    v2 = check_few_occurrences(abab, standard_complex(abab))
     assert v2.holds and v2.extras["n_max"] == float("inf")
     dense = parse_presentation("gens a b / rel a b a^-1 b a b^-1")
-    assert not check_few_occurrences(dense).holds
+    assert not check_few_occurrences(dense, standard_complex(dense)).holds
 
 
 def test_power_theorem_values():
@@ -207,16 +207,18 @@ def test_magnus_weighting():
 
 def test_find_certificate_grades():
     free = standard_complex(fixtures.free_presentation(2))
-    cert = find_certificate(free, unit_weighting(free), "strict")
+    cert = find_certificate(unit_weighting(free), "strict")
     assert cert is not None  # vacuous small-cancellation certificate
     aab9 = standard_complex(fixtures.aab_power_presentation(9))
-    assert find_certificate(aab9, unit_weighting(aab9), "strict") is not None
+    w = unit_weighting(aab9)
+    cert = find_certificate(w, "strict")  # the "sc-strict" verdict, the same object
+    assert cert.criterion == "sc-c4t4-strict" and cert is find_certificate(w, "sc-strict")
     fgip = standard_complex(
         parse_presentation("gens a b t / rel a t a^-1 t^-1 / rel b t b^-1 t^-1")
     )
-    assert find_certificate(fgip, unit_weighting(fgip), "strict") is None
+    assert find_certificate(unit_weighting(fgip), "strict") is None
     aabb2 = standard_complex(parse_presentation("gens a b / rel ( a a b b )^2"))
-    weak = find_certificate(aabb2, unit_weighting(aabb2), "weak")
+    weak = find_certificate(unit_weighting(aabb2), "weak")
     assert weak is not None and weak.criterion == "one-relator-torsion"
 
 
@@ -230,18 +232,11 @@ def test_find_certificate_stops_at_first_holding_verdict(monkeypatch):
 
     monkeypatch.setattr(criteria, "check_sc_weight", counted)
     aab3 = standard_complex(fixtures.aab_power_presentation(3))
-    weak = find_certificate(aab3, unit_weighting(aab3), "weak")
+    weak = find_certificate(unit_weighting(aab3), "weak")
     assert weak.criterion == "one-relator-torsion" and calls == []
     torus = standard_complex(fixtures.torus_presentation())
-    weak = find_certificate(torus, unit_weighting(torus), "weak")
+    weak = find_certificate(unit_weighting(torus), "weak")
     assert weak.criterion == "sc-c4t4" and len(calls) == 1
-
-
-def test_find_certificate_needs_the_weightings_complex():
-    aab3 = standard_complex(fixtures.aab_power_presentation(3))
-    torus = standard_complex(fixtures.torus_presentation())
-    with pytest.raises(CriterionError):
-        find_certificate(torus, unit_weighting(aab3))
 
 
 _SC_COMPLEXES = [standard_complex(p) for p in (
@@ -263,7 +258,7 @@ def test_check_sc_weight_matches_reference_scan(data):
     w = data.draw(side_weightings(x))
     for variant in ("C4T4", "C6T3"):
         for strict in (False, True):
-            assert check_sc_weight(x, w, variant, strict) == \
+            assert check_sc_weight(w, variant, strict) == \
                 reference_check_sc_weight(x, w, variant, strict)
 
 
@@ -280,7 +275,7 @@ def test_check_one_relator_torsion_matches_reference(data):
     x = standard_complex(Presentation(gens, (Word(period.letters * exponent),)))
     assume(x.periods[0][0] >= 2)
     w = data.draw(side_weightings(x))
-    assert check_one_relator_torsion(x, w) == reference_check_one_relator_torsion(x, w)
+    assert check_one_relator_torsion(w) == reference_check_one_relator_torsion(x, w)
 
 
 # (aab)^9: the strict grade holds by sc-C4T4 and the weak one by one-relator
@@ -314,7 +309,7 @@ def test_certificate_built_once_per_weighting(monkeypatch, pres, gens, u, sc_ver
     assert all(m.certificate == meet.certificate and m.presentation == meet.presentation
                for m in meets)
     assert members == [answer] * 20
-    assert find_certificate(x, w, "weak") == find_certificate(x, unit_weighting(x), "weak")
+    assert find_certificate(w, "weak") == find_certificate(unit_weighting(x), "weak")
 
 
 @pytest.mark.parametrize("build", [
@@ -325,16 +320,15 @@ def test_complex_invariants_derived_once(derivations, build):
     x = build()
     weighted = Weighting(x, tuple(tuple(1 + i % 3 for i in range(len(b))) for b in x.cells))
     for w in (unit_weighting(x), weighted):
-        for grade in ("strict", "weak"):
-            find_certificate(x, w, grade)
+        for grade in ("strict", "weak", "sc-strict"):
+            find_certificate(w, grade)
         for variant in ("C4T4", "C6T3"):
-            check_sc_weight(x, w, variant)
+            check_sc_weight(w, variant)
     assert derivations == Counter({"pieces": 1,
                                    **{("girth", v): 1 for v in range(x.num_vertices)}})
 
 
 _TORUS = standard_complex(fixtures.torus_presentation())
-_AAB3 = standard_complex(fixtures.aab_power_presentation(3))
 
 REFUSED = {
     "equalweights-unreduced": (lambda: check_equalweights(word([1, 2, -1]), 3),
@@ -343,7 +337,7 @@ REFUSED = {
                            "W must be nonempty and cyclically reduced"),
     "min-generator-unreduced": (lambda: check_min_generator(word([1, 2, -1]), 3),
                                 "W must be nonempty and cyclically reduced"),
-    "sc-variant": (lambda: check_sc_weight(_TORUS, unit_weighting(_TORUS), "C7T3"),
+    "sc-variant": (lambda: check_sc_weight(unit_weighting(_TORUS), "C7T3"),
                    "unknown variant 'C7T3'"),
     "powers-none": (lambda: power_theorem([]), "need at least one word"),
     "powers-unreduced": (lambda: power_theorem([word([1, -1, 2])]),
@@ -354,10 +348,8 @@ REFUSED = {
                          "words are cyclically conjugate (up to inversion)"),
     "powers-exponents": (lambda: power_theorem([word([1, 2])], [3, 4]),
                          "one exponent per word required"),
-    "certificate-grade": (lambda: find_certificate(_TORUS, unit_weighting(_TORUS), "medium"),
-                          "grade must be 'strict' or 'weak'"),
-    "certificate-complex": (lambda: find_certificate(_TORUS, unit_weighting(_AAB3)),
-                            "weighting belongs to a different complex"),
+    "certificate-grade": (lambda: find_certificate(unit_weighting(_TORUS), "medium"),
+                          "grade must be 'strict', 'weak' or 'sc-strict'"),
 }
 
 
