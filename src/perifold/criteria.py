@@ -213,7 +213,10 @@ def check_sc_weight(w: Weighting, variant: str = "C4T4", strict: bool = False) -
 def check_few_occurrences(p: Presentation, x: Complex2) -> Verdict:
     """Metric small-cancellation occurrence test: with C'(1/n) and every
     generator occurring at most n/3 times, coherent and locally quasiconvex.
-    The pieces are read from x, the standard complex of p."""
+    The pieces are read from x, which must be the standard complex of p."""
+    if (x.num_vertices != 1 or x.num_edges() != len(p.generators)
+            or [tuple(b) for b in x.cells] != [tuple(r.letters) for r in p.relators]):
+        raise CriterionError("x is not the standard complex of p")
     crit = "few-occurrences"
     n_max = largest_metric_denominator(x)
     occ = generator_occurrences(p)

@@ -110,7 +110,8 @@ def _scan_plan(w: Weighting,
 def _blocked(dom: Domain, cell: int, start: int, d: int) -> bool:
     """Whether the lift of ∂R read from `start` whose first ref is d
     closes up into a present cycle: side (cell, start) is present at the
-    edge of d (see `find_site`)."""
+    edge of d (see `find_site`).  `attach_site` calls it; `find_site`
+    inlines its expression."""
     return (cell, start) in dom.sides.get(abs(d) - 1, ())
 
 
@@ -156,12 +157,14 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     present, is blocked and skipped uncounted.  In a 1-immersion its first
     ref d is the only end leaving the root over the first letter, and the
     lift is blocked exactly when side (cell, start) is present at edge
-    |d| - 1 (`Domain.sides`).  The domain is packed, so if a present cycle
-    C over the cell has C[q] = d with q = start modulo the period, its
-    packet mate rotated by q - start has d at position start, which puts
-    side (cell, start) at that edge.  Conversely, that side comes from a
-    live cell whose start-th ref lies over ∂R[start], the image of d; that
-    ref is d itself, as an edge and its reverse have different images.
+    |d| - 1 (`Domain.sides`); the scan inlines `_blocked`'s expression,
+    reading d once per root for the test and the walk.  The domain is
+    packed, so if a present cycle C over the cell has C[q] = d with
+    q = start modulo the period, its packet mate rotated by q - start has
+    d at position start, which puts side (cell, start) at that edge.
+    Conversely, that side comes from a live cell whose start-th ref lies
+    over ∂R[start], the image of d; that ref is d itself, as an edge and
+    its reverse have different images.
     """
     if dom.next_fold() is not None:
         raise EngineError("find_site requires a 1-immersion")
@@ -170,28 +173,33 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     x, w = dom.codomain, dom.weighting
     if w is None:
         raise WeightError("find_site requires a domain built with a weighting")
-    stars, edges, parent = dom.stars, dom.edges, dom.parent
+    stars, edges, parent, sides = dom.stars, dom.edges, dom.parent, dom.sides
     sign = -1 if mode == "strict" else 1
     best = None  # the least lift key found
     for key, ring, lo in _scan_plan(w, mode):
         if best is not None and key > best:
             break
         cell, start = key[1], key[2]
-        for v in dom.leaving.get(ring[0], ()):
-            if _blocked(dom, cell, start, stars[v][ring[0]][0]):
+        side, first, back, mlen = (cell, start), ring[0], -ring[-1], len(ring)
+        for v in dom.leaving.get(first, ()):
+            d = stars[v][first][0]
+            if side in sides.get(abs(d) - 1, ()):  # `_blocked`, inlined
                 continue
-            walked, u = 0, v
-            for letter in ring:  # count the letters of the lift of ∂R from v
-                ends = stars[u].get(letter)
-                if ends is None:
-                    break
-                walked += 1
-                d = ends[0]  # u moves to the root at its head, as `Domain.head` finds it
+            walked = 1  # count the letters of the lift of ∂R from v
+            while True:
+                # u moves to the root at d's head, as `Domain.head` finds it
                 u = edges[d - 1][1] if d > 0 else edges[-d - 1][0]
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
-            if walked < lo or (walked < len(ring) and -ring[-1] in stars[v]):
+                if walked == mlen:
+                    break
+                ends = stars[u].get(ring[walked])
+                if ends is None:
+                    break
+                walked += 1
+                d = ends[0]
+            if walked < lo or (walked < mlen and back in stars[v]):
                 continue
             lift = (sign * walked, cell, start, v)
             if best is None or lift < best:
@@ -216,7 +224,7 @@ def attach_site(dom: Domain, site: AttachmentSite) -> int:
     A stale site is refused (`StaleSiteError`) before anything changes:
     one found on another domain, one whose root has since been merged into
     another class, and one whose packet is already present along it, which
-    is the blocked test of `find_site` on the walked lift (`_blocked`).  A
+    is `_blocked` on the walked lift, the test `find_site` inlines.  A
     root that is still a root keeps every lift it had, as folds and
     `identify` only merge stars and the other operations only add, so the
     walk needs no other check.

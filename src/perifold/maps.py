@@ -123,9 +123,10 @@ class Domain:
     every (hi, image) it makes stale, and every other push is live.
     A fresh vertex of an arc, or of a cell copy of `augment`, has the
     largest id yet, so it is appended to `leaving`, which stays ascending.
-    A fold can make two cells equal: the later is a twin until
-    `remove_redundant`.  `to_map` numbers vertex classes by their smallest
-    id and surviving edges and cells in id order, as a fold of the input.
+    A map may have equal cells, and a fold can make two cells equal: the
+    later is a twin until `remove_redundant`.  `to_map` numbers vertex
+    classes by their smallest id and surviving edges and cells in id
+    order, as a fold of the input.
 
     Given a weighting (kept as `weighting`), `perimeter` follows one rule:
     it changes only when an edge is added (by its edge perimeter) or
@@ -161,8 +162,9 @@ class Domain:
         self.perimeter = 0
         for (src, tgt), img in zip(dom.edges, m.edge_image):
             self.add_arc(src, tgt, [img])
-        for c in range(dom.num_cells()):
+        for c in range(dom.num_cells()):  # a map's cells may be equal; `add_packet`'s never are
             self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
+            self._mark_twins(c)
         self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
 
     @classmethod
@@ -290,7 +292,6 @@ class Domain:
         r = image[0]
         for q, d in enumerate(cycle):
             self._make_present(abs(d) - 1, (r, q), {c})
-        self._mark_twins(c)
 
     def _cells_with(self, r: int, cycle: tuple[int, ...]) -> list[int]:
         """The live cells over r whose cycle is `cycle`, read off the cells

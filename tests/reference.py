@@ -67,10 +67,10 @@ them, must give the same presentation.
 `out_edges` (each vertex's ends by image) index a map afresh; the
 references read them where the program reads its live `Domain`.
 `present_corners` and `repeated_cells` read the live cells' cycles of a
-`Domain` afresh: the corners of its present cycles, which `find_site`'s
-blocked test (`perifold.engine._blocked`) must match at every root of
-every scan group, and the cells that repeat a smaller one, which must be
-the domain's `twins`.
+`Domain` afresh: the corners of its present cycles, which the blocked
+test (`perifold.engine._blocked`, which `attach_site` calls and
+`find_site` inlines) must match at every root of every scan group, and
+the cells that repeat a smaller one, which must be the domain's `twins`.
 `reference_remove_redundant` and `reference_repair_packing` change a map
 by copying it; `Domain.remove_redundant` and `Domain.repair`, and the fold
 phases of `reduce_map`, must agree with them on the map built from the

@@ -161,6 +161,15 @@ def test_few_occurrences():
     assert not check_few_occurrences(dense, standard_complex(dense)).holds
 
 
+def test_few_occurrences_refuses_another_presentations_complex():
+    # occurrences read from dense and pieces from the free-like complex
+    # would answer holds=True, where dense's own complex fails
+    dense = parse_presentation("gens a b / rel a b a^-1 b a b^-1")
+    free_like = parse_presentation("gens a b c / rel a b c")
+    with pytest.raises(CriterionError):
+        check_few_occurrences(dense, standard_complex(free_like))
+
+
 def test_power_theorem_values():
     n, _ = power_theorem([word([1]), word([1, 1, 2, -1, -2]),
                           word([2]), word([2, 2, 1, -2, -1])])

@@ -1083,22 +1083,31 @@ def scans_against_reference(reduce):
     return scans
 
 
-# the reduction complexes and the weighted <a..f | abcdef^-1, fafbfcfdfe>,
+# unit-weighted complexes with cells of one to four letters, groups whose
+# shortest candidate has one letter, and a torsion cell beside a torus cell:
+# the scan's lifts that are complete after their first letter, and
+# one-letter lifts that qualify
+_SHORT_RELATOR_COMPLEXES = [
+    standard_complex(parse_presentation(f"gens a b / {rels}"))
+    for rels in ("rel a", "rel a^2", "rel a b", "rel a^2 b", "rel a b a^-1 b^-1 / rel a^3")
+]
+# the reduction complexes, the weighted <a..f | abcdef^-1, fafbfcfdfe>,
 # whose cells of length 6 and 10 give their (cell, start) groups different
-# walk keys, with zero-perimeter edges over f
+# walk keys, with zero-perimeter edges over f, and the short relators
 _SCAN_COMPLEXES = [
     *_DIFF_COMPLEXES,
     (standard_complex(fixtures.modify_presentation()), fixtures.modify_weighting),
+    *((x, unit_weighting) for x in _SHORT_RELATOR_COMPLEXES),
 ]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(st.sampled_from(_SCAN_COMPLEXES), st.integers(0, 2**32 - 1),
        st.integers(4, 24), st.integers(1, 3), st.booleans())
 def test_find_site_matches_reference(case, seed, length, parts, whiskered):
-    # torus, (aab)^3, genus 2, weighted zzz and weighted modify: every map a
-    # strict or weak reduction of a random bouquet scans gets the
-    # reference's site, or None from both
+    # torus, (aab)^3, genus 2, weighted zzz, weighted modify and the short
+    # relators: every map a strict or weak reduction of a random bouquet
+    # scans gets the reference's site, or None from both
     x, w_of = case
     w = w_of(x)
     rng = random.Random(seed)
@@ -1187,7 +1196,8 @@ def assert_plan_matches_reference(x, w):
 
 
 def test_scan_plan_against_brute():
-    # torus, (aab)^3, genus 2, weighted zzz and weighted modify
+    # torus, (aab)^3, genus 2, weighted zzz, weighted modify and the short
+    # relators
     for x, w_of in _SCAN_COMPLEXES:
         assert_plan_matches_reference(x, w_of(x))
 
@@ -1272,7 +1282,9 @@ def test_blocked_sides_match_present_corners(case, data):
     # limit: for every scan group and every root its first letter leaves,
     # `_blocked`, read off `Domain.sides`, holds exactly when the lift's
     # first ref is a corner of a present cycle at its start modulo the
-    # period; the exponent 3 of (aab)^3 puts corners past the period
+    # period; the exponent 3 of (aab)^3 puts corners past the period.
+    # `attach_site` calls `_blocked`; `find_site` inlines its expression,
+    # which the reference-scan tests (`-k find_site`) pin
     x, w_of = case
     w = w_of(x)
     gens, whisker = draw_bouquet_words(data, x)
