@@ -6,10 +6,13 @@
 Builds the round of the given workload and seed from `perfbench/workloads.py`
 (imported as it stands, writing no bytecode there), runs it once to warm
 every cache, then once under cProfile and once with each layer timed by a
-wrapper.  Prints per layer its calls and its cumulative share of the round:
-under cProfile, and by the wall clock.  cProfile charges every Python call,
-so it overstates layers made of many small calls; the wrappers cost two
-clock reads per call.  Report only: it checks no answer and gates nothing.
+wrapper.  Prints the round's wall milliseconds, bare and wrapped, and per
+layer its calls, its cumulative share of the round under cProfile and by
+the wall clock, and its wall milliseconds in the wrapped round, so that two
+commits compare where a saving sits even when the round itself got faster.
+cProfile charges every Python call, so it overstates layers made of many
+small calls; the wrappers cost two clock reads per call.  Report only: it
+checks no answer and gates nothing.
 """
 
 import argparse
@@ -65,10 +68,10 @@ def profiled(ops, named) -> dict[str, tuple[int, float]]:
     return out
 
 
-def timed(ops, named, modules) -> dict[str, tuple[int, float]]:
-    """Layer -> (calls, cumulative share of the round) by the wall clock,
-    each layer wrapped wherever it is looked up; a call made inside a call
-    of the same layer counts in neither."""
+def timed(ops, named, modules) -> tuple[float, dict[str, tuple[int, float]]]:
+    """The wrapped round's wall seconds, and per layer (calls, cumulative
+    wall seconds), each layer wrapped wherever it is looked up; a call made
+    inside a call of the same layer counts in neither."""
     calls = dict.fromkeys(named, 0)
     seconds = dict.fromkeys(named, 0.0)
     undo = []
@@ -103,7 +106,7 @@ def timed(ops, named, modules) -> dict[str, tuple[int, float]]:
     finally:
         for holder, attr, fn in reversed(undo):
             setattr(holder, attr, fn)
-    return {name: (calls[name], seconds[name] / total) for name in named}
+    return total, {name: (calls[name], seconds[name]) for name in named}
 
 
 def main() -> None:
@@ -116,14 +119,17 @@ def main() -> None:
     files = {n: pf.cli.parse_input_file(workloads.INPUT_TEXTS[n]) for n in names}
     ops = workloads.build_round(args.workload, args.seed, pf, files).ops
     named = layers(pf)
-    play(ops)
+    bare = play(ops)
     by_profile = profiled(ops, named)
-    by_clock = timed(ops, named, list(vars(pf).values()))
-    print(f"{args.workload} seed {args.seed}: one round of {len(ops)} operations")
-    print(f"{'layer':<28} {'calls':>7} {'cProfile':>9} {'wall':>7}")
+    total, by_clock = timed(ops, named, list(vars(pf).values()))
+    print(f"{args.workload} seed {args.seed}: one round of {len(ops)} operations,"
+          f" {bare * 1e3:.1f} ms bare, {total * 1e3:.1f} ms wrapped")
+    print(f"{'layer':<28} {'calls':>7} {'cProfile':>9} {'wall':>7} {'wall ms':>8}")
     for name in named:
         calls, share = by_profile[name]
-        print(f"{name:<28} {calls:>7} {share:>8.1%} {by_clock[name][1]:>7.1%}")
+        seconds = by_clock[name][1]
+        print(f"{name:<28} {calls:>7} {share:>8.1%} {seconds / total:>7.1%}"
+              f" {seconds * 1e3:>8.1f}")
 
 
 if __name__ == "__main__":

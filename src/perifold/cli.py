@@ -129,7 +129,7 @@ def parse_input_file(text: str) -> InputFile:
     else:
         weight_of = [gen_weight.get(g, 1) for g in pres.generators]
         rows = [tuple(weight_of[abs(d) - 1] for d in bdry) for bdry in x.cells]
-        weighting = weighting_from_rows(x, rows) if rows else Weighting(x, ())
+        weighting = weighting_from_rows(x, rows)
     return InputFile(pres, x, weighting, word_lists)
 
 

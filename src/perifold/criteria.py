@@ -161,9 +161,9 @@ def check_sc_weight(w: Weighting, variant: str = "C4T4", strict: bool = False) -
     """Small-cancellation weight test on the weighted complex of w: over
     every subpath S of a cell boundary made of at most 3 (C6T3) or 2 (C4T4)
     pieces, require P(S) <= n*Wt(R), strictly for the quasiconvexity form."""
-    crit = f"sc-{variant.lower()}" + ("-strict" if strict else "")
-    if variant not in _VARIANTS:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise CriterionError(f"unknown variant {variant!r}")
+    crit = f"sc-{variant.lower()}" + ("-strict" if strict else "")
     p_cond, q_cond, shell = _VARIANTS[variant]
     x = w.complex
     sc = check_small_cancellation(x, p_cond, q_cond)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .maps import CombMap, Domain, find_fold, is_packed
 from .records import Record
-from .weights import (Weighting, WeightError, cell_weight, map_perimeter, packet_weight,
+from .weights import (Weighting, cell_weight, map_perimeter, packet_weight,
                       shortest_subpath_reaching, subpath_perimeter)
 from .words import Presentation, Word, cyclic_reduce
 
@@ -47,8 +47,8 @@ class AttachmentSite(Record):
 class TraceStep(Record):
     _fields = ("kind", "perimeter", "edges", "vertices", "cells", "detail")
 
-    def __init__(self, kind: str, perimeter: int, edges: int, vertices: int = 0,
-                 cells: int = 0, detail: dict | None = None):
+    def __init__(self, kind: str, perimeter: int, edges: int, vertices: int, cells: int,
+                 detail: dict | None = None):
         # fold | attach-complete | attach-incomplete | repair | remove-redundant
         self.kind = kind
         self.perimeter = perimeter
@@ -171,8 +171,6 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     if not dom.packed:
         raise EngineError("find_site requires a packed domain")
     x, w = dom.codomain, dom.weighting
-    if w is None:
-        raise WeightError("find_site requires a domain built with a weighting")
     stars, edges, parent, sides = dom.stars, dom.edges, dom.parent, dom.sides
     sign = -1 if mode == "strict" else 1
     best = None  # the least lift key found
@@ -287,8 +285,6 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
-    if w is None:
-        raise WeightError("a reduction requires a weighting")
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 

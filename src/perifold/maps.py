@@ -128,24 +128,22 @@ class Domain:
     classes by their smallest id and surviving edges and cells in id
     order, as a fold of the input.
 
-    Given a weighting (kept as `weighting`), `perimeter` follows one rule:
-    it changes only when an edge is added (by its edge perimeter) or
-    dropped (by that less the weights of its present sides), or when a
-    side becomes present at an edge (by its weight).  A map's domain is
-    built by the same operations, one single-letter `add_arc` per edge and
-    one cell per cell, so it starts at the map's perimeter.  Without a
-    weighting, weights are 0; one of another complex than the codomain is
-    refused.
+    Every domain carries a weighting of its codomain (kept as
+    `weighting`; one of another complex is refused), and `perimeter`
+    follows one rule: it changes only when an edge is added (by its edge
+    perimeter) or dropped (by that less the weights of its present sides),
+    or when a side becomes present at an edge (by its weight).  A map's
+    domain is built by the same operations, one single-letter `add_arc`
+    per edge and one cell per cell, so it starts at the map's perimeter.
     """
 
-    def __init__(self, m: CombMap, w=None):
+    def __init__(self, m: CombMap, w):
         dom, x = m.domain, m.codomain
-        if w is not None and w.complex != x:
+        if w.complex != x:
             from .weights import WeightError  # weights imports this module
             raise WeightError("weighting belongs to a different complex")
         self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
-        self.per = w._per if w is not None else [0] * x.num_edges()
-        self.weights = w.side_weights if w is not None else [[0] * len(b) for b in x.cells]
+        self.per, self.weights = w._per, w.side_weights
         # signed letter -> the codomain vertex at its head, read by `add_arc`
         self.heads = {d: x.head(d) for e in range(x.num_edges()) for d in (e + 1, -(e + 1))}
         self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
@@ -168,12 +166,13 @@ class Domain:
         self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
 
     @classmethod
-    def bouquet(cls, x: Complex2, words: list[Word], w=None,
-                whisker: Word | None = None) -> Domain:
+    def bouquet(cls, w, words: list[Word], whisker: Word | None = None) -> Domain:
         """The wedge of subdivided circles (one per word, in order) at the
         basepoint 0, with an optional open whisker arc that ends at the last
-        vertex, mapped along the given words: arcs (`add_arc`) glued to the
-        one-vertex domain over the vertex of x."""
+        vertex, mapped along the given words into the complex x of the
+        weighting w: arcs (`add_arc`) glued to the one-vertex domain over
+        the vertex of x."""
+        x = w.complex
         if x.num_vertices != 1:
             raise MapError("Domain.bouquet expects a one-vertex codomain")
         ngen = x.num_edges()

@@ -38,7 +38,9 @@ def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
                operation: str) -> tuple[Verdict | None, bool]:
     """The certificate of `find_certificate` of the grade that gates an
     operation, and whether the run is heuristic (forced without one).  The
-    weighting must be one of x, whatever the grade, forced or not."""
+    weighting must be one of x, whatever the grade, forced or not.  In
+    `subgroup_presentation`, `member` and `intersect` this refusal is the
+    only use of x: their domains read the complex off the weighting."""
     if x != w.complex:
         raise CriterionError("weighting belongs to a different complex")
     cert = find_certificate(w, grade)
@@ -63,7 +65,7 @@ def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
     With a step limit that cuts the reduction short, `exhausted` is set and
     the presentation is read off the partially reduced complex."""
     cert, heuristic = _certified(x, w, "strict", force, "subgroup_presentation")
-    dom = Domain.bouquet(x, _clean_words(gens), w)
+    dom = Domain.bouquet(w, _clean_words(gens))
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
     m = dom.to_map()
     return SubgroupResult(extract_presentation(m), trace, cert, heuristic, m, exhausted)
@@ -91,7 +93,7 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     u = free_reduce(u)
     if not u.letters:
         return True, ReductionTrace(0, 0)
-    dom = Domain.bouquet(x, _clean_words(gens), w, whisker=u)
+    dom = Domain.bouquet(w, _clean_words(gens), whisker=u)
     tip = len(dom.parent) - 1  # the whisker's end, the last vertex
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
     if dom.find(dom.basepoint) == dom.find(tip):
@@ -118,7 +120,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
     runs, domains = [], []
     for gens in (gens_h, gens_k):
-        dom = Domain.bouquet(x, _clean_words(gens), w)
+        dom = Domain.bouquet(w, _clean_words(gens))
         runs.append(reduce_domain(dom, "strict", step_limit))
         dom.augment()
         runs.append(reduce_domain(dom, "strict", step_limit))
@@ -146,8 +148,8 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
             + "; ".join(verdict.witnesses or verdict.notes)
         )
     cert, heuristic = _certified(x, weighting, "weak", force, "magnus_intersect")
-    dom = Domain.bouquet(x, _clean_words(gens_h), weighting)
+    dom = Domain.bouquet(weighting, _clean_words(gens_h))
     trace, _exhausted = reduce_domain(dom, "strict")
-    inclusion = Domain.bouquet(x, [Word((e + 1,)) for e in sorted(subgraph_edges)])
+    inclusion = Domain.bouquet(weighting, [Word((e + 1,)) for e in sorted(subgraph_edges)])
     based = based_fiber_product(dom, inclusion)
     return SubgroupResult(extract_presentation(based), trace, cert, heuristic, based)

@@ -263,7 +263,7 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
             gens = [g for g in map(free_reduce, gens) if g.letters]
             for _ in range(max(1, best_of)):
                 t0 = time.perf_counter()
-                dom = Domain.bouquet(x, gens, w)
+                dom = Domain.bouquet(w, gens)
                 trace, _exhausted = reduce_domain(dom, "strict")
                 dom.to_map()
                 best = min(best, time.perf_counter() - t0)

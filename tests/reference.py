@@ -30,7 +30,8 @@ program's live domain, and with `vertex_map`, `reference_augment_domain`,
 `present_corners` and `repeated_cells` (below) the only code here that
 reads a `Domain`: each entry wraps a map as `Domain(m, w)`, runs
 `reduce_domain` or the folds and `remove_redundant` on it, and builds the
-map once, at the end;
+map once, at the end; `fold_to_immersion`, whose folds read no weight,
+wraps it with unit weights (`unit_weighting` of the codomain);
 `vertex_map` tells where the domain's vertex ids lie in that map.
 They are the program's side of the comparisons below.  `canonical_form`
 describes a connected 1-immersed based map up to isomorphism
@@ -110,7 +111,7 @@ from perifold.maps import (
     packet_mates,
 )
 from perifold.weights import (Weighting, cell_weight, edge_perimeters, packet_weight,
-                              subpath_perimeter)
+                              subpath_perimeter, unit_weighting)
 from perifold.words import Presentation, Word, cyclic_reduce
 
 
@@ -917,7 +918,7 @@ def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
     """Stallings folding in exactly the order of repeated `find_fold`, one
     fold at a time (`Domain.fold_all(1)`), then `remove_redundant`.  With no
     fold and no redundant cell the input map itself is kept."""
-    dom = Domain(m)
+    dom = Domain(m, unit_weighting(m.codomain))
     folds = []
     while made := dom.fold_all(1)[0]:
         folds.append(made[0][:2])

@@ -186,7 +186,7 @@ def test_cmd_member_with_trace(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"member": False, "word": "a b a^-1"}
     f = parse_input_file(FREE)
     u = parse_word("a b a^-1", f.presentation.generators)
-    want, _exhausted = reduce_domain(Domain.bouquet(f.complex, f.word_lists["H"], f.weighting, u))
+    want, _exhausted = reduce_domain(Domain.bouquet(f.weighting, f.word_lists["H"], u))
     assert want.to_lines()  # the whisker folds onto the bouquet
     assert trace.read_text().splitlines() == want.to_lines()
     # a word trivial in the free group is answered without a reduction

@@ -348,6 +348,10 @@ REFUSED = {
                                 "W must be nonempty and cyclically reduced"),
     "sc-variant": (lambda: check_sc_weight(unit_weighting(_TORUS), "C7T3"),
                    "unknown variant 'C7T3'"),
+    "sc-variant-not-a-name": (lambda: check_sc_weight(unit_weighting(_TORUS), 5),
+                              "unknown variant 5"),
+    "sc-variant-unhashable": (lambda: check_sc_weight(unit_weighting(_TORUS), ["C4T4"]),
+                              "unknown variant ['C4T4']"),
     "powers-none": (lambda: power_theorem([]), "need at least one word"),
     "powers-unreduced": (lambda: power_theorem([word([1, -1, 2])]),
                          "words must be nonempty and cyclically reduced"),

@@ -23,7 +23,6 @@ from perifold.engine import (
 from perifold.maps import CombMap, Domain, based_fiber_product, end_stars, find_fold, is_packed
 from perifold.subgroups import intersect, member_with_trace
 from perifold.weights import (
-    WeightError,
     cell_weight,
     edge_perimeters,
     map_perimeter,
@@ -155,19 +154,13 @@ def test_weak_mode_requires_limit():
         reduce_map(m, w, "weak")
 
 
-def test_reduction_refuses_an_unknown_mode_and_a_missing_weighting():
+def test_reduction_refuses_an_unknown_mode():
     m = fixtures.ladder_start_map()
     w = unit_weighting(m.codomain)
     with pytest.raises(EngineError, match="mode must be"):
         reduce_map(m, w, "lax")
     with pytest.raises(EngineError, match="mode must be"):
         find_site(Domain(m, w), "lax")
-    with pytest.raises(WeightError, match="requires a weighting"):
-        reduce_map(m, None)
-    dom = Domain(m)
-    with pytest.raises(WeightError, match="requires a weighting"):
-        reduce_domain(dom)
-    assert dom.to_map() == m  # refused before any step
 
 
 def test_trace_complexity_and_step_bound(rng):
@@ -252,8 +245,6 @@ def test_find_site_requires_immersion(rng):
     m = reference_bouquet_map(x, [word([1]), word([1, 2])])
     with pytest.raises(EngineError, match="1-immersion"):
         find_site(Domain(m, w))
-    with pytest.raises(WeightError, match="weighting"):
-        find_site(Domain(fold_to_immersion(m).map))
 
 
 def test_find_site_requires_packed_map():
@@ -288,7 +279,7 @@ def test_attach_site_refuses_a_site_whose_root_was_merged_away():
     # square from position 1, whose attachment merges vertex 4 into 0; the
     # weak site, found before it, starts at vertex 4
     x = standard_complex(fixtures.torus_presentation())
-    dom = Domain.bouquet(x, [word([2, -1, -2, 1, 1, 2])], unit_weighting(x))
+    dom = Domain.bouquet(unit_weighting(x), [word([2, -1, -2, 1, 1, 2])])
     dom.fold_all()
     dom.remove_redundant()
     dom.repair()
@@ -311,7 +302,7 @@ def test_attach_site_refuses_a_site_it_has_glued(words, site):
     # domain, for an incomplete site (whose arc would be glued again) as
     # for a complete one
     x = standard_complex(fixtures.torus_presentation())
-    dom = Domain.bouquet(x, [word(ls) for ls in words], unit_weighting(x))
+    dom = Domain.bouquet(unit_weighting(x), [word(ls) for ls in words])
     dom.fold_all()
     found = find_site(dom)
     assert found == AttachmentSite(*site, dom)
@@ -467,10 +458,10 @@ def assert_same_as_reference(m, w):
     got = fold_to_immersion(m)
     assert (got.map, got.folds, got.removed_cells, got.vertex_map) == reference_fold(m)
     for given in (m, apply_fold(m).map if find_fold(m) else m):
-        dom = Domain(given)
+        dom = Domain(given, w)
         removed = dom.remove_redundant()
         assert (dom.to_map(), removed) == reference_remove_redundant(given)
-        dom = Domain(given)
+        dom = Domain(given, w)
         added = dom.repair()
         assert (dom.to_map(), added) == reference_repair_packing(given)
 
@@ -598,7 +589,7 @@ def test_verify_catches_a_fold_phase_that_leaves_a_fold_or_a_lone_cell(monkeypat
     # packet stays without its two mates
     x = standard_complex(fixtures.torus_presentation())
     monkeypatch.setattr(Domain, "fold_all", lambda dom, limit=None: ([], False))
-    dom = Domain.bouquet(x, [word([1, 2]), word([1, -2])], unit_weighting(x))
+    dom = Domain.bouquet(unit_weighting(x), [word([1, 2]), word([1, -2])])
     with pytest.raises(EngineError, match="fold phase did not end in a 1-immersion"):
         reduce_domain(dom, verify=True)
     monkeypatch.undo()
@@ -619,7 +610,7 @@ def test_a_complete_attachment_must_lower_the_perimeter_by_its_cell_weight(monke
     x = standard_complex(fixtures.torus_presentation())
 
     def square():
-        return Domain.bouquet(x, [word([1, 2, -1, -2])], unit_weighting(x))
+        return Domain.bouquet(unit_weighting(x), [word([1, 2, -1, -2])])
 
     trace, _ = reduce_domain(square())
     assert [(s.kind, s.detail) for s in trace.steps] == [
@@ -666,7 +657,7 @@ def test_bouquet_domain_matches_reference_map(data):
     # hand, its sorted end stars, and the live state of a `Domain` of that
     # map (which is glued edge by edge with the same `add_arc`)
     x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
-    w = data.draw(st.sampled_from([None, w_of(x)]))
+    w = w_of(x)
     letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
     gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(0, 3))))
             if g.letters]
@@ -674,7 +665,7 @@ def test_bouquet_domain_matches_reference_map(data):
     if whisker == "nonempty":  # as drawn, not reduced
         whisker = word(data.draw(st.lists(letter, min_size=1, max_size=8)))
     want = reference_bouquet_map(x, gens, whisker)  # validated
-    dom = Domain.bouquet(x, gens, w, whisker)
+    dom = Domain.bouquet(w, gens, whisker)
     assert dom.to_map() == want
     assert dom.stars == [{img: sorted(ends) for img, ends in star.items()}
                          for star in end_stars(want)]
@@ -714,14 +705,14 @@ def test_arc_gluing_matches_letter_by_letter(data):
     # fresh vertices take their second end through `_add_end`; the arcs
     # start at a root of a partly folded bouquet, so ids are not all roots
     x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
-    w = data.draw(st.sampled_from([None, w_of(x)]))
+    w = w_of(x)
     letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
     gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(1, 3))))
             if g.letters]
     folds = data.draw(st.integers(0, 6))
 
     def start():
-        dom = Domain.bouquet(x, gens, w)
+        dom = Domain.bouquet(w, gens)
         dom.fold_all(folds)
         return dom
 
@@ -795,10 +786,10 @@ def test_augment_matches_gluing_copy_by_copy(data):
     # are unpacked, so `repair` runs on them
     x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
     kind = data.draw(st.sampled_from(["raw", "reduced", "grid"]))
-    w = w_of(x) if kind == "reduced" else data.draw(st.sampled_from([None, w_of(x)]))
+    w = w_of(x)
     if kind == "grid":
         m = random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
-        x, w = m.codomain, w and fixtures.zzz_weighting(m.codomain)
+        x, w = m.codomain, fixtures.zzz_weighting(m.codomain)
     else:
         letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
         gens = [word(ls) for ls in data.draw(
@@ -807,7 +798,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
     def start():
         if kind == "grid":
             return Domain(m, w)
-        dom = Domain.bouquet(x, gens, w)
+        dom = Domain.bouquet(w, gens)
         if kind == "reduced":
             reduce_domain(dom)
         return dom
@@ -837,7 +828,7 @@ def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
     w = unit_weighting(x)
 
     def reduced():
-        dom = Domain.bouquet(x, [word([1, 2, -1, -2])], w)
+        dom = Domain.bouquet(w, [word([1, 2, -1, -2])])
         reduce_domain(dom)
         return dom
 
@@ -868,7 +859,7 @@ def test_verify_checks_sides_against_the_cycles():
     w = unit_weighting(x)
 
     def augmented():
-        dom = Domain.bouquet(x, [word([1, 2, -1])], w)
+        dom = Domain.bouquet(w, [word([1, 2, -1])])
         reduce_domain(dom)
         first = len(dom.edges)
         dom.augment()
@@ -891,7 +882,7 @@ def test_verify_checks_sides_against_the_cycles():
     x = standard_complex(fixtures.torus_presentation())
 
     def folded_once():
-        dom = Domain.bouquet(x, [word([1, 2, -1, -2])], unit_weighting(x))
+        dom = Domain.bouquet(unit_weighting(x), [word([1, 2, -1, -2])])
         reduce_domain(dom)
         dom.augment()
         dom.fold_all(1)
@@ -964,8 +955,8 @@ def test_extract_presentation_matches_reference(data):
         w = w_of(x)
         domains = []
         for _ in range(2):
-            dom = Domain.bouquet(x, [g for g in (draw_word(data, x) for _ in range(
-                data.draw(st.integers(0, 3)))) if g.letters], w)
+            dom = Domain.bouquet(w, [g for g in (draw_word(data, x) for _ in range(
+                data.draw(st.integers(0, 3)))) if g.letters])
             if data.draw(st.booleans()):
                 reduce_domain(dom)
                 if kind == "product":
@@ -1300,11 +1291,11 @@ def test_blocked_sides_match_present_corners(case, data):
         return original(dom, mode)
 
     with mock.patch.object(engine, "find_site", checked):
-        dom = Domain.bouquet(x, gens, w, whisker)
+        dom = Domain.bouquet(w, gens, whisker)
         reduce_domain(dom)
         dom.augment()
         reduce_domain(dom)
-        reduce_domain(Domain.bouquet(x, gens, w, whisker), "weak", 40)
+        reduce_domain(Domain.bouquet(w, gens, whisker), "weak", 40)
     assert {"strict", "weak"} <= set(scanned)
 
 
@@ -1322,7 +1313,7 @@ def test_twins_match_repeated_cells_after_every_fold(case, data):
     if data.draw(st.booleans()):
         dom = Domain(reference_augment_with_cells(reference_bouquet_map(x, gens, whisker)), w)
     else:
-        dom = Domain.bouquet(x, gens, w, whisker)
+        dom = Domain.bouquet(w, gens, whisker)
         reduce_domain(dom)
         dom.augment()
     assert dom.twins == repeated_cells(dom)

@@ -36,22 +36,23 @@ def free2():
 
 
 def test_bouquet_shapes(free2):
-    m = Domain.bouquet(free2, [word([1, 2])]).to_map()
+    w = unit_weighting(free2)
+    m = Domain.bouquet(w, [word([1, 2])]).to_map()
     assert (m.domain.num_vertices, m.domain.num_edges()) == (2, 2)
-    m2 = Domain.bouquet(free2, [], whisker=word([1])).to_map()
+    m2 = Domain.bouquet(w, [], whisker=word([1])).to_map()
     assert (m2.domain.num_vertices, m2.domain.num_edges()) == (2, 1)
     assert m2.domain.edges[-1] == (0, m2.domain.num_vertices - 1)  # the whisker's tip
-    m3 = Domain.bouquet(free2, [word([1]), word([2])], whisker=word([1, 2])).to_map()
+    m3 = Domain.bouquet(w, [word([1]), word([2])], whisker=word([1, 2])).to_map()
     assert m3.domain.num_edges() == 4
     with pytest.raises(MapError, match="Domain.bouquet expects a one-vertex codomain"):
-        Domain.bouquet(Complex2(2, [(0, 1)], []), [word([1])])
+        Domain.bouquet(unit_weighting(Complex2(2, [(0, 1)], [])), [word([1])])
     with pytest.raises(MapError, match="word uses unknown generator"):
-        Domain.bouquet(free2, [word([3])])
+        Domain.bouquet(w, [word([3])])
     with pytest.raises(MapError, match="bouquet words must be nonempty"):
-        Domain.bouquet(free2, [word([])])
+        Domain.bouquet(w, [word([])])
     for whisker in (word([3]), word([1, -3])):
         with pytest.raises(MapError, match="word uses unknown generator"):
-            Domain.bouquet(free2, [word([1])], whisker=whisker)
+            Domain.bouquet(w, [word([1])], whisker=whisker)
 
 
 def test_domain_refuses_a_weighting_of_another_complex():
@@ -133,7 +134,7 @@ def test_fold_confluence(free2, rng):
             if not folds:
                 break
             cur = apply_fold(cur, rng.choice(folds)).map
-        dom = Domain(cur)
+        dom = Domain(cur, unit_weighting(free2))
         dom.remove_redundant()
         assert isomorphic_maps(first, dom.to_map())
 
@@ -156,11 +157,11 @@ def test_remove_redundant():
     )
     w = unit_weighting(x)
     before = map_perimeter(w, dup)
-    dom = Domain(dup)
+    dom = Domain(dup, w)
     assert dom.remove_redundant() == 1
     cleaned = dom.to_map()
     assert map_perimeter(w, cleaned) == before
-    again = Domain(cleaned)
+    again = Domain(cleaned, w)
     assert again.remove_redundant() == 0 and again.to_map() == cleaned
 
 
@@ -168,7 +169,7 @@ def test_sphere_cells_not_redundant():
     # two of the three packet cells of (aab)^3 have distinct rotations
     x = standard_complex(fixtures.aab_power_presentation(3))
     m = build_packet(x, 0)
-    dom = Domain(m)
+    dom = Domain(m, unit_weighting(x))
     assert dom.remove_redundant() == 0
     assert dom.to_map().domain.num_cells() == 3
 
@@ -186,13 +187,13 @@ def test_packedness_and_repair():
     )
     ok, witness = is_packed(lone)
     assert not ok and witness is not None
-    dom = Domain(lone)
+    w = unit_weighting(x)
+    dom = Domain(lone, w)
     assert dom.repair() == 2
     repaired = dom.to_map()
     assert is_packed(repaired)[0]
-    w = unit_weighting(x)
     assert map_perimeter(w, repaired) <= map_perimeter(w, lone)
-    dom = Domain(m)
+    dom = Domain(m, w)
     assert dom.repair() == 0 and is_packed(dom.to_map())[0]
 
 
@@ -204,7 +205,8 @@ def test_fiber_product_cyclic_covers(free2):
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert based.domain.num_edges() == 6
     assert based.domain.num_vertices == 6
-    assert based_fiber_product(Domain(a2), Domain(a3)) == based
+    w = unit_weighting(circle)
+    assert based_fiber_product(Domain(a2, w), Domain(a3, w)) == based
 
 
 def test_fiber_product_diagonal():
@@ -214,7 +216,7 @@ def test_fiber_product_diagonal():
     assert fp.product.num_cells() == 4  # one cell per compatible pair
     based = restrict_to_component(fp.to_codomain, fp.based_vertex)
     assert isomorphic_maps(based, m)
-    dom = Domain(m)
+    dom = Domain(m, unit_weighting(x))
     assert based_fiber_product(dom, dom) == based
 
 
@@ -272,7 +274,7 @@ def test_based_fiber_product_matches_all_pairs_reference(data):
         kind = data.draw(st.sampled_from(kinds))
         if kind == "grid":  # many cells over several vertices
             m = random_grid_subcomplex(random.Random(data.draw(st.integers(0, 2**16))))
-            return Domain(m), m
+            return Domain(m, w), m
         m = bouquet()
         if kind == "live":  # as in `intersect`: dropped edges, merged roots, deleted cells
             dom = Domain(m, w)
@@ -284,7 +286,7 @@ def test_based_fiber_product_matches_all_pairs_reference(data):
             m = reduce_map(m, w).map
         if kind == "augmented":
             m = reference_augment_with_cells(m)  # cells glued at one vertex: no immersion
-        return Domain(m), m
+        return Domain(m, w), m
 
     other = data.draw(st.sampled_from(["side", "same", "inclusion"]))
     if other == "side":
@@ -296,7 +298,7 @@ def test_based_fiber_product_matches_all_pairs_reference(data):
         ma = reduce_map(bouquet(), w).map
         mb = CombMap(Complex2(1, [(0, 0)] * len(kept), []), x, [0],
                      [e + 1 for e in kept], [], 0)
-        a, b = Domain(ma), Domain(mb)
+        a, b = Domain(ma, w), Domain(mb, w)
     if data.draw(st.booleans()):
         (a, ma), (b, mb) = (b, mb), (a, ma)
     before = a.to_map(), b.to_map()
@@ -313,16 +315,19 @@ def test_based_fiber_product_cell_order():
     b = reduce_map(reference_bouquet_map(x, [word([1, -2, -1, -2])]), w).map
     want = reference_based_product(a, b)
     assert want.domain.num_cells() == 2
-    assert based_fiber_product(Domain(a), Domain(b)) == want
+    assert based_fiber_product(Domain(a, w), Domain(b, w)) == want
 
 
 def test_based_fiber_product_errors(free2):
     torus = standard_complex(fixtures.torus_presentation())
     with pytest.raises(MapError, match="common codomain"):
-        based_fiber_product(Domain.bouquet(free2, [word([1])]), Domain.bouquet(torus, [word([1])]))
+        based_fiber_product(Domain.bouquet(unit_weighting(free2), [word([1])]),
+                            Domain.bouquet(unit_weighting(torus), [word([1])]))
     segment = Complex2(2, [(0, 1)], [])
+    w = unit_weighting(segment)
     with pytest.raises(MapError, match="basepoints do not match"):
-        based_fiber_product(Domain(identity_map(segment, 0)), Domain(identity_map(segment, 1)))
+        based_fiber_product(Domain(identity_map(segment, 0), w),
+                            Domain(identity_map(segment, 1), w))
 
 
 def test_reflected_cell_roundtrip():
@@ -384,7 +389,7 @@ REFUSED = {
 
 @pytest.mark.parametrize("m, message", REFUSED.values(), ids=list(REFUSED))
 def test_validate_refuses_a_map_that_does_not_map(m, message):
-    # `validate` checks a hand-built map before it is wrapped as `Domain(m)`
+    # `validate` checks a hand-built map before it is wrapped as `Domain(m, w)`
     _onto_torus().validate()
     with pytest.raises(MapError) as refused:
         m.validate()

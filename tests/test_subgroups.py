@@ -36,7 +36,7 @@ def test_decision_procedures_build_each_domain_from_its_words(monkeypatch):
     def no_validate(self):
         raise AssertionError("CombMap.validate called")
 
-    def init(self, m, w=None):
+    def init(self, m, w):
         wrapped.append(m.domain.num_edges())
         original(self, m, w)
 
