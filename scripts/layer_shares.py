@@ -5,20 +5,16 @@
 
 Builds the round of the given workload and seed from `perfbench/workloads.py`
 (imported as it stands, writing no bytecode there), runs it once to warm
-every cache, then once under cProfile and once with each layer timed by a
-wrapper.  Prints the round's wall milliseconds, bare and wrapped, and per
-layer its calls, its cumulative share of the round under cProfile and by
-the wall clock, and its wall milliseconds in the wrapped round, so that two
-commits compare where a saving sits even when the round itself got faster.
-cProfile charges every Python call, so it overstates layers made of many
-small calls; the wrappers cost two clock reads per call.  Report only: it
-checks no answer and gates nothing.
+every cache, then once bare and once with each layer timed by a wrapper.
+Prints the round's wall milliseconds, bare and wrapped, and per layer its
+calls, its cumulative share of the wrapped round by the wall clock and its
+wall milliseconds, so that two commits compare where a saving sits even
+when the round itself got faster.  The wrappers cost two clock reads per
+call.  Report only: it checks no answer and gates nothing.
 """
 
 import argparse
-import cProfile
 import functools
-import pstats
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -52,20 +48,6 @@ def play(ops) -> float:
     for op in ops:
         op.call()
     return perf_counter() - t0
-
-
-def profiled(ops, named) -> dict[str, tuple[int, float]]:
-    """Layer -> (calls, cumulative share of the round) under cProfile."""
-    profile = cProfile.Profile()
-    profile.runcall(play, ops)
-    stats = pstats.Stats(profile)
-    out = {}
-    for name, (owner, attr) in named.items():
-        code = getattr(owner, attr).__code__
-        _cc, calls, _tt, cum, _callers = stats.stats.get(
-            (code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0.0, 0.0, {}))
-        out[name] = calls, cum / stats.total_tt
-    return out
 
 
 def timed(ops, named, modules) -> tuple[float, dict[str, tuple[int, float]]]:
@@ -120,16 +102,12 @@ def main() -> None:
     ops = workloads.build_round(args.workload, args.seed, pf, files).ops
     named = layers(pf)
     bare = play(ops)
-    by_profile = profiled(ops, named)
     total, by_clock = timed(ops, named, list(vars(pf).values()))
     print(f"{args.workload} seed {args.seed}: one round of {len(ops)} operations,"
           f" {bare * 1e3:.1f} ms bare, {total * 1e3:.1f} ms wrapped")
-    print(f"{'layer':<28} {'calls':>7} {'cProfile':>9} {'wall':>7} {'wall ms':>8}")
-    for name in named:
-        calls, share = by_profile[name]
-        seconds = by_clock[name][1]
-        print(f"{name:<28} {calls:>7} {share:>8.1%} {seconds / total:>7.1%}"
-              f" {seconds * 1e3:>8.1f}")
+    print(f"{'layer':<28} {'calls':>7} {'wall':>7} {'wall ms':>8}")
+    for name, (calls, seconds) in by_clock.items():
+        print(f"{name:<28} {calls:>7} {seconds / total:>7.1%} {seconds * 1e3:>8.1f}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ reduced in place and built into a map once), and prints step counts and
 wall-clock times; the step count should stay linear in the input length
 and the wall clock at worst quadratic.  While folds dominate, wall/L stays
 about flat up to a few thousand letters only: each fold costs more as the
-sorted end and root lists grow, and --lengths 2000 8000 32000 128000 gave,
-on a shared 2-core machine, wall/L of 12.9, 16.6, 29.3 and 103.0 us.
+sorted end and root lists grow, which --lengths 2000 8000 32000 128000
+shows.
 
 Then answers `member` on the genus-2 surface group for products of k
 relator conjugates (word length L); the attachment search takes most of

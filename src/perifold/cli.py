@@ -84,6 +84,8 @@ def parse_input_file(text: str) -> InputFile:
                 raise ParseError("empty weights directive", lineno, 1)
             kind = parts[0]
             if kind == "unit":
+                if len(parts) != 1:
+                    raise ParseError("weights unit takes no values", lineno, 1)
                 saw_unit = True
             elif kind == "gen":
                 if len(parts) != 3:
@@ -209,7 +211,7 @@ def cmd_info(f: InputFile, args) -> int:
                 "period_length": x.periods[c][0],
                 "exponent": x.periods[c][1],
                 "max_piece_length": x.pieces.cell_max[c],
-                "min_cycle_piece_cover": _num(report.cell_covers[c]),
+                "min_cycle_piece_cover": _num(x.cycle_covers[c]),
             }
             for c in range(x.num_cells())
         ],

@@ -28,9 +28,10 @@ class Complex2(Record):
     """A 2-complex given by its vertex count, edges and cell boundaries.
 
     The invariants that the perimeter calculus and the certificates read
-    (`periods`, `sides`, `pieces`, `link_girths`) are derived when first
-    asked for and kept on the complex.  None is recomputed, so a complex
-    must not be mutated once any of them has been read.
+    (`periods`, `sides`, `pieces`, `link_girths`, `cycle_covers`) are
+    derived when first asked for and kept on the complex.  None is
+    recomputed, so a complex must not be mutated once any of them has been
+    read.
     """
 
     _fields = ("num_vertices", "edges", "cells")
@@ -67,6 +68,13 @@ class Complex2(Record):
         """Per vertex: the essential girth of its link."""
         return tuple(link_graph(self, v).essential_girth
                      for v in range(self.num_vertices))
+
+    @cached_property
+    def cycle_covers(self) -> tuple[float, ...]:
+        """Per cell: the least `min_piece_cover` of its whole boundary cycle
+        over all starts; inf when some edge of it lies in no piece."""
+        return tuple(min(min_piece_cover(self, c, s, len(bdry)) for s in range(len(bdry)))
+                     for c, bdry in enumerate(self.cells))
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -202,6 +210,17 @@ class PieceTable(Record):
         self.max_from = max_from  # per cell, per start: longest piece read forward
         self.cell_max = cell_max
 
+    def reaches(self, c: int, start: int):
+        """Letters of the boundary of cell c, read from start, that 1, 2, 3,
+        ... pieces cover, taking the longest piece at each step, each capped
+        at the boundary length; the walk ends there or where no piece
+        starts."""
+        row = self.max_from[c]
+        m, reach = len(row), 0
+        while reach < m and (step := row[(start + reach) % m]):
+            reach = min(reach + step, m)
+            yield reach
+
 
 def _raise_longest_extensions(u: tuple[int, ...], v: tuple[int, ...],
                               best: list[int]) -> None:
@@ -261,44 +280,32 @@ def compute_pieces(x: Complex2) -> PieceTable:
 def min_piece_cover(x: Complex2, c: int, start: int, length: int) -> float:
     """Minimal number of pieces concatenating to the boundary subpath.
 
-    Greedy longest-prefix; optimal because piece sets are closed under
-    subpaths.  Returns inf when some edge of the subpath lies in no piece.
+    Greedy longest-prefix (`PieceTable.reaches`); optimal because piece sets
+    are closed under subpaths.  Returns inf when some edge of the subpath
+    lies in no piece.
     """
+    if not (0 <= c < len(x.cells)):
+        raise ComplexError("unknown cell")
     m = len(x.cells[c])
     if not (0 <= start < m) or not (0 <= length <= m):
         raise ComplexError("invalid subpath")
-    max_from = x.pieces.max_from[c]
-    pos, remaining, count = start, length, 0
-    while remaining > 0:
-        step = min(max_from[pos % m], remaining)
-        if step == 0:
-            return INF
-        count += 1
-        pos = (pos + step) % m
-        remaining -= step
-    return count
-
-
-def cycle_piece_cover(x: Complex2, c: int) -> float:
-    """Minimal piece cover of the full boundary cycle (over all rotations)."""
-    m = len(x.cells[c])
-    return min(min_piece_cover(x, c, s, m) for s in range(m))
+    if length == 0:
+        return 0
+    return next((k for k, reach in enumerate(x.pieces.reaches(c, start), 1) if reach >= length),
+                INF)
 
 
 class SmallCancellationReport(Record):
-    _fields = ("p", "q", "alpha", "c_holds", "t_holds", "c_prime_holds", "cell_covers",
-               "witnesses")
+    _fields = ("p", "q", "alpha", "c_holds", "t_holds", "c_prime_holds", "witnesses")
 
     def __init__(self, p: int, q: int, alpha: Fraction | None, c_holds: bool, t_holds: bool,
-                 c_prime_holds: bool | None, cell_covers: list[float],
-                 witnesses: list[str] | None = None):
+                 c_prime_holds: bool | None, witnesses: list[str] | None = None):
         self.p = p
         self.q = q
         self.alpha = alpha
         self.c_holds = c_holds
         self.t_holds = t_holds
         self.c_prime_holds = c_prime_holds
-        self.cell_covers = cell_covers
         self.witnesses = [] if witnesses is None else witnesses
 
 
@@ -309,10 +316,9 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
         raise ComplexError("need p >= 2 and q >= 3")
     if alpha is not None and alpha <= 0:
         raise ComplexError(f"need alpha > 0, not {alpha}")
-    covers = [cycle_piece_cover(x, c) for c in range(len(x.cells))]
     witnesses: list[str] = []
     c_holds = True
-    for c, cover in enumerate(covers):
+    for c, cover in enumerate(x.cycle_covers):
         if cover < p:
             c_holds = False
             witnesses.append(f"C({p}) fails: cell {c} boundary covered by {int(cover)} pieces")
@@ -334,7 +340,7 @@ def check_small_cancellation(x: Complex2, p: int, q: int,
                     f"C'({alpha}) fails: cell {c} has a piece of length {longest}"
                     f" with boundary length {len(x.cells[c])}"
                 )
-    return SmallCancellationReport(p, q, alpha, c_holds, t_holds, c_prime, covers, witnesses)
+    return SmallCancellationReport(p, q, alpha, c_holds, t_holds, c_prime, witnesses)
 
 
 def largest_metric_denominator(x: Complex2) -> float:

@@ -7,6 +7,8 @@ one-sided tests and a False verdict never means "incoherent".
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .complexes import (
     INF,
     Complex2,
@@ -172,19 +174,12 @@ def check_sc_weight(w: Weighting, variant: str = "C4T4", strict: bool = False) -
                        witnesses=list(sc.witnesses),
                        notes=[f"complex is not C({p_cond})-T({q_cond}) (T via link girth)"])
     # Piece covers grow with the length, so at each start the subpaths of at
-    # most `shell` pieces are those up to the greedy reach.
+    # most `shell` pieces are those up to the greedy reach of `shell` pieces:
+    # the walk's reaches grow, so that is the greatest of its first `shell`.
     found = []  # per cell: (slack, cell, start, length, P(S)) of its worst subpath
     for c, bdry in enumerate(x.cells):
-        m, max_from = len(bdry), x.pieces.max_from[c]
-        reaches = []
-        for start in range(m):
-            reach = 0
-            for _ in range(shell):
-                step = max_from[(start + reach) % m]
-                if step == 0:
-                    break
-                reach += step
-            reaches.append(min(reach, m))
+        reaches = [max(islice(x.pieces.reaches(c, start), shell), default=0)
+                   for start in range(len(bdry))]
         if (cell_worst := _worst_subpath(w, c, reaches)) is not None:
             p_s, start, length = cell_worst
             found.append((packet_weight(w, c) - p_s, c, start, length, p_s))

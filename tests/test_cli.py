@@ -399,6 +399,8 @@ TORUS = "gens a b\nrel a b a^-1 b^-1\n"
 HOSTILE = {  # name -> (input file, subcommand and options, error line)
     "weights-no-kind": (TORUS + "weights\n", ["info"],
                         "line 3, column 1: empty weights directive"),
+    "weights-unit-value": (TORUS + "weights unit 7\n", ["info"],
+                           "line 3, column 1: weights unit takes no values"),
     "weights-gen-no-value": (TORUS + "weights gen a\n", ["info"],
                              "line 3, column 1: weights gen <name> <int>"),
     "weights-gen-unknown": (TORUS + "weights gen z 2\n", ["info"],

@@ -11,7 +11,6 @@ from perifold.complexes import (
     ComplexError,
     check_small_cancellation,
     compute_pieces,
-    cycle_piece_cover,
     link_graph,
     min_piece_cover,
     standard_complex,
@@ -21,7 +20,7 @@ from perifold.words import Presentation, Word, parse_presentation, period_expone
 from conftest import oracle_max_piece, random_grid_subcomplex, relator_complexes
 import fixtures
 from fixtures import random_reduced_word
-from reference import build_packet, reference_compute_pieces
+from reference import _min_piece_cover, build_packet, reference_compute_pieces
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +214,29 @@ def test_derived_data_match_plain_routines(x):
     assert (x.pieces.max_from, x.pieces.cell_max) == (ref.max_from, ref.cell_max)
     assert x.link_girths == tuple(link_graph(x, v).essential_girth
                                   for v in range(x.num_vertices))
+    assert x.cycle_covers == tuple(
+        min(_min_piece_cover(ref, c, s, len(bdry)) for s in range(len(bdry)))
+        for c, bdry in enumerate(x.cells))
+    for c, bdry in enumerate(x.cells):
+        m = len(bdry)
+        for s in range(m):
+            covers = [min_piece_cover(x, c, s, ln) for ln in range(m + 1)]
+            assert covers == [_min_piece_cover(ref, c, s, ln) for ln in range(m + 1)]
+            assert covers == _fewest_pieces(ref.max_from[c], s)
     assert x.pieces is x.pieces  # kept, not recomputed
+
+
+def _fewest_pieces(max_from: list[int], start: int) -> list[float]:
+    """Per length 0..m: the fewest pieces that concatenate to the subpath
+    read from start, over every decomposition, where a piece read from
+    position i may have any length from 1 to max_from[i]; inf for none."""
+    m = len(max_from)
+    fewest = [0] + [INF] * m
+    for ln in range(m):
+        reach = min(max_from[(start + ln) % m], m - ln)
+        for k in range(ln + 1, ln + reach + 1):
+            fewest[k] = min(fewest[k], fewest[ln] + 1)
+    return fewest
 
 
 def test_min_piece_cover_examples():
@@ -247,7 +268,7 @@ def test_small_cancellation_reports():
     torus = standard_complex(fixtures.torus_presentation())
     rep3 = check_small_cancellation(torus, 6, 3)
     assert not rep3.c_holds  # the square is only C(4)
-    assert cycle_piece_cover(torus, 0) == 4
+    assert torus.cycle_covers[0] == 4
     assert rep3.witnesses
 
 
@@ -265,6 +286,8 @@ REFUSED = {
                   "cell 0 attaching map backtracks at 1"),
     "unknown-vertex": (lambda: link_graph(_TORUS, 1), "unknown vertex"),
     "subpath": (lambda: min_piece_cover(_TORUS, 0, 4, 1), "invalid subpath"),
+    "cell-below-0": (lambda: min_piece_cover(_TORUS, -1, 0, 4), "unknown cell"),
+    "cell-past-last": (lambda: min_piece_cover(_TORUS, 1, 0, 1), "unknown cell"),
     "p-below-2": (lambda: check_small_cancellation(_TORUS, 1, 3), "need p >= 2 and q >= 3"),
     "alpha-0": (lambda: check_small_cancellation(_TORUS, 6, 3, Fraction(0)),
                 "need alpha > 0, not 0"),

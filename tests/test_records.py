@@ -39,7 +39,7 @@ RECORDS = [
     (Complex2, (1, [(0, 0), (0, 0)], [(1, 2, -1, -2)]), False),
     (LinkGraph, ([1, -1], [(1, -1, 0, 0)], 4), False),
     (PieceTable, ([[1, 1, 1, 1]], [1]), False),
-    (SmallCancellationReport, (6, 3, None, False, True, None, [2.0], ["a witness"]), False),
+    (SmallCancellationReport, (6, 3, None, False, True, None, ["a witness"]), False),
     (CombMap, (TORUS, TORUS, [0], [1, 2], [(0, 0, False)], 0), False),
     (AttachmentSite, (0, 1, 1, 0, False, TORUS), False),
     (TraceStep, ("fold", 3, 2, 1, 0, {"refs": (1, 2)}), False),
