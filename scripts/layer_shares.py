@@ -10,11 +10,15 @@ Prints the round's wall milliseconds, bare and wrapped, and per layer its
 calls, its cumulative share of the wrapped round by the wall clock and its
 wall milliseconds, so that two commits compare where a saving sits even
 when the round itself got faster.  The wrappers cost two clock reads per
-call.  Report only: it checks no answer and gates nothing.
+call.  A last row counts the cyclic garbage collector's passes over the
+bare round, per generation 0/1/2, and their share of the bare round and
+wall milliseconds, timed through `gc.callbacks`.  Report only: it checks no
+answer and gates nothing.
 """
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -48,6 +52,27 @@ def play(ops) -> float:
     for op in ops:
         op.call()
     return perf_counter() - t0
+
+
+def collected(ops) -> tuple[float, list[int], float]:
+    """The bare round's wall seconds, and the collector's passes during it
+    per generation and their wall seconds."""
+    passes = [0, 0, 0]
+    spent = [0.0, 0.0]  # total, start of the pass under way
+
+    def count(phase, info):
+        if phase == "start":
+            spent[1] = perf_counter()
+        else:
+            passes[info["generation"]] += 1
+            spent[0] += perf_counter() - spent[1]
+
+    gc.callbacks.append(count)
+    try:
+        bare = play(ops)
+    finally:
+        gc.callbacks.remove(count)
+    return bare, passes, spent[0]
 
 
 def timed(ops, named, modules) -> tuple[float, dict[str, tuple[int, float]]]:
@@ -101,13 +126,15 @@ def main() -> None:
     files = {n: pf.cli.parse_input_file(workloads.INPUT_TEXTS[n]) for n in names}
     ops = workloads.build_round(args.workload, args.seed, pf, files).ops
     named = layers(pf)
-    bare = play(ops)
+    bare, passes, collecting = collected(ops)
     total, by_clock = timed(ops, named, list(vars(pf).values()))
     print(f"{args.workload} seed {args.seed}: one round of {len(ops)} operations,"
           f" {bare * 1e3:.1f} ms bare, {total * 1e3:.1f} ms wrapped")
     print(f"{'layer':<28} {'calls':>7} {'wall':>7} {'wall ms':>8}")
     for name, (calls, seconds) in by_clock.items():
         print(f"{name:<28} {calls:>7} {seconds / total:>7.1%} {seconds * 1e3:>8.1f}")
+    name = "gc passes " + "/".join(map(str, passes)) + " (bare)"
+    print(f"{name:<28} {sum(passes):>7} {collecting / bare:>7.1%} {collecting * 1e3:>8.1f}")
 
 
 if __name__ == "__main__":

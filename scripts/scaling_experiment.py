@@ -4,7 +4,8 @@ and the certificate with the relator length.
 
 Reduces random bouquets over <a, b | (aab)^9> at a ladder of total lengths,
 as `subgroup_presentation` does (a fresh bouquet domain per timed call,
-reduced in place and built into a map once), and prints step counts and
+reduced in place with the cyclic collector paused and built into a map
+once: `reduce_bouquet` of `tests/fixtures.py`), and prints step counts and
 wall-clock times; the step count should stay linear in the input length
 and the wall clock at worst quadratic.  While folds dominate, wall/L stays
 about flat up to a few thousand letters only: each fold costs more as the
@@ -20,12 +21,13 @@ by two random reduced words of length n (total generator length L = 4n);
 nearly every attachment scan there finds nothing.
 
 Then runs the weak reduction of H = <b^-1 a^2> with the whisker b^3 on the
-torus, timed the same way, which builds a square ladder until its step
-limit N, and prints the wall clock per step.  A step of the ladder changes
-the domain locally, and the attachment scan skips a lift uncounted when
-the side it would start is present at the edge of its first letter; one
-scan counts the lift of each (cell, start, root) once, but us/step still
-grows with N, as each scan walks the lifts at every root again.
+torus, reduced and timed the same way, which builds a square ladder until
+its step limit N, and prints the wall clock per step.  A step of the
+ladder changes the domain locally, and the attachment scan skips a lift
+uncounted when the side it would start is present at the edge of its
+first letter; one scan counts the lift of each (cell, start, root) once,
+but us/step still grows with N, as each scan walks the lifts at every
+root again.
 
 Then builds the piece table and the strict certificate of <a, b | (aab)^k>
 for a ladder of exponents k (relator length m = 3k) and prints both times
@@ -46,14 +48,13 @@ from fixtures import (  # noqa: E402  (tests/fixtures.py)
     aab_power_presentation,
     measure_reduction_scaling,
     random_reduced_word,
+    reduce_bouquet,
     relator_conjugate_product,
     surface_presentation,
     torus_presentation,
 )
 from perifold.complexes import compute_pieces, standard_complex  # noqa: E402
 from perifold.criteria import find_certificate  # noqa: E402
-from perifold.engine import reduce_domain  # noqa: E402
-from perifold.maps import Domain  # noqa: E402
 from perifold.subgroups import intersect, member_with_trace  # noqa: E402
 from perifold.weights import unit_weighting  # noqa: E402
 from perifold.words import Word  # noqa: E402
@@ -146,9 +147,7 @@ def main() -> None:
         seconds = float("inf")
         for _ in range(best_of):
             t0 = time.perf_counter()
-            dom = Domain.bouquet(w, h, u)
-            trace, _exhausted = reduce_domain(dom, "weak", n)
-            dom.to_map()
+            trace = reduce_bouquet(w, h, u, "weak", n)
             seconds = min(seconds, time.perf_counter() - t0)
         steps = len(trace.steps)
         print(f"{n:>5} {steps:>7} {seconds * 1e3:>10.2f} {seconds / max(1, steps) * 1e6:>15.1f}")

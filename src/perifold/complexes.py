@@ -72,7 +72,11 @@ class Complex2(Record):
     @cached_property
     def cycle_covers(self) -> tuple[float, ...]:
         """Per cell: the least `min_piece_cover` of its whole boundary cycle
-        over all starts; inf when some edge of it lies in no piece."""
+        over all starts; inf when some edge of it lies in no piece.  A cell
+        with an empty boundary has no cycle to cover and is refused."""
+        for c, bdry in enumerate(self.cells):
+            if not bdry:
+                raise ComplexError(f"cell {c} has empty boundary")
         return tuple(min(min_piece_cover(self, c, s, len(bdry)) for s in range(len(bdry)))
                      for c, bdry in enumerate(self.cells))
 

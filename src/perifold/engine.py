@@ -267,9 +267,10 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     built with, until no fold and no qualifying site exists.  Returns the
     trace and whether the step limit cut the run short (`exhausted`, set
     instead of raising so the partial trace stays observable); weak mode
-    requires a limit, as weak attachments need not terminate.  A fold phase
-    that the limit cuts short still logs its `remove-redundant` and
-    `repair` steps, so a trace may hold more steps than the limit.
+    requires a limit, as weak attachments need not terminate, and a limit
+    below 0 is refused.  A fold phase that the limit cuts short still logs
+    its `remove-redundant` and `repair` steps, so a trace may hold more
+    steps than the limit.
 
     The folds of a fold phase are made by one `Domain.fold_all` within the
     steps left, and each fold step is read off what it returns.  With
@@ -285,6 +286,8 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
         raise EngineError("mode must be 'strict' or 'weak'")
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
+    if step_limit is not None and step_limit < 0:
+        raise EngineError(f"step_limit must be at least 0, not {step_limit}")
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
     pending = False  # the last fold phase was cut short with a fold left
 

@@ -3,9 +3,19 @@ membership, and finitely generated intersections via the based components
 of fiber products.  Each subgroup lives on one `maps.Domain`, built from
 its words (`Domain.bouquet`) and changed in place from then on; a map is
 built from it only to be read, and the fiber product is read off the
-domains themselves."""
+domains themselves.
+
+The four decision procedures run with CPython's cyclic garbage collector
+paused (`_collector_paused`).  Their domains allocate many small containers
+(stars, end lists, edge tuples, side sets), which set off collector passes
+that find nothing: the engine builds no reference cycles, so what it
+allocates is freed by reference counting as it dies.  The caller's collector
+state is restored on return; cycles that another thread makes during a call
+wait for the collector's next pass."""
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .complexes import Complex2
 from .criteria import CriterionError, Verdict, find_certificate, magnus_weighting
@@ -18,6 +28,30 @@ from .words import Presentation, Word, free_reduce
 
 class MissingCertificateError(ValueError):
     pass
+
+
+def _collector_paused(decide):
+    """Run `decide` with the cyclic garbage collector disabled, and enable it
+    again on the way out, by return or by raise, if it was enabled on entry.
+
+    Safe because the engine's structures (domains, maps, traces, union-find
+    and piece tables) hold no reference cycles: each is freed by reference
+    counting as it dies, so a collector pass during a call would find
+    nothing, as `tests/test_subgroups.py` checks over the answer corpus.
+    The switch is process-wide: cycles another thread makes during a call
+    are collected only when the collector runs again."""
+    @wraps(decide)
+    def paused(*args, **kwargs):
+        import gc  # only here, so `import perifold` does not import it
+
+        if not gc.isenabled():
+            return decide(*args, **kwargs)
+        gc.disable()
+        try:
+            return decide(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class SubgroupResult(Record):
@@ -57,6 +91,7 @@ def _clean_words(words) -> list[Word]:
     return [r for r in map(free_reduce, words) if r.letters]
 
 
+@_collector_paused
 def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
                           force: bool = False,
                           step_limit: int | None = None) -> SubgroupResult:
@@ -79,6 +114,7 @@ def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     return member_with_trace(x, w, gens, u, force)[0]
 
 
+@_collector_paused
 def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
                       force: bool = False, step_limit: int | None = None
                       ) -> tuple[bool | None, ReductionTrace]:
@@ -101,6 +137,7 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     return (None if exhausted else False), trace
 
 
+@_collector_paused
 def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
               force: bool = False, step_limit: int | None = None) -> SubgroupResult:
     """Intersection of two finitely generated subgroups.
@@ -132,6 +169,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
                           any(exhausted for _run, exhausted in runs))
 
 
+@_collector_paused
 def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
                      force: bool = False) -> SubgroupResult:
     """Intersection with the subgroup of a zero-perimeter subgraph.

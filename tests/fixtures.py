@@ -9,8 +9,9 @@ import random
 import time
 
 from perifold.complexes import Complex2, standard_complex
-from perifold.engine import reduce_domain
+from perifold.engine import ReductionTrace, reduce_domain
 from perifold.maps import CombMap, Domain
+from perifold.subgroups import _collector_paused
 from perifold.weights import Weighting, unit_weighting, weighting_from_rows
 from perifold.words import Presentation, Word, free_reduce, inverse, parse_presentation
 
@@ -243,13 +244,24 @@ def relator_conjugate_product(rng: random.Random, relator: Word, ngens: int, k: 
     return free_reduce(Word(letters))
 
 
+@_collector_paused
+def reduce_bouquet(w: Weighting, gens: list[Word], whisker: Word | None = None,
+                   mode: str = "strict", step_limit: int | None = None) -> ReductionTrace:
+    """Reduce the bouquet of gens (and the whisker, if given) as the decision
+    procedures do: on a fresh bouquet domain, in place, with the cyclic
+    collector paused, building it into a map once; the reduction's trace."""
+    dom = Domain.bouquet(w, gens, whisker)
+    trace, _exhausted = reduce_domain(dom, mode, step_limit)
+    dom.to_map()
+    return trace
+
+
 def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
                               best_of: int = 1) -> list[tuple[int, int, float]]:
     """Reduce random bouquets of each total length L as
-    `subgroup_presentation` does (a fresh bouquet domain per timed call,
-    reduced in place and built into a map once); one (L, steps, seconds)
-    per length: the mean step count over the seeds and the best wall clock
-    over the seeds and `best_of` repetitions."""
+    `subgroup_presentation` does (`reduce_bouquet`, one timed call each);
+    one (L, steps, seconds) per length: the mean step count over the seeds
+    and the best wall clock over the seeds and `best_of` repetitions."""
     x = standard_complex(presentation)
     w = unit_weighting(x)
     out = []
@@ -263,9 +275,7 @@ def measure_reduction_scaling(presentation, lengths, seeds, parts: int = 3,
             gens = [g for g in map(free_reduce, gens) if g.letters]
             for _ in range(max(1, best_of)):
                 t0 = time.perf_counter()
-                dom = Domain.bouquet(w, gens)
-                trace, _exhausted = reduce_domain(dom, "strict")
-                dom.to_map()
+                trace = reduce_bouquet(w, gens)
                 best = min(best, time.perf_counter() - t0)
             steps_total += len(trace.steps)
         out.append((length, steps_total // max(1, len(seeds)), best))

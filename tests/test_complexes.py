@@ -284,6 +284,8 @@ REFUSED = {
                  "cell 0 boundary does not chain at 0"),
     "backtrack": (lambda: Complex2(1, [(0, 0), (0, 0)], [(2, 1, -1)]).validate(),
                   "cell 0 attaching map backtracks at 1"),
+    "sc-empty-boundary": (lambda: check_small_cancellation(Complex2(1, [(0, 0)], [()]), 6, 3),
+                          "cell 0 has empty boundary"),
     "unknown-vertex": (lambda: link_graph(_TORUS, 1), "unknown vertex"),
     "subpath": (lambda: min_piece_cover(_TORUS, 0, 4, 1), "invalid subpath"),
     "cell-below-0": (lambda: min_piece_cover(_TORUS, -1, 0, 4), "unknown cell"),

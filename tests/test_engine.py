@@ -161,6 +161,13 @@ def test_reduction_refuses_an_unknown_mode():
         reduce_map(m, w, "lax")
     with pytest.raises(EngineError, match="mode must be"):
         find_site(Domain(m, w), "lax")
+    # and a negative step limit, which would end the run before any step
+    for mode in ("strict", "weak"):
+        with pytest.raises(EngineError, match="step_limit must be at least 0, not -1"):
+            reduce_domain(Domain(m, w), mode, -1)
+    x = standard_complex(fixtures.surface_presentation(2, True))
+    with pytest.raises(EngineError, match="step_limit must be at least 0, not -3"):
+        intersect(x, unit_weighting(x), [word([1])], [word([2])], step_limit=-3)
 
 
 def test_trace_complexity_and_step_bound(rng):

@@ -1,10 +1,12 @@
+import gc
 import itertools
 
 import pytest
 
-from perifold import maps
+from perifold import maps, subgroups
 from perifold.complexes import Complex2, standard_complex
 from perifold.criteria import CriterionError
+from perifold.engine import EngineError
 from perifold.maps import CombMap, MapError
 from perifold.subgroups import (
     MissingCertificateError,
@@ -18,6 +20,7 @@ from perifold.weights import path_perimeter, unit_weighting, weighting_from_rows
 from perifold.words import free_reduce, parse_presentation
 
 from conftest import GraphOracle, abelian_invariants
+import corpus
 import fixtures
 from reference import out_edges, reduce_map, word
 
@@ -279,3 +282,74 @@ def test_free_group_against_oracle_small(free2):
         assert len(r.presentation.generators) == oracle.rank()
         for u in queries:
             assert member(x, w, gens, u) == oracle.member(u), (gens, u)
+
+
+def test_decision_procedures_leave_no_reference_cycles():
+    # the decision procedures pause the cyclic collector, which is safe
+    # because they make no reference cycles: with the collector off, every
+    # answer of the corpus (step limits and first certificates of fresh
+    # weightings included) and a refusal of each kind leave nothing for it
+    # to find
+    torus = standard_complex(fixtures.torus_presentation())
+    w = unit_weighting(torus)
+    free2 = unit_weighting(standard_complex(fixtures.free_presentation(2)))
+    refusals = (
+        (lambda: subgroup_presentation(torus, w, [word([1])]), MissingCertificateError),
+        (lambda: member_with_trace(torus, w, [], word([1]), step_limit=-1), EngineError),
+        (lambda: intersect(torus, free2, [], []), CriterionError),
+        (lambda: magnus_intersect(torus, {0, 1}, [word([1])]), ValueError),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        corpus.build()
+        for refused, error in refusals:
+            with pytest.raises(error):
+                refused()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_GENUS2 = standard_complex(fixtures.surface_presentation(2, True))
+_W = unit_weighting(_GENUS2)
+_MAGNUS = standard_complex(fixtures.magnus_example_presentation())
+DECISIONS = {
+    "subgroup_presentation": lambda: subgroup_presentation(_GENUS2, _W, [word([1, 2])]),
+    "member": lambda: member(_GENUS2, _W, [word([1, 2])], word([1, 2, 1, 2])),
+    "intersect": lambda: intersect(_GENUS2, _W, [word([1, 2])], [word([1, 2, 1, 2])]),
+    "magnus_intersect": lambda: magnus_intersect(_MAGNUS, {0, 1}, [word([1, 2])]),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("decide", DECISIONS.values(), ids=list(DECISIONS))
+def test_decision_procedures_pause_the_collector(monkeypatch, decide, enabled):
+    # each reduction runs with the collector off, and the caller's state,
+    # on or off, is what the call leaves
+    seen = []
+
+    def reduce_domain(*args):
+        seen.append(gc.isenabled())
+        return original(*args)
+
+    original = subgroups.reduce_domain
+    monkeypatch.setattr(subgroups, "reduce_domain", reduce_domain)
+    if not enabled:
+        gc.disable()
+    try:
+        decide()
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_a_refused_decision_restores_the_collector():
+    torus = standard_complex(fixtures.torus_presentation())
+    try:
+        with pytest.raises(MissingCertificateError):
+            intersect(torus, unit_weighting(torus), [word([1])], [word([2])])
+        assert gc.isenabled()
+    finally:
+        gc.enable()
