@@ -271,8 +271,12 @@ def magnus_weighting(x: Complex2, subgraph_edges: set[int]) -> tuple[Weighting |
     """Weight 0 on every side over the subgraph's edges, 1 elsewhere.
 
     Fails (free-factor case) when some 2-cell uses subgraph generators only.
+    A subgraph edge outside [0, #edges) is refused (`CriterionError`).
     """
     crit = "magnus-weighting"
+    unknown = [e for e in sorted(subgraph_edges) if not 0 <= e < x.num_edges()]
+    if unknown:
+        raise CriterionError(f"unknown subgraph edge {unknown[0]}")
     if x.num_vertices != 1:
         return None, _inapplicable(crit, "needs a one-vertex complex")
     rows = [tuple(0 if abs(d) - 1 in subgraph_edges else 1 for d in bdry)

@@ -28,6 +28,7 @@ from itertools import accumulate
 
 from .complexes import Complex2
 from .records import Record
+from .weights import WeightError, cell_weight, subpath_perimeter
 from .words import Word
 
 
@@ -104,7 +105,8 @@ class Domain:
     only what they change: `fold_all`, `identify`, `add_arc` and
     `add_packet` (with `remove_redundant`, `repair` and `augment`).  A
     subgroup's domain starts as the wedge of its words (`bouquet`); any
-    other map is wrapped as `Domain(m, w)`.
+    other map is wrapped as `Domain(m, w)`.  `bouquet` and `augment` need
+    a one-vertex codomain; the other operations take any.
 
     Vertex and edge ids are the map's numbers, then fresh ones; none is
     reused.  Vertex classes live in a union-find whose root is the smallest
@@ -135,12 +137,13 @@ class Domain:
     or when a side becomes present at an edge (by its weight).  A map's
     domain is built by the same operations, one single-letter `add_arc`
     per edge and one cell per cell, so it starts at the map's perimeter.
+    Every number the rule adds comes from the weighting: edge perimeters,
+    side weights, and for a copy of `augment`, P(∂R) and Wt(R).
     """
 
     def __init__(self, m: CombMap, w):
         dom, x = m.domain, m.codomain
         if w.complex != x:
-            from .weights import WeightError  # weights imports this module
             raise WeightError("weighting belongs to a different complex")
         self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
         self.per, self.weights = w._per, w.side_weights
@@ -446,30 +449,33 @@ class Domain:
 
     def augment(self) -> None:
         """Glue at each root, in ascending order, one copy of each codomain
-        cell through the root's image: a fresh arc read from the first
-        position j of its boundary at that image, over image (r, j).
+        cell R: a fresh arc over ∂R read from position 0, from the root to
+        itself, and its cell over (R, 0).  The codomain must have one
+        vertex, as for `bouquet`, so every position of ∂R leaves it.
 
-        The copies are listed once per codomain vertex (`_cell_copies`) and
-        each is written whole: its arc as `add_arc` glues it from the root
-        to itself, then its cell as `_add_cell` would enter it.  Every edge
-        of a copy is fresh, so each lies on that cell alone and has one
-        present side, and the copy changes the perimeter by P(∂R) - Wt(R)
-        at once; a fresh cycle is never a twin."""
+        Each copy is written whole: its arc as `add_arc` glues it, then its
+        cell as `_add_cell` would enter it.  Every edge of a copy is fresh,
+        so each lies on that cell alone and has one present side, and the
+        copy changes the perimeter by P(∂R) - Wt(R) at once, both read off
+        the weighting; a fresh cycle is never a twin."""
+        x, w = self.codomain, self.weighting
+        if x.num_vertices != 1:
+            raise MapError("Domain.augment expects a one-vertex codomain")
         parent, edges, cycles, sides = self.parent, self.edges, self.cycles, self.sides
         sizes = len(parent), len(edges), len(cycles)
-        copies = self._cell_copies()
+        copies = [(bdry, [(r, q) for q in range(len(bdry))],
+                   subpath_perimeter(w, r, 0, len(bdry)) - cell_weight(w, r), n)
+                  for r, (bdry, (_p, n)) in enumerate(zip(x.cells, x.periods))]
         for v in [v for v, p in enumerate(parent) if p == v]:  # the roots before any copy
-            for r, j, letters, copy_sides, change, exponent in copies.get(self.vertex_image[v], ()):
+            for r, (letters, copy_sides, change, exponent) in enumerate(copies):
                 d, n, c = len(edges), len(letters), len(cycles)  # refs d + 1 .. d + n, cell c
                 self._add_end(v, letters[0], d + 1)
                 u = self._fresh_vertices(v, letters)
                 self._add_end(v, -letters[-1], -(d + n))
                 edges.append((u, v))
                 self.edge_image.extend(letters)
-                refs = tuple(range(d + 1, d + n + 1))
-                cycle = refs[-j:] + refs[:-j]  # refs[(q - j) % n] at position q
-                cycles.append(cycle)
-                self.cell_image.append((r, j, False))
+                cycles.append(tuple(range(d + 1, d + n + 1)))
+                self.cell_image.append((r, 0, False))
                 for e, side in zip(range(d, d + n), copy_sides):
                     sides[e] = {side: {c}}
                 self.perimeter += change
@@ -478,24 +484,6 @@ class Domain:
         self.num_vertices += len(parent) - sizes[0]
         self.num_edges += len(edges) - sizes[1]
         self.num_cells += len(cycles) - sizes[2]
-
-    def _cell_copies(self) -> dict[int, list[tuple]]:
-        """Per codomain vertex, the copies that `augment` glues at a root
-        over it, by ascending cell r: (r, j, ∂R read from j, the side
-        (r, (j + k) mod |R|) of the copy's k-th edge, P(∂R) - Wt(R), the
-        exponent of R), j the first position of ∂R leaving the vertex."""
-        x, per, weights = self.codomain, self.per, self.weights
-        copies: dict[int, list[tuple]] = {}
-        for r, bdry in enumerate(x.cells):
-            firsts: dict[int, int] = {}
-            for j, d in enumerate(bdry):
-                firsts.setdefault(x.tail(d), j)
-            m, change = len(bdry), sum(per[abs(d) - 1] for d in bdry) - sum(weights[r])
-            for vertex, j in firsts.items():
-                copies.setdefault(vertex, []).append(
-                    (r, j, bdry[j:] + bdry[:j], [(r, (j + k) % m) for k in range(m)], change,
-                     x.periods[r][1]))
-        return copies
 
     def remove_redundant(self) -> int:
         """Delete the twins, keeping the first cell of each cycle; the

@@ -19,7 +19,7 @@ from functools import wraps
 
 from .complexes import Complex2
 from .criteria import CriterionError, Verdict, find_certificate, magnus_weighting
-from .engine import ReductionTrace, extract_presentation, reduce_domain
+from .engine import EngineError, ReductionTrace, extract_presentation, reduce_domain
 from .maps import CombMap, Domain, based_fiber_product
 from .records import Record
 from .weights import Weighting
@@ -126,6 +126,8 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     run the limit cuts short without that identification answers None:
     undecided."""
     _certified(x, w, "weak", force, "member")
+    if step_limit is not None and step_limit < 0:  # the shortcut below runs no reduction
+        raise EngineError(f"step_limit must be at least 0, not {step_limit}")
     u = free_reduce(u)
     if not u.letters:
         return True, ReductionTrace(0, 0)

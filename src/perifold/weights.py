@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .complexes import Complex2
-from .maps import CombMap
 from .records import Record
 from .words import Word
 

@@ -363,6 +363,8 @@ REFUSED = {
                          "one exponent per word required"),
     "certificate-grade": (lambda: find_certificate(unit_weighting(_TORUS), "medium"),
                           "grade must be 'strict', 'weak' or 'sc-strict'"),
+    "magnus-edge-past-last": (lambda: magnus_weighting(_TORUS, {5}), "unknown subgraph edge 5"),
+    "magnus-edge-below-0": (lambda: magnus_weighting(_TORUS, {-1}), "unknown subgraph edge -1"),
 }
 
 

@@ -168,6 +168,9 @@ def test_reduction_refuses_an_unknown_mode():
     x = standard_complex(fixtures.surface_presentation(2, True))
     with pytest.raises(EngineError, match="step_limit must be at least 0, not -3"):
         intersect(x, unit_weighting(x), [word([1])], [word([2])], step_limit=-3)
+    # a word trivial in the free group needs no reduction, and is refused alike
+    with pytest.raises(EngineError, match="step_limit must be at least 0, not -1"):
+        member_with_trace(x, unit_weighting(x), [], word([1, -1]), step_limit=-1)
 
 
 def test_trace_complexity_and_step_bound(rng):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -53,6 +54,16 @@ def test_bouquet_shapes(free2):
     for whisker in (word([3]), word([1, -3])):
         with pytest.raises(MapError, match="word uses unknown generator"):
             Domain.bouquet(w, [word([1])], whisker=whisker)
+
+
+def test_augment_refuses_a_codomain_with_several_vertices():
+    # as `bouquet` does, and before it glues anything
+    phi, _psi = fixtures.two_squares_maps()  # a 6-vertex codomain
+    dom = Domain(phi, unit_weighting(phi.codomain))
+    before = copy.deepcopy((dom.edges, dom.cycles, dom.sides, dom.perimeter))
+    with pytest.raises(MapError, match="Domain.augment expects a one-vertex codomain"):
+        dom.augment()
+    assert (dom.edges, dom.cycles, dom.sides, dom.perimeter) == before
 
 
 def test_domain_refuses_a_weighting_of_another_complex():
