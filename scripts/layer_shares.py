@@ -12,8 +12,10 @@ wall milliseconds, so that two commits compare where a saving sits even
 when the round itself got faster.  The wrappers cost two clock reads per
 call.  A last row counts the cyclic garbage collector's passes over the
 bare round, per generation 0/1/2, and their share of the bare round and
-wall milliseconds, timed through `gc.callbacks`.  Report only: it checks no
-answer and gates nothing.
+wall milliseconds, timed through `gc.callbacks`.  A last line counts the
+entries of `Domain.leaving` that the attachment scans of one more round
+skipped as roots merged away since they were listed.  Report only: it
+checks no answer and gates nothing.
 """
 
 import argparse
@@ -29,8 +31,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: imports perifold from this checkout)
 import workloads  # noqa: E402
 
-DOMAIN_STEPS = ("__init__", "fold_all", "identify", "add_arc", "add_packet", "remove_redundant",
-                "repair", "augment", "to_map")
+DOMAIN_STEPS = ("__init__", "fold_all", "identify", "compact", "add_arc", "add_packet",
+                "remove_redundant", "repair", "augment", "to_map")
 
 
 def layers(pf) -> dict[str, tuple[object, str]]:
@@ -73,6 +75,57 @@ def collected(ops) -> tuple[float, list[int], float]:
     finally:
         gc.callbacks.remove(count)
     return bare, passes, spent[0]
+
+
+class CountedLeaving(dict):
+    """A domain's `leaving` as `find_site` reads it: `get` gives a view of
+    a list whose walks count the vertices they pass that are no longer
+    roots, and `Domain.compact`, which indexes it, still changes the
+    domain's own list in place."""
+
+    def __init__(self, leaving, parent):
+        super().__init__(leaving)
+        self.parent, self.skipped = parent, 0
+
+    def get(self, img, default=()):
+        return CountedWalk(self, dict.get(self, img, default))
+
+
+class CountedWalk:
+    def __init__(self, leaving, roots):
+        self.leaving, self.roots = leaving, roots
+
+    def __len__(self):
+        return len(self.roots)
+
+    def __iter__(self):
+        parent = self.leaving.parent
+        for v in self.roots:
+            self.leaving.skipped += parent[v] != v
+            yield v
+
+
+def skipped_entries(ops, engine) -> tuple[int, int]:
+    """Over one round, the merged-away entries of `Domain.leaving` that
+    the attachment scans skipped, and the number of scans; `find_site` is
+    wrapped where `reduce_domain` looks it up."""
+    scan, skipped = engine.find_site, []
+
+    def counted(dom, mode="strict"):
+        leaving = dom.leaving
+        dom.leaving = walked = CountedLeaving(leaving, dom.parent)
+        try:
+            return scan(dom, mode)
+        finally:
+            dom.leaving = leaving
+            skipped.append(walked.skipped)
+
+    engine.find_site = counted
+    try:
+        play(ops)
+    finally:
+        engine.find_site = scan
+    return sum(skipped), len(skipped)
 
 
 def timed(ops, named, modules) -> tuple[float, dict[str, tuple[int, float]]]:
@@ -135,6 +188,8 @@ def main() -> None:
         print(f"{name:<28} {calls:>7} {seconds / total:>7.1%} {seconds * 1e3:>8.1f}")
     name = "gc passes " + "/".join(map(str, passes)) + " (bare)"
     print(f"{name:<28} {sum(passes):>7} {collecting / bare:>7.1%} {collecting * 1e3:>8.1f}")
+    skipped, scans = skipped_entries(ops, pf.engine)
+    print(f"merged-away `leaving` entries skipped by {scans} scans: {skipped}")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,12 @@ as `subgroup_presentation` does (a fresh bouquet domain per timed call,
 reduced in place with the cyclic collector paused and built into a map
 once: `reduce_bouquet` of `tests/fixtures.py`), and prints step counts and
 wall-clock times; the step count should stay linear in the input length
-and the wall clock at worst quadratic.  While folds dominate, wall/L stays
-about flat up to a few thousand letters only: each fold costs more as the
-sorted end and root lists grow, which --lengths 2000 8000 32000 128000
-shows.
+and the wall clock at worst quadratic.  While folds dominate, wall/L grows
+slowly with L: a merge moves the shorter of two end lists into the longer,
+and a root merged away stays in the `leaving` lists, skipped, until its
+slot is reused or the list compacted, so no fold re-sorts or deletes from
+the middle of a list of the domain's size.  --lengths 2000 8000 32000
+128000 shows what growth is left, about 2x over that range.
 
 Then answers `member` on the genus-2 surface group for products of k
 relator conjugates (word length L); the attachment search takes most of

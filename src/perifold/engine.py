@@ -130,16 +130,20 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
     The lifts of one (cell, start) are counted letter by letter from every
     root its first letter leaves (`Domain.leaving`, ascending), so each is
     maximal forward; one that extends backward (W < |∂R| and the root
-    leaves over the inverse of ∂R's last letter) is skipped.  The groups
-    are walked by key (sign * bound, cell, start), the bound being |R| in
-    strict mode and lo in weak mode.  Every lift's key is at least its
-    group's, so the scan stops before a group whose key is above the
-    least lift key found, and at a lift of W equal to its group's bound.
-    The site is that key, (cell, start, W, root); `attach_site` walks the
-    lift it names.  This returns the site of the plain scan, which tries
-    every lift at every candidate length in the order (sign * length,
-    cell, start), grows it forward and backward to a maximal lift, and in
-    weak mode drops it if it grew:
+    leaves over the inverse of ∂R's last letter) is skipped.  `leaving`
+    also lists roots merged away since, whose star is gone: the scan skips
+    them, and compacts a list it walked whole (`Domain.compact`) when they
+    outnumbered its roots, so that work is at most twice the walk's and
+    leaves the list with no such entry.  The groups are walked by key
+    (sign * bound, cell, start), the bound being |R| in strict mode and lo
+    in weak mode.  Every lift's key is at least its group's, so the scan
+    stops before a group whose key is above the least lift key found, and
+    at a lift of W equal to its group's bound.  The site is that key,
+    (cell, start, W, root); `attach_site` walks the lift it names.  This
+    returns the site of the plain scan, which tries every lift at every
+    candidate length in the order (sign * length, cell, start), grows it
+    forward and backward to a maximal lift, and in weak mode drops it if it
+    grew:
 
     - A lift of W letters tried at a shorter candidate grows forward to W
       letters; strict mode tries the candidate of length W first, and weak
@@ -179,8 +183,14 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
             break
         cell, start = key[1], key[2]
         side, first, back, mlen = (cell, start), ring[0], -ring[-1], len(ring)
-        for v in dom.leaving.get(first, ()):
-            d = stars[v][first][0]
+        roots = dom.leaving.get(first, ())
+        skipped = 0
+        for v in roots:
+            star = stars[v]
+            if star is None:
+                skipped += 1  # merged away since it was listed
+                continue
+            d = star[first][0]
             if side in sides.get(abs(d) - 1, ()):  # `_blocked`, inlined
                 continue
             walked = 1  # count the letters of the lift of ∂R from v
@@ -204,6 +214,9 @@ def find_site(dom: Domain, mode: str = "strict") -> AttachmentSite | None:
                 best = lift
                 if lift[0] == key[0]:
                     break  # the least lift of its group, below every later group's key
+        else:
+            if skipped and 2 * skipped > len(roots):  # walked whole, mostly merged away
+                dom.compact(first)
     if best is None:
         return None
     signed, cell, start, v = best
@@ -261,6 +274,22 @@ def _incidence(dom: Domain) -> dict[int, dict[tuple[int, int], set[int]]]:
     return sides
 
 
+def _leaving_holds(dom: Domain) -> bool:
+    """Whether `Domain.leaving` lists, per image letter, ascending, each
+    root that the letter leaves exactly once and otherwise only roots
+    merged away."""
+    parent, over = dom.parent, {}
+    for v, p in enumerate(parent):
+        if p == v:
+            for img in dom.stars[v]:
+                over.setdefault(img, []).append(v)
+    for img, listed in dom.leaving.items():
+        roots = [v for v in listed if parent[v] == v]
+        if roots != over.pop(img, []) or any(a >= b for a, b in zip(listed, listed[1:])):
+            return False
+    return not over
+
+
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
                   verify: bool = False) -> tuple[ReductionTrace, bool]:
     """Fold/repair/attach a live domain in place, under the weighting it was
@@ -276,7 +305,8 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     steps left, and each fold step is read off what it returns.  With
     `verify`, `fold_all` makes one fold per call, and after every step the
     perimeter is checked against the double sum, `sides` against the live
-    cells' cycles (`_incidence`) and the step's counts against the domain;
+    cells' cycles (`_incidence`), `leaving` against the roots' stars
+    (`_leaving_holds`) and the step's counts against the domain;
     each fold phase is checked to end in a packed 1-immersion, and in
     strict mode every fold and attachment to lower the pair (perimeter,
     edge count) below the previous step's.
@@ -309,6 +339,8 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
             raise EngineError(f"{step.kind} bookkeeping mismatch")
         if dom.sides != _incidence(dom):
             raise EngineError(f"{step.kind} bookkeeping mismatch in sides")
+        if not _leaving_holds(dom):
+            raise EngineError(f"{step.kind} bookkeeping mismatch in leaving")
         if (step.perimeter, step.edges, step.vertices, step.cells) != (
                 dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
             raise EngineError(f"{step.kind} step misstates the domain")

@@ -114,8 +114,10 @@ class Domain:
     that leave the class, and each cell keeps its rewritten cycle in live
     refs.  `sides` is the one incidence index: per edge, each side (r, q)
     present there and the live cells over r whose q-th ref lies on the
-    edge, never an empty set.  `leaving` lists per image letter the roots
-    it leaves, ascending.
+    edge, never an empty set.  `leaving` lists per image letter, ascending,
+    each root it leaves once, and roots merged away since, whose star is
+    None: `engine.find_site` skips them and drops them (`compact`) from a
+    list it walked whole when they outnumbered the roots there.
     The fold heap holds a (root, image) pair wherever an image at a root
     gets its second end, so every (root, image) with two or more ends has
     an entry; an entry whose root was merged away or whose image has fewer
@@ -152,7 +154,8 @@ class Domain:
         self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
         self.edges, self.edge_image, self.dropped = [], [], set()
         self.stars: list[dict[int, list[int]] | None] = [{} for _ in self.parent]
-        self.leaving: dict[int, list[int]] = {}  # image letter -> the roots it leaves, ascending
+        # image letter -> the roots it leaves and roots merged away since, ascending
+        self.leaving: dict[int, list[int]] = {}
         self.heap: list[tuple[int, int]] = []  # (root, image) pairs that may have two ends
         self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
         self.cell_image: list[tuple[int, int, bool]] = []
@@ -266,25 +269,54 @@ class Domain:
     def identify(self, u: int, v: int) -> None:
         """Merge the classes of roots u and v, which have one image, into
         the smaller root; each image that has two ends or more there after
-        the merge is pushed on the fold heap."""
+        the merge is pushed on the fold heap.
+
+        Per image the shorter end list goes into the longer, whose list
+        object is kept: one end by `bisect.insort`, more by a merge of the
+        two sorted runs, so no merge re-sorts a long list.  The larger root
+        stays in `leaving`, where it is skipped, so no merge deletes from
+        the middle of a long list either.  The smaller is entered where it
+        gains an image, in the slot of the entry after its place if that
+        is a root merged away, as it often is the larger root itself:
+        that keeps the list ascending and moves nothing.  An end list that
+        `fold_all` has just emptied at the root it keeps is refilled here,
+        so that root keeps its one entry."""
         if u == v:
             return
         lo, hi = min(u, v), max(u, v)
-        star, heap = self.stars[lo], self.heap
-        for img, moved in self.stars[hi].items():
-            roots = self.leaving[img]
-            del roots[bisect.bisect_left(roots, hi)]
+        stars, heap = self.stars, self.heap
+        star, merged = stars[lo], stars[hi]
+        stars[hi] = None  # from here on hi's entries in `leaving` read as merged away
+        for img, moved in merged.items():
+            if not moved:
+                continue  # emptied by the fold being made, at the root merged away
             into = star.get(img)
-            if into is None:
-                bisect.insort(roots, lo)
+            if not into:
+                if into is None:
+                    roots = self.leaving[img]
+                    i = bisect.bisect(roots, lo)
+                    if i < len(roots) and stars[roots[i]] is None:
+                        roots[i] = lo  # into the slot of a root merged away, often hi
+                    else:
+                        roots.insert(i, lo)
                 star[img] = into = moved
+            elif len(moved) == 1:
+                bisect.insort(into, moved[0])
             else:
+                if len(into) < len(moved):
+                    into, moved = moved, into
+                    star[img] = into
                 into += moved
-                into.sort()
+                into.sort()  # two sorted runs, merged
             if len(into) > 1:
                 heapq.heappush(heap, (lo, img))
-        self.parent[hi], self.stars[hi] = lo, None
+        self.parent[hi] = lo
         self.num_vertices -= 1
+
+    def compact(self, img: int) -> None:
+        """Drop the roots merged away from `leaving[img]`, in place."""
+        roots, parent = self.leaving[img], self.parent
+        roots[:] = [v for v in roots if parent[v] == v]
 
     def _add_cell(self, image: tuple[int, int, bool], cycle: tuple[int, ...]) -> None:
         c = len(self.cycles)
@@ -326,7 +358,12 @@ class Domain:
         ends at a root is pushed again when it gets its second end back
         (`_add_end`, `add_arc`, `identify`), so dropping an entry never
         loses a fold, and pushing one twice only adds an entry that is read
-        or dropped in turn."""
+        or dropped in turn.
+
+        The dropped end's reverse is deleted from its end list at h2, the
+        head of d2.  If that empties the list, it is left in h2's star and
+        h2 in `leaving`: h1 has the reverse of d1 over the same letter, so
+        `identify` either refills the list or merges h2 away."""
         heap, parent, stars, edges, cycles = (self.heap, self.parent, self.stars, self.edges,
                                               self.cycles)
         folds = []
@@ -348,12 +385,8 @@ class Domain:
             while parent[h2] != h2:
                 parent[h2] = parent[parent[h2]]
                 h2 = parent[h2]
-            back = stars[h2][-img]
+            back = stars[h2][-img]  # left in place if emptied: `identify` refills it
             del back[bisect.bisect_left(back, -d2)]
-            if not back:
-                del stars[h2][-img]
-                roots = self.leaving[-img]
-                del roots[bisect.bisect_left(roots, h2)]
             keep, drop = abs(d1) - 1, abs(d2) - 1
             self.dropped.add(drop)
             self.num_edges -= 1

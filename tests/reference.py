@@ -59,6 +59,13 @@ that builds a map after every reduction and augments it with
 `reference_augment_with_cells`, and `member_with_trace` with the answer
 read off `reduce_map`'s `vertex_tracking`.
 
+`EagerDomain` is a `Domain` with the storage that `Domain.identify` and
+`Domain.fold_all` replaced: two end lists merged by appending one to the
+other and sorting the whole, and a root deleted from the middle of
+`leaving` as soon as it is merged away or loses its last end over a
+letter.  Reduced by the same `reduce_domain`, a bouquet must give the same
+trace and the same map on it as on a `Domain`, folding in the same order.
+
 `reference_extract_presentation` sorts each vertex's ends by (|d|, -d)
 and reads each head by `Complex2.head`; the program's
 `extract_presentation`, which lists the ends in that order as it builds
@@ -90,6 +97,8 @@ loop.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import inspect
 from dataclasses import dataclass
 
@@ -682,6 +691,75 @@ def reference_augment_domain(dom: Domain) -> None:
                 # the rewritten cycle has refs[(q - j) % len(refs)] at position q
                 dom._add_cell((r, j, False), tuple(refs[-j:] + refs[:-j]))
                 dom.packed = dom.packed and x.periods[r][1] == 1
+
+
+class EagerDomain(Domain):
+    """A `Domain` whose `identify` re-sorts a merged end list whole and
+    whose `identify` and `fold_all` delete from `leaving` at once, so that
+    `leaving` lists exactly the roots."""
+
+    def identify(self, u: int, v: int) -> None:
+        if u == v:
+            return
+        lo, hi = min(u, v), max(u, v)
+        star, heap = self.stars[lo], self.heap
+        for img, moved in self.stars[hi].items():
+            roots = self.leaving[img]
+            del roots[bisect.bisect_left(roots, hi)]
+            into = star.get(img)
+            if into is None:
+                bisect.insort(roots, lo)
+                star[img] = into = moved
+            else:
+                into += moved
+                into.sort()
+            if len(into) > 1:
+                heapq.heappush(heap, (lo, img))
+        self.parent[hi], self.stars[hi] = lo, None
+        self.num_vertices -= 1
+
+    def fold_all(self, limit: int | None = None
+                 ) -> tuple[list[tuple[int, int, int, int, int, int]], bool]:
+        heap, parent, stars, edges, cycles = (self.heap, self.parent, self.stars, self.edges,
+                                              self.cycles)
+        folds = []
+        while heap:
+            v, img = heap[0]
+            ends = stars[v].get(img) if parent[v] == v else None
+            if ends is None or len(ends) < 2:
+                heapq.heappop(heap)
+                continue
+            if limit is not None and len(folds) >= limit:
+                return folds, True
+            d1, d2 = ends[0], ends[1]
+            del ends[1]
+            h1, h2 = self.head(d1), self.head(d2)
+            back = stars[h2][-img]
+            del back[bisect.bisect_left(back, -d2)]
+            if not back:
+                del stars[h2][-img]
+                roots = self.leaving[-img]
+                del roots[bisect.bisect_left(roots, h2)]
+            keep, drop = abs(d1) - 1, abs(d2) - 1
+            self.dropped.add(drop)
+            self.num_edges -= 1
+            self.perimeter -= self.per[abs(self.edge_image[drop]) - 1]
+            moved = self.sides.pop(drop, None)
+            if moved:
+                through = set()
+                for (r, q), cells in moved.items():
+                    self.perimeter += self.weights[r][q]
+                    self._make_present(keep, (r, q), cells)
+                    through |= cells
+                over = keep + 1 if (d1 > 0) == (d2 > 0) else -(keep + 1)
+                onto = {drop + 1: over, -(drop + 1): -over}
+                for c in through:
+                    cycles[c] = tuple(onto.get(d, d) for d in cycles[c])
+                    self._mark_twins(c)
+            self.identify(h1, h2)
+            folds.append((d1, d2, self.perimeter, self.num_edges, self.num_vertices,
+                          self.num_cells))
+        return folds, False
 
 
 def reference_extract_presentation(m: CombMap) -> Presentation:

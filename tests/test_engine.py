@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 import re
 from unittest import mock
@@ -36,6 +37,7 @@ import fixtures
 from fixtures import random_generator_set, random_reduced_word, relator_conjugate_product
 from reference import (
     AttachResult,
+    EagerDomain,
     apply_fold,
     build_packet,
     fold_to_immersion,
@@ -531,6 +533,53 @@ def test_fold_phase_perimeter_calls_do_not_grow_with_folds(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_large_bouquet_folds_as_with_eager_storage():
+    # 20,000 letters over (aab)^9 in 4,000 random words: the wedge point's
+    # end lists grow to thousands, merges move long lists into short ones
+    # and the other way, and most roots are merged away, so `leaving` is
+    # compacted.  The sha256 of every step's (kind, P, E, V, F) and of the
+    # map built after the reduction is the same on a `Domain` as on the
+    # `EagerDomain`, which re-sorts merged end lists whole and deletes from
+    # `leaving` at once
+    x = standard_complex(fixtures.aab_power_presentation(9))
+    w = unit_weighting(x)
+    gens = [g for g in map(free_reduce, random_generator_set(random.Random(101), 2, 20000, 4000))
+            if g.letters]
+
+    def digest(dom):
+        trace, _exhausted = reduce_domain(dom)
+        steps = [(s.kind, s.perimeter, s.edges, s.vertices, s.cells) for s in trace.steps]
+        assert sum(kind == "fold" for kind, *_counts in steps) > 19000
+        return hashlib.sha256(repr((steps, dom.to_map())).encode()).hexdigest()
+
+    assert digest(Domain.bouquet(w, gens)) == digest(EagerDomain.bouquet(w, gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduction_matches_eager_storage(data):
+    # bouquets along the relators, reduced, augmented and reduced again, so
+    # that folds merge cells and the loop attaches packets: the same trace,
+    # map and stars on a `Domain` as on the `EagerDomain`, and `leaving`
+    # lists the same roots once its merged-away entries are skipped
+    x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
+    w = w_of(x)
+    gens, whisker = draw_bouquet_words(data, x)
+    lazy, eager = Domain.bouquet(w, gens, whisker), EagerDomain.bouquet(w, gens, whisker)
+
+    def reduced(dom):
+        steps = reduce_domain(dom)[0].steps
+        dom.augment()
+        return steps + reduce_domain(dom)[0].steps
+
+    assert reduced(lazy) == reduced(eager)
+    assert lazy.to_map() == eager.to_map()
+    assert lazy.stars == eager.stars
+    assert {img: [v for v in roots if lazy.parent[v] == v] for img, roots in lazy.leaving.items()
+            } == eager.leaving
+    assert_leaving_lists_the_roots_over_each_image(lazy)
+
+
 @pytest.mark.parametrize("change", ["add_arc", "fold_all", "_make_present"])
 def test_verify_catches_a_wrong_perimeter_change(monkeypatch, change):
     # the live perimeter changes when an edge is added (a fresh arc), when
@@ -686,14 +735,20 @@ def test_bouquet_domain_matches_reference_map(data):
 
 
 def assert_leaving_lists_the_roots_over_each_image(dom):
+    # per image, the roots in `leaving` are exactly the roots it leaves,
+    # each once, and every other entry is a root merged away, whose star is
+    # gone; the list is ascending
     over: dict[int, list[int]] = {}
     for v, p in enumerate(dom.parent):
         if p == v:
             for img in dom.stars[v]:
                 over.setdefault(img, []).append(v)
-    for roots in dom.leaving.values():
+    live = {}
+    for img, roots in dom.leaving.items():
         assert all(a < b for a, b in zip(roots, roots[1:])), roots
-    assert {img: roots for img, roots in dom.leaving.items() if roots} == over
+        live[img] = [v for v in roots if dom.parent[v] == v]
+        assert all(dom.stars[v] is None for v in roots if dom.parent[v] != v), roots
+    assert {img: roots for img, roots in live.items() if roots} == over
 
 
 def assert_heap_holds_each_repeated_image(dom):
@@ -858,6 +913,27 @@ def test_verify_catches_a_copy_written_without_a_side(monkeypatch):
         with pytest.raises(EngineError, match="bookkeeping mismatch"):
             reduce_domain(dom, verify=True)
         monkeypatch.setattr(Domain, "augment", original)
+
+
+def test_verify_catches_a_root_left_out_of_leaving(monkeypatch):
+    # two words over (aab)^3 with a common first letter fold at the wedge
+    # point, merging the heads of their first edges.  An `identify` that
+    # then leaves the root it keeps out of `leaving` over one letter that
+    # leaves it makes `verify` fail at that fold, naming `leaving`
+    x = standard_complex(fixtures.aab_power_presentation(3))
+    w = unit_weighting(x)
+    gens = [word([1, 1, 2]), word([1, 2, 2])]
+    reduce_domain(Domain.bouquet(w, gens), verify=True)  # as written, it passes
+    original = Domain.identify
+
+    def leaving_out_a_root(dom, u, v):
+        original(dom, u, v)
+        root = min(u, v)
+        dom.leaving[next(iter(dom.stars[root]))].remove(root)
+
+    monkeypatch.setattr(Domain, "identify", leaving_out_a_root)
+    with pytest.raises(EngineError, match="fold bookkeeping mismatch in leaving"):
+        reduce_domain(Domain.bouquet(w, gens), verify=True)
 
 
 def test_verify_checks_sides_against_the_cycles():
@@ -1295,6 +1371,8 @@ def test_blocked_sides_match_present_corners(case, data):
         corners = present_corners(dom)
         for (_bound, cell, start), ring, _lo in engine._scan_plan(w, mode):
             for v in dom.leaving.get(ring[0], ()):
+                if dom.parent[v] != v:
+                    continue  # merged away, and skipped by `find_site`
                 d = dom.stars[v][ring[0]][0]
                 assert engine._blocked(dom, cell, start, d) == ((cell, start, d) in corners)
         scanned.append(mode)
