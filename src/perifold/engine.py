@@ -5,8 +5,8 @@ fold/attach loop, and presentation extraction.
 The loop (`reduce_domain`) changes one live `maps.Domain` in place,
 alternating folding to a 1-immersion, packing repair, and packet attachment
 along qualifying boundary subpaths; the perimeter follows each step by the
-domain's local rule.  A subgroup's domain is built from its words
-(`maps.Domain.bouquet`), any other map is wrapped as `maps.Domain(m, w)`,
+domain's local rule.  A subgroup's domain is built from its words,
+glued to the wedge point of a one-vertex complex (`maps.Domain.bouquet`),
 and a map is built from the domain only where one is read.  In strict mode
 the lexicographic pair (perimeter, edge count) drops at every fold and
 every attachment, so the loop terminates; weak mode may run forever and

@@ -12,12 +12,13 @@ position q, the domain directed edge lying over it.  Two domain cells are the
 same lift exactly when their rewritten cycles agree, which makes redundancy,
 packedness and side presence straightforward to state.
 
-A `Domain` is a map's domain kept live, or a subgroup's, built from its
-words as a wedge of arcs (`Domain.bouquet`): folds, vertex identifications,
-fresh arcs and packet cells change it in place, its perimeter changes only
-when an edge is added or dropped or a side becomes present, and the map is
-built from it once (`Domain.to_map`); the based fiber product of two
-domains is read off them (`based_fiber_product`).
+A `Domain` is the domain of a subgroup's map kept live, built from its
+words as a wedge of arcs at the one vertex of a presentation complex
+(`Domain.bouquet`): folds, vertex identifications, fresh arcs and packet
+cells change it in place, its perimeter changes only when an edge is added
+or dropped or a side becomes present, and the map is built from it once
+(`Domain.to_map`); the based fiber product of two domains is read off them
+(`based_fiber_product`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import accumulate
 
 from .complexes import Complex2
 from .records import Record
-from .weights import WeightError, cell_weight, subpath_perimeter
+from .weights import cell_weight, subpath_perimeter
 from .words import Word
 
 
@@ -101,17 +102,19 @@ class CombMap(Record):
 
 
 class Domain:
-    """A map's domain, changed in place by four operations that each touch
-    only what they change: `fold_all`, `identify`, `add_arc` and
-    `add_packet` (with `remove_redundant`, `repair` and `augment`).  A
-    subgroup's domain starts as the wedge of its words (`bouquet`); any
-    other map is wrapped as `Domain(m, w)`.  `bouquet` and `augment` need
-    a one-vertex codomain; the other operations take any.
+    """A map's domain over a one-vertex complex, changed in place by four
+    operations that each touch only what they change: `fold_all`,
+    `identify`, `add_arc` and `add_packet` (with `remove_redundant`,
+    `repair` and `augment`).  `Domain(w)` is the wedge point of the
+    complex of the weighting w: vertex 0, the basepoint, with no edge and
+    no cell; it refuses a complex with more than one vertex, so every
+    vertex maps to that one vertex and no vertex image is kept.  A
+    subgroup's domain is the wedge of its words glued to it (`bouquet`).
 
-    Vertex and edge ids are the map's numbers, then fresh ones; none is
-    reused.  Vertex classes live in a union-find whose root is the smallest
-    id, each root's star maps an image letter to the sorted refs over it
-    that leave the class, and each cell keeps its rewritten cycle in live
+    Vertex and edge ids are numbered on from the last; none is reused.
+    Vertex classes live in a union-find whose root is the smallest id,
+    each root's star maps an image letter to the sorted refs over it that
+    leave the class, and each cell keeps its rewritten cycle in live
     refs.  `sides` is the one incidence index: per edge, each side (r, q)
     present there and the live cells over r whose q-th ref lies on the
     edge, never an empty set.  `leaving` lists per image letter, ascending,
@@ -127,33 +130,29 @@ class Domain:
     every (hi, image) it makes stale, and every other push is live.
     A fresh vertex of an arc, or of a cell copy of `augment`, has the
     largest id yet, so it is appended to `leaving`, which stays ascending.
-    A map may have equal cells, and a fold can make two cells equal: the
-    later is a twin until `remove_redundant`.  `to_map` numbers vertex
-    classes by their smallest id and surviving edges and cells in id
-    order, as a fold of the input.
+    A fold can make two cells equal: the later is a twin until
+    `remove_redundant`.  `to_map` numbers vertex classes by their
+    smallest id and surviving edges and cells in id order, as a fold of
+    the input, and maps every vertex to vertex 0.
 
-    Every domain carries a weighting of its codomain (kept as
-    `weighting`; one of another complex is refused), and `perimeter`
-    follows one rule: it changes only when an edge is added (by its edge
-    perimeter) or dropped (by that less the weights of its present sides),
-    or when a side becomes present at an edge (by its weight).  A map's
-    domain is built by the same operations, one single-letter `add_arc`
-    per edge and one cell per cell, so it starts at the map's perimeter.
-    Every number the rule adds comes from the weighting: edge perimeters,
-    side weights, and for a copy of `augment`, P(∂R) and Wt(R).
+    Every domain carries the weighting it was built from (kept as
+    `weighting`; its complex is the codomain), and `perimeter` follows one
+    rule: it starts at 0, the wedge point's, and changes only when an edge
+    is added (by its edge perimeter) or dropped (by that less the weights
+    of its present sides), or when a side becomes present at an edge (by
+    its weight).  Every number the rule adds comes from the weighting:
+    edge perimeters, side weights, and for a copy of `augment`, P(∂R) and
+    Wt(R).
     """
 
-    def __init__(self, m: CombMap, w):
-        dom, x = m.domain, m.codomain
-        if w.complex != x:
-            raise WeightError("weighting belongs to a different complex")
-        self.codomain, self.basepoint, self.weighting = x, m.basepoint, w
+    def __init__(self, w):
+        x = w.complex
+        if x.num_vertices != 1:
+            raise MapError("Domain expects a one-vertex codomain")
+        self.codomain, self.basepoint, self.weighting = x, 0, w
         self.per, self.weights = w._per, w.side_weights
-        # signed letter -> the codomain vertex at its head, read by `add_arc`
-        self.heads = {d: x.head(d) for e in range(x.num_edges()) for d in (e + 1, -(e + 1))}
-        self.vertex_image, self.parent = list(m.vertex_image), list(range(dom.num_vertices))
-        self.edges, self.edge_image, self.dropped = [], [], set()
-        self.stars: list[dict[int, list[int]] | None] = [{} for _ in self.parent]
+        self.parent, self.edges, self.edge_image, self.dropped = [0], [], [], set()
+        self.stars: list[dict[int, list[int]] | None] = [{}]
         # image letter -> the roots it leaves and roots merged away since, ascending
         self.leaving: dict[int, list[int]] = {}
         self.heap: list[tuple[int, int]] = []  # (root, image) pairs that may have two ends
@@ -162,26 +161,18 @@ class Domain:
         # edge -> each side (r, q) present at it -> the live cells over r with their q-th ref on it
         self.sides: dict[int, dict[tuple[int, int], set[int]]] = {}
         self.twins: set[int] = set()
-        self.num_vertices, self.num_edges, self.num_cells = dom.num_vertices, 0, 0
+        self.num_vertices, self.num_edges, self.num_cells = 1, 0, 0
         self.perimeter = 0
-        for (src, tgt), img in zip(dom.edges, m.edge_image):
-            self.add_arc(src, tgt, [img])
-        for c in range(dom.num_cells()):  # a map's cells may be equal; `add_packet`'s never are
-            self._add_cell(m.cell_image[c], m.rewritten_cycle(c))
-            self._mark_twins(c)
-        self.packed = all(x.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
+        self.packed = True
 
     @classmethod
     def bouquet(cls, w, words: list[Word], whisker: Word | None = None) -> Domain:
         """The wedge of subdivided circles (one per word, in order) at the
         basepoint 0, with an optional open whisker arc that ends at the last
-        vertex, mapped along the given words into the complex x of the
-        weighting w: arcs (`add_arc`) glued to the one-vertex domain over
-        the vertex of x."""
-        x = w.complex
-        if x.num_vertices != 1:
-            raise MapError("Domain.bouquet expects a one-vertex codomain")
-        ngen = x.num_edges()
+        vertex, mapped along the given words into the complex of the
+        weighting w: arcs (`add_arc`) glued to its wedge point (`Domain(w)`)."""
+        dom = cls(w)
+        ngen = dom.codomain.num_edges()
         for word in words:
             if not word.letters:
                 raise MapError("bouquet words must be nonempty")
@@ -189,7 +180,6 @@ class Domain:
                 raise MapError("word uses unknown generator")
         if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
             raise MapError("word uses unknown generator")
-        dom = cls(CombMap(Complex2(1, [], []), x, [0], [], [], 0), w)
         for word in words:
             dom.add_arc(0, 0, word.letters)
         if whisker is not None and whisker.letters:
@@ -240,8 +230,7 @@ class Domain:
                 cells.append(tuple(-cycle[(offset - j) % m] for j in range(m)) if reflected
                              else tuple(cycle[(j + offset) % m] for j in range(m)))
                 cell_image.append((r, offset, reflected))
-        return CombMap(Complex2(len(vertex), edges, cells), self.codomain,
-                       [self.vertex_image[v] for v in vertex],
+        return CombMap(Complex2(len(vertex), edges, cells), self.codomain, [0] * len(vertex),
                        [img for e, img in enumerate(self.edge_image) if ref[e]], cell_image,
                        vertex[self.find(self.basepoint)])
 
@@ -329,7 +318,9 @@ class Domain:
 
     def _cells_with(self, r: int, cycle: tuple[int, ...]) -> list[int]:
         """The live cells over r whose cycle is `cycle`, read off the cells
-        of side (r, 0) at its first edge, which every such cell puts there."""
+        of side (r, 0) at its first edge, which every such cell puts there,
+        in set order: the callers read only their minimum, their set and
+        whether there is one."""
         cycles = self.cycles
         return [c for c in self.sides.get(abs(cycle[0]) - 1, {}).get((r, 0), ())
                 if cycles[c] == cycle]
@@ -393,6 +384,9 @@ class Domain:
             self.perimeter -= self.per[abs(self.edge_image[drop]) - 1]
             moved = self.sides.pop(drop, None)
             if moved:  # each side of the dropped edge moves to keep, with its cells
+                # the order of `through` is never seen: each cycle is rewritten on
+                # its own, and the last cell of a class of equal cells to be
+                # rewritten finds the class whole, so the twins come out the same
                 through = set()
                 for (r, q), cells in moved.items():
                     self.perimeter += self.weights[r][q]
@@ -411,9 +405,8 @@ class Domain:
     def add_arc(self, u: int, v: int | None, letters) -> list[int]:
         """Add an arc over nonempty `letters` from root u to root v, or to
         a fresh vertex when v is None; returns its edge refs.  Edges are
-        oriented along the arc and numbered on from the last; each fresh
-        vertex is numbered on from the last and maps to the head of its
-        letter.
+        oriented along the arc and numbered on from the last, and so is
+        each fresh vertex.
 
         The fresh vertices between the letters come from `_fresh_vertices`.
         Only the ends at u and v, existing roots, go through `_add_end`,
@@ -426,7 +419,6 @@ class Domain:
         if v is None:
             v = len(parent)
             parent.append(v)
-            self.vertex_image.append(self.heads[letter])
             self.stars.append({-letter: [-d]})
             self.leaving.setdefault(-letter, []).append(v)
             self.num_vertices += 1
@@ -451,13 +443,11 @@ class Domain:
         backtracks (a letter followed by its inverse), so only there is
         (vertex, that image) pushed on the fold heap."""
         stars, leaving, parent, edges = self.stars, self.leaving, self.parent, self.edges
-        heads, vertex_image = self.heads, self.vertex_image
         d, letter = len(edges), letters[0]
         for out in letters[1:]:  # a fresh vertex between letter and out
             d += 1
             nxt = len(parent)
             parent.append(nxt)
-            vertex_image.append(heads[letter])
             edges.append((u, nxt))
             if out == -letter:
                 stars.append({out: [-d, d + 1]})
@@ -483,8 +473,8 @@ class Domain:
     def augment(self) -> None:
         """Glue at each root, in ascending order, one copy of each codomain
         cell R: a fresh arc over ∂R read from position 0, from the root to
-        itself, and its cell over (R, 0).  The codomain must have one
-        vertex, as for `bouquet`, so every position of ∂R leaves it.
+        itself, and its cell over (R, 0).  The codomain has one vertex, so
+        every position of ∂R leaves it.
 
         Each copy is written whole: its arc as `add_arc` glues it, then its
         cell as `_add_cell` would enter it.  Every edge of a copy is fresh,
@@ -492,8 +482,6 @@ class Domain:
         copy changes the perimeter by P(∂R) - Wt(R) at once, both read off
         the weighting; a fresh cycle is never a twin."""
         x, w = self.codomain, self.weighting
-        if x.num_vertices != 1:
-            raise MapError("Domain.augment expects a one-vertex codomain")
         parent, edges, cycles, sides = self.parent, self.edges, self.cycles, self.sides
         sizes = len(parent), len(edges), len(cycles)
         copies = [(bdry, [(r, q) for q in range(len(bdry))],
@@ -521,7 +509,9 @@ class Domain:
     def remove_redundant(self) -> int:
         """Delete the twins, keeping the first cell of each cycle; the
         perimeter is unchanged.  Returns how many."""
-        for c in self.twins:  # the kept cell has the same cycle, so no side loses its last cell
+        # each twin is deleted on its own, so the order of the set is never seen;
+        # the kept cell has the same cycle, so no side loses its last cell
+        for c in self.twins:
             r = self.cell_image[c][0]
             for q, d in enumerate(self.cycles[c]):
                 self.sides[abs(d) - 1][(r, q)].discard(c)
@@ -532,12 +522,19 @@ class Domain:
 
     def repair(self) -> int:
         """Glue the missing packet mates along the present cycles
-        (`add_packet`); returns how many.  Per target cell the cycles come in
-        the iteration order of a set of them in `to_map`'s refs, which fixes
-        the order of the glued cells.  Folds rewrite a cycle and its mates
-        alike and `add_packet` glues whole packets, so only the map's own
-        cells and those of `augment` can lack a mate, and only over a cell
-        of exponent above 1; `packed` is set while none can."""
+        (`add_packet`); returns how many.  Folds rewrite a cycle and its
+        mates alike and `add_packet` glues whole packets, so only the cells
+        of `augment` can lack a mate, and only over a cell of exponent
+        above 1; `packed` is set while none can.
+
+        Per target cell the cycles come in the iteration order of a set of
+        them in `to_map`'s refs, which CPython fixes by its tuple hash and
+        table layout: it numbers the glued cells, and through them the
+        relator order of a presentation.  So this order reaches the answer
+        of `intersect` over a complex with a relator of exponent above 1,
+        in the relator order and cell numbering only: 62 of the 80
+        `intersect/aab3` cases of the answer corpus.  It is the one place in
+        the package where a set's order reaches an output."""
         if self.packed:
             return 0
         self.packed = True
@@ -633,10 +630,8 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
         raise MapError("fiber product needs a common codomain")
     root_a, root_b, edges_a, edges_b = a.roots(), b.roots(), a.edges, b.edges
     base = (root_a[a.basepoint], root_b[b.basepoint])
-    if a.vertex_image[base[0]] != b.vertex_image[base[1]]:
-        raise MapError("basepoints do not match over the codomain")
 
-    seen = {base}
+    seen = {base}  # read only sorted, as is `found`, so no set or stack order is seen
     stack = [base]
     found = []  # per (a-end, b-end) over a positive codomain edge: its refs, tail and head pairs
     while stack:
@@ -675,7 +670,7 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     )
     cells = [tuple(eid[p] for p in zip(a.cycles[ca], b.cycles[cb])) for ca, cb in cell_pairs]
     prod = Complex2(len(vertices), edges, cells)
-    return CombMap(prod, a.codomain, [a.vertex_image[u] for u, _ in vertices],
+    return CombMap(prod, a.codomain, [0] * len(vertices),
                    [img for *_ends, img, _tail, _head in found],
                    [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
                    vid[base])

@@ -109,8 +109,13 @@ def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
 def member(x: Complex2, w: Weighting, gens: list[Word], u: Word,
            force: bool = False) -> bool:
     """Generalized word problem: reduce the wedge of the generators with an
-    open whisker arc carrying u; u lies in the subgroup iff the whisker's
-    endpoints are identified in the reduced domain."""
+    open whisker arc carrying u, and answer whether the whisker's endpoints
+    are identified in the reduced domain.  `True` is always sound: every
+    step only folds or attaches packets.  `False` rests on the gate's
+    certificate, and the gate asks for a weak one while the engine runs in
+    strict mode: on the torus with unit weights it answers `False` for 16
+    of the 312 reduced words of length 8 that are trivial in the group
+    (ROADMAP item 1)."""
     return member_with_trace(x, w, gens, u, force)[0]
 
 

@@ -26,7 +26,9 @@ intersection of the subgroup L with the subgroup of the subgraph is the
 kernel of the projection π that drops the subgraph's coordinates, free of
 rank r = rank L - rank π(L).  `tests/data/answer_corpus.json`
 holds the digests and the tags; `scripts/answer_corpus.py` regenerates it
-and prints the cases that changed.
+and prints the cases that changed.  Each final map of
+`subgroup_presentation`, `intersect` and `magnus_intersect` is validated
+(`CombMap.validate`) before it is rendered.
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ def _rendered_trace(t) -> dict:
 
 
 def _rendered_result(res) -> dict:
+    res.final_map.validate()  # its vertex images are all 0, as the codomain has one vertex
     p = res.presentation
     return {"generators": p.generators, "relators": [r.letters for r in p.relators],
             "trace": _rendered_trace(res.trace), "exhausted": res.exhausted,

@@ -25,14 +25,18 @@ summing the complement's edge perimeters one by one, and
 program evaluates all of these bounds by one bisection of the prefix sums
 (`perifold.weights.shortest_subpath_reaching`).
 
-`reduce_map` and `fold_to_immersion` are the map-level entries to the
-program's live domain, and with `vertex_map`, `reference_augment_domain`,
-`present_corners` and `repeated_cells` (below) the only code here that
-reads a `Domain`: each entry wraps a map as `Domain(m, w)`, runs
-`reduce_domain` or the folds and `remove_redundant` on it, and builds the
-map once, at the end; `fold_to_immersion`, whose folds read no weight,
-wraps it with unit weights (`unit_weighting` of the codomain);
-`vertex_map` tells where the domain's vertex ids lie in that map.
+`domain_of(m, w)` keeps a map's domain live: the program builds only the
+domains of words (`perifold.maps.Domain.bouquet`), and the tests wrap
+other maps over a one-vertex complex by the same operations, onto the
+wedge point `Domain(w)`.  `reduce_map` and `fold_to_immersion` are the
+map-level entries to the program's live domain, and with `domain_of`,
+`vertex_map`, `reference_augment_domain`, `present_corners` and
+`repeated_cells` (below) the only code here that reads a `Domain`: each
+entry wraps a map (`domain_of`), runs `reduce_domain` or the folds and
+`remove_redundant` on it, and builds the map once, at the end;
+`fold_to_immersion`, whose folds read no weight, wraps it with unit
+weights (`unit_weighting` of the codomain); `vertex_map` tells where the
+domain's vertex ids lie in that map.
 They are the program's side of the comparisons below.  `canonical_form`
 describes a connected 1-immersed based map up to isomorphism
 (`isomorphic_maps`), so fold results compare whatever the fold order.
@@ -41,8 +45,8 @@ the identity of a complex.
 
 `reference_bouquet_map` builds a bouquet as a map, arc by arc into the
 edge and vertex lists, and validates it; `perifold.maps.Domain.bouquet`,
-which glues the arcs onto a live one-vertex domain, must build the same
-map and the same live state as a `Domain` of this map.
+which glues the arcs onto the wedge point `Domain(w)`, must build the same
+map and the same live state as `domain_of` this map.
 
 `apply_fold` makes one fold at a time: `fold_to_immersion` must end where
 repeated `find_fold` / `apply_fold` ends.
@@ -119,8 +123,8 @@ from perifold.maps import (
     find_fold,
     packet_mates,
 )
-from perifold.weights import (Weighting, cell_weight, edge_perimeters, packet_weight,
-                              subpath_perimeter, unit_weighting)
+from perifold.weights import (WeightError, Weighting, cell_weight, edge_perimeters,
+                              packet_weight, subpath_perimeter, unit_weighting)
 from perifold.words import Presentation, Word, cyclic_reduce
 
 
@@ -455,7 +459,7 @@ def reference_bouquet_map(x: Complex2, words: list[Word], whisker: Word | None =
     the given words; each arc's edges and fresh vertices are numbered on
     from the last, and the map is validated."""
     if x.num_vertices != 1:
-        raise MapError("Domain.bouquet expects a one-vertex codomain")
+        raise MapError("Domain expects a one-vertex codomain")
     ngen = x.num_edges()
     for w in words:
         if not w.letters:
@@ -678,14 +682,14 @@ def reference_augment_with_cells(m: CombMap) -> CombMap:
 
 def reference_augment_domain(dom: Domain) -> None:
     """`Domain.augment` glued a copy at a time by the general operations:
-    per root, ascending, and per codomain cell through its image, a fresh
-    arc from the root to itself by `add_arc`, read from the first position
-    j of the boundary at that image, then its cell by `_add_cell`, one side
-    made present per edge."""
+    per root, ascending, and per codomain cell through its image, vertex
+    0, a fresh arc from the root to itself by `add_arc`, read from the
+    first position j of the boundary at that vertex, then its cell by
+    `_add_cell`, one side made present per edge."""
     x = dom.codomain
     for v in dom.vertex_numbers():
         for r, bdry in enumerate(x.cells):
-            j = next((j for j, d in enumerate(bdry) if x.tail(d) == dom.vertex_image[v]), None)
+            j = next((j for j, d in enumerate(bdry) if x.tail(d) == 0), None)
             if j is not None:
                 refs = dom.add_arc(v, v, bdry[j:] + bdry[:j])
                 # the rewritten cycle has refs[(q - j) % len(refs)] at position q
@@ -975,10 +979,32 @@ class ReduceResult:
     exhausted: bool
 
 
+def domain_of(m: CombMap, w: Weighting) -> Domain:
+    """The map's domain kept live under the weighting w of its codomain:
+    the wedge point `Domain(w)`, the map's vertices and basepoint, one
+    single-letter `add_arc` per edge and one cell per cell, marking the
+    twins among the cells as it enters them, so it starts at the map's
+    perimeter.  It refuses a weighting of another complex, and `Domain(w)`
+    one of a complex with more than one vertex."""
+    if w.complex != m.codomain:
+        raise WeightError("weighting belongs to a different complex")
+    dom = Domain(w)
+    dom.parent = list(range(m.domain.num_vertices))
+    dom.stars = [{} for _ in dom.parent]
+    dom.num_vertices, dom.basepoint = m.domain.num_vertices, m.basepoint
+    for (src, tgt), img in zip(m.domain.edges, m.edge_image):
+        dom.add_arc(src, tgt, [img])
+    for c in range(m.domain.num_cells()):  # a map's cells may be equal; `add_packet`'s never are
+        dom._add_cell(m.cell_image[c], m.rewritten_cycle(c))
+        dom._mark_twins(c)
+    dom.packed = all(m.codomain.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
+    return dom
+
+
 def reduce_map(m: CombMap, w: Weighting, mode: str = "strict",
                step_limit: int | None = None, verify: bool = False) -> ReduceResult:
     """`reduce_domain` on the map's domain; the map is built once, at the end."""
-    dom = Domain(m, w)  # refuses a weighting of another complex
+    dom = domain_of(m, w)  # refuses a weighting of another complex
     trace, exhausted = reduce_domain(dom, mode, step_limit, verify)
     return ReduceResult(dom.to_map() if trace.steps else m, trace,
                         vertex_map(dom, range(m.domain.num_vertices)), exhausted)
@@ -996,7 +1022,7 @@ def fold_to_immersion(m: CombMap) -> FoldToImmersionResult:
     """Stallings folding in exactly the order of repeated `find_fold`, one
     fold at a time (`Domain.fold_all(1)`), then `remove_redundant`.  With no
     fold and no redundant cell the input map itself is kept."""
-    dom = Domain(m, unit_weighting(m.codomain))
+    dom = domain_of(m, unit_weighting(m.codomain))
     folds = []
     while made := dom.fold_all(1)[0]:
         folds.append(made[0][:2])

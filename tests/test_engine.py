@@ -40,6 +40,7 @@ from reference import (
     EagerDomain,
     apply_fold,
     build_packet,
+    domain_of,
     fold_to_immersion,
     present_corners,
     reduce_map,
@@ -74,7 +75,7 @@ def test_find_site_on_bare_circle():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
     m = fold_to_immersion(reference_bouquet_map(x, [word([1, 1, 2] * 3)])).map
-    site = find_site(Domain(m, w), "strict")
+    site = find_site(domain_of(m, w), "strict")
     assert site is not None and site.complete
     assert site.length == 9
 
@@ -82,7 +83,7 @@ def test_find_site_on_bare_circle():
 def test_find_site_none_when_packet_present():
     x = standard_complex(fixtures.aab_power_presentation(3))
     w = unit_weighting(x)
-    dom = Domain(build_packet(x, 0), w)
+    dom = domain_of(build_packet(x, 0), w)
     assert dom.repair() == 0  # the packet is whole: nothing to glue
     assert find_site(dom, "strict") is None
     assert find_site(dom, "weak") is None
@@ -93,7 +94,7 @@ def test_attach_complete_square():
     w = unit_weighting(x)
     m = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, -1, -2])])).map
     before = map_perimeter(w, m)
-    dom = Domain(m, w)
+    dom = domain_of(m, w)
     site = find_site(dom, "strict")
     assert site is not None and site.complete
     attach_site(dom, site)
@@ -106,7 +107,7 @@ def test_attach_incomplete_equality_case():
     # weak flap on the cover-image ladder: P(packet) == P(Q), perimeter fixed
     m = fixtures.ladder_start_map()
     w = unit_weighting(m.codomain)
-    dom = Domain(m, w)
+    dom = domain_of(m, w)
     site = find_site(dom, "weak")
     assert site is not None and not site.complete
     assert site.length == 2
@@ -162,11 +163,11 @@ def test_reduction_refuses_an_unknown_mode():
     with pytest.raises(EngineError, match="mode must be"):
         reduce_map(m, w, "lax")
     with pytest.raises(EngineError, match="mode must be"):
-        find_site(Domain(m, w), "lax")
+        find_site(domain_of(m, w), "lax")
     # and a negative step limit, which would end the run before any step
     for mode in ("strict", "weak"):
         with pytest.raises(EngineError, match="step_limit must be at least 0, not -1"):
-            reduce_domain(Domain(m, w), mode, -1)
+            reduce_domain(domain_of(m, w), mode, -1)
     x = standard_complex(fixtures.surface_presentation(2, True))
     with pytest.raises(EngineError, match="step_limit must be at least 0, not -3"):
         intersect(x, unit_weighting(x), [word([1])], [word([2])], step_limit=-3)
@@ -244,7 +245,7 @@ def test_reduce_output_is_structurally_sound(rng):
             res.map.validate()
             assert find_fold(res.map) is None
             assert is_packed(res.map)[0]
-            dom = Domain(res.map, w)
+            dom = domain_of(res.map, w)
             assert dom.repair() == 0
             assert find_site(dom, "strict") is None
             assert res.trace.steps == [] or \
@@ -256,7 +257,7 @@ def test_find_site_requires_immersion(rng):
     w = unit_weighting(x)
     m = reference_bouquet_map(x, [word([1]), word([1, 2])])
     with pytest.raises(EngineError, match="1-immersion"):
-        find_site(Domain(m, w))
+        find_site(domain_of(m, w))
 
 
 def test_find_site_requires_packed_map():
@@ -267,7 +268,7 @@ def test_find_site_requires_packed_map():
     lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
                    cell_image=m.cell_image[:1])
     assert find_fold(lone) is None
-    dom = Domain(lone, unit_weighting(x))
+    dom = domain_of(lone, unit_weighting(x))
     assert not dom.packed
     with pytest.raises(EngineError, match="packed"):
         find_site(dom)
@@ -277,7 +278,7 @@ def test_attach_site_refuses_a_site_of_another_domain():
     x = standard_complex(fixtures.torus_presentation())
     w = unit_weighting(x)
     m = fold_to_immersion(reference_bouquet_map(x, [word([1, 2, -1, -2])])).map
-    found, other = Domain(m, w), Domain(m, w)
+    found, other = domain_of(m, w), domain_of(m, w)
     site = find_site(found)
     assert site is not None
     with pytest.raises(StaleSiteError, match="another domain"):
@@ -470,10 +471,10 @@ def assert_same_as_reference(m, w):
     got = fold_to_immersion(m)
     assert (got.map, got.folds, got.removed_cells, got.vertex_map) == reference_fold(m)
     for given in (m, apply_fold(m).map if find_fold(m) else m):
-        dom = Domain(given, w)
+        dom = domain_of(given, w)
         removed = dom.remove_redundant()
         assert (dom.to_map(), removed) == reference_remove_redundant(given)
-        dom = Domain(given, w)
+        dom = domain_of(given, w)
         added = dom.repair()
         assert (dom.to_map(), added) == reference_repair_packing(given)
 
@@ -656,10 +657,10 @@ def test_verify_catches_a_fold_phase_that_leaves_a_fold_or_a_lone_cell(monkeypat
     m = build_packet(x, 0)
     lone = replace(m, domain=replace(m.domain, cells=m.domain.cells[:1]),
                    cell_image=m.cell_image[:1])
-    reduce_domain(Domain(lone, unit_weighting(x)), verify=True)  # `repair` glues the mates
+    reduce_domain(domain_of(lone, unit_weighting(x)), verify=True)  # `repair` glues the mates
     monkeypatch.setattr(Domain, "repair", lambda dom: 0)
     with pytest.raises(EngineError, match="fold phase did not end packed"):
-        reduce_domain(Domain(lone, unit_weighting(x)), verify=True)
+        reduce_domain(domain_of(lone, unit_weighting(x)), verify=True)
 
 
 def test_a_complete_attachment_must_lower_the_perimeter_by_its_cell_weight(monkeypatch):
@@ -703,7 +704,7 @@ def test_domain_starts_at_the_map_perimeter(rng):
             twins = CombMap(Complex2(dom.num_vertices, dom.edges, dom.cells * 2), x,
                             m.vertex_image, m.edge_image, m.cell_image * 2, m.basepoint)
             for given in (m, twins):
-                assert Domain(given, w).perimeter == map_perimeter(w, given)
+                assert domain_of(given, w).perimeter == map_perimeter(w, given)
 
 
 # --- domain changes against the hand-built reference -------------------------
@@ -728,7 +729,7 @@ def test_bouquet_domain_matches_reference_map(data):
     assert dom.to_map() == want
     assert dom.stars == [{img: sorted(ends) for img, ends in star.items()}
                          for star in end_stars(want)]
-    ref = Domain(want, w)
+    ref = domain_of(want, w)
     for field in ("perimeter", "stars", "leaving", "num_vertices", "num_edges", "num_cells"):
         assert getattr(dom, field) == getattr(ref, field), field
     assert dom.next_fold() == ref.next_fold()
@@ -792,7 +793,7 @@ def test_arc_gluing_matches_letter_by_letter(data):
             refs += by_letter.add_arc(tail, v if k == len(letters) - 1 else None, [ell])
             tail = len(by_letter.parent) - 1  # the fresh vertex, if one was made
         assert whole.add_arc(u, v, letters) == refs
-        for field in ("stars", "leaving", "edges", "edge_image", "vertex_image", "parent",
+        for field in ("stars", "leaving", "edges", "edge_image", "parent",
                       "perimeter", "num_vertices", "num_edges", "num_cells"):
             assert getattr(whole, field) == getattr(by_letter, field), field
         assert whole.next_fold() == by_letter.next_fold()
@@ -821,14 +822,14 @@ def test_fold_heap_holds_each_repeated_image(data):
     gens = [word(ls) for ls in data.draw(
         st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3))]
     m = reference_augment_with_cells(reference_bouquet_map(x, gens))
-    stepped, folds = Domain(m, w), []
+    stepped, folds = domain_of(m, w), []
     assert_heap_holds_each_repeated_image(stepped)
     while made := stepped.fold_all(1)[0]:
         folds += made
         assert_leaving_lists_the_roots_over_each_image(stepped)
         assert_heap_holds_each_repeated_image(stepped)
     assert stepped.next_fold() is None and stepped.fold_all() == ([], False)
-    whole, split = Domain(m, w), Domain(m, w)
+    whole, split = domain_of(m, w), domain_of(m, w)
     assert whole.fold_all() == (folds, False)
     k = data.draw(st.integers(0, len(folds)))
     first, left = split.fold_all(k)
@@ -862,7 +863,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
 
     def start():
         if kind == "grid":
-            return Domain(m, w)
+            return domain_of(m, w)
         dom = Domain.bouquet(w, gens)
         if kind == "reduced":
             reduce_domain(dom)
@@ -871,7 +872,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
     whole, by_copy = start(), start()
     whole.augment()
     reference_augment_domain(by_copy)
-    for field in ("stars", "leaving", "heap", "edges", "edge_image", "vertex_image", "parent",
+    for field in ("stars", "leaving", "heap", "edges", "edge_image", "parent",
                   "dropped", "cycles", "cell_image", "sides", "twins",
                   "perimeter", "num_vertices", "num_edges", "num_cells", "packed"):
         assert getattr(whole, field) == getattr(by_copy, field), field
@@ -1088,7 +1089,7 @@ def attachments_against_reference(m, w, mode, step_limit):
     with mock.patch.object(engine, "attach_site", both):
         res = reduce_map(m, w, mode, step_limit, verify=True)
     assert m == given
-    dom = Domain(m, w)
+    dom = domain_of(m, w)
     reduce_domain(dom, mode, step_limit)
     dom.augment()
     assert dom.to_map() == reference_augment_with_cells(res.map)
@@ -1336,7 +1337,7 @@ def test_find_site_skips_blocked_circle():
     m0 = reference_bouquet_map(x, [word([1, 2, 1, 2, -1, 2])])
     for limit in (0, 1):
         m = reduce_map(m0, w, step_limit=limit).map
-        dom = Domain(m, w)
+        dom = domain_of(m, w)
         site = find_site(dom)
         assert site is not None and not site.complete and site.length == 3
         assert on_map(dom, m, site) == reference_find_attachment(m, w)
@@ -1399,7 +1400,7 @@ def test_twins_match_repeated_cells_after_every_fold(case, data):
     w = w_of(x)
     gens, whisker = draw_bouquet_words(data, x)
     if data.draw(st.booleans()):
-        dom = Domain(reference_augment_with_cells(reference_bouquet_map(x, gens, whisker)), w)
+        dom = domain_of(reference_augment_with_cells(reference_bouquet_map(x, gens, whisker)), w)
     else:
         dom = Domain.bouquet(w, gens, whisker)
         reduce_domain(dom)

@@ -22,7 +22,7 @@ from perifold.words import free_reduce, parse_presentation
 from conftest import GraphOracle, abelian_invariants
 import corpus
 import fixtures
-from reference import out_edges, reduce_map, word
+from reference import out_edges, reduce_map, reference_bouquet_map, word
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +32,31 @@ def free2():
 
 
 def test_decision_procedures_build_each_domain_from_its_words(monkeypatch):
-    # no bouquet map is built, validated or copied into a domain: the only
-    # map a `Domain` is made of on the way is the edgeless wedge point
-    wrapped = []
+    # each domain starts as the wedge point `Domain(w)` of the weighting's
+    # complex, and no map is built, validated or copied into a domain: the
+    # only maps built are those `to_map` and the fiber product return
+    wedges, events = [], []
 
     def no_validate(self):
         raise AssertionError("CombMap.validate called")
 
-    def init(self, m, w):
-        wrapped.append(m.domain.num_edges())
-        original(self, m, w)
+    def logged(name, original):
+        def call(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        return call
 
-    original = maps.Domain.__init__
+    def init(self, w):
+        wedges.append(w.complex)
+        domain_init(self, w)
+
+    domain_init, map_init = maps.Domain.__init__, CombMap.__init__
     monkeypatch.setattr(CombMap, "validate", no_validate)
     monkeypatch.setattr(maps.Domain, "__init__", init)
+    monkeypatch.setattr(CombMap, "__init__", logged("map", map_init))
+    monkeypatch.setattr(maps.Domain, "to_map", logged("to_map", maps.Domain.to_map))
+    monkeypatch.setattr(subgroups, "based_fiber_product",
+                        logged("product", subgroups.based_fiber_product))
     x = standard_complex(fixtures.surface_presentation(2, True))
     w = unit_weighting(x)
     gens = [word([1, 2, -1, -2]), word([1, 1])]
@@ -54,7 +65,8 @@ def test_decision_procedures_build_each_domain_from_its_words(monkeypatch):
     intersect(x, w, gens, [word([1])])
     mx = standard_complex(fixtures.magnus_example_presentation())
     magnus_intersect(mx, {0, 1}, [word([1, 2])])
-    assert len(wrapped) == 6 and set(wrapped) == {0}
+    assert wedges == [x] * 4 + [mx] * 2
+    assert events == ["to_map", "map", "product", "map", "product", "map"]
 
 
 def test_subgroup_presentation_free(free2):
@@ -249,16 +261,14 @@ def test_magnus_intersect_finds_a_fourth_power_on_the_torus():
 
 
 def test_relator_bound_on_simple_cycle_complex():
-    # bigon attached along a simple cycle plus a free loop at the basepoint
+    # a bigon and a free loop at the one vertex; generators: the bigon's
+    # boundary, and the loop there and back, as closed based paths
     from perifold.engine import extract_presentation
 
-    x = Complex2(2, [(0, 1), (1, 0), (0, 0)], [(1, 2)])
+    x = Complex2(1, [(0, 0), (0, 0), (0, 0)], [(1, 2)])
     x.validate()
     w = weighting_from_rows(x, [(1, 1)])
-    # generators: the bigon cycle and the loop, as closed based paths
-    dom = Complex2(3, [(0, 1), (1, 0), (0, 2), (2, 0)], [])
-    m = CombMap(dom, x, [0, 1, 0], [1, 2, 3, -3], [], 0)
-    m.validate()
+    m = reference_bouquet_map(x, [word([1, 2]), word([3, -3])])  # validated
     res = reduce_map(m, w)
     pres = extract_presentation(res.map)
     bound = sum(path_perimeter(w, g) for g in (word([1, 2]), word([3, -3])))
