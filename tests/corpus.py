@@ -4,8 +4,12 @@ so that a change to any answer, trace or final map shows as a changed case.
 
 Cases: `subgroup_presentation`, `member_with_trace` and `intersect` at the
 step limits None, 0, 3 and 10, over the torus, `(aab)^3`, the genus-2
-surface and `Z^3` (with `zzz_weighting` of `tests/fixtures.py`), on
-inputs drawn from the seeds below.  Every call passes `force=True`, so a
+surface and `Z^3` (with `zzz_weighting` of `tests/fixtures.py`), and,
+appended, `(aab)^9`, `(a b a^-1 b^-2)^4`, the orientable and the
+nonorientable surface of genus 3, `modify_presentation` (with
+`modify_weighting`), `magnus_example_presentation`,
+`two_relator_block_presentation` (with weights 1 and 3) and the free group
+on a and b, on inputs drawn from the seeds below, one per complex.  Every call passes `force=True`, so a
 complex without the operation's certificate is reduced too, and the
 rendering says `heuristic`.
 Over the same complexes, from seeds of their own: `fold_to_immersion` of
@@ -44,7 +48,7 @@ from perifold.complexes import standard_complex
 from perifold.subgroups import intersect, magnus_intersect, member_with_trace, \
     subgroup_presentation
 from perifold.weights import unit_weighting
-from perifold.words import Word, free_reduce
+from perifold.words import Word, free_reduce, parse_presentation
 import fixtures
 from fixtures import random_reduced_word
 from reference import fold_to_immersion, reduce_map, reference_augment_with_cells, \
@@ -62,6 +66,18 @@ COMPLEXES = {
     "aab3": (lambda: fixtures.aab_power_presentation(3), unit_weighting),
     "genus2": (lambda: fixtures.surface_presentation(2, True), unit_weighting),
     "zzz": (fixtures.zzz_presentation, fixtures.zzz_weighting),
+    # appended, so the complexes above draw as before: packets of 9 and 4
+    # mates, surfaces of genus 3, zero-weight sides, a 12-letter relator,
+    # two relators of weights 1 and 3, and a free group, whose scan plan
+    # is empty
+    "aab9": (lambda: fixtures.aab_power_presentation(9), unit_weighting),
+    "bs4": (lambda: parse_presentation("gens a b / rel ( a b a^-1 b^-2 )^4"), unit_weighting),
+    "genus3": (lambda: fixtures.surface_presentation(3, True), unit_weighting),
+    "nonorientable3": (lambda: fixtures.surface_presentation(3, False), unit_weighting),
+    "modify": (fixtures.modify_presentation, fixtures.modify_weighting),
+    "magnus": (fixtures.magnus_example_presentation, unit_weighting),
+    "block13": (fixtures.two_relator_block_presentation, fixtures.two_relator_block_weighting),
+    "free2": (fixtures.free_presentation, unit_weighting),
 }
 # [a^2, b^2], [a^2, b^-2] and a rotation of each: trivial in Z^2
 TORUS_FAULT_WORDS = (
@@ -79,8 +95,9 @@ MAGNUS_FAULT = Word((2, -1, -1, -2, -1, -1))
 
 def _word(rng: random.Random, x) -> Word:
     """A random reduced word, or a conjugate of a subword of a relator
-    rotation, so that attachments are common."""
-    if rng.random() < 0.5:
+    rotation, so that attachments are common; a complex with no cell draws
+    only the first."""
+    if rng.random() < 0.5 or not x.cells:
         return random_reduced_word(rng, x.num_edges(), rng.randint(1, 8))
     bdry = x.cells[rng.randrange(x.num_cells())]
     k = rng.randrange(len(bdry))
