@@ -266,9 +266,8 @@ def _incidence(dom: Domain) -> dict[int, dict[tuple[int, int], set[int]]]:
     each side (r, q) at it and the cells over r with their q-th ref on the
     edge."""
     sides: dict[int, dict[tuple[int, int], set[int]]] = {}
-    for c, cycle in enumerate(dom.cycles):
+    for c, (cycle, r) in enumerate(zip(dom.cycles, dom.cell_over)):
         if cycle is not None:
-            r = dom.cell_image[c][0]
             for q, d in enumerate(cycle):
                 sides.setdefault(abs(d) - 1, {}).setdefault((r, q), set()).add(c)
     return sides

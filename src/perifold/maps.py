@@ -18,7 +18,11 @@ words as a wedge of arcs at the one vertex of a presentation complex
 cells change it in place, its perimeter changes only when an edge is added
 or dropped or a side becomes present, and the map is built from it once
 (`Domain.to_map`); the based fiber product of two domains is read off them
-(`based_fiber_product`).
+(`based_fiber_product`).  A live domain is in normal form: vertex 0 is its
+basepoint and every cell lies over its target cell from position 0, so it
+keeps per cell only that target and the rewritten cycle, and each map built
+from it is based at vertex 0, with that cycle as the cell's boundary and
+(target, 0, False) as its image.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ class Domain:
     no cell; it refuses a complex with more than one vertex, so every
     vertex maps to that one vertex and no vertex image is kept.  A
     subgroup's domain is the wedge of its words glued to it (`bouquet`).
+    Vertex 0 stays the basepoint, as `identify` keeps the smaller root,
+    and every cell lies over its target from position 0, so a cell keeps
+    only that target (`cell_over`) and its rewritten cycle (`cycles`).
 
     Vertex and edge ids are numbered on from the last; none is reused.
     Vertex classes live in a union-find whose root is the smallest id,
@@ -133,7 +140,8 @@ class Domain:
     A fold can make two cells equal: the later is a twin until
     `remove_redundant`.  `to_map` numbers vertex classes by their
     smallest id and surviving edges and cells in id order, as a fold of
-    the input, and maps every vertex to vertex 0.
+    the input, and maps every vertex to vertex 0; the basepoint is vertex
+    0 there too.
 
     Every domain carries the weighting it was built from (kept as
     `weighting`; its complex is the codomain), and `perimeter` follows one
@@ -149,7 +157,7 @@ class Domain:
         x = w.complex
         if x.num_vertices != 1:
             raise MapError("Domain expects a one-vertex codomain")
-        self.codomain, self.basepoint, self.weighting = x, 0, w
+        self.codomain, self.weighting = x, w
         self.per, self.weights = w._per, w.side_weights
         self.parent, self.edges, self.edge_image, self.dropped = [0], [], [], set()
         self.stars: list[dict[int, list[int]] | None] = [{}]
@@ -157,7 +165,7 @@ class Domain:
         self.leaving: dict[int, list[int]] = {}
         self.heap: list[tuple[int, int]] = []  # (root, image) pairs that may have two ends
         self.cycles: list[tuple[int, ...] | None] = []  # per cell; None once deleted
-        self.cell_image: list[tuple[int, int, bool]] = []
+        self.cell_over: list[int] = []  # per cell, the target cell it lies over from position 0
         # edge -> each side (r, q) present at it -> the live cells over r with their q-th ref on it
         self.sides: dict[int, dict[tuple[int, int], set[int]]] = {}
         self.twins: set[int] = set()
@@ -220,19 +228,17 @@ class Domain:
         return [k * a for k, a in zip(accumulate(alive), alive)]
 
     def to_map(self) -> CombMap:
+        """The map of the domain, in normal form: each live cell's
+        boundary is its renumbered cycle, over its target from position 0,
+        and the basepoint is vertex 0, the class of vertex id 0."""
         vertex, ref = self.vertex_numbers(), self.edge_refs()
         edges = [(vertex[self.find(s)], vertex[self.find(t)])
                  for e, (s, t) in enumerate(self.edges) if ref[e]]
-        cells, cell_image = [], []
-        for cycle, (r, offset, reflected) in zip(self.cycles, self.cell_image):
-            if cycle is not None:  # the boundary that `rewritten_cycle` reads as the cycle
-                cycle, m = _renumbered(cycle, ref), len(cycle)
-                cells.append(tuple(-cycle[(offset - j) % m] for j in range(m)) if reflected
-                             else tuple(cycle[(j + offset) % m] for j in range(m)))
-                cell_image.append((r, offset, reflected))
+        live = [(cycle, r) for cycle, r in zip(self.cycles, self.cell_over) if cycle is not None]
+        cells = [_renumbered(cycle, ref) for cycle, _r in live]
         return CombMap(Complex2(len(vertex), edges, cells), self.codomain, [0] * len(vertex),
-                       [img for e, img in enumerate(self.edge_image) if ref[e]], cell_image,
-                       vertex[self.find(self.basepoint)])
+                       [img for e, img in enumerate(self.edge_image) if ref[e]],
+                       [(r, 0, False) for _cycle, r in live])
 
     def _make_present(self, e: int, side: tuple[int, int], cells: set[int]) -> None:
         """Enter `cells` as putting `side` at edge e; the perimeter drops by
@@ -307,12 +313,11 @@ class Domain:
         roots, parent = self.leaving[img], self.parent
         roots[:] = [v for v in roots if parent[v] == v]
 
-    def _add_cell(self, image: tuple[int, int, bool], cycle: tuple[int, ...]) -> None:
+    def _add_cell(self, r: int, cycle: tuple[int, ...]) -> None:
         c = len(self.cycles)
         self.cycles.append(cycle)
-        self.cell_image.append(image)
+        self.cell_over.append(r)
         self.num_cells += 1
-        r = image[0]
         for q, d in enumerate(cycle):
             self._make_present(abs(d) - 1, (r, q), {c})
 
@@ -328,7 +333,7 @@ class Domain:
     def _mark_twins(self, c: int) -> None:
         """Mark as twins the cells equal to cell c, all but the smallest
         id; c must be entered in `sides`."""
-        equal = self._cells_with(self.cell_image[c][0], self.cycles[c])
+        equal = self._cells_with(self.cell_over[c], self.cycles[c])
         if len(equal) > 1:
             self.twins.update(equal)
             self.twins.discard(min(equal))
@@ -466,7 +471,7 @@ class Domain:
         added = 0
         for mate in packet_mates(self.codomain, r, cycle):
             if not self._cells_with(r, mate):
-                self._add_cell((r, 0, False), mate)
+                self._add_cell(r, mate)
                 added += 1
         return added
 
@@ -496,7 +501,7 @@ class Domain:
                 edges.append((u, v))
                 self.edge_image.extend(letters)
                 cycles.append(tuple(range(d + 1, d + n + 1)))
-                self.cell_image.append((r, 0, False))
+                self.cell_over.append(r)
                 for e, side in zip(range(d, d + n), copy_sides):
                     sides[e] = {side: {c}}
                 self.perimeter += change
@@ -512,7 +517,7 @@ class Domain:
         # each twin is deleted on its own, so the order of the set is never seen;
         # the kept cell has the same cycle, so no side loses its last cell
         for c in self.twins:
-            r = self.cell_image[c][0]
+            r = self.cell_over[c]
             for q, d in enumerate(self.cycles[c]):
                 self.sides[abs(d) - 1][(r, q)].discard(c)
             self.cycles[c] = None
@@ -541,7 +546,7 @@ class Domain:
         ref = self.edge_refs()
         alive = [e + 1 for e, k in enumerate(ref) if k]
         present: dict[int, set[tuple[int, ...]]] = {}
-        for cycle, (r, _offset, _reflected) in zip(self.cycles, self.cell_image):
+        for cycle, r in zip(self.cycles, self.cell_over):
             if cycle is not None:
                 present.setdefault(r, set()).add(_renumbered(cycle, ref))
         return sum(self.add_packet(r, _renumbered(cycle, alive))
@@ -610,7 +615,8 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     without changing them.
 
     Vertices are the image-matching root pairs reached from the basepoint
-    pair, numbered in sorted order; edges are the image-matching pairs of
+    pair (0, 0), numbered in sorted order, so that pair is vertex 0, the
+    product's basepoint; edges are the image-matching pairs of
     live edge ends between them, oriented over the positive codomain edge
     and numbered by (a-edge, b-edge); each pair of live cells over a common
     target cell whose rewritten cycles start at a reached pair gives the
@@ -629,10 +635,9 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     if a.codomain != b.codomain:
         raise MapError("fiber product needs a common codomain")
     root_a, root_b, edges_a, edges_b = a.roots(), b.roots(), a.edges, b.edges
-    base = (root_a[a.basepoint], root_b[b.basepoint])
 
-    seen = {base}  # read only sorted, as is `found`, so no set or stack order is seen
-    stack = [base]
+    seen = {(0, 0)}  # read only sorted, as is `found`, so no set or stack order is seen
+    stack = [(0, 0)]
     found = []  # per (a-end, b-end) over a positive codomain edge: its refs, tail and head pairs
     while stack:
         tail = u, v = stack.pop()
@@ -663,7 +668,7 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     cell_pairs = sorted(  # the tail of ±e is the end [0] or [1] of edge e
         (ca, cb)
         for ca, cyc in enumerate(a.cycles) if cyc is not None
-        for r in (a.cell_image[ca][0],)
+        for r in (a.cell_over[ca],)
         for v in partners.get(root_a[edges_a[abs(cyc[0]) - 1][cyc[0] < 0]], ())
         for db in b.stars[v].get(bdry[r][0], ())
         for cb in b.sides.get(abs(db) - 1, {}).get((r, 0), ())
@@ -672,6 +677,5 @@ def based_fiber_product(a: Domain, b: Domain) -> CombMap:
     prod = Complex2(len(vertices), edges, cells)
     return CombMap(prod, a.codomain, [0] * len(vertices),
                    [img for *_ends, img, _tail, _head in found],
-                   [(a.cell_image[ca][0], 0, False) for ca, _ in cell_pairs],
-                   vid[base])
+                   [(a.cell_over[ca], 0, False) for ca, _ in cell_pairs])
 

@@ -139,7 +139,7 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     dom = Domain.bouquet(w, _clean_words(gens), whisker=u)
     tip = len(dom.parent) - 1  # the whisker's end, the last vertex
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
-    if dom.find(dom.basepoint) == dom.find(tip):
+    if dom.find(tip) == 0:  # the basepoint, vertex 0, is always a root
         return True, trace
     return (None if exhausted else False), trace
 

@@ -9,9 +9,9 @@ appended, `(aab)^9`, `(a b a^-1 b^-2)^4`, the orientable and the
 nonorientable surface of genus 3, `modify_presentation` (with
 `modify_weighting`), `magnus_example_presentation`,
 `two_relator_block_presentation` (with weights 1 and 3) and the free group
-on a and b, on inputs drawn from the seeds below, one per complex.  Every call passes `force=True`, so a
-complex without the operation's certificate is reduced too, and the
-rendering says `heuristic`.
+on a and b, on inputs drawn from the seeds below, one per complex.  Every
+call passes `force=True`, so a complex without the operation's certificate
+is reduced too, and the rendering says `heuristic`.
 Over the same complexes, from seeds of their own: `fold_to_immersion` of
 bouquets of words as drawn, unreduced, and of each such bouquet with a copy
 of every cell glued at each vertex (`reference_augment_with_cells`), so

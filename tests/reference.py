@@ -28,15 +28,20 @@ program evaluates all of these bounds by one bisection of the prefix sums
 `domain_of(m, w)` keeps a map's domain live: the program builds only the
 domains of words (`perifold.maps.Domain.bouquet`), and the tests wrap
 other maps over a one-vertex complex by the same operations, onto the
-wedge point `Domain(w)`.  `reduce_map` and `fold_to_immersion` are the
-map-level entries to the program's live domain, and with `domain_of`,
-`vertex_map`, `reference_augment_domain`, `present_corners` and
-`repeated_cells` (below) the only code here that reads a `Domain`: each
-entry wraps a map (`domain_of`), runs `reduce_domain` or the folds and
-`remove_redundant` on it, and builds the map once, at the end;
-`fold_to_immersion`, whose folds read no weight, wraps it with unit
-weights (`unit_weighting` of the codomain); `vertex_map` tells where the
-domain's vertex ids lie in that map.
+wedge point `Domain(w)`.  A live domain is in normal form, based at vertex
+0 with every cell over its target from position 0, so `domain_of` enters
+each cell by its rewritten cycle, which is that cell's normal form, and
+refuses a map based at another vertex; a map built from the domain
+(`Domain.to_map`) has each cell's rewritten cycle as its boundary.
+`reduce_map` and `fold_to_immersion` are the map-level entries to the
+program's live domain, and with `domain_of`, `vertex_map`,
+`reference_augment_domain`, `present_corners` and `repeated_cells`
+(below) the only code here that reads a `Domain`: each entry wraps a map
+(`domain_of`), runs `reduce_domain` or the folds and `remove_redundant` on
+it, and builds the map once, at the end; `fold_to_immersion`, whose folds
+read no weight, wraps it with unit weights (`unit_weighting` of the
+codomain); `vertex_map` tells where the domain's vertex ids lie in that
+map.
 They are the program's side of the comparisons below.  `canonical_form`
 describes a connected 1-immersed based map up to isomorphism
 (`isomorphic_maps`), so fold results compare whatever the fold order.
@@ -682,19 +687,14 @@ def reference_augment_with_cells(m: CombMap) -> CombMap:
 
 def reference_augment_domain(dom: Domain) -> None:
     """`Domain.augment` glued a copy at a time by the general operations:
-    per root, ascending, and per codomain cell through its image, vertex
-    0, a fresh arc from the root to itself by `add_arc`, read from the
-    first position j of the boundary at that vertex, then its cell by
-    `_add_cell`, one side made present per edge."""
+    per root, ascending, and per codomain cell, a fresh arc over its
+    boundary from the root to itself by `add_arc`, then its cell over it
+    from position 0 by `_add_cell`, one side made present per edge."""
     x = dom.codomain
     for v in dom.vertex_numbers():
         for r, bdry in enumerate(x.cells):
-            j = next((j for j, d in enumerate(bdry) if x.tail(d) == 0), None)
-            if j is not None:
-                refs = dom.add_arc(v, v, bdry[j:] + bdry[:j])
-                # the rewritten cycle has refs[(q - j) % len(refs)] at position q
-                dom._add_cell((r, j, False), tuple(refs[-j:] + refs[:-j]))
-                dom.packed = dom.packed and x.periods[r][1] == 1
+            dom._add_cell(r, tuple(dom.add_arc(v, v, bdry)))
+            dom.packed = dom.packed and x.periods[r][1] == 1
 
 
 class EagerDomain(Domain):
@@ -820,8 +820,7 @@ def present_corners(dom: Domain) -> set[tuple[int, int, int]]:
     a live cell over r: each corner of a present cycle, keyed by the end
     that leaves it."""
     periods = dom.codomain.periods
-    return {(r, q % periods[r][0], d)
-            for cycle, (r, _offset, _reflected) in zip(dom.cycles, dom.cell_image)
+    return {(r, q % periods[r][0], d) for cycle, r in zip(dom.cycles, dom.cell_over)
             if cycle is not None for q, d in enumerate(cycle)}
 
 
@@ -829,11 +828,11 @@ def repeated_cells(dom: Domain) -> set[int]:
     """The live cells whose (target cell, cycle) is that of a smaller live
     cell."""
     seen, repeated = set(), set()
-    for c, (cycle, image) in enumerate(zip(dom.cycles, dom.cell_image)):
+    for c, (cycle, r) in enumerate(zip(dom.cycles, dom.cell_over)):
         if cycle is not None:
-            if (image[0], cycle) in seen:
+            if (r, cycle) in seen:
                 repeated.add(c)
-            seen.add((image[0], cycle))
+            seen.add((r, cycle))
     return repeated
 
 
@@ -981,23 +980,27 @@ class ReduceResult:
 
 def domain_of(m: CombMap, w: Weighting) -> Domain:
     """The map's domain kept live under the weighting w of its codomain:
-    the wedge point `Domain(w)`, the map's vertices and basepoint, one
-    single-letter `add_arc` per edge and one cell per cell, marking the
-    twins among the cells as it enters them, so it starts at the map's
-    perimeter.  It refuses a weighting of another complex, and `Domain(w)`
-    one of a complex with more than one vertex."""
+    the wedge point `Domain(w)`, the map's vertices, one single-letter
+    `add_arc` per edge and one cell per cell, by its rewritten cycle,
+    marking the twins among the cells as it enters them, so it starts at
+    the map's perimeter.  A live domain is in normal form, so the map's
+    cells come out over their targets from position 0.  It refuses a map
+    whose basepoint is not vertex 0 and a weighting of another complex,
+    and `Domain(w)` one of a complex with more than one vertex."""
+    if m.basepoint != 0:
+        raise MapError("a live domain's basepoint is vertex 0")
     if w.complex != m.codomain:
         raise WeightError("weighting belongs to a different complex")
     dom = Domain(w)
     dom.parent = list(range(m.domain.num_vertices))
     dom.stars = [{} for _ in dom.parent]
-    dom.num_vertices, dom.basepoint = m.domain.num_vertices, m.basepoint
+    dom.num_vertices = m.domain.num_vertices
     for (src, tgt), img in zip(m.domain.edges, m.edge_image):
         dom.add_arc(src, tgt, [img])
     for c in range(m.domain.num_cells()):  # a map's cells may be equal; `add_packet`'s never are
-        dom._add_cell(m.cell_image[c], m.rewritten_cycle(c))
+        dom._add_cell(m.cell_image[c][0], m.rewritten_cycle(c))
         dom._mark_twins(c)
-    dom.packed = all(m.codomain.periods[r][1] == 1 for r, _offset, _reflected in m.cell_image)
+    dom.packed = all(m.codomain.periods[r][1] == 1 for r in dom.cell_over)
     return dom
 
 

@@ -873,7 +873,7 @@ def test_augment_matches_gluing_copy_by_copy(data):
     whole.augment()
     reference_augment_domain(by_copy)
     for field in ("stars", "leaving", "heap", "edges", "edge_image", "parent",
-                  "dropped", "cycles", "cell_image", "sides", "twins",
+                  "dropped", "cycles", "cell_over", "sides", "twins",
                   "perimeter", "num_vertices", "num_edges", "num_cells", "packed"):
         assert getattr(whole, field) == getattr(by_copy, field), field
     assert_leaving_lists_the_roots_over_each_image(whole)

@@ -26,6 +26,7 @@ from reference import (
     reference_augment_with_cells,
     reference_based_product,
     reference_bouquet_map,
+    replace,
     restrict_to_component,
     word,
 )
@@ -80,6 +81,36 @@ def test_domain_refuses_a_weighting_of_another_complex():
             domain_of(m, unit_weighting(other))
         with pytest.raises(WeightError, match="weighting belongs to a different complex"):
             reduce_map(m, unit_weighting(other))
+
+
+def test_domain_of_refuses_a_map_not_based_at_vertex_0(monkeypatch):
+    # a live domain's basepoint is vertex 0, so the map-level entries
+    # refuse a map based elsewhere before they glue an arc
+    def no_arc(*args):
+        raise AssertionError("an arc was glued")
+
+    x = standard_complex(fixtures.torus_presentation())
+    m = replace(reference_bouquet_map(x, [word([1, 2])]), basepoint=1)
+    m.validate()
+    w = unit_weighting(x)
+    monkeypatch.setattr(Domain, "add_arc", no_arc)
+    for entry in (lambda: domain_of(m, w), lambda: reduce_map(m, w),
+                  lambda: fold_to_immersion(m)):
+        with pytest.raises(MapError, match="^a live domain's basepoint is vertex 0$"):
+            entry()
+
+
+def test_domain_of_writes_each_cell_from_position_0():
+    # a cell over its target at offset 3, reflected, comes out of the live
+    # domain as its rewritten cycle over the target from position 0
+    m = fixtures.reflected_square_map()
+    w = unit_weighting(m.codomain)
+    built = domain_of(m, w).to_map()
+    built.validate()
+    assert built.domain.cells == [m.rewritten_cycle(0)] != m.domain.cells
+    assert (built.cell_image, built.basepoint) == ([(0, 0, False)], 0)
+    assert replace(built, domain=m.domain, cell_image=m.cell_image) == m
+    assert map_perimeter(w, built) == map_perimeter(w, m)
 
 
 def test_is_1_immersion(free2):
