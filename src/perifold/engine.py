@@ -2,15 +2,17 @@
 candidate subpaths, packet attachment with exact bookkeeping, the
 fold/attach loop, and presentation extraction.
 
-The loop (`reduce_domain`) changes one live `maps.Domain` in place,
-alternating folding to a 1-immersion, packing repair, and packet attachment
-along qualifying boundary subpaths; the perimeter follows each step by the
-domain's local rule.  A subgroup's domain is built from its words,
-glued to the wedge point of a one-vertex complex (`maps.Domain.bouquet`),
-and a map is built from the domain only where one is read.  In strict mode
-the lexicographic pair (perimeter, edge count) drops at every fold and
-every attachment, so the loop terminates; weak mode may run forever and
-therefore requires a step limit.
+The loop (`reduce_domain`) changes one live `maps.Domain` in place, each
+pass a fold phase to a 1-immersion with its packing repair, then, unless
+the step limit is reached, the scan for a qualifying boundary subpath and
+its packet attachment; the perimeter follows each step by the domain's
+local rule, and `verify` checks each step in one place (`_check_step`).
+A subgroup's domain is built from its words, glued to the wedge point of a
+one-vertex complex (`maps.Domain.bouquet`), and a map is built from the
+domain only where one is read.  In strict mode the lexicographic pair
+(perimeter, edge count) drops at every fold and every attachment, so the
+loop terminates; weak mode may run forever and therefore requires a step
+limit.
 """
 
 from __future__ import annotations
@@ -289,6 +291,30 @@ def _leaving_holds(dom: Domain) -> bool:
     return not over
 
 
+def _check_step(dom: Domain, trace: ReductionTrace, mode: str) -> None:
+    """`verify`'s checks of the last step of the trace against the domain:
+    the perimeter against the double sum, `sides` against the live cells'
+    cycles (`_incidence`), `leaving` against the roots' stars
+    (`_leaving_holds`), the step's counts against the domain, and in strict
+    mode the drop of (perimeter, edge count) below the previous step's at
+    a fold or an attachment."""
+    step = trace.steps[-1]
+    before = ((trace.steps[-2].perimeter, trace.steps[-2].edges) if len(trace.steps) > 1
+              else (trace.initial_perimeter, trace.initial_edges))
+    if dom.perimeter != map_perimeter(dom.weighting, dom.to_map()):
+        raise EngineError(f"{step.kind} bookkeeping mismatch")
+    if dom.sides != _incidence(dom):
+        raise EngineError(f"{step.kind} bookkeeping mismatch in sides")
+    if not _leaving_holds(dom):
+        raise EngineError(f"{step.kind} bookkeeping mismatch in leaving")
+    if (step.perimeter, step.edges, step.vertices, step.cells) != (
+            dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
+        raise EngineError(f"{step.kind} step misstates the domain")
+    if (mode == "strict" and step.kind not in ("repair", "remove-redundant")
+            and (step.perimeter, step.edges) >= before):
+        raise EngineError(f"{step.kind} did not lower (P, #edges)")
+
+
 def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = None,
                   verify: bool = False) -> tuple[ReductionTrace, bool]:
     """Fold/repair/attach a live domain in place, under the weighting it was
@@ -296,68 +322,44 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
     trace and whether the step limit cut the run short (`exhausted`, set
     instead of raising so the partial trace stays observable); weak mode
     requires a limit, as weak attachments need not terminate, and a limit
-    below 0 is refused.  A fold phase that the limit cuts short still logs
+    below 0 is refused, as is an unknown mode (by `_scan_plan`, asked for
+    before any step).  A fold phase that the limit cuts short still logs
     its `remove-redundant` and `repair` steps, so a trace may hold more
     steps than the limit.
 
-    The folds of a fold phase are made by one `Domain.fold_all` within the
-    steps left, and each fold step is read off what it returns.  With
-    `verify`, `fold_all` makes one fold per call, and after every step the
-    perimeter is checked against the double sum, `sides` against the live
-    cells' cycles (`_incidence`), `leaving` against the roots' stars
-    (`_leaving_holds`) and the step's counts against the domain;
-    each fold phase is checked to end in a packed 1-immersion, and in
-    strict mode every fold and attachment to lower the pair (perimeter,
-    edge count) below the previous step's.
+    One loop, each pass in this order: the fold phase, whose folds one
+    `Domain.fold_all` makes within the steps left, each fold step read off
+    what it returns; `remove_redundant` and `repair`; then, unless the
+    limit is reached, the scan (`find_site`) and, while a site is left, its
+    attachment.  With `verify`, `fold_all` makes one fold per call and the
+    pass goes back to it while a fold is left, every step is checked
+    against the domain (`_check_step`), and each fold phase is checked to
+    end in a packed 1-immersion.
     """
-    w = dom.weighting
-    if mode not in ("strict", "weak"):
-        raise EngineError("mode must be 'strict' or 'weak'")
+    _scan_plan(dom.weighting, mode)  # refuses an unknown mode before any step
     if mode == "weak" and step_limit is None:
         raise EngineError("weak mode requires a step_limit")
     if step_limit is not None and step_limit < 0:
         raise EngineError(f"step_limit must be at least 0, not {step_limit}")
     trace = ReductionTrace(dom.perimeter, dom.num_edges)
-    pending = False  # the last fold phase was cut short with a fold left
+    steps = trace.steps
 
-    def out_of_steps() -> bool:
-        return step_limit is not None and len(trace.steps) >= step_limit
-
-    def log(kind: str, detail: dict | None = None) -> None:
+    def log(kind: str, detail: dict) -> None:
         # a twin cell counts in `num_cells` until `remove_redundant`, as in fold steps
-        trace.steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
-                                     dom.num_cells, detail or {}))
+        steps.append(TraceStep(kind, dom.perimeter, dom.num_edges, dom.num_vertices,
+                               dom.num_cells, detail))
         if verify:
-            check()
+            _check_step(dom, trace, mode)
 
-    def check() -> None:
-        step = trace.steps[-1]
-        before = ((trace.steps[-2].perimeter, trace.steps[-2].edges) if len(trace.steps) > 1
-                  else (trace.initial_perimeter, trace.initial_edges))
-        if dom.perimeter != map_perimeter(w, dom.to_map()):
-            raise EngineError(f"{step.kind} bookkeeping mismatch")
-        if dom.sides != _incidence(dom):
-            raise EngineError(f"{step.kind} bookkeeping mismatch in sides")
-        if not _leaving_holds(dom):
-            raise EngineError(f"{step.kind} bookkeeping mismatch in leaving")
-        if (step.perimeter, step.edges, step.vertices, step.cells) != (
-                dom.perimeter, dom.num_edges, dom.num_vertices, dom.num_cells):
-            raise EngineError(f"{step.kind} step misstates the domain")
-        if (mode == "strict" and step.kind not in ("repair", "remove-redundant")
-                and (step.perimeter, step.edges) >= before):
-            raise EngineError(f"{step.kind} did not lower (P, #edges)")
-
-    def fold_and_pack() -> None:
-        nonlocal pending
-        while True:
-            room = None if step_limit is None else step_limit - len(trace.steps)
-            folds, pending = dom.fold_all(1 if verify and room != 0 else room)
-            for _d1, _d2, perimeter, edges, vertices, cells in folds:
-                trace.steps.append(TraceStep("fold", perimeter, edges, vertices, cells))
-                if verify:
-                    check()
-            if not (verify and folds and pending):
-                break
+    while True:
+        room = None if step_limit is None else step_limit - len(steps)
+        folds, pending = dom.fold_all(1 if verify and room != 0 else room)
+        for _d1, _d2, perimeter, edges, vertices, cells in folds:
+            steps.append(TraceStep("fold", perimeter, edges, vertices, cells))
+            if verify:
+                _check_step(dom, trace, mode)
+        if verify and folds and pending:
+            continue  # one fold per call: the phase goes on
         removed = dom.remove_redundant()
         if removed:
             log("remove-redundant", {"removed": removed})
@@ -370,22 +372,18 @@ def reduce_domain(dom: Domain, mode: str = "strict", step_limit: int | None = No
                 raise EngineError("fold phase did not end in a 1-immersion")
             if not is_packed(folded)[0]:
                 raise EngineError("fold phase did not end packed")
-
-    fold_and_pack()
-    while not out_of_steps():
+        if step_limit is not None and len(steps) >= step_limit:
+            return trace, pending or find_site(dom, mode) is not None
         site = find_site(dom, mode)
         if site is None:
-            break
-        cell = site.cell
+            return trace, False
         before = dom.perimeter
         attach_site(dom, site)
         delta = dom.perimeter - before
-        if site.complete and delta > -cell_weight(w, cell):
+        if site.complete and delta > -cell_weight(dom.weighting, site.cell):
             raise EngineError("complete attachment failed to reduce perimeter by Wt(R)")
         log("attach-complete" if site.complete else "attach-incomplete",
-            {"cell": cell, "delta": delta})
-        fold_and_pack()
-    return trace, out_of_steps() and (pending or find_site(dom, mode) is not None)
+            {"cell": site.cell, "delta": delta})
 
 
 # --- presentation extraction -------------------------------------------------

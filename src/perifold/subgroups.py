@@ -124,7 +124,8 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
                       force: bool = False, step_limit: int | None = None
                       ) -> tuple[bool | None, ReductionTrace]:
     """`member`'s answer and the trace of its reduction; a word that is
-    trivial in the free group is answered without one (an empty trace).
+    trivial in the free group is answered without one (an empty trace),
+    once the bouquet has checked the generators.
 
     Every step only folds or attaches packets, so whisker endpoints
     identified within a step limit answer True however the run ends.  A
@@ -134,9 +135,9 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     if step_limit is not None and step_limit < 0:  # the shortcut below runs no reduction
         raise EngineError(f"step_limit must be at least 0, not {step_limit}")
     u = free_reduce(u)
+    dom = Domain.bouquet(w, _clean_words(gens), whisker=u)  # refuses unknown generators
     if not u.letters:
         return True, ReductionTrace(0, 0)
-    dom = Domain.bouquet(w, _clean_words(gens), whisker=u)
     tip = len(dom.parent) - 1  # the whisker's end, the last vertex
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
     if dom.find(tip) == 0:  # the basepoint, vertex 0, is always a root

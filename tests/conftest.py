@@ -3,14 +3,19 @@
 Everything here is deliberately independent of the package internals: the
 Stallings oracle folds plain edge lists, the piece oracle matches substrings
 of doubled words, and the grid builder assembles subcomplexes of the cubical
-cover directly.
+cover directly.  The benchmark's oracles (`perfbench/oracles.py`: Dehn
+reduction, lattice membership, the Smith form, stdlib only) serve the tests
+too: this module puts `perfbench/` on the path, so `import oracles` works
+wherever it is imported.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -21,6 +26,8 @@ from perifold.weights import Weighting
 from perifold.words import Presentation, Word, cyclic_reduce
 
 from fixtures import zzz_presentation
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 # --- independent free-group oracle -------------------------------------------
@@ -218,29 +225,6 @@ def side_weightings(draw, x: Complex2) -> Weighting:
                 for b in x.cells]
     rows = [row if sum(row) else [1] * len(row) for row in rows]
     return Weighting(x, tuple(tuple(row) for row in rows))
-
-
-# --- abelianization -----------------------------------------------------------
-
-
-def abelian_invariants(pres) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion coefficients > 1) of the abelianized presentation."""
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    ngen = len(pres.generators)
-    if not pres.relators:
-        return ngen, ()
-    rows = []
-    for r in pres.relators:
-        row = [0] * ngen
-        for ell in r.letters:
-            row[abs(ell) - 1] += 1 if ell > 0 else -1
-        rows.append(row)
-    snf = smith_normal_form(Matrix(rows))
-    diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
-    nonzero = [d for d in diag if d != 0]
-    return ngen - len(nonzero), tuple(sorted(d for d in nonzero if d > 1))
 
 
 # --- random cubical subcomplexes ----------------------------------------------

@@ -22,15 +22,26 @@ over the torus with the subgraphs {a} and {b} and over `Z^3` with {a}, {b}
 and {c}, each with `force=True`, and of <b a^-2 b^-1 a^-2> with {a} on the
 torus.
 
-The corpus pins behaviour, not correctness: a torus `member` answer that
-the exponent-sum lattice of Z^2 contradicts is tagged known-wrong (a
-weak certificate gates the strict engine), and so is a `magnus_intersect`
-presentation whose abelianization is not Z^r: in a free abelian group the
-intersection of the subgroup L with the subgroup of the subgraph is the
-kernel of the projection π that drops the subgraph's coordinates, free of
-rank r = rank L - rank π(L).  `tests/data/answer_corpus.json`
-holds the digests and the tags; `scripts/answer_corpus.py` regenerates it
-and prints the cases that changed.  Each final map of
+The corpus pins behaviour, not correctness, but a case that an exact
+oracle of `perfbench/oracles.py` or `conftest.GraphOracle` contradicts is
+tagged known-wrong, counting only runs the step limit did not cut short:
+- a `member_with_trace` answer on the torus or on `Z^3` that the
+  exponent-sum lattice contradicts (on the torus, a weak certificate gates
+  the strict engine), one on the free group that the Stallings graph
+  contradicts, and one for the trivial subgroup of `(aab)^3`, `(aab)^9`,
+  `(a b a^-1 b^-2)^4`, the orientable surfaces of genus 2 and 3 or
+  `magnus_example_presentation` that Dehn's algorithm contradicts;
+- a `subgroup_presentation` or `intersect` presentation on the free group
+  that is not free of the Stallings graph's rank (`rank`,
+  `intersection_rank`);
+- a `magnus_intersect` presentation whose abelianization is not Z^r: in a
+  free abelian group the intersection of the subgroup L with the subgroup
+  of the subgraph is the kernel of the projection π that drops the
+  subgraph's coordinates, free of rank r = rank L - rank π(L).
+
+`tests/data/answer_corpus.json` holds the digests and the tags;
+`scripts/answer_corpus.py` regenerates it and prints the cases that
+changed.  Each final map of
 `subgroup_presentation`, `intersect` and `magnus_intersect` is validated
 (`CombMap.validate`) before it is rendered.
 """
@@ -40,8 +51,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
-from math import gcd
 from pathlib import Path
 
 from perifold.complexes import standard_complex
@@ -49,13 +58,12 @@ from perifold.subgroups import intersect, magnus_intersect, member_with_trace, \
     subgroup_presentation
 from perifold.weights import unit_weighting
 from perifold.words import Word, free_reduce, parse_presentation
+from conftest import GraphOracle  # and `perfbench/` on the path, for `oracles`
 import fixtures
 from fixtures import random_reduced_word
+from oracles import abelian_invariants, dehn_reduce, exponent_sums, in_lattice, torus_member
 from reference import fold_to_immersion, reduce_map, reference_augment_with_cells, \
     reference_bouquet_map
-
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
-from oracles import abelian_invariants  # noqa: E402  (stdlib only; imports no perifold)
 
 PATH = Path(__file__).resolve().parent / "data" / "answer_corpus.json"
 STEP_LIMITS = (None, 0, 3, 10)
@@ -91,6 +99,12 @@ TORUS_FAULT_WORDS = (
 MAGNUS_EDGES = {"torus": (0, 1), "zzz": (0, 1, 2)}
 # <b a^-2 b^-1 a^-2> ∩ <a> on the torus: <a^4>, which is Z
 MAGNUS_FAULT = Word((2, -1, -1, -2, -1, -1))
+# one-relator complexes whose trivial words Dehn's algorithm finds: a
+# nonempty word trivial in the group has a subword of the relator R longer
+# than (n - 1)|s| = |R| - |s| for a proper power s^n (Newman's spelling
+# theorem), and longer than |R|/2 for a C'(1/6) relator (Greendlinger's lemma)
+PROPER_POWERS = ("aab3", "aab9", "bs4")
+SMALL_CANCELLATION = ("genus2", "genus3", "magnus")
 
 
 def _word(rng: random.Random, x) -> Word:
@@ -117,30 +131,41 @@ def _drawn(rng: random.Random, x) -> Word:
                       for _ in range(rng.randint(1, 8))))
 
 
-def _in_z2_lattice(t, vectors) -> bool:
-    """Whether t lies in the lattice of Z^2 that the vectors span."""
-    rows = [list(v) for v in vectors]
-    while sum(1 for r in rows if r[0]) > 1:  # Euclid on the first column
-        rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
-        q = rows[1][0] // rows[0][0]
-        rows[1] = [a - q * b for a, b in zip(rows[1], rows[0])]
-    t = list(t)
-    for r in rows:
-        if r[0]:
-            if t[0] % r[0]:
-                return False
-            q = t[0] // r[0]
-            t = [a - q * b for a, b in zip(t, r)]
-    g = 0
-    for r in rows:
-        if not r[0]:
-            g = gcd(g, r[1])
-    return t[0] == 0 and (t[1] == 0 if g == 0 else t[1] % g == 0)
+def _member_wrong(name: str, x, gens, u, answer) -> str | None:
+    """Why a decided `member_with_trace` answer is wrong, or None, where an
+    exact oracle decides membership: the exponent-sum lattice on the torus
+    and on Z^3, the Stallings graph on the free group, and Dehn's algorithm
+    for the trivial subgroup of the one-relator complexes named above."""
+    if answer is None:
+        return None
+    letters = [g.letters for g in gens]
+    if name == "torus":
+        want = torus_member(letters, u.letters)
+    elif name == "zzz":
+        want = in_lattice(exponent_sums(u.letters, 3), [exponent_sums(g, 3) for g in letters])
+    elif name == "free2":
+        want = GraphOracle(gens).member(u)
+    elif name in PROPER_POWERS + SMALL_CANCELLATION and not gens:
+        r = x.cells[0]
+        threshold = len(r) - x.periods[0][0] if name in PROPER_POWERS else len(r) // 2
+        want = not dehn_reduce(u.letters, r, threshold)
+    else:
+        return None
+    if answer == want:
+        return None
+    if name == "torus" and want:
+        return "false for a word of the subgroup: a weak certificate gates the strict engine"
+    return f"{answer} where the oracle answers {want}"
 
 
-def _exponents(letters) -> tuple[int, int]:
-    return (sum((d > 0) - (d < 0) for d in letters if abs(d) == 1),
-            sum((d > 0) - (d < 0) for d in letters if abs(d) == 2))
+def _free_rank_wrong(res, rank: int) -> str | None:
+    """Why a presentation of a subgroup of the free group, from a run not cut
+    short, is wrong, or None: it must be free of the Stallings graph's rank."""
+    p = res.presentation
+    if res.exhausted or (len(p.generators), p.relators) == (rank, ()):
+        return None
+    return (f"{len(p.generators)} generators and {len(p.relators)} relators,"
+            f" not a free group of rank {rank}")
 
 
 def _magnus_wrong(x, gens, edge, presentation) -> str | None:
@@ -203,19 +228,19 @@ def cases():
         for limit in STEP_LIMITS:
             for k, gens in enumerate(presented):
                 res = subgroup_presentation(x, w, gens, force=True, step_limit=limit)
-                yield f"subgroup_presentation/{name}/{k}/limit={limit}", _rendered_result(res), None
+                wrong = _free_rank_wrong(res, GraphOracle(gens).rank()) if name == "free2" else None
+                yield (f"subgroup_presentation/{name}/{k}/limit={limit}", _rendered_result(res),
+                       wrong)
             for k, (gens, u) in enumerate(queries):
                 answer, trace = member_with_trace(x, w, gens, u, force=True, step_limit=limit)
-                wrong = None
-                if (name == "torus" and answer is False and _in_z2_lattice(
-                        _exponents(u.letters), [_exponents(g.letters) for g in gens])):
-                    wrong = ("false for a word of the subgroup:"
-                             " a weak certificate gates the strict engine")
                 yield (f"member_with_trace/{name}/{k}/limit={limit}",
-                       {"member": answer, "trace": _rendered_trace(trace)}, wrong)
+                       {"member": answer, "trace": _rendered_trace(trace)},
+                       _member_wrong(name, x, gens, u, answer))
             for k, (gens_h, gens_k) in enumerate(pairs):
                 res = intersect(x, w, gens_h, gens_k, force=True, step_limit=limit)
-                yield f"intersect/{name}/{k}/limit={limit}", _rendered_result(res), None
+                wrong = (_free_rank_wrong(res, GraphOracle(gens_h).intersection_rank(
+                    GraphOracle(gens_k))) if name == "free2" else None)
+                yield f"intersect/{name}/{k}/limit={limit}", _rendered_result(res), wrong
         if name in MAGNUS_EDGES:
             rng = random.Random(f"answer-corpus:{name}:magnus")
             drawn = [_gens(rng, x, 1) for _ in range(INPUTS)]

@@ -164,6 +164,12 @@ def test_reduction_refuses_an_unknown_mode():
         reduce_map(m, w, "lax")
     with pytest.raises(EngineError, match="mode must be"):
         find_site(domain_of(m, w), "lax")
+    # before any step: the torus bouquet a b, a b^-1 keeps its fold
+    torus = unit_weighting(standard_complex(fixtures.torus_presentation()))
+    dom = Domain.bouquet(torus, [word([1, 2]), word([1, -2])])
+    with pytest.raises(EngineError, match="mode must be"):
+        reduce_domain(dom, "lax", 10)
+    assert dom.next_fold() is not None
     # and a negative step limit, which would end the run before any step
     for mode in ("strict", "weak"):
         with pytest.raises(EngineError, match="step_limit must be at least 0, not -1"):
