@@ -209,6 +209,50 @@ def magnus_example_presentation() -> Presentation:
     return parse_presentation("gens a b c d / rel a b c d d a c b b a d c")
 
 
+# --- CLI input files ---------------------------------------------------------
+# The input texts of the CLI tests and of the CLI half of the answer corpus
+# (`tests/cli_corpus.py`), so each of them is part of the corpus.
+
+ZZZ = """\
+gens a b c
+rel a b a^-1 b^-1
+rel a c a^-1 c^-1
+rel b c b^-1 c^-1
+weights rel 1: 1 2 3 4
+weights rel 2: 1 2 0 0
+weights rel 3: 1 3 5 0
+"""
+
+FREE = """\
+gens a b
+words H: a^2, a b
+"""
+
+AAB9 = """\
+gens a b
+rel ( a a b )^9
+weights unit
+"""
+
+MODIFY = """\
+gens a b c d e f
+rel a b c d e f^-1
+rel f a f b f c f d f e
+weights gen f 0
+"""
+
+# <a, b, t | [a, t], [b, t]>: no certificate of any grade holds
+FGIP = """\
+gens a b t
+rel a t a^-1 t^-1
+rel b t b^-1 t^-1
+"""
+
+TORUS = "gens a b\nrel a b a^-1 b^-1\n"
+
+GENUS2 = "gens a1 b1 a2 b2\nrel a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n"
+
+
 # --- seeded word draws --------------------------------------------------------
 # The answer corpus's inputs are drawn through these, so each rng call and
 # its order is part of the corpus.

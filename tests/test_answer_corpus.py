@@ -1,17 +1,26 @@
 import json
 
+import cli_corpus
 import corpus
 
 
-def test_answers_match_the_corpus():
-    # every answer, trace and final map of the corpus cases is what the
-    # committed file pins; `python scripts/answer_corpus.py` regenerates it
-    # and prints the cases that moved
-    stored = json.loads(corpus.PATH.read_text())
-    got = corpus.build()
+def built_as_stored(half) -> dict:
+    """The corpus half as built, after checking that no case of it moved from
+    the committed file; `python scripts/answer_corpus.py` regenerates both
+    halves and prints the cases that moved."""
+    stored = json.loads(half.PATH.read_text())
+    got = half.build()
     moved = sorted(case for case in stored["cases"].keys() | got["cases"].keys()
                    if stored["cases"].get(case) != got["cases"].get(case))
     assert not moved, f"{len(moved)} cases moved, the first: {moved[:5]}"
+    return got
+
+
+def test_answers_match_the_corpus():
+    # every answer, trace and final map of the library cases is what the
+    # committed file pins
+    stored = json.loads(corpus.PATH.read_text())
+    got = built_as_stored(corpus)
     assert got["known_wrong"] == stored["known_wrong"]
     # three operations at four step limits over twelve complexes, and the
     # four torus fault words of `member` at every limit, tagged; per
@@ -23,3 +32,15 @@ def test_answers_match_the_corpus():
                                  + 5 * corpus.INPUTS + 1)
     assert sum(case.startswith("member_with_trace/torus/") for case in got["known_wrong"]) >= 16
     assert "magnus_intersect/torus/fault/subgraph=0" in got["known_wrong"]
+
+
+def test_cli_answers_match_the_corpus():
+    # every exit code, standard output and error and trace file of the CLI
+    # cases is what the committed file pins: the README's commands, then
+    # per input file `info` and `check` plain and with --json and each run
+    # in five variants with and without --force, then the refusals
+    got = built_as_stored(cli_corpus)
+    commands = len(cli_corpus.readme_example()[1])
+    runs = sum(map(len, cli_corpus.RUNS.values()))
+    assert len(got["cases"]) == (commands + 4 * len(cli_corpus.INPUTS) + 2 * 5 * runs
+                                 + len(cli_corpus.REFUSALS))

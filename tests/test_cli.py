@@ -1,10 +1,8 @@
 import json
 import runpy
-import shlex
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,40 +13,8 @@ from perifold.maps import Domain
 from perifold.weights import edge_perimeters
 from perifold.words import ParseError, parse_word
 
-ZZZ = """\
-gens a b c
-rel a b a^-1 b^-1
-rel a c a^-1 c^-1
-rel b c b^-1 c^-1
-weights rel 1: 1 2 3 4
-weights rel 2: 1 2 0 0
-weights rel 3: 1 3 5 0
-"""
-
-FREE = """\
-gens a b
-words H: a^2, a b
-"""
-
-AAB9 = """\
-gens a b
-rel ( a a b )^9
-weights unit
-"""
-
-MODIFY = """\
-gens a b c d e f
-rel a b c d e f^-1
-rel f a f b f c f d f e
-weights gen f 0
-"""
-
-# <a, b, t | [a, t], [b, t]>: no certificate of any grade holds
-FGIP = """\
-gens a b t
-rel a t a^-1 t^-1
-rel b t b^-1 t^-1
-"""
+from cli_corpus import readme_example
+from fixtures import AAB9, FGIP, FREE, GENUS2, TORUS, ZZZ
 
 
 def write(tmp_path, name, text):
@@ -393,9 +359,6 @@ def test_check_rejects_magnus_that_no_criterion_reads(tmp_path, capsys):
         capsys.readouterr()
 
 
-TORUS = "gens a b\nrel a b a^-1 b^-1\n"
-
-
 HOSTILE = {  # name -> (input file, subcommand and options, error line)
     "weights-no-kind": (TORUS + "weights\n", ["info"],
                         "line 3, column 1: empty weights directive"),
@@ -458,18 +421,13 @@ def test_cli_rejects_hostile_input(tmp_path, capsys, text, args, error):
 def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
     # every `perifold ...` line of the README's CLI section, on the README's
     # example input file, ends with a documented exit code other than 2
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = readme.split("## CLI", 1)[1].split("```")
-    example, commands = blocks[1], blocks[3]
-    assert commands.startswith("sh\n")
+    example, commands = readme_example()
     (tmp_path / "input.pf").write_text(example, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    lines = [shlex.split(line, comments=True) for line in commands.splitlines()[1:]]
-    lines = [argv for argv in lines if argv]
-    assert lines and all(argv[0] == "perifold" for argv in lines)
-    for argv in lines:
-        assert main(argv[1:]) in (0, 1, 3, 4), argv
+    for argv in commands:
+        assert main(argv) in (0, 1, 3, 4), argv
         capsys.readouterr()
+
 
 def test_cmd_subgroup_missing_certificate(tmp_path, capsys):
     path = write(tmp_path, "fgip.pf", FGIP)
@@ -512,7 +470,7 @@ def test_cmd_info_with_alpha(tmp_path, capsys):
 def test_cmd_info_with_alpha_failing(tmp_path, capsys):
     # the genus-2 relator has pieces of one letter in 8: C'(1/8) fails at
     # the bound, with a witness, and still exits 0; C'(1/7) holds
-    path = write(tmp_path, "g2.pf", "gens a1 b1 a2 b2\nrel a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n")
+    path = write(tmp_path, "g2.pf", GENUS2)
     assert main(["info", path, "--alpha", "1/8", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)["small_cancellation"]
     assert report["C_prime"] == {"alpha": "1/8", "holds": False}
