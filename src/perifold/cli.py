@@ -331,7 +331,7 @@ def cmd_subgroup(f: InputFile, args) -> int:
 
 def cmd_member(f: InputFile, args) -> int:
     gens = _resolve_words(args.gens, f)
-    u = parse_word(args.word, f.presentation.generators) if args.word.strip() else Word(())
+    u = parse_word(args.word, f.presentation.generators)
     answer, trace = member_with_trace(f.complex, f.weighting, gens, u, force=args.force,
                                       step_limit=args.step_limit)
     _write_trace(trace, args.trace)

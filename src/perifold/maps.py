@@ -34,7 +34,7 @@ from itertools import accumulate
 from .complexes import Complex2
 from .records import Record
 from .weights import cell_weight, subpath_perimeter
-from .words import Word
+from .words import Word, free_reduce
 
 
 class MapError(ValueError):
@@ -175,23 +175,24 @@ class Domain:
 
     @classmethod
     def bouquet(cls, w, words: list[Word], whisker: Word | None = None) -> Domain:
-        """The wedge of subdivided circles (one per word, in order) at the
+        """The wedge of subdivided circles, one per word in order, at the
         basepoint 0, with an optional open whisker arc that ends at the last
-        vertex, mapped along the given words into the complex of the
-        weighting w: arcs (`add_arc`) glued to its wedge point (`Domain(w)`)."""
+        vertex, mapped along the free reductions of the words into the
+        complex of the weighting w: arcs (`add_arc`) glued to its wedge
+        point (`Domain(w)`).  Every letter is checked as given, before any
+        word is reduced, so a word over an unknown generator is refused
+        even where it cancels; a word or whisker that cancels glues no arc."""
         dom = cls(w)
         ngen = dom.codomain.num_edges()
-        for word in words:
-            if not word.letters:
-                raise MapError("bouquet words must be nonempty")
-            if any(abs(ell) > ngen for ell in word.letters):
-                raise MapError("word uses unknown generator")
-        if whisker is not None and any(abs(ell) > ngen for ell in whisker.letters):
+        given = [(word, 0) for word in words]
+        if whisker is not None:
+            given.append((whisker, None))  # its end is a fresh vertex
+        if any(abs(ell) > ngen for word, _end in given for ell in word.letters):
             raise MapError("word uses unknown generator")
-        for word in words:
-            dom.add_arc(0, 0, word.letters)
-        if whisker is not None and whisker.letters:
-            dom.add_arc(0, None, whisker.letters)
+        for word, end in given:
+            letters = free_reduce(word).letters
+            if letters:
+                dom.add_arc(0, end, letters)
         return dom
 
     def find(self, v: int) -> int:

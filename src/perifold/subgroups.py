@@ -23,7 +23,7 @@ from .engine import EngineError, ReductionTrace, extract_presentation, reduce_do
 from .maps import CombMap, Domain, based_fiber_product
 from .records import Record
 from .weights import Weighting
-from .words import Presentation, Word, free_reduce
+from .words import Presentation, Word
 
 
 class MissingCertificateError(ValueError):
@@ -87,10 +87,6 @@ def _certified(x: Complex2, w: Weighting, grade: str, force: bool,
     return cert, cert is None
 
 
-def _clean_words(words) -> list[Word]:
-    return [r for r in map(free_reduce, words) if r.letters]
-
-
 @_collector_paused
 def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
                           force: bool = False,
@@ -100,7 +96,7 @@ def subgroup_presentation(x: Complex2, w: Weighting, gens: list[Word],
     With a step limit that cuts the reduction short, `exhausted` is set and
     the presentation is read off the partially reduced complex."""
     cert, heuristic = _certified(x, w, "strict", force, "subgroup_presentation")
-    dom = Domain.bouquet(w, _clean_words(gens))
+    dom = Domain.bouquet(w, gens)
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
     m = dom.to_map()
     return SubgroupResult(extract_presentation(m), trace, cert, heuristic, m, exhausted)
@@ -125,7 +121,10 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
                       ) -> tuple[bool | None, ReductionTrace]:
     """`member`'s answer and the trace of its reduction; a word that is
     trivial in the free group is answered without one (an empty trace),
-    once the bouquet has checked the generators.
+    once the bouquet has checked every letter of the generators and of u.
+    u is reduced once, by the bouquet, and the whisker's tip is the head of
+    the last edge it glued: vertex 0, where the generators' loops end,
+    exactly when u cancels.
 
     Every step only folds or attaches packets, so whisker endpoints
     identified within a step limit answer True however the run ends.  A
@@ -134,11 +133,10 @@ def member_with_trace(x: Complex2, w: Weighting, gens: list[Word], u: Word,
     _certified(x, w, "weak", force, "member")
     if step_limit is not None and step_limit < 0:  # the shortcut below runs no reduction
         raise EngineError(f"step_limit must be at least 0, not {step_limit}")
-    u = free_reduce(u)
-    dom = Domain.bouquet(w, _clean_words(gens), whisker=u)  # refuses unknown generators
-    if not u.letters:
+    dom = Domain.bouquet(w, gens, whisker=u)  # refuses unknown generators, then reduces
+    tip = dom.edges[-1][1] if dom.edges else 0  # the whisker's end
+    if tip == 0:  # u cancels
         return True, ReductionTrace(0, 0)
-    tip = len(dom.parent) - 1  # the whisker's end, the last vertex
     trace, exhausted = reduce_domain(dom, "strict", step_limit)
     if dom.find(tip) == 0:  # the basepoint, vertex 0, is always a root
         return True, trace
@@ -165,7 +163,7 @@ def intersect(x: Complex2, w: Weighting, gens_h: list[Word], gens_k: list[Word],
     cert, heuristic = _certified(x, w, "sc-strict", force, "intersect")
     runs, domains = [], []
     for gens in (gens_h, gens_k):
-        dom = Domain.bouquet(w, _clean_words(gens))
+        dom = Domain.bouquet(w, gens)
         runs.append(reduce_domain(dom, "strict", step_limit))
         dom.augment()
         runs.append(reduce_domain(dom, "strict", step_limit))
@@ -194,7 +192,7 @@ def magnus_intersect(x: Complex2, subgraph_edges: set[int], gens_h: list[Word],
             + "; ".join(verdict.witnesses or verdict.notes)
         )
     cert, heuristic = _certified(x, weighting, "weak", force, "magnus_intersect")
-    dom = Domain.bouquet(weighting, _clean_words(gens_h))
+    dom = Domain.bouquet(weighting, gens_h)
     trace, _exhausted = reduce_domain(dom, "strict")
     inclusion = Domain.bouquet(weighting, [Word((e + 1,)) for e in sorted(subgraph_edges)])
     based = based_fiber_product(dom, inclusion)

@@ -719,18 +719,26 @@ def test_domain_starts_at_the_map_perimeter(rng):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bouquet_domain_matches_reference_map(data):
-    # the arcs glued one by one onto the wedge point give the map built by
-    # hand, its sorted end stars, and the live state of a `Domain` of that
-    # map (which is glued edge by edge with the same `add_arc`)
+    # words as drawn, not reduced, some of which cancel, glued as arcs one
+    # by one onto the wedge point give the map built by hand from their
+    # free reductions, the empty ones left out, its sorted end stars, and
+    # the live state of a `Domain` of that map (which is glued edge by edge
+    # with the same `add_arc`)
     x, w_of = data.draw(st.sampled_from(_DIFF_COMPLEXES))
     w = w_of(x)
     letter = st.sampled_from([s * (e + 1) for e in range(x.num_edges()) for s in (1, -1)])
-    gens = [g for g in (draw_word(data, x) for _ in range(data.draw(st.integers(0, 3))))
-            if g.letters]
-    whisker = data.draw(st.sampled_from([None, word([]), "nonempty"]))
-    if whisker == "nonempty":  # as drawn, not reduced
-        whisker = word(data.draw(st.lists(letter, min_size=1, max_size=8)))
-    want = reference_bouquet_map(x, gens, whisker)  # validated
+
+    def unreduced():
+        # a drawn word, or none, with a subword and its inverse spliced in
+        body = list(draw_word(data, x).letters) if data.draw(st.booleans()) else []
+        c = data.draw(st.lists(letter, max_size=3))
+        k = data.draw(st.integers(0, len(body)))
+        return word(body[:k] + c + [-d for d in reversed(c)] + body[k:])
+
+    gens = [unreduced() for _ in range(data.draw(st.integers(0, 3)))]
+    whisker = unreduced() if data.draw(st.booleans()) else None
+    want = reference_bouquet_map(x, [g for g in map(free_reduce, gens) if g.letters],
+                                 None if whisker is None else free_reduce(whisker))  # validated
     dom = Domain.bouquet(w, gens, whisker)
     assert dom.to_map() == want
     assert dom.stars == [{img: sorted(ends) for img, ends in star.items()}

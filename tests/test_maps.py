@@ -46,12 +46,21 @@ def test_bouquet_shapes(free2):
     assert m2.domain.edges[-1] == (0, m2.domain.num_vertices - 1)  # the whisker's tip
     m3 = Domain.bouquet(w, [word([1]), word([2])], whisker=word([1, 2])).to_map()
     assert m3.domain.num_edges() == 4
-    with pytest.raises(MapError, match="word uses unknown generator"):
-        Domain.bouquet(w, [word([3])])
-    with pytest.raises(MapError, match="bouquet words must be nonempty"):
-        Domain.bouquet(w, [word([])])
-    for whisker in (word([3]), word([1, -3])):
-        with pytest.raises(MapError, match="word uses unknown generator"):
+    # each word is glued reduced: an empty word glues no arc, and neither
+    # does a word or a whisker that cancels
+    for words, whisker in (([word([])], None), ([word([1, -1])], None), ([], word([2, -2])),
+                           ([word([]), word([2, 1, -1, -2])], word([]))):
+        dom = Domain.bouquet(w, words, whisker)
+        assert (dom.num_vertices, dom.num_edges, dom.perimeter) == (1, 0, 0)
+    m4 = Domain.bouquet(w, [word([1, -1]), word([2, 1, -1])], whisker=word([1, 2, -2])).to_map()
+    assert (m4.domain.num_vertices, m4.domain.edges) == (2, [(0, 0), (0, 1)])
+    assert m4.edge_image == [2, 1]
+    # every letter is checked as given, before any word is reduced
+    for words in ([word([3])], [word([3, -3])], [word([1]), word([1, 3, -3, -1])]):
+        with pytest.raises(MapError, match="^word uses unknown generator$"):
+            Domain.bouquet(w, words)
+    for whisker in (word([3]), word([1, -3]), word([3, -3])):
+        with pytest.raises(MapError, match="^word uses unknown generator$"):
             Domain.bouquet(w, [word([1])], whisker=whisker)
 
 
@@ -67,7 +76,7 @@ def test_domain_refuses_a_codomain_with_several_vertices(monkeypatch):
         w = unit_weighting(x)
         with pytest.raises(MapError, match="^Domain expects a one-vertex codomain$"):
             Domain(w)
-        for words in ([word([1])], [word([])]):  # an empty word is refused later
+        for words in ([word([1])], [word([])]):
             with pytest.raises(MapError, match="^Domain expects a one-vertex codomain$"):
                 Domain.bouquet(w, words, whisker=word([1]))
 

@@ -206,6 +206,31 @@ def test_member_refuses_a_word_over_an_unknown_generator():
             member(aab3, unit_weighting(aab3), [word([7])], u)
 
 
+_AAB3 = standard_complex(fixtures.aab_power_presentation(3))
+_TORUS = standard_complex(fixtures.torus_presentation())
+_CANCELS = word([7, -7])  # over a generator that (aab)^3 does not have
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("x, decide", [
+    (_AAB3, lambda x, w, force: subgroup_presentation(x, w, [_CANCELS], force=force)),
+    (_AAB3, lambda x, w, force: member(x, w, [_CANCELS], word([1]), force=force)),
+    (_AAB3, lambda x, w, force: member(x, w, [], _CANCELS, force=force)),
+    (_AAB3, lambda x, w, force: member_with_trace(x, w, [_CANCELS], word([1]), force=force)),
+    (_AAB3, lambda x, w, force: member_with_trace(x, w, [], _CANCELS, force=force)),
+    (_AAB3, lambda x, w, force: intersect(x, w, [_CANCELS], [word([1])], force=force)),
+    (_AAB3, lambda x, w, force: intersect(x, w, [word([1])], [_CANCELS], force=force)),
+    (_TORUS, lambda x, w, force: magnus_intersect(x, {0}, [word([5, -5])], force=force)),
+], ids=["subgroup_presentation", "member-gens", "member-word", "member_with_trace-gens",
+        "member_with_trace-word", "intersect-h", "intersect-k", "magnus_intersect"])
+def test_a_cancelling_word_over_an_unknown_generator_is_refused(x, decide, force):
+    # every letter is checked as given, before any word is reduced, so a
+    # word that cancels is refused as one letter of an unknown generator
+    # is, forced or not
+    with pytest.raises(MapError, match="^word uses unknown generator$"):
+        decide(x, unit_weighting(x), force)
+
+
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("decide", [
     lambda x, w, force: subgroup_presentation(x, w, [word([1, 2])], force=force),
